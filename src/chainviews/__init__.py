@@ -125,6 +125,7 @@ from .selection import (
     filter_keep_all,
     filter_random,
     keep_count,
+    rank_keep,
 )
 from .verification import CheckResult, all_passed, run_checks
 

@@ -25,12 +25,12 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channels import sample_channel
+from .channels import generate_benchmark, sample_channel
 from .datamodel import (
     MODALITY_V,
     REAL_PARENT,
@@ -49,11 +49,8 @@ from .rng import derive_rng
 from .selection import (
     RandomLinearEmbedder,
     SelectionPolicy,
-    filter_by_loss,
-    filter_by_similarity,
-    filter_keep_all,
-    filter_random,
     keep_count,
+    rank_keep,
     random_scores,
     similarity_scores,
 )
@@ -104,29 +101,12 @@ class PipelineConfig:
             raise ValueError("workers must be >= 1")
         SelectionPolicy(self.policy_name, self.keep_fraction)  # validates both
 
-    @property
-    def policy(self) -> SelectionPolicy:
-        return SelectionPolicy(self.policy_name, self.keep_fraction)
-
     def to_dict(self) -> dict:
-        return {
-            "ccg_rounds": self.ccg_rounds,
-            "initial_views": self.initial_views,
-            "spawn_per_kept": list(self.spawn_per_kept),
-            "keep_fraction": self.keep_fraction,
-            "policy_name": self.policy_name,
-            "train_views": self.train_views,
-            "infer_views": self.infer_views,
-            "infer_generate": self.infer_generate,
-            "teacher": vars(self.teacher).copy(),
-            "student": vars(self.student).copy(),
-            "seed": self.seed,
-            "shared_attention": self.shared_attention,
-            "teacher_warm_start": self.teacher_warm_start,
-            "infer_full_chain": self.infer_full_chain,
-            "pca_dim": self.pca_dim,
-            "gmm_components": self.gmm_components,
-        }
+        """Every field but ``workers``, which never changes a result."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        out["spawn_per_kept"] = list(self.spawn_per_kept)
+        out["teacher"], out["student"] = vars(self.teacher).copy(), vars(self.student).copy()
+        return out
 
 
 def config_hash(payload: dict) -> str:
@@ -224,7 +204,7 @@ def compute_metrics(
     }
 
 
-# --- scoring helpers ----------------------------------------------------------
+# --- scoring -------------------------------------------------------------------
 
 
 def teacher_loss_of(teacher: TeacherModel, view: View, instance: Instance) -> float:
@@ -238,285 +218,301 @@ def teacher_confidence_loss(teacher: TeacherModel, view: View, instance: Instanc
     return float(-np.max(log_softmax(teacher.logits((view, instance.entities)))))
 
 
-# --- the run ------------------------------------------------------------------
+class Scorer:
+    """The selection policy, chosen once from its name, as a scoring function.
 
+    Scores are lower-is-better and ``rank_keep`` breaks ties by index. The
+    teacher-loss policy scores a selection's candidates by the frozen
+    final-pass losses of a teacher trained on them (``teacher`` holds the
+    latest; ``warm_start`` trains it further instead of a fresh one), the
+    student's pick by those stored losses and test-time views by the
+    teacher's confidence. The other policies score every step alike:
+    similarity to the real view, or a uniform draw per (step, instance);
+    keep_all keeps every candidate, so its selection scores are all zero.
+    """
 
-class _Run:
-    def __init__(
-        self,
-        train_instances: Sequence[Instance],
-        test_instances: Sequence[Instance],
-        schema: DatasetSchema,
-        g_uv,
-        g_vu,
-        config: PipelineConfig,
-        condition: str,
-    ):
+    def __init__(self, policy_name: str, schema: DatasetSchema, seed: int, teacher=None, warm_start=False):
+        self.policy = SelectionPolicy(policy_name)
         self.schema = schema
-        self.g_uv = g_uv
-        self.g_vu = g_vu
-        self.config = config
-        self.condition = condition
-        self.seed = config.seed
-        self.instances = list(train_instances)
-        self.test_instances = list(test_instances)
-        self.pools: list[list[SyntheticView]] = [list(inst.synthetic_pool) for inst in self.instances]
-        self.candidates: list[list[int]] = [inst.v_side_views() for inst in self.instances]
-        self.rounds: list[RoundRecord] = []
-        self.teacher: TeacherModel | None = None
-        self.policy = config.policy
+        self.seed = seed
+        self.teacher = teacher
+        self.warm_start = warm_start
         self.embedder = (
-            RandomLinearEmbedder(schema.u_spec, schema.v_spec, self.policy.embed_dim, seed=self.seed)
-            if self.policy.name == "similarity"
+            RandomLinearEmbedder(schema.u_spec, schema.v_spec, self.policy.embed_dim, seed=seed)
+            if policy_name == "similarity"
             else None
         )
-        self.timing: dict[str, float] = {}
 
-    # -- generation --
+    def scores(self, instance: Instance, views: Sequence, stream) -> list:
+        """Scores of one instance's views at selection ``stream`` (its index),
+        at the student's pick ("student-pick") or at test time ("infer-pick").
+        Teacher-loss selections go through ``select``."""
+        name = self.policy.name
+        if name == "similarity":
+            return similarity_scores(views, instance.real_view, self.embedder)
+        if name == "teacher_loss":
+            if stream == "student-pick":
+                return [sv.teacher_loss for sv in views]
+            if self.teacher is None:
+                return [0.0] * len(views)
+            return [teacher_confidence_loss(self.teacher, v, instance) for v in views]
+        if name == "keep_all" and isinstance(stream, int):
+            return [0.0] * len(views)
+        return random_scores(len(views), self.seed, stream, instance.id)
 
-    def _spawn_initial(self, idx: int) -> None:
-        instance = self.instances[idx]
-        pool = self.pools[idx]
-        for j in range(self.config.initial_views):
-            rng = derive_rng(self.seed, "gen", instance.id, 0, j)
-            view = sample_channel(self.g_uv, instance.real_view, rng)
-            pool.append(SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT))
-        self.candidates[idx] = [i for i, sv in enumerate(pool) if sv.step == STEP_U_TO_V]
-
-    def _spawn_children(self, idx: int, round_index: int, spawn: int) -> None:
-        instance = self.instances[idx]
-        pool = self.pools[idx]
-        new_candidates = []
-        for parent_idx in self.candidates[idx]:
-            parent = pool[parent_idx]
-            for j in range(spawn):
-                rng = derive_rng(self.seed, "gen", instance.id, round_index, parent_idx, j)
-                u_view = sample_channel(self.g_vu, parent.view, rng)
-                pool.append(
-                    SyntheticView(view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx)
-                )
-                u_idx = len(pool) - 1
-                v_view = sample_channel(self.g_uv, u_view, rng)
-                pool.append(
-                    SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=u_idx)
-                )
-                new_candidates.append(len(pool) - 1)
-        self.candidates[idx] = self.candidates[idx] + new_candidates
-
-    # -- scoring and selection --
-
-    def _train_round_teacher(self, selection_index: int) -> list[list[float]]:
-        """Fresh teacher on the whole candidate pool; returns per-instance
-        frozen final-pass losses aligned with the candidate lists."""
-        if self.config.teacher_warm_start and self.teacher is not None:
-            teacher = self.teacher
-        else:
-            rng = derive_rng(self.seed, "teacher-init", selection_index)
-            teacher = TeacherModel(rng, self.schema)
-        samples = []
-        for idx, instance in enumerate(self.instances):
-            for cand in self.candidates[idx]:
-                samples.append(((self.pools[idx][cand].view, instance.entities), instance.label.value))
-        cfg = replace(self.config.teacher, seed=self.seed)
-        _, losses = train(teacher, samples, cfg, rng_stream=("teacher-train", selection_index))
-        self.teacher = teacher
-        per_instance = []
-        cursor = 0
-        for idx in range(len(self.instances)):
-            n = len(self.candidates[idx])
-            per_instance.append([float(x) for x in losses[cursor : cursor + n]])
-            cursor += n
+    def select(
+        self, instances: Sequence[Instance], live: list[list[int]], selection_index: int, teacher_config: TrainConfig
+    ) -> list[list[float]]:
+        """Per-instance scores of the live candidates at one selection."""
+        if not self.policy.needs_teacher:
+            return [
+                self.scores(inst, [inst.synthetic_pool[c] for c in ids], selection_index)
+                for inst, ids in zip(instances, live)
+            ]
+        if not (self.warm_start and self.teacher is not None):
+            self.teacher = TeacherModel(derive_rng(self.seed, "teacher-init", selection_index), self.schema)
+        samples = [
+            ((inst.synthetic_pool[c].view, inst.entities), inst.label.value)
+            for inst, ids in zip(instances, live)
+            for c in ids
+        ]
+        cfg = replace(teacher_config, seed=self.seed)
+        _, losses = train(self.teacher, samples, cfg, rng_stream=("teacher-train", selection_index))
+        per_instance, cursor = [], 0
+        for ids in live:
+            per_instance.append([float(x) for x in losses[cursor : cursor + len(ids)]])
+            cursor += len(ids)
         return per_instance
 
-    def _selection_scores(self, selection_index: int) -> list[list[float]]:
-        if self.policy.name == "teacher_loss":
-            per_instance = self._train_round_teacher(selection_index)
-            for idx in range(len(self.instances)):
-                pool = self.pools[idx]
-                for cand, loss in zip(self.candidates[idx], per_instance[idx]):
-                    pool[cand] = pool[cand].scored(loss)
-            return per_instance
-        scores = []
-        for idx, instance in enumerate(self.instances):
-            views = [self.pools[idx][c] for c in self.candidates[idx]]
-            if self.policy.name == "similarity":
-                scores.append(similarity_scores(views, instance.real_view, self.embedder))
-            elif self.policy.name == "random":
-                scores.append(random_scores(len(views), self.seed, selection_index, instance.id))
-            else:  # keep_all
-                scores.append([0.0] * len(views))
-        return scores
 
-    def _select(self, selection_index: int, spawn: int) -> None:
-        scores = self._selection_scores(selection_index)
-        records = []
-        pool_sizes = set()
-        kept_sizes = set()
-        for idx, instance in enumerate(self.instances):
-            cand_ids = self.candidates[idx]
-            pool = self.pools[idx]
-            cand_views = [pool[c] for c in cand_ids]
-            if self.policy.name == "keep_all":
-                kept_local = list(range(len(cand_ids)))
-            else:
-                k = keep_count(self.policy.keep_fraction, len(cand_ids))
-                order = sorted(range(len(cand_ids)), key=lambda i: (scores[idx][i], i))
-                kept_local = sorted(order[:k])
-            kept_set = set(kept_local)
-            for local, cand in enumerate(cand_ids):
-                pool[cand] = pool[cand].with_selected(local in kept_set)
-            kept_ids = [cand_ids[i] for i in kept_local]
-            records.append(
-                InstanceSelectionRecord(
-                    instance_id=instance.id,
-                    candidate_ids=tuple(cand_ids),
-                    scores=tuple(scores[idx]),
-                    kept_ids=tuple(kept_ids),
-                )
-            )
-            pool_sizes.add(len(cand_ids))
-            kept_sizes.add(len(kept_ids))
-            self.candidates[idx] = kept_ids
+# --- stepwise building blocks ---------------------------------------------------
+#
+# run_pipeline is these calls in order, so driving them by hand with one
+# Scorer reproduces it exactly. Liveness is explicit: a v-side view is a
+# candidate for the next selection if the previous selection kept it (its
+# ``selected`` flag) or if it was generated after that selection, i.e. in
+# the round after it.
+
+
+def _live_ids(instance: Instance, fresh_round: int) -> list[int]:
+    return [
+        i
+        for i, sv in enumerate(instance.synthetic_pool)
+        if sv.step == STEP_U_TO_V and (sv.selected or sv.round == fresh_round)
+    ]
+
+
+def run_round0(
+    instances: Sequence[Instance], g_uv, config: PipelineConfig
+) -> list[Instance]:
+    """Give every instance its initial batch of generated views.
+
+    Requires empty synthetic pools; each instance ends up with exactly
+    ``config.initial_views`` round-0 views parented to the real view.
+    """
+    occupied = [inst.id for inst in instances if inst.synthetic_pool]
+    if occupied:
+        raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
+
+    def build(instance: Instance) -> Instance:
+        pool = []
+        for j in range(config.initial_views):
+            rng = derive_rng(config.seed, "gen", instance.id, 0, j)
+            view = sample_channel(g_uv, instance.real_view, rng)
+            pool.append(SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT))
+        return instance.with_pool(pool)
+
+    return parallel_map(build, instances, config.workers)
+
+
+def _spawn_children(instance: Instance, parents: list[int], round_index: int, spawn: int, g_vu, g_uv, seed: int):
+    pool = list(instance.synthetic_pool)
+    for parent_idx in parents:
+        for j in range(spawn):
+            rng = derive_rng(seed, "gen", instance.id, round_index, parent_idx, j)
+            u_view = sample_channel(g_vu, pool[parent_idx].view, rng)
+            pool.append(SyntheticView(view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx))
+            v_view = sample_channel(g_uv, u_view, rng)
+            pool.append(SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=len(pool) - 1))
+    return instance.with_pool(pool)
+
+
+def run_ccg_round(
+    instances: Sequence[Instance],
+    round_index: int,
+    g_vu,
+    g_uv,
+    spawn: int,
+    teacher_config: TrainConfig,
+    keep_fraction: float,
+    schema: DatasetSchema,
+    seed: int = 0,
+    workers: int = 1,
+    *,
+    scorer: Scorer | None = None,
+    rounds: list[RoundRecord] | None = None,
+) -> list[Instance]:
+    """One selection-plus-generation round.
+
+    ``round_index`` is 1-based: round 1 judges the initial views. ``scorer``
+    (default: teacher loss) scores every live candidate; the teacher policy
+    trains a teacher on them and writes its frozen final-pass losses back as
+    ``teacher_loss``. The best ``keep_fraction`` per instance (all of them
+    under keep_all) keep their ``selected`` flag, and each kept view spawns
+    ``spawn`` children (u-side then v-side, both recorded). Pass one scorer
+    (built for this ``schema`` and ``seed``) to every round to keep its
+    teacher, and a list as ``rounds`` to collect each round's RoundRecord.
+    """
+    if round_index < 1:
+        raise PipelineError("round_index is 1-based")
+    if spawn < 0:
+        raise PipelineError("spawn must be non-negative")
+    scorer = scorer or Scorer("teacher_loss", schema, seed)
+    selection_index = round_index - 1
+    instances = list(instances)
+    live = [_live_ids(inst, selection_index) for inst in instances]
+    if any(not ids for ids in live):
+        raise PipelineError("every instance needs at least one live candidate view")
+
+    scores = scorer.select(instances, live, selection_index, teacher_config)
+    records, kept = [], []
+    for idx, instance in enumerate(instances):
+        ids = live[idx]
+        k = len(ids) if scorer.policy.name == "keep_all" else keep_count(keep_fraction, len(ids))
+        kept_local = set(rank_keep(scores[idx], k))
+        pool = list(instance.synthetic_pool)
+        for local, cand in enumerate(ids):
+            sv = pool[cand].scored(scores[idx][local]) if scorer.policy.needs_teacher else pool[cand]
+            pool[cand] = sv.with_selected(local in kept_local)
+        instances[idx] = instance.with_pool(pool)
+        kept.append([cand for local, cand in enumerate(ids) if local in kept_local])
+        records.append(InstanceSelectionRecord(instance.id, tuple(ids), tuple(scores[idx]), tuple(kept[-1])))
+    if rounds is not None:
+        pool_sizes = {len(r.candidate_ids) for r in records}
+        kept_sizes = {len(r.kept_ids) for r in records}
         if len(pool_sizes) != 1 or len(kept_sizes) != 1:
             raise PipelineError("instances diverged in pool size; balanced worlds cannot do that")
-        self.rounds.append(
-            RoundRecord(
-                selection_index=selection_index,
-                pool_size=pool_sizes.pop(),
-                kept_size=kept_sizes.pop(),
-                spawned=spawn,
-                per_instance=tuple(records),
-            )
+        rounds.append(RoundRecord(selection_index, pool_sizes.pop(), kept_sizes.pop(), spawn, tuple(records)))
+    if spawn > 0:
+        instances = parallel_map(
+            lambda pair: _spawn_children(pair[0], pair[1], round_index, spawn, g_vu, g_uv, seed),
+            list(zip(instances, kept)),
+            workers,
         )
-        if spawn > 0:
-            parallel_map(
-                lambda idx: self._spawn_children(idx, selection_index + 1, spawn),
-                range(len(self.instances)),
-                self.config.workers,
-            )
+    return instances
 
-    def _score_unscored_candidates(self) -> None:
-        """Give trailing generated views a loss from the final teacher so the
-        student's pick compares every candidate under one scorer."""
-        if self.teacher is None:
-            return
 
-        def score(idx: int) -> None:
-            instance = self.instances[idx]
-            pool = self.pools[idx]
-            for cand in self.candidates[idx]:
-                if pool[cand].teacher_loss is None:
-                    loss = teacher_loss_of(self.teacher, pool[cand].view, instance)
-                    pool[cand] = pool[cand].scored(loss)
+def score_trailing(instances: Sequence[Instance], teacher: TeacherModel, workers: int = 1) -> list[Instance]:
+    """Give every v-side view that carries no loss one from ``teacher``.
 
-        parallel_map(score, range(len(self.instances)), self.config.workers)
+    After the last selection these are its children, so the student's pick
+    then compares every live candidate under the final teacher.
+    """
 
-    # -- student --
+    def score(instance: Instance) -> Instance:
+        pool = list(instance.synthetic_pool)
+        for i, sv in enumerate(pool):
+            if sv.step == STEP_U_TO_V and sv.teacher_loss is None:
+                pool[i] = sv.scored(teacher_loss_of(teacher, sv.view, instance))
+        return instance.with_pool(pool)
 
-    def _student_pick(self, idx: int) -> list[View]:
-        instance = self.instances[idx]
-        pool = self.pools[idx]
-        cand_ids = self.candidates[idx]
-        if len(cand_ids) < self.config.train_views:
+    return parallel_map(score, instances, workers)
+
+
+def train_student(
+    instances: Sequence[Instance],
+    n_train: int,
+    student_config: TrainConfig,
+    schema: DatasetSchema,
+    seed: int = 0,
+    teacher: TeacherModel | None = None,
+    shared_attention: bool = True,
+    *,
+    policy_name: str = "teacher_loss",
+    fresh_round: int | None = None,
+) -> StudentModel:
+    """Train the fusion student on each instance's best live candidates.
+
+    The live candidates are the last selection's keepers plus the views
+    generated in ``fresh_round`` (default: the newest round in the pools).
+    Per instance the policy's ``n_train`` best join the real view and
+    entities. The teacher-loss policy ranks by stored loss: pass the final
+    round's ``teacher`` to first score the views generated after the last
+    selection (as ``score_trailing`` does); without one, only views that
+    already carry a loss are ranked.
+    """
+    if teacher is not None:
+        instances = score_trailing(instances, teacher)
+    if fresh_round is None:
+        fresh_round = max((sv.round for inst in instances for sv in inst.synthetic_pool), default=0)
+    scorer = Scorer(policy_name, schema, seed)
+    samples = []
+    for instance in instances:
+        views = [instance.synthetic_pool[c] for c in _live_ids(instance, fresh_round)]
+        ranked = [(s, sv.view) for s, sv in zip(scorer.scores(instance, views, "student-pick"), views) if s is not None]
+        if len(ranked) < n_train:
             raise PipelineError(
-                f"instance {instance.id} has {len(cand_ids)} candidate views, "
-                f"needs {self.config.train_views}"
+                f"instance {instance.id} has {len(ranked)} scored candidate views, needs {n_train}"
             )
-        views = [pool[c] for c in cand_ids]
-        if self.policy.name == "teacher_loss":
-            scores = [v.teacher_loss for v in views]
-        elif self.policy.name == "similarity":
-            scores = similarity_scores(views, instance.real_view, self.embedder)
-        else:  # random and keep_all pick uniformly, seeded per instance
-            scores = random_scores(len(views), self.seed, "student-pick", instance.id)
-        order = sorted(range(len(views)), key=lambda i: (scores[i], i))
-        return [views[i].view for i in order[: self.config.train_views]]
+        chosen = tuple(ranked[i][1] for i in rank_keep([s for s, _ in ranked], n_train))
+        samples.append(((instance.real_view, chosen, instance.entities), instance.label.value))
+    student = StudentModel(derive_rng(seed, "student-init"), schema, shared_attention=shared_attention)
+    train(student, samples, replace(student_config, seed=seed), rng_stream=("student-train",))
+    return student
 
-    def _train_student(self):
-        rng = derive_rng(self.seed, "student-init")
-        student = StudentModel(rng, self.schema, shared_attention=self.config.shared_attention)
-        samples = []
-        for idx, instance in enumerate(self.instances):
-            chosen = tuple(self._student_pick(idx))
-            samples.append(((instance.real_view, chosen, instance.entities), instance.label.value))
-        cfg = replace(self.config.student, seed=self.seed)
-        train(student, samples, cfg, rng_stream=("student-train",))
-        return student
 
-    # -- inference --
+def infer(
+    student: StudentModel,
+    teacher: TeacherModel | None,
+    instance: Instance,
+    g_uv,
+    config: PipelineConfig,
+    g_vu=None,
+    real_v: View | None = None,
+) -> Label:
+    """Classify one test instance.
 
-    def _infer_one(self, student, instance: Instance) -> int:
-        n_gen = self.config.infer_generate or self.config.initial_views
-        views = []
-        for j in range(n_gen):
-            rng = derive_rng(self.seed, "infer-gen", instance.id, j)
-            view = sample_channel(self.g_uv, instance.real_view, rng)
-            if self.config.infer_full_chain:
-                for _ in range(self.config.ccg_rounds):
-                    view = sample_channel(self.g_uv, sample_channel(self.g_vu, view, rng), rng)
-            views.append(view)
-        if self.policy.name == "teacher_loss":
-            scores = [teacher_confidence_loss(self.teacher, v, instance) for v in views]
-        elif self.policy.name == "similarity":
-            scores = similarity_scores(views, instance.real_view, self.embedder)
-        else:
-            scores = random_scores(len(views), self.seed, "infer-pick", instance.id)
-        order = sorted(range(len(views)), key=lambda i: (scores[i], i))
-        chosen = tuple(views[i] for i in order[: self.config.infer_views])
-        logits = student.logits((instance.real_view, chosen, instance.entities))
-        return int(np.argmax(logits))
+    Fresh views come from the round-0 channel, or from the whole chain when
+    ``config.infer_full_chain`` (which needs ``g_vu``). The config's policy
+    keeps the ``config.infer_views`` best: under teacher loss the ones the
+    teacher classifies most confidently (the first generated without a
+    teacher), under similarity the closest to the real view, otherwise a
+    uniform draw. A real v-side view, when supplied, joins the set unscored.
+    """
+    if config.infer_full_chain and g_vu is None:
+        raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
+    views = []
+    for j in range(config.infer_generate or config.initial_views):
+        rng = derive_rng(config.seed, "infer-gen", instance.id, j)
+        view = sample_channel(g_uv, instance.real_view, rng)
+        if config.infer_full_chain:
+            for _ in range(config.ccg_rounds):
+                view = sample_channel(g_uv, sample_channel(g_vu, view, rng), rng)
+        views.append(view)
+    scorer = Scorer(config.policy_name, student.schema, config.seed, teacher=teacher)
+    chosen = [views[i] for i in rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)]
+    if real_v is not None:
+        if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
+            raise PipelineError("appended real view does not match the synthetic-side spec")
+        chosen.append(real_v)
+    logits = student.logits((instance.real_view, tuple(chosen), instance.entities))
+    return Label(int(np.argmax(logits)))
 
-    # -- assembly --
 
-    def _diversity(self) -> tuple[StageDiversity, ...]:
-        stages = extract_stages(self._final_instances(), self.schema)
-        usable = {name: m for name, m in stages.items() if m.shape[0] >= 2}
-        if not usable:
-            return ()
-        pca_dim = min(self.config.pca_dim, self.schema.v_spec.size)
-        report = diversity_report(usable, pca_dim, self.config.gmm_components, seed=self.seed)
-        return tuple(report)
+def stage_diversity(
+    instances: Sequence[Instance], schema: DatasetSchema, config: PipelineConfig
+) -> tuple[StageDiversity, ...]:
+    """Generalized variance of every stage of a finished run with two or
+    more views."""
+    stages = extract_stages(instances, schema)
+    usable = {name: m for name, m in stages.items() if m.shape[0] >= 2}
+    if not usable:
+        return ()
+    pca_dim = min(config.pca_dim, schema.v_spec.size)
+    return tuple(diversity_report(usable, pca_dim, config.gmm_components, seed=config.seed))
 
-    def _final_instances(self) -> list[Instance]:
-        return [inst.with_pool(pool) for inst, pool in zip(self.instances, self.pools)]
 
-    def execute(self, digest: str) -> RunResult:
-        t0 = time.perf_counter()
-        parallel_map(self._spawn_initial, range(len(self.instances)), self.config.workers)
-        self.timing["generate_initial"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        selections = self.config.ccg_rounds if self.config.ccg_rounds > 0 else 1
-        spawns = list(self.config.spawn_per_kept) if self.config.ccg_rounds > 0 else [0]
-        for s in range(selections):
-            self._select(s, spawns[s])
-        self._score_unscored_candidates()
-        self.timing["rounds"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        student = self._train_student()
-        self.timing["train_student"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        predictions = parallel_map(
-            lambda inst: self._infer_one(student, inst), self.test_instances, self.config.workers
-        )
-        labels = [inst.label.value for inst in self.test_instances]
-        metrics = compute_metrics(predictions, labels, self.schema)
-        self.timing["evaluate"] = time.perf_counter() - t0
-
-        report = RunReport(
-            condition=self.condition,
-            config_digest=digest,
-            seed=self.seed,
-            ccg_rounds=self.config.ccg_rounds,
-            rounds=tuple(self.rounds),
-            final_pool_size=len(self.candidates[0]) if self.candidates else 0,
-            metrics=metrics,
-            diversity=self._diversity(),
-            timing=dict(self.timing),
-        )
-        return RunResult(instances=self._final_instances(), report=report, teacher=self.teacher, student=student)
+# --- the run --------------------------------------------------------------------
 
 
 def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfig, digest: str) -> RunResult:
@@ -556,14 +552,63 @@ def run_pipeline(
     condition: str = "full",
     config_digest: str | None = None,
 ) -> RunResult:
-    """Execute one condition end to end and return instances plus report."""
+    """Execute one condition end to end and return instances plus report.
+
+    The run is the stepwise calls in order: ``run_round0``, one
+    ``run_ccg_round`` per round (one selection with no children when
+    ``ccg_rounds=0``), ``score_trailing``, ``train_student`` and ``infer``
+    per test instance, all sharing one Scorer.
+    """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
-    run = _Run(train_instances, test_instances, schema, g_uv, g_vu, config, condition)
-    return run.execute(digest)
+    seed, workers = config.seed, config.workers
+    timing: dict[str, float] = {}
+
+    t0 = time.perf_counter()
+    instances = run_round0(train_instances, g_uv, config)
+    timing["generate_initial"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    scorer = Scorer(config.policy_name, schema, seed, warm_start=config.teacher_warm_start)
+    rounds: list[RoundRecord] = []
+    for round_index, spawn in enumerate(config.spawn_per_kept or (0,), start=1):
+        instances = run_ccg_round(
+            instances, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema, seed, workers,
+            scorer=scorer, rounds=rounds,
+        )
+    if scorer.teacher is not None:
+        instances = score_trailing(instances, scorer.teacher, workers)
+    timing["rounds"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    student = train_student(
+        instances, config.train_views, config.student, schema, seed,
+        shared_attention=config.shared_attention, policy_name=config.policy_name, fresh_round=len(rounds),
+    )
+    timing["train_student"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    predictions = parallel_map(
+        lambda inst: infer(student, scorer.teacher, inst, g_uv, config, g_vu).value, test_instances, workers
+    )
+    metrics = compute_metrics(predictions, [inst.label.value for inst in test_instances], schema)
+    timing["evaluate"] = time.perf_counter() - t0
+
+    report = RunReport(
+        condition=condition,
+        config_digest=digest,
+        seed=seed,
+        ccg_rounds=config.ccg_rounds,
+        rounds=tuple(rounds),
+        final_pool_size=len(_live_ids(instances[0], len(rounds))) if instances else 0,
+        metrics=metrics,
+        diversity=stage_diversity(instances, schema, config),
+        timing=timing,
+    )
+    return RunResult(instances=instances, report=report, teacher=scorer.teacher, student=student)
 
 
 def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
@@ -581,198 +626,6 @@ def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
     raise PipelineError(f"unknown condition {condition!r}")
 
 
-# --- stepwise building blocks ---------------------------------------------------
-#
-# These mirror the phases of run_pipeline one call at a time, reading candidate
-# state back out of view provenance: a v-side view is a live candidate while it
-# is selected or not yet scored. Streams match the orchestrated run, so driving
-# the steps by hand reproduces run_pipeline exactly.
-
-
-def _candidate_ids(instance: Instance) -> list[int]:
-    return [
-        i
-        for i, sv in enumerate(instance.synthetic_pool)
-        if sv.step == STEP_U_TO_V and (sv.selected or sv.teacher_loss is None)
-    ]
-
-
-def run_round0(
-    instances: Sequence[Instance], g_uv, config: PipelineConfig
-) -> list[Instance]:
-    """Give every instance its initial batch of generated views.
-
-    Requires empty synthetic pools; each instance ends up with exactly
-    ``config.initial_views`` round-0 views parented to the real view.
-    """
-    occupied = [inst.id for inst in instances if inst.synthetic_pool]
-    if occupied:
-        raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
-
-    def build(instance: Instance) -> Instance:
-        pool = []
-        for j in range(config.initial_views):
-            rng = derive_rng(config.seed, "gen", instance.id, 0, j)
-            view = sample_channel(g_uv, instance.real_view, rng)
-            pool.append(SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT))
-        return instance.with_pool(pool)
-
-    return parallel_map(build, instances, config.workers)
-
-
-def run_ccg_round(
-    instances: Sequence[Instance],
-    round_index: int,
-    g_vu,
-    g_uv,
-    spawn: int,
-    teacher_config: TrainConfig,
-    keep_fraction: float,
-    schema: DatasetSchema,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[Instance]:
-    """One selection-plus-generation round under the teacher-loss policy.
-
-    ``round_index`` is 1-based: round 1 judges the initial views. A fresh
-    teacher trains on every live candidate, its frozen final-pass losses are
-    written back as ``teacher_loss``, the best ``keep_fraction`` per instance
-    keep their ``selected`` flag, and each kept view spawns ``spawn``
-    children (u-side then v-side, both recorded).
-    """
-    if round_index < 1:
-        raise PipelineError("round_index is 1-based")
-    if spawn < 0:
-        raise PipelineError("spawn must be non-negative")
-    selection_index = round_index - 1
-    instances = list(instances)
-    pools = [list(inst.synthetic_pool) for inst in instances]
-    candidates = [_candidate_ids(inst) for inst in instances]
-    if any(not cand for cand in candidates):
-        raise PipelineError("every instance needs at least one live candidate view")
-
-    if teacher_config.seed != seed:
-        teacher_config = replace(teacher_config, seed=seed)
-    rng = derive_rng(seed, "teacher-init", selection_index)
-    teacher = TeacherModel(rng, schema)
-    samples = []
-    for idx, instance in enumerate(instances):
-        for cand in candidates[idx]:
-            samples.append(((pools[idx][cand].view, instance.entities), instance.label.value))
-    _, losses = train(teacher, samples, teacher_config, rng_stream=("teacher-train", selection_index))
-
-    cursor = 0
-    for idx, instance in enumerate(instances):
-        cand_ids = candidates[idx]
-        pool = pools[idx]
-        scores = [float(x) for x in losses[cursor : cursor + len(cand_ids)]]
-        cursor += len(cand_ids)
-        k = keep_count(keep_fraction, len(cand_ids))
-        order = sorted(range(len(cand_ids)), key=lambda i: (scores[i], i))
-        kept_local = set(order[:k])
-        for local, cand in enumerate(cand_ids):
-            pool[cand] = pool[cand].scored(scores[local]).with_selected(local in kept_local)
-        if spawn > 0:
-            for local in sorted(kept_local):
-                parent_idx = cand_ids[local]
-                parent = pool[parent_idx]
-                for j in range(spawn):
-                    child_rng = derive_rng(seed, "gen", instance.id, round_index, parent_idx, j)
-                    u_view = sample_channel(g_vu, parent.view, child_rng)
-                    pool.append(
-                        SyntheticView(
-                            view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx
-                        )
-                    )
-                    u_idx = len(pool) - 1
-                    v_view = sample_channel(g_uv, u_view, child_rng)
-                    pool.append(
-                        SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=u_idx)
-                    )
-    return [inst.with_pool(pool) for inst, pool in zip(instances, pools)]
-
-
-def train_student(
-    instances: Sequence[Instance],
-    n_train: int,
-    student_config: TrainConfig,
-    schema: DatasetSchema,
-    seed: int = 0,
-    teacher: TeacherModel | None = None,
-    shared_attention: bool = True,
-) -> StudentModel:
-    """Train the fusion student on each instance's best synthetic views.
-
-    Per instance the ``n_train`` lowest-teacher-loss live candidates join the
-    real view and entities. Pass the final round's ``teacher`` to also score
-    candidates generated after the last selection (the orchestrated run does);
-    without one, only views that already carry a loss are ranked.
-    """
-    samples = []
-    for instance in instances:
-        ranked = []
-        for cand in _candidate_ids(instance):
-            sv = instance.synthetic_pool[cand]
-            loss = sv.teacher_loss
-            if loss is None and teacher is not None:
-                loss = teacher_loss_of(teacher, sv.view, instance)
-            if loss is not None:
-                ranked.append((loss, cand, sv.view))
-        if len(ranked) < n_train:
-            raise PipelineError(
-                f"instance {instance.id} has {len(ranked)} scored candidate views, needs {n_train}"
-            )
-        ranked.sort(key=lambda item: (item[0], item[1]))
-        chosen = tuple(view for _, _, view in ranked[:n_train])
-        samples.append(((instance.real_view, chosen, instance.entities), instance.label.value))
-    rng = derive_rng(seed, "student-init")
-    student = StudentModel(rng, schema, shared_attention=shared_attention)
-    if student_config.seed != seed:
-        student_config = replace(student_config, seed=seed)
-    train(student, samples, student_config, rng_stream=("student-train",))
-    return student
-
-
-def infer(
-    student: StudentModel,
-    teacher: TeacherModel | None,
-    instance: Instance,
-    g_uv,
-    config: PipelineConfig,
-    g_vu=None,
-    real_v: View | None = None,
-) -> Label:
-    """Classify one test instance.
-
-    Fresh views come from the round-0 channel (or the whole chain when
-    ``config.infer_full_chain`` and ``g_vu`` are given); the teacher keeps the
-    ``config.infer_views`` most confidently classified ones. A real v-side
-    view, when supplied, joins the set unscored. Without a teacher the first
-    generated views are used as-is.
-    """
-    n_gen = config.infer_generate or config.initial_views
-    views = []
-    for j in range(n_gen):
-        rng = derive_rng(config.seed, "infer-gen", instance.id, j)
-        view = sample_channel(g_uv, instance.real_view, rng)
-        if config.infer_full_chain and g_vu is not None:
-            for _ in range(config.ccg_rounds):
-                view = sample_channel(g_uv, sample_channel(g_vu, view, rng), rng)
-        views.append(view)
-    if teacher is not None:
-        scores = [teacher_confidence_loss(teacher, v, instance) for v in views]
-        order = sorted(range(len(views)), key=lambda i: (scores[i], i))
-    else:
-        order = list(range(len(views)))
-    chosen = [views[i] for i in order[: config.infer_views]]
-    if real_v is not None:
-        if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
-            raise PipelineError("appended real view does not match the synthetic-side spec")
-        chosen.append(real_v)
-    logits = student.logits((instance.real_view, tuple(chosen), instance.entities))
-    return Label(int(np.argmax(logits)))
-
-
 # --- stage extraction ---------------------------------------------------------
 
 
@@ -785,10 +638,7 @@ def extract_stages(instances: Sequence[Instance], schema: DatasetSchema) -> dict
     u-side view points at it -- with the final selection falling back to the
     stored ``selected`` flags when no later round exists to encode it.
     """
-    rounds = set()
-    for inst in instances:
-        for sv in inst.synthetic_pool:
-            rounds.add(sv.round)
+    rounds = {sv.round for inst in instances for sv in inst.synthetic_pool}
     if not rounds:
         return {}
     max_round = max(rounds)
@@ -869,24 +719,12 @@ def run_ablation(
     reports: list[RunReport] = []
     for seed in seeds:
         world, g_uv, g_vu, v_spec = make_world(seed)
-        from .channels import generate_benchmark  # local to avoid cycle at import time
-
         train_instances, schema = generate_benchmark(world, n_train_per_class, v_spec, stream="train")
         test_instances, _ = generate_benchmark(world, n_test_per_class, v_spec, stream="test")
         for condition in conditions:
             config = replace(condition_config(base_config, condition), seed=seed)
             result = run_pipeline(train_instances, test_instances, schema, g_uv, g_vu, config, condition)
-            metrics = result.report.metrics
-            rows.append(
-                AblationRow(
-                    condition=condition,
-                    seed=seed,
-                    accuracy=metrics["accuracy"],
-                    precision=metrics["precision"],
-                    recall=metrics["recall"],
-                    f1=metrics["f1"],
-                )
-            )
+            rows.append(AblationRow(condition, seed, *(result.report.metrics[c] for c in METRIC_COLUMNS[1:])))
             reports.append(result.report)
     return rows, reports
 
@@ -894,31 +732,12 @@ def run_ablation(
 def ablation_table(rows: Sequence[AblationRow]) -> list[dict]:
     """Per-seed rows plus one ``<condition>_mean`` row per condition, all with
     the metric columns condition/accuracy/precision/recall/f1."""
-    table = [
-        {
-            "condition": row.condition,
-            "accuracy": row.accuracy,
-            "precision": row.precision,
-            "recall": row.recall,
-            "f1": row.f1,
-        }
-        for row in rows
-    ]
-    seen: list[str] = []
-    for row in rows:
-        if row.condition not in seen:
-            seen.append(row.condition)
-    for condition in seen:
+    columns = METRIC_COLUMNS[1:]
+    table = [{"condition": row.condition, **{c: getattr(row, c) for c in columns}} for row in rows]
+    for condition in dict.fromkeys(row.condition for row in rows):
         group = [row for row in rows if row.condition == condition]
-        table.append(
-            {
-                "condition": f"{condition}_mean",
-                "accuracy": float(np.mean([r.accuracy for r in group])),
-                "precision": float(np.mean([r.precision for r in group])),
-                "recall": float(np.mean([r.recall for r in group])),
-                "f1": float(np.mean([r.f1 for r in group])),
-            }
-        )
+        means = {c: float(np.mean([getattr(r, c) for r in group])) for c in columns}
+        table.append({"condition": f"{condition}_mean", **means})
     return table
 
 
@@ -951,16 +770,7 @@ def report_to_dict(report: RunReport) -> dict:
             }
             for r in report.rounds
         ],
-        "diversity": [
-            {
-                "stage": d.stage,
-                "n_views": d.n_views,
-                "pca_dim": d.pca_dim,
-                "n_components": d.n_components,
-                "statistic": d.statistic,
-            }
-            for d in report.diversity
-        ],
+        "diversity": [asdict(d) for d in report.diversity],
         "timing": report.timing,
     }
 
@@ -978,7 +788,7 @@ def metrics_table_text(rows: Sequence[dict]) -> str:
         lines.append(
             ",".join(
                 [str(row["condition"])]
-                + [repr(float(row[c])) for c in ("accuracy", "precision", "recall", "f1")]
+                + [repr(float(row[c])) for c in METRIC_COLUMNS[1:]]
             )
         )
     return "\n".join(lines) + "\n"

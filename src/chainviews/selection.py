@@ -44,11 +44,19 @@ def keep_count(keep_fraction: float, n: int) -> int:
     return -(-product.numerator // product.denominator)
 
 
+def rank_keep(scores: Sequence[float], k: int) -> list[int]:
+    """Indices of the ``k`` best (lowest) scores, best first.
+
+    Ranking is by (score, index), so equal scores keep the lower index;
+    callers that want the survivors in index order sort the result.
+    """
+    return sorted(range(len(scores)), key=lambda i: (scores[i], i))[:k]
+
+
 def _split_by_rank(
     views: Sequence[SyntheticView], scores: Sequence[float], k: int
 ) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    order = sorted(range(len(views)), key=lambda i: (scores[i], i))
-    kept_idx = set(order[:k])
+    kept_idx = set(rank_keep(scores, k))
     kept = [views[i].with_selected(True) for i in sorted(kept_idx)]
     discarded = [views[i].with_selected(False) for i in range(len(views)) if i not in kept_idx]
     return kept, discarded
@@ -132,7 +140,8 @@ def filter_keep_all(views: Sequence[SyntheticView]) -> tuple[list[SyntheticView]
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Named policy plus its keep fraction; ``apply`` routes to the filters."""
+    """A validated policy name plus its keep fraction and, for the
+    similarity policy, the embedding width."""
 
     name: str
     keep_fraction: float = 0.6

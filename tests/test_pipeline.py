@@ -20,12 +20,13 @@ from chainviews.datamodel import (
     discrete_view,
     vector_view,
 )
-from chainviews.models import TeacherModel, train
+from chainviews.models import TeacherModel
 from chainviews.pipeline import (
     CONDITIONS,
     METRIC_COLUMNS,
     PipelineConfig,
     PipelineError,
+    Scorer,
     ablation_table,
     compute_metrics,
     condition_config,
@@ -39,6 +40,8 @@ from chainviews.pipeline import (
     run_pipeline,
     run_round0,
     save_report,
+    score_trailing,
+    stage_diversity,
     teacher_confidence_loss,
     teacher_loss_of,
     train_student,
@@ -308,48 +311,61 @@ def test_config_digest_ignores_workers():
 # --- stepwise building blocks ------------------------------------------------------
 
 
-def live_candidates(instance):
-    return [
-        i
-        for i, sv in enumerate(instance.synthetic_pool)
-        if sv.step == STEP_U_TO_V and (sv.selected or sv.teacher_loss is None)
-    ]
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"policy_name": "similarity"},
+        {"policy_name": "random"},
+        {"policy_name": "keep_all"},
+        {"ccg_rounds": 0, "spawn_per_kept": ()},
+        {"teacher_warm_start": True, "infer_full_chain": True},
+    ],
+    ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "warm_full_chain"],
+)
+def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
+    config = replace(tiny_run.config, **overrides)
+    schema, g_uv, g_vu = tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu
+    orchestrated = run_pipeline(tiny_run.train, tiny_run.test, schema, g_uv, g_vu, config)
 
-
-def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run):
-    config = tiny_run.config
-    schema = tiny_run.schema
-    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    scorer = Scorer(config.policy_name, schema, config.seed, warm_start=config.teacher_warm_start)
+    rounds = []
+    step = run_round0(tiny_run.train, g_uv, config)
     assert all(len(inst.synthetic_pool) == config.initial_views for inst in step)
-    step = run_ccg_round(
-        step, 1, tiny_run.g_vu, tiny_run.g_uv, 2, config.teacher, config.keep_fraction, schema, seed=config.seed
+    for round_index, spawn in enumerate(config.spawn_per_kept or (0,), start=1):
+        step = run_ccg_round(
+            step, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema,
+            seed=config.seed, scorer=scorer, rounds=rounds,
+        )
+    # the schedule from keep/spawn arithmetic alone
+    pool_size = config.initial_views
+    for record in rounds:
+        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
+        assert (record.pool_size, record.kept_size) == (pool_size, kept)
+        pool_size = kept * (1 + record.spawned)
+    teacher = scorer.teacher
+    assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
+    if teacher is not None:
+        assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
+        # scoring the trailing views on the fly trains the same student
+        on_the_fly = train_student(step, config.train_views, config.student, schema, seed=config.seed, teacher=teacher)
+        assert all(np.array_equal(on_the_fly.params[k], orchestrated.student.params[k]) for k in on_the_fly.params)
+        step = score_trailing(step, teacher)
+    student = train_student(
+        step, config.train_views, config.student, schema, seed=config.seed,
+        policy_name=config.policy_name, fresh_round=len(rounds),
     )
-    # rebuild the second round's teacher from the same state the round itself saw
-    samples = [
-        ((inst.synthetic_pool[c].view, inst.entities), inst.label.value)
-        for inst in step
-        for c in live_candidates(inst)
-    ]
-    teacher = TeacherModel(derive_rng(config.seed, "teacher-init", 1), schema)
-    train(teacher, samples, replace(config.teacher, seed=config.seed), rng_stream=("teacher-train", 1))
-    step = run_ccg_round(
-        step, 2, tiny_run.g_vu, tiny_run.g_uv, 1, config.teacher, config.keep_fraction, schema, seed=config.seed
+    assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
+    predictions = [infer(student, teacher, inst, g_uv, config, g_vu=g_vu).value for inst in tiny_run.test]
+    stepwise = replace(
+        orchestrated.report,
+        rounds=tuple(rounds),
+        final_pool_size=pool_size,
+        metrics=compute_metrics(predictions, [inst.label.value for inst in tiny_run.test], schema),
+        diversity=stage_diversity(step, schema, config),
     )
-    orchestrated = tiny_run.result
-    assert all(
-        np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params
-    )
-    student = train_student(step, config.train_views, config.student, schema, seed=config.seed, teacher=teacher)
-    assert all(
-        np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params
-    )
-    # same pools view for view; only trailing scores (persisted by the orchestrated
-    # run, recomputed here) may differ
-    for mine, theirs in zip(step, orchestrated.instances):
-        assert len(mine.synthetic_pool) == len(theirs.synthetic_pool)
-        for a, b in zip(mine.synthetic_pool, theirs.synthetic_pool):
-            assert a.view.equals(b.view)
-            assert (a.round, a.step, a.parent_id, a.selected) == (b.round, b.step, b.parent_id, b.selected)
+    assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
+    assert dataset_to_string(step, schema) == dataset_to_string(orchestrated.instances, schema)
 
 
 def test_round0_view_counts_and_provenance(tiny_run):
@@ -564,6 +580,21 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
         assert view.equals(want)
     plain = generated_views(instance, tiny_run.g_uv, config)
     assert not got[0].equals(plain[0])
+
+
+def test_infer_full_chain_needs_the_return_channel(tiny_run):
+    config = tiny_config(infer_full_chain=True)
+    student = RecordingStudent(tiny_run.schema)
+    with pytest.raises(PipelineError, match="g_vu"):
+        infer(student, None, tiny_run.test[0], tiny_run.g_uv, config)
+    assert student.calls == []
+
+
+def test_run_pipeline_rejects_occupied_pools(tiny_run):
+    with pytest.raises(PipelineError, match="already hold"):
+        run_pipeline(
+            tiny_run.result.instances, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, tiny_run.config
+        )
 
 
 def test_confidence_loss_is_best_case_over_labels(tiny_run):

@@ -16,6 +16,7 @@ from chainviews.selection import (
     filter_keep_all,
     filter_random,
     keep_count,
+    rank_keep,
     similarity_scores,
 )
 from conftest import scored_pool
@@ -79,6 +80,13 @@ def test_filter_by_loss_tie_break_is_stable():
     kept, _ = filter_by_loss(scored_pool([0.5] * 5), 0.4)
     # all losses equal: the two lowest indices survive
     assert [v.view.data[0] for v in kept] == [0.0, 1.0]
+    assert rank_keep([0.5] * 5, 2) == [0, 1]
+    assert rank_keep([0.5] * 5, 0) == []
+    assert rank_keep([0.5] * 5, 5) == [0, 1, 2, 3, 4]
+    # best first, equal scores by index; k beyond n keeps everything
+    assert rank_keep([0.3, 0.1, 0.3, 0.1], 3) == [1, 3, 0]
+    assert rank_keep([0.3, 0.1, 0.3, 0.1], 4) == [1, 3, 0, 2]
+    assert rank_keep([0.3, 0.1], 9) == [1, 0]
 
 
 def test_filter_by_loss_boundary_ordering():
@@ -176,6 +184,9 @@ def test_orthogonal_tie_keeps_lower_index():
     kept, _ = filter_by_similarity(views, real, emb, 0.5)
     assert len(kept) == 1
     assert np.array_equal(kept[0].view.data, [0.0, 1.0])
+    scores = similarity_scores(views, real, emb)
+    assert rank_keep(scores, 0) == []
+    assert rank_keep(scores, 2) == [0, 1]
 
 
 # --- random policy -------------------------------------------------------------------
