@@ -12,14 +12,14 @@ import numpy as np
 from chainviews import (
     PipelineConfig,
     TrainConfig,
-    filter_by_loss,
-    filter_random,
     generate_benchmark,
     keep_count,
     lossy_world_preset,
+    rank_keep,
     run_round0,
     run_ccg_round,
 )
+from chainviews.selection import random_scores
 
 world, g_uv, g_vu = lossy_world_preset("collapse-heavy", seed=3)
 train, schema = generate_benchmark(world, 10, g_uv.out_port.spec)
@@ -62,10 +62,12 @@ print(
 
 print()
 print("== selection policies on one scored pool ==")
-pool = list(pooled[0].synthetic_pool[:24])
-kept, dropped = filter_by_loss(pool, 0.5)
-print(f"loss policy:   keep {len(kept)}, worst kept loss {max(v.teacher_loss for v in kept):.3f}, "
-      f"best dropped loss {min(v.teacher_loss for v in dropped):.3f}")
-kept_r, _ = filter_random(pool, 0.5, 3, "demo-random")
-print(f"random policy: keep {len(kept_r)}, mean kept loss {np.mean([v.teacher_loss for v in kept_r]):.3f}")
+# every policy is a lower-is-better score per candidate, ranked by rank_keep
+losses = [v.teacher_loss for v in pooled[0].synthetic_pool[:24]]
+k = keep_count(0.5, len(losses))
+kept = set(rank_keep(losses, k))
+print(f"loss policy:   keep {len(kept)}, worst kept loss {max(losses[i] for i in kept):.3f}, "
+      f"best dropped loss {min(losses[i] for i in range(len(losses)) if i not in kept):.3f}")
+kept_r = rank_keep(random_scores(len(losses), 3, "demo-random"), k)
+print(f"random policy: keep {len(kept_r)}, mean kept loss {np.mean([losses[i] for i in kept_r]):.3f}")
 print(f"keep_count(0.6, 30) = {keep_count(0.6, 30)} (ceiling arithmetic, exact)")

@@ -120,10 +120,6 @@ from .selection import (
     RandomLinearEmbedder,
     SelectionError,
     SelectionPolicy,
-    filter_by_loss,
-    filter_by_similarity,
-    filter_keep_all,
-    filter_random,
     keep_count,
     rank_keep,
 )

@@ -99,11 +99,9 @@ class DiscreteChannel:
         _check_input(self, view)
         draws = rng.random(view.data.shape[0])
         rows = self._cumulative[view.data]
-        # inverse-CDF per position; searchsorted over each row's cumsum
-        symbols = np.array(
-            [np.searchsorted(rows[i], draws[i], side="right") for i in range(len(draws))],
-            dtype=np.int64,
-        )
+        # inverse-CDF per position: the count of cumsum entries <= the draw,
+        # which is searchsorted(row, draw, side="right") on each sorted row
+        symbols = (rows <= draws[:, None]).sum(axis=1)
         symbols = np.minimum(symbols, self.out_port.spec.size - 1)
         return self.out_port.make_view(symbols)
 

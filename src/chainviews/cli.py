@@ -282,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
+
+    def workers(p):
         p.add_argument("--workers", type=int, default=1, help="worker threads; never affects results")
 
     p = sub.add_parser("gen-benchmark", help="sample a benchmark world into dataset files")
@@ -290,11 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline once")
     common(p)
+    workers(p)
     p.add_argument("--k", type=int, default=None, help="override the number of generation rounds")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run every ablation condition over the configured seeds")
     common(p)
+    workers(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify", help="run the registered invariant checks")

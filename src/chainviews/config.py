@@ -53,7 +53,6 @@ _TOP_KEYS = {
     "dataset",
     "channels",
     "data",
-    "metrics",
     "pipeline",
     "ablation",
     "diversity",
@@ -210,7 +209,6 @@ class ExperimentConfig:
     train_per_class: int
     test_per_class: int
     none_class: int | None
-    include_none: bool
     pipeline: PipelineConfig
     ablation_seeds: tuple[int, ...]
     ablation_conditions: tuple[str, ...]
@@ -316,8 +314,6 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
 
     data = _require_mapping(mapping.get("data", {}), "data")
     _reject_unknown(data, {"train_per_class", "test_per_class", "none_class"}, "data")
-    metrics = _require_mapping(mapping.get("metrics", {}), "metrics")
-    _reject_unknown(metrics, {"include_none"}, "metrics")
 
     ablation = _require_mapping(mapping.get("ablation", {}), "ablation")
     _reject_unknown(ablation, {"seeds", "conditions"}, "ablation")
@@ -339,7 +335,9 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError("diversity grid entries must be positive")
 
     pipeline = _parse_pipeline(mapping.get("pipeline"), seed)
-    digest = config_hash(_canonical(mapping))
+    canonical = _canonical(mapping)
+    canonical.pop("out_dir", None)  # where results are written is not what they are
+    digest = config_hash(canonical)
 
     return ExperimentConfig(
         seed=seed,
@@ -351,7 +349,6 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         train_per_class=int(data.get("train_per_class", 35)),
         test_per_class=int(data.get("test_per_class", 75)),
         none_class=data.get("none_class"),
-        include_none=bool(metrics.get("include_none", False)),
         pipeline=pipeline,
         ablation_seeds=seeds,
         ablation_conditions=conditions,

@@ -10,19 +10,23 @@ concatenated, and a feedforward stage plus linear head produce logits. The
 unimodal baseline is the student with the synthetic branch removed.
 
 All three expose the same surface -- ``params``, ``logits(inputs)``,
-``loss_and_grads(sample)`` -- which is what :func:`train` and the gradient
-checker operate on. Samples are ``(inputs, label)`` pairs where ``inputs``
-is the tuple ``logits`` expects.
+``loss_and_grads(batch)`` -- which is what :func:`train` and the gradient
+checker operate on. Rows are samples: ``logits`` maps a sequence of ``B``
+input tuples to ``(B, C)`` logits, and a batch is a sequence of
+``(inputs, label)`` samples. Each model has one ``_forward`` and one
+``_backward`` over row-batched arrays, so a batch of one takes the same
+path as a training batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, EntityPair, View
+from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, EntityPair
 from .nn import (
     Grads,
     Params,
@@ -58,20 +62,58 @@ def _spec_feature_dim(spec) -> int:
     return spec.size
 
 
-def _entity_rows(params: Params, entities: EntityPair) -> tuple[np.ndarray, np.ndarray]:
-    table = params["entity_emb"]
-    return table[entities.subject], table[entities.object]
+def _columns(inputs) -> tuple:
+    """Transpose a batch of tuples: one tuple per field, one entry per sample."""
+    if len(inputs) == 0:
+        raise ValueError("a batch needs at least one sample")
+    return tuple(zip(*inputs))
 
 
-def _entity_grad(grads: Grads, table: np.ndarray, entities: EntityPair, d_subj, d_obj) -> None:
+def _features(views, spec, modality: str, message: str) -> np.ndarray:
+    """``(len(views), d)`` feature rows; every view must be on ``modality``."""
+    if any(view.modality != modality for view in views):
+        raise ModalityError(message)
+    return np.stack([featurize(view, spec.size) for view in views])
+
+
+def _entity_ids(entities: Sequence[EntityPair]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([e.subject for e in entities]), np.array([e.object for e in entities])
+
+
+def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> None:
+    # np.add.at sums repeated ids; fancy-index += would keep only one row
     g = np.zeros_like(table)
-    g[entities.subject] += d_subj
-    g[entities.object] += d_obj
+    np.add.at(g, subj, d_subj)
+    np.add.at(g, obj, d_obj)
     accumulate(grads, "entity_emb", g)
 
 
+# The two public methods every model shares. Each class binds them in its own
+# body, so every model class owns its ``logits`` and ``loss_and_grads``
+# attributes (benchmarks/tracing.py wraps them per class).
+
+
+def _logits(model, inputs) -> np.ndarray:
+    """``(B, C)`` logits of a sequence of ``B`` inputs, one row per input."""
+    return model._forward(inputs)[0]
+
+
+def _loss_and_grads(model, batch) -> tuple[np.ndarray, Grads]:
+    """Per-sample losses ``(B,)`` of a batch of ``(inputs, label)`` samples,
+    plus the gradients of their mean."""
+    inputs, labels = _columns(batch)
+    logits, cache = model._forward(inputs)
+    losses, dlogits = softmax_xent(logits, labels)
+    grads: Grads = {}
+    model._backward(cache, dlogits / len(batch), grads)
+    return losses, grads
+
+
 class TeacherModel:
-    """Entity embeddings + synthetic-view encoder + fusion head."""
+    """Entity embeddings + synthetic-view encoder + fusion head.
+
+    An input is ``(view, entities)`` with a v-side view.
+    """
 
     def __init__(
         self,
@@ -90,45 +132,37 @@ class TeacherModel:
         mlp_init(self.params, rng, "venc", feat, enc_hidden, enc_dim)
         mlp_init(self.params, rng, "fuse", 2 * emb_dim + enc_dim, fuse_hidden, fuse_dim)
         linear_init(self.params, rng, "head", fuse_dim, schema.class_count)
+        self._emb_dim = emb_dim
 
-    def logits(self, inputs) -> np.ndarray:
-        return self._forward(*inputs)[0]
+    logits = _logits
+    loss_and_grads = _loss_and_grads
 
-    def _forward(self, view: View, entities: EntityPair):
-        if view.modality != MODALITY_V:
-            raise ModalityError("the teacher scores v-side views only")
-        x = featurize(view, self.schema.v_spec.size)
+    def _forward(self, inputs):
+        views, entities = _columns(inputs)
+        x = _features(views, self.schema.v_spec, MODALITY_V, "the teacher scores v-side views only")
         enc, c_enc = mlp_forward(self.params, "venc", x)
-        subj, obj = _entity_rows(self.params, entities)
-        fused_in = np.concatenate([subj, obj, enc])
+        subj, obj = _entity_ids(entities)
+        table = self.params["entity_emb"]
+        fused_in = np.concatenate([table[subj], table[obj], enc], axis=1)
         fused, c_fuse = mlp_forward(self.params, "fuse", fused_in)
         logits, c_head = linear_forward(self.params, "head", fused)
-        cache = (entities, subj.shape[0], c_enc, c_fuse, c_head)
-        return logits, cache
+        return logits, (subj, obj, c_enc, c_fuse, c_head)
 
-    def loss_and_grads(self, sample) -> tuple[float, Grads]:
-        (view, entities), label = sample
-        logits, cache = self._forward(view, entities)
-        loss, dlogits = softmax_xent(logits, label)
-        grads: Grads = {}
-        entities, emb_dim, c_enc, c_fuse, c_head = cache
+    def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
+        subj, obj, c_enc, c_fuse, c_head = cache
+        emb = self._emb_dim
         dfused = linear_backward(self.params, c_head, dlogits, grads)
         dfused_in = mlp_backward(self.params, c_fuse, dfused, grads)
-        d_subj = dfused_in[:emb_dim]
-        d_obj = dfused_in[emb_dim : 2 * emb_dim]
-        d_enc = dfused_in[2 * emb_dim :]
-        mlp_backward(self.params, c_enc, d_enc, grads)
-        _entity_grad(grads, self.params["entity_emb"], entities, d_subj, d_obj)
-        return loss, grads
-
-    def loss(self, view: View, entities: EntityPair, label: int) -> float:
-        loss, _ = softmax_xent(self.logits((view, entities)), label)
-        return loss
+        mlp_backward(self.params, c_enc, dfused_in[:, 2 * emb :], grads)
+        _entity_grad(grads, self.params["entity_emb"], subj, obj, dfused_in[:, :emb], dfused_in[:, emb : 2 * emb])
 
 
 class StudentModel:
     """Real-view plus synthetic-set fusion via shared cross-attention.
 
+    An input is ``(real_view, synth_views, entities)``: a u-side real view
+    and a non-empty tuple of v-side views. All samples in one call carry the
+    same number of synthetic views, so the sets stack into ``(B, N, d)``.
     ``shared_attention=False`` gives the subject and object queries separate
     attention blocks; the default shares one block across both applications.
     """
@@ -166,35 +200,36 @@ class StudentModel:
         linear_init(self.params, rng, "head", ff_dim, schema.class_count)
         self._emb_dim = emb_dim
 
-    def logits(self, inputs) -> np.ndarray:
-        return self._forward(*inputs)[0]
+    logits = _logits
+    loss_and_grads = _loss_and_grads
 
-    def _forward(self, real_view: View, synth_views: tuple[View, ...], entities: EntityPair):
-        if real_view.modality != MODALITY_U:
-            raise ModalityError("the student's primary input is the u-side real view")
-        if not synth_views:
+    def _forward(self, inputs):
+        real_views, synth_sets, entities = _columns(inputs)
+        x_u = _features(
+            real_views, self.schema.u_spec, MODALITY_U, "the student's primary input is the u-side real view"
+        )
+        set_sizes = {len(views) for views in synth_sets}
+        if 0 in set_sizes:
             raise ValueError("the student needs at least one synthetic view")
-        for view in synth_views:
-            if view.modality != MODALITY_V:
-                raise ModalityError("synthetic inputs to the student must be v-side views")
+        if len(set_sizes) > 1:
+            raise ValueError(
+                f"every sample in a batch needs the same number of synthetic views, got {sorted(set_sizes)}"
+            )
+        x_v = _features(
+            [view for views in synth_sets for view in views],
+            self.schema.v_spec,
+            MODALITY_V,
+            "synthetic inputs to the student must be v-side views",
+        )
 
-        x_u = featurize(real_view, self.schema.u_spec.size)
         real_enc, c_real = mlp_forward(self.params, "uenc", x_u)
-        subj, obj = _entity_rows(self.params, entities)
+        subj, obj = _entity_ids(entities)
+        table = self.params["entity_emb"]
+        q_sub, c_qsub = linear_forward(self.params, "qsub", np.concatenate([real_enc, table[subj]], axis=1))
+        q_obj, c_qobj = linear_forward(self.params, "qobj", np.concatenate([real_enc, table[obj]], axis=1))
 
-        q_sub_in = np.concatenate([real_enc, subj])
-        q_obj_in = np.concatenate([real_enc, obj])
-        q_sub, c_qsub = linear_forward(self.params, "qsub", q_sub_in)
-        q_obj, c_qobj = linear_forward(self.params, "qobj", q_obj_in)
-
-        rows = []
-        row_caches = []
-        for view in synth_views:
-            x_v = featurize(view, self.schema.v_spec.size)
-            row, c_row = mlp_forward(self.params, "venc", x_v)
-            rows.append(row)
-            row_caches.append(c_row)
-        matrix = np.stack(rows)
+        rows, c_rows = mlp_forward(self.params, "venc", x_v)
+        matrix = rows.reshape(len(synth_sets), len(synth_sets[0]), rows.shape[1])
 
         attn2 = "attn" if self.shared_attention else "attn2"
         att_sub, c_att_sub = cross_attention(self.params, "attn", q_sub, matrix, matrix)
@@ -202,67 +237,36 @@ class StudentModel:
 
         # residual around the attention: the query (real view + entity) stays
         # on the path to the head even when every synthetic view is junk
-        ff_in = np.concatenate([q_sub + att_sub, q_obj + att_obj])
+        ff_in = np.concatenate([q_sub + att_sub, q_obj + att_obj], axis=1)
         fused, c_ff = mlp_forward(self.params, "ff", ff_in)
         logits, c_head = linear_forward(self.params, "head", fused)
-        cache = (
-            entities,
-            c_real,
-            c_qsub,
-            c_qobj,
-            row_caches,
-            c_att_sub,
-            c_att_obj,
-            c_ff,
-            c_head,
-            att_sub.shape[0],
-        )
-        return logits, cache
+        return logits, (subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att_sub, c_att_obj, c_ff, c_head)
 
-    def loss_and_grads(self, sample) -> tuple[float, Grads]:
-        (real_view, synth_views, entities), label = sample
-        logits, cache = self._forward(real_view, synth_views, entities)
-        loss, dlogits = softmax_xent(logits, label)
-        grads: Grads = {}
-        (
-            entities,
-            c_real,
-            c_qsub,
-            c_qobj,
-            row_caches,
-            c_att_sub,
-            c_att_obj,
-            c_ff,
-            c_head,
-            value_dim,
-        ) = cache
+    def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
+        subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att_sub, c_att_obj, c_ff, c_head = cache
         dfused = linear_backward(self.params, c_head, dlogits, grads)
         dff_in = mlp_backward(self.params, c_ff, dfused, grads)
-        d_att_sub = dff_in[:value_dim]
-        d_att_obj = dff_in[value_dim:]
+        value_dim = dff_in.shape[1] // 2
+        d_att_sub = dff_in[:, :value_dim]
+        d_att_obj = dff_in[:, value_dim:]
 
         dq_sub, dm_sub_k, dm_sub_v = cross_attention_backward(self.params, c_att_sub, d_att_sub, grads)
         dq_obj, dm_obj_k, dm_obj_v = cross_attention_backward(self.params, c_att_obj, d_att_obj, grads)
-        dq_sub = dq_sub + d_att_sub
-        dq_obj = dq_obj + d_att_obj
         dmatrix = dm_sub_k + dm_sub_v + dm_obj_k + dm_obj_v
+        mlp_backward(self.params, c_rows, dmatrix.reshape(-1, dmatrix.shape[2]), grads)
 
-        for c_row, drow in zip(row_caches, dmatrix):
-            mlp_backward(self.params, c_row, drow, grads)
-
-        dq_sub_in = linear_backward(self.params, c_qsub, dq_sub, grads)
-        dq_obj_in = linear_backward(self.params, c_qobj, dq_obj, grads)
+        dq_sub_in = linear_backward(self.params, c_qsub, dq_sub + d_att_sub, grads)
+        dq_obj_in = linear_backward(self.params, c_qobj, dq_obj + d_att_obj, grads)
         emb = self._emb_dim
-        d_real = dq_sub_in[:-emb] + dq_obj_in[:-emb]
-        d_subj = dq_sub_in[-emb:]
-        d_obj = dq_obj_in[-emb:]
-        mlp_backward(self.params, c_real, d_real, grads)
-        _entity_grad(grads, self.params["entity_emb"], entities, d_subj, d_obj)
-        return loss, grads
+        mlp_backward(self.params, c_real, dq_sub_in[:, :-emb] + dq_obj_in[:, :-emb], grads)
+        _entity_grad(grads, self.params["entity_emb"], subj, obj, dq_sub_in[:, -emb:], dq_obj_in[:, -emb:])
 
 
 class UnimodalModel:
-    """Real-view encoder + entity embeddings + linear head (no synthetics)."""
+    """Real-view encoder + entity embeddings + linear head (no synthetics).
+
+    An input is ``(real_view, entities)`` with a u-side view.
+    """
 
     def __init__(
         self,
@@ -279,32 +283,28 @@ class UnimodalModel:
         linear_init(self.params, rng, "head", real_dim + 2 * emb_dim, schema.class_count)
         self._emb_dim = emb_dim
 
-    def logits(self, inputs) -> np.ndarray:
-        return self._forward(*inputs)[0]
+    logits = _logits
+    loss_and_grads = _loss_and_grads
 
-    def _forward(self, real_view: View, entities: EntityPair):
-        if real_view.modality != MODALITY_U:
-            raise ModalityError("the unimodal model consumes u-side views")
-        x_u = featurize(real_view, self.schema.u_spec.size)
+    def _forward(self, inputs):
+        real_views, entities = _columns(inputs)
+        x_u = _features(real_views, self.schema.u_spec, MODALITY_U, "the unimodal model consumes u-side views")
         real_enc, c_real = mlp_forward(self.params, "uenc", x_u)
-        subj, obj = _entity_rows(self.params, entities)
-        head_in = np.concatenate([real_enc, subj, obj])
+        subj, obj = _entity_ids(entities)
+        table = self.params["entity_emb"]
+        head_in = np.concatenate([real_enc, table[subj], table[obj]], axis=1)
         logits, c_head = linear_forward(self.params, "head", head_in)
-        return logits, (entities, real_enc.shape[0], c_real, c_head)
+        return logits, (subj, obj, c_real, c_head)
 
-    def loss_and_grads(self, sample) -> tuple[float, Grads]:
-        (real_view, entities), label = sample
-        logits, cache = self._forward(real_view, entities)
-        loss, dlogits = softmax_xent(logits, label)
-        grads: Grads = {}
-        entities, real_dim, c_real, c_head = cache
+    def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
+        subj, obj, c_real, c_head = cache
+        emb = self._emb_dim
         dhead_in = linear_backward(self.params, c_head, dlogits, grads)
-        d_real = dhead_in[:real_dim]
-        d_subj = dhead_in[real_dim : real_dim + self._emb_dim]
-        d_obj = dhead_in[real_dim + self._emb_dim :]
-        mlp_backward(self.params, c_real, d_real, grads)
-        _entity_grad(grads, self.params["entity_emb"], entities, d_subj, d_obj)
-        return loss, grads
+        real_dim = dhead_in.shape[1] - 2 * emb
+        mlp_backward(self.params, c_real, dhead_in[:, :real_dim], grads)
+        d_subj = dhead_in[:, real_dim : real_dim + emb]
+        d_obj = dhead_in[:, real_dim + emb :]
+        _entity_grad(grads, self.params["entity_emb"], subj, obj, d_subj, d_obj)
 
 
 # --- training -----------------------------------------------------------------
@@ -383,36 +383,24 @@ def train(model, samples, config: TrainConfig, rng_stream=("train",)):
             cursor = 0
         batch = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
-        grads: Grads = {}
-        total = 0.0
-        for idx in batch:
-            loss, sample_grads = model.loss_and_grads(samples[idx])
-            total += loss
-            for key, value in sample_grads.items():
-                accumulate(grads, key, value)
-        if not math.isfinite(total):
+        losses, grads = model.loss_and_grads([samples[i] for i in batch])
+        if not np.isfinite(losses).all():
             raise TrainingDivergedError(step)
-        scale = 1.0 / len(batch)
-        for key in grads:
-            grads[key] *= scale
         optimizer.step(model.params, grads, _learning_rate(config, step))
 
-    losses = []
-    for sample in samples:
-        inputs, label = sample
-        loss, _ = softmax_xent(model.logits(inputs), label)
-        losses.append(loss)
-    return model, np.array(losses)
+    inputs, labels = _columns(samples)
+    losses, _ = softmax_xent(model.logits(inputs), labels)
+    return model, losses
 
 
-def grad_check(model, sample, epsilon: float = 1e-5) -> float:
-    """Max relative error of the model's analytic gradients on one sample."""
-    _, analytic = model.loss_and_grads(sample)
+def grad_check(model, batch, epsilon: float = 1e-5) -> float:
+    """Max relative error of the model's analytic gradients of the mean loss
+    over ``batch``, a sequence of ``(inputs, label)`` samples."""
+    _, analytic = model.loss_and_grads(batch)
+    inputs, labels = _columns(batch)
 
     def loss_fn():
-        inputs, label = sample
-        loss, _ = softmax_xent(model.logits(inputs), label)
-        return loss
+        return float(np.mean(softmax_xent(model.logits(inputs), labels)[0]))
 
     return finite_difference_check(model.params, loss_fn, analytic, epsilon=epsilon)
 

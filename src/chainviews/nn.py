@@ -1,10 +1,13 @@
 """Numpy neural-network primitives with hand-written backward passes.
 
 Parameters live in flat ``dict[str, np.ndarray]`` maps keyed by dotted
-prefixes ("venc.l1.w", "attn.wq", ...). Forward functions return an output
-plus an opaque cache; backward functions consume the cache and accumulate
-parameter gradients into a grads dict, which makes weight sharing (the same
-prefix used twice in one forward pass) work without any extra machinery.
+prefixes ("venc.l1.w", "attn.wq", ...). Activations are row-batched: axis 0
+indexes samples, so a batch of one is a ``(1, d)`` array and the same code
+serves training, scoring and the gradient checks. Forward functions return
+an output plus an opaque cache; backward functions consume the cache and
+accumulate parameter gradients, summed over the batch, into a grads dict,
+which makes weight sharing (the same prefix used twice in one forward pass)
+work without any extra machinery.
 
 The only nonlinearities are tanh and softmax, both smooth, so every gradient
 here can be validated against central finite differences to tight tolerance;
@@ -52,15 +55,16 @@ def linear_init(params: Params, rng: np.random.Generator, prefix: str, d_in: int
 
 
 def linear_forward(params: Params, prefix: str, x: np.ndarray):
-    y = params[f"{prefix}.w"] @ x + params[f"{prefix}.b"]
+    """``x`` is ``(B, d_in)``; returns ``(B, d_out)`` plus the cache."""
+    y = x @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
     return y, (prefix, x)
 
 
 def linear_backward(params: Params, cache, dy: np.ndarray, grads: Grads) -> np.ndarray:
     prefix, x = cache
-    accumulate(grads, f"{prefix}.w", np.outer(dy, x))
-    accumulate(grads, f"{prefix}.b", dy)
-    return params[f"{prefix}.w"].T @ dy
+    accumulate(grads, f"{prefix}.w", dy.T @ x)
+    accumulate(grads, f"{prefix}.b", dy.sum(axis=0))
+    return dy @ params[f"{prefix}.w"]
 
 
 # --- one-hidden-layer encoder ------------------------------------------------
@@ -99,27 +103,29 @@ def attention_init(
 
 
 def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.ndarray, m_values: np.ndarray):
-    """Single-query attention over a set of rows.
+    """Single-query attention over a set of rows, one set per sample.
 
-    Keys and values are projected per row, weights are a softmax over scaled
-    dot products against the projected query, and the output is the
-    weight-averaged projected value. No positional information enters, so
-    the output is invariant to permuting the rows.
+    ``query`` is ``(B, d_q)`` and ``m_keys`` / ``m_values`` are ``(B, N, d_m)``:
+    sample ``b``'s query attends over its own ``N`` rows (pooling by
+    attention, as in the Set Transformer). Keys and values are projected per
+    row, weights are a softmax over scaled dot products against the projected
+    query, and the output ``(B, d_o)`` is the weight-averaged projected value.
+    No positional information enters, so each output row is invariant to
+    permuting its sample's rows.
     """
-    if m_keys.ndim != 2 or m_values.ndim != 2 or m_keys.shape[0] != m_values.shape[0]:
-        raise ValueError("keys and values must be 2-d with matching row counts")
-    if m_keys.shape[0] == 0:
+    if m_keys.ndim != 3 or m_values.ndim != 3 or m_keys.shape[:2] != m_values.shape[:2]:
+        raise ValueError("keys and values must be (B, N, d) with matching B and N")
+    if m_keys.shape[1] == 0:
         raise ValueError("empty attention set")
     wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
     scale = 1.0 / math.sqrt(wq.shape[0])
-    q_proj = wq @ query
+    q_proj = query @ wq.T
     keys = m_keys @ wk.T
-    scores = (keys @ q_proj) * scale
-    shifted = scores - scores.max()
-    weights = np.exp(shifted)
-    weights /= weights.sum()
+    scores = np.einsum("bnk,bk->bn", keys, q_proj) * scale
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
     values = m_values @ wv.T
-    out = weights @ values
+    out = np.einsum("bn,bno->bo", weights, values)
     cache = (prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale)
     return out, cache
 
@@ -129,41 +135,48 @@ def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Gra
     prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale = cache
     wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
 
-    accumulate(grads, f"{prefix}.wv", np.outer(dout, weights @ m_values))
-    dm_values = np.outer(weights, dout) @ wv
+    accumulate(grads, f"{prefix}.wv", dout.T @ np.einsum("bn,bnm->bm", weights, m_values))
+    dm_values = weights[:, :, None] * (dout @ wv)[:, None, :]
 
-    dweights = values @ dout
-    dscores = weights * (dweights - float(weights @ dweights))
+    dweights = np.einsum("bno,bo->bn", values, dout)
+    dscores = weights * (dweights - (weights * dweights).sum(axis=1, keepdims=True))
 
-    dkeys = np.outer(dscores, q_proj) * scale
-    dq_proj = (dscores @ keys) * scale
-    accumulate(grads, f"{prefix}.wk", dkeys.T @ m_keys)
+    dkeys = dscores[:, :, None] * q_proj[:, None, :] * scale
+    dq_proj = np.einsum("bn,bnk->bk", dscores, keys) * scale
+    accumulate(grads, f"{prefix}.wk", np.einsum("bnk,bnm->km", dkeys, m_keys))
     dm_keys = dkeys @ wk
-    accumulate(grads, f"{prefix}.wq", np.outer(dq_proj, query))
-    dquery = wq.T @ dq_proj
+    accumulate(grads, f"{prefix}.wq", dq_proj.T @ query)
+    dquery = dq_proj @ wq
     return dquery, dm_keys, dm_values
 
 
 # --- loss ---------------------------------------------------------------------
 
 
-def softmax_xent(logits: np.ndarray, label: int):
-    """Cross-entropy in nats with the max-subtraction trick; returns
-    (loss, dloss/dlogits)."""
-    if not (0 <= label < logits.shape[0]):
-        raise ValueError(f"label {label} outside logits of size {logits.shape[0]}")
-    shifted = logits - logits.max()
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Per-row cross-entropy in nats with the max-subtraction trick.
+
+    ``logits`` is ``(B, C)`` and ``labels`` holds ``B`` class indices;
+    returns (losses ``(B,)``, d losses / d logits ``(B, C)``), where row
+    ``b`` of the gradient is that of loss ``b`` alone.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != logits.shape[:1] or np.any((labels < 0) | (labels >= logits.shape[1])):
+        raise ValueError(f"labels must be one class index per row, each below {logits.shape[1]}")
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    z = exp.sum()
-    loss = math.log(z) - shifted[label]
-    dlogits = exp / z
-    dlogits[label] -= 1.0
-    return loss, dlogits
+    z = exp.sum(axis=1)
+    losses = np.log(z) - shifted[rows, labels]
+    dlogits = exp / z[:, None]
+    dlogits[rows, labels] -= 1.0
+    return losses, dlogits
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    """Row-wise log-probabilities of ``(B, C)`` logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 # --- finite-difference validation ---------------------------------------------

@@ -207,17 +207,6 @@ def compute_metrics(
 # --- scoring -------------------------------------------------------------------
 
 
-def teacher_loss_of(teacher: TeacherModel, view: View, instance: Instance) -> float:
-    loss, _ = softmax_xent(teacher.logits((view, instance.entities)), instance.label.value)
-    return loss
-
-
-def teacher_confidence_loss(teacher: TeacherModel, view: View, instance: Instance) -> float:
-    """Label-free score for test-time use: the loss against the teacher's own
-    most likely label, i.e. the best case over labels."""
-    return float(-np.max(log_softmax(teacher.logits((view, instance.entities)))))
-
-
 class Scorer:
     """The selection policy, chosen once from its name, as a scoring function.
 
@@ -255,7 +244,9 @@ class Scorer:
                 return [sv.teacher_loss for sv in views]
             if self.teacher is None:
                 return [0.0] * len(views)
-            return [teacher_confidence_loss(self.teacher, v, instance) for v in views]
+            # the loss against the teacher's own most likely label: label-free
+            logits = self.teacher.logits([(v, instance.entities) for v in views])
+            return (-np.max(log_softmax(logits), axis=1)).tolist()
         if name == "keep_all" and isinstance(stream, int):
             return [0.0] * len(views)
         return random_scores(len(views), self.seed, stream, instance.id)
@@ -411,9 +402,13 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel, workers
 
     def score(instance: Instance) -> Instance:
         pool = list(instance.synthetic_pool)
-        for i, sv in enumerate(pool):
-            if sv.step == STEP_U_TO_V and sv.teacher_loss is None:
-                pool[i] = sv.scored(teacher_loss_of(teacher, sv.view, instance))
+        todo = [i for i, sv in enumerate(pool) if sv.step == STEP_U_TO_V and sv.teacher_loss is None]
+        if not todo:
+            return instance
+        logits = teacher.logits([(pool[i].view, instance.entities) for i in todo])
+        losses, _ = softmax_xent(logits, [instance.label.value] * len(todo))
+        for i, loss in zip(todo, losses):
+            pool[i] = pool[i].scored(float(loss))
         return instance.with_pool(pool)
 
     return parallel_map(score, instances, workers)
@@ -495,7 +490,7 @@ def infer(
         if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
             raise PipelineError("appended real view does not match the synthetic-side spec")
         chosen.append(real_v)
-    logits = student.logits((instance.real_view, tuple(chosen), instance.entities))
+    (logits,) = student.logits([(instance.real_view, tuple(chosen), instance.entities)])
     return Label(int(np.argmax(logits)))
 
 
@@ -525,7 +520,7 @@ def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfi
     train_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = [int(np.argmax(model.logits((inst.real_view, inst.entities)))) for inst in test_instances]
+    predictions = np.argmax(model.logits([(inst.real_view, inst.entities) for inst in test_instances]), axis=1)
     labels = [inst.label.value for inst in test_instances]
     metrics = compute_metrics(predictions, labels, schema)
     report = RunReport(

@@ -1,14 +1,16 @@
 """Per-instance candidate filtering.
 
 Every policy answers the same question: given one instance's candidate
-views, which ``ceil(keep_fraction * n)`` survive into the next round? The
-teacher-loss policy keeps the lowest-loss views, the similarity policy keeps
-the views closest to the real view under a fixed cross-modal embedder, and
-the random / keep-all policies are the ablation controls.
+views, which ``ceil(keep_fraction * n)`` survive into the next round? Each
+policy is a lower-is-better score per candidate, and :func:`rank_keep` is
+the one ranking over those scores. The teacher-loss policy scores by
+teacher loss (computed upstream), the similarity policy by closeness to the
+real view under a fixed cross-modal embedder (:func:`similarity_scores`),
+and the random / keep-all policies are the ablation controls
+(:func:`random_scores`, or all-equal scores).
 
-Filters never change view content; they only return copies with
-``selected`` (and, upstream, ``teacher_loss``) updated. Ties break by
-ascending candidate index, so results are stable under equal scores.
+Ties break by ascending candidate index, so results are stable under equal
+scores.
 """
 
 from __future__ import annotations
@@ -53,27 +55,6 @@ def rank_keep(scores: Sequence[float], k: int) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (scores[i], i))[:k]
 
 
-def _split_by_rank(
-    views: Sequence[SyntheticView], scores: Sequence[float], k: int
-) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    kept_idx = set(rank_keep(scores, k))
-    kept = [views[i].with_selected(True) for i in sorted(kept_idx)]
-    discarded = [views[i].with_selected(False) for i in range(len(views)) if i not in kept_idx]
-    return kept, discarded
-
-
-def filter_by_loss(
-    views: Sequence[SyntheticView], keep_fraction: float
-) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    """Keep the lowest-teacher-loss views; every candidate must be scored."""
-    views = list(views)
-    for i, view in enumerate(views):
-        if view.teacher_loss is None:
-            raise SelectionError(f"candidate {i} has no teacher loss; score the pool first")
-    k = keep_count(keep_fraction, len(views))
-    return _split_by_rank(views, [v.teacher_loss for v in views], k)
-
-
 class RandomLinearEmbedder:
     """Fixed random linear maps into a shared space, one per modality.
 
@@ -111,31 +92,9 @@ def similarity_scores(
     return [-cosine_similarity(embedder.embed(v), anchor) for v in unwrapped]
 
 
-def filter_by_similarity(
-    views: Sequence[SyntheticView], real_view: View, embedder, keep_fraction: float
-) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    """Keep the views most similar to the real view in embedding space."""
-    views = list(views)
-    k = keep_count(keep_fraction, len(views))
-    return _split_by_rank(views, similarity_scores(views, real_view, embedder), k)
-
-
 def random_scores(n: int, seed: int, *stream: int | str) -> list[float]:
     rng = derive_rng(seed, "random-selection", *stream)
     return list(rng.random(n))
-
-
-def filter_random(
-    views: Sequence[SyntheticView], keep_fraction: float, seed: int, *stream: int | str
-) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    """Keep a uniform subset of size ``ceil(keep_fraction * n)``."""
-    views = list(views)
-    k = keep_count(keep_fraction, len(views))
-    return _split_by_rank(views, random_scores(len(views), seed, *stream), k)
-
-
-def filter_keep_all(views: Sequence[SyntheticView]) -> tuple[list[SyntheticView], list[SyntheticView]]:
-    return [v.with_selected(True) for v in views], []
 
 
 @dataclass(frozen=True)

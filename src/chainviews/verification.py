@@ -134,11 +134,11 @@ def check_gradient_linear(seed: int = 0, n_cases: int = 10) -> CheckResult:
         rng = derive_rng(seed, "verify-grad-linear", i)
         params: dict = {}
         nn.linear_init(params, rng, "lin", 5, 3)
-        x = rng.normal(size=5)
-        label = int(rng.integers(0, 3))
+        x = rng.normal(size=(1, 5))
+        label = [int(rng.integers(0, 3))]
 
         def loss_fn():
-            return nn.softmax_xent(nn.linear_forward(params, "lin", x)[0], label)[0]
+            return float(nn.softmax_xent(nn.linear_forward(params, "lin", x)[0], label)[0][0])
 
         logits, cache = nn.linear_forward(params, "lin", x)
         _, dlogits = nn.softmax_xent(logits, label)
@@ -163,12 +163,12 @@ def check_gradient_mlp(seed: int = 0, n_cases: int = 10) -> CheckResult:
         rng = derive_rng(seed, "verify-grad-mlp", i)
         params: dict = {}
         nn.mlp_init(params, rng, "enc", 4, 6, 3)
-        x = rng.normal(size=4)
-        label = int(rng.integers(0, 3))
+        x = rng.normal(size=(1, 4))
+        label = [int(rng.integers(0, 3))]
 
         def loss_fn():
             out, _ = nn.mlp_forward(params, "enc", x)
-            return nn.softmax_xent(out, label)[0]
+            return float(nn.softmax_xent(out, label)[0][0])
 
         out, cache = nn.mlp_forward(params, "enc", x)
         _, dout = nn.softmax_xent(out, label)
@@ -195,16 +195,16 @@ def check_gradient_attention(seed: int = 0, n_cases: int = 10) -> CheckResult:
         d_q, d_m, d_k, d_o, rows = 4, 5, 3, 4, 6
         params: dict = {}
         nn.attention_init(params, rng, "attn", d_q, d_m, d_k, d_o)
-        params["attn.query"] = rng.normal(size=d_q)
-        params["attn.keys"] = rng.normal(size=(rows, d_m))
-        params["attn.values"] = rng.normal(size=(rows, d_m))
-        probe = rng.normal(size=d_o)
+        params["attn.query"] = rng.normal(size=(1, d_q))
+        params["attn.keys"] = rng.normal(size=(1, rows, d_m))
+        params["attn.values"] = rng.normal(size=(1, rows, d_m))
+        probe = rng.normal(size=(1, d_o))
 
         def loss_fn():
             out, _ = nn.cross_attention(
                 params, "attn", params["attn.query"], params["attn.keys"], params["attn.values"]
             )
-            return float(probe @ out)
+            return float(np.sum(probe * out))
 
         out, cache = nn.cross_attention(
             params, "attn", params["attn.query"], params["attn.keys"], params["attn.values"]
@@ -247,7 +247,7 @@ def check_gradient_teacher(seed: int = 0, n_cases: int = 10) -> CheckResult:
     for i in range(n_cases):
         rng = derive_rng(seed, "verify-grad-teacher", i)
         model = TeacherModel(rng, schema, emb_dim=3, enc_hidden=5, enc_dim=4, fuse_hidden=6, fuse_dim=5)
-        worst = max(worst, grad_check(model, _teacher_sample(rng, schema)))
+        worst = max(worst, grad_check(model, [_teacher_sample(rng, schema)]))
     threshold = 1e-4
     return CheckResult(
         name="gradient_teacher",
@@ -280,7 +280,7 @@ def check_gradient_student(seed: int = 0, n_cases: int = 10) -> CheckResult:
             ff_dim=5,
             shared_attention=bool(i % 2),
         )
-        worst = max(worst, grad_check(model, _student_sample(rng, schema)))
+        worst = max(worst, grad_check(model, [_student_sample(rng, schema)]))
     threshold = 1e-4
     return CheckResult(
         name="gradient_student",
@@ -299,12 +299,12 @@ def check_permutation_invariance(seed: int = 0, n_permutations: int = 100) -> Ch
     rng = derive_rng(seed, "verify-perm")
     model = StudentModel(rng, schema)
     (real, views, entities), _ = _student_sample(rng, schema, n_views=6)
-    base = model.logits((real, views, entities))
+    (base,) = model.logits([(real, views, entities)])
     worst = 0.0
     for _ in range(n_permutations):
         perm = rng.permutation(len(views))
         shuffled = tuple(views[j] for j in perm)
-        logits = model.logits((real, shuffled, entities))
+        (logits,) = model.logits([(real, shuffled, entities)])
         worst = max(worst, float(np.max(np.abs(logits - base))))
     threshold = 1e-9
     return CheckResult(

@@ -59,6 +59,22 @@ def test_uniform_rows_pass_chi_square():
         assert p > 0.01
 
 
+def test_discrete_sampling_matches_searchsorted_reference():
+    # the inverse CDF per position, as a per-position searchsorted loop
+    for trial in range(20):
+        rng = derive_rng(trial, "table")
+        a_in, a_out = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        table = rng.dirichlet(np.full(a_out, 0.5), size=a_in)
+        table[0] = np.eye(a_out)[a_out - 1]  # a row whose mass sits on the last symbol
+        chan = DiscreteChannel(table, disc_port(a_in, MODALITY_U), disc_port(a_out, MODALITY_V))
+        view = discrete_view(rng.integers(a_in, size=12), MODALITY_U)
+        out = sample_channel(chan, view, derive_rng(trial, "draws"))
+        draws = derive_rng(trial, "draws").random(12)
+        cumulative = np.cumsum(table, axis=1)
+        expected = [min(np.searchsorted(cumulative[s], d, side="right"), a_out - 1) for s, d in zip(view.data, draws)]
+        assert out.data.tolist() == expected
+
+
 def test_discrete_rows_must_be_stochastic():
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ChannelError):

@@ -57,6 +57,7 @@ def run_artifacts(tmp_path_factory):
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["warp"]) == EXIT_USAGE
+    assert main(["verify", "--workers", "2"]) == EXIT_USAGE  # only run and ablate take --workers
     capsys.readouterr()
 
 
@@ -164,6 +165,14 @@ def test_run_writes_all_artifacts(run_artifacts, capsys):
 
 
 def test_run_is_deterministic_across_reruns_and_workers(run_artifacts, tmp_path, capsys):
+    def untimed_report(out):
+        report = json.loads((out / "report.json").read_text())
+        del report["timing"]
+        return report
+
+    def digest(out):
+        return json.loads((out / "run.meta.json").read_text())["config_digest"]
+
     baseline_metrics = (run_artifacts.out / "metrics.csv").read_bytes()
     baseline_dataset = (run_artifacts.out / "dataset.jsonl").read_bytes()
     for args in (
@@ -174,6 +183,9 @@ def test_run_is_deterministic_across_reruns_and_workers(run_artifacts, tmp_path,
         out = tmp_path / args[4].split("/")[-1]
         assert (out / "metrics.csv").read_bytes() == baseline_metrics
         assert (out / "dataset.jsonl").read_bytes() == baseline_dataset
+        # the output directory is not part of the configuration's identity
+        assert untimed_report(out) == untimed_report(run_artifacts.out)
+        assert digest(out) == digest(run_artifacts.out)
     capsys.readouterr()
 
 

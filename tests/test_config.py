@@ -55,7 +55,6 @@ def test_minimal_config_fills_defaults():
     assert config.train_per_class == 35
     assert config.test_per_class == 75
     assert config.none_class is None
-    assert config.include_none is False
     assert config.pipeline.seed == 3
     assert config.pipeline.initial_views == 30
     assert config.ablation_conditions == CONDITIONS
@@ -181,16 +180,13 @@ def test_diversity_grid_validation():
 
 
 def test_data_and_metrics_sections():
-    config = parse_config(
-        base_mapping(
-            data={"train_per_class": 5, "test_per_class": 6, "none_class": 2},
-            metrics={"include_none": True},
-        )
-    )
+    config = parse_config(base_mapping(data={"train_per_class": 5, "test_per_class": 6, "none_class": 2}))
     assert config.train_per_class == 5
     assert config.test_per_class == 6
     assert config.none_class == 2
-    assert config.include_none is True
+    # no command reads a metrics setting, so the section is an unknown key
+    with pytest.raises(ConfigError, match="unknown keys.*metrics"):
+        parse_config(base_mapping(metrics={"include_none": True}))
 
 
 def test_non_scalar_values_cannot_be_hashed():
@@ -310,6 +306,9 @@ def test_overrides_change_the_digest(tmp_path):
     overridden = load_config(path, overrides={"seed": 4})
     assert overridden.seed == 4
     assert overridden.digest != plain.digest
+    moved = load_config(path, overrides={"out_dir": str(tmp_path / "elsewhere")})
+    assert moved.out_dir != plain.out_dir
+    assert moved.digest == plain.digest
 
 
 # --- worlds and data ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from chainviews.datamodel import (
     vector_view,
 )
 from chainviews.models import TeacherModel
+from chainviews.nn import log_softmax, softmax_xent
 from chainviews.pipeline import (
     CONDITIONS,
     METRIC_COLUMNS,
@@ -42,8 +43,6 @@ from chainviews.pipeline import (
     save_report,
     score_trailing,
     stage_diversity,
-    teacher_confidence_loss,
-    teacher_loss_of,
     train_student,
 )
 from chainviews.rng import derive_rng
@@ -387,9 +386,9 @@ def test_single_view_fusion_still_trains(tiny_run):
     )
     student = train_student(step, 1, replace(config.student, steps=10), tiny_run.schema, seed=7)
     logits = student.logits(
-        (tiny_run.train[0].real_view, (step[0].synthetic_pool[0].view,), tiny_run.train[0].entities)
+        [(tiny_run.train[0].real_view, (step[0].synthetic_pool[0].view,), tiny_run.train[0].entities)]
     )
-    assert logits.shape == (tiny_run.schema.class_count,)
+    assert logits.shape == (1, tiny_run.schema.class_count)
 
 
 def test_round0_rejects_occupied_pools(tiny_run):
@@ -486,7 +485,7 @@ def test_identity_channels_copy_the_real_view_everywhere():
         synthetic = tuple(
             discrete_view(instance.real_view.data, "v") for _ in range(config.infer_views)
         )
-        train_time = int(np.argmax(result.student.logits((instance.real_view, synthetic, instance.entities))))
+        train_time = int(np.argmax(result.student.logits([(instance.real_view, synthetic, instance.entities)])))
         predicted = infer(result.student, result.teacher, instance, g_uv, config, g_vu=g_vu)
         assert predicted == Label(train_time)
 
@@ -499,10 +498,10 @@ class RecordingStudent:
         self.schema = schema
         self.calls = []
 
-    def logits(self, sample):
-        real, synth, entities = sample
+    def logits(self, inputs):
+        ((real, synth, entities),) = inputs
         self.calls.append(synth)
-        return np.array([0.0, 1.0, 0.0])
+        return np.array([[0.0, 1.0, 0.0]])
 
 
 def generated_views(instance, g_uv, config):
@@ -534,7 +533,8 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     instance = tiny_run.test[1]
     infer(student, teacher, instance, tiny_run.g_uv, config)
     views = generated_views(instance, tiny_run.g_uv, config)
-    scores = [teacher_confidence_loss(teacher, v, instance) for v in views]
+    logits = teacher.logits([(v, instance.entities) for v in views])
+    scores = list(-np.max(log_softmax(logits), axis=1))
     order = sorted(range(len(views)), key=lambda i: (scores[i], i))
     (got,) = student.calls
     assert len(got) == 3
@@ -599,10 +599,13 @@ def test_run_pipeline_rejects_occupied_pools(tiny_run):
 
 def test_confidence_loss_is_best_case_over_labels(tiny_run):
     teacher = TeacherModel(derive_rng(5, "probe"), tiny_run.schema)
+    scorer = Scorer("teacher_loss", tiny_run.schema, 0, teacher=teacher)
     instance = tiny_run.test[0]
-    for j in range(10):
-        view = sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(50, "aux", j))
-        assert teacher_confidence_loss(teacher, view, instance) <= teacher_loss_of(teacher, view, instance) + 1e-12
+    views = [sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(50, "aux", j)) for j in range(10)]
+    confidence = scorer.scores(instance, views, "infer-pick")
+    logits = teacher.logits([(v, instance.entities) for v in views])
+    losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
+    assert np.all(np.array(confidence) <= losses + 1e-12)
 
 
 # --- conditions and ablation --------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Keep-count arithmetic and the four selection policies."""
+"""Keep-count arithmetic and the four selection policies, each a score per
+candidate ranked by ``rank_keep``."""
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from chainviews.selection import (
     SelectionError,
     SelectionPolicy,
     cosine_similarity,
-    filter_by_loss,
-    filter_by_similarity,
-    filter_keep_all,
-    filter_random,
     keep_count,
+    random_scores,
     rank_keep,
     similarity_scores,
 )
 from conftest import scored_pool
+
+
+def split(scores, keep_fraction):
+    """(kept, discarded) candidate indices, both in index order."""
+    kept = sorted(rank_keep(scores, keep_count(keep_fraction, len(scores))))
+    return kept, [i for i in range(len(scores)) if i not in kept]
 
 
 # --- keep_count ----------------------------------------------------------------
@@ -69,17 +73,16 @@ def test_keep_count_rejects_bad_fraction():
 
 
 def test_filter_by_loss_keeps_smallest():
-    kept, discarded = filter_by_loss(scored_pool([0.1, 0.9, 0.2, 0.8]), 0.5)
-    assert [v.teacher_loss for v in kept] == [0.1, 0.2]
-    assert [v.teacher_loss for v in discarded] == [0.9, 0.8]
-    assert all(v.selected for v in kept)
-    assert not any(v.selected for v in discarded)
+    pool = scored_pool([0.1, 0.9, 0.2, 0.8])
+    kept, discarded = split([v.teacher_loss for v in pool], 0.5)
+    assert [pool[i].teacher_loss for i in kept] == [0.1, 0.2]
+    assert [pool[i].teacher_loss for i in discarded] == [0.9, 0.8]
 
 
 def test_filter_by_loss_tie_break_is_stable():
-    kept, _ = filter_by_loss(scored_pool([0.5] * 5), 0.4)
+    kept, _ = split([0.5] * 5, 0.4)
     # all losses equal: the two lowest indices survive
-    assert [v.view.data[0] for v in kept] == [0.0, 1.0]
+    assert kept == [0, 1]
     assert rank_keep([0.5] * 5, 2) == [0, 1]
     assert rank_keep([0.5] * 5, 0) == []
     assert rank_keep([0.5] * 5, 5) == [0, 1, 2, 3, 4]
@@ -93,20 +96,11 @@ def test_filter_by_loss_boundary_ordering():
     rng = derive_rng(0, "loss-prop")
     for _ in range(25):
         losses = rng.random(11)
-        kept, discarded = filter_by_loss(scored_pool(losses), 0.5)
+        kept, discarded = split(losses, 0.5)
         assert len(kept) == keep_count(0.5, 11)
         assert len(kept) + len(discarded) == 11
         if kept and discarded:
-            assert max(v.teacher_loss for v in kept) <= min(v.teacher_loss for v in discarded)
-
-
-def test_filter_by_loss_requires_scores():
-    pool = scored_pool([0.1, 0.2])
-    from dataclasses import replace
-
-    pool[1] = replace(pool[1], teacher_loss=None)
-    with pytest.raises(SelectionError, match="no teacher loss"):
-        filter_by_loss(pool, 0.5)
+            assert max(losses[kept]) <= min(losses[discarded])
 
 
 def test_kept_subset_has_better_empirical_bound():
@@ -114,9 +108,9 @@ def test_kept_subset_has_better_empirical_bound():
     rng = derive_rng(1, "bound-prop")
     for _ in range(20):
         losses = rng.random(12)
-        kept, discarded = filter_by_loss(scored_pool(losses), 0.5)
-        bound_kept = -float(np.mean([v.teacher_loss for v in kept]))
-        bound_discarded = -float(np.mean([v.teacher_loss for v in discarded]))
+        kept, discarded = split(losses, 0.5)
+        bound_kept = -float(np.mean(losses[kept]))
+        bound_discarded = -float(np.mean(losses[discarded]))
         assert bound_kept >= bound_discarded
 
 
@@ -138,8 +132,8 @@ def test_identical_view_is_always_kept():
     emb = embedder()
     # make u and v embeddings agree so the twin has cosine exactly 1
     emb.w_v = emb.w_u
-    kept, _ = filter_by_similarity(views, real, emb, 0.34)
-    assert any(v.view.equals(twin.view) for v in kept)
+    kept, _ = split(similarity_scores(views, real, emb), 0.34)
+    assert 1 in kept
 
 
 def test_similarity_kept_set_matches_sort_oracle():
@@ -150,12 +144,11 @@ def test_similarity_kept_set_matches_sort_oracle():
 
     views = [replace(v, view=vector_view(rng.normal(size=2), MODALITY_V)) for v in views]
     emb = embedder()
-    kept, _ = filter_by_similarity(views, real, emb, 0.5)
+    kept, _ = split(similarity_scores(views, real, emb), 0.5)
     anchor = emb.embed(real)
     sims = [cosine_similarity(emb.embed(v.view), anchor) for v in views]
     oracle = sorted(range(10), key=lambda i: (-sims[i], i))[:5]
-    kept_data = {tuple(v.view.data) for v in kept}
-    assert kept_data == {tuple(views[i].view.data) for i in oracle}
+    assert kept == sorted(oracle)
 
 
 def test_zero_norm_embedding_scores_minus_one():
@@ -181,10 +174,10 @@ def test_orthogonal_tie_keeps_lower_index():
     views = scored_pool([0.0, 0.0])
     views[0] = replace(views[0], view=vector_view([0.0, 1.0], MODALITY_V))
     views[1] = replace(views[1], view=vector_view([0.0, -1.0], MODALITY_V))
-    kept, _ = filter_by_similarity(views, real, emb, 0.5)
-    assert len(kept) == 1
-    assert np.array_equal(kept[0].view.data, [0.0, 1.0])
     scores = similarity_scores(views, real, emb)
+    kept, _ = split(scores, 0.5)
+    assert kept == [0]
+    assert np.array_equal(views[kept[0]].view.data, [0.0, 1.0])
     assert rank_keep(scores, 0) == []
     assert rank_keep(scores, 2) == [0, 1]
 
@@ -193,40 +186,33 @@ def test_orthogonal_tie_keeps_lower_index():
 
 
 def test_filter_random_full_fraction_keeps_all():
-    views = scored_pool([0.4, 0.2, 0.9])
-    kept, discarded = filter_random(views, 1.0, seed=0)
-    assert len(kept) == 3 and not discarded
+    kept, discarded = split(random_scores(3, 0), 1.0)
+    assert kept == [0, 1, 2] and not discarded
 
 
 def test_filter_random_is_deterministic_per_seed():
-    views = scored_pool(np.zeros(8))
-    kept_a, _ = filter_random(views, 0.5, 3, "inst", 0)
-    kept_b, _ = filter_random(views, 0.5, 3, "inst", 0)
-    kept_c, _ = filter_random(views, 0.5, 4, "inst", 0)
-    ids = lambda kept: [tuple(v.view.data) for v in kept]
-    assert ids(kept_a) == ids(kept_b)
-    assert ids(kept_a) != ids(kept_c)
+    kept_a, _ = split(random_scores(8, 3, "inst", 0), 0.5)
+    kept_b, _ = split(random_scores(8, 3, "inst", 0), 0.5)
+    kept_c, _ = split(random_scores(8, 4, "inst", 0), 0.5)
+    assert kept_a == kept_b
+    assert kept_a != kept_c
 
 
 def test_filter_random_is_uniform():
     # each of 4 views kept with frequency 1/2 over many trials (3 sigma)
-    views = scored_pool(np.zeros(4))
     trials = 4000
     counts = np.zeros(4)
     for t in range(trials):
-        kept, _ = filter_random(views, 0.5, 0, "trial", t)
-        for v in kept:
-            counts[int(v.view.data[0])] += 1
+        kept, _ = split(random_scores(4, 0, "trial", t), 0.5)
+        counts[kept] += 1
     expected = trials * 0.5
     sigma = np.sqrt(trials * 0.5 * 0.5)
     assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
 
 def test_keep_all_policy():
-    views = scored_pool([0.4, 0.2])
-    kept, discarded = filter_keep_all(views)
-    assert len(kept) == 2 and discarded == []
-    assert all(v.selected for v in kept)
+    # keep_all scores every candidate alike and keeps all of them
+    assert rank_keep([0.0, 0.0], 2) == [0, 1]
 
 
 # --- policy object -------------------------------------------------------------------
@@ -244,16 +230,3 @@ def test_policy_fraction_validation():
     assert SelectionPolicy("teacher_loss", keep_fraction=1.0).keep_fraction == 1.0
     assert SelectionPolicy("teacher_loss").needs_teacher
     assert not SelectionPolicy("random").needs_teacher
-
-
-def test_policies_never_change_view_content():
-    views = scored_pool([0.3, 0.1, 0.2])
-    for kept, discarded in (
-        filter_by_loss(views, 0.67),
-        filter_random(views, 0.67, seed=0),
-        filter_keep_all(views),
-    ):
-        for out in kept + discarded:
-            source = views[int(out.view.data[0])]
-            assert out.view.equals(source.view)
-            assert out.round == source.round and out.parent_id == source.parent_id
