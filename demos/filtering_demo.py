@@ -38,7 +38,7 @@ print("generating 24 views for each of 40 instances, then teacher-scoring them..
 pooled = run_round0(train, g_uv, config)
 pooled = run_ccg_round(pooled, 1, g_vu, g_uv, 1, config.teacher, 0.5, schema, seed=3)
 
-# round 1 scored every round-0 view; the selected flag records the split
+# round 1 scored every round-0 view; its survival count records the split
 kept_losses, dropped_losses, collapsed_kept, collapsed_total = [], [], 0, 0
 proto = 2.2 * np.ones(4)
 for inst in pooled:
@@ -47,7 +47,7 @@ for inst in pooled:
             continue
         is_collapsed = min(np.abs(view.view.data - proto).max(), np.abs(view.view.data + proto).max()) < 1.5
         collapsed_total += is_collapsed
-        if view.selected:
+        if view.survived > 0:
             kept_losses.append(view.teacher_loss)
             collapsed_kept += is_collapsed
         else:

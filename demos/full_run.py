@@ -8,6 +8,8 @@ readout, and where the wall-clock time went.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 from chainviews import (
     PipelineConfig,
@@ -60,6 +62,7 @@ for key, seconds in report.timing.items():
     print(f"{key:16s} {seconds:.2f}s")
 
 print()
-path = "/tmp/full_run_report.json"
-save_report(report, path)
-print(f"full report saved to {path} ({len(json.dumps(json.load(open(path))))} bytes of JSON)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "report.json"
+    save_report(report, path)
+    print(f"full report written and read back ({len(json.dumps(json.loads(path.read_text())))} bytes of JSON)")

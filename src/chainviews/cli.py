@@ -284,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
 
     def workers(p):
-        p.add_argument("--workers", type=int, default=1, help="worker threads; never affects results")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; no effect, all work runs on one thread"
+        )
 
     p = sub.add_parser("gen-benchmark", help="sample a benchmark world into dataset files")
     common(p)

@@ -3,9 +3,9 @@
 An :class:`Instance` is one labeled example: an entity pair, one real view in
 the primary modality ("u"), and a pool of synthetic views produced by
 cross-modal channels. Synthetic views carry provenance (generation round,
-channel direction, parent view) plus curation state (teacher loss, selected
-flag), which is everything later stages need to reconstruct how the pool
-evolved.
+channel direction, parent view) plus curation state (teacher loss and
+survival count), which is everything later stages need to reconstruct how
+the pool evolved.
 
 Datasets serialize to line-delimited JSON: the first line is the schema
 record, every following line is one instance. The encoding is canonical
@@ -16,14 +16,20 @@ by another ``write`` is byte-identical. Layout of an instance line::
      "real_view": {"kind": "vector", "data": [...]},
      "synthetic_views": [
         {"round": 0, "step": "u_to_v", "parent_id": -1,
-         "teacher_loss": 0.41, "selected": true,
+         "teacher_loss": 0.41, "survived": 2,
          "view": {"kind": "vector", "data": [...]}},
         ...]}
 
 ``parent_id`` is the index of the parent view within ``synthetic_views``;
 ``-1`` denotes the instance's real view. ``teacher_loss`` is present iff a
-teacher has scored the view. Views on the "u" side of a ``v_to_u`` step are
-intermediate products and are kept for provenance.
+teacher has scored the view. ``survived`` counts the consecutive
+selections that kept the view, starting with selection ``round``, the first
+one that judges it; a discarded view is never a candidate again, so the
+count is its whole selection history. Views on the "u" side of a ``v_to_u``
+step are intermediate products, kept for provenance with ``survived`` 0.
+
+Version 1 files stored a boolean selection flag instead of ``survived``;
+they are read only when no instance holds synthetic views.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MODALITY_U = "u"
 MODALITY_V = "v"
@@ -151,7 +157,7 @@ class SyntheticView:
     step: str  # STEP_U_TO_V | STEP_V_TO_U
     parent_id: int  # index into the instance pool, REAL_PARENT for the real view
     teacher_loss: float | None = None
-    selected: bool = False
+    survived: int = 0  # consecutive selections that kept it, from selection ``round`` on
 
     def __post_init__(self):
         if self.round < 0:
@@ -163,12 +169,17 @@ class SyntheticView:
         expected = MODALITY_V if self.step == STEP_U_TO_V else MODALITY_U
         if self.view.modality != expected:
             raise ValueError(f"step {self.step} must produce a {expected!r}-side view")
+        if self.survived < 0:
+            raise ValueError("survived must be non-negative")
+        if self.survived and self.step != STEP_U_TO_V:
+            raise ValueError("only v-side views face selection")
 
     def scored(self, loss: float) -> "SyntheticView":
         return replace(self, teacher_loss=float(loss))
 
-    def with_selected(self, flag: bool) -> "SyntheticView":
-        return replace(self, selected=bool(flag))
+    def kept(self) -> "SyntheticView":
+        """This view after one more selection kept it."""
+        return replace(self, survived=self.survived + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +198,6 @@ class Instance:
 
     def with_pool(self, pool: Iterable[SyntheticView]) -> "Instance":
         return replace(self, synthetic_pool=tuple(pool))
-
-    def v_side_views(self) -> list[int]:
-        """Indices of final (u_to_v) views in the pool, in pool order."""
-        return [i for i, sv in enumerate(self.synthetic_pool) if sv.step == STEP_U_TO_V]
 
 
 @dataclass(frozen=True)
@@ -336,7 +343,7 @@ def _encode_instance(instance: Instance) -> dict:
         }
         if sv.teacher_loss is not None:
             record["teacher_loss"] = float(sv.teacher_loss)
-        record["selected"] = sv.selected
+        record["survived"] = sv.survived
         record["view"] = _encode_view(sv.view)
         views.append(record)
     return {
@@ -365,7 +372,7 @@ def _decode_instance(record: dict, line: int) -> Instance:
                     step=step,
                     parent_id=int(sv_rec["parent_id"]),
                     teacher_loss=None if loss is None else float(loss),
-                    selected=bool(sv_rec["selected"]),
+                    survived=int(sv_rec["survived"]),
                 )
             )
         return Instance(
@@ -434,8 +441,9 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
         return record
 
     header = parse_json(lines[0], 1)
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format version {header.get('version')!r}", 1)
+    version = header.get("version")
+    if version not in (1, FORMAT_VERSION):
+        raise DatasetFormatError(f"unsupported format version {version!r}", 1)
     try:
         schema = DatasetSchema(
             class_count=int(header["class_count"]),
@@ -453,5 +461,12 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     for offset, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
-        instances.append(_decode_instance(parse_json(text, offset), offset))
+        record = parse_json(text, offset)
+        if version == 1 and record.get("synthetic_views"):
+            raise DatasetFormatError(
+                "format version 1 stores selection flags, not survival counts; "
+                "re-run to write this dataset in the current format",
+                offset,
+            )
+        instances.append(_decode_instance(record, offset))
     return instances, schema

@@ -197,11 +197,9 @@ class DiscreteLabelWorld:
         labels = rng.integers(self.class_count, size=n)
         draws = rng.random(n)
         cumulative = np.cumsum(self.channel, axis=1)
-        symbols = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            symbols[i] = np.searchsorted(cumulative[labels[i]], draws[i], side="right")
-        np.minimum(symbols, self.alphabet - 1, out=symbols)
-        return symbols, labels
+        # inverse CDF per draw, as in DiscreteChannel.sample
+        symbols = (cumulative[labels] <= draws[:, None]).sum(axis=1)
+        return np.minimum(symbols, self.alphabet - 1), labels
 
 
 @dataclass(frozen=True)

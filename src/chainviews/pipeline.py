@@ -13,10 +13,10 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
-Everything is a pure function of (config, seed): worker threads only spread
-per-instance work whose random streams are derived per item, so worker count
-cannot change any output. Wall-clock timings in the report are the one
-explicitly non-deterministic field.
+Everything is a pure function of (config, seed): every item draws from its
+own derived random stream, and all work runs in order on the calling thread.
+Wall-clock timings in the report are the one explicitly non-deterministic
+field.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -84,7 +83,7 @@ class PipelineConfig:
     infer_full_chain: bool = False  # test-time views pass through the whole chain
     pca_dim: int = 2
     gmm_components: int = 3
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; has no effect (all work runs on one thread)
 
     def __post_init__(self):
         if self.ccg_rounds < 0:
@@ -153,14 +152,13 @@ class RunResult:
     student: object  # StudentModel or UnimodalModel
 
 
-def parallel_map(fn, items: Sequence, workers: int) -> list:
-    """Order-preserving map; thread count never affects the result because
-    every item draws from its own derived random stream."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items: Sequence) -> list:
+    """Map ``fn`` over ``items`` in order on the calling thread.
+
+    Kept as a function because the benchmark traces it as the per-instance
+    fan-out boundary.
+    """
+    return [fn(item) for item in items]
 
 
 # --- metrics -----------------------------------------------------------------
@@ -279,18 +277,27 @@ class Scorer:
 # --- stepwise building blocks ---------------------------------------------------
 #
 # run_pipeline is these calls in order, so driving them by hand with one
-# Scorer reproduces it exactly. Liveness is explicit: a v-side view is a
-# candidate for the next selection if the previous selection kept it (its
-# ``selected`` flag) or if it was generated after that selection, i.e. in
-# the round after it.
+# Scorer reproduces it exactly. Liveness reads the survival count: a v-side
+# view first faces selection ``round``, and each selection that keeps it
+# moves it on to the next, so it is a candidate at selection ``s`` exactly
+# when ``round + survived == s``.
 
 
-def _live_ids(instance: Instance, fresh_round: int) -> list[int]:
+def _live_ids(instance: Instance, selection_index: int) -> list[int]:
     return [
         i
         for i, sv in enumerate(instance.synthetic_pool)
-        if sv.step == STEP_U_TO_V and (sv.selected or sv.round == fresh_round)
+        if sv.step == STEP_U_TO_V and sv.round + sv.survived == selection_index
     ]
+
+
+def _next_selection(instances: Sequence[Instance]) -> int:
+    """The selection the newest live views face next: the largest
+    ``round + survived`` over v-side views (0 for empty pools)."""
+    return max(
+        (sv.round + sv.survived for inst in instances for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V),
+        default=0,
+    )
 
 
 def run_round0(
@@ -313,7 +320,7 @@ def run_round0(
             pool.append(SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT))
         return instance.with_pool(pool)
 
-    return parallel_map(build, instances, config.workers)
+    return parallel_map(build, instances)
 
 
 def _spawn_children(instance: Instance, parents: list[int], round_index: int, spawn: int, g_vu, g_uv, seed: int):
@@ -338,7 +345,6 @@ def run_ccg_round(
     keep_fraction: float,
     schema: DatasetSchema,
     seed: int = 0,
-    workers: int = 1,
     *,
     scorer: Scorer | None = None,
     rounds: list[RoundRecord] | None = None,
@@ -349,7 +355,7 @@ def run_ccg_round(
     (default: teacher loss) scores every live candidate; the teacher policy
     trains a teacher on them and writes its frozen final-pass losses back as
     ``teacher_loss``. The best ``keep_fraction`` per instance (all of them
-    under keep_all) keep their ``selected`` flag, and each kept view spawns
+    under keep_all) count one more survival, and each kept view spawns
     ``spawn`` children (u-side then v-side, both recorded). Pass one scorer
     (built for this ``schema`` and ``seed``) to every round to keep its
     teacher, and a list as ``rounds`` to collect each round's RoundRecord.
@@ -372,11 +378,13 @@ def run_ccg_round(
         k = len(ids) if scorer.policy.name == "keep_all" else keep_count(keep_fraction, len(ids))
         kept_local = set(rank_keep(scores[idx], k))
         pool = list(instance.synthetic_pool)
-        for local, cand in enumerate(ids):
-            sv = pool[cand].scored(scores[idx][local]) if scorer.policy.needs_teacher else pool[cand]
-            pool[cand] = sv.with_selected(local in kept_local)
-        instances[idx] = instance.with_pool(pool)
+        if scorer.policy.needs_teacher:
+            for local, cand in enumerate(ids):
+                pool[cand] = pool[cand].scored(scores[idx][local])
         kept.append([cand for local, cand in enumerate(ids) if local in kept_local])
+        for cand in kept[-1]:
+            pool[cand] = pool[cand].kept()
+        instances[idx] = instance.with_pool(pool)
         records.append(InstanceSelectionRecord(instance.id, tuple(ids), tuple(scores[idx]), tuple(kept[-1])))
     if rounds is not None:
         pool_sizes = {len(r.candidate_ids) for r in records}
@@ -388,12 +396,11 @@ def run_ccg_round(
         instances = parallel_map(
             lambda pair: _spawn_children(pair[0], pair[1], round_index, spawn, g_vu, g_uv, seed),
             list(zip(instances, kept)),
-            workers,
         )
     return instances
 
 
-def score_trailing(instances: Sequence[Instance], teacher: TeacherModel, workers: int = 1) -> list[Instance]:
+def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list[Instance]:
     """Give every v-side view that carries no loss one from ``teacher``.
 
     After the last selection these are its children, so the student's pick
@@ -411,7 +418,7 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel, workers
             pool[i] = pool[i].scored(float(loss))
         return instance.with_pool(pool)
 
-    return parallel_map(score, instances, workers)
+    return parallel_map(score, instances)
 
 
 def train_student(
@@ -424,13 +431,12 @@ def train_student(
     shared_attention: bool = True,
     *,
     policy_name: str = "teacher_loss",
-    fresh_round: int | None = None,
 ) -> StudentModel:
     """Train the fusion student on each instance's best live candidates.
 
-    The live candidates are the last selection's keepers plus the views
-    generated in ``fresh_round`` (default: the newest round in the pools).
-    Per instance the policy's ``n_train`` best join the real view and
+    The live candidates are the v-side views that would face the next
+    selection: the last selection's keepers plus the views generated after
+    it. Per instance the policy's ``n_train`` best join the real view and
     entities. The teacher-loss policy ranks by stored loss: pass the final
     round's ``teacher`` to first score the views generated after the last
     selection (as ``score_trailing`` does); without one, only views that
@@ -438,12 +444,11 @@ def train_student(
     """
     if teacher is not None:
         instances = score_trailing(instances, teacher)
-    if fresh_round is None:
-        fresh_round = max((sv.round for inst in instances for sv in inst.synthetic_pool), default=0)
+    next_selection = _next_selection(instances)
     scorer = Scorer(policy_name, schema, seed)
     samples = []
     for instance in instances:
-        views = [instance.synthetic_pool[c] for c in _live_ids(instance, fresh_round)]
+        views = [instance.synthetic_pool[c] for c in _live_ids(instance, next_selection)]
         ranked = [(s, sv.view) for s, sv in zip(scorer.scores(instance, views, "student-pick"), views) if s is not None]
         if len(ranked) < n_train:
             raise PipelineError(
@@ -559,7 +564,7 @@ def run_pipeline(
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
-    seed, workers = config.seed, config.workers
+    seed = config.seed
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -571,23 +576,23 @@ def run_pipeline(
     rounds: list[RoundRecord] = []
     for round_index, spawn in enumerate(config.spawn_per_kept or (0,), start=1):
         instances = run_ccg_round(
-            instances, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema, seed, workers,
+            instances, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema, seed,
             scorer=scorer, rounds=rounds,
         )
     if scorer.teacher is not None:
-        instances = score_trailing(instances, scorer.teacher, workers)
+        instances = score_trailing(instances, scorer.teacher)
     timing["rounds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     student = train_student(
         instances, config.train_views, config.student, schema, seed,
-        shared_attention=config.shared_attention, policy_name=config.policy_name, fresh_round=len(rounds),
+        shared_attention=config.shared_attention, policy_name=config.policy_name,
     )
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     predictions = parallel_map(
-        lambda inst: infer(student, scorer.teacher, inst, g_uv, config, g_vu).value, test_instances, workers
+        lambda inst: infer(student, scorer.teacher, inst, g_uv, config, g_vu).value, test_instances
     )
     metrics = compute_metrics(predictions, [inst.label.value for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
@@ -625,58 +630,22 @@ def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
 
 
 def extract_stages(instances: Sequence[Instance], schema: DatasetSchema) -> dict[str, np.ndarray]:
-    """Per-stage view matrices recovered from provenance alone.
+    """Per-stage view matrices read from the survival counts.
 
-    Raw stages gather v-side views by generation round ("V1'", "V2'", ...).
-    Kept stages ("V0", "V1", ...) are the parents of the next round's
-    children -- a view was kept at selection s exactly when a round-(s+1)
-    u-side view points at it -- with the final selection falling back to the
-    stored ``selected`` flags when no later round exists to encode it.
+    Kept stage "V{s}" holds the v-side views selection ``s`` kept
+    (``round <= s < round + survived``); raw stage "V{r}'" holds the v-side
+    views generated in round ``r >= 1``. Stages come in run order, V0, V1',
+    V1, V2', ..., and empty ones are left out.
     """
-    rounds = {sv.round for inst in instances for sv in inst.synthetic_pool}
-    if not rounds:
-        return {}
-    max_round = max(rounds)
-
-    kept_by_stage: dict[int, list[View]] = {}
-    raw_by_round: dict[int, list[View]] = {}
-    # A selection with no children after it leaves no parent links, but its
-    # verdict is still in the selected flags (nothing later rewrote them).
-    # That happened exactly when the newest round's views carry a True flag;
-    # the kept set is then every currently-flagged v-side view.
-    ended_with_selection = any(
-        sv.selected
-        for inst in instances
-        for sv in inst.synthetic_pool
-        if sv.step == STEP_U_TO_V and sv.round == max_round
-    )
-    flagged: list[View] = []
-    for inst in instances:
-        pool = inst.synthetic_pool
-        for sv in pool:
-            if sv.step == STEP_U_TO_V:
-                raw_by_round.setdefault(sv.round, []).append(sv.view)
-                if sv.selected:
-                    flagged.append(sv.view)
-        for s in range(max_round):
-            parents = sorted(
-                {
-                    sv.parent_id
-                    for sv in pool
-                    if sv.round == s + 1 and sv.step == STEP_V_TO_U and sv.parent_id != REAL_PARENT
-                }
-            )
-            if parents:
-                kept_by_stage.setdefault(s, []).extend(pool[p].view for p in parents)
-    if ended_with_selection:
-        kept_by_stage.setdefault(max_round, []).extend(flagged)
-
+    views = [sv for inst in instances for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V]
     stages: dict[str, np.ndarray] = {}
-    for s in range(max_round + 1):
-        if s in kept_by_stage:
-            stages[f"V{s}"] = views_to_matrix(kept_by_stage[s], schema.v_spec)
-        if s + 1 in raw_by_round:
-            stages[f"V{s + 1}'"] = views_to_matrix(raw_by_round[s + 1], schema.v_spec)
+    for s in range(_next_selection(instances)):
+        kept = [sv.view for sv in views if sv.round <= s < sv.round + sv.survived]
+        raw = [sv.view for sv in views if sv.round == s + 1]
+        if kept:
+            stages[f"V{s}"] = views_to_matrix(kept, schema.v_spec)
+        if raw:
+            stages[f"V{s + 1}'"] = views_to_matrix(raw, schema.v_spec)
     return stages
 
 

@@ -354,6 +354,19 @@ def test_diversity_needs_synthetic_views(tmp_path, capsys):
     assert "no synthetic views" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [('"survived":1', '"survived":-1', "non-negative"), ('"version":2', '"version":1', "version 1")],
+    ids=["negative_count", "version_1_pool"],
+)
+def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, capsys, old, new, message):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text((run_artifacts.out / "dataset.jsonl").read_text().replace(old, new, 1))
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     mapping = tiny_mapping(run_artifacts.out, diversity={"pca_dims": [5], "components": [1]})
     config = write_yaml(tmp_path / "wide.yaml", mapping)

@@ -107,8 +107,9 @@ def test_synthetic_view_scored_and_selected_are_copies():
     scored = sv.scored(0.25)
     assert sv.teacher_loss is None
     assert scored.teacher_loss == 0.25
-    kept = scored.with_selected(True)
-    assert not scored.selected and kept.selected
+    kept = scored.kept()
+    assert scored.survived == 0 and kept.survived == 1
+    assert kept.kept().survived == 2 and kept.teacher_loss == 0.25
 
 
 def test_negative_teacher_loss_is_a_violation():
@@ -234,7 +235,7 @@ def full_dataset(n=100):
                 step=STEP_U_TO_V,
                 parent_id=REAL_PARENT,
                 teacher_loss=float(rng.random()) if i % 2 == 0 else None,
-                selected=bool(i % 3 == 0),
+                survived=i % 3,
             ),
             SyntheticView(
                 view=vector_view(rng.normal(size=2), MODALITY_U),
@@ -258,16 +259,17 @@ def test_round_trip_is_identity_and_byte_stable():
         assert a.real_view.equals(b.real_view)
         assert len(a.synthetic_pool) == len(b.synthetic_pool)
         for sa, sb in zip(a.synthetic_pool, b.synthetic_pool):
-            assert (sa.round, sa.step, sa.parent_id, sa.teacher_loss, sa.selected) == (
+            assert (sa.round, sa.step, sa.parent_id, sa.teacher_loss, sa.survived) == (
                 sb.round,
                 sb.step,
                 sb.parent_id,
                 sb.teacher_loss,
-                sb.selected,
+                sb.survived,
             )
             assert sa.view.equals(sb.view)
     # re-serialization is byte-identical
     assert dataset_to_string(loaded, loaded_schema) == text
+    assert '"survived":2' in text and '"selected"' not in text
 
 
 def test_teacher_loss_omitted_when_unscored():
@@ -319,10 +321,49 @@ def test_nan_payload_cannot_be_written():
 
 def test_unknown_version_rejected():
     text = dataset_to_string([], make_schema())
-    bumped = text.replace('"version":1', '"version":99')
+    bumped = text.replace('"version":2', '"version":99')
     with pytest.raises(DatasetFormatError) as err:
         read_dataset(bumped)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"survived":1', '"survived":-1', "non-negative"),
+        ('"parent_id":0,"survived":0', '"parent_id":0,"survived":1', "only v-side"),
+    ],
+    ids=["negative", "u_side"],
+)
+def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
+    instances, schema = full_dataset(3)
+    text = dataset_to_string(instances, schema)
+    lines = text.splitlines()
+    assert old in lines[2]
+    lines[2] = lines[2].replace(old, new)
+    with pytest.raises(DatasetFormatError, match=message) as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 3
+
+
+def test_version_1_without_synthetic_views_is_read():
+    instances = [make_instance(i, i % 3) for i in range(3)]
+    text = dataset_to_string(instances, make_schema()).replace('"version":2', '"version":1', 1)
+    loaded, schema = read_dataset(text)
+    assert schema == make_schema() and [inst.id for inst in loaded] == [0, 1, 2]
+    assert all(inst.synthetic_pool == () for inst in loaded)
+
+
+def test_version_1_with_synthetic_views_asks_for_a_rerun():
+    header = dataset_to_string([], make_schema()).replace('"version":2', '"version":1', 1)
+    line = (
+        '{"id":0,"label":0,"subject":0,"object":1,"real_view":{"kind":"vector","data":[0.0,-1.0]},'
+        '"synthetic_views":[{"round":0,"step":"u_to_v","parent_id":-1,"teacher_loss":0.5,"selected":true,'
+        '"view":{"kind":"vector","data":[0.0,0.0]}}]}'
+    )
+    with pytest.raises(DatasetFormatError, match="version 1.*re-run") as err:
+        read_dataset(header + line + "\n")
+    assert err.value.line == 2
 
 
 def test_schema_mismatch_surfaces_on_validation():

@@ -198,6 +198,26 @@ def test_saturated_scorer_on_bijection_approaches_zero():
 # --- verify_classifier_bound ----------------------------------------------------------
 
 
+def test_label_world_sampling_matches_searchsorted_reference():
+    # the inverse CDF per draw, as a per-sample searchsorted loop
+    for seed in range(10):
+        world = random_label_world(class_count=2 + seed % 3, alphabet=3 + seed, seed=seed)
+        channel = world.channel.copy()
+        channel[0] = np.eye(world.alphabet)[-1]  # a row whose mass sits on the last symbol
+        world = DiscreteLabelWorld(world.class_count, world.alphabet, channel, seed=seed)
+        symbols, labels = world.sample(500, derive_rng(seed, "draws"))
+        rng = derive_rng(seed, "draws")
+        expected_labels = rng.integers(world.class_count, size=500)
+        draws = rng.random(500)
+        cumulative = np.cumsum(channel, axis=1)
+        expected = [
+            min(np.searchsorted(cumulative[y], d, side="right"), world.alphabet - 1)
+            for y, d in zip(expected_labels, draws)
+        ]
+        assert labels.tolist() == expected_labels.tolist()
+        assert symbols.tolist() == expected
+
+
 def test_bijection_world_bound_converges_to_ln2():
     world = DiscreteLabelWorld(class_count=2, alphabet=2, channel=np.eye(2), seed=0)
     report = verify_classifier_bound(world, train_steps=400)

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import chainviews.pipeline as pipeline_module
 from chainviews.channels import DiscreteChannel, Port, sample_channel
 from chainviews.datamodel import (
     REAL_PARENT,
@@ -257,6 +258,34 @@ def test_zero_rounds_runs_one_selection_only_pass():
     assert [d.stage for d in report.diversity] == ["V0"]
 
 
+def test_zero_spawn_middle_round_keeps_its_stage():
+    train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
+    config = tiny_config(ccg_rounds=3, spawn_per_kept=(2, 0, 1))
+    result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
+    assert [(r.pool_size, r.kept_size, r.spawned) for r in result.report.rounds] == [(5, 3, 2), (9, 6, 0), (6, 4, 1)]
+    stages = extract_stages(result.instances, schema)
+    n = len(train_inst)
+    # selection 1 spawned nothing, so no later view points at what it kept
+    assert {name: m.shape[0] for name, m in stages.items()} == {
+        "V0": 3 * n, "V1'": 6 * n, "V1": 6 * n, "V2": 4 * n, "V3'": 4 * n
+    }
+    assert list(stages) == ["V0", "V1'", "V1", "V2", "V3'"]
+    assert [d.stage for d in result.report.diversity] == list(stages)
+
+
+def test_survival_counts_record_every_verdict(tiny_run):
+    # a view faced selection s iff round <= s <= round + survived, and was kept iff s < round + survived
+    for record in tiny_run.result.report.rounds:
+        s = record.selection_index
+        for instance, entry in zip(tiny_run.result.instances, record.per_instance):
+            pool = instance.synthetic_pool
+            faced = tuple(
+                i for i, sv in enumerate(pool) if sv.step == STEP_U_TO_V and sv.round <= s <= sv.round + sv.survived
+            )
+            assert entry.candidate_ids == faced
+            assert entry.kept_ids == tuple(i for i in faced if s < pool[i].round + pool[i].survived)
+
+
 def test_null_round_keeps_everything_and_spawns_nothing():
     train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
     config = tiny_config(ccg_rounds=1, spawn_per_kept=(0,), keep_fraction=1.0, train_views=5)
@@ -352,7 +381,7 @@ def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
         step = score_trailing(step, teacher)
     student = train_student(
         step, config.train_views, config.student, schema, seed=config.seed,
-        policy_name=config.policy_name, fresh_round=len(rounds),
+        policy_name=config.policy_name,
     )
     assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
     predictions = [infer(student, teacher, inst, g_uv, config, g_vu=g_vu).value for inst in tiny_run.test]
@@ -375,7 +404,7 @@ def test_round0_view_counts_and_provenance(tiny_run):
             assert len(instance.synthetic_pool) == m0
             for sv in instance.synthetic_pool:
                 assert (sv.round, sv.step, sv.parent_id) == (0, STEP_U_TO_V, REAL_PARENT)
-                assert sv.teacher_loss is None and not sv.selected
+                assert sv.teacher_loss is None and sv.survived == 0
 
 
 def test_single_view_fusion_still_trains(tiny_run):
@@ -439,6 +468,31 @@ def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
         for inst in step
     ]
     assert all(n >= config.train_views for n in scored)
+
+
+def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):
+    config = tiny_config(policy_name="random", spawn_per_kept=(2, 0), train_views=6)
+    scorer = Scorer(config.policy_name, tiny_run.schema, config.seed)
+    rounds = []
+    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    for round_index, spawn in enumerate(config.spawn_per_kept, start=1):
+        step = run_ccg_round(
+            step, round_index, tiny_run.g_vu, tiny_run.g_uv, spawn, config.teacher, config.keep_fraction,
+            tiny_run.schema, seed=config.seed, scorer=scorer, rounds=rounds,
+        )
+    assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
+    picked = []
+    real_train = pipeline_module.train
+
+    def recording_train(model, samples, *args, **kwargs):
+        picked.extend(views for (_, views, _), _ in samples)
+        return real_train(model, samples, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "train", recording_train)
+    train_student(step, 6, replace(config.student, steps=2), tiny_run.schema, seed=config.seed, policy_name="random")
+    for instance, views, entry in zip(step, picked, rounds[-1].per_instance):
+        kept = {id(instance.synthetic_pool[i].view) for i in entry.kept_ids}
+        assert {id(v) for v in views} == kept
 
 
 # --- identity channels -------------------------------------------------------------
