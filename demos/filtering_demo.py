@@ -11,6 +11,7 @@ import numpy as np
 
 from chainviews import (
     PipelineConfig,
+    Scorer,
     TrainConfig,
     generate_benchmark,
     keep_count,
@@ -36,7 +37,7 @@ config = PipelineConfig(
 
 print("generating 24 views for each of 40 instances, then teacher-scoring them...")
 pooled = run_round0(train, g_uv, config)
-pooled = run_ccg_round(pooled, 1, g_vu, g_uv, 1, config.teacher, 0.5, schema, seed=3)
+pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
 
 # round 1 scored every round-0 view; its survival count records the split
 kept_losses, dropped_losses, collapsed_kept, collapsed_total = [], [], 0, 0

@@ -11,6 +11,7 @@ filtered stage it came from.
 
 from chainviews import (
     PipelineConfig,
+    Scorer,
     TrainConfig,
     diversity_report,
     extract_stages,
@@ -38,7 +39,7 @@ for seed in range(5):
         teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
     )
     pooled = run_round0(instances, g_uv, config)
-    pooled = run_ccg_round(pooled, 1, g_vu, g_uv, 2, config.teacher, 0.6, schema, seed=seed)
+    pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
     stages = extract_stages(pooled, schema)
     for d in (2, 4):
         rows = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}

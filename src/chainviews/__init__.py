@@ -101,6 +101,7 @@ from .pipeline import (
     RoundRecord,
     RunReport,
     RunResult,
+    Scorer,
     ablation_table,
     compute_metrics,
     condition_config,
@@ -111,8 +112,9 @@ from .pipeline import (
     run_ccg_round,
     run_pipeline,
     run_round0,
-    train_student,
     save_report,
+    score_trailing,
+    train_student,
 )
 from .rng import derive_rng, derive_seed_sequence
 from .selection import (

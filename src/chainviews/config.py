@@ -235,23 +235,8 @@ def _parse_pipeline(mapping, seed: int) -> PipelineConfig:
         return base
     mapping = _require_mapping(mapping, "pipeline")
     _reject_unknown(mapping, _PIPELINE_KEYS, "pipeline")
-    kwargs: dict = {"seed": seed}
-    simple = (
-        "ccg_rounds",
-        "initial_views",
-        "keep_fraction",
-        "train_views",
-        "infer_views",
-        "infer_generate",
-        "shared_attention",
-        "teacher_warm_start",
-        "infer_full_chain",
-        "pca_dim",
-        "gmm_components",
-    )
-    for key in simple:
-        if key in mapping:
-            kwargs[key] = mapping[key]
+    kwargs: dict = {k: v for k, v in mapping.items() if k not in ("policy", "spawn_per_kept", "teacher", "student")}
+    kwargs["seed"] = seed
     if "policy" in mapping:
         kwargs["policy_name"] = str(mapping["policy"])
     if "spawn_per_kept" in mapping:

@@ -326,9 +326,20 @@ def _encode_spec(spec: ViewSpec) -> dict:
     return {"kind": spec.kind, "size": spec.size}
 
 
+def _int_field(record: dict, key: str, line: int) -> int:
+    """``record[key]`` as an int; bools, strings and non-integral numbers
+    are rejected rather than coerced."""
+    value = record[key]
+    if type(value) is int:  # not a bool
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DatasetFormatError(f"{key} must be an integer, got {value!r}", line)
+
+
 def _decode_spec(record: dict, line: int) -> ViewSpec:
     try:
-        return ViewSpec(kind=record["kind"], size=int(record["size"]))
+        return ViewSpec(kind=record["kind"], size=_int_field(record, "size", line))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad view spec: {exc}", line)
 
@@ -368,17 +379,17 @@ def _decode_instance(record: dict, line: int) -> Instance:
             pool.append(
                 SyntheticView(
                     view=_decode_view(sv_rec["view"], modality, line),
-                    round=int(sv_rec["round"]),
+                    round=_int_field(sv_rec, "round", line),
                     step=step,
-                    parent_id=int(sv_rec["parent_id"]),
+                    parent_id=_int_field(sv_rec, "parent_id", line),
                     teacher_loss=None if loss is None else float(loss),
-                    survived=int(sv_rec["survived"]),
+                    survived=_int_field(sv_rec, "survived", line),
                 )
             )
         return Instance(
-            id=int(record["id"]),
-            label=Label(int(record["label"])),
-            entities=EntityPair(subject=int(record["subject"]), object=int(record["object"])),
+            id=_int_field(record, "id", line),
+            label=Label(_int_field(record, "label", line)),
+            entities=EntityPair(subject=_int_field(record, "subject", line), object=_int_field(record, "object", line)),
             real_view=_decode_view(record["real_view"], MODALITY_U, line),
             synthetic_pool=tuple(pool),
         )
@@ -432,8 +443,12 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
         raise DatasetFormatError("empty dataset: missing schema line")
 
     def parse_json(text: str, line: int) -> dict:
+        def reject_constant(name: str):
+            # the writer never emits these (allow_nan=False)
+            raise DatasetFormatError(f"non-finite number {name} is not allowed", line)
+
         try:
-            record = json.loads(text)
+            record = json.loads(text, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON ({exc.msg})", line)
         if not isinstance(record, dict):
@@ -446,11 +461,11 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
         raise DatasetFormatError(f"unsupported format version {version!r}", 1)
     try:
         schema = DatasetSchema(
-            class_count=int(header["class_count"]),
-            entity_vocab=int(header["entity_vocab"]),
+            class_count=_int_field(header, "class_count", 1),
+            entity_vocab=_int_field(header, "entity_vocab", 1),
             u_spec=_decode_spec(header["u_spec"], 1),
             v_spec=_decode_spec(header["v_spec"], 1),
-            none_class=None if header.get("none_class") is None else int(header["none_class"]),
+            none_class=None if header.get("none_class") is None else _int_field(header, "none_class", 1),
         )
     except DatasetFormatError:
         raise

@@ -206,27 +206,28 @@ def compute_metrics(
 
 
 class Scorer:
-    """The selection policy, chosen once from its name, as a scoring function.
+    """A run's selection policy, read once from its config, as a scoring
+    function.
 
     Scores are lower-is-better and ``rank_keep`` breaks ties by index. The
     teacher-loss policy scores a selection's candidates by the frozen
     final-pass losses of a teacher trained on them (``teacher`` holds the
-    latest; ``warm_start`` trains it further instead of a fresh one), the
-    student's pick by those stored losses and test-time views by the
-    teacher's confidence. The other policies score every step alike:
-    similarity to the real view, or a uniform draw per (step, instance);
-    keep_all keeps every candidate, so its selection scores are all zero.
+    latest, ``None`` until the first selection; ``teacher_warm_start`` trains
+    it further instead of a fresh one), the student's pick by those stored
+    losses and test-time views by the teacher's confidence. The other
+    policies score every step alike: similarity to the real view, or a
+    uniform draw per (step, instance); keep_all keeps every candidate, so its
+    selection scores are all zero.
     """
 
-    def __init__(self, policy_name: str, schema: DatasetSchema, seed: int, teacher=None, warm_start=False):
-        self.policy = SelectionPolicy(policy_name)
+    def __init__(self, config: PipelineConfig, schema: DatasetSchema):
+        self.config = config
+        self.policy = SelectionPolicy(config.policy_name)
         self.schema = schema
-        self.seed = seed
-        self.teacher = teacher
-        self.warm_start = warm_start
+        self.teacher: TeacherModel | None = None
         self.embedder = (
-            RandomLinearEmbedder(schema.u_spec, schema.v_spec, self.policy.embed_dim, seed=seed)
-            if policy_name == "similarity"
+            RandomLinearEmbedder(schema.u_spec, schema.v_spec, self.policy.embed_dim, seed=config.seed)
+            if self.policy.name == "similarity"
             else None
         )
 
@@ -247,25 +248,24 @@ class Scorer:
             return (-np.max(log_softmax(logits), axis=1)).tolist()
         if name == "keep_all" and isinstance(stream, int):
             return [0.0] * len(views)
-        return random_scores(len(views), self.seed, stream, instance.id)
+        return random_scores(len(views), self.config.seed, stream, instance.id)
 
-    def select(
-        self, instances: Sequence[Instance], live: list[list[int]], selection_index: int, teacher_config: TrainConfig
-    ) -> list[list[float]]:
+    def select(self, instances: Sequence[Instance], live: list[list[int]], selection_index: int) -> list[list[float]]:
         """Per-instance scores of the live candidates at one selection."""
         if not self.policy.needs_teacher:
             return [
                 self.scores(inst, [inst.synthetic_pool[c] for c in ids], selection_index)
                 for inst, ids in zip(instances, live)
             ]
-        if not (self.warm_start and self.teacher is not None):
-            self.teacher = TeacherModel(derive_rng(self.seed, "teacher-init", selection_index), self.schema)
+        seed = self.config.seed
+        if not (self.config.teacher_warm_start and self.teacher is not None):
+            self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
         samples = [
             ((inst.synthetic_pool[c].view, inst.entities), inst.label.value)
             for inst, ids in zip(instances, live)
             for c in ids
         ]
-        cfg = replace(teacher_config, seed=self.seed)
+        cfg = replace(self.config.teacher, seed=seed)
         _, losses = train(self.teacher, samples, cfg, rng_stream=("teacher-train", selection_index))
         per_instance, cursor = [], 0
         for ids in live:
@@ -276,11 +276,12 @@ class Scorer:
 
 # --- stepwise building blocks ---------------------------------------------------
 #
-# run_pipeline is these calls in order, so driving them by hand with one
-# Scorer reproduces it exactly. Liveness reads the survival count: a v-side
-# view first faces selection ``round``, and each selection that keeps it
-# moves it on to the next, so it is a candidate at selection ``s`` exactly
-# when ``round + survived == s``.
+# run_pipeline is these calls in order. Each reads its settings from the
+# run's PipelineConfig and scores with the run's one Scorer, so driving them
+# by hand with the same two reproduces it exactly. Liveness reads the
+# survival count: a v-side view first faces selection ``round``, and each
+# selection that keeps it moves it on to the next, so it is a candidate at
+# selection ``s`` exactly when ``round + survived == s``.
 
 
 def _live_ids(instance: Instance, selection_index: int) -> list[int]:
@@ -340,42 +341,36 @@ def run_ccg_round(
     round_index: int,
     g_vu,
     g_uv,
-    spawn: int,
-    teacher_config: TrainConfig,
-    keep_fraction: float,
-    schema: DatasetSchema,
-    seed: int = 0,
-    *,
-    scorer: Scorer | None = None,
+    config: PipelineConfig,
+    scorer: Scorer,
     rounds: list[RoundRecord] | None = None,
 ) -> list[Instance]:
     """One selection-plus-generation round.
 
-    ``round_index`` is 1-based: round 1 judges the initial views. ``scorer``
-    (default: teacher loss) scores every live candidate; the teacher policy
-    trains a teacher on them and writes its frozen final-pass losses back as
-    ``teacher_loss``. The best ``keep_fraction`` per instance (all of them
-    under keep_all) count one more survival, and each kept view spawns
-    ``spawn`` children (u-side then v-side, both recorded). Pass one scorer
-    (built for this ``schema`` and ``seed``) to every round to keep its
-    teacher, and a list as ``rounds`` to collect each round's RoundRecord.
+    ``round_index`` runs from 1 to ``max(config.ccg_rounds, 1)``: round 1
+    judges the initial views. ``scorer`` scores every live candidate; the
+    teacher policy trains a teacher on them and writes its frozen final-pass
+    losses back as ``teacher_loss``. The best ``config.keep_fraction`` per
+    instance (all of them under keep_all) count one more survival, and each
+    kept view spawns the round's ``config.spawn_per_kept`` entry of children
+    (u-side then v-side, both recorded; none when ``ccg_rounds=0``). Pass a
+    list as ``rounds`` to collect each round's RoundRecord.
     """
-    if round_index < 1:
-        raise PipelineError("round_index is 1-based")
-    if spawn < 0:
-        raise PipelineError("spawn must be non-negative")
-    scorer = scorer or Scorer("teacher_loss", schema, seed)
+    last = max(config.ccg_rounds, 1)
+    if not 1 <= round_index <= last:
+        raise PipelineError(f"round_index {round_index} is outside 1..{last}")
+    spawn = config.spawn_per_kept[round_index - 1] if config.ccg_rounds else 0
     selection_index = round_index - 1
     instances = list(instances)
     live = [_live_ids(inst, selection_index) for inst in instances]
     if any(not ids for ids in live):
         raise PipelineError("every instance needs at least one live candidate view")
 
-    scores = scorer.select(instances, live, selection_index, teacher_config)
+    scores = scorer.select(instances, live, selection_index)
     records, kept = [], []
     for idx, instance in enumerate(instances):
         ids = live[idx]
-        k = len(ids) if scorer.policy.name == "keep_all" else keep_count(keep_fraction, len(ids))
+        k = len(ids) if scorer.policy.name == "keep_all" else keep_count(config.keep_fraction, len(ids))
         kept_local = set(rank_keep(scores[idx], k))
         pool = list(instance.synthetic_pool)
         if scorer.policy.needs_teacher:
@@ -394,7 +389,7 @@ def run_ccg_round(
         rounds.append(RoundRecord(selection_index, pool_sizes.pop(), kept_sizes.pop(), spawn, tuple(records)))
     if spawn > 0:
         instances = parallel_map(
-            lambda pair: _spawn_children(pair[0], pair[1], round_index, spawn, g_vu, g_uv, seed),
+            lambda pair: _spawn_children(pair[0], pair[1], round_index, spawn, g_vu, g_uv, config.seed),
             list(zip(instances, kept)),
         )
     return instances
@@ -421,31 +416,18 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
     return parallel_map(score, instances)
 
 
-def train_student(
-    instances: Sequence[Instance],
-    n_train: int,
-    student_config: TrainConfig,
-    schema: DatasetSchema,
-    seed: int = 0,
-    teacher: TeacherModel | None = None,
-    shared_attention: bool = True,
-    *,
-    policy_name: str = "teacher_loss",
-) -> StudentModel:
+def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer: Scorer) -> StudentModel:
     """Train the fusion student on each instance's best live candidates.
 
     The live candidates are the v-side views that would face the next
     selection: the last selection's keepers plus the views generated after
-    it. Per instance the policy's ``n_train`` best join the real view and
-    entities. The teacher-loss policy ranks by stored loss: pass the final
-    round's ``teacher`` to first score the views generated after the last
-    selection (as ``score_trailing`` does); without one, only views that
-    already carry a loss are ranked.
+    it. Per instance the ``config.train_views`` best under ``scorer`` join
+    the real view and entities. The teacher-loss policy ranks by stored
+    loss, so only views that carry one are ranked: run ``score_trailing``
+    first to score the views generated after the last selection.
     """
-    if teacher is not None:
-        instances = score_trailing(instances, teacher)
     next_selection = _next_selection(instances)
-    scorer = Scorer(policy_name, schema, seed)
+    n_train = config.train_views
     samples = []
     for instance in instances:
         views = [instance.synthetic_pool[c] for c in _live_ids(instance, next_selection)]
@@ -456,28 +438,30 @@ def train_student(
             )
         chosen = tuple(ranked[i][1] for i in rank_keep([s for s, _ in ranked], n_train))
         samples.append(((instance.real_view, chosen, instance.entities), instance.label.value))
-    student = StudentModel(derive_rng(seed, "student-init"), schema, shared_attention=shared_attention)
-    train(student, samples, replace(student_config, seed=seed), rng_stream=("student-train",))
+    student = StudentModel(
+        derive_rng(config.seed, "student-init"), scorer.schema, shared_attention=config.shared_attention
+    )
+    train(student, samples, replace(config.student, seed=config.seed), rng_stream=("student-train",))
     return student
 
 
 def infer(
     student: StudentModel,
-    teacher: TeacherModel | None,
     instance: Instance,
     g_uv,
+    g_vu,
     config: PipelineConfig,
-    g_vu=None,
+    scorer: Scorer,
     real_v: View | None = None,
 ) -> Label:
     """Classify one test instance.
 
     Fresh views come from the round-0 channel, or from the whole chain when
-    ``config.infer_full_chain`` (which needs ``g_vu``). The config's policy
-    keeps the ``config.infer_views`` best: under teacher loss the ones the
-    teacher classifies most confidently (the first generated without a
-    teacher), under similarity the closest to the real view, otherwise a
-    uniform draw. A real v-side view, when supplied, joins the set unscored.
+    ``config.infer_full_chain`` (which needs ``g_vu``). ``scorer`` keeps the
+    ``config.infer_views`` best: under teacher loss the ones its teacher
+    classifies most confidently (the first generated without a teacher),
+    under similarity the closest to the real view, otherwise a uniform draw.
+    A real v-side view, when supplied, joins the set unscored.
     """
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
@@ -489,7 +473,6 @@ def infer(
             for _ in range(config.ccg_rounds):
                 view = sample_channel(g_uv, sample_channel(g_vu, view, rng), rng)
         views.append(view)
-    scorer = Scorer(config.policy_name, student.schema, config.seed, teacher=teacher)
     chosen = [views[i] for i in rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)]
     if real_v is not None:
         if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
@@ -557,14 +540,13 @@ def run_pipeline(
     The run is the stepwise calls in order: ``run_round0``, one
     ``run_ccg_round`` per round (one selection with no children when
     ``ccg_rounds=0``), ``score_trailing``, ``train_student`` and ``infer``
-    per test instance, all sharing one Scorer.
+    per test instance, all reading ``config`` and sharing one Scorer.
     """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
-    seed = config.seed
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -572,35 +554,27 @@ def run_pipeline(
     timing["generate_initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scorer = Scorer(config.policy_name, schema, seed, warm_start=config.teacher_warm_start)
+    scorer = Scorer(config, schema)
     rounds: list[RoundRecord] = []
-    for round_index, spawn in enumerate(config.spawn_per_kept or (0,), start=1):
-        instances = run_ccg_round(
-            instances, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema, seed,
-            scorer=scorer, rounds=rounds,
-        )
+    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
+        instances = run_ccg_round(instances, round_index, g_vu, g_uv, config, scorer, rounds)
     if scorer.teacher is not None:
         instances = score_trailing(instances, scorer.teacher)
     timing["rounds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    student = train_student(
-        instances, config.train_views, config.student, schema, seed,
-        shared_attention=config.shared_attention, policy_name=config.policy_name,
-    )
+    student = train_student(instances, config, scorer)
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = parallel_map(
-        lambda inst: infer(student, scorer.teacher, inst, g_uv, config, g_vu).value, test_instances
-    )
+    predictions = parallel_map(lambda inst: infer(student, inst, g_uv, g_vu, config, scorer).value, test_instances)
     metrics = compute_metrics(predictions, [inst.label.value for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 
     report = RunReport(
         condition=condition,
         config_digest=digest,
-        seed=seed,
+        seed=config.seed,
         ccg_rounds=config.ccg_rounds,
         rounds=tuple(rounds),
         final_pool_size=len(_live_ids(instances[0], len(rounds))) if instances else 0,

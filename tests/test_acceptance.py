@@ -37,6 +37,7 @@ from chainviews.info import (
 from chainviews.models import TrainConfig
 from chainviews.pipeline import (
     PipelineConfig,
+    Scorer,
     compute_metrics,
     extract_stages,
     run_ablation,
@@ -224,7 +225,7 @@ def test_criterion_8_chained_generation_increases_spread():
             teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
         )
         pooled = run_round0(instances, g_uv, config)
-        pooled = run_ccg_round(pooled, 1, g_vu, g_uv, 2, config.teacher, 0.6, schema, seed=seed)
+        pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
         stages = extract_stages(pooled, schema)
         for d in (2, 4):
             by_name = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}

@@ -367,6 +367,18 @@ def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, 
     assert message in capsys.readouterr().err
 
 
+def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
+    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["real_view"]["data"][0] = float("nan")
+    lines[1] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    assert "line 2: non-finite number NaN" in capsys.readouterr().err
+
+
 def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     mapping = tiny_mapping(run_artifacts.out, diversity={"pca_dims": [5], "components": [1]})
     config = write_yaml(tmp_path / "wide.yaml", mapping)

@@ -1,6 +1,7 @@
 """Domain types, validation, and the line-delimited dataset format."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -342,6 +343,57 @@ def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
     assert old in lines[2]
     lines[2] = lines[2].replace(old, new)
     with pytest.raises(DatasetFormatError, match=message) as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize(
+    "line, path",
+    [
+        (1, ("class_count",)),
+        (1, ("entity_vocab",)),
+        (1, ("none_class",)),
+        (1, ("v_spec", "size")),
+        (3, ("id",)),
+        (3, ("label",)),
+        (3, ("subject",)),
+        (3, ("object",)),
+        (3, ("synthetic_views", 0, "round")),
+        (3, ("synthetic_views", 0, "parent_id")),
+        (3, ("synthetic_views", 0, "survived")),
+    ],
+    ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p),
+)
+def test_integer_fields_reject_other_values(line, path, value):
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[line - 1])
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    lines[line - 1] = json.dumps(record)
+    with pytest.raises(DatasetFormatError, match=f"{path[-1]} must be an integer") as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == line
+
+
+def test_integral_numbers_read_as_integers():
+    instances, schema = full_dataset(3)
+    text = dataset_to_string(instances, schema)
+    loaded, _ = read_dataset(text.replace('"id":1,', '"id":1.0,', 1))
+    assert dataset_to_string(loaded, schema) == text
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected_at_read_time(value):
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[2])
+    record["real_view"]["data"][0] = value
+    lines[2] = json.dumps(record)
+    with pytest.raises(DatasetFormatError, match="non-finite number") as err:
         read_dataset("\n".join(lines))
     assert err.value.line == 3
 

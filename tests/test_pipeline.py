@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainviews.pipeline as pipeline_module
 from chainviews.channels import DiscreteChannel, Port, sample_channel
@@ -47,7 +49,7 @@ from chainviews.pipeline import (
     train_student,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import keep_count
+from chainviews.selection import POLICY_NAMES, keep_count
 
 from conftest import tiny_benchmark, tiny_config
 
@@ -339,6 +341,41 @@ def test_config_digest_ignores_workers():
 # --- stepwise building blocks ------------------------------------------------------
 
 
+def assert_stepwise_calls_reproduce_the_run(data, config):
+    schema, g_uv, g_vu = data.schema, data.g_uv, data.g_vu
+    orchestrated = run_pipeline(data.train, data.test, schema, g_uv, g_vu, config)
+
+    scorer = Scorer(config, schema)
+    rounds = []
+    step = run_round0(data.train, g_uv, config)
+    assert all(len(inst.synthetic_pool) == config.initial_views for inst in step)
+    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
+        step = run_ccg_round(step, round_index, g_vu, g_uv, config, scorer, rounds)
+    # the schedule from keep/spawn arithmetic alone
+    pool_size = config.initial_views
+    for record in rounds:
+        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
+        assert (record.pool_size, record.kept_size) == (pool_size, kept)
+        pool_size = kept * (1 + record.spawned)
+    teacher = scorer.teacher
+    assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
+    if teacher is not None:
+        assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
+        step = score_trailing(step, teacher)
+    student = train_student(step, config, scorer)
+    assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
+    predictions = [infer(student, inst, g_uv, g_vu, config, scorer).value for inst in data.test]
+    stepwise = replace(
+        orchestrated.report,
+        rounds=tuple(rounds),
+        final_pool_size=pool_size,
+        metrics=compute_metrics(predictions, [inst.label.value for inst in data.test], schema),
+        diversity=stage_diversity(step, schema, config),
+    )
+    assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
+    assert dataset_to_string(step, schema) == dataset_to_string(orchestrated.instances, schema)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -352,48 +389,50 @@ def test_config_digest_ignores_workers():
     ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "warm_full_chain"],
 )
 def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
-    config = replace(tiny_run.config, **overrides)
-    schema, g_uv, g_vu = tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu
-    orchestrated = run_pipeline(tiny_run.train, tiny_run.test, schema, g_uv, g_vu, config)
+    assert_stepwise_calls_reproduce_the_run(tiny_run, replace(tiny_run.config, **overrides))
 
-    scorer = Scorer(config.policy_name, schema, config.seed, warm_start=config.teacher_warm_start)
-    rounds = []
-    step = run_round0(tiny_run.train, g_uv, config)
-    assert all(len(inst.synthetic_pool) == config.initial_views for inst in step)
-    for round_index, spawn in enumerate(config.spawn_per_kept or (0,), start=1):
-        step = run_ccg_round(
-            step, round_index, g_vu, g_uv, spawn, config.teacher, config.keep_fraction, schema,
-            seed=config.seed, scorer=scorer, rounds=rounds,
-        )
-    # the schedule from keep/spawn arithmetic alone
-    pool_size = config.initial_views
-    for record in rounds:
-        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
-        assert (record.pool_size, record.kept_size) == (pool_size, kept)
-        pool_size = kept * (1 + record.spawned)
-    teacher = scorer.teacher
-    assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
-    if teacher is not None:
-        assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
-        # scoring the trailing views on the fly trains the same student
-        on_the_fly = train_student(step, config.train_views, config.student, schema, seed=config.seed, teacher=teacher)
-        assert all(np.array_equal(on_the_fly.params[k], orchestrated.student.params[k]) for k in on_the_fly.params)
-        step = score_trailing(step, teacher)
-    student = train_student(
-        step, config.train_views, config.student, schema, seed=config.seed,
-        policy_name=config.policy_name,
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spawns=st.lists(st.integers(0, 3), max_size=3),
+    keep_fraction=st.sampled_from((0.2, 0.5, 0.6, 1.0)),
+    policy_name=st.sampled_from(POLICY_NAMES),
+    warm_start=st.booleans(),
+    full_chain=st.booleans(),
+    train_views=st.integers(1, 4),
+)
+def test_stepwise_calls_reproduce_random_schedules(
+    tiny_run, spawns, keep_fraction, policy_name, warm_start, full_chain, train_views
+):
+    # every live candidate is scored at the student's pick, so the last
+    # selection's survivors and their children bound train_views
+    live = tiny_run.config.initial_views
+    for spawn in spawns or [0]:
+        live = (live if policy_name == "keep_all" else keep_count(keep_fraction, live)) * (1 + spawn)
+    config = replace(
+        tiny_run.config,
+        ccg_rounds=len(spawns),
+        spawn_per_kept=tuple(spawns),
+        keep_fraction=keep_fraction,
+        policy_name=policy_name,
+        teacher_warm_start=warm_start,
+        infer_full_chain=full_chain,
+        train_views=min(train_views, live),
     )
-    assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
-    predictions = [infer(student, teacher, inst, g_uv, config, g_vu=g_vu).value for inst in tiny_run.test]
-    stepwise = replace(
-        orchestrated.report,
-        rounds=tuple(rounds),
-        final_pool_size=pool_size,
-        metrics=compute_metrics(predictions, [inst.label.value for inst in tiny_run.test], schema),
-        diversity=stage_diversity(step, schema, config),
-    )
-    assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
-    assert dataset_to_string(step, schema) == dataset_to_string(orchestrated.instances, schema)
+    assert_stepwise_calls_reproduce_the_run(tiny_run, config)
+
+
+def test_a_run_builds_one_scorer(tiny_run, monkeypatch):
+    built = []
+
+    class CountingScorer(Scorer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(pipeline_module, "Scorer", CountingScorer)
+    run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, tiny_run.config)
+    assert len(built) == 1
 
 
 def test_round0_view_counts_and_provenance(tiny_run):
@@ -408,12 +447,11 @@ def test_round0_view_counts_and_provenance(tiny_run):
 
 
 def test_single_view_fusion_still_trains(tiny_run):
-    config = tiny_config()
+    config = tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=1, student=replace(tiny_config().student, steps=10))
+    scorer = Scorer(config, tiny_run.schema)
     step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    step = run_ccg_round(
-        step, 1, tiny_run.g_vu, tiny_run.g_uv, 0, config.teacher, config.keep_fraction, tiny_run.schema, seed=7
-    )
-    student = train_student(step, 1, replace(config.student, steps=10), tiny_run.schema, seed=7)
+    step = run_ccg_round(step, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    student = train_student(step, config, scorer)
     logits = student.logits(
         [(tiny_run.train[0].real_view, (step[0].synthetic_pool[0].view,), tiny_run.train[0].entities)]
     )
@@ -428,40 +466,32 @@ def test_round0_rejects_occupied_pools(tiny_run):
 
 def test_ccg_round_argument_validation(tiny_run):
     config = tiny_run.config
+    no_ccg = replace(config, ccg_rounds=0, spawn_per_kept=())
     step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    args = (tiny_run.g_vu, tiny_run.g_uv, 1, config.teacher, config.keep_fraction, tiny_run.schema)
-    with pytest.raises(PipelineError, match="1-based"):
-        run_ccg_round(step, 0, *args)
-    with pytest.raises(PipelineError, match="non-negative"):
-        run_ccg_round(step, 1, tiny_run.g_vu, tiny_run.g_uv, -1, config.teacher, 0.6, tiny_run.schema)
+    channels = (tiny_run.g_vu, tiny_run.g_uv)
+    for round_index, schedule in ((0, config), (3, config), (2, no_ccg)):
+        last = max(schedule.ccg_rounds, 1)
+        with pytest.raises(PipelineError, match=rf"round_index {round_index} is outside 1\.\.{last}"):
+            run_ccg_round(step, round_index, *channels, schedule, Scorer(schedule, tiny_run.schema))
     with pytest.raises(PipelineError, match="live candidate"):
-        run_ccg_round(tiny_run.train, 1, *args)
+        run_ccg_round(tiny_run.train, 1, *channels, config, Scorer(config, tiny_run.schema))
 
 
 def test_train_student_needs_enough_scored_views(tiny_run):
     step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
     with pytest.raises(PipelineError, match="scored candidate"):
-        train_student(step, 3, tiny_run.config.student, tiny_run.schema, seed=7)
+        train_student(step, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
 
 
 def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
     # after the final round the unscored children are invisible to the ranking,
     # so the pick comes from the six selected views alone
     config = tiny_run.config
+    scorer = Scorer(config, tiny_run.schema)
     step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    for round_index, spawn in ((1, 2), (2, 1)):
-        step = run_ccg_round(
-            step,
-            round_index,
-            tiny_run.g_vu,
-            tiny_run.g_uv,
-            spawn,
-            config.teacher,
-            config.keep_fraction,
-            tiny_run.schema,
-            seed=config.seed,
-        )
-    student = train_student(step, config.train_views, config.student, tiny_run.schema, seed=config.seed)
+    for round_index in (1, 2):
+        step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    student = train_student(step, config, scorer)
     assert student is not None
     scored = [
         sum(sv.teacher_loss is not None for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V)
@@ -471,15 +501,14 @@ def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):
-    config = tiny_config(policy_name="random", spawn_per_kept=(2, 0), train_views=6)
-    scorer = Scorer(config.policy_name, tiny_run.schema, config.seed)
+    config = tiny_config(
+        policy_name="random", spawn_per_kept=(2, 0), train_views=6, student=replace(tiny_config().student, steps=2)
+    )
+    scorer = Scorer(config, tiny_run.schema)
     rounds = []
     step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    for round_index, spawn in enumerate(config.spawn_per_kept, start=1):
-        step = run_ccg_round(
-            step, round_index, tiny_run.g_vu, tiny_run.g_uv, spawn, config.teacher, config.keep_fraction,
-            tiny_run.schema, seed=config.seed, scorer=scorer, rounds=rounds,
-        )
+    for round_index in (1, 2):
+        step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer, rounds)
     assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
     picked = []
     real_train = pipeline_module.train
@@ -489,7 +518,7 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         return real_train(model, samples, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "train", recording_train)
-    train_student(step, 6, replace(config.student, steps=2), tiny_run.schema, seed=config.seed, policy_name="random")
+    train_student(step, config, scorer)
     for instance, views, entry in zip(step, picked, rounds[-1].per_instance):
         kept = {id(instance.synthetic_pool[i].view) for i in entry.kept_ids}
         assert {id(v) for v in views} == kept
@@ -531,6 +560,8 @@ def test_identity_channels_copy_the_real_view_everywhere():
         student=replace(tiny_config().student, steps=10),
     )
     result = run_pipeline(instances, instances, schema, g_uv, g_vu, config)
+    scorer = Scorer(config, schema)
+    scorer.teacher = result.teacher
     for instance in result.instances:
         for sv in instance.synthetic_pool:
             assert np.array_equal(sv.view.data, instance.real_view.data)
@@ -540,7 +571,7 @@ def test_identity_channels_copy_the_real_view_everywhere():
             discrete_view(instance.real_view.data, "v") for _ in range(config.infer_views)
         )
         train_time = int(np.argmax(result.student.logits([(instance.real_view, synthetic, instance.entities)])))
-        predicted = infer(result.student, result.teacher, instance, g_uv, config, g_vu=g_vu)
+        predicted = infer(result.student, instance, g_uv, g_vu, config, scorer)
         assert predicted == Label(train_time)
 
 
@@ -571,7 +602,7 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     config = tiny_config(infer_generate=5, infer_views=2)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[0]
-    label = infer(student, None, instance, tiny_run.g_uv, config)
+    label = infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
     assert label == Label(1)
     expected = generated_views(instance, tiny_run.g_uv, config)[:2]
     (got,) = student.calls
@@ -585,7 +616,9 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     teacher = TeacherModel(derive_rng(99, "probe"), tiny_run.schema)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[1]
-    infer(student, teacher, instance, tiny_run.g_uv, config)
+    scorer = Scorer(config, tiny_run.schema)
+    scorer.teacher = teacher
+    infer(student, instance, tiny_run.g_uv, None, config, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
     logits = teacher.logits([(v, instance.entities) for v in views])
     scores = list(-np.max(log_softmax(logits), axis=1))
@@ -601,7 +634,7 @@ def test_infer_appends_real_view_unscored(tiny_run):
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[2]
     real_v = sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(123, "aux"))
-    infer(student, None, instance, tiny_run.g_uv, config, real_v=real_v)
+    infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema), real_v=real_v)
     (got,) = student.calls
     assert len(got) == 2
     assert got[-1].equals(real_v)
@@ -610,18 +643,19 @@ def test_infer_appends_real_view_unscored(tiny_run):
 def test_infer_rejects_mismatched_real_view(tiny_run):
     config = tiny_config()
     student = RecordingStudent(tiny_run.schema)
+    args = (tiny_run.test[0], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
     with pytest.raises(PipelineError, match="does not match"):
         # right shape, wrong side
-        infer(student, None, tiny_run.test[0], tiny_run.g_uv, config, real_v=tiny_run.test[0].real_view)
+        infer(student, *args, real_v=tiny_run.test[0].real_view)
     with pytest.raises(PipelineError, match="does not match"):
-        infer(student, None, tiny_run.test[0], tiny_run.g_uv, config, real_v=vector_view([0.0, 0.0, 0.0], "v"))
+        infer(student, *args, real_v=vector_view([0.0, 0.0, 0.0], "v"))
 
 
 def test_infer_full_chain_round_trips_each_view(tiny_run):
     config = tiny_config(infer_generate=3, infer_views=3, infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[3]
-    infer(student, None, instance, tiny_run.g_uv, config, g_vu=tiny_run.g_vu)
+    infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
     expected = []
     for j in range(3):
         rng = derive_rng(config.seed, "infer-gen", instance.id, j)
@@ -640,7 +674,7 @@ def test_infer_full_chain_needs_the_return_channel(tiny_run):
     config = tiny_config(infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     with pytest.raises(PipelineError, match="g_vu"):
-        infer(student, None, tiny_run.test[0], tiny_run.g_uv, config)
+        infer(student, tiny_run.test[0], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
     assert student.calls == []
 
 
@@ -653,7 +687,8 @@ def test_run_pipeline_rejects_occupied_pools(tiny_run):
 
 def test_confidence_loss_is_best_case_over_labels(tiny_run):
     teacher = TeacherModel(derive_rng(5, "probe"), tiny_run.schema)
-    scorer = Scorer("teacher_loss", tiny_run.schema, 0, teacher=teacher)
+    scorer = Scorer(tiny_config(), tiny_run.schema)
+    scorer.teacher = teacher
     instance = tiny_run.test[0]
     views = [sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(50, "aux", j)) for j in range(10)]
     confidence = scorer.scores(instance, views, "infer-pick")
