@@ -33,7 +33,7 @@ sym_in = Port(ViewSpec("discrete", 2), "u")
 sym_out = Port(ViewSpec("discrete", 2), "v")
 flip = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_in, sym_out)
 msg = discrete_view([0, 0, 1, 1, 0], "u")
-out = sample_channel(flip, msg, rng)
+(out,) = sample_channel(flip, [msg], rng)
 print(f"input symbols  {msg.data.tolist()}")
 print(f"after 10% flip {out.data.tolist()}")
 
@@ -46,13 +46,13 @@ vec_u = Port(ViewSpec("vector", 2), "u")
 vec_v = Port(ViewSpec("vector", 2), "v")
 blur = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.3, vec_u, vec_v)
 point = vector_view([1.0, -1.0], "u")
-samples = np.stack([sample_channel(blur, point, rng).data for _ in range(500)])
+samples = np.stack([v.data for v in sample_channel(blur, [point] * 500, rng)])
 print(f"identity + noise 0.3: sample mean {samples.mean(axis=0).round(3)}, std {samples.std(axis=0).round(3)}")
 
 protos = np.array([[2.0, 2.0], [-2.0, -2.0]])
 snap = PrototypeCollapseChannel(protos, temperature=1.0, jitter_sigma=0.05, in_port=vec_u, out_port=vec_v)
 near_point = vector_view([1.0, 0.5], "u")
-snapped = np.stack([sample_channel(snap, near_point, rng).data for _ in range(500)])
+snapped = np.stack([v.data for v in sample_channel(snap, [near_point] * 500, rng)])
 near_first = np.abs(snapped - protos[0]).max(axis=1) < 0.5
 print(f"prototype collapse: {near_first.mean():.0%} of samples snap to the nearer prototype")
 
@@ -71,13 +71,11 @@ for name in PRESET_NAMES:
 
 world, g_uv, _ = lossy_world_preset("collapse-heavy", seed=0)
 collapse = g_uv.a if isinstance(g_uv.a, PrototypeCollapseChannel) else g_uv.b
-hits = 0
 n = 2000
-for i in range(n):
-    label = int(rng.integers(world.class_count))
-    u = world.class_means[label] + world.within_class_sigma * rng.standard_normal(world.u_dim)
-    v = sample_channel(g_uv, vector_view(u, "u"), rng).data
-    dist = np.sqrt(((v - collapse.prototypes) ** 2).sum(axis=1)).min()
-    hits += dist <= 2.0 * collapse.jitter_sigma * np.sqrt(collapse.prototypes.shape[1])
-print(f"collapse-heavy: {hits / n:.0%} of generated views land on a shared prototype")
+labels = rng.integers(world.class_count, size=n)
+us = world.class_means[labels] + world.within_class_sigma * rng.standard_normal((n, world.u_dim))
+vs = np.stack([v.data for v in sample_channel(g_uv, [vector_view(u, "u") for u in us], rng)])
+dist = np.sqrt(((vs[:, None, :] - collapse.prototypes[None]) ** 2).sum(axis=2)).min(axis=1)
+hits = dist <= 2.0 * collapse.jitter_sigma * np.sqrt(collapse.prototypes.shape[1])
+print(f"collapse-heavy: {hits.mean():.0%} of generated views land on a shared prototype")
 print("those views carry no label signal; filtering them out is the whole game")

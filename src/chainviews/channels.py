@@ -12,9 +12,14 @@ library ships four families:
   destroys label information whenever a prototype attracts several classes.
 * :class:`MixtureChannel` / :class:`ComposedChannel` -- combinators.
 
-Channels declare typed ports, so composing mismatched stages or feeding a
-view from the wrong side fails loudly instead of silently reinterpreting
-data. All sampling goes through an explicit Generator.
+Every channel samples a batch: ``sample(X, rng)`` maps the stacked input
+rows ``X`` (``(B, d_in)`` vectors or ``(B, L)`` symbol sequences) to ``B``
+output rows with one set of draws from ``rng``; a batch of one is just a
+batch. :func:`sample_channel` is the view-level entry point: it checks each
+view against the channel's input port, stacks them and wraps the output
+rows. Channels declare typed ports, so composing mismatched stages or
+feeding a view from the wrong side fails loudly instead of silently
+reinterpreting data. All sampling goes through an explicit Generator.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .datamodel import (
     Label,
     View,
     ViewSpec,
-    discrete_view,
     vector_view,
 )
 from .rng import derive_rng
@@ -60,18 +64,7 @@ class Port:
         return view.modality == self.modality and view.matches(self.spec)
 
     def make_view(self, data) -> View:
-        if self.spec.kind == "vector":
-            return vector_view(data, self.modality)
-        return discrete_view(data, self.modality)
-
-
-def _check_input(channel, view: View) -> None:
-    if not channel.in_port.accepts(view):
-        raise ChannelError(
-            f"{type(channel).__name__} expects a {channel.in_port.modality!r}-side "
-            f"{channel.in_port.spec.kind} view of size {channel.in_port.spec.size}, "
-            f"got a {view.modality!r}-side {view.kind} view of length {view.data.shape[0]}"
-        )
+        return View(kind=self.spec.kind, data=data, modality=self.modality)
 
 
 class DiscreteChannel:
@@ -95,15 +88,13 @@ class DiscreteChannel:
         self.out_port = out_port
         self._cumulative = np.cumsum(matrix, axis=1)
 
-    def sample(self, view: View, rng: np.random.Generator) -> View:
-        _check_input(self, view)
-        draws = rng.random(view.data.shape[0])
-        rows = self._cumulative[view.data]
+    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        draws = rng.random(X.shape)
+        rows = self._cumulative[X]
         # inverse-CDF per position: the count of cumsum entries <= the draw,
         # which is searchsorted(row, draw, side="right") on each sorted row
-        symbols = (rows <= draws[:, None]).sum(axis=1)
-        symbols = np.minimum(symbols, self.out_port.spec.size - 1)
-        return self.out_port.make_view(symbols)
+        symbols = (rows <= draws[..., None]).sum(axis=-1)
+        return np.minimum(symbols, self.out_port.spec.size - 1)
 
 
 class LinearGaussianChannel:
@@ -129,11 +120,9 @@ class LinearGaussianChannel:
         self.in_port = in_port
         self.out_port = out_port
 
-    def sample(self, view: View, rng: np.random.Generator) -> View:
-        _check_input(self, view)
-        mean = self.weight @ view.data + self.bias
-        out = mean + self.noise_sigma * rng.standard_normal(mean.shape[0])
-        return self.out_port.make_view(out)
+    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        mean = X @ self.weight.T + self.bias
+        return mean + self.noise_sigma * rng.standard_normal(mean.shape)
 
 
 class PrototypeCollapseChannel:
@@ -177,20 +166,22 @@ class PrototypeCollapseChannel:
         self.in_port = in_port
         self.out_port = out_port
 
-    def snap_probabilities(self, view: View) -> np.ndarray:
-        _check_input(self, view)
-        z = view.data if self.projection is None else self.projection @ view.data
-        sq_dist = np.sum((self.prototypes - z) ** 2, axis=1)
+    def snap_probabilities(self, X: np.ndarray) -> np.ndarray:
+        """Per-row prototype probabilities: ``(B, d_in)`` inputs to ``(B, k)``."""
+        z = X if self.projection is None else X @ self.projection.T
+        sq_dist = np.sum((z[:, None, :] - self.prototypes[None, :, :]) ** 2, axis=2)
         logits = -sq_dist / self.temperature
-        logits -= logits.max()
+        logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
-        return p / p.sum()
+        return p / p.sum(axis=1, keepdims=True)
 
-    def sample(self, view: View, rng: np.random.Generator) -> View:
-        p = self.snap_probabilities(view)
-        j = int(rng.choice(len(p), p=p))
-        out = self.prototypes[j] + self.jitter_sigma * rng.standard_normal(self.out_port.spec.size)
-        return self.out_port.make_view(out)
+    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # inverse CDF per row over the normalised cumulative probabilities,
+        # as Generator.choice does for a single draw
+        cdf = np.cumsum(self.snap_probabilities(X), axis=1)
+        cdf /= cdf[:, -1:]
+        j = np.minimum((cdf <= rng.random(X.shape[0])[:, None]).sum(axis=1), len(self.prototypes) - 1)
+        return self.prototypes[j] + self.jitter_sigma * rng.standard_normal((X.shape[0], self.out_port.spec.size))
 
 
 class MixtureChannel:
@@ -207,10 +198,15 @@ class MixtureChannel:
         self.in_port = a.in_port
         self.out_port = a.out_port
 
-    def sample(self, view: View, rng: np.random.Generator) -> View:
-        take_a = rng.random() < self.branch_prob
-        branch = self.a if take_a else self.b
-        return branch.sample(view, rng)
+    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # one branch mask per batch, then each branch on its own rows
+        take_a = rng.random(X.shape[0]) < self.branch_prob
+        from_a = self.a.sample(X[take_a], rng)
+        from_b = self.b.sample(X[~take_a], rng)
+        out = np.empty((X.shape[0],) + from_a.shape[1:], dtype=from_a.dtype)
+        out[take_a] = from_a
+        out[~take_a] = from_b
+        return out
 
 
 class ComposedChannel:
@@ -230,19 +226,39 @@ class ComposedChannel:
         self.in_port = stages[0].in_port
         self.out_port = stages[-1].out_port
 
-    def sample(self, view: View, rng: np.random.Generator) -> View:
+    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         for stage in self.stages:
-            view = stage.sample(view, rng)
-        return view
+            X = stage.sample(X, rng)
+        return X
 
 
 def compose(channels: Sequence) -> ComposedChannel:
     return ComposedChannel(channels)
 
 
-def sample_channel(channel, view: View, rng: np.random.Generator) -> View:
-    """Draw one output view; input must match the channel's input port."""
-    return channel.sample(view, rng)
+def sample_channel(channel, views: Sequence[View], rng: np.random.Generator) -> list[View]:
+    """Draw one output view per input view with one batched ``sample`` call.
+
+    Every view must match the channel's input port, and discrete views in
+    one batch must share their length. The draws depend on the batch as a
+    whole: the same views in the same order on the same stream give the
+    same outputs.
+    """
+    port = channel.in_port
+    for view in views:
+        if not port.accepts(view):
+            raise ChannelError(
+                f"{type(channel).__name__} expects a {port.modality!r}-side "
+                f"{port.spec.kind} view of size {port.spec.size}, "
+                f"got a {view.modality!r}-side {view.kind} view of length {view.data.shape[0]}"
+            )
+    if not views:
+        return []
+    lengths = {view.data.shape[0] for view in views}
+    if len(lengths) > 1:
+        raise ChannelError(f"one batch needs views of one length, got lengths {sorted(lengths)}")
+    out = channel.sample(np.stack([view.data for view in views]), rng)
+    return [channel.out_port.make_view(row) for row in out]
 
 
 # --- benchmark worlds -------------------------------------------------------

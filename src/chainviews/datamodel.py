@@ -318,7 +318,7 @@ def _decode_view(record: dict, modality: str, line: int) -> View:
         raise DatasetFormatError("view record must carry 'kind' and 'data'", line)
     try:
         return View(kind=kind, data=data, modality=modality)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DatasetFormatError(f"bad view: {exc}", line)
 
 
@@ -367,6 +367,20 @@ def _encode_instance(instance: Instance) -> dict:
     }
 
 
+def _check_finite(real_view: View, pool: list[SyntheticView], line: int) -> None:
+    """One finiteness check over all view data of an instance line.
+
+    ``json.loads`` reads a literal that overflows a float, such as ``1e999``,
+    as infinity without calling ``parse_constant``, so it is caught here.
+    """
+    datas = [real_view.data] + [sv.view.data for sv in pool]
+    if np.isfinite(np.concatenate(datas)).all():
+        return
+    bad = next(i for i, data in enumerate(datas) if not np.isfinite(data).all())
+    where = "the real view" if bad == 0 else f"synthetic view {bad - 1}"
+    raise DatasetFormatError(f"{where} holds a non-finite number", line)
+
+
 def _decode_instance(record: dict, line: int) -> Instance:
     try:
         pool = []
@@ -376,21 +390,27 @@ def _decode_instance(record: dict, line: int) -> Instance:
                 raise DatasetFormatError(f"unknown step {step!r}", line)
             modality = MODALITY_V if step == STEP_U_TO_V else MODALITY_U
             loss = sv_rec.get("teacher_loss")
+            if loss is not None:
+                loss = float(loss)
+                if not math.isfinite(loss):
+                    raise DatasetFormatError(f"view {len(pool)} has a non-finite teacher loss", line)
             pool.append(
                 SyntheticView(
                     view=_decode_view(sv_rec["view"], modality, line),
                     round=_int_field(sv_rec, "round", line),
                     step=step,
                     parent_id=_int_field(sv_rec, "parent_id", line),
-                    teacher_loss=None if loss is None else float(loss),
+                    teacher_loss=loss,
                     survived=_int_field(sv_rec, "survived", line),
                 )
             )
+        real_view = _decode_view(record["real_view"], MODALITY_U, line)
+        _check_finite(real_view, pool, line)
         return Instance(
             id=_int_field(record, "id", line),
             label=Label(_int_field(record, "label", line)),
             entities=EntityPair(subject=_int_field(record, "subject", line), object=_int_field(record, "object", line)),
-            real_view=_decode_view(record["real_view"], MODALITY_U, line),
+            real_view=real_view,
             synthetic_pool=tuple(pool),
         )
     except DatasetFormatError:

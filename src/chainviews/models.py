@@ -53,9 +53,14 @@ class ModalityError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
+    """Training produced a non-finite loss. ``phase`` names the model from its
+    train stream: "teacher, selection 0", "student", "unimodal"."""
+
+    def __init__(self, step: int, rng_stream: tuple = ("train",)):
+        name = str(rng_stream[0]).removesuffix("-train")
+        self.phase = f"{name}, selection {rng_stream[1]}" if len(rng_stream) > 1 else name
         self.step = step
-        super().__init__(f"loss became non-finite at optimizer step {step}")
+        super().__init__(f"{self.phase} training: loss became non-finite at optimizer step {step}")
 
 
 def _spec_feature_dim(spec) -> int:
@@ -377,19 +382,24 @@ def train(model, samples, config: TrainConfig, rng_stream=("train",)):
     optimizer = AdamW(model.params, config)
     order = rng.permutation(len(samples))
     cursor = 0
-    for step in range(config.steps):
-        if cursor >= len(samples):
-            order = rng.permutation(len(samples))
-            cursor = 0
-        batch = order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
-        losses, grads = model.loss_and_grads([samples[i] for i in batch])
-        if not np.isfinite(losses).all():
-            raise TrainingDivergedError(step)
-        optimizer.step(model.params, grads, _learning_rate(config, step))
+    # a diverging run overflows before its loss turns non-finite; the check
+    # below reports it once, naming the phase, instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            if cursor >= len(samples):
+                order = rng.permutation(len(samples))
+                cursor = 0
+            batch = order[cursor : cursor + config.batch_size]
+            cursor += config.batch_size
+            losses, grads = model.loss_and_grads([samples[i] for i in batch])
+            if not np.isfinite(losses).all():
+                raise TrainingDivergedError(step, rng_stream)
+            optimizer.step(model.params, grads, _learning_rate(config, step))
 
-    inputs, labels = _columns(samples)
-    losses, _ = softmax_xent(model.logits(inputs), labels)
+        inputs, labels = _columns(samples)
+        losses, _ = softmax_xent(model.logits(inputs), labels)
+        if not np.isfinite(losses).all():  # the last step diverged
+            raise TrainingDivergedError(config.steps, rng_stream)
     return model, losses
 
 

@@ -13,8 +13,11 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
-Everything is a pure function of (config, seed): every item draws from its
-own derived random stream, and all work runs in order on the calling thread.
+Everything is a pure function of (config, seed): generation draws one
+stream per (instance, round) -- ``("gen", id, round)`` in training,
+``("infer-gen", id)`` at test time -- and passes each batch through a
+channel in one call, so an instance's views never depend on the other
+instances. All work runs in order on the calling thread.
 Wall-clock timings in the report are the one explicitly non-deterministic
 field.
 """
@@ -314,25 +317,27 @@ def run_round0(
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
 
     def build(instance: Instance) -> Instance:
-        pool = []
-        for j in range(config.initial_views):
-            rng = derive_rng(config.seed, "gen", instance.id, 0, j)
-            view = sample_channel(g_uv, instance.real_view, rng)
-            pool.append(SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT))
-        return instance.with_pool(pool)
+        rng = derive_rng(config.seed, "gen", instance.id, 0)
+        views = sample_channel(g_uv, [instance.real_view] * config.initial_views, rng)
+        return instance.with_pool(
+            [SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT) for view in views]
+        )
 
     return parallel_map(build, instances)
 
 
 def _spawn_children(instance: Instance, parents: list[int], round_index: int, spawn: int, g_vu, g_uv, seed: int):
+    """Every kept parent's ``spawn`` children: one v-to-u batch over the
+    parents (parent-major), then one u-to-v batch over its outputs, on the
+    instance's stream for this round. Each (u, v) pair is appended in turn."""
     pool = list(instance.synthetic_pool)
-    for parent_idx in parents:
-        for j in range(spawn):
-            rng = derive_rng(seed, "gen", instance.id, round_index, parent_idx, j)
-            u_view = sample_channel(g_vu, pool[parent_idx].view, rng)
-            pool.append(SyntheticView(view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx))
-            v_view = sample_channel(g_uv, u_view, rng)
-            pool.append(SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=len(pool) - 1))
+    sources = [parent_idx for parent_idx in parents for _ in range(spawn)]
+    rng = derive_rng(seed, "gen", instance.id, round_index)
+    u_views = sample_channel(g_vu, [pool[parent_idx].view for parent_idx in sources], rng)
+    v_views = sample_channel(g_uv, u_views, rng)
+    for parent_idx, u_view, v_view in zip(sources, u_views, v_views):
+        pool.append(SyntheticView(view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx))
+        pool.append(SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=len(pool) - 1))
     return instance.with_pool(pool)
 
 
@@ -457,7 +462,8 @@ def infer(
     """Classify one test instance.
 
     Fresh views come from the round-0 channel, or from the whole chain when
-    ``config.infer_full_chain`` (which needs ``g_vu``). ``scorer`` keeps the
+    ``config.infer_full_chain`` (which needs ``g_vu``), one batch per hop on
+    the instance's own ``"infer-gen"`` stream. ``scorer`` keeps the
     ``config.infer_views`` best: under teacher loss the ones its teacher
     classifies most confidently (the first generated without a teacher),
     under similarity the closest to the real view, otherwise a uniform draw.
@@ -465,14 +471,11 @@ def infer(
     """
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
-    views = []
-    for j in range(config.infer_generate or config.initial_views):
-        rng = derive_rng(config.seed, "infer-gen", instance.id, j)
-        view = sample_channel(g_uv, instance.real_view, rng)
-        if config.infer_full_chain:
-            for _ in range(config.ccg_rounds):
-                view = sample_channel(g_uv, sample_channel(g_vu, view, rng), rng)
-        views.append(view)
+    rng = derive_rng(config.seed, "infer-gen", instance.id)
+    views = sample_channel(g_uv, [instance.real_view] * (config.infer_generate or config.initial_views), rng)
+    if config.infer_full_chain:
+        for _ in range(config.ccg_rounds):
+            views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
     chosen = [views[i] for i in rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)]
     if real_v is not None:
         if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):

@@ -1,12 +1,14 @@
 """Deterministic random-stream derivation.
 
 Every random draw in the library flows from one master seed through a named
-substream, so any individual view, model init, or shuffle can be regenerated
-in isolation and results never depend on evaluation order or worker count.
+substream, so results never depend on evaluation order or worker count.
+Generated views are drawn per instance and round: one stream yields all of
+an instance's views for one round, so they can be regenerated without the
+other instances, and a model init or shuffle can be regenerated in isolation.
 
 A stream is addressed by the master seed plus a path of words, e.g.::
 
-    rng = derive_rng(seed, "gen", instance_id, round_index, view_index)
+    rng = derive_rng(seed, "gen", instance_id, round_index)
 
 String words are hashed with SHA-256 so unrelated components cannot collide
 by accident; integer words are used as-is (masked to 64 bits).

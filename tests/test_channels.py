@@ -22,7 +22,8 @@ from chainviews.channels import (
 from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewSpec, discrete_view, vector_view
 from chainviews.info import DiscreteJoint, exact_mi
 from chainviews.rng import derive_rng
-from conftest import tiny_world
+from chainviews.pipeline import run_round0
+from conftest import tiny_config, tiny_world
 
 
 def disc_port(alphabet, modality):
@@ -38,7 +39,7 @@ def vec_port(size, modality):
 
 def test_identity_discrete_channel_copies_symbols():
     chan = DiscreteChannel(np.eye(4), disc_port(4, MODALITY_U), disc_port(4, MODALITY_V))
-    out = sample_channel(chan, discrete_view([3, 1], MODALITY_U), derive_rng(0, "t"))
+    (out,) = sample_channel(chan, [discrete_view([3, 1], MODALITY_U)], derive_rng(0, "t"))
     assert out.modality == MODALITY_V
     assert out.data.tolist() == [3, 1]
 
@@ -48,31 +49,30 @@ def test_uniform_rows_pass_chi_square():
     chan = DiscreteChannel(
         np.full((4, 4), 0.25), disc_port(4, MODALITY_U), disc_port(4, MODALITY_V)
     )
-    rng = derive_rng(0, "chi")
-    counts = np.zeros((2, 4))
-    for _ in range(10_000):
-        out = sample_channel(chan, discrete_view([0, 2], MODALITY_U), rng)
-        counts[0, out.data[0]] += 1
-        counts[1, out.data[1]] += 1
+    outs = sample_channel(chan, [discrete_view([0, 2], MODALITY_U)] * 10_000, derive_rng(0, "chi"))
+    symbols = np.stack([out.data for out in outs])
+    counts = np.stack([np.bincount(symbols[:, position], minlength=4) for position in range(2)])
     for position in range(2):
         _, p = stats.chisquare(counts[position])
         assert p > 0.01
 
 
 def test_discrete_sampling_matches_searchsorted_reference():
-    # the inverse CDF per position, as a per-position searchsorted loop
+    # the inverse CDF per position, as a per-position searchsorted loop over
+    # a batch of three sequences that draws one (3, 12) block of uniforms
     for trial in range(20):
         rng = derive_rng(trial, "table")
         a_in, a_out = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         table = rng.dirichlet(np.full(a_out, 0.5), size=a_in)
         table[0] = np.eye(a_out)[a_out - 1]  # a row whose mass sits on the last symbol
         chan = DiscreteChannel(table, disc_port(a_in, MODALITY_U), disc_port(a_out, MODALITY_V))
-        view = discrete_view(rng.integers(a_in, size=12), MODALITY_U)
-        out = sample_channel(chan, view, derive_rng(trial, "draws"))
-        draws = derive_rng(trial, "draws").random(12)
+        views = [discrete_view(rng.integers(a_in, size=12), MODALITY_U) for _ in range(3)]
+        outs = sample_channel(chan, views, derive_rng(trial, "draws"))
+        draws = derive_rng(trial, "draws").random((3, 12))
         cumulative = np.cumsum(table, axis=1)
-        expected = [min(np.searchsorted(cumulative[s], d, side="right"), a_out - 1) for s, d in zip(view.data, draws)]
-        assert out.data.tolist() == expected
+        for view, out, row in zip(views, outs, draws):
+            expected = [min(np.searchsorted(cumulative[s], d, side="right"), a_out - 1) for s, d in zip(view.data, row)]
+            assert out.data.tolist() == expected
 
 
 def test_discrete_rows_must_be_stochastic():
@@ -84,9 +84,11 @@ def test_discrete_rows_must_be_stochastic():
 def test_spec_mismatch_raises():
     chan = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
     with pytest.raises(ChannelError):
-        sample_channel(chan, discrete_view([0, 4], MODALITY_U), derive_rng(0, "t"))
+        sample_channel(chan, [discrete_view([0, 4], MODALITY_U)], derive_rng(0, "t"))
     with pytest.raises(ChannelError):
-        sample_channel(chan, vector_view([0.0], MODALITY_U), derive_rng(0, "t"))
+        sample_channel(chan, [vector_view([0.0], MODALITY_U)], derive_rng(0, "t"))
+    with pytest.raises(ChannelError):  # one bad view fails the whole batch
+        sample_channel(chan, [discrete_view([0, 1], MODALITY_U), discrete_view([0, 1], MODALITY_V)], derive_rng(0, "t"))
 
 
 def test_linear_gaussian_mean_and_shape():
@@ -95,9 +97,7 @@ def test_linear_gaussian_mean_and_shape():
     chan = LinearGaussianChannel(weight, bias, 0.1, vec_port(2, MODALITY_U), vec_port(3, MODALITY_V))
     rng = derive_rng(0, "lg")
     x = np.array([1.0, 2.0])
-    outs = np.stack(
-        [sample_channel(chan, vector_view(x, MODALITY_U), rng).data for _ in range(4000)]
-    )
+    outs = np.stack([out.data for out in sample_channel(chan, [vector_view(x, MODALITY_U)] * 4000, rng)])
     assert outs.shape == (4000, 3)
     np.testing.assert_allclose(outs.mean(axis=0), weight @ x + bias, atol=0.02)
 
@@ -114,9 +114,9 @@ def test_prototype_collapse_degenerate_case():
         proto, temperature=1.0, jitter_sigma=0.0,
         in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
     )
-    rng = derive_rng(0, "pc")
-    for _ in range(5):
-        out = sample_channel(chan, vector_view([0.3, 0.7], MODALITY_U), rng)
+    outs = sample_channel(chan, [vector_view([0.3, 0.7], MODALITY_U)] * 5, derive_rng(0, "pc"))
+    assert len(outs) == 5
+    for out in outs:
         assert np.array_equal(out.data, proto[0])
 
 
@@ -126,26 +126,27 @@ def test_prototype_snap_probabilities_form_a_distribution():
         protos, temperature=2.0, jitter_sigma=0.1,
         in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
     )
-    probs = chan.snap_probabilities(vector_view([0.9, 0.1], MODALITY_U))
-    assert probs.shape == (3,)
-    assert abs(probs.sum() - 1.0) < 1e-12
-    assert probs[0] == probs.max()  # nearest prototype dominates
+    probs = chan.snap_probabilities(np.array([[0.9, 0.1], [-0.8, 0.2]]))
+    assert probs.shape == (2, 3)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert probs.argmax(axis=1).tolist() == [0, 2]  # nearest prototype dominates
 
 
-def test_mixture_routes_between_branches():
+def point_mixture(branch_prob):
+    # branch a emits exactly (5, 5); branch b stays near its input
     a = PrototypeCollapseChannel(
         np.array([[5.0, 5.0]]), temperature=1.0, jitter_sigma=0.0,
         in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
     )
     b = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.01, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
-    mix = MixtureChannel(0.3, a, b)
-    rng = derive_rng(0, "mix")
-    hits = 0
+    return MixtureChannel(branch_prob, a, b)
+
+
+def test_mixture_routes_between_branches():
+    mix = point_mixture(0.3)
     n = 5000
-    for _ in range(n):
-        out = sample_channel(mix, vector_view([0.0, 0.0], MODALITY_U), rng)
-        if np.array_equal(out.data, [5.0, 5.0]):
-            hits += 1
+    outs = sample_channel(mix, [vector_view([0.0, 0.0], MODALITY_U)] * n, derive_rng(0, "mix"))
+    hits = sum(np.array_equal(out.data, [5.0, 5.0]) for out in outs)
     # binomial 3 sigma around p=0.3
     assert abs(hits / n - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
 
@@ -181,12 +182,12 @@ def test_composed_sampling_equals_staged_sampling():
     a = DiscreteChannel(m1, disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
     b = DiscreteChannel(m2, disc_port(3, MODALITY_V), disc_port(3, MODALITY_U))
     chain = compose([a, b])
-    view = discrete_view([0, 1, 2], MODALITY_U)
-    got = sample_channel(chain, view, derive_rng(7, "cmp"))
+    views = [discrete_view([0, 1, 2], MODALITY_U), discrete_view([2, 2, 0], MODALITY_U)]
+    got = sample_channel(chain, views, derive_rng(7, "cmp"))
     # identical stream, stages applied by hand
     rng = derive_rng(7, "cmp")
-    want = sample_channel(b, sample_channel(a, view, rng), rng)
-    assert got.equals(want)
+    want = sample_channel(b, sample_channel(a, views, rng), rng)
+    assert all(g.equals(w) for g, w in zip(got, want))
 
 
 def test_identity_composition_preserves_entropy():
@@ -295,7 +296,7 @@ def test_preset_surface():
         assert g_vu.out_port.modality == MODALITY_U
         # the u->v channel must accept a real view drawn from the world
         instances, schema = generate_benchmark(world, 1, ViewSpec("vector", g_uv.out_port.spec.size))
-        out = sample_channel(g_uv, instances[0].real_view, derive_rng(0, "probe"))
+        (out,) = sample_channel(g_uv, [instances[0].real_view], derive_rng(0, "probe"))
         assert out.matches(schema.v_spec)
 
 
@@ -309,10 +310,8 @@ def test_collapse_heavy_shares_prototypes_across_classes():
     rng = derive_rng(0, "collapse-stats")
     n = 10_000
     labels = rng.integers(world.class_count, size=n)
-    samples = np.empty((n, protos.shape[1]))
-    for i in range(n):
-        u = world.class_means[labels[i]] + world.within_class_sigma * rng.standard_normal(world.u_dim)
-        samples[i] = sample_channel(g_uv, vector_view(u, MODALITY_U), rng).data
+    us = world.class_means[labels] + world.within_class_sigma * rng.standard_normal((n, world.u_dim))
+    samples = np.stack([v.data for v in sample_channel(g_uv, [vector_view(u, MODALITY_U) for u in us], rng)])
     sq_dist = ((samples[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
     nearest = sq_dist.argmin(axis=1)
     within = np.sqrt(sq_dist.min(axis=1)) <= 2.0 * jitter * np.sqrt(protos.shape[1])
@@ -332,9 +331,7 @@ def test_clean_preset_preserves_label_information():
     n = 40_000
     labels = rng.integers(world.class_count, size=n)
     us = world.class_means[labels] + world.within_class_sigma * rng.standard_normal((n, world.u_dim))
-    vs = np.empty_like(us)
-    for i in range(n):
-        vs[i] = sample_channel(g_uv, vector_view(us[i], MODALITY_U), rng).data
+    vs = np.stack([v.data for v in sample_channel(g_uv, [vector_view(u, MODALITY_U) for u in us], rng)])
 
     def plug_in_mi(points):
         cells = ((points[:, None, :] - world.class_means[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -351,18 +348,113 @@ def test_clean_preset_preserves_label_information():
     assert mi_v >= 0.95 * mi_u
 
 
-def test_per_view_streams_make_generation_order_irrelevant():
-    # regenerating one view in isolation reproduces the batch result
+def test_per_instance_streams_make_generation_order_irrelevant():
+    # regenerating one instance's round-0 views in isolation reproduces the
+    # run over all instances
     world, g_uv, _, v_spec = tiny_world()
     instances, _ = generate_benchmark(world, 2, v_spec)
-    seed = 11
-    batch = []
-    for inst in instances:
-        for j in range(3):
-            rng = derive_rng(seed, "gen", inst.id, 0, j)
-            batch.append(sample_channel(g_uv, inst.real_view, rng))
-    # view (instance 3, j=2) alone, no other draws first
-    target = instances[3]
-    rng = derive_rng(seed, "gen", target.id, 0, 2)
-    alone = sample_channel(g_uv, target.real_view, rng)
-    assert alone.equals(batch[3 * 3 + 2])
+    config = tiny_config(initial_views=3, seed=11)
+    batch = run_round0(instances, g_uv, config)
+    (alone,) = run_round0([instances[3]], g_uv, config)  # no other draws first
+    assert alone.id == batch[3].id
+    for got, want in zip(alone.synthetic_pool, batch[3].synthetic_pool):
+        assert got.view.equals(want.view)
+    # and the pool is the instance's ("gen", id, 0) stream through one batch
+    expected = sample_channel(g_uv, [instances[3].real_view] * 3, derive_rng(11, "gen", instances[3].id, 0))
+    assert all(sv.view.equals(v) for sv, v in zip(alone.synthetic_pool, expected))
+
+
+# --- batch edge cases ------------------------------------------------------------------
+
+
+def test_ragged_discrete_batch_is_a_channel_error():
+    chan = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
+    views = [discrete_view([0, 1, 2], MODALITY_U), discrete_view([2, 1], MODALITY_U)]
+    with pytest.raises(ChannelError, match="one length"):
+        sample_channel(chan, views, derive_rng(0, "t"))
+
+
+def test_empty_batch_draws_nothing():
+    chan = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.1, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
+    assert sample_channel(chan, [], derive_rng(0, "t")) == []
+
+
+@pytest.mark.parametrize("branch_prob", [0.0, 1.0])
+def test_mixture_with_a_certain_branch(branch_prob):
+    outs = sample_channel(point_mixture(branch_prob), [vector_view([0.0, 0.0], MODALITY_U)] * 50, derive_rng(0, "m"))
+    from_a = [np.array_equal(out.data, [5.0, 5.0]) for out in outs]
+    assert len(outs) == 50 and all(hit == (branch_prob == 1.0) for hit in from_a)
+
+
+def test_mixture_mask_sending_every_row_to_one_branch():
+    # small batches whose mask sends both rows to the same branch, each way
+    mix = point_mixture(0.5)
+    branches = set()
+    for seed in range(20):
+        outs = sample_channel(mix, [vector_view([0.0, 0.0], MODALITY_U)] * 2, derive_rng(seed, "m"))
+        hits = {np.array_equal(out.data, [5.0, 5.0]) for out in outs}
+        if len(hits) == 1:
+            branches |= hits
+    assert branches == {True, False}
+
+
+def test_zero_row_sub_batch_inside_a_mixture():
+    # the outer mixture never takes branch a, so the inner mixture (discrete,
+    # integer rows) samples a zero-row batch on every call
+    flip = DiscreteChannel(np.array([[0.2, 0.8], [0.8, 0.2]]), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+    keep = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+    outer = MixtureChannel(0.0, MixtureChannel(0.5, flip, keep), keep)
+    outs = sample_channel(outer, [discrete_view([0, 1, 1], MODALITY_U)] * 4, derive_rng(0, "z"))
+    assert [out.data.tolist() for out in outs] == [[0, 1, 1]] * 4
+    empty = outer.a.sample(np.empty((0, 3), dtype=np.int64), derive_rng(0, "z"))
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
+
+
+# --- one batch against independent batches of one ---------------------------------------
+
+B = 4000
+
+
+def batch_and_singles(channel, x, seed):
+    """Outputs of one batch of B copies of ``x`` and of B batches of one."""
+    view = vector_view(x, channel.in_port.modality)
+    batch = np.stack([v.data for v in sample_channel(channel, [view] * B, derive_rng(seed, "batch"))])
+    singles = np.stack([sample_channel(channel, [view], derive_rng(seed, "single", i))[0].data for i in range(B)])
+    return batch, singles
+
+
+def assert_rate(hits, p):
+    assert abs(float(np.mean(hits)) - p) < 4 * np.sqrt(p * (1 - p) / len(hits))
+
+
+def linear_gaussian_channels(preset):
+    _, g_uv, g_vu = lossy_world_preset(preset, seed=0)
+    return [c for c in (g_uv, g_vu, getattr(g_uv, "b", None)) if isinstance(c, LinearGaussianChannel)]
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_linear_gaussian_batches_agree_with_batches_of_one(preset):
+    for k, chan in enumerate(linear_gaussian_channels(preset)):
+        x = np.linspace(-1.0, 1.0, chan.in_port.spec.size)
+        sigma = chan.noise_sigma
+        for out in batch_and_singles(chan, x, seed=k):
+            mean_err = np.abs(out.mean(axis=0) - (chan.weight @ x + chan.bias))
+            assert np.all(mean_err < 4 * sigma / np.sqrt(B))
+            var_err = np.abs(out.var(axis=0, ddof=1) - sigma**2)
+            assert np.all(var_err < 4 * sigma**2 * np.sqrt(2 / (B - 1)))
+
+
+def test_collapse_heavy_batches_agree_with_batches_of_one():
+    world, g_uv, _ = lossy_world_preset("collapse-heavy", seed=0)
+    collapse, faithful = g_uv.a, g_uv.b
+    protos = collapse.prototypes
+    for x in (np.zeros(world.u_dim), world.class_means[0], world.class_means[2] + 0.5):
+        snap = collapse.snap_probabilities(x[None, :])[0]
+        centres = np.vstack([protos, faithful.weight @ x])  # the faithful branch's mean last
+        for out in batch_and_singles(collapse, x, seed=1):
+            nearest = ((out[:, None, :] - protos[None]) ** 2).sum(axis=2).argmin(axis=1)
+            for j in range(len(protos)):
+                assert_rate(nearest == j, snap[j])
+        for out in batch_and_singles(g_uv, x, seed=2):
+            nearest = ((out[:, None, :] - centres[None]) ** 2).sum(axis=2).argmin(axis=1)
+            assert_rate(nearest < len(protos), g_uv.branch_prob)

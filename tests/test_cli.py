@@ -1,13 +1,15 @@
 """The command-line front-end, driven in-process through main(argv)."""
 
 import json
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import yaml
 
 import chainviews.nn
-from chainviews.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from chainviews.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, main
 from chainviews.datamodel import read_dataset
 
 
@@ -377,6 +379,34 @@ def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
     code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
     assert code == EXIT_USAGE
     assert "line 2: non-finite number NaN" in capsys.readouterr().err
+
+
+def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_path, capsys):
+    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["real_view"]["data"][0] = 12345.5
+    lines[1] = json.dumps(record).replace("12345.5", "1e999")
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    assert "line 2: the real view holds a non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, phase", [("teacher", "teacher, selection 0"), ("student", "student")])
+def test_diverging_training_exits_2_and_names_the_phase(tmp_path, capsys, model, phase):
+    quick = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"
+    mapping = yaml.safe_load(quick.read_text(encoding="utf-8"))
+    mapping["pipeline"][model]["learning_rate"] = 1.0e300
+    config = write_yaml(tmp_path / "diverge.yaml", mapping)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"TrainingDivergedError: {phase} training: loss became non-finite" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):

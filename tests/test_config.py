@@ -11,6 +11,7 @@ from chainviews.channels import (
     MixtureChannel,
     Port,
     PrototypeCollapseChannel,
+    sample_channel,
 )
 from chainviews.config import (
     CHANNEL_KINDS,
@@ -242,9 +243,10 @@ def test_compose_spec_infers_intermediate_ports():
     assert isinstance(chain, ComposedChannel)
     assert chain.in_port.spec.size == 3 and chain.out_port.spec.size == 3
     assert chain.stages[0].out_port.spec.size == 4  # inferred from the first matrix
-    view = UD3.make_view([0, 1, 2])
-    out = chain.sample(view, derive_rng(0, "probe"))
-    assert out.matches(VD3.spec) and out.modality == "v"
+    views = [UD3.make_view([0, 1, 2]), UD3.make_view([2, 1, 0])]
+    outs = sample_channel(chain, views, derive_rng(0, "probe"))
+    assert len(outs) == 2
+    assert all(out.matches(VD3.spec) and out.modality == "v" for out in outs)
 
 
 def test_channel_spec_errors():

@@ -398,6 +398,38 @@ def test_non_finite_numbers_are_rejected_at_read_time(value):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("real_view", "data", 0), "the real view holds a non-finite number"),
+        (("synthetic_views", 1, "view", "data", 1), "synthetic view 1 holds a non-finite number"),
+        (("synthetic_views", 0, "teacher_loss"), "view 0 has a non-finite teacher loss"),
+    ],
+    ids=["real_view", "synthetic_view", "teacher_loss"],
+)
+def test_literals_that_overflow_a_float_are_rejected_at_read_time(path, message):
+    # json.loads reads 1e999 as inf without calling parse_constant
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[1])
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 12345.5
+    lines[1] = json.dumps(record).replace("12345.5", "1e999")
+    with pytest.raises(DatasetFormatError, match=message) as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 2
+
+
+def test_symbol_that_overflows_an_integer_is_a_format_error():
+    header = dataset_to_string([], make_schema(u_spec=ViewSpec("discrete", 4)))
+    line = '{"id":0,"label":0,"subject":0,"object":1,"real_view":{"kind":"discrete","data":[1e999]},"synthetic_views":[]}'
+    with pytest.raises(DatasetFormatError, match="bad view") as err:
+        read_dataset(header + line + "\n")
+    assert err.value.line == 2
+
+
 def test_version_1_without_synthetic_views_is_read():
     instances = [make_instance(i, i % 3) for i in range(3)]
     text = dataset_to_string(instances, make_schema()).replace('"version":2', '"version":1', 1)

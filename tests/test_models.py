@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,31 @@ def test_nan_loss_aborts_with_step_number():
     with pytest.raises(TrainingDivergedError) as err:
         train(PoisonModel(), [(0, 0)], TrainConfig(steps=3))
     assert "step 0" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rng_stream, phase",
+    [(("teacher-train", 0), "teacher, selection 0"), (("student-train",), "student"), (("unimodal-train",), "unimodal")],
+)
+def test_divergence_names_the_phase_without_numpy_warnings(rng_stream, phase):
+    samples = separable_toy(20, seed=2)
+    model = TinyLinearModel(derive_rng(2, "diverge-init"), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(model, samples, TrainConfig(learning_rate=1e308, steps=5, batch_size=5), rng_stream=rng_stream)
+    assert err.value.phase == phase
+    assert str(err.value).startswith(f"{phase} training: ")
+
+
+def test_divergence_in_the_last_step_is_caught():
+    # the last update is never followed by a checked step; the final frozen
+    # pass must not hand back non-finite losses
+    samples = separable_toy(20, seed=2)
+    model = TinyLinearModel(derive_rng(2, "diverge-init"), 2)
+    with pytest.raises(TrainingDivergedError) as err:
+        train(model, samples, TrainConfig(learning_rate=1e308, steps=1, batch_size=5))
+    assert err.value.step == 1
 
 
 def test_cosine_decay_changes_the_trajectory():

@@ -435,6 +435,91 @@ def test_a_run_builds_one_scorer(tiny_run, monkeypatch):
     assert len(built) == 1
 
 
+def instance_lines(instances, schema):
+    """Each instance's dataset line, by instance id."""
+    lines = dataset_to_string(instances, schema).splitlines()[1:]
+    return {inst.id: line for inst, line in zip(instances, lines)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    train_order=st.permutations(range(12)),
+    train_size=st.integers(1, 12),
+    test_order=st.permutations(range(18)),
+    test_size=st.integers(1, 18),
+    spawns=st.lists(st.integers(0, 2), max_size=2),
+    policy_name=st.sampled_from(("random", "keep_all")),
+    full_chain=st.booleans(),
+)
+def test_generation_depends_only_on_the_instance_and_round(
+    tiny_run, train_order, train_size, test_order, test_size, spawns, policy_name, full_chain
+):
+    # under policies that score each instance on its own, curating or
+    # classifying a shuffled subset reproduces every instance's views
+    config = replace(
+        tiny_run.config,
+        ccg_rounds=len(spawns),
+        spawn_per_kept=tuple(spawns),
+        policy_name=policy_name,
+        infer_full_chain=full_chain,
+        infer_generate=4,
+        infer_views=4,
+    )
+
+    def curate(instances):
+        scorer = Scorer(config, tiny_run.schema)
+        step = run_round0(instances, tiny_run.g_uv, config)
+        for round_index in range(1, max(config.ccg_rounds, 1) + 1):
+            step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+        return instance_lines(step, tiny_run.schema)
+
+    def generated(instances):
+        scorer = Scorer(config, tiny_run.schema)
+        out = {}
+        for instance in instances:
+            student = RecordingStudent(tiny_run.schema)
+            infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, scorer)
+            out[instance.id] = [view.data.tobytes() for view in student.calls[0]]
+        return out
+
+    full = curate(tiny_run.train)
+    subset = curate([tiny_run.train[i] for i in train_order[:train_size]])
+    assert subset == {i: full[i] for i in subset}
+    full = generated(tiny_run.test)
+    subset = generated([tiny_run.test[i] for i in test_order[:test_size]])
+    assert subset == {i: full[i] for i in subset}
+
+
+def test_children_come_from_one_batch_per_channel_on_the_round_stream(tiny_run):
+    # kept parents parent-major, each repeated spawn times, through g_vu and
+    # then g_uv on ("gen", id, 1); (u, v) pairs appended in that order
+    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), policy_name="random")
+    scorer = Scorer(config, tiny_run.schema)
+    before = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
+    after = run_ccg_round(before, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    for old, new in zip(before, after):
+        kept = [i for i, sv in enumerate(new.synthetic_pool[: config.initial_views]) if sv.survived]
+        sources = [i for i in kept for _ in range(2)]
+        rng = derive_rng(config.seed, "gen", old.id, 1)
+        u_views = sample_channel(tiny_run.g_vu, [old.synthetic_pool[i].view for i in sources], rng)
+        v_views = sample_channel(tiny_run.g_uv, u_views, rng)
+        children = new.synthetic_pool[config.initial_views :]
+        assert [sv.parent_id for sv in children[::2]] == sources
+        assert all(u.view.equals(want) for u, want in zip(children[::2], u_views))
+        assert all(v.view.equals(want) for v, want in zip(children[1::2], v_views))
+
+
+def test_one_instance_per_class_with_single_views():
+    train, test, schema, g_uv, g_vu = tiny_benchmark(seed=3, n_train=1, n_test=2)
+    config = tiny_config(ccg_rounds=1, initial_views=1, spawn_per_kept=(1,), train_views=1, infer_views=1)
+    result = run_pipeline(train, test, schema, g_uv, g_vu, config)
+    (record,) = result.report.rounds
+    assert (record.pool_size, record.kept_size, record.spawned) == (1, 1, 1)
+    assert result.report.final_pool_size == 2
+    assert [len(inst.synthetic_pool) for inst in result.instances] == [3] * schema.class_count
+    assert result.report.metrics["count"] == len(test)
+
+
 def test_round0_view_counts_and_provenance(tiny_run):
     for m0 in (30, 1):
         config = tiny_config(initial_views=m0)
@@ -591,11 +676,8 @@ class RecordingStudent:
 
 def generated_views(instance, g_uv, config):
     n_gen = config.infer_generate or config.initial_views
-    views = []
-    for j in range(n_gen):
-        rng = derive_rng(config.seed, "infer-gen", instance.id, j)
-        views.append(sample_channel(g_uv, instance.real_view, rng))
-    return views
+    rng = derive_rng(config.seed, "infer-gen", instance.id)
+    return sample_channel(g_uv, [instance.real_view] * n_gen, rng)
 
 
 def test_infer_without_teacher_takes_the_first_views(tiny_run):
@@ -633,7 +715,7 @@ def test_infer_appends_real_view_unscored(tiny_run):
     config = tiny_config(infer_generate=4, infer_views=1)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[2]
-    real_v = sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(123, "aux"))
+    (real_v,) = sample_channel(tiny_run.g_uv, [instance.real_view], derive_rng(123, "aux"))
     infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema), real_v=real_v)
     (got,) = student.calls
     assert len(got) == 2
@@ -656,13 +738,10 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[3]
     infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
-    expected = []
-    for j in range(3):
-        rng = derive_rng(config.seed, "infer-gen", instance.id, j)
-        view = sample_channel(tiny_run.g_uv, instance.real_view, rng)
-        for _ in range(config.ccg_rounds):
-            view = sample_channel(tiny_run.g_uv, sample_channel(tiny_run.g_vu, view, rng), rng)
-        expected.append(view)
+    rng = derive_rng(config.seed, "infer-gen", instance.id)
+    expected = sample_channel(tiny_run.g_uv, [instance.real_view] * 3, rng)
+    for _ in range(config.ccg_rounds):
+        expected = sample_channel(tiny_run.g_uv, sample_channel(tiny_run.g_vu, expected, rng), rng)
     (got,) = student.calls
     for view, want in zip(got, expected):
         assert view.equals(want)
@@ -690,7 +769,7 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     scorer = Scorer(tiny_config(), tiny_run.schema)
     scorer.teacher = teacher
     instance = tiny_run.test[0]
-    views = [sample_channel(tiny_run.g_uv, instance.real_view, derive_rng(50, "aux", j)) for j in range(10)]
+    views = sample_channel(tiny_run.g_uv, [instance.real_view] * 10, derive_rng(50, "aux"))
     confidence = scorer.scores(instance, views, "infer-pick")
     logits = teacher.logits([(v, instance.entities) for v in views])
     losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
