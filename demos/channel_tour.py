@@ -16,6 +16,7 @@ from chainviews import (
     Port,
     PrototypeCollapseChannel,
     PRESET_NAMES,
+    ViewBatch,
     ViewSpec,
     compose,
     derive_rng,
@@ -23,6 +24,7 @@ from chainviews import (
     generate_benchmark,
     lossy_world_preset,
     sample_channel,
+    stack_views,
     vector_view,
 )
 
@@ -33,9 +35,9 @@ sym_in = Port(ViewSpec("discrete", 2), "u")
 sym_out = Port(ViewSpec("discrete", 2), "v")
 flip = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_in, sym_out)
 msg = discrete_view([0, 0, 1, 1, 0], "u")
-(out,) = sample_channel(flip, [msg], rng)
+out = sample_channel(flip, stack_views([msg]), rng)
 print(f"input symbols  {msg.data.tolist()}")
-print(f"after 10% flip {out.data.tolist()}")
+print(f"after 10% flip {out.data[0].tolist()}")
 
 twice = compose([flip, DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_out, sym_out)])
 print(f"two flips composed: effective matrix row 0 = {twice.stages[0].matrix[0] @ twice.stages[1].matrix}")
@@ -46,13 +48,13 @@ vec_u = Port(ViewSpec("vector", 2), "u")
 vec_v = Port(ViewSpec("vector", 2), "v")
 blur = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.3, vec_u, vec_v)
 point = vector_view([1.0, -1.0], "u")
-samples = np.stack([v.data for v in sample_channel(blur, [point] * 500, rng)])
+samples = sample_channel(blur, stack_views([point] * 500), rng).data
 print(f"identity + noise 0.3: sample mean {samples.mean(axis=0).round(3)}, std {samples.std(axis=0).round(3)}")
 
 protos = np.array([[2.0, 2.0], [-2.0, -2.0]])
 snap = PrototypeCollapseChannel(protos, temperature=1.0, jitter_sigma=0.05, in_port=vec_u, out_port=vec_v)
 near_point = vector_view([1.0, 0.5], "u")
-snapped = np.stack([v.data for v in sample_channel(snap, [near_point] * 500, rng)])
+snapped = sample_channel(snap, stack_views([near_point] * 500), rng).data
 near_first = np.abs(snapped - protos[0]).max(axis=1) < 0.5
 print(f"prototype collapse: {near_first.mean():.0%} of samples snap to the nearer prototype")
 
@@ -74,7 +76,7 @@ collapse = g_uv.a if isinstance(g_uv.a, PrototypeCollapseChannel) else g_uv.b
 n = 2000
 labels = rng.integers(world.class_count, size=n)
 us = world.class_means[labels] + world.within_class_sigma * rng.standard_normal((n, world.u_dim))
-vs = np.stack([v.data for v in sample_channel(g_uv, [vector_view(u, "u") for u in us], rng)])
+vs = sample_channel(g_uv, ViewBatch("vector", "u", us), rng).data
 dist = np.sqrt(((vs[:, None, :] - collapse.prototypes[None]) ** 2).sum(axis=2)).min(axis=1)
 hits = dist <= 2.0 * collapse.jitter_sigma * np.sqrt(collapse.prototypes.shape[1])
 print(f"collapse-heavy: {hits.mean():.0%} of generated views land on a shared prototype")

@@ -43,16 +43,15 @@ pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
 kept_losses, dropped_losses, collapsed_kept, collapsed_total = [], [], 0, 0
 proto = 2.2 * np.ones(4)
 for inst in pooled:
-    for view in inst.synthetic_pool:
-        if view.round != 0 or view.teacher_loss is None:
-            continue
-        is_collapsed = min(np.abs(view.view.data - proto).max(), np.abs(view.view.data + proto).max()) < 1.5
-        collapsed_total += is_collapsed
-        if view.survived > 0:
-            kept_losses.append(view.teacher_loss)
-            collapsed_kept += is_collapsed
-        else:
-            dropped_losses.append(view.teacher_loss)
+    pool = inst.synthetic_pool
+    judged = np.flatnonzero((pool.round == 0) & ~np.isnan(pool.teacher_loss))
+    data = pool.v_rows(judged).data
+    collapsed = np.minimum(np.abs(data - proto).max(axis=1), np.abs(data + proto).max(axis=1)) < 1.5
+    kept = pool.survived[judged] > 0
+    collapsed_total += int(collapsed.sum())
+    collapsed_kept += int((collapsed & kept).sum())
+    kept_losses.extend(pool.teacher_loss[judged[kept]].tolist())
+    dropped_losses.extend(pool.teacher_loss[judged[~kept]].tolist())
 
 print(f"kept views    n={len(kept_losses):4d}  mean loss {np.mean(kept_losses):.3f}")
 print(f"dropped views n={len(dropped_losses):4d}  mean loss {np.mean(dropped_losses):.3f}")
@@ -64,7 +63,7 @@ print(
 print()
 print("== selection policies on one scored pool ==")
 # every policy is a lower-is-better score per candidate, ranked by rank_keep
-losses = [v.teacher_loss for v in pooled[0].synthetic_pool[:24]]
+losses = pooled[0].synthetic_pool.teacher_loss[:24].tolist()
 k = keep_count(0.5, len(losses))
 kept = set(rank_keep(losses, k))
 print(f"loss policy:   keep {len(kept)}, worst kept loss {max(losses[i] for i in kept):.3f}, "

@@ -26,6 +26,7 @@ from .channels import (
     generate_benchmark,
     lossy_world_preset,
     sample_channel,
+    stack_views,
 )
 from .config import (
     ConfigError,
@@ -42,9 +43,10 @@ from .datamodel import (
     EntityPair,
     Instance,
     Label,
-    SyntheticView,
+    Pool,
     ValidationReport,
     View,
+    ViewBatch,
     ViewSpec,
     discrete_view,
     read_dataset,

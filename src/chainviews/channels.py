@@ -15,11 +15,13 @@ library ships four families:
 Every channel samples a batch: ``sample(X, rng)`` maps the stacked input
 rows ``X`` (``(B, d_in)`` vectors or ``(B, L)`` symbol sequences) to ``B``
 output rows with one set of draws from ``rng``; a batch of one is just a
-batch. :func:`sample_channel` is the view-level entry point: it checks each
-view against the channel's input port, stacks them and wraps the output
-rows. Channels declare typed ports, so composing mismatched stages or
-feeding a view from the wrong side fails loudly instead of silently
-reinterpreting data. All sampling goes through an explicit Generator.
+batch. :func:`sample_channel` is the entry point: it checks a
+:class:`~chainviews.datamodel.ViewBatch` against the channel's input port
+once and returns the output rows as a batch on the output side
+(:func:`stack_views` builds a batch from single views). Channels declare
+typed ports, so composing mismatched stages or feeding views from the wrong
+side fails loudly instead of silently reinterpreting data. All sampling
+goes through an explicit Generator.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .datamodel import (
     Instance,
     Label,
     View,
+    ViewBatch,
     ViewSpec,
+    rows_match,
     vector_view,
 )
 from .rng import derive_rng
@@ -60,11 +64,8 @@ class Port:
         if self.modality not in (MODALITY_U, MODALITY_V):
             raise ChannelError(f"unknown modality {self.modality!r}")
 
-    def accepts(self, view: View) -> bool:
-        return view.modality == self.modality and view.matches(self.spec)
-
-    def make_view(self, data) -> View:
-        return View(kind=self.spec.kind, data=data, modality=self.modality)
+    def accepts(self, batch: ViewBatch) -> bool:
+        return batch.modality == self.modality and bool(rows_match(batch.kind, batch.data, self.spec).all())
 
 
 class DiscreteChannel:
@@ -236,29 +237,35 @@ def compose(channels: Sequence) -> ComposedChannel:
     return ComposedChannel(channels)
 
 
-def sample_channel(channel, views: Sequence[View], rng: np.random.Generator) -> list[View]:
-    """Draw one output view per input view with one batched ``sample`` call.
-
-    Every view must match the channel's input port, and discrete views in
-    one batch must share their length. The draws depend on the batch as a
-    whole: the same views in the same order on the same stream give the
-    same outputs.
-    """
-    port = channel.in_port
-    for view in views:
-        if not port.accepts(view):
-            raise ChannelError(
-                f"{type(channel).__name__} expects a {port.modality!r}-side "
-                f"{port.spec.kind} view of size {port.spec.size}, "
-                f"got a {view.modality!r}-side {view.kind} view of length {view.data.shape[0]}"
-            )
+def stack_views(views: Sequence[View]) -> ViewBatch:
+    """One batch of ``views``, which must share their kind, side and length."""
     if not views:
-        return []
+        raise ChannelError("cannot stack an empty view list")
+    first = views[0]
+    if any(view.kind != first.kind or view.modality != first.modality for view in views):
+        raise ChannelError("one batch needs views of one kind on one side")
     lengths = {view.data.shape[0] for view in views}
     if len(lengths) > 1:
         raise ChannelError(f"one batch needs views of one length, got lengths {sorted(lengths)}")
-    out = channel.sample(np.stack([view.data for view in views]), rng)
-    return [channel.out_port.make_view(row) for row in out]
+    return ViewBatch(first.kind, first.modality, np.stack([view.data for view in views]))
+
+
+def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator) -> ViewBatch:
+    """Draw one output view per input row with one batched ``sample`` call.
+
+    The batch must match the channel's input port. The draws depend on the
+    batch as a whole: the same rows in the same order on the same stream
+    give the same outputs, and an empty batch draws nothing.
+    """
+    port = channel.in_port
+    if not port.accepts(batch):
+        raise ChannelError(
+            f"{type(channel).__name__} expects {port.modality!r}-side "
+            f"{port.spec.kind} views of size {port.spec.size}, "
+            f"got {batch.modality!r}-side {batch.kind} views of length {batch.data.shape[1]}"
+        )
+    out = channel.out_port
+    return ViewBatch(out.spec.kind, out.modality, channel.sample(batch.data, rng))
 
 
 # --- benchmark worlds -------------------------------------------------------

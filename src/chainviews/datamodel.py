@@ -1,16 +1,20 @@
 """Core value types and the on-disk dataset format.
 
 An :class:`Instance` is one labeled example: an entity pair, one real view in
-the primary modality ("u"), and a pool of synthetic views produced by
-cross-modal channels. Synthetic views carry provenance (generation round,
-channel direction, parent view) plus curation state (teacher loss and
-survival count), which is everything later stages need to reconstruct how
-the pool evolved.
+the primary modality ("u"), and a :class:`Pool` of synthetic views produced
+by cross-modal channels. A pool is columnar: one array per field, indexed in
+pool order -- ``round``, ``step`` and ``parent_id`` (provenance),
+``teacher_loss`` (NaN while unscored) and ``survived`` (curation state) --
+plus one read-only data matrix per side, holding that side's views as rows
+in pool order. That is everything later stages need to reconstruct how the
+pool evolved. A :class:`ViewBatch` is the same kind of matrix on its own:
+what a channel takes and returns.
 
 Datasets serialize to line-delimited JSON: the first line is the schema
 record, every following line is one instance. The encoding is canonical
 (fixed key order, shortest round-trip floats), so ``read(write(x))`` followed
-by another ``write`` is byte-identical. Layout of an instance line::
+by another ``write`` is byte-identical. The columnar pool changes nothing in
+the file, which stays version 2. Layout of an instance line::
 
     {"id": 0, "label": 2, "subject": 1, "object": 5,
      "real_view": {"kind": "vector", "data": [...]},
@@ -20,13 +24,13 @@ by another ``write`` is byte-identical. Layout of an instance line::
          "view": {"kind": "vector", "data": [...]}},
         ...]}
 
-``parent_id`` is the index of the parent view within ``synthetic_views``;
-``-1`` denotes the instance's real view. ``teacher_loss`` is present iff a
-teacher has scored the view. ``survived`` counts the consecutive
-selections that kept the view, starting with selection ``round``, the first
-one that judges it; a discarded view is never a candidate again, so the
-count is its whole selection history. Views on the "u" side of a ``v_to_u``
-step are intermediate products, kept for provenance with ``survived`` 0.
+``parent_id`` is the pool index of the parent view; ``-1`` denotes the
+instance's real view. ``teacher_loss`` is present iff a teacher has scored
+the view. ``survived`` counts the consecutive selections that kept the view,
+starting with selection ``round``, the first one that judges it; a discarded
+view is never a candidate again, so the count is its whole selection
+history. Views on the "u" side of a ``v_to_u`` step are intermediate
+products, kept for provenance with ``survived`` 0.
 
 Version 1 files stored a boolean selection flag instead of ``survived``;
 they are read only when no instance holds synthetic views.
@@ -38,8 +42,9 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -52,6 +57,8 @@ STEP_U_TO_V = "u_to_v"
 STEP_V_TO_U = "v_to_u"
 
 REAL_PARENT = -1
+
+_DTYPES = {"vector": np.float64, "discrete": np.int64}
 
 
 class DatasetFormatError(ValueError):
@@ -81,6 +88,27 @@ class ViewSpec:
             raise ValueError("view size must be positive")
 
 
+def _view_array(kind: str, modality: str, data, ndim: int) -> np.ndarray:
+    """``data`` as one view (``ndim`` 1) or a batch of views, one per row."""
+    if kind not in _DTYPES:
+        raise ValueError(f"unknown view kind {kind!r}")
+    if modality not in (MODALITY_U, MODALITY_V):
+        raise ValueError(f"unknown modality {modality!r}")
+    arr = np.asarray(data, dtype=_DTYPES[kind])
+    if arr.ndim != ndim or arr.shape[-1] == 0:
+        raise ValueError(f"view data must be a {ndim}-d array of non-empty views")
+    return arr
+
+
+def rows_match(kind: str, data: np.ndarray, spec: ViewSpec) -> np.ndarray:
+    """Per row of ``data`` (one view per row): does that view fit ``spec``?"""
+    if kind != spec.kind:
+        return np.zeros(data.shape[0], dtype=bool)
+    if kind == "vector":
+        return np.full(data.shape[0], data.shape[1] == spec.size)
+    return np.all((data >= 0) & (data < spec.size), axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class View:
     """One observation in one modality.
@@ -94,24 +122,10 @@ class View:
     modality: str
 
     def __post_init__(self):
-        if self.kind == "vector":
-            arr = np.asarray(self.data, dtype=np.float64)
-        elif self.kind == "discrete":
-            arr = np.asarray(self.data, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown view kind {self.kind!r}")
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("view data must be a non-empty 1-d array")
-        object.__setattr__(self, "data", arr)
-        if self.modality not in (MODALITY_U, MODALITY_V):
-            raise ValueError(f"unknown modality {self.modality!r}")
+        object.__setattr__(self, "data", _view_array(self.kind, self.modality, self.data, 1))
 
     def matches(self, spec: ViewSpec) -> bool:
-        if self.kind != spec.kind:
-            return False
-        if self.kind == "vector":
-            return self.data.shape[0] == spec.size
-        return bool(self.data.shape[0] >= 1 and np.all(self.data >= 0) and np.all(self.data < spec.size))
+        return bool(rows_match(self.kind, self.data[None], spec)[0])
 
     def equals(self, other: "View") -> bool:
         return (
@@ -127,6 +141,30 @@ def vector_view(data, modality: str) -> View:
 
 def discrete_view(data, modality: str) -> View:
     return View(kind="discrete", data=np.asarray(data, dtype=np.int64), modality=modality)
+
+
+@dataclass(frozen=True, eq=False)
+class ViewBatch:
+    """``B`` views of one kind on one side as one ``(B, width)`` array: float
+    vectors for kind "vector", symbol sequences of one length for
+    "discrete". Channels take and return batches."""
+
+    kind: str
+    modality: str
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _view_array(self.kind, self.modality, self.data, 2))
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def take(self, rows) -> "ViewBatch":
+        return ViewBatch(self.kind, self.modality, self.data[rows])
+
+    def views(self) -> list[View]:
+        """One :class:`View` per row, for the models' inputs."""
+        return [View(self.kind, row, self.modality) for row in self.data]
 
 
 @dataclass(frozen=True)
@@ -148,38 +186,113 @@ class EntityPair:
             raise ValueError("entity ids must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class SyntheticView:
-    """A generated view plus its provenance and curation state."""
+_POOL_COLUMNS = {"round": np.int64, "step": np.str_, "parent_id": np.int64, "teacher_loss": np.float64, "survived": np.int64}
 
-    view: View
-    round: int
-    step: str  # STEP_U_TO_V | STEP_V_TO_U
-    parent_id: int  # index into the instance pool, REAL_PARENT for the real view
-    teacher_loss: float | None = None
-    survived: int = 0  # consecutive selections that kept it, from selection ``round`` on
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` read-only; a writeable one is copied first, so that arrays
+    the caller still holds stay writeable."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
+def _append(side: ViewBatch | None, batch: ViewBatch) -> ViewBatch:
+    if side is not None and batch.kind != side.kind:
+        raise ValueError(f"cannot append {batch.kind} views to {side.kind} views")
+    return batch if side is None else ViewBatch(side.kind, side.modality, np.concatenate([side.data, batch.data]))
+
+
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """One instance's synthetic views: one read-only array per field, in
+    pool order, plus one data matrix per side.
+
+    ``v`` holds the rows of the ``u_to_v`` views and ``u`` those of the
+    ``v_to_u`` views, each in pool order (``None`` while a side is empty).
+    ``teacher_loss`` is NaN for a view no teacher has scored. Updates return
+    a new pool and never touch this one. A writeable array handed in is
+    copied before it is frozen.
+    """
+
+    round: np.ndarray
+    step: np.ndarray  # STEP_U_TO_V | STEP_V_TO_U per view
+    parent_id: np.ndarray  # pool index of the parent, REAL_PARENT for the real view
+    teacher_loss: np.ndarray
+    survived: np.ndarray  # consecutive selections that kept it, from selection ``round`` on
+    v: ViewBatch | None = None
+    u: ViewBatch | None = None
+    is_v: np.ndarray = field(init=False, repr=False)  # step == STEP_U_TO_V
 
     def __post_init__(self):
-        if self.round < 0:
-            raise ValueError("round must be non-negative")
-        if self.step not in (STEP_U_TO_V, STEP_V_TO_U):
-            raise ValueError(f"unknown step {self.step!r}")
-        if self.parent_id < REAL_PARENT:
-            raise ValueError("parent_id must be >= -1")
-        expected = MODALITY_V if self.step == STEP_U_TO_V else MODALITY_U
-        if self.view.modality != expected:
-            raise ValueError(f"step {self.step} must produce a {expected!r}-side view")
-        if self.survived < 0:
-            raise ValueError("survived must be non-negative")
-        if self.survived and self.step != STEP_U_TO_V:
-            raise ValueError("only v-side views face selection")
+        for name, dtype in _POOL_COLUMNS.items():
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+        n = len(self.round)
+        if self.round.ndim != 1 or any(getattr(self, name).shape != (n,) for name in _POOL_COLUMNS):
+            raise ValueError("pool columns must be 1-d and of one length")
+        object.__setattr__(self, "is_v", self.step == STEP_U_TO_V)
+        n_v = np.count_nonzero(self.is_v)  # count_nonzero is the cheap test on arrays this small
+        for bad, message in (
+            (n_v + np.count_nonzero(self.step == STEP_V_TO_U) != n, "unknown step"),
+            (np.count_nonzero(self.round < 0), "round must be non-negative"),
+            (np.count_nonzero(self.parent_id < REAL_PARENT), "parent_id must be >= -1"),
+            (np.count_nonzero(self.survived < 0), "survived must be non-negative"),
+            (np.count_nonzero(self.survived[~self.is_v]), "only v-side views face selection"),
+        ):
+            if bad:
+                raise ValueError(message)
+        for side, modality, count in ((self.v, MODALITY_V, n_v), (self.u, MODALITY_U, n - n_v)):
+            found = (0, modality) if side is None else (len(side), side.modality)
+            if found != (count, modality):
+                raise ValueError(f"the {modality}-side matrix must hold the {count} {modality}-side views")
+            if side is not None and side.data.flags.writeable:
+                object.__setattr__(self, modality, ViewBatch(side.kind, modality, _frozen(side.data)))
 
-    def scored(self, loss: float) -> "SyntheticView":
-        return replace(self, teacher_loss=float(loss))
+    def __len__(self) -> int:
+        return len(self.round)
 
-    def kept(self) -> "SyntheticView":
-        """This view after one more selection kept it."""
-        return replace(self, survived=self.survived + 1)
+    @classmethod
+    def initial(cls, v: ViewBatch) -> "Pool":
+        """Round-0 views, all parented to the real view."""
+        n = len(v)
+        return cls(np.zeros(n), np.full(n, STEP_U_TO_V), np.full(n, REAL_PARENT), np.full(n, np.nan), np.zeros(n), v=v)
+
+    def v_rows(self, ids) -> ViewBatch:
+        """The v-side views at pool indices ``ids``, in that order."""
+        if not self.is_v[ids].all():
+            raise ValueError("v_rows takes the pool indices of v-side views only")
+        return self.v.take(np.cumsum(self.is_v)[ids] - 1)
+
+    def spawned(self, parents, round_index: int, u: ViewBatch, v: ViewBatch) -> "Pool":
+        """This pool plus one (u, v) pair per entry of ``parents``: u-side
+        view ``u[k]`` is a child of pool view ``parents[k]`` and ``v[k]`` a
+        child of that u-side view. The pairs are appended in turn."""
+        n, m = len(self), len(parents)
+        parent_id = np.empty(2 * m, dtype=np.int64)
+        parent_id[0::2], parent_id[1::2] = parents, n + np.arange(0, 2 * m, 2)
+        return Pool(
+            round=np.concatenate([self.round, np.full(2 * m, round_index)]),
+            step=np.concatenate([self.step, np.tile([STEP_V_TO_U, STEP_U_TO_V], m)]),
+            parent_id=np.concatenate([self.parent_id, parent_id]),
+            teacher_loss=np.concatenate([self.teacher_loss, np.full(2 * m, np.nan)]),
+            survived=np.concatenate([self.survived, np.zeros(2 * m, dtype=np.int64)]),
+            v=_append(self.v, v),
+            u=_append(self.u, u),
+        )
+
+    def judged(self, ids, losses=None, kept=()) -> "Pool":
+        """This pool after a verdict: ``losses`` stored as the teacher losses
+        of views ``ids`` (when given), one more survival for each view in
+        ``kept``."""
+        teacher_loss, survived = self.teacher_loss.copy(), self.survived.copy()
+        if losses is not None:
+            teacher_loss[ids] = losses
+        survived[list(kept)] += 1
+        return replace(self, teacher_loss=teacher_loss, survived=survived)
+
+
+EMPTY_POOL = Pool(round=(), step=(), parent_id=(), teacher_loss=(), survived=())
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +301,13 @@ class Instance:
     label: Label
     entities: EntityPair
     real_view: View
-    synthetic_pool: tuple[SyntheticView, ...] = ()
+    synthetic_pool: Pool = EMPTY_POOL
 
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("instance id must be non-negative")
         if self.real_view.modality != MODALITY_U:
             raise ValueError("real view must live on the u side")
-
-    def with_pool(self, pool: Iterable[SyntheticView]) -> "Instance":
-        return replace(self, synthetic_pool=tuple(pool))
 
 
 @dataclass(frozen=True)
@@ -237,22 +347,21 @@ class ValidationReport:
             raise ValueError(f"dataset failed validation: {lines}")
 
 
-def _ancestry_depth(instance: Instance, index: int) -> int | None:
-    """Hops from pool view ``index`` to the real view, None on a broken chain."""
-    hops = 0
-    seen = set()
-    current = index
-    while current != REAL_PARENT:
-        if current in seen or not (0 <= current < len(instance.synthetic_pool)):
-            return None
-        seen.add(current)
-        parent = instance.synthetic_pool[current].parent_id
-        # a parent must predate its child in the pool, which rules out cycles
-        if parent >= current:
-            return None
-        hops += 1
-        current = parent
-    return hops
+def _ancestry(pool: Pool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per view: hops to the real view, whether its chain breaks, and whether
+    its own parent link does. A parent must predate its child in the pool,
+    which rules out cycles, so the walk ends within ``len(pool)`` hops."""
+    parent, current = pool.parent_id, np.arange(len(pool))
+    bad_link = (parent >= current) | (parent < REAL_PARENT)
+    depth, broken = np.zeros(len(pool), dtype=np.int64), np.zeros(len(pool), dtype=bool)
+    walking = np.ones(len(pool), dtype=bool)
+    while walking.any():
+        at = current[walking]
+        broken[walking] = bad_link[at]
+        current[walking] = np.where(bad_link[at], REAL_PARENT, parent[at])
+        depth[walking] += 1
+        walking &= (current != REAL_PARENT) & ~broken
+    return depth, broken, bad_link
 
 
 def validate_instance(instance: Instance, schema: DatasetSchema) -> list[Violation]:
@@ -271,19 +380,36 @@ def validate_instance(instance: Instance, schema: DatasetSchema) -> list[Violati
     if instance.real_view.kind == "vector" and not np.all(np.isfinite(instance.real_view.data)):
         bad("real view contains non-finite values")
 
-    for i, sv in enumerate(instance.synthetic_pool):
-        spec = schema.v_spec if sv.view.modality == MODALITY_V else schema.u_spec
-        if not sv.view.matches(spec):
-            bad(f"view {i} does not match the {sv.view.modality}-side spec")
-        if sv.view.kind == "vector" and not np.all(np.isfinite(sv.view.data)):
+    pool = instance.synthetic_pool
+    misfit, non_finite = np.zeros(len(pool), dtype=bool), np.zeros(len(pool), dtype=bool)
+    for side, spec, rows in ((pool.v, schema.v_spec, pool.is_v), (pool.u, schema.u_spec, ~pool.is_v)):
+        if side is not None:
+            misfit[rows] = ~rows_match(side.kind, side.data, spec)
+            non_finite[rows] = ~np.all(np.isfinite(side.data), axis=1)
+    loss = pool.teacher_loss
+    bad_loss = ~np.isnan(loss) & ~(np.isfinite(loss) & (loss >= 0))
+    depth, broken, bad_link = _ancestry(pool)
+    too_deep = ~broken & (depth > 2 * (pool.round + 1))
+    # the generator alternates: a u_to_v view descends from the real view or
+    # a v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier one
+    real = pool.parent_id == REAL_PARENT
+    parent = np.where(bad_link | real, 0, pool.parent_id)
+    from_v, parent_round = ~real & pool.is_v[parent], pool.round[parent]
+    step_ok = np.where(pool.is_v, real | (~real & ~from_v & (parent_round == pool.round)), from_v & (parent_round < pool.round))
+    bad_step = ~bad_link & ~step_ok
+    for i in np.flatnonzero(misfit | non_finite | bad_loss | broken | too_deep | bad_step).tolist():
+        if misfit[i]:
+            bad(f"view {i} does not match the {MODALITY_V if pool.is_v[i] else MODALITY_U}-side spec")
+        if non_finite[i]:
             bad(f"view {i} contains non-finite values")
-        if sv.teacher_loss is not None and not (math.isfinite(sv.teacher_loss) and sv.teacher_loss >= 0):
-            bad(f"view {i} has invalid teacher loss {sv.teacher_loss}")
-        depth = _ancestry_depth(instance, i)
-        if depth is None:
+        if bad_loss[i]:
+            bad(f"view {i} has invalid teacher loss {loss[i]}")
+        if broken[i]:
             bad(f"view {i} has a broken ancestry chain")
-        elif depth > 2 * (sv.round + 1):
-            bad(f"view {i} ancestry depth {depth} exceeds 2*(round+1)={2 * (sv.round + 1)}")
+        elif too_deep[i]:
+            bad(f"view {i} ancestry depth {depth[i]} exceeds 2*(round+1)={2 * (pool.round[i] + 1)}")
+        if bad_step[i]:
+            bad(f"view {i} ({pool.step[i]}, round {pool.round[i]}) cannot descend from view {pool.parent_id[i]}")
     return out
 
 
@@ -300,26 +426,6 @@ def validate_dataset(instances: Iterable[Instance], schema: DatasetSchema) -> Va
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def _encode_view(view: View) -> dict:
-    if view.kind == "vector":
-        data = [float(x) for x in view.data]
-    else:
-        data = [int(x) for x in view.data]
-    return {"kind": view.kind, "data": data}
-
-
-def _decode_view(record: dict, modality: str, line: int) -> View:
-    try:
-        kind = record["kind"]
-        data = record["data"]
-    except (KeyError, TypeError):
-        raise DatasetFormatError("view record must carry 'kind' and 'data'", line)
-    try:
-        return View(kind=kind, data=data, modality=modality)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise DatasetFormatError(f"bad view: {exc}", line)
 
 
 def _encode_spec(spec: ViewSpec) -> dict:
@@ -344,78 +450,134 @@ def _decode_spec(record: dict, line: int) -> ViewSpec:
         raise DatasetFormatError(f"bad view spec: {exc}", line)
 
 
+def _encode_pool(pool: Pool) -> list[dict]:
+    sides = {MODALITY_V: pool.v, MODALITY_U: pool.u}
+    kinds = {m: side.kind for m, side in sides.items() if side is not None}
+    rows = {m: iter(side.data.tolist()) for m, side in sides.items() if side is not None}
+    records = []
+    for round_, step, parent, loss, survived in zip(
+        pool.round.tolist(), pool.step.tolist(), pool.parent_id.tolist(),
+        pool.teacher_loss.tolist(), pool.survived.tolist(),
+    ):
+        side = MODALITY_V if step == STEP_U_TO_V else MODALITY_U
+        record = {"round": round_, "step": step, "parent_id": parent}
+        if not math.isnan(loss):
+            record["teacher_loss"] = loss
+        record["survived"] = survived
+        record["view"] = {"kind": kinds[side], "data": next(rows[side])}
+        records.append(record)
+    return records
+
+
 def _encode_instance(instance: Instance) -> dict:
-    views = []
-    for sv in instance.synthetic_pool:
-        record = {
-            "round": sv.round,
-            "step": sv.step,
-            "parent_id": sv.parent_id,
-        }
-        if sv.teacher_loss is not None:
-            record["teacher_loss"] = float(sv.teacher_loss)
-        record["survived"] = sv.survived
-        record["view"] = _encode_view(sv.view)
-        views.append(record)
+    real = instance.real_view
     return {
         "id": instance.id,
         "label": instance.label.value,
         "subject": instance.entities.subject,
         "object": instance.entities.object,
-        "real_view": _encode_view(instance.real_view),
-        "synthetic_views": views,
+        "real_view": {"kind": real.kind, "data": real.data.tolist()},
+        "synthetic_views": _encode_pool(instance.synthetic_pool),
     }
 
 
-def _check_finite(real_view: View, pool: list[SyntheticView], line: int) -> None:
-    """One finiteness check over all view data of an instance line.
-
-    ``json.loads`` reads a literal that overflows a float, such as ``1e999``,
-    as infinity without calling ``parse_constant``, so it is caught here.
-    """
-    datas = [real_view.data] + [sv.view.data for sv in pool]
-    if np.isfinite(np.concatenate(datas)).all():
-        return
-    bad = next(i for i, data in enumerate(datas) if not np.isfinite(data).all())
-    where = "the real view" if bad == 0 else f"synthetic view {bad - 1}"
-    raise DatasetFormatError(f"{where} holds a non-finite number", line)
+_JSON_TYPES = {"vector": ({int, float}, "numbers"), "discrete": ({int}, "integers")}
 
 
-def _decode_instance(record: dict, line: int) -> Instance:
+def _decode_side(records: list, modality: str, line: int, name, spec: ViewSpec) -> ViewBatch | None:
+    """The view records of one side as one batch; ``name(k)`` names record
+    ``k`` in errors. Nothing is coerced: a bool or a string in a vector view,
+    a fraction in a discrete one, views of differing lengths and views that
+    are not of the schema's kind (and, for vectors, size) are errors."""
+    if not records:
+        return None
     try:
-        pool = []
-        for sv_rec in record["synthetic_views"]:
-            step = sv_rec["step"]
-            if step not in (STEP_U_TO_V, STEP_V_TO_U):
-                raise DatasetFormatError(f"unknown step {step!r}", line)
-            modality = MODALITY_V if step == STEP_U_TO_V else MODALITY_U
-            loss = sv_rec.get("teacher_loss")
-            if loss is not None:
-                loss = float(loss)
-                if not math.isfinite(loss):
-                    raise DatasetFormatError(f"view {len(pool)} has a non-finite teacher loss", line)
-            pool.append(
-                SyntheticView(
-                    view=_decode_view(sv_rec["view"], modality, line),
-                    round=_int_field(sv_rec, "round", line),
-                    step=step,
-                    parent_id=_int_field(sv_rec, "parent_id", line),
-                    teacher_loss=loss,
-                    survived=_int_field(sv_rec, "survived", line),
-                )
-            )
-        real_view = _decode_view(record["real_view"], MODALITY_U, line)
-        _check_finite(real_view, pool, line)
+        kinds = {record["kind"] for record in records}
+        datas = [record["data"] for record in records]
+    except (KeyError, TypeError):
+        raise DatasetFormatError("view record must carry 'kind' and 'data'", line)
+    kind = kinds.pop()
+    if kinds or kind not in _JSON_TYPES:
+        raise DatasetFormatError(f"bad view: {modality}-side views need one known kind, got {kind!r}", line)
+    allowed, what = _JSON_TYPES[kind]
+    if not set(map(type, datas)) <= {list}:
+        raise DatasetFormatError("bad view: view data must be a list", line)
+    lengths = set(map(len, datas))
+    if 0 in lengths or len(lengths) > 1:
+        raise DatasetFormatError(f"bad view: views on one side must share a length, got lengths {sorted(lengths)}", line)
+    found = set(map(type, chain.from_iterable(datas)))
+    if not found <= allowed:
+        names = ", ".join(sorted(t.__name__ for t in found - allowed))
+        raise DatasetFormatError(f"bad view: {kind} view data must be {what}, got {names}", line)
+    try:
+        data = np.array(datas, dtype=_DTYPES[kind])
+    except OverflowError as exc:
+        raise DatasetFormatError(f"bad view: {exc}", line)
+    if kind != spec.kind or (kind == "vector" and data.shape[1] != spec.size):
+        raise DatasetFormatError(
+            f"bad view: the schema's {modality}-side views are {spec.kind} of size {spec.size}, "
+            f"got {kind} views of length {data.shape[1]}",
+            line,
+        )
+    fits = rows_match(kind, data, spec)
+    if not fits.all():
+        raise DatasetFormatError(f"{name(int(np.argmin(fits)))} holds a symbol outside [0, {spec.size})", line)
+    # json.loads reads a literal that overflows a float, such as 1e999, as
+    # infinity without calling parse_constant, so it is caught here
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"{name(int(np.argmin(finite)))} holds a non-finite number", line)
+    return ViewBatch(kind, modality, data)
+
+
+def _int_column(records: list, key: str, line: int) -> list[int]:
+    """``record[key]`` of every record, each read as :func:`_int_field` does."""
+    values = [record[key] for record in records]
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_int_field(record, key, line) for record in records]
+
+
+def _decode_pool(records: list, line: int, schema: DatasetSchema) -> Pool:
+    """One instance's ``synthetic_views`` records, read column by column."""
+    steps = [record["step"] for record in records]
+    if not set(steps) <= {STEP_U_TO_V, STEP_V_TO_U}:
+        raise DatasetFormatError(f"unknown step {next(s for s in steps if s not in (STEP_U_TO_V, STEP_V_TO_U))!r}", line)
+    losses = [record.get("teacher_loss") for record in records]
+    if not set(map(type, losses)) <= {int, float, type(None)}:
+        raise DatasetFormatError("teacher_loss must be a number", line)
+    losses = np.array(losses, dtype=np.float64)  # an absent loss (None) reads as NaN
+    if np.isinf(losses).any():
+        raise DatasetFormatError(f"view {int(np.argmax(np.isinf(losses)))} has a non-finite teacher loss", line)
+    sides = {}
+    for modality, step, spec in ((MODALITY_V, STEP_U_TO_V, schema.v_spec), (MODALITY_U, STEP_V_TO_U, schema.u_spec)):
+        which = [i for i, found in enumerate(steps) if found == step]
+        name = lambda k, which=which: f"synthetic view {which[k]}"  # noqa: E731
+        sides[modality] = _decode_side([records[i]["view"] for i in which], modality, line, name, spec)
+    return Pool(
+        round=_int_column(records, "round", line),
+        step=steps,
+        parent_id=_int_column(records, "parent_id", line),
+        teacher_loss=losses,
+        survived=_int_column(records, "survived", line),
+        **sides,
+    )
+
+
+def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
+    try:
+        pool = _decode_pool(record["synthetic_views"], line, schema)
+        real = _decode_side([record["real_view"]], MODALITY_U, line, lambda k: "the real view", schema.u_spec)
         return Instance(
             id=_int_field(record, "id", line),
             label=Label(_int_field(record, "label", line)),
             entities=EntityPair(subject=_int_field(record, "subject", line), object=_int_field(record, "object", line)),
-            real_view=real_view,
-            synthetic_pool=tuple(pool),
+            real_view=real.views()[0],
+            synthetic_pool=pool,
         )
     except DatasetFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"bad instance record: {exc}", line)
 
 
@@ -503,5 +665,5 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
                 "re-run to write this dataset in the current format",
                 offset,
             )
-        instances.append(_decode_instance(record, offset))
+        instances.append(_decode_instance(record, offset, schema))
     return instances, schema

@@ -14,12 +14,10 @@ per-stage numbers live in one shared coordinate system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .datamodel import View, ViewSpec
-from .nn import featurize
 from .rng import derive_rng
 
 
@@ -67,9 +65,16 @@ class GmmModel:
         return self.weights.shape[0]
 
 
-def _log_gaussian_diag(data: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    diff = data - mean
-    return -0.5 * (np.sum(diff * diff / var + np.log(2.0 * np.pi * var), axis=1))
+def _log_gaussian_diag(data_t: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Log-density of every column of ``data_t`` (d, n), adding the
+    coordinates' terms in order over contiguous rows."""
+    log_norm = np.log(2.0 * np.pi * var)
+    total = None
+    for k in range(data_t.shape[0]):
+        diff = data_t[k] - mean[k]
+        term = diff * diff / var[k] + log_norm[k]
+        total = term if total is None else total + term
+    return -0.5 * total
 
 
 def _farthest_point_indices(data: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -112,10 +117,11 @@ def fit_gmm(
     variances = np.tile(global_var, (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
+    data_t = np.ascontiguousarray(data.T)  # (d, n): each coordinate is one contiguous row
     trace: list[float] = []
     for _ in range(max_iters):
         log_parts = np.stack(
-            [np.log(weights[j]) + _log_gaussian_diag(data, means[j], variances[j]) for j in range(n_components)]
+            [np.log(weights[j]) + _log_gaussian_diag(data_t, means[j], variances[j]) for j in range(n_components)]
         )  # (N, n)
         top = log_parts.max(axis=0)
         log_norm = top + np.log(np.exp(log_parts - top).sum(axis=0))
@@ -132,8 +138,10 @@ def fit_gmm(
         weights = mass / n
         means = (resp @ data) / mass[:, None]
         for j in range(n_components):
-            diff = data - means[j]
-            variances[j] = np.maximum((resp[j][:, None] * diff * diff).sum(axis=0) / mass[j], cov_floor)
+            diff = data_t - means[j][:, None]
+            # the running sum over the points keeps the order of a column sum
+            spread = np.add.accumulate(resp[j] * diff * diff, axis=1)[:, -1]
+            variances[j] = np.maximum(spread / mass[j], cov_floor)
 
     return GmmModel(
         weights=weights,
@@ -175,12 +183,6 @@ class StageDiversity:
     pca_dim: int
     n_components: int
     statistic: float  # generalized variance in the shared PCA basis
-
-
-def views_to_matrix(views: Sequence[View], spec: ViewSpec) -> np.ndarray:
-    if not views:
-        raise DiversityError("empty view list")
-    return np.stack([featurize(view, spec.size) for view in views])
 
 
 def diversity_report(

@@ -38,12 +38,18 @@ def featurize(view: View, alphabet: int | None = None) -> np.ndarray:
     """Fixed featurization: vectors pass through, discrete views become
     length-normalized symbol counts (a bag of symbols; the first weight
     matrix consuming it acts as the symbol embedding table)."""
-    if view.kind == "vector":
-        return view.data
+    return featurize_rows(view.kind, view.data[None], alphabet)[0]
+
+
+def featurize_rows(kind: str, data: np.ndarray, alphabet: int | None = None) -> np.ndarray:
+    """:func:`featurize` for a ``(B, width)`` matrix of one kind, one row per
+    view. Symbols must lie in ``[0, alphabet)``."""
+    if kind == "vector":
+        return data
     if alphabet is None:
         raise ValueError("discrete views need the alphabet size to featurize")
-    counts = np.bincount(view.data, minlength=alphabet).astype(np.float64)
-    return counts / view.data.shape[0]
+    counts = (data[:, :, None] == np.arange(alphabet)).sum(axis=1).astype(np.float64)
+    return counts / data.shape[1]
 
 
 # --- linear ------------------------------------------------------------------

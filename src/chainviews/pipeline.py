@@ -32,21 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import generate_benchmark, sample_channel
-from .datamodel import (
-    MODALITY_V,
-    REAL_PARENT,
-    STEP_U_TO_V,
-    STEP_V_TO_U,
-    DatasetSchema,
-    Instance,
-    Label,
-    SyntheticView,
-    View,
-)
-from .diversity import StageDiversity, diversity_report, views_to_matrix
+from .channels import generate_benchmark, sample_channel, stack_views
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, View, ViewBatch
+from .diversity import StageDiversity, diversity_report
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
-from .nn import log_softmax, softmax_xent
+from .nn import featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng
 from .selection import (
     RandomLinearEmbedder,
@@ -234,39 +224,41 @@ class Scorer:
             else None
         )
 
-    def scores(self, instance: Instance, views: Sequence, stream) -> list:
+    def scores(self, instance: Instance, views: ViewBatch, stream, stored=None) -> list:
         """Scores of one instance's views at selection ``stream`` (its index),
-        at the student's pick ("student-pick") or at test time ("infer-pick").
+        at the student's pick ("student-pick", where ``stored`` holds the
+        views' stored teacher losses) or at test time ("infer-pick").
         Teacher-loss selections go through ``select``."""
         name = self.policy.name
         if name == "similarity":
             return similarity_scores(views, instance.real_view, self.embedder)
         if name == "teacher_loss":
             if stream == "student-pick":
-                return [sv.teacher_loss for sv in views]
+                return stored.tolist()
             if self.teacher is None:
                 return [0.0] * len(views)
             # the loss against the teacher's own most likely label: label-free
-            logits = self.teacher.logits([(v, instance.entities) for v in views])
+            logits = self.teacher.logits([(v, instance.entities) for v in views.views()])
             return (-np.max(log_softmax(logits), axis=1)).tolist()
         if name == "keep_all" and isinstance(stream, int):
             return [0.0] * len(views)
         return random_scores(len(views), self.config.seed, stream, instance.id)
 
-    def select(self, instances: Sequence[Instance], live: list[list[int]], selection_index: int) -> list[list[float]]:
-        """Per-instance scores of the live candidates at one selection."""
+    def select(self, instances: Sequence[Instance], live: list[np.ndarray], selection_index: int) -> list[list[float]]:
+        """Per-instance scores of the live candidates (pool indices) at one
+        selection."""
         if not self.policy.needs_teacher:
             return [
-                self.scores(inst, [inst.synthetic_pool[c] for c in ids], selection_index)
+                self.scores(inst, inst.synthetic_pool.v_rows(ids), selection_index)
                 for inst, ids in zip(instances, live)
             ]
         seed = self.config.seed
         if not (self.config.teacher_warm_start and self.teacher is not None):
             self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
         samples = [
-            ((inst.synthetic_pool[c].view, inst.entities), inst.label.value)
+            ((view, inst.entities), inst.label.value)
             for inst, ids in zip(instances, live)
-            for c in ids
+            for view in inst.synthetic_pool.v_rows(ids).views()
         ]
         cfg = replace(self.config.teacher, seed=seed)
         _, losses = train(self.teacher, samples, cfg, rng_stream=("teacher-train", selection_index))
@@ -287,19 +279,15 @@ class Scorer:
 # selection ``s`` exactly when ``round + survived == s``.
 
 
-def _live_ids(instance: Instance, selection_index: int) -> list[int]:
-    return [
-        i
-        for i, sv in enumerate(instance.synthetic_pool)
-        if sv.step == STEP_U_TO_V and sv.round + sv.survived == selection_index
-    ]
+def _live_ids(pool: Pool, selection_index: int) -> np.ndarray:
+    return np.flatnonzero(pool.is_v & (pool.round + pool.survived == selection_index))
 
 
 def _next_selection(instances: Sequence[Instance]) -> int:
     """The selection the newest live views face next: the largest
     ``round + survived`` over v-side views (0 for empty pools)."""
     return max(
-        (sv.round + sv.survived for inst in instances for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V),
+        (int(np.max(p.round + p.survived, where=p.is_v, initial=0)) for p in (i.synthetic_pool for i in instances)),
         default=0,
     )
 
@@ -312,33 +300,28 @@ def run_round0(
     Requires empty synthetic pools; each instance ends up with exactly
     ``config.initial_views`` round-0 views parented to the real view.
     """
-    occupied = [inst.id for inst in instances if inst.synthetic_pool]
+    occupied = [inst.id for inst in instances if len(inst.synthetic_pool)]
     if occupied:
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
 
     def build(instance: Instance) -> Instance:
         rng = derive_rng(config.seed, "gen", instance.id, 0)
-        views = sample_channel(g_uv, [instance.real_view] * config.initial_views, rng)
-        return instance.with_pool(
-            [SyntheticView(view=view, round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT) for view in views]
-        )
+        views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
+        return replace(instance, synthetic_pool=Pool.initial(views))
 
     return parallel_map(build, instances)
 
 
-def _spawn_children(instance: Instance, parents: list[int], round_index: int, spawn: int, g_vu, g_uv, seed: int):
+def _spawn_children(instance: Instance, parents: np.ndarray, round_index: int, spawn: int, g_vu, g_uv, seed: int):
     """Every kept parent's ``spawn`` children: one v-to-u batch over the
     parents (parent-major), then one u-to-v batch over its outputs, on the
     instance's stream for this round. Each (u, v) pair is appended in turn."""
-    pool = list(instance.synthetic_pool)
-    sources = [parent_idx for parent_idx in parents for _ in range(spawn)]
+    pool = instance.synthetic_pool
+    sources = np.repeat(parents, spawn)
     rng = derive_rng(seed, "gen", instance.id, round_index)
-    u_views = sample_channel(g_vu, [pool[parent_idx].view for parent_idx in sources], rng)
+    u_views = sample_channel(g_vu, pool.v_rows(sources), rng)
     v_views = sample_channel(g_uv, u_views, rng)
-    for parent_idx, u_view, v_view in zip(sources, u_views, v_views):
-        pool.append(SyntheticView(view=u_view, round=round_index, step=STEP_V_TO_U, parent_id=parent_idx))
-        pool.append(SyntheticView(view=v_view, round=round_index, step=STEP_U_TO_V, parent_id=len(pool) - 1))
-    return instance.with_pool(pool)
+    return replace(instance, synthetic_pool=pool.spawned(sources, round_index, u_views, v_views))
 
 
 def run_ccg_round(
@@ -367,8 +350,8 @@ def run_ccg_round(
     spawn = config.spawn_per_kept[round_index - 1] if config.ccg_rounds else 0
     selection_index = round_index - 1
     instances = list(instances)
-    live = [_live_ids(inst, selection_index) for inst in instances]
-    if any(not ids for ids in live):
+    live = [_live_ids(inst.synthetic_pool, selection_index) for inst in instances]
+    if any(not ids.size for ids in live):
         raise PipelineError("every instance needs at least one live candidate view")
 
     scores = scorer.select(instances, live, selection_index)
@@ -376,16 +359,10 @@ def run_ccg_round(
     for idx, instance in enumerate(instances):
         ids = live[idx]
         k = len(ids) if scorer.policy.name == "keep_all" else keep_count(config.keep_fraction, len(ids))
-        kept_local = set(rank_keep(scores[idx], k))
-        pool = list(instance.synthetic_pool)
-        if scorer.policy.needs_teacher:
-            for local, cand in enumerate(ids):
-                pool[cand] = pool[cand].scored(scores[idx][local])
-        kept.append([cand for local, cand in enumerate(ids) if local in kept_local])
-        for cand in kept[-1]:
-            pool[cand] = pool[cand].kept()
-        instances[idx] = instance.with_pool(pool)
-        records.append(InstanceSelectionRecord(instance.id, tuple(ids), tuple(scores[idx]), tuple(kept[-1])))
+        kept.append(ids[sorted(rank_keep(scores[idx], k))])
+        losses = scores[idx] if scorer.policy.needs_teacher else None
+        instances[idx] = replace(instance, synthetic_pool=instance.synthetic_pool.judged(ids, losses, kept[-1]))
+        records.append(InstanceSelectionRecord(instance.id, tuple(ids.tolist()), tuple(scores[idx]), tuple(kept[-1].tolist())))
     if rounds is not None:
         pool_sizes = {len(r.candidate_ids) for r in records}
         kept_sizes = {len(r.kept_ids) for r in records}
@@ -408,15 +385,13 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
     """
 
     def score(instance: Instance) -> Instance:
-        pool = list(instance.synthetic_pool)
-        todo = [i for i, sv in enumerate(pool) if sv.step == STEP_U_TO_V and sv.teacher_loss is None]
-        if not todo:
+        pool = instance.synthetic_pool
+        todo = np.flatnonzero(pool.is_v & np.isnan(pool.teacher_loss))
+        if not todo.size:
             return instance
-        logits = teacher.logits([(pool[i].view, instance.entities) for i in todo])
+        logits = teacher.logits([(view, instance.entities) for view in pool.v_rows(todo).views()])
         losses, _ = softmax_xent(logits, [instance.label.value] * len(todo))
-        for i, loss in zip(todo, losses):
-            pool[i] = pool[i].scored(float(loss))
-        return instance.with_pool(pool)
+        return replace(instance, synthetic_pool=pool.judged(todo, losses))
 
     return parallel_map(score, instances)
 
@@ -435,14 +410,18 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
     n_train = config.train_views
     samples = []
     for instance in instances:
-        views = [instance.synthetic_pool[c] for c in _live_ids(instance, next_selection)]
-        ranked = [(s, sv.view) for s, sv in zip(scorer.scores(instance, views, "student-pick"), views) if s is not None]
-        if len(ranked) < n_train:
+        pool = instance.synthetic_pool
+        ids = _live_ids(pool, next_selection)
+        scores = np.asarray(
+            scorer.scores(instance, pool.v_rows(ids), "student-pick", pool.teacher_loss[ids]), dtype=np.float64
+        )
+        scored = ~np.isnan(scores)
+        if scored.sum() < n_train:
             raise PipelineError(
-                f"instance {instance.id} has {len(ranked)} scored candidate views, needs {n_train}"
+                f"instance {instance.id} has {scored.sum()} scored candidate views, needs {n_train}"
             )
-        chosen = tuple(ranked[i][1] for i in rank_keep([s for s, _ in ranked], n_train))
-        samples.append(((instance.real_view, chosen, instance.entities), instance.label.value))
+        ranked = ids[scored][rank_keep(scores[scored].tolist(), n_train)]
+        samples.append(((instance.real_view, tuple(pool.v_rows(ranked).views()), instance.entities), instance.label.value))
     student = StudentModel(
         derive_rng(config.seed, "student-init"), scorer.schema, shared_attention=config.shared_attention
     )
@@ -472,11 +451,11 @@ def infer(
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
     rng = derive_rng(config.seed, "infer-gen", instance.id)
-    views = sample_channel(g_uv, [instance.real_view] * (config.infer_generate or config.initial_views), rng)
+    views = sample_channel(g_uv, stack_views([instance.real_view] * (config.infer_generate or config.initial_views)), rng)
     if config.infer_full_chain:
         for _ in range(config.ccg_rounds):
             views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
-    chosen = [views[i] for i in rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)]
+    chosen = views.take(rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)).views()
     if real_v is not None:
         if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
             raise PipelineError("appended real view does not match the synthetic-side spec")
@@ -580,7 +559,7 @@ def run_pipeline(
         seed=config.seed,
         ccg_rounds=config.ccg_rounds,
         rounds=tuple(rounds),
-        final_pool_size=len(_live_ids(instances[0], len(rounds))) if instances else 0,
+        final_pool_size=len(_live_ids(instances[0].synthetic_pool, len(rounds))) if instances else 0,
         metrics=metrics,
         diversity=stage_diversity(instances, schema, config),
         timing=timing,
@@ -614,15 +593,20 @@ def extract_stages(instances: Sequence[Instance], schema: DatasetSchema) -> dict
     views generated in round ``r >= 1``. Stages come in run order, V0, V1',
     V1, V2', ..., and empty ones are left out.
     """
-    views = [sv for inst in instances for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V]
+    pools = [inst.synthetic_pool for inst in instances if inst.synthetic_pool.v is not None]
+    if not pools:
+        return {}
+    rounds = np.concatenate([p.round[p.is_v] for p in pools])
+    survived = np.concatenate([p.survived[p.is_v] for p in pools])
+    features = np.concatenate([featurize_rows(p.v.kind, p.v.data, schema.v_spec.size) for p in pools])
     stages: dict[str, np.ndarray] = {}
     for s in range(_next_selection(instances)):
-        kept = [sv.view for sv in views if sv.round <= s < sv.round + sv.survived]
-        raw = [sv.view for sv in views if sv.round == s + 1]
-        if kept:
-            stages[f"V{s}"] = views_to_matrix(kept, schema.v_spec)
-        if raw:
-            stages[f"V{s + 1}'"] = views_to_matrix(raw, schema.v_spec)
+        kept = (rounds <= s) & (s < rounds + survived)
+        raw = rounds == s + 1
+        if kept.any():
+            stages[f"V{s}"] = features[kept]
+        if raw.any():
+            stages[f"V{s + 1}'"] = features[raw]
     return stages
 
 

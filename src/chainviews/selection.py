@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import SyntheticView, View, ViewSpec
-from .nn import featurize
+from .datamodel import View, ViewBatch, ViewSpec
+from .nn import featurize_rows
 from .rng import derive_rng
 
 POLICY_NAMES = ("teacher_loss", "similarity", "random", "keep_all")
@@ -71,9 +71,13 @@ class RandomLinearEmbedder:
         self.w_v = rng.normal(0.0, 1.0 / np.sqrt(v_spec.size), size=(dim, v_spec.size))
 
     def embed(self, view: View) -> np.ndarray:
-        if view.modality == "u":
-            return self.w_u @ featurize(view, self.u_spec.size)
-        return self.w_v @ featurize(view, self.v_spec.size)
+        return self.embed_rows(view.modality, view.kind, view.data[None])[0]
+
+    def embed_rows(self, modality: str, kind: str, data: np.ndarray) -> list[np.ndarray]:
+        """One embedding per row of ``data`` (views of one side and kind),
+        each its own matrix-vector product."""
+        weight, spec = (self.w_u, self.u_spec) if modality == "u" else (self.w_v, self.v_spec)
+        return [weight @ row for row in featurize_rows(kind, data, spec.size)]
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -83,13 +87,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-def similarity_scores(
-    views: Sequence[SyntheticView | View], real_view: View, embedder
-) -> list[float]:
-    """Lower-is-better scores: negated cosine against the real view."""
+def similarity_scores(views: ViewBatch, real_view: View, embedder) -> list[float]:
+    """Lower-is-better scores: negated cosine against the real view, one per
+    row of ``views``."""
     anchor = embedder.embed(real_view)
-    unwrapped = [v.view if isinstance(v, SyntheticView) else v for v in views]
-    return [-cosine_similarity(embedder.embed(v), anchor) for v in unwrapped]
+    return [-cosine_similarity(e, anchor) for e in embedder.embed_rows(views.modality, views.kind, views.data)]
 
 
 def random_scores(n: int, seed: int, *stream: int | str) -> list[float]:

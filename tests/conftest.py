@@ -25,11 +25,13 @@ from chainviews.datamodel import (
     MODALITY_U,
     MODALITY_V,
     STEP_U_TO_V,
+    STEP_V_TO_U,
     DatasetSchema,
     EntityPair,
     Instance,
     Label,
-    SyntheticView,
+    Pool,
+    ViewBatch,
     ViewSpec,
     vector_view,
 )
@@ -81,18 +83,30 @@ def tiny_benchmark(seed=0, n_train=4, n_test=6):
     return train, test, schema, g_uv, g_vu
 
 
+def make_pool(rows):
+    """A pool of vector views from ``(round, step, parent_id, data)`` rows,
+    each optionally followed by a teacher loss (NaN: unscored) and a
+    survival count."""
+    rows = [tuple(row) + (float("nan"), 0)[len(row) - 4 :] for row in rows]
+
+    def side(step, modality):
+        data = [row[3] for row in rows if row[1] == step]
+        return ViewBatch("vector", modality, data) if data else None
+
+    return Pool(
+        round=[row[0] for row in rows],
+        step=[row[1] for row in rows],
+        parent_id=[row[2] for row in rows],
+        teacher_loss=[row[4] for row in rows],
+        survived=[row[5] for row in rows],
+        v=side(STEP_U_TO_V, MODALITY_V),
+        u=side(STEP_V_TO_U, MODALITY_U),
+    )
+
+
 def scored_pool(losses, round=0):
     """A pool of v-side views whose teacher losses are the given values."""
-    return [
-        SyntheticView(
-            view=vector_view([float(i), 0.0], MODALITY_V),
-            round=round,
-            step=STEP_U_TO_V,
-            parent_id=-1,
-            teacher_loss=float(loss),
-        )
-        for i, loss in enumerate(losses)
-    ]
+    return make_pool([(round, STEP_U_TO_V, -1, [float(i), 0.0], loss) for i, loss in enumerate(losses)])
 
 
 @pytest.fixture

@@ -393,6 +393,51 @@ def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_p
     assert "line 2: the real view holds a non-finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cut_all, cut, message",
+    [
+        (False, lambda data: data[:1], "views on one side must share a length, got lengths [1, 2]"),
+        (False, lambda data: [True, "2"], "vector view data must be numbers, got bool, str"),
+        (True, lambda data: data[:1], "the schema's v-side views are vector of size 2, got vector views of length 1"),
+    ],
+    ids=["short_view", "coerced_values", "short_instance"],
+)
+def test_diversity_rejects_malformed_view_data(run_artifacts, tmp_path, capsys, cut_all, cut, message):
+    # without the checks at read time, short views fail later in numpy and exit 2
+    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    v_side = [sv for sv in record["synthetic_views"] if sv["step"] == "u_to_v"]
+    for sv in v_side if cut_all else v_side[1:2]:
+        sv["view"]["data"] = cut(sv["view"]["data"])
+    lines[1] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    assert f"line 2: bad view: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol", [7, -1])
+def test_diversity_rejects_a_symbol_outside_the_alphabet(run_artifacts, tmp_path, capsys, symbol):
+    # the run's v side recast as 4-symbol sequences, one of them out of range:
+    # unchecked, diversity would report on counts that no longer sum to 1
+    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["v_spec"] = {"kind": "discrete", "size": 4}
+    lines[0] = json.dumps(header)
+    for i, text in enumerate(lines[1:], start=1):
+        record = json.loads(text)
+        v_side = [sv for sv in record["synthetic_views"] if sv["step"] == "u_to_v"]
+        for k, sv in enumerate(v_side):
+            sv["view"] = {"kind": "discrete", "data": [0, symbol if (i, k) == (1, 1) else 3, 2]}
+        lines[i] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    assert "line 2: synthetic view " in (err := capsys.readouterr().err) and "holds a symbol outside [0, 4)" in err
+
+
 @pytest.mark.parametrize("model, phase", [("teacher", "teacher, selection 0"), ("student", "student")])
 def test_diverging_training_exits_2_and_names_the_phase(tmp_path, capsys, model, phase):
     quick = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"

@@ -26,7 +26,7 @@ from chainviews.config import (
     read_config_mapping,
     world_from_custom,
 )
-from chainviews.datamodel import ViewSpec, dataset_to_string, write_dataset
+from chainviews.datamodel import ViewBatch, ViewSpec, dataset_to_string, write_dataset
 from chainviews.pipeline import CONDITIONS
 from chainviews.rng import derive_rng
 
@@ -243,10 +243,10 @@ def test_compose_spec_infers_intermediate_ports():
     assert isinstance(chain, ComposedChannel)
     assert chain.in_port.spec.size == 3 and chain.out_port.spec.size == 3
     assert chain.stages[0].out_port.spec.size == 4  # inferred from the first matrix
-    views = [UD3.make_view([0, 1, 2]), UD3.make_view([2, 1, 0])]
+    views = ViewBatch(UD3.spec.kind, UD3.modality, [[0, 1, 2], [2, 1, 0]])
     outs = sample_channel(chain, views, derive_rng(0, "probe"))
     assert len(outs) == 2
-    assert all(out.matches(VD3.spec) and out.modality == "v" for out in outs)
+    assert VD3.accepts(outs)
 
 
 def test_channel_spec_errors():

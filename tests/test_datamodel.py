@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainviews.datamodel import (
     MODALITY_U,
@@ -17,8 +19,9 @@ from chainviews.datamodel import (
     EntityPair,
     Instance,
     Label,
-    SyntheticView,
+    Pool,
     View,
+    ViewBatch,
     ViewSpec,
     dataset_to_string,
     discrete_view,
@@ -27,6 +30,8 @@ from chainviews.datamodel import (
     vector_view,
     write_dataset,
 )
+from chainviews.datamodel import _ancestry
+from conftest import make_pool
 
 
 def make_instance(iid=0, label=0, pool=()):
@@ -35,7 +40,7 @@ def make_instance(iid=0, label=0, pool=()):
         label=Label(label),
         entities=EntityPair(subject=0, object=1),
         real_view=vector_view([0.1 * iid, -1.0], MODALITY_U),
-        synthetic_pool=tuple(pool),
+        synthetic_pool=make_pool(pool),
     )
 
 
@@ -98,42 +103,44 @@ def test_view_matches_spec():
     assert not view.matches(ViewSpec("discrete", 2))
 
 
-def test_synthetic_view_scored_and_selected_are_copies():
-    sv = SyntheticView(
-        view=vector_view([0.0, 0.0], MODALITY_V),
-        round=0,
-        step=STEP_U_TO_V,
-        parent_id=REAL_PARENT,
-    )
-    scored = sv.scored(0.25)
-    assert sv.teacher_loss is None
-    assert scored.teacher_loss == 0.25
-    kept = scored.kept()
-    assert scored.survived == 0 and kept.survived == 1
-    assert kept.kept().survived == 2 and kept.teacher_loss == 0.25
+def test_pool_verdicts_are_copies():
+    pool = make_pool([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (0, STEP_U_TO_V, REAL_PARENT, [1.0, 0.0])])
+    scored = pool.judged([1], [0.25])
+    assert np.isnan(pool.teacher_loss).all()
+    assert np.isnan(scored.teacher_loss[0]) and scored.teacher_loss[1] == 0.25
+    kept = scored.judged([], kept=[1])
+    assert scored.survived.tolist() == [0, 0] and kept.survived.tolist() == [0, 1]
+    assert kept.judged([], kept=[1]).survived.tolist() == [0, 2] and kept.teacher_loss[1] == 0.25
+    assert kept.v is pool.v  # the view data is shared, never copied
+    with pytest.raises(ValueError):
+        pool.survived[0] = 1  # columns are read-only
+
+
+def test_a_pool_leaves_the_callers_arrays_writeable():
+    data, survived = np.array([[0.0, 1.0]]), np.array([0])
+    v = ViewBatch("vector", MODALITY_V, data)
+    pool = Pool(round=[0], step=[STEP_U_TO_V], parent_id=[REAL_PARENT], teacher_loss=[np.nan], survived=survived, v=v)
+    assert data.flags.writeable and v.data.flags.writeable and survived.flags.writeable
+    assert not pool.v.data.flags.writeable and not pool.survived.flags.writeable
+    data[0, 0], survived[0] = 5.0, 3
+    assert pool.v.data[0, 0] == 0.0 and pool.survived[0] == 0  # the pool froze copies
 
 
 def test_negative_teacher_loss_is_a_violation():
-    pool = [
-        SyntheticView(
-            view=vector_view([0.0, 0.0], MODALITY_V),
-            round=0,
-            step=STEP_U_TO_V,
-            parent_id=REAL_PARENT,
-            teacher_loss=-0.5,
-        )
-    ]
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0], -0.5)]
     report = validate_dataset([make_instance(pool=pool)], make_schema())
     assert any("teacher loss" in v.message for v in report.violations)
 
 
 def test_step_and_modality_must_agree():
     with pytest.raises(ValueError):
-        SyntheticView(
-            view=vector_view([0.0, 0.0], MODALITY_U),
-            round=0,
-            step=STEP_U_TO_V,  # u_to_v must land on the v side
-            parent_id=REAL_PARENT,
+        Pool(
+            round=[0],
+            step=[STEP_U_TO_V],  # u_to_v must land on the v side
+            parent_id=[REAL_PARENT],
+            teacher_loss=[float("nan")],
+            survived=[0],
+            u=ViewBatch("vector", MODALITY_U, [[0.0, 0.0]]),
         )
 
 
@@ -192,14 +199,7 @@ def test_validate_entity_out_of_vocab():
 
 
 def test_validate_dangling_parent():
-    pool = [
-        SyntheticView(
-            view=vector_view([0.0, 0.0], MODALITY_V),
-            round=0,
-            step=STEP_U_TO_V,
-            parent_id=99,
-        )
-    ]
+    pool = [(0, STEP_U_TO_V, 99, [0.0, 0.0])]
     report = validate_dataset([make_instance(pool=pool)], make_schema())
     assert not report.ok
     assert any("ancestry" in v.message for v in report.violations)
@@ -215,11 +215,60 @@ def test_report_raise_if_invalid():
 def test_ancestry_depth_bound():
     # chain real -> v0 -> u1 -> v1: every view reaches the real view within
     # 2*(round+1) hops
-    v0 = SyntheticView(vector_view([0.0, 0.0], MODALITY_V), round=0, step=STEP_U_TO_V, parent_id=REAL_PARENT)
-    u1 = SyntheticView(vector_view([0.0, 0.0], MODALITY_U), round=1, step=STEP_V_TO_U, parent_id=0)
-    v1 = SyntheticView(vector_view([0.0, 0.0], MODALITY_V), round=1, step=STEP_U_TO_V, parent_id=1)
+    v0 = (0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0])
+    u1 = (1, STEP_V_TO_U, 0, [0.0, 0.0])
+    v1 = (1, STEP_U_TO_V, 1, [0.0, 0.0])
     report = validate_dataset([make_instance(pool=[v0, u1, v1])], make_schema())
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "pool, bad",
+    [
+        ([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (0, STEP_U_TO_V, 0, [0.0, 0.0])], 1),  # u_to_v from u_to_v
+        ([(1, STEP_V_TO_U, REAL_PARENT, [0.0, 0.0])], 0),  # v_to_u from the real view
+        ([(1, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0])], 1),  # same round
+        (
+            [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0]), (2, STEP_U_TO_V, 1, [0.0, 0.0])],
+            2,  # u_to_v from a v_to_u view of an earlier round
+        ),
+        (
+            [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0]), (2, STEP_V_TO_U, 1, [0.0, 0.0])],
+            2,  # v_to_u from v_to_u
+        ),
+    ],
+    ids=["v_from_v", "u_from_real", "u_from_same_round", "v_from_older_u", "u_from_u"],
+)
+def test_validate_checks_that_steps_alternate(pool, bad):
+    # each pool is within the depth bound; only the generator's step order rules it out
+    report = validate_dataset([make_instance(pool=pool)], make_schema())
+    assert len(report.violations) == 1
+    assert report.violations[0].message.startswith(f"view {bad} (")
+    assert "cannot descend from" in report.violations[0].message
+
+
+def reference_ancestry_depth(parents, index):
+    """Hops from pool view ``index`` to the real view, walked one view at a
+    time; None on a broken chain (a parent that does not predate its child)."""
+    hops, current = 0, index
+    while current != REAL_PARENT:
+        parent = parents[current]
+        if not REAL_PARENT <= parent < current:
+            return None
+        hops, current = hops + 1, parent
+    return hops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parents=st.lists(st.integers(REAL_PARENT, 9), max_size=10))
+def test_ancestry_walk_matches_the_view_by_view_walk(parents):
+    pool = make_pool([(9, STEP_U_TO_V, parent, [0.0, 0.0]) for parent in parents])
+    depth, broken, _ = _ancestry(pool)
+    for i in range(len(parents)):
+        want = reference_ancestry_depth(parents, i)
+        assert broken[i] == (want is None)
+        if want is not None:
+            assert depth[i] == want
 
 
 # --- serialization ---------------------------------------------------------------
@@ -230,23 +279,23 @@ def full_dataset(n=100):
     rng = np.random.default_rng(0)
     for i in range(n):
         pool = [
-            SyntheticView(
-                view=vector_view(rng.normal(size=2), MODALITY_V),
-                round=0,
-                step=STEP_U_TO_V,
-                parent_id=REAL_PARENT,
-                teacher_loss=float(rng.random()) if i % 2 == 0 else None,
-                survived=i % 3,
-            ),
-            SyntheticView(
-                view=vector_view(rng.normal(size=2), MODALITY_U),
-                round=1,
-                step=STEP_V_TO_U,
-                parent_id=0,
-            ),
+            (0, STEP_U_TO_V, REAL_PARENT, rng.normal(size=2), float(rng.random()) if i % 2 == 0 else np.nan, i % 3),
+            (1, STEP_V_TO_U, 0, rng.normal(size=2)),
         ]
         instances.append(make_instance(i, i % 3, pool))
     return instances, make_schema()
+
+
+def assert_pools_equal(a, b):
+    assert len(a) == len(b)
+    for name in ("round", "step", "parent_id", "survived"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.teacher_loss, b.teacher_loss, equal_nan=True)
+    for side_a, side_b in ((a.v, b.v), (a.u, b.u)):
+        assert (side_a is None) == (side_b is None)
+        if side_a is not None:
+            assert (side_a.kind, side_a.modality) == (side_b.kind, side_b.modality)
+            assert np.array_equal(side_a.data, side_b.data) and side_a.data.dtype == side_b.data.dtype
 
 
 def test_round_trip_is_identity_and_byte_stable():
@@ -258,16 +307,7 @@ def test_round_trip_is_identity_and_byte_stable():
     for a, b in zip(instances, loaded):
         assert a.id == b.id and a.label == b.label and a.entities == b.entities
         assert a.real_view.equals(b.real_view)
-        assert len(a.synthetic_pool) == len(b.synthetic_pool)
-        for sa, sb in zip(a.synthetic_pool, b.synthetic_pool):
-            assert (sa.round, sa.step, sa.parent_id, sa.teacher_loss, sa.survived) == (
-                sb.round,
-                sb.step,
-                sb.parent_id,
-                sb.teacher_loss,
-                sb.survived,
-            )
-            assert sa.view.equals(sb.view)
+        assert_pools_equal(a.synthetic_pool, b.synthetic_pool)
     # re-serialization is byte-identical
     assert dataset_to_string(loaded, loaded_schema) == text
     assert '"survived":2' in text and '"selected"' not in text
@@ -430,12 +470,82 @@ def test_symbol_that_overflows_an_integer_is_a_format_error():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("symbol", [4, 7, -1])
+@pytest.mark.parametrize("where", ["real", "synthetic"])
+def test_symbols_outside_the_alphabet_are_rejected(where, symbol):
+    # featurizing counts only the symbols in [0, alphabet): read unchecked, a
+    # stray symbol would become counts that no longer sum to 1
+    discrete = ViewSpec("discrete", 4)
+    header = dataset_to_string([], make_schema(u_spec=discrete, v_spec=discrete))
+    real, synthetic = ([0, symbol], [0, 3]) if where == "real" else ([0, 3], [0, symbol])
+    record = {
+        "id": 0, "label": 0, "subject": 0, "object": 1,
+        "real_view": {"kind": "discrete", "data": real},
+        "synthetic_views": [
+            {"round": 0, "step": "u_to_v", "parent_id": -1, "survived": 0, "view": {"kind": "discrete", "data": synthetic}}
+        ],
+    }
+    name = "the real view" if where == "real" else "synthetic view 0"
+    with pytest.raises(DatasetFormatError, match=rf"{name} holds a symbol outside \[0, 4\)") as err:
+        read_dataset(header + json.dumps(record) + "\n")
+    assert err.value.line == 2
+    record["real_view"]["data"], record["synthetic_views"][0]["view"]["data"] = [0, 3], [0, 3]
+    [loaded], _ = read_dataset(header + json.dumps(record) + "\n")
+    assert loaded.synthetic_pool.v.data.tolist() == [[0, 3]]
+
+
+def test_views_of_unequal_length_on_one_side_are_rejected():
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
+    lines = dataset_to_string([make_instance(pool=pool)], make_schema()).splitlines()
+    record = json.loads(lines[1])
+    record["synthetic_views"][1]["view"]["data"] = [2.0]
+    lines[1] = json.dumps(record)
+    with pytest.raises(DatasetFormatError, match=r"views on one side must share a length, got lengths \[1, 2\]") as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 2
+
+
+def test_views_that_disagree_with_the_schema_are_rejected():
+    # every view of one side cut short: each side's matrix is consistent on
+    # its own, but no longer has the width the schema declares
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[2])
+    record["synthetic_views"][1]["view"]["data"] = [0.5]
+    lines[2] = json.dumps(record)
+    with pytest.raises(DatasetFormatError, match="the schema's u-side views are vector of size 2, got vector views of length 1") as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "where, kind, data, message",
+    [
+        ("synthetic", "discrete", [1.5, 2.9], "discrete view data must be integers, got float"),
+        ("synthetic", "vector", [True, "2"], "vector view data must be numbers, got bool, str"),
+        ("real", "discrete", [1, 2.0], "discrete view data must be integers, got float"),
+        ("real", "vector", [0.5, None], "vector view data must be numbers, got NoneType"),
+    ],
+    ids=["discrete_fraction", "vector_bool_and_string", "real_discrete_float", "real_vector_null"],
+)
+def test_view_data_is_never_coerced(where, kind, data, message):
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[2])
+    target = record["synthetic_views"][0]["view"] if where == "synthetic" else record["real_view"]
+    target.update(kind=kind, data=data)
+    lines[2] = json.dumps(record)
+    with pytest.raises(DatasetFormatError, match=f"bad view: {message}") as err:
+        read_dataset("\n".join(lines))
+    assert err.value.line == 3
+
+
 def test_version_1_without_synthetic_views_is_read():
     instances = [make_instance(i, i % 3) for i in range(3)]
     text = dataset_to_string(instances, make_schema()).replace('"version":2', '"version":1', 1)
     loaded, schema = read_dataset(text)
     assert schema == make_schema() and [inst.id for inst in loaded] == [0, 1, 2]
-    assert all(inst.synthetic_pool == () for inst in loaded)
+    assert all(len(inst.synthetic_pool) == 0 for inst in loaded)
 
 
 def test_version_1_with_synthetic_views_asks_for_a_rerun():
@@ -457,3 +567,76 @@ def test_schema_mismatch_surfaces_on_validation():
     text = dataset_to_string(instances, wrong)
     loaded, loaded_schema = read_dataset(text)
     assert not validate_dataset(loaded, loaded_schema).ok
+
+
+# --- the columnar format, property-based ----------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    """Random schemas and pools: either side vector or discrete, scored and
+    unscored views, any survival counts on the v side."""
+    sides = {}
+    for modality in (MODALITY_U, MODALITY_V):
+        kind = draw(st.sampled_from(("vector", "discrete")))
+        sides[modality] = (kind, draw(st.integers(1, 4)))
+    schema = DatasetSchema(
+        class_count=3,
+        entity_vocab=4,
+        u_spec=ViewSpec(*sides[MODALITY_U]),
+        v_spec=ViewSpec(*sides[MODALITY_V]),
+        none_class=draw(st.sampled_from((None, 0, 2))),
+    )
+
+    def rows(modality, n):
+        kind, size = sides[modality]
+        width = size if kind == "vector" else draw(st.integers(1, 3))
+        values = FINITE if kind == "vector" else st.integers(0, size - 1)
+        data = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=n, max_size=n))
+        return ViewBatch(kind, modality, np.array(data, dtype=np.float64 if kind == "vector" else np.int64).reshape(n, width))
+
+    instances = []
+    for iid in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 8))
+        on_v = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        losses = draw(st.lists(st.one_of(st.just(np.nan), FINITE), min_size=n, max_size=n))
+        survived = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        n_v = sum(on_v)
+        pool = Pool(
+            round=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            step=[STEP_U_TO_V if v else STEP_V_TO_U for v in on_v],
+            parent_id=[draw(st.integers(REAL_PARENT, max(i - 1, REAL_PARENT))) for i in range(n)],
+            teacher_loss=losses,
+            survived=[count if v else 0 for v, count in zip(on_v, survived)],
+            v=rows(MODALITY_V, n_v) if n_v else None,
+            u=rows(MODALITY_U, n - n_v) if n - n_v else None,
+        )
+        kind, size = sides[MODALITY_U]
+        real = draw(st.lists(FINITE if kind == "vector" else st.integers(0, size - 1), min_size=size, max_size=size))
+        instances.append(
+            Instance(
+                id=iid,
+                label=Label(draw(st.integers(0, 2))),
+                entities=EntityPair(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+                real_view=View(kind, real, MODALITY_U),
+                synthetic_pool=pool,
+            )
+        )
+    return instances, schema
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dataset=datasets())
+def test_write_read_write_is_byte_identical_and_field_equal(dataset):
+    instances, schema = dataset
+    text = dataset_to_string(instances, schema)
+    loaded, loaded_schema = read_dataset(text)
+    assert loaded_schema == schema
+    assert dataset_to_string(loaded, loaded_schema) == text
+    assert len(loaded) == len(instances)
+    for a, b in zip(instances, loaded):
+        assert (a.id, a.label, a.entities) == (b.id, b.label, b.entities)
+        assert a.real_view.equals(b.real_view)
+        assert_pools_equal(a.synthetic_pool, b.synthetic_pool)

@@ -211,3 +211,52 @@ def test_stage_feature_dims_must_agree():
 def test_empty_report_is_an_error():
     with pytest.raises(DiversityError):
         diversity_report({}, pca_dim=2)
+
+
+# --- the EM layout against its reference ---------------------------------------------
+
+
+def reference_fit_gmm(data, n_components, seed=0, max_iters=200, tol=1e-7, cov_floor=1e-6):
+    """EM on the (n, d) layout, one row per point, summing each point's
+    coordinates along its row: the arithmetic fit_gmm must reproduce bit for
+    bit on its (d, n) layout."""
+    from chainviews.diversity import _farthest_point_indices
+
+    n, d = data.shape
+    means = data[_farthest_point_indices(data, n_components, derive_rng(seed, "gmm-init"))].copy()
+    variances = np.tile(np.maximum(data.var(axis=0), cov_floor), (n_components, 1))
+    weights = np.full(n_components, 1.0 / n_components)
+    trace = []
+    for _ in range(max_iters):
+        parts = []
+        for j in range(n_components):
+            diff = data - means[j]
+            log_density = -0.5 * np.sum(diff * diff / variances[j] + np.log(2.0 * np.pi * variances[j]), axis=1)
+            parts.append(np.log(weights[j]) + log_density)
+        log_parts = np.stack(parts)
+        top = log_parts.max(axis=0)
+        log_norm = top + np.log(np.exp(log_parts - top).sum(axis=0))
+        loglik = float(log_norm.mean())
+        converged = bool(trace and abs(loglik - trace[-1]) < tol)
+        trace.append(loglik)
+        if converged:
+            break
+        resp = np.exp(log_parts - log_norm)
+        mass = np.maximum(resp.sum(axis=1), 1e-12)
+        weights = mass / n
+        means = (resp @ data) / mass[:, None]
+        for j in range(n_components):
+            diff = data - means[j]
+            variances[j] = np.maximum((resp[j][:, None] * diff * diff).sum(axis=0) / mass[j], cov_floor)
+    return trace, weights, means, variances
+
+
+@pytest.mark.parametrize("n, d, components", [(7, 1, 2), (300, 2, 3), (2000, 4, 2), (4000, 3, 3)])
+def test_em_on_the_transposed_layout_matches_the_row_layout_bit_for_bit(n, d, components):
+    rng = derive_rng(n, "layout")
+    data = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d) + rng.integers(-3, 3, size=(n, 1))
+    trace, weights, means, variances = reference_fit_gmm(data, components, seed=d)
+    gmm = fit_gmm(data, components, seed=d)
+    assert gmm.log_likelihoods == tuple(trace)
+    for got, want in ((gmm.weights, weights), (gmm.means, means), (gmm.diag_covs, variances)):
+        assert np.array_equal(got, want)

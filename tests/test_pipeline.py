@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainviews.pipeline as pipeline_module
-from chainviews.channels import DiscreteChannel, Port, sample_channel
+from chainviews.channels import DiscreteChannel, Port, generate_benchmark, sample_channel, stack_views
 from chainviews.datamodel import (
     REAL_PARENT,
     STEP_U_TO_V,
@@ -21,6 +21,7 @@ from chainviews.datamodel import (
     ViewSpec,
     dataset_to_string,
     discrete_view,
+    validate_dataset,
     vector_view,
 )
 from chainviews.models import TeacherModel
@@ -51,7 +52,7 @@ from chainviews.pipeline import (
 from chainviews.rng import derive_rng
 from chainviews.selection import POLICY_NAMES, keep_count
 
-from conftest import tiny_benchmark, tiny_config
+from conftest import tiny_benchmark, tiny_config, tiny_world
 
 
 # --- metrics --------------------------------------------------------------------
@@ -198,11 +199,12 @@ def test_kept_views_have_lower_loss_than_discarded(tiny_run):
 
 def test_final_pool_views_carry_scores_and_provenance(tiny_run):
     for instance in tiny_run.result.instances:
-        assert len(instance.synthetic_pool) == 5 + 6 * 2 + 6 * 2  # initial + 2 rounds of (u, v) pairs
-        for sv in instance.synthetic_pool:
-            if sv.step == STEP_U_TO_V:
-                assert sv.teacher_loss is not None  # trailing views get the final teacher's score
-                assert sv.teacher_loss >= 0.0
+        pool = instance.synthetic_pool
+        assert len(pool) == 5 + 6 * 2 + 6 * 2  # initial + 2 rounds of (u, v) pairs
+        losses = pool.teacher_loss[pool.is_v]
+        assert not np.isnan(losses).any()  # trailing views get the final teacher's score
+        assert np.all(losses >= 0.0)
+        assert np.isnan(pool.teacher_loss[~pool.is_v]).all()
 
 
 def test_fresh_teacher_initialization_differs_per_round(tiny_run):
@@ -281,11 +283,9 @@ def test_survival_counts_record_every_verdict(tiny_run):
         s = record.selection_index
         for instance, entry in zip(tiny_run.result.instances, record.per_instance):
             pool = instance.synthetic_pool
-            faced = tuple(
-                i for i, sv in enumerate(pool) if sv.step == STEP_U_TO_V and sv.round <= s <= sv.round + sv.survived
-            )
-            assert entry.candidate_ids == faced
-            assert entry.kept_ids == tuple(i for i in faced if s < pool[i].round + pool[i].survived)
+            faced = np.flatnonzero(pool.is_v & (pool.round <= s) & (s <= pool.round + pool.survived))
+            assert entry.candidate_ids == tuple(faced.tolist())
+            assert entry.kept_ids == tuple(i for i in faced.tolist() if s < pool.round[i] + pool.survived[i])
 
 
 def test_null_round_keeps_everything_and_spawns_nothing():
@@ -305,9 +305,59 @@ def test_keep_all_condition_never_discards():
     assert report.final_pool_size == 30
     assert report.condition == "no_teacher"
     # no teacher ever trains under this policy, so no view carries a loss
-    assert all(
-        sv.teacher_loss is None for inst in result.instances for sv in inst.synthetic_pool
-    )
+    assert all(np.isnan(inst.synthetic_pool.teacher_loss).all() for inst in result.instances)
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_every_condition_writes_valid_pools(tiny_run, condition):
+    config = condition_config(tiny_run.config, condition)
+    result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config, condition)
+    report = validate_dataset(result.instances, tiny_run.schema)
+    assert report.ok, report.violations
+
+
+# --- edge schedules ------------------------------------------------------------------
+
+
+def test_keeping_every_view_under_the_teacher():
+    train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
+    config = tiny_config(keep_fraction=1.0)
+    result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
+    # 5 -> keep 5 -> +10 -> 15 -> keep 15 -> +15 -> 30, every view scored
+    assert [(r.pool_size, r.kept_size) for r in result.report.rounds] == [(5, 5), (15, 15)]
+    assert result.report.final_pool_size == 30
+    for instance in result.instances:
+        pool = instance.synthetic_pool
+        assert not np.isnan(pool.teacher_loss[pool.is_v]).any()
+        assert pool.survived[pool.round == 0].tolist() == [2] * 5
+    assert validate_dataset(result.instances, schema).ok
+
+
+def test_student_takes_the_whole_live_pool():
+    # 5 -> keep 3 -> +6 -> 9 -> keep 6 -> +6: twelve live candidates, all of them picked
+    train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
+    config = tiny_config(train_views=12)
+    result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
+    assert result.report.final_pool_size == 12
+    with pytest.raises(PipelineError, match="has 12 scored candidate views, needs 13"):
+        train_student(result.instances, replace(config, train_views=13), Scorer(config, schema))
+
+
+def test_none_class_is_left_out_of_the_run_metrics():
+    world, g_uv, g_vu, v_spec = tiny_world()
+    train_inst, schema = generate_benchmark(world, 4, v_spec, stream="train", none_class=0)
+    test_inst, _ = generate_benchmark(world, 6, v_spec, stream="test", none_class=0)
+    config = tiny_config()
+    result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
+    scorer = Scorer(config, schema)
+    scorer.teacher = result.teacher
+    predictions = [infer(result.student, inst, g_uv, g_vu, config, scorer).value for inst in test_inst]
+    labels = [inst.label.value for inst in test_inst]
+    assert result.report.metrics == compute_metrics(predictions, labels, schema)
+    tp, fp, fn = confusion_counts(predictions, labels, classes=(1, 2))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    assert result.report.metrics["precision"] == pytest.approx(precision)
+    assert result.report.metrics["recall"] == pytest.approx(tp / (tp + fn))
 
 
 # --- determinism -------------------------------------------------------------------
@@ -497,16 +547,19 @@ def test_children_come_from_one_batch_per_channel_on_the_round_stream(tiny_run):
     scorer = Scorer(config, tiny_run.schema)
     before = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
     after = run_ccg_round(before, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    n = config.initial_views
     for old, new in zip(before, after):
-        kept = [i for i, sv in enumerate(new.synthetic_pool[: config.initial_views]) if sv.survived]
+        pool = new.synthetic_pool
+        kept = np.flatnonzero(pool.survived[:n]).tolist()
         sources = [i for i in kept for _ in range(2)]
         rng = derive_rng(config.seed, "gen", old.id, 1)
-        u_views = sample_channel(tiny_run.g_vu, [old.synthetic_pool[i].view for i in sources], rng)
+        u_views = sample_channel(tiny_run.g_vu, old.synthetic_pool.v_rows(sources), rng)
         v_views = sample_channel(tiny_run.g_uv, u_views, rng)
-        children = new.synthetic_pool[config.initial_views :]
-        assert [sv.parent_id for sv in children[::2]] == sources
-        assert all(u.view.equals(want) for u, want in zip(children[::2], u_views))
-        assert all(v.view.equals(want) for v, want in zip(children[1::2], v_views))
+        assert pool.parent_id[n::2].tolist() == sources
+        assert pool.parent_id[n + 1 :: 2].tolist() == list(range(n, len(pool), 2))
+        assert pool.step[n:].tolist() == ["v_to_u", "u_to_v"] * len(sources)
+        assert np.array_equal(pool.u.data, u_views.data)
+        assert np.array_equal(pool.v.data[n:], v_views.data)
 
 
 def test_one_instance_per_class_with_single_views():
@@ -525,10 +578,10 @@ def test_round0_view_counts_and_provenance(tiny_run):
         config = tiny_config(initial_views=m0)
         step = run_round0(tiny_run.train, tiny_run.g_uv, config)
         for instance in step:
-            assert len(instance.synthetic_pool) == m0
-            for sv in instance.synthetic_pool:
-                assert (sv.round, sv.step, sv.parent_id) == (0, STEP_U_TO_V, REAL_PARENT)
-                assert sv.teacher_loss is None and sv.survived == 0
+            pool = instance.synthetic_pool
+            assert len(pool) == m0 and len(pool.v) == m0 and pool.u is None
+            assert np.all(pool.round == 0) and np.all(pool.step == STEP_U_TO_V) and np.all(pool.parent_id == REAL_PARENT)
+            assert np.isnan(pool.teacher_loss).all() and not pool.survived.any()
 
 
 def test_single_view_fusion_still_trains(tiny_run):
@@ -538,7 +591,7 @@ def test_single_view_fusion_still_trains(tiny_run):
     step = run_ccg_round(step, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     student = train_student(step, config, scorer)
     logits = student.logits(
-        [(tiny_run.train[0].real_view, (step[0].synthetic_pool[0].view,), tiny_run.train[0].entities)]
+        [(tiny_run.train[0].real_view, tuple(step[0].synthetic_pool.v_rows([0]).views()), tiny_run.train[0].entities)]
     )
     assert logits.shape == (1, tiny_run.schema.class_count)
 
@@ -578,10 +631,7 @@ def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
         step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     student = train_student(step, config, scorer)
     assert student is not None
-    scored = [
-        sum(sv.teacher_loss is not None for sv in inst.synthetic_pool if sv.step == STEP_U_TO_V)
-        for inst in step
-    ]
+    scored = [int((~np.isnan(inst.synthetic_pool.teacher_loss)).sum()) for inst in step]
     assert all(n >= config.train_views for n in scored)
 
 
@@ -605,8 +655,8 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
     monkeypatch.setattr(pipeline_module, "train", recording_train)
     train_student(step, config, scorer)
     for instance, views, entry in zip(step, picked, rounds[-1].per_instance):
-        kept = {id(instance.synthetic_pool[i].view) for i in entry.kept_ids}
-        assert {id(v) for v in views} == kept
+        kept = instance.synthetic_pool.v_rows(list(entry.kept_ids)).data
+        assert sorted(v.data.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
 
 
 # --- identity channels -------------------------------------------------------------
@@ -648,8 +698,8 @@ def test_identity_channels_copy_the_real_view_everywhere():
     scorer = Scorer(config, schema)
     scorer.teacher = result.teacher
     for instance in result.instances:
-        for sv in instance.synthetic_pool:
-            assert np.array_equal(sv.view.data, instance.real_view.data)
+        for side in (instance.synthetic_pool.v, instance.synthetic_pool.u):
+            assert np.all(side.data == instance.real_view.data)
     # identical inputs at train and test time give the training-time prediction
     for instance in instances:
         synthetic = tuple(
@@ -677,7 +727,7 @@ class RecordingStudent:
 def generated_views(instance, g_uv, config):
     n_gen = config.infer_generate or config.initial_views
     rng = derive_rng(config.seed, "infer-gen", instance.id)
-    return sample_channel(g_uv, [instance.real_view] * n_gen, rng)
+    return sample_channel(g_uv, stack_views([instance.real_view] * n_gen), rng)
 
 
 def test_infer_without_teacher_takes_the_first_views(tiny_run):
@@ -686,11 +736,11 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     instance = tiny_run.test[0]
     label = infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
     assert label == Label(1)
-    expected = generated_views(instance, tiny_run.g_uv, config)[:2]
+    expected = generated_views(instance, tiny_run.g_uv, config).data[:2]
     (got,) = student.calls
     assert len(got) == 2
     for view, want in zip(got, expected):
-        assert view.equals(want)
+        assert view.modality == "v" and np.array_equal(view.data, want)
 
 
 def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
@@ -702,20 +752,20 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     scorer.teacher = teacher
     infer(student, instance, tiny_run.g_uv, None, config, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
-    logits = teacher.logits([(v, instance.entities) for v in views])
+    logits = teacher.logits([(v, instance.entities) for v in views.views()])
     scores = list(-np.max(log_softmax(logits), axis=1))
     order = sorted(range(len(views)), key=lambda i: (scores[i], i))
     (got,) = student.calls
     assert len(got) == 3
     for view, want_idx in zip(got, order[:3]):
-        assert view.equals(views[want_idx])
+        assert np.array_equal(view.data, views.data[want_idx])
 
 
 def test_infer_appends_real_view_unscored(tiny_run):
     config = tiny_config(infer_generate=4, infer_views=1)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[2]
-    (real_v,) = sample_channel(tiny_run.g_uv, [instance.real_view], derive_rng(123, "aux"))
+    (real_v,) = sample_channel(tiny_run.g_uv, stack_views([instance.real_view]), derive_rng(123, "aux")).views()
     infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema), real_v=real_v)
     (got,) = student.calls
     assert len(got) == 2
@@ -739,14 +789,14 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
     instance = tiny_run.test[3]
     infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
     rng = derive_rng(config.seed, "infer-gen", instance.id)
-    expected = sample_channel(tiny_run.g_uv, [instance.real_view] * 3, rng)
+    expected = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 3), rng)
     for _ in range(config.ccg_rounds):
         expected = sample_channel(tiny_run.g_uv, sample_channel(tiny_run.g_vu, expected, rng), rng)
     (got,) = student.calls
-    for view, want in zip(got, expected):
-        assert view.equals(want)
+    for view, want in zip(got, expected.data):
+        assert np.array_equal(view.data, want)
     plain = generated_views(instance, tiny_run.g_uv, config)
-    assert not got[0].equals(plain[0])
+    assert not np.array_equal(got[0].data, plain.data[0])
 
 
 def test_infer_full_chain_needs_the_return_channel(tiny_run):
@@ -769,9 +819,9 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     scorer = Scorer(tiny_config(), tiny_run.schema)
     scorer.teacher = teacher
     instance = tiny_run.test[0]
-    views = sample_channel(tiny_run.g_uv, [instance.real_view] * 10, derive_rng(50, "aux"))
+    views = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 10), derive_rng(50, "aux"))
     confidence = scorer.scores(instance, views, "infer-pick")
-    logits = teacher.logits([(v, instance.entities) for v in views])
+    logits = teacher.logits([(v, instance.entities) for v in views.views()])
     losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
     assert np.all(np.array(confidence) <= losses + 1e-12)
 

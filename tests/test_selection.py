@@ -4,7 +4,7 @@ candidate ranked by ``rank_keep``."""
 import numpy as np
 import pytest
 
-from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewSpec, vector_view
+from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewBatch, ViewSpec, vector_view
 from chainviews.rng import derive_rng
 from chainviews.selection import (
     POLICY_NAMES,
@@ -73,10 +73,10 @@ def test_keep_count_rejects_bad_fraction():
 
 
 def test_filter_by_loss_keeps_smallest():
-    pool = scored_pool([0.1, 0.9, 0.2, 0.8])
-    kept, discarded = split([v.teacher_loss for v in pool], 0.5)
-    assert [pool[i].teacher_loss for i in kept] == [0.1, 0.2]
-    assert [pool[i].teacher_loss for i in discarded] == [0.9, 0.8]
+    losses = scored_pool([0.1, 0.9, 0.2, 0.8]).teacher_loss
+    kept, discarded = split(losses.tolist(), 0.5)
+    assert losses[kept].tolist() == [0.1, 0.2]
+    assert losses[discarded].tolist() == [0.9, 0.8]
 
 
 def test_filter_by_loss_tie_break_is_stable():
@@ -123,12 +123,8 @@ def embedder():
 
 def test_identical_view_is_always_kept():
     real = vector_view([1.0, 2.0], MODALITY_U)
-    views = scored_pool([0.0, 0.0, 0.0])
-    # plant a v-side copy of the real view's embedding source
-    from dataclasses import replace
-
-    twin = replace(views[1], view=vector_view([1.0, 2.0], MODALITY_V))
-    views[1] = twin
+    # row 1 is a v-side copy of the real view's embedding source
+    views = ViewBatch("vector", MODALITY_V, [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
     emb = embedder()
     # make u and v embeddings agree so the twin has cosine exactly 1
     emb.w_v = emb.w_u
@@ -139,14 +135,11 @@ def test_identical_view_is_always_kept():
 def test_similarity_kept_set_matches_sort_oracle():
     rng = derive_rng(2, "sim")
     real = vector_view(rng.normal(size=2), MODALITY_U)
-    views = scored_pool(np.zeros(10))
-    from dataclasses import replace
-
-    views = [replace(v, view=vector_view(rng.normal(size=2), MODALITY_V)) for v in views]
+    views = ViewBatch("vector", MODALITY_V, rng.normal(size=(10, 2)))
     emb = embedder()
     kept, _ = split(similarity_scores(views, real, emb), 0.5)
     anchor = emb.embed(real)
-    sims = [cosine_similarity(emb.embed(v.view), anchor) for v in views]
+    sims = [cosine_similarity(emb.embed(v), anchor) for v in views.views()]
     oracle = sorted(range(10), key=lambda i: (-sims[i], i))[:5]
     assert kept == sorted(oracle)
 
@@ -155,11 +148,8 @@ def test_zero_norm_embedding_scores_minus_one():
     assert cosine_similarity(np.zeros(3), np.ones(3)) == -1.0
     emb = embedder()
     real = vector_view([1.0, 0.0], MODALITY_U)
-    views = scored_pool([0.0, 0.0])
-    from dataclasses import replace
-
     # a zero vector embeds to zero under a linear map
-    views[0] = replace(views[0], view=vector_view([0.0, 0.0], MODALITY_V))
+    views = ViewBatch("vector", MODALITY_V, [[0.0, 0.0], [1.0, 0.0]])
     scores = similarity_scores(views, real, emb)
     assert scores[0] == 1.0  # negated cosine of -1
 
@@ -169,15 +159,11 @@ def test_orthogonal_tie_keeps_lower_index():
     emb.w_u = np.eye(2)
     emb.w_v = np.eye(2)
     real = vector_view([1.0, 0.0], MODALITY_U)
-    from dataclasses import replace
-
-    views = scored_pool([0.0, 0.0])
-    views[0] = replace(views[0], view=vector_view([0.0, 1.0], MODALITY_V))
-    views[1] = replace(views[1], view=vector_view([0.0, -1.0], MODALITY_V))
+    views = ViewBatch("vector", MODALITY_V, [[0.0, 1.0], [0.0, -1.0]])
     scores = similarity_scores(views, real, emb)
     kept, _ = split(scores, 0.5)
     assert kept == [0]
-    assert np.array_equal(views[kept[0]].view.data, [0.0, 1.0])
+    assert np.array_equal(views.data[kept[0]], [0.0, 1.0])
     assert rank_keep(scores, 0) == []
     assert rank_keep(scores, 2) == [0, 1]
 
