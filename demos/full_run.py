@@ -65,4 +65,6 @@ print()
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "report.json"
     save_report(report, path)
-    print(f"full report written and read back ({len(json.dumps(json.loads(path.read_text())))} bytes of JSON)")
+    record = json.loads(path.read_text())
+    del record["timing"]  # wall-clock seconds; the rest depends only on (config, seed)
+    print(f"full report written and read back ({len(json.dumps(record))} bytes of JSON without timing)")

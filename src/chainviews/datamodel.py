@@ -162,10 +162,6 @@ class ViewBatch:
     def take(self, rows) -> "ViewBatch":
         return ViewBatch(self.kind, self.modality, self.data[rows])
 
-    def views(self) -> list[View]:
-        """One :class:`View` per row, for the models' inputs."""
-        return [View(self.kind, row, self.modality) for row in self.data]
-
 
 @dataclass(frozen=True)
 class Label:
@@ -572,7 +568,7 @@ def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance
             id=_int_field(record, "id", line),
             label=Label(_int_field(record, "label", line)),
             entities=EntityPair(subject=_int_field(record, "subject", line), object=_int_field(record, "object", line)),
-            real_view=real.views()[0],
+            real_view=View(real.kind, real.data[0], MODALITY_U),
             synthetic_pool=pool,
         )
     except DatasetFormatError:

@@ -9,13 +9,15 @@ attend over the synthetic encodings, the two attended vectors are
 concatenated, and a feedforward stage plus linear head produce logits. The
 unimodal baseline is the student with the synthetic branch removed.
 
-All three expose the same surface -- ``params``, ``logits(inputs)``,
-``loss_and_grads(batch)`` -- which is what :func:`train` and the gradient
-checker operate on. Rows are samples: ``logits`` maps a sequence of ``B``
-input tuples to ``(B, C)`` logits, and a batch is a sequence of
-``(inputs, label)`` samples. Each model has one ``_forward`` and one
-``_backward`` over row-batched arrays, so a batch of one takes the same
-path as a training batch.
+All three expose ``params``, ``inputs(...)``, ``logits(inputs)`` and
+``loss_and_grads(inputs, labels)``, which is what :func:`train` and the
+gradient checker operate on. Rows are samples: ``inputs`` checks view
+batches and entity ids once and featurizes them into one tuple of ``B``-row
+arrays -- the teacher's ``(x_v, subj, obj)``, the student's ``(x_u, x_v,
+subj, obj)`` with ``x_v`` ``(B, N, d)``, the unimodal model's ``(x_u, subj,
+obj)`` -- and ``logits`` maps that tuple to ``(B, C)``. Each model has one
+``_forward`` and one ``_backward``, so a batch of one takes the same path
+as a training batch.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, EntityPair
+from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, ViewBatch
 from .nn import (
     Grads,
     Params,
@@ -34,7 +36,7 @@ from .nn import (
     attention_init,
     cross_attention,
     cross_attention_backward,
-    featurize,
+    featurize_rows,
     finite_difference_check,
     linear_backward,
     linear_forward,
@@ -63,26 +65,18 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"{self.phase} training: loss became non-finite at optimizer step {step}")
 
 
-def _spec_feature_dim(spec) -> int:
-    return spec.size
-
-
-def _columns(inputs) -> tuple:
-    """Transpose a batch of tuples: one tuple per field, one entry per sample."""
-    if len(inputs) == 0:
-        raise ValueError("a batch needs at least one sample")
-    return tuple(zip(*inputs))
-
-
-def _features(views, spec, modality: str, message: str) -> np.ndarray:
-    """``(len(views), d)`` feature rows; every view must be on ``modality``."""
-    if any(view.modality != modality for view in views):
+def _feature_rows(batch: ViewBatch, spec, modality: str, message: str) -> np.ndarray:
+    """Feature rows of a non-empty batch of views on ``modality``."""
+    if batch.modality != modality:
         raise ModalityError(message)
-    return np.stack([featurize(view, spec.size) for view in views])
+    if not len(batch):
+        raise ValueError("a batch needs at least one sample")
+    return featurize_rows(batch.kind, batch.data, spec.size)
 
 
-def _entity_ids(entities: Sequence[EntityPair]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([e.subject for e in entities]), np.array([e.object for e in entities])
+def _ids(ids, n: int) -> np.ndarray:
+    """Entity ids as ``n`` rows; one id stands for all ``n``."""
+    return np.broadcast_to(np.asarray(ids, dtype=np.int64), (n,))
 
 
 def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> None:
@@ -99,26 +93,23 @@ def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> N
 
 
 def _logits(model, inputs) -> np.ndarray:
-    """``(B, C)`` logits of a sequence of ``B`` inputs, one row per input."""
+    """``(B, C)`` logits of ``B`` inputs, one row per input."""
     return model._forward(inputs)[0]
 
 
-def _loss_and_grads(model, batch) -> tuple[np.ndarray, Grads]:
-    """Per-sample losses ``(B,)`` of a batch of ``(inputs, label)`` samples,
+def _loss_and_grads(model, inputs, labels) -> tuple[np.ndarray, Grads]:
+    """Per-sample losses ``(B,)`` of ``B`` inputs against their ``B`` labels,
     plus the gradients of their mean."""
-    inputs, labels = _columns(batch)
     logits, cache = model._forward(inputs)
     losses, dlogits = softmax_xent(logits, labels)
     grads: Grads = {}
-    model._backward(cache, dlogits / len(batch), grads)
+    model._backward(cache, dlogits / len(losses), grads)
     return losses, grads
 
 
 class TeacherModel:
-    """Entity embeddings + synthetic-view encoder + fusion head.
-
-    An input is ``(view, entities)`` with a v-side view.
-    """
+    """Entity embeddings + synthetic-view encoder + fusion head; a row is a
+    v-side view and an entity pair."""
 
     def __init__(
         self,
@@ -133,8 +124,7 @@ class TeacherModel:
         self.schema = schema
         self.params: Params = {}
         self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        feat = _spec_feature_dim(schema.v_spec)
-        mlp_init(self.params, rng, "venc", feat, enc_hidden, enc_dim)
+        mlp_init(self.params, rng, "venc", schema.v_spec.size, enc_hidden, enc_dim)
         mlp_init(self.params, rng, "fuse", 2 * emb_dim + enc_dim, fuse_hidden, fuse_dim)
         linear_init(self.params, rng, "head", fuse_dim, schema.class_count)
         self._emb_dim = emb_dim
@@ -142,11 +132,13 @@ class TeacherModel:
     logits = _logits
     loss_and_grads = _loss_and_grads
 
+    def inputs(self, views: ViewBatch, subj, obj) -> tuple:
+        x_v = _feature_rows(views, self.schema.v_spec, MODALITY_V, "the teacher scores v-side views only")
+        return x_v, _ids(subj, len(x_v)), _ids(obj, len(x_v))
+
     def _forward(self, inputs):
-        views, entities = _columns(inputs)
-        x = _features(views, self.schema.v_spec, MODALITY_V, "the teacher scores v-side views only")
+        x, subj, obj = inputs
         enc, c_enc = mlp_forward(self.params, "venc", x)
-        subj, obj = _entity_ids(entities)
         table = self.params["entity_emb"]
         fused_in = np.concatenate([table[subj], table[obj], enc], axis=1)
         fused, c_fuse = mlp_forward(self.params, "fuse", fused_in)
@@ -165,9 +157,8 @@ class TeacherModel:
 class StudentModel:
     """Real-view plus synthetic-set fusion via shared cross-attention.
 
-    An input is ``(real_view, synth_views, entities)``: a u-side real view
-    and a non-empty tuple of v-side views. All samples in one call carry the
-    same number of synthetic views, so the sets stack into ``(B, N, d)``.
+    A row is a u-side real view, a non-empty set of ``N`` v-side views (the
+    same ``N`` in every row) and an entity pair.
     ``shared_attention=False`` gives the subject and object queries separate
     attention blocks; the default shares one block across both applications.
     """
@@ -194,8 +185,8 @@ class StudentModel:
         self.shared_attention = shared_attention
         self.params: Params = {}
         self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        mlp_init(self.params, rng, "uenc", _spec_feature_dim(schema.u_spec), real_hidden, real_dim)
-        mlp_init(self.params, rng, "venc", _spec_feature_dim(schema.v_spec), synth_hidden, synth_dim)
+        mlp_init(self.params, rng, "uenc", schema.u_spec.size, real_hidden, real_dim)
+        mlp_init(self.params, rng, "venc", schema.v_spec.size, synth_hidden, synth_dim)
         linear_init(self.params, rng, "qsub", real_dim + emb_dim, query_dim)
         linear_init(self.params, rng, "qobj", real_dim + emb_dim, query_dim)
         attention_init(self.params, rng, "attn", query_dim, synth_dim, key_dim, value_dim)
@@ -208,33 +199,32 @@ class StudentModel:
     logits = _logits
     loss_and_grads = _loss_and_grads
 
-    def _forward(self, inputs):
-        real_views, synth_sets, entities = _columns(inputs)
-        x_u = _features(
-            real_views, self.schema.u_spec, MODALITY_U, "the student's primary input is the u-side real view"
-        )
-        set_sizes = {len(views) for views in synth_sets}
+    def inputs(self, real: ViewBatch, synth: Sequence[ViewBatch], subj, obj) -> tuple:
+        """``synth`` holds one batch of synthetic views per real view."""
+        x_u = _feature_rows(real, self.schema.u_spec, MODALITY_U, "the student's primary input is the u-side real view")
+        set_sizes = {len(views) for views in synth}
         if 0 in set_sizes:
             raise ValueError("the student needs at least one synthetic view")
-        if len(set_sizes) > 1:
+        if len(set_sizes) > 1 or len(synth) != len(x_u):
             raise ValueError(
-                f"every sample in a batch needs the same number of synthetic views, got {sorted(set_sizes)}"
+                "every sample in a batch needs the same number of synthetic views, "
+                f"got sets of {sorted(set_sizes)} for {len(x_u)} real views"
             )
-        x_v = _features(
-            [view for views in synth_sets for view in views],
-            self.schema.v_spec,
-            MODALITY_V,
-            "synthetic inputs to the student must be v-side views",
-        )
+        if any(views.modality != MODALITY_V for views in synth):
+            raise ModalityError("synthetic inputs to the student must be v-side views")
+        data = np.concatenate([views.data for views in synth])
+        x_v = featurize_rows(synth[0].kind, data, self.schema.v_spec.size).reshape(len(synth), len(synth[0]), -1)
+        return x_u, x_v, _ids(subj, len(x_u)), _ids(obj, len(x_u))
 
+    def _forward(self, inputs):
+        x_u, x_v, subj, obj = inputs
         real_enc, c_real = mlp_forward(self.params, "uenc", x_u)
-        subj, obj = _entity_ids(entities)
         table = self.params["entity_emb"]
         q_sub, c_qsub = linear_forward(self.params, "qsub", np.concatenate([real_enc, table[subj]], axis=1))
         q_obj, c_qobj = linear_forward(self.params, "qobj", np.concatenate([real_enc, table[obj]], axis=1))
 
-        rows, c_rows = mlp_forward(self.params, "venc", x_v)
-        matrix = rows.reshape(len(synth_sets), len(synth_sets[0]), rows.shape[1])
+        rows, c_rows = mlp_forward(self.params, "venc", x_v.reshape(-1, x_v.shape[2]))
+        matrix = rows.reshape(x_v.shape[0], x_v.shape[1], rows.shape[1])
 
         attn2 = "attn" if self.shared_attention else "attn2"
         att_sub, c_att_sub = cross_attention(self.params, "attn", q_sub, matrix, matrix)
@@ -268,10 +258,8 @@ class StudentModel:
 
 
 class UnimodalModel:
-    """Real-view encoder + entity embeddings + linear head (no synthetics).
-
-    An input is ``(real_view, entities)`` with a u-side view.
-    """
+    """Real-view encoder + entity embeddings + linear head (no synthetics);
+    a row is a u-side view and an entity pair."""
 
     def __init__(
         self,
@@ -284,18 +272,20 @@ class UnimodalModel:
         self.schema = schema
         self.params: Params = {}
         self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        mlp_init(self.params, rng, "uenc", _spec_feature_dim(schema.u_spec), real_hidden, real_dim)
+        mlp_init(self.params, rng, "uenc", schema.u_spec.size, real_hidden, real_dim)
         linear_init(self.params, rng, "head", real_dim + 2 * emb_dim, schema.class_count)
         self._emb_dim = emb_dim
 
     logits = _logits
     loss_and_grads = _loss_and_grads
 
+    def inputs(self, real: ViewBatch, subj, obj) -> tuple:
+        x_u = _feature_rows(real, self.schema.u_spec, MODALITY_U, "the unimodal model consumes u-side views")
+        return x_u, _ids(subj, len(x_u)), _ids(obj, len(x_u))
+
     def _forward(self, inputs):
-        real_views, entities = _columns(inputs)
-        x_u = _features(real_views, self.schema.u_spec, MODALITY_U, "the unimodal model consumes u-side views")
+        x_u, subj, obj = inputs
         real_enc, c_real = mlp_forward(self.params, "uenc", x_u)
-        subj, obj = _entity_ids(entities)
         table = self.params["entity_emb"]
         head_in = np.concatenate([real_enc, table[subj], table[obj]], axis=1)
         logits, c_head = linear_forward(self.params, "head", head_in)
@@ -335,27 +325,32 @@ class TrainConfig:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; the decay term never enters the
-    moment estimates."""
+    """Adam with decoupled weight decay (it never enters the moment
+    estimates). The values of ``params`` become reshaped views into one flat
+    buffer, so a step is one update over all parameters."""
 
     def __init__(self, params: Params, config: TrainConfig):
         self.config = config
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat = np.concatenate([np.ravel(w) for w in params.values()])
+        self.sizes, offset = {}, 0
+        for key, w in params.items():
+            self.sizes[key] = w.size
+            params[key] = self.flat[offset : offset + w.size].reshape(w.shape)
+            offset += w.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
-    def step(self, params: Params, grads: Grads, lr: float) -> None:
+    def step(self, grads: Grads, lr: float) -> None:
         cfg = self.config
         self.t += 1
-        for key, w in params.items():
-            g = grads.get(key)
-            if g is None:
-                g = np.zeros_like(w)
-            self.m[key] = cfg.beta1 * self.m[key] + (1 - cfg.beta1) * g
-            self.v[key] = cfg.beta2 * self.v[key] + (1 - cfg.beta2) * g * g
-            m_hat = self.m[key] / (1 - cfg.beta1**self.t)
-            v_hat = self.v[key] / (1 - cfg.beta2**self.t)
-            w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
+        g = np.concatenate([np.ravel(grads[k]) if k in grads else np.zeros(n) for k, n in self.sizes.items()])
+        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * g
+        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * g * g
+        m_hat = self.m / (1 - cfg.beta1**self.t)
+        v_hat = self.v / (1 - cfg.beta2**self.t)
+        w = self.flat
+        w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
 
 
 def _learning_rate(config: TrainConfig, step: int) -> float:
@@ -365,49 +360,53 @@ def _learning_rate(config: TrainConfig, step: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def train(model, samples, config: TrainConfig, rng_stream=("train",)):
+def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train",)):
     """Run AdamW on mean batch loss; returns (model, per_sample_losses).
 
-    Batches are drawn as contiguous chunks of a per-epoch permutation, all
-    from the model's own derived stream, so identical (config, samples)
-    always produce identical parameters. The returned losses come from one
-    final frozen pass in input order.
+    ``inputs`` is the model's tuple of row arrays (see its ``inputs``) and
+    ``labels`` one class index per row; nothing is featurized here. Each
+    step gathers the batch's rows of every array. Batches are contiguous
+    chunks of a per-epoch permutation, all from the model's own derived
+    stream, so identical (config, inputs, labels) always produce identical
+    parameters. The returned losses come from one final frozen pass over
+    all rows in input order.
     """
     from .rng import derive_rng
 
-    samples = list(samples)
-    if not samples:
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    if not n:
         raise ValueError("cannot train on an empty sample list")
+    if any(len(a) != n for a in inputs):
+        raise ValueError(f"every input array needs one row per label ({n})")
     rng = derive_rng(config.seed, *rng_stream)
     optimizer = AdamW(model.params, config)
-    order = rng.permutation(len(samples))
+    order = rng.permutation(n)
     cursor = 0
     # a diverging run overflows before its loss turns non-finite; the check
     # below reports it once, naming the phase, instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            if cursor >= len(samples):
-                order = rng.permutation(len(samples))
+            if cursor >= n:
+                order = rng.permutation(n)
                 cursor = 0
             batch = order[cursor : cursor + config.batch_size]
             cursor += config.batch_size
-            losses, grads = model.loss_and_grads([samples[i] for i in batch])
+            losses, grads = model.loss_and_grads(tuple(a[batch] for a in inputs), labels[batch])
             if not np.isfinite(losses).all():
                 raise TrainingDivergedError(step, rng_stream)
-            optimizer.step(model.params, grads, _learning_rate(config, step))
+            optimizer.step(grads, _learning_rate(config, step))
 
-        inputs, labels = _columns(samples)
         losses, _ = softmax_xent(model.logits(inputs), labels)
         if not np.isfinite(losses).all():  # the last step diverged
             raise TrainingDivergedError(config.steps, rng_stream)
     return model, losses
 
 
-def grad_check(model, batch, epsilon: float = 1e-5) -> float:
+def grad_check(model, inputs: tuple, labels, epsilon: float = 1e-5) -> float:
     """Max relative error of the model's analytic gradients of the mean loss
-    over ``batch``, a sequence of ``(inputs, label)`` samples."""
-    _, analytic = model.loss_and_grads(batch)
-    inputs, labels = _columns(batch)
+    of ``inputs`` (the model's row arrays) against ``labels``."""
+    _, analytic = model.loss_and_grads(inputs, labels)
 
     def loss_fn():
         return float(np.mean(softmax_xent(model.logits(inputs), labels)[0]))

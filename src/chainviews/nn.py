@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-from .datamodel import View
-
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
 
@@ -34,16 +32,11 @@ def accumulate(grads: Grads, key: str, value: np.ndarray) -> None:
         grads[key] = np.array(value, dtype=np.float64)
 
 
-def featurize(view: View, alphabet: int | None = None) -> np.ndarray:
-    """Fixed featurization: vectors pass through, discrete views become
-    length-normalized symbol counts (a bag of symbols; the first weight
-    matrix consuming it acts as the symbol embedding table)."""
-    return featurize_rows(view.kind, view.data[None], alphabet)[0]
-
-
 def featurize_rows(kind: str, data: np.ndarray, alphabet: int | None = None) -> np.ndarray:
-    """:func:`featurize` for a ``(B, width)`` matrix of one kind, one row per
-    view. Symbols must lie in ``[0, alphabet)``."""
+    """Fixed featurization of a ``(B, width)`` matrix of one kind, one view
+    per row: vectors pass through, discrete views become length-normalized
+    symbol counts (a bag of symbols; the first weight matrix consuming it
+    acts as the symbol embedding table). Symbols must lie in ``[0, alphabet)``."""
     if kind == "vector":
         return data
     if alphabet is None:

@@ -198,6 +198,13 @@ def compute_metrics(
 # --- scoring -------------------------------------------------------------------
 
 
+def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
+    """Subject ids, object ids and labels of ``instances`` (three rows), each
+    repeated ``counts`` times (one count per instance, or one for all)."""
+    rows = np.array([(i.entities.subject, i.entities.object, i.label.value) for i in instances], dtype=np.int64)
+    return np.repeat(rows.reshape(-1, 3), counts, axis=0).T
+
+
 class Scorer:
     """A run's selection policy, read once from its config, as a scoring
     function.
@@ -238,7 +245,8 @@ class Scorer:
             if self.teacher is None:
                 return [0.0] * len(views)
             # the loss against the teacher's own most likely label: label-free
-            logits = self.teacher.logits([(v, instance.entities) for v in views.views()])
+            e = instance.entities
+            logits = self.teacher.logits(self.teacher.inputs(views, e.subject, e.object))
             return (-np.max(log_softmax(logits), axis=1)).tolist()
         if name == "keep_all" and isinstance(stream, int):
             return [0.0] * len(views)
@@ -255,18 +263,15 @@ class Scorer:
         seed = self.config.seed
         if not (self.config.teacher_warm_start and self.teacher is not None):
             self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
-        samples = [
-            ((view, inst.entities), inst.label.value)
-            for inst, ids in zip(instances, live)
-            for view in inst.synthetic_pool.v_rows(ids).views()
-        ]
+        batches = [inst.synthetic_pool.v_rows(ids) for inst, ids in zip(instances, live)]
+        counts = [len(ids) for ids in live]
+        subj, obj, labels = _per_row(instances, counts)
+        views = ViewBatch(batches[0].kind, MODALITY_V, np.concatenate([b.data for b in batches]))
         cfg = replace(self.config.teacher, seed=seed)
-        _, losses = train(self.teacher, samples, cfg, rng_stream=("teacher-train", selection_index))
-        per_instance, cursor = [], 0
-        for ids in live:
-            per_instance.append([float(x) for x in losses[cursor : cursor + len(ids)]])
-            cursor += len(ids)
-        return per_instance
+        _, losses = train(
+            self.teacher, self.teacher.inputs(views, subj, obj), labels, cfg, rng_stream=("teacher-train", selection_index)
+        )
+        return [part.tolist() for part in np.split(losses, np.cumsum(counts)[:-1])]
 
 
 # --- stepwise building blocks ---------------------------------------------------
@@ -389,8 +394,9 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
         todo = np.flatnonzero(pool.is_v & np.isnan(pool.teacher_loss))
         if not todo.size:
             return instance
-        logits = teacher.logits([(view, instance.entities) for view in pool.v_rows(todo).views()])
-        losses, _ = softmax_xent(logits, [instance.label.value] * len(todo))
+        e = instance.entities
+        logits = teacher.logits(teacher.inputs(pool.v_rows(todo), e.subject, e.object))
+        losses, _ = softmax_xent(logits, np.full(len(todo), instance.label.value))
         return replace(instance, synthetic_pool=pool.judged(todo, losses))
 
     return parallel_map(score, instances)
@@ -408,7 +414,7 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
     """
     next_selection = _next_selection(instances)
     n_train = config.train_views
-    samples = []
+    synth = []
     for instance in instances:
         pool = instance.synthetic_pool
         ids = _live_ids(pool, next_selection)
@@ -421,11 +427,13 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
                 f"instance {instance.id} has {scored.sum()} scored candidate views, needs {n_train}"
             )
         ranked = ids[scored][rank_keep(scores[scored].tolist(), n_train)]
-        samples.append(((instance.real_view, tuple(pool.v_rows(ranked).views()), instance.entities), instance.label.value))
+        synth.append(pool.v_rows(ranked))
     student = StudentModel(
         derive_rng(config.seed, "student-init"), scorer.schema, shared_attention=config.shared_attention
     )
-    train(student, samples, replace(config.student, seed=config.seed), rng_stream=("student-train",))
+    subj, obj, labels = _per_row(instances)
+    inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)
+    train(student, inputs, labels, replace(config.student, seed=config.seed), rng_stream=("student-train",))
     return student
 
 
@@ -455,12 +463,13 @@ def infer(
     if config.infer_full_chain:
         for _ in range(config.ccg_rounds):
             views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
-    chosen = views.take(rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views)).views()
+    chosen = views.take(rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views))
     if real_v is not None:
         if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
             raise PipelineError("appended real view does not match the synthetic-side spec")
-        chosen.append(real_v)
-    (logits,) = student.logits([(instance.real_view, tuple(chosen), instance.entities)])
+        chosen = ViewBatch(chosen.kind, MODALITY_V, np.concatenate([chosen.data, real_v.data[None]]))
+    e = instance.entities
+    (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
     return Label(int(np.argmax(logits)))
 
 
@@ -484,14 +493,15 @@ def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfi
     t0 = time.perf_counter()
     rng = derive_rng(config.seed, "unimodal-init")
     model = UnimodalModel(rng, schema)
-    samples = [((inst.real_view, inst.entities), inst.label.value) for inst in train_instances]
-    cfg = replace(config.student, seed=config.seed)
-    train(model, samples, cfg, rng_stream=("unimodal-train",))
+    subj, obj, labels = _per_row(train_instances)
+    inputs = model.inputs(stack_views([inst.real_view for inst in train_instances]), subj, obj)
+    train(model, inputs, labels, replace(config.student, seed=config.seed), rng_stream=("unimodal-train",))
     train_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = np.argmax(model.logits([(inst.real_view, inst.entities) for inst in test_instances]), axis=1)
-    labels = [inst.label.value for inst in test_instances]
+    subj, obj, labels = _per_row(test_instances)
+    inputs = model.inputs(stack_views([inst.real_view for inst in test_instances]), subj, obj)
+    predictions = np.argmax(model.logits(inputs), axis=1)
     metrics = compute_metrics(predictions, labels, schema)
     report = RunReport(
         condition="unimodal",

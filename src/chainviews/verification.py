@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .datamodel import DatasetSchema, EntityPair, Instance, Label, ViewSpec, vector_view
+from .datamodel import DatasetSchema, EntityPair, Instance, Label, ViewBatch, ViewSpec, vector_view
 from .diversity import fit_gmm
 from .info import (
     MarkovChainSpec,
@@ -226,18 +226,19 @@ def check_gradient_attention(seed: int = 0, n_cases: int = 10) -> CheckResult:
     )
 
 
-def _teacher_sample(rng, schema):
-    inst = _random_instance(rng, schema)
-    view = vector_view(rng.normal(size=schema.v_spec.size), modality="v")
-    return ((view, inst.entities), inst.label.value)
+def _teacher_sample(model, rng):
+    inst = _random_instance(rng, model.schema)
+    e = inst.entities
+    views = ViewBatch("vector", "v", rng.normal(size=(1, model.schema.v_spec.size)))
+    return model.inputs(views, e.subject, e.object), [inst.label.value]
 
 
-def _student_sample(rng, schema, n_views=3):
-    inst = _random_instance(rng, schema)
-    views = tuple(
-        vector_view(rng.normal(size=schema.v_spec.size), modality="v") for _ in range(n_views)
-    )
-    return ((inst.real_view, views, inst.entities), inst.label.value)
+def _student_sample(model, rng, n_views=3):
+    inst = _random_instance(rng, model.schema)
+    e = inst.entities
+    synth = ViewBatch("vector", "v", rng.normal(size=(n_views, model.schema.v_spec.size)))
+    real = ViewBatch("vector", "u", inst.real_view.data[None])
+    return model.inputs(real, [synth], e.subject, e.object), [inst.label.value]
 
 
 def check_gradient_teacher(seed: int = 0, n_cases: int = 10) -> CheckResult:
@@ -247,7 +248,7 @@ def check_gradient_teacher(seed: int = 0, n_cases: int = 10) -> CheckResult:
     for i in range(n_cases):
         rng = derive_rng(seed, "verify-grad-teacher", i)
         model = TeacherModel(rng, schema, emb_dim=3, enc_hidden=5, enc_dim=4, fuse_hidden=6, fuse_dim=5)
-        worst = max(worst, grad_check(model, [_teacher_sample(rng, schema)]))
+        worst = max(worst, grad_check(model, *_teacher_sample(model, rng)))
     threshold = 1e-4
     return CheckResult(
         name="gradient_teacher",
@@ -280,7 +281,7 @@ def check_gradient_student(seed: int = 0, n_cases: int = 10) -> CheckResult:
             ff_dim=5,
             shared_attention=bool(i % 2),
         )
-        worst = max(worst, grad_check(model, [_student_sample(rng, schema)]))
+        worst = max(worst, grad_check(model, *_student_sample(model, rng)))
     threshold = 1e-4
     return CheckResult(
         name="gradient_student",
@@ -298,13 +299,12 @@ def check_permutation_invariance(seed: int = 0, n_permutations: int = 100) -> Ch
     schema = _tiny_schema()
     rng = derive_rng(seed, "verify-perm")
     model = StudentModel(rng, schema)
-    (real, views, entities), _ = _student_sample(rng, schema, n_views=6)
-    (base,) = model.logits([(real, views, entities)])
+    (x_u, x_v, subj, obj), _ = _student_sample(model, rng, n_views=6)
+    (base,) = model.logits((x_u, x_v, subj, obj))
     worst = 0.0
     for _ in range(n_permutations):
-        perm = rng.permutation(len(views))
-        shuffled = tuple(views[j] for j in perm)
-        (logits,) = model.logits([(real, shuffled, entities)])
+        perm = rng.permutation(x_v.shape[1])
+        (logits,) = model.logits((x_u, x_v[:, perm], subj, obj))
         worst = max(worst, float(np.max(np.abs(logits - base))))
     threshold = 1e-9
     return CheckResult(

@@ -7,16 +7,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainviews.channels import stack_views
 from chainviews.datamodel import (
     MODALITY_U,
     MODALITY_V,
     DatasetSchema,
     EntityPair,
+    ViewBatch,
     ViewSpec,
     vector_view,
 )
 from chainviews.models import (
+    AdamW,
     ModalityError,
     StudentModel,
     TeacherModel,
@@ -56,6 +61,20 @@ def student_sample(rng, n_views=4):
     return ((real, synth, rand_entities(rng)), int(rng.integers(3)))
 
 
+def views_of(views):
+    return stack_views(views) if views else ViewBatch("vector", MODALITY_V, np.empty((0, 4)))
+
+
+def as_inputs(model, samples):
+    """The model's input arrays and the labels of ``((views..., entities), label)`` samples."""
+    parts, labels = zip(*samples)
+    *views, entities = zip(*parts)
+    subj, obj = [e.subject for e in entities], [e.object for e in entities]
+    if isinstance(model, StudentModel):
+        return model.inputs(stack_views(views[0]), [views_of(s) for s in views[1]], subj, obj), list(labels)
+    return model.inputs(stack_views(views[0]), subj, obj), list(labels)
+
+
 def param_digest(params):
     h = hashlib.sha256()
     for key in sorted(params):
@@ -71,21 +90,21 @@ def test_teacher_gradients_match_finite_differences():
     for i in range(3):
         rng = derive_rng(i, "teacher-grad")
         model = TeacherModel(derive_rng(i, "teacher-init"), schema())
-        assert grad_check(model, [teacher_sample(rng)]) < 1e-4
+        assert grad_check(model, *as_inputs(model, [teacher_sample(rng)])) < 1e-4
 
 
 def test_student_gradients_match_finite_differences():
     for i in range(3):
         rng = derive_rng(i, "student-grad")
         model = StudentModel(derive_rng(i, "student-init"), schema(), shared_attention=bool(i % 2))
-        assert grad_check(model, [student_sample(rng)]) < 1e-4
+        assert grad_check(model, *as_inputs(model, [student_sample(rng)])) < 1e-4
 
 
 def test_unimodal_gradients_match_finite_differences():
     rng = derive_rng(0, "uni-grad")
     model = UnimodalModel(derive_rng(0, "uni-init"), schema())
     real = vector_view(rng.normal(size=3), MODALITY_U)
-    assert grad_check(model, [((real, rand_entities(rng)), 1)]) < 1e-4
+    assert grad_check(model, *as_inputs(model, [((real, rand_entities(rng)), 1)])) < 1e-4
 
 
 def test_gradients_with_discrete_views():
@@ -94,7 +113,7 @@ def test_gradients_with_discrete_views():
     from chainviews.datamodel import discrete_view
 
     view = discrete_view(list(rng.integers(4, size=6)), MODALITY_V)
-    assert grad_check(model, [((view, rand_entities(rng)), 0)]) < 1e-4
+    assert grad_check(model, *as_inputs(model, [((view, rand_entities(rng)), 0)])) < 1e-4
 
 
 # --- forward behavior -----------------------------------------------------------------
@@ -103,9 +122,9 @@ def test_gradients_with_discrete_views():
 def test_teacher_is_deterministic():
     rng = derive_rng(0, "det")
     model = TeacherModel(derive_rng(0, "det-init"), schema())
-    (view, entities), _ = teacher_sample(rng)
-    a = model.logits([(view, entities)])
-    b = model.logits([(view, entities)])
+    inputs, _ = as_inputs(model, [teacher_sample(rng)])
+    a = model.logits(inputs)
+    b = model.logits(inputs)
     np.testing.assert_array_equal(a, b)
 
 
@@ -113,7 +132,7 @@ def test_teacher_rejects_u_side_views():
     model = TeacherModel(derive_rng(0, "rej"), schema())
     wrong = vector_view([0.0, 0.0, 0.0], MODALITY_U)
     with pytest.raises(ModalityError):
-        model.logits([(wrong, EntityPair(0, 1))])
+        model.logits(as_inputs(model, [((wrong, EntityPair(0, 1)), 0)])[0])
 
 
 def test_zeroed_model_gives_uniform_logits():
@@ -121,8 +140,8 @@ def test_zeroed_model_gives_uniform_logits():
     for key in model.params:
         model.params[key][...] = 0.0
     rng = derive_rng(1, "zero-sample")
-    (view, entities), label = teacher_sample(rng)
-    logits = model.logits([(view, entities)])
+    inputs, (label,) = as_inputs(model, [teacher_sample(rng)])
+    logits = model.logits(inputs)
     np.testing.assert_allclose(logits, np.zeros((1, 3)), atol=1e-15)
     (loss,), _ = softmax_xent(logits, [label])
     assert abs(loss - math.log(3)) < 1e-12
@@ -132,10 +151,10 @@ def test_student_logits_permutation_invariant():
     rng = derive_rng(2, "perm")
     model = StudentModel(derive_rng(2, "perm-init"), schema())
     (real, synth, entities), _ = student_sample(rng, n_views=3)
-    base = model.logits([(real, synth, entities)])
+    base = model.logits(as_inputs(model, [((real, synth, entities), 0)])[0])
     for order in itertools.permutations(range(3)):
         permuted = tuple(synth[i] for i in order)
-        got = model.logits([(real, permuted, entities)])
+        got = model.logits(as_inputs(model, [((real, permuted, entities), 0)])[0])
         assert np.max(np.abs(got - base)) < 1e-9
 
 
@@ -143,8 +162,8 @@ def test_student_duplicated_views_equal_single_view():
     rng = derive_rng(3, "dup")
     model = StudentModel(derive_rng(3, "dup-init"), schema())
     (real, synth, entities), _ = student_sample(rng, n_views=1)
-    single = model.logits([(real, synth, entities)])
-    repeated = model.logits([(real, synth * 5, entities)])
+    single = model.logits(as_inputs(model, [((real, synth, entities), 0)])[0])
+    repeated = model.logits(as_inputs(model, [((real, synth * 5, entities), 0)])[0])
     np.testing.assert_allclose(repeated, single, atol=1e-12)
 
 
@@ -153,7 +172,7 @@ def test_student_requires_at_least_one_synthetic_view():
     model = StudentModel(derive_rng(4, "empty-init"), schema())
     (real, _, entities), _ = student_sample(rng)
     with pytest.raises(ValueError):
-        model.logits([(real, (), entities)])
+        model.logits(as_inputs(model, [((real, (), entities), 0)])[0])
 
 
 def test_student_rejects_swapped_modalities():
@@ -161,15 +180,15 @@ def test_student_rejects_swapped_modalities():
     model = StudentModel(derive_rng(5, "swap-init"), schema())
     (real, synth, entities), _ = student_sample(rng, n_views=2)
     with pytest.raises(ModalityError):
-        model.logits([(synth[0], synth, entities)])
+        model.logits(as_inputs(model, [((synth[0], synth, entities), 0)])[0])
     with pytest.raises(ModalityError):
-        model.logits([(real, (real,), entities)])
+        model.logits(as_inputs(model, [((real, (real,), entities), 0)])[0])
 
 
 def test_unimodal_consumes_u_side_only():
     model = UnimodalModel(derive_rng(0, "uni"), schema())
     with pytest.raises(ModalityError):
-        model.logits([(vector_view([0.0] * 4, MODALITY_V), EntityPair(0, 1))])
+        model.logits(as_inputs(model, [((vector_view([0.0] * 4, MODALITY_V), EntityPair(0, 1)), 0)])[0])
 
 
 def test_shared_attention_flag_changes_parameter_count():
@@ -212,18 +231,18 @@ def batched_cases():
 def test_batched_gradients_match_finite_differences():
     for model, batch in batched_cases():
         assert len(batch) == 3
-        assert grad_check(model, batch) < 1e-4
+        assert grad_check(model, *as_inputs(model, batch)) < 1e-4
 
 
 def test_a_batch_equals_its_rows_one_at_a_time():
     # the per-sample path as the reference: logits row by row, gradients as the mean
     for model, batch in batched_cases():
-        logits = model.logits([inputs for inputs, _ in batch])
-        losses, grads = model.loss_and_grads(batch)
+        logits = model.logits(as_inputs(model, batch)[0])
+        losses, grads = model.loss_and_grads(*as_inputs(model, batch))
         assert logits.shape == (3, 3) and losses.shape == (3,)
-        singles = [model.loss_and_grads([sample]) for sample in batch]
-        for b, (inputs, _) in enumerate(batch):
-            np.testing.assert_allclose(logits[b], model.logits([inputs])[0], atol=1e-12)
+        singles = [model.loss_and_grads(*as_inputs(model, [sample])) for sample in batch]
+        for b, sample in enumerate(batch):
+            np.testing.assert_allclose(logits[b], model.logits(as_inputs(model, [sample])[0])[0], atol=1e-12)
             assert abs(losses[b] - singles[b][0][0]) < 1e-12
         assert sorted(grads) == sorted(model.params)
         for key in grads:
@@ -235,15 +254,59 @@ def test_student_rejects_ragged_sets():
     rng = derive_rng(6, "ragged")
     model = StudentModel(derive_rng(6, "ragged-init"), schema())
     with pytest.raises(ValueError, match="same number of synthetic views"):
-        model.logits([student_sample(rng, 3)[0], student_sample(rng, 4)[0]])
+        model.logits(as_inputs(model, [student_sample(rng, 3), student_sample(rng, 4)])[0])
     with pytest.raises(ValueError, match="same number of synthetic views"):
-        model.loss_and_grads([student_sample(rng, 2), student_sample(rng, 1)])
+        model.loss_and_grads(*as_inputs(model, [student_sample(rng, 2), student_sample(rng, 1)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(("teacher", "student", "unimodal")),
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(1, 6),
+    n_views=st.integers(1, 4),
+    v_kind=st.sampled_from(("vector", "discrete")),
+)
+def test_batched_logits_match_row_by_row_and_training_repeats(kind, seed, n_rows, n_views, v_kind):
+    rng = derive_rng(seed, "prop-data")
+    sch = schema(v_kind)
+    real = ViewBatch("vector", MODALITY_U, rng.normal(size=(n_rows, 3)))
+    v_data = rng.normal(size=(n_rows * n_views, 4)) if v_kind == "vector" else rng.integers(4, size=(n_rows * n_views, 5))
+    synth = ViewBatch(v_kind, MODALITY_V, v_data)
+    subj, obj, labels = rng.integers(5, size=n_rows), rng.integers(5, size=n_rows), rng.integers(3, size=n_rows)
+
+    def fresh():
+        init = derive_rng(seed, "prop-init")
+        if kind == "teacher":
+            model = TeacherModel(init, sch)
+            return model, model.inputs(synth.take(np.arange(n_rows)), subj, obj)
+        if kind == "student":
+            model = StudentModel(init, sch, shared_attention=bool(seed % 2))
+            sets = [synth.take(np.arange(b * n_views, (b + 1) * n_views)) for b in range(n_rows)]
+            return model, model.inputs(real, sets, subj, obj)
+        model = UnimodalModel(init, sch)
+        return model, model.inputs(real, subj, obj)
+
+    model, inputs = fresh()
+    logits = model.logits(inputs)
+    assert logits.shape == (n_rows, 3)
+    for b in range(n_rows):
+        (single,) = model.logits(tuple(a[b : b + 1] for a in inputs))
+        assert np.max(np.abs(single - logits[b])) <= 1e-12 * np.max(np.abs(logits[b]))
+
+    def fit():
+        model, inputs = fresh()
+        config = TrainConfig(learning_rate=0.05, steps=4, batch_size=2, weight_decay=0.01, seed=seed)
+        model, losses = train(model, inputs, labels, config)
+        return param_digest(model.params), losses.tobytes()
+
+    assert fit() == fit()
 
 
 def test_empty_batch_rejected():
     model = TeacherModel(derive_rng(0, "empty-batch"), schema())
     with pytest.raises(ValueError, match="at least one sample"):
-        model.logits([])
+        model.logits(model.inputs(ViewBatch("vector", MODALITY_V, np.empty((0, 4))), [], []))
 
 
 # --- training ------------------------------------------------------------------------
@@ -259,39 +322,41 @@ class TinyLinearModel:
         }
 
     def logits(self, inputs):
-        return np.stack(inputs) @ self.params["w"].T + self.params["b"]
+        (x,) = inputs
+        return x @ self.params["w"].T + self.params["b"]
 
-    def loss_and_grads(self, batch):
-        x = np.stack([inputs for inputs, _ in batch])
-        losses, dlogits = softmax_xent(self.logits(x), [label for _, label in batch])
-        dlogits /= len(batch)
+    def loss_and_grads(self, inputs, labels):
+        (x,) = inputs
+        losses, dlogits = softmax_xent(self.logits(inputs), labels)
+        dlogits /= len(labels)
         return losses, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
 
 
 def separable_toy(n=40, seed=0):
+    """``((xs,), ys)``: the toy model's inputs and labels."""
     rng = derive_rng(seed, "toy")
     xs = np.vstack([rng.normal(size=(n // 2, 2)) + [3.0, 0.0], rng.normal(size=(n // 2, 2)) - [3.0, 0.0]])
     ys = np.array([0] * (n // 2) + [1] * (n // 2))
-    return [(xs[i], int(ys[i])) for i in range(n)]
+    return (xs,), ys
 
 
 def test_training_solves_a_separable_linear_toy():
-    samples = separable_toy()
+    inputs, labels = separable_toy()
     model = TinyLinearModel(derive_rng(0, "toy-init"), 2)
     config = TrainConfig(learning_rate=0.1, steps=120, batch_size=10)
-    model, losses = train(model, samples, config)
-    predictions = list(np.argmax(model.logits([x for x, _ in samples]), axis=1))
-    assert predictions == [y for _, y in samples]
-    assert losses.shape == (len(samples),)
+    model, losses = train(model, inputs, labels, config)
+    predictions = list(np.argmax(model.logits(inputs), axis=1))
+    assert predictions == list(labels)
+    assert losses.shape == (len(labels),)
 
 
 def test_zero_learning_rate_is_a_null_update():
-    samples = separable_toy(20, seed=1)
+    inputs, labels = separable_toy(20, seed=1)
     model = TinyLinearModel(derive_rng(1, "null-init"), 2)
     before = {k: v.copy() for k, v in model.params.items()}
-    initial_losses = model.loss_and_grads(samples)[0]
+    initial_losses = model.loss_and_grads(inputs, labels)[0]
     config = TrainConfig(learning_rate=0.0, steps=50, batch_size=8)
-    model, losses = train(model, samples, config)
+    model, losses = train(model, inputs, labels, config)
     for key in before:
         np.testing.assert_array_equal(model.params[key], before[key])
     np.testing.assert_allclose(losses, initial_losses, atol=1e-15)
@@ -303,7 +368,7 @@ def test_training_is_bit_deterministic():
         rng = derive_rng(7, "det-data")
         samples = [teacher_sample(rng) for _ in range(12)]
         config = TrainConfig(learning_rate=0.05, steps=25, batch_size=6, seed=7)
-        model, losses = train(model, samples, config, rng_stream=("teacher-train", 0))
+        model, losses = train(model, *as_inputs(model, samples), config, rng_stream=("teacher-train", 0))
         return param_digest(model.params), losses
 
     digest_a, losses_a = run()
@@ -317,10 +382,8 @@ def test_returned_losses_are_frozen_final_pass():
     rng = derive_rng(8, "frozen-data")
     samples = [teacher_sample(rng) for _ in range(10)]
     config = TrainConfig(learning_rate=0.05, steps=20, batch_size=4)
-    model, losses = train(model, samples, config)
-    recomputed, _ = softmax_xent(
-        model.logits([inputs for inputs, _ in samples]), [label for _, label in samples]
-    )
+    model, losses = train(model, *as_inputs(model, samples), config)
+    recomputed, _ = softmax_xent(model.logits(as_inputs(model, samples)[0]), [label for _, label in samples])
     np.testing.assert_array_equal(losses, recomputed)
 
 
@@ -333,15 +396,15 @@ def test_training_reduces_mean_loss():
         label = int(rng.integers(3))
         view = vector_view(rng.normal(size=4) + 2.0 * label, MODALITY_V)
         samples.append(((view, rand_entities(rng)), label))
-    initial = float(np.mean(model.loss_and_grads(samples)[0]))
-    _, losses = train(model, samples, TrainConfig(learning_rate=0.05, steps=80, batch_size=10))
+    initial = float(np.mean(model.loss_and_grads(*as_inputs(model, samples))[0]))
+    _, losses = train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=80, batch_size=10))
     assert float(losses.mean()) < initial
 
 
 def test_empty_sample_list_rejected():
     model = TinyLinearModel(derive_rng(0, "e"), 2)
     with pytest.raises(ValueError):
-        train(model, [], TrainConfig())
+        train(model, (np.empty((0, 2)),), [], TrainConfig())
 
 
 def test_nan_loss_aborts_with_step_number():
@@ -350,13 +413,13 @@ def test_nan_loss_aborts_with_step_number():
             self.params = {"w": np.zeros(1)}
 
         def logits(self, inputs):
-            return np.zeros((len(inputs), 2))
+            return np.zeros((len(inputs[0]), 2))
 
-        def loss_and_grads(self, batch):
-            return np.full(len(batch), np.nan), {"w": np.zeros(1)}
+        def loss_and_grads(self, inputs, labels):
+            return np.full(len(labels), np.nan), {"w": np.zeros(1)}
 
     with pytest.raises(TrainingDivergedError) as err:
-        train(PoisonModel(), [(0, 0)], TrainConfig(steps=3))
+        train(PoisonModel(), (np.zeros((1, 1)),), [0], TrainConfig(steps=3))
     assert "step 0" in str(err.value)
 
 
@@ -365,12 +428,12 @@ def test_nan_loss_aborts_with_step_number():
     [(("teacher-train", 0), "teacher, selection 0"), (("student-train",), "student"), (("unimodal-train",), "unimodal")],
 )
 def test_divergence_names_the_phase_without_numpy_warnings(rng_stream, phase):
-    samples = separable_toy(20, seed=2)
+    inputs, labels = separable_toy(20, seed=2)
     model = TinyLinearModel(derive_rng(2, "diverge-init"), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TrainingDivergedError) as err:
-            train(model, samples, TrainConfig(learning_rate=1e308, steps=5, batch_size=5), rng_stream=rng_stream)
+            train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=5, batch_size=5), rng_stream=rng_stream)
     assert err.value.phase == phase
     assert str(err.value).startswith(f"{phase} training: ")
 
@@ -378,20 +441,20 @@ def test_divergence_names_the_phase_without_numpy_warnings(rng_stream, phase):
 def test_divergence_in_the_last_step_is_caught():
     # the last update is never followed by a checked step; the final frozen
     # pass must not hand back non-finite losses
-    samples = separable_toy(20, seed=2)
+    inputs, labels = separable_toy(20, seed=2)
     model = TinyLinearModel(derive_rng(2, "diverge-init"), 2)
     with pytest.raises(TrainingDivergedError) as err:
-        train(model, samples, TrainConfig(learning_rate=1e308, steps=1, batch_size=5))
+        train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=1, batch_size=5))
     assert err.value.step == 1
 
 
 def test_cosine_decay_changes_the_trajectory():
-    samples = separable_toy(20, seed=2)
+    inputs, labels = separable_toy(20, seed=2)
 
     def run(cosine):
         model = TinyLinearModel(derive_rng(2, "cos-init"), 2)
         config = TrainConfig(learning_rate=0.1, steps=30, batch_size=5, cosine_decay=cosine)
-        model, _ = train(model, samples, config)
+        model, _ = train(model, inputs, labels, config)
         return param_digest(model.params)
 
     assert run(False) != run(True)
@@ -402,6 +465,46 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_flat_adamw_matches_a_per_key_update(tmp_path):
+    rng = derive_rng(3, "adamw")
+    params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "idle": rng.normal(size=(2, 2))}
+    reference = {key: w.copy() for key, w in params.items()}
+    cfg = TrainConfig(weight_decay=0.1)
+    optimizer = AdamW(params, cfg)
+    m = {key: np.zeros_like(w) for key, w in reference.items()}
+    v = {key: np.zeros_like(w) for key, w in reference.items()}
+    for t in range(1, 7):
+        grads = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}  # "idle" has no gradient
+        lr = 0.05 / t
+        optimizer.step(grads, lr)
+        for key, w in reference.items():
+            g = grads.get(key, np.zeros_like(w))
+            m[key] = cfg.beta1 * m[key] + (1 - cfg.beta1) * g
+            v[key] = cfg.beta2 * v[key] + (1 - cfg.beta2) * g * g
+            m_hat = m[key] / (1 - cfg.beta1**t)
+            v_hat = v[key] / (1 - cfg.beta2**t)
+            w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
+        for key in reference:
+            assert params[key].shape == reference[key].shape
+            assert params[key].tobytes() == reference[key].tobytes()
+    assert all(np.shares_memory(w, optimizer.flat) for w in params.values())
+
+    path = tmp_path / "flat.npz"
+    save_params(params, path)
+    loaded = load_params(path)
+    assert sorted(loaded) == sorted(params)
+    assert all(loaded[key].tobytes() == params[key].tobytes() for key in params)
+
+    # after training the model's params are views into the optimizer's
+    # buffer; the finite-difference check perturbs them in place, so a
+    # perturbation that missed the model would read as a zero gradient
+    model = TeacherModel(derive_rng(3, "adamw-init"), schema())
+    samples = [teacher_sample(derive_rng(3, "adamw-data", i)) for i in range(6)]
+    train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=5, batch_size=3, weight_decay=0.1))
+    assert len({id(w.base) for w in model.params.values()}) == 1
+    assert grad_check(model, *as_inputs(model, samples[:2])) < 1e-4
 
 
 # --- checkpoints -----------------------------------------------------------------------

@@ -529,7 +529,7 @@ def test_generation_depends_only_on_the_instance_and_round(
         for instance in instances:
             student = RecordingStudent(tiny_run.schema)
             infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, scorer)
-            out[instance.id] = [view.data.tobytes() for view in student.calls[0]]
+            out[instance.id] = [row.tobytes() for row in student.calls[0].data]
         return out
 
     full = curate(tiny_run.train)
@@ -590,9 +590,9 @@ def test_single_view_fusion_still_trains(tiny_run):
     step = run_round0(tiny_run.train, tiny_run.g_uv, config)
     step = run_ccg_round(step, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     student = train_student(step, config, scorer)
-    logits = student.logits(
-        [(tiny_run.train[0].real_view, tuple(step[0].synthetic_pool.v_rows([0]).views()), tiny_run.train[0].entities)]
-    )
+    instance = tiny_run.train[0]
+    real, synth = stack_views([instance.real_view]), [step[0].synthetic_pool.v_rows([0])]
+    logits = student.logits(student.inputs(real, synth, instance.entities.subject, instance.entities.object))
     assert logits.shape == (1, tiny_run.schema.class_count)
 
 
@@ -648,15 +648,15 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
     picked = []
     real_train = pipeline_module.train
 
-    def recording_train(model, samples, *args, **kwargs):
-        picked.extend(views for (_, views, _), _ in samples)
-        return real_train(model, samples, *args, **kwargs)
+    def recording_train(model, inputs, *args, **kwargs):
+        picked.extend(inputs[1])
+        return real_train(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "train", recording_train)
     train_student(step, config, scorer)
     for instance, views, entry in zip(step, picked, rounds[-1].per_instance):
         kept = instance.synthetic_pool.v_rows(list(entry.kept_ids)).data
-        assert sorted(v.data.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
+        assert sorted(v.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
 
 
 # --- identity channels -------------------------------------------------------------
@@ -702,10 +702,10 @@ def test_identity_channels_copy_the_real_view_everywhere():
             assert np.all(side.data == instance.real_view.data)
     # identical inputs at train and test time give the training-time prediction
     for instance in instances:
-        synthetic = tuple(
-            discrete_view(instance.real_view.data, "v") for _ in range(config.infer_views)
-        )
-        train_time = int(np.argmax(result.student.logits([(instance.real_view, synthetic, instance.entities)])))
+        synthetic = stack_views([discrete_view(instance.real_view.data, "v")] * config.infer_views)
+        e = instance.entities
+        inputs = result.student.inputs(stack_views([instance.real_view]), [synthetic], e.subject, e.object)
+        train_time = int(np.argmax(result.student.logits(inputs)))
         predicted = infer(result.student, instance, g_uv, g_vu, config, scorer)
         assert predicted == Label(train_time)
 
@@ -718,9 +718,12 @@ class RecordingStudent:
         self.schema = schema
         self.calls = []
 
+    def inputs(self, real, synth, subj, obj):
+        (views,) = synth
+        self.calls.append(views)
+        return ()
+
     def logits(self, inputs):
-        ((real, synth, entities),) = inputs
-        self.calls.append(synth)
         return np.array([[0.0, 1.0, 0.0]])
 
 
@@ -739,8 +742,9 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     expected = generated_views(instance, tiny_run.g_uv, config).data[:2]
     (got,) = student.calls
     assert len(got) == 2
-    for view, want in zip(got, expected):
-        assert view.modality == "v" and np.array_equal(view.data, want)
+    assert got.modality == "v"
+    for row, want in zip(got.data, expected):
+        assert np.array_equal(row, want)
 
 
 def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
@@ -752,24 +756,25 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     scorer.teacher = teacher
     infer(student, instance, tiny_run.g_uv, None, config, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
-    logits = teacher.logits([(v, instance.entities) for v in views.views()])
+    logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
     scores = list(-np.max(log_softmax(logits), axis=1))
     order = sorted(range(len(views)), key=lambda i: (scores[i], i))
     (got,) = student.calls
     assert len(got) == 3
-    for view, want_idx in zip(got, order[:3]):
-        assert np.array_equal(view.data, views.data[want_idx])
+    for row, want_idx in zip(got.data, order[:3]):
+        assert np.array_equal(row, views.data[want_idx])
 
 
 def test_infer_appends_real_view_unscored(tiny_run):
     config = tiny_config(infer_generate=4, infer_views=1)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[2]
-    (real_v,) = sample_channel(tiny_run.g_uv, stack_views([instance.real_view]), derive_rng(123, "aux")).views()
+    (row,) = sample_channel(tiny_run.g_uv, stack_views([instance.real_view]), derive_rng(123, "aux")).data
+    real_v = vector_view(row, "v")
     infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema), real_v=real_v)
     (got,) = student.calls
     assert len(got) == 2
-    assert got[-1].equals(real_v)
+    assert np.array_equal(got.data[-1], real_v.data)
 
 
 def test_infer_rejects_mismatched_real_view(tiny_run):
@@ -793,10 +798,10 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
     for _ in range(config.ccg_rounds):
         expected = sample_channel(tiny_run.g_uv, sample_channel(tiny_run.g_vu, expected, rng), rng)
     (got,) = student.calls
-    for view, want in zip(got, expected.data):
-        assert np.array_equal(view.data, want)
+    for row, want in zip(got.data, expected.data):
+        assert np.array_equal(row, want)
     plain = generated_views(instance, tiny_run.g_uv, config)
-    assert not np.array_equal(got[0].data, plain.data[0])
+    assert not np.array_equal(got.data[0], plain.data[0])
 
 
 def test_infer_full_chain_needs_the_return_channel(tiny_run):
@@ -821,7 +826,7 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     instance = tiny_run.test[0]
     views = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 10), derive_rng(50, "aux"))
     confidence = scorer.scores(instance, views, "infer-pick")
-    logits = teacher.logits([(v, instance.entities) for v in views.views()])
+    logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
     losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
     assert np.all(np.array(confidence) <= losses + 1e-12)
 

@@ -139,7 +139,7 @@ def test_similarity_kept_set_matches_sort_oracle():
     emb = embedder()
     kept, _ = split(similarity_scores(views, real, emb), 0.5)
     anchor = emb.embed(real)
-    sims = [cosine_similarity(emb.embed(v), anchor) for v in views.views()]
+    sims = [cosine_similarity(emb.embed(vector_view(row, MODALITY_V)), anchor) for row in views.data]
     oracle = sorted(range(10), key=lambda i: (-sims[i], i))[:5]
     assert kept == sorted(oracle)
 
