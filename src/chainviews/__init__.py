@@ -123,7 +123,6 @@ from .selection import (
     POLICY_NAMES,
     RandomLinearEmbedder,
     SelectionError,
-    SelectionPolicy,
     keep_count,
     rank_keep,
 )

@@ -75,14 +75,13 @@ def _load(args, k_override: int | None = None) -> ExperimentConfig:
         overrides["out_dir"] = args.out
     mapping = merge_overrides(read_config_mapping(args.config), overrides)
     if k_override is not None:
-        section = dict(mapping.get("pipeline") or {})
-        section["ccg_rounds"] = k_override
+        mapping = merge_overrides(mapping, {"pipeline": {"ccg_rounds": k_override}})
+        section = mapping["pipeline"]  # a copy; a non-mapping section is a ConfigError
         spawn = section.get("spawn_per_kept")
-        if spawn is not None:
-            spawn = list(spawn)[:k_override]
+        if isinstance(spawn, list):  # anything else is parse_config's to reject
+            spawn = spawn[:k_override]
             spawn += [1] * (k_override - len(spawn))
             section["spawn_per_kept"] = spawn
-        mapping["pipeline"] = section
     return parse_config(mapping, source=str(args.config))
 
 
@@ -111,8 +110,6 @@ def cmd_gen_benchmark(args) -> int:
     world, _, _, v_spec = build_world(config)
     files = {}
     for stream, n in (("train", config.train_per_class), ("test", config.test_per_class)):
-        if n <= 0:
-            continue
         instances, schema = generate_benchmark(
             world, n, v_spec, stream=stream, none_class=config.none_class
         )

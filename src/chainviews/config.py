@@ -18,14 +18,15 @@ Channel specs are tagged mappings::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Mapping
 
 import numpy as np
 import yaml
 
 from .channels import (
     BenchmarkWorld,
+    ChannelError,
     ComposedChannel,
     DiscreteChannel,
     LinearGaussianChannel,
@@ -36,7 +37,7 @@ from .channels import (
     PRESET_NAMES,
 )
 from .datamodel import MODALITY_U, MODALITY_V, ViewSpec, read_dataset
-from .models import TrainConfig
+from .models import TrainConfig, check_int, check_number, is_real
 from .pipeline import CONDITIONS, PipelineConfig, config_hash
 
 
@@ -57,24 +58,9 @@ _TOP_KEYS = {
     "ablation",
     "diversity",
 }
-_PIPELINE_KEYS = {
-    "ccg_rounds",
-    "initial_views",
-    "spawn_per_kept",
-    "keep_fraction",
-    "policy",
-    "train_views",
-    "infer_views",
-    "infer_generate",
-    "teacher",
-    "student",
-    "shared_attention",
-    "teacher_warm_start",
-    "infer_full_chain",
-    "pca_dim",
-    "gmm_components",
-}
-_TRAIN_KEYS = {"learning_rate", "steps", "batch_size", "weight_decay", "cosine_decay"}
+# the YAML spells policy_name "policy"; the seed is top-level, workers a flag
+_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"seed", "workers", "policy_name"} | {"policy"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
 
 def _require_mapping(value, where: str) -> Mapping:
@@ -84,114 +70,141 @@ def _require_mapping(value, where: str) -> Mapping:
 
 
 def _reject_unknown(mapping: Mapping, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(map(str, set(mapping) - allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+
+
+def _ints(value, where: str, low: int) -> tuple[int, ...]:
+    """A YAML list of integers of at least ``low`` (0 or 1)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of integers, got {value!r}")
+    return tuple(check_int(f"{where} entries", v, low, ConfigError) for v in value)
+
+
+def _array(spec: Mapping, key: str, where: str, ndim: int) -> np.ndarray:
+    """``spec[key]``, a non-empty ``ndim``-deep list of finite numbers, as floats."""
+    value = spec[key]
+    cells = np.array(value, dtype=object) if isinstance(value, (list, tuple)) else np.empty(0)
+    if cells.ndim != ndim or not cells.size or not all(map(is_real, cells.flat)):  # a ragged list has too few dims
+        raise ConfigError(f"{where}.{key} must be a {ndim}-d list of finite numbers, got {value!r}")
+    return cells.astype(np.float64)
 
 
 # --- channel specs -------------------------------------------------------------
 
 
-def _spec_out(spec: Mapping) -> ViewSpec:
+def _stages(spec: Mapping, where: str) -> list:
+    stages = spec["stages"]
+    if not isinstance(stages, list) or not stages:
+        raise ConfigError(f"{where}.stages: compose needs a list of at least one stage, got {stages!r}")
+    return stages
+
+
+def _spec_out(spec, where: str) -> ViewSpec:
     """Output shape a tagged channel spec implies, for composition chains."""
-    kind = spec.get("kind")
+    kind = _require_mapping(spec, where).get("kind")
     if kind == "discrete":
-        return ViewSpec("discrete", len(np.asarray(spec["matrix"], dtype=np.float64)[0]))
+        return ViewSpec("discrete", _array(spec, "matrix", where, 2).shape[1])
     if kind == "linear_gaussian":
-        return ViewSpec("vector", len(np.asarray(spec["weight"], dtype=np.float64)))
+        return ViewSpec("vector", len(_array(spec, "weight", where, 2)))
     if kind == "prototype_collapse":
-        return ViewSpec("vector", np.asarray(spec["prototypes"], dtype=np.float64).shape[1])
+        return ViewSpec("vector", _array(spec, "prototypes", where, 2).shape[1])
     if kind == "mixture":
-        return _spec_out(_require_mapping(spec["a"], "mixture.a"))
+        return _spec_out(spec["a"], f"{where}.a")
     if kind == "compose":
-        stages = spec["stages"]
-        if not stages:
-            raise ConfigError("compose needs at least one stage")
-        return _spec_out(_require_mapping(stages[-1], "compose.stages[-1]"))
-    raise ConfigError(f"unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
+        return _spec_out(_stages(spec, where)[-1], f"{where}.stages[-1]")
+    raise ConfigError(f"{where}: unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
 
 
-def channel_from_spec(spec: Mapping, in_port: Port, out_port: Port):
-    """Build a channel from its tagged mapping, anchored to the given ports."""
-    spec = _require_mapping(spec, "channel spec")
+def channel_from_spec(spec: Mapping, in_port: Port, out_port: Port, where: str = "channel"):
+    """Build a channel from its tagged mapping, anchored to the given ports.
+    Errors name the spec's keys under ``where`` (e.g. ``channels.u_to_v``)."""
+    spec = _require_mapping(spec, where)
     kind = spec.get("kind")
     try:
         if kind == "discrete":
-            _reject_unknown(spec, {"kind", "matrix"}, "discrete channel")
-            return DiscreteChannel(spec["matrix"], in_port, out_port)
+            _reject_unknown(spec, {"kind", "matrix"}, where)
+            return DiscreteChannel(_array(spec, "matrix", where, 2), in_port, out_port)
         if kind == "linear_gaussian":
-            _reject_unknown(spec, {"kind", "weight", "bias", "noise_sigma"}, "linear_gaussian channel")
-            weight = np.asarray(spec["weight"], dtype=np.float64)
-            bias = spec.get("bias")
-            if bias is None:
-                bias = np.zeros(weight.shape[0])
-            return LinearGaussianChannel(weight, bias, float(spec["noise_sigma"]), in_port, out_port)
+            _reject_unknown(spec, {"kind", "weight", "bias", "noise_sigma"}, where)
+            weight = _array(spec, "weight", where, 2)
+            bias = np.zeros(weight.shape[0]) if spec.get("bias") is None else _array(spec, "bias", where, 1)
+            sigma = check_number(f"{where}.noise_sigma", spec["noise_sigma"], ConfigError)
+            return LinearGaussianChannel(weight, bias, sigma, in_port, out_port)
         if kind == "prototype_collapse":
-            _reject_unknown(
-                spec,
-                {"kind", "prototypes", "temperature", "jitter_sigma", "projection"},
-                "prototype_collapse channel",
-            )
+            _reject_unknown(spec, {"kind", "prototypes", "temperature", "jitter_sigma", "projection"}, where)
             projection = spec.get("projection")
             return PrototypeCollapseChannel(
-                spec["prototypes"],
-                float(spec["temperature"]),
-                float(spec["jitter_sigma"]),
+                _array(spec, "prototypes", where, 2),
+                check_number(f"{where}.temperature", spec["temperature"], ConfigError),
+                check_number(f"{where}.jitter_sigma", spec["jitter_sigma"], ConfigError),
                 in_port,
                 out_port,
-                projection=None if projection is None else np.asarray(projection, dtype=np.float64),
+                projection=None if projection is None else _array(spec, "projection", where, 2),
             )
         if kind == "mixture":
-            _reject_unknown(spec, {"kind", "branch_prob", "a", "b"}, "mixture channel")
-            a = channel_from_spec(spec["a"], in_port, out_port)
-            b = channel_from_spec(spec["b"], in_port, out_port)
-            return MixtureChannel(float(spec["branch_prob"]), a, b)
+            _reject_unknown(spec, {"kind", "branch_prob", "a", "b"}, where)
+            a = channel_from_spec(spec["a"], in_port, out_port, f"{where}.a")
+            b = channel_from_spec(spec["b"], in_port, out_port, f"{where}.b")
+            return MixtureChannel(check_number(f"{where}.branch_prob", spec["branch_prob"], ConfigError), a, b)
         if kind == "compose":
-            _reject_unknown(spec, {"kind", "stages"}, "compose channel")
-            stages_spec = list(spec["stages"])
-            if not stages_spec:
-                raise ConfigError("compose needs at least one stage")
+            _reject_unknown(spec, {"kind", "stages"}, where)
+            stages_spec = _stages(spec, where)
             stages = []
             cursor = in_port
             for i, stage_spec in enumerate(stages_spec):
+                at = f"{where}.stages[{i}]"
                 last = i == len(stages_spec) - 1
-                stage_out = out_port if last else Port(_spec_out(stage_spec), out_port.modality)
-                stages.append(channel_from_spec(stage_spec, cursor, stage_out))
+                stage_out = out_port if last else Port(_spec_out(stage_spec, at), out_port.modality)
+                stages.append(channel_from_spec(stage_spec, cursor, stage_out, at))
                 cursor = stage_out
             return ComposedChannel(stages)
     except KeyError as exc:
-        raise ConfigError(f"channel spec {kind!r} missing key {exc.args[0]!r}") from exc
-    raise ConfigError(f"unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
+        raise ConfigError(f"{where} ({kind}) missing key {exc.args[0]!r}") from exc
+    except ChannelError as exc:
+        raise ConfigError(f"{where} ({kind}): {exc}") from exc
+    raise ConfigError(f"{where}: unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
 
 
 # --- worlds --------------------------------------------------------------------
 
 
 def world_from_custom(custom: Mapping, seed: int) -> tuple[BenchmarkWorld, ViewSpec]:
-    custom = _require_mapping(custom, "world.custom")
+    where = "world.custom"
+    custom = _require_mapping(custom, where)
     _reject_unknown(
         custom,
         {"name", "class_means", "within_class_sigma", "entity_vocab", "entity_pairs_by_class", "v_size"},
-        "world.custom",
+        where,
     )
     try:
-        class_means = np.asarray(custom["class_means"], dtype=np.float64)
-        pairs = tuple(
-            tuple((int(s), int(o)) for s, o in per_class)
-            for per_class in custom["entity_pairs_by_class"]
-        )
+        class_means = _array(custom, "class_means", where, 2)
+        pairs = custom["entity_pairs_by_class"]
+        if not isinstance(pairs, list) or not all(
+            isinstance(per, list) and all(isinstance(p, list) and len(p) == 2 for p in per) for per in pairs
+        ):
+            raise ConfigError(
+                f"{where}.entity_pairs_by_class must list [subject, object] pairs per class, got {pairs!r}"
+            )
+        pairs = tuple(tuple(_ints(pair, f"{where}.entity_pairs_by_class", 0) for pair in per) for per in pairs)
+        sigma = check_number(f"{where}.within_class_sigma", custom["within_class_sigma"], ConfigError)
+        vocab = check_int(f"{where}.entity_vocab", custom["entity_vocab"], 1, ConfigError)
+        v_spec = ViewSpec("vector", check_int(f"{where}.v_size", custom["v_size"], 1, ConfigError))
+    except KeyError as exc:
+        raise ConfigError(f"{where} missing key {exc.args[0]!r}") from exc
+    try:
         world = BenchmarkWorld(
             name=str(custom.get("name", "custom")),
             class_count=class_means.shape[0],
             class_means=class_means,
-            within_class_sigma=float(custom["within_class_sigma"]),
-            entity_vocab=int(custom["entity_vocab"]),
+            within_class_sigma=float(sigma),
+            entity_vocab=vocab,
             entity_pairs_by_class=pairs,
             seed=seed,
         )
-        v_spec = ViewSpec("vector", int(custom["v_size"]))
-    except KeyError as exc:
-        raise ConfigError(f"world.custom missing key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return world, v_spec
 
 
@@ -222,11 +235,10 @@ def _parse_train_config(mapping, where: str, base: TrainConfig) -> TrainConfig:
         return base
     mapping = _require_mapping(mapping, where)
     _reject_unknown(mapping, _TRAIN_KEYS, where)
-    fields = {}
-    for key in _TRAIN_KEYS:
-        if key in mapping:
-            fields[key] = mapping[key]
-    return replace(base, **fields)
+    try:
+        return replace(base, **mapping)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_pipeline(mapping, seed: int) -> PipelineConfig:
@@ -240,9 +252,9 @@ def _parse_pipeline(mapping, seed: int) -> PipelineConfig:
     if "policy" in mapping:
         kwargs["policy_name"] = str(mapping["policy"])
     if "spawn_per_kept" in mapping:
-        kwargs["spawn_per_kept"] = tuple(int(g) for g in mapping["spawn_per_kept"])
+        kwargs["spawn_per_kept"] = _ints(mapping["spawn_per_kept"], "pipeline.spawn_per_kept", 0)
     elif "ccg_rounds" in mapping:
-        rounds = int(mapping["ccg_rounds"])
+        rounds = check_int("pipeline.ccg_rounds", mapping["ccg_rounds"], 0, ConfigError)
         default = PipelineConfig.__dataclass_fields__["spawn_per_kept"].default
         kwargs["spawn_per_kept"] = default if rounds == len(default) else tuple([1] * rounds)
     kwargs["teacher"] = _parse_train_config(mapping.get("teacher"), "pipeline.teacher", base.teacher)
@@ -250,7 +262,7 @@ def _parse_pipeline(mapping, seed: int) -> PipelineConfig:
     try:
         return PipelineConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"pipeline: {exc}") from exc
 
 
 def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
@@ -259,9 +271,7 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
 
     if "seed" not in mapping or mapping["seed"] is None:
         raise ConfigError("seed required: set a top-level integer 'seed'")
-    seed = mapping["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_int("seed", mapping["seed"], 0, ConfigError)
 
     world = mapping.get("world")
     dataset = mapping.get("dataset")
@@ -299,25 +309,27 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
 
     data = _require_mapping(mapping.get("data", {}), "data")
     _reject_unknown(data, {"train_per_class", "test_per_class", "none_class"}, "data")
+    train_per_class = check_int("data.train_per_class", data.get("train_per_class", 35), 1, ConfigError)
+    test_per_class = check_int("data.test_per_class", data.get("test_per_class", 75), 1, ConfigError)
+    none_class = data.get("none_class")
+    none_class = None if none_class is None else check_int("data.none_class", none_class, 0, ConfigError)
 
     ablation = _require_mapping(mapping.get("ablation", {}), "ablation")
     _reject_unknown(ablation, {"seeds", "conditions"}, "ablation")
-    conditions = tuple(str(c) for c in ablation.get("conditions", CONDITIONS))
-    bad = [c for c in conditions if c not in CONDITIONS]
+    conditions = ablation.get("conditions", CONDITIONS)
+    bad = [c for c in conditions if c not in CONDITIONS] if isinstance(conditions, (list, tuple)) else [conditions]
     if bad:
         raise ConfigError(
             f"unknown ablation conditions {bad}; valid names: {', '.join(CONDITIONS)}"
         )
-    seeds = tuple(int(s) for s in ablation.get("seeds", range(10)))
+    seeds = _ints(ablation.get("seeds", list(range(10))), "ablation.seeds", 0)
     if not seeds:
         raise ConfigError("ablation.seeds must not be empty")
 
     diversity = _require_mapping(mapping.get("diversity", {}), "diversity")
     _reject_unknown(diversity, {"pca_dims", "components"}, "diversity")
-    pca_dims = tuple(int(d) for d in diversity.get("pca_dims", (2, 4)))
-    components = tuple(int(n) for n in diversity.get("components", (3,)))
-    if any(d < 1 for d in pca_dims) or any(n < 1 for n in components):
-        raise ConfigError("diversity grid entries must be positive")
+    pca_dims = _ints(diversity.get("pca_dims", (2, 4)), "diversity.pca_dims", 1)
+    components = _ints(diversity.get("components", (3,)), "diversity.components", 1)
 
     pipeline = _parse_pipeline(mapping.get("pipeline"), seed)
     canonical = _canonical(mapping)
@@ -331,12 +343,12 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         world_custom=custom,
         dataset_paths=dataset_paths,
         channel_specs=channels,
-        train_per_class=int(data.get("train_per_class", 35)),
-        test_per_class=int(data.get("test_per_class", 75)),
-        none_class=data.get("none_class"),
+        train_per_class=train_per_class,
+        test_per_class=test_per_class,
+        none_class=none_class,
         pipeline=pipeline,
         ablation_seeds=seeds,
-        ablation_conditions=conditions,
+        ablation_conditions=tuple(conditions),
         diversity_pca_dims=pca_dims,
         diversity_components=components,
         digest=digest,
@@ -412,10 +424,12 @@ def build_world(config: ExperimentConfig, seed: int | None = None):
     if config.channel_specs is not None:
         u_port = Port(ViewSpec("vector", world.u_dim), MODALITY_U)
         v_port = Port(v_spec, MODALITY_V)
-        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port)
-        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port)
+        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port, "channels.u_to_v")
+        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port, "channels.v_to_u")
     if g_uv is None or g_vu is None:
         raise ConfigError("custom worlds need a 'channels' section")
+    if config.none_class is not None and config.none_class >= world.class_count:
+        raise ConfigError(f"data.none_class {config.none_class} is not one of the world's {world.class_count} classes")
     return world, g_uv, g_vu, v_spec
 
 
@@ -430,8 +444,8 @@ def load_experiment_data(config: ExperimentConfig):
             raise ConfigError("train and test datasets disagree on their schema")
         u_port = Port(schema.u_spec, MODALITY_U)
         v_port = Port(schema.v_spec, MODALITY_V)
-        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port)
-        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port)
+        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port, "channels.u_to_v")
+        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port, "channels.v_to_u")
         return train_instances, test_instances, schema, g_uv, g_vu
 
     world, g_uv, g_vu, v_spec = build_world(config)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from .rng import derive_rng
 
 DEFAULT_CELL_CAP = 1_000_000
@@ -240,17 +241,16 @@ def verify_classifier_bound(
     weights = np.zeros((world.class_count, world.alphabet))
     m = np.zeros_like(weights)
     v2 = np.zeros_like(weights)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     for t in range(1, train_steps + 1):
         z = weights - weights.max(axis=0, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=0, keepdims=True)
         grad = (p * col_total - counts) / n_train
-        m = beta1 * m + (1 - beta1) * grad
-        v2 = beta2 * v2 + (1 - beta2) * grad**2
-        m_hat = m / (1 - beta1**t)
-        v_hat = v2 / (1 - beta2**t)
-        weights -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+        v2 = ADAM_BETA2 * v2 + (1 - ADAM_BETA2) * grad**2
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v2 / (1 - ADAM_BETA2**t)
+        weights -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     logits = weights[:, v_eval]  # (C, n_eval)
     shifted = logits - logits.max(axis=0, keepdims=True)

@@ -3,11 +3,12 @@
 The teacher never sees the real view: it classifies a synthetic view from
 the entity pair and the view alone, so its per-sample loss measures how much
 label evidence survived the generation chain. The student fuses the real
-view with a *set* of synthetic views through shared single-query
-cross-attention: entity-conditioned queries built from the real encoding
-attend over the synthetic encodings, the two attended vectors are
-concatenated, and a feedforward stage plus linear head produce logits. The
-unimodal baseline is the student with the synthetic branch removed.
+view with a *set* of synthetic views through one single-query
+cross-attention block: the subject and object queries, each built from the
+real encoding and one entity, attend over the synthetic encodings with the
+same weights, the two attended vectors are concatenated, and a feedforward
+stage plus linear head produce logits. The unimodal baseline is the student
+with the synthetic branch removed.
 
 All three expose ``params``, ``inputs(...)``, ``logits(inputs)`` and
 ``loss_and_grads(inputs, labels)``, which is what :func:`train` and the
@@ -17,7 +18,8 @@ arrays -- the teacher's ``(x_v, subj, obj)``, the student's ``(x_u, x_v,
 subj, obj)`` with ``x_v`` ``(B, N, d)``, the unimodal model's ``(x_u, subj,
 obj)`` -- and ``logits`` maps that tuple to ``(B, C)``. Each model has one
 ``_forward`` and one ``_backward``, so a batch of one takes the same path
-as a training batch.
+as a training batch. :func:`train` runs Adam on the mean batch loss at a
+constant learning rate.
 """
 
 from __future__ import annotations
@@ -155,12 +157,11 @@ class TeacherModel:
 
 
 class StudentModel:
-    """Real-view plus synthetic-set fusion via shared cross-attention.
+    """Real-view plus synthetic-set fusion via cross-attention.
 
     A row is a u-side real view, a non-empty set of ``N`` v-side views (the
-    same ``N`` in every row) and an entity pair.
-    ``shared_attention=False`` gives the subject and object queries separate
-    attention blocks; the default shares one block across both applications.
+    same ``N`` in every row) and an entity pair. The subject and object
+    queries share one attention block.
     """
 
     def __init__(
@@ -177,12 +178,10 @@ class StudentModel:
         value_dim: int = 8,
         ff_hidden: int = 16,
         ff_dim: int = 12,
-        shared_attention: bool = True,
     ):
         if query_dim != value_dim:
             raise ValueError("the residual around the attention needs query_dim == value_dim")
         self.schema = schema
-        self.shared_attention = shared_attention
         self.params: Params = {}
         self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
         mlp_init(self.params, rng, "uenc", schema.u_spec.size, real_hidden, real_dim)
@@ -190,8 +189,6 @@ class StudentModel:
         linear_init(self.params, rng, "qsub", real_dim + emb_dim, query_dim)
         linear_init(self.params, rng, "qobj", real_dim + emb_dim, query_dim)
         attention_init(self.params, rng, "attn", query_dim, synth_dim, key_dim, value_dim)
-        if not shared_attention:
-            attention_init(self.params, rng, "attn2", query_dim, synth_dim, key_dim, value_dim)
         mlp_init(self.params, rng, "ff", 2 * value_dim, ff_hidden, ff_dim)
         linear_init(self.params, rng, "head", ff_dim, schema.class_count)
         self._emb_dim = emb_dim
@@ -226,9 +223,8 @@ class StudentModel:
         rows, c_rows = mlp_forward(self.params, "venc", x_v.reshape(-1, x_v.shape[2]))
         matrix = rows.reshape(x_v.shape[0], x_v.shape[1], rows.shape[1])
 
-        attn2 = "attn" if self.shared_attention else "attn2"
         att_sub, c_att_sub = cross_attention(self.params, "attn", q_sub, matrix, matrix)
-        att_obj, c_att_obj = cross_attention(self.params, attn2, q_obj, matrix, matrix)
+        att_obj, c_att_obj = cross_attention(self.params, "attn", q_obj, matrix, matrix)
 
         # residual around the attention: the query (real view + entity) stays
         # on the path to the head even when every synthetic view is junk
@@ -305,32 +301,54 @@ class UnimodalModel:
 # --- training -----------------------------------------------------------------
 
 
+def check_int(name: str, value, low: int, error=ValueError):
+    """``value`` if it is an integer (not a bool) of at least ``low``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value!r}")
+    return value
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_number(name: str, value, error=ValueError):
+    """``value`` if it is a finite non-negative real number."""
+    if not (is_real(value) and value >= 0):
+        raise error(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
     steps: int = 200
     batch_size: int = 32
-    weight_decay: float = 0.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cosine_decay: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be non-negative")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
+        check_number("learning_rate", self.learning_rate)
+        check_int("steps", self.steps, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Adam with decoupled weight decay (it never enters the moment
-    estimates). The values of ``params`` become reshaped views into one flat
-    buffer, so a step is one update over all parameters."""
+    """Adam with betas 0.9 and 0.999 and eps 1e-8 (``ADAM_BETA1``,
+    ``ADAM_BETA2``, ``ADAM_EPS``) -- AdamW with no weight decay. The values
+    of ``params`` become reshaped views into one flat buffer, so a step is
+    one update over all parameters."""
 
-    def __init__(self, params: Params, config: TrainConfig):
-        self.config = config
+    def __init__(self, params: Params):
         self.flat = np.concatenate([np.ravel(w) for w in params.values()])
         self.sizes, offset = {}, 0
         for key, w in params.items():
@@ -342,26 +360,18 @@ class AdamW:
         self.t = 0
 
     def step(self, grads: Grads, lr: float) -> None:
-        cfg = self.config
         self.t += 1
         g = np.concatenate([np.ravel(grads[k]) if k in grads else np.zeros(n) for k, n in self.sizes.items()])
-        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * g
-        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * g * g
-        m_hat = self.m / (1 - cfg.beta1**self.t)
-        v_hat = self.v / (1 - cfg.beta2**self.t)
-        w = self.flat
-        w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
-
-
-def _learning_rate(config: TrainConfig, step: int) -> float:
-    if not config.cosine_decay or config.steps <= 1:
-        return config.learning_rate
-    progress = step / (config.steps - 1)
-    return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        self.flat -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train",)):
-    """Run AdamW on mean batch loss; returns (model, per_sample_losses).
+    """Run Adam on mean batch loss at ``config.learning_rate``; returns
+    (model, per_sample_losses).
 
     ``inputs`` is the model's tuple of row arrays (see its ``inputs``) and
     ``labels`` one class index per row; nothing is featurized here. Each
@@ -380,7 +390,7 @@ def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train"
     if any(len(a) != n for a in inputs):
         raise ValueError(f"every input array needs one row per label ({n})")
     rng = derive_rng(config.seed, *rng_stream)
-    optimizer = AdamW(model.params, config)
+    optimizer = AdamW(model.params)
     order = rng.permutation(n)
     cursor = 0
     # a diverging run overflows before its loss turns non-finite; the check
@@ -395,7 +405,7 @@ def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train"
             losses, grads = model.loss_and_grads(tuple(a[batch] for a in inputs), labels[batch])
             if not np.isfinite(losses).all():
                 raise TrainingDivergedError(step, rng_stream)
-            optimizer.step(grads, _learning_rate(config, step))
+            optimizer.step(grads, config.learning_rate)
 
         losses, _ = softmax_xent(model.logits(inputs), labels)
         if not np.isfinite(losses).all():  # the last step diverged

@@ -33,14 +33,15 @@ from typing import Sequence
 import numpy as np
 
 from .channels import generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, View, ViewBatch
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, ViewBatch
 from .diversity import StageDiversity, diversity_report
-from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
+from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
 from .nn import featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng
 from .selection import (
+    POLICY_NAMES,
     RandomLinearEmbedder,
-    SelectionPolicy,
+    SelectionError,
     keep_count,
     rank_keep,
     random_scores,
@@ -61,37 +62,38 @@ class PipelineConfig:
     """Knobs for one curation run; see the module docstring for the loop."""
 
     ccg_rounds: int = 2  # selection+generation rounds after the initial batch
-    initial_views: int = 30
+    initial_views: int = 30  # round-0 views per instance, and test-time candidates
     spawn_per_kept: tuple[int, ...] = (4, 1)  # children per kept view, one entry per round
     keep_fraction: float = 0.6
     policy_name: str = "teacher_loss"
     train_views: int = 6  # synthetic views fed to the student per instance
     infer_views: int = 6  # synthetic views fused per test instance
-    infer_generate: int | None = None  # candidates generated at test time (None: initial_views)
     teacher: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=0.02, steps=250, batch_size=48))
     student: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=0.01, steps=350, batch_size=32))
     seed: int = 0
-    shared_attention: bool = True
-    teacher_warm_start: bool = False  # reuse the previous round's teacher weights
     infer_full_chain: bool = False  # test-time views pass through the whole chain
     pca_dim: int = 2
     gmm_components: int = 3
     workers: int = 1  # accepted for compatibility; has no effect (all work runs on one thread)
 
     def __post_init__(self):
-        if self.ccg_rounds < 0:
-            raise ValueError("ccg_rounds must be >= 0")
-        if len(self.spawn_per_kept) != self.ccg_rounds:
-            raise ValueError(
-                f"spawn_per_kept needs exactly {self.ccg_rounds} entries, got {len(self.spawn_per_kept)}"
+        for name in ("ccg_rounds", "seed"):
+            check_int(name, getattr(self, name), 0)
+        for name in ("initial_views", "train_views", "infer_views", "pca_dim", "gmm_components", "workers"):
+            check_int(name, getattr(self, name), 1)
+        if not isinstance(self.spawn_per_kept, tuple) or len(self.spawn_per_kept) != self.ccg_rounds:
+            raise ValueError(f"spawn_per_kept needs {self.ccg_rounds} entries, got {self.spawn_per_kept!r}")
+        for g in self.spawn_per_kept:
+            check_int("spawn_per_kept entries", g, 0)
+        if not isinstance(self.infer_full_chain, bool):
+            raise ValueError(f"infer_full_chain must be true or false, got {self.infer_full_chain!r}")
+        if self.policy_name not in POLICY_NAMES:
+            raise SelectionError(f"unknown policy {self.policy_name!r}; choose one of {POLICY_NAMES}")
+        # keep_all keeps every candidate, so there the fraction is only type-checked
+        if not is_real(self.keep_fraction) or (self.policy_name != "keep_all" and not 0.0 < self.keep_fraction <= 1.0):
+            raise SelectionError(
+                f"keep_fraction must be a finite number in (0, 1] (any under keep_all), got {self.keep_fraction!r}"
             )
-        if any(g < 0 for g in self.spawn_per_kept):
-            raise ValueError("spawn counts must be non-negative")
-        if self.initial_views < 1 or self.train_views < 1 or self.infer_views < 1:
-            raise ValueError("view counts must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        SelectionPolicy(self.policy_name, self.keep_fraction)  # validates both
 
     def to_dict(self) -> dict:
         """Every field but ``workers``, which never changes a result."""
@@ -157,17 +159,11 @@ def parallel_map(fn, items: Sequence) -> list:
 # --- metrics -----------------------------------------------------------------
 
 
-def compute_metrics(
-    predictions: Sequence[int],
-    labels: Sequence[int],
-    schema: DatasetSchema,
-    include_none: bool = False,
-) -> dict:
+def compute_metrics(predictions: Sequence[int], labels: Sequence[int], schema: DatasetSchema) -> dict:
     """Accuracy plus micro precision/recall/F1.
 
-    When the schema names a none-of-the-above class it is excluded from the
-    micro counts by default (predicting "none" for a "none" instance earns
-    nothing); pass ``include_none=True`` to count it like any other class.
+    When the schema names a none-of-the-above class it is left out of the
+    micro counts (predicting "none" for a "none" instance earns nothing).
     Empty denominators yield 0.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
@@ -175,10 +171,9 @@ def compute_metrics(
     if predictions.shape != labels.shape or predictions.ndim != 1 or predictions.shape[0] == 0:
         raise ValueError("predictions and labels must be equal-length non-empty vectors")
     accuracy = float(np.mean(predictions == labels))
-    excluded = None if include_none else schema.none_class
     tp = fp = fn = 0
     for c in range(schema.class_count):
-        if c == excluded:
+        if c == schema.none_class:
             continue
         tp += int(np.sum((predictions == c) & (labels == c)))
         fp += int(np.sum((predictions == c) & (labels != c)))
@@ -206,28 +201,26 @@ def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
 
 
 class Scorer:
-    """A run's selection policy, read once from its config, as a scoring
+    """The run's selection policy, ``config.policy_name``, as a scoring
     function.
 
     Scores are lower-is-better and ``rank_keep`` breaks ties by index. The
     teacher-loss policy scores a selection's candidates by the frozen
-    final-pass losses of a teacher trained on them (``teacher`` holds the
-    latest, ``None`` until the first selection; ``teacher_warm_start`` trains
-    it further instead of a fresh one), the student's pick by those stored
-    losses and test-time views by the teacher's confidence. The other
-    policies score every step alike: similarity to the real view, or a
-    uniform draw per (step, instance); keep_all keeps every candidate, so its
-    selection scores are all zero.
+    final-pass losses of a fresh teacher trained on them (``teacher`` holds
+    the latest, ``None`` until the first selection), the student's pick by
+    those stored losses and test-time views by the teacher's confidence. The
+    other policies score every step alike: similarity to the real view under
+    an 8-wide random embedding, or a uniform draw per (step, instance);
+    keep_all keeps every candidate, so its selection scores are all zero.
     """
 
     def __init__(self, config: PipelineConfig, schema: DatasetSchema):
         self.config = config
-        self.policy = SelectionPolicy(config.policy_name)
         self.schema = schema
         self.teacher: TeacherModel | None = None
         self.embedder = (
-            RandomLinearEmbedder(schema.u_spec, schema.v_spec, self.policy.embed_dim, seed=config.seed)
-            if self.policy.name == "similarity"
+            RandomLinearEmbedder(schema.u_spec, schema.v_spec, seed=config.seed)
+            if config.policy_name == "similarity"
             else None
         )
 
@@ -236,7 +229,7 @@ class Scorer:
         at the student's pick ("student-pick", where ``stored`` holds the
         views' stored teacher losses) or at test time ("infer-pick").
         Teacher-loss selections go through ``select``."""
-        name = self.policy.name
+        name = self.config.policy_name
         if name == "similarity":
             return similarity_scores(views, instance.real_view, self.embedder)
         if name == "teacher_loss":
@@ -255,14 +248,13 @@ class Scorer:
     def select(self, instances: Sequence[Instance], live: list[np.ndarray], selection_index: int) -> list[list[float]]:
         """Per-instance scores of the live candidates (pool indices) at one
         selection."""
-        if not self.policy.needs_teacher:
+        if self.config.policy_name != "teacher_loss":
             return [
                 self.scores(inst, inst.synthetic_pool.v_rows(ids), selection_index)
                 for inst, ids in zip(instances, live)
             ]
         seed = self.config.seed
-        if not (self.config.teacher_warm_start and self.teacher is not None):
-            self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
+        self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
         batches = [inst.synthetic_pool.v_rows(ids) for inst, ids in zip(instances, live)]
         counts = [len(ids) for ids in live]
         subj, obj, labels = _per_row(instances, counts)
@@ -363,9 +355,9 @@ def run_ccg_round(
     records, kept = [], []
     for idx, instance in enumerate(instances):
         ids = live[idx]
-        k = len(ids) if scorer.policy.name == "keep_all" else keep_count(config.keep_fraction, len(ids))
+        k = len(ids) if config.policy_name == "keep_all" else keep_count(config.keep_fraction, len(ids))
         kept.append(ids[sorted(rank_keep(scores[idx], k))])
-        losses = scores[idx] if scorer.policy.needs_teacher else None
+        losses = scores[idx] if config.policy_name == "teacher_loss" else None
         instances[idx] = replace(instance, synthetic_pool=instance.synthetic_pool.judged(ids, losses, kept[-1]))
         records.append(InstanceSelectionRecord(instance.id, tuple(ids.tolist()), tuple(scores[idx]), tuple(kept[-1].tolist())))
     if rounds is not None:
@@ -428,9 +420,7 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
             )
         ranked = ids[scored][rank_keep(scores[scored].tolist(), n_train)]
         synth.append(pool.v_rows(ranked))
-    student = StudentModel(
-        derive_rng(config.seed, "student-init"), scorer.schema, shared_attention=config.shared_attention
-    )
+    student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
     inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)
     train(student, inputs, labels, replace(config.student, seed=config.seed), rng_stream=("student-train",))
@@ -444,30 +434,25 @@ def infer(
     g_vu,
     config: PipelineConfig,
     scorer: Scorer,
-    real_v: View | None = None,
 ) -> Label:
     """Classify one test instance.
 
-    Fresh views come from the round-0 channel, or from the whole chain when
-    ``config.infer_full_chain`` (which needs ``g_vu``), one batch per hop on
-    the instance's own ``"infer-gen"`` stream. ``scorer`` keeps the
-    ``config.infer_views`` best: under teacher loss the ones its teacher
-    classifies most confidently (the first generated without a teacher),
-    under similarity the closest to the real view, otherwise a uniform draw.
-    A real v-side view, when supplied, joins the set unscored.
+    ``config.initial_views`` fresh views come from the round-0 channel, or
+    from the whole chain when ``config.infer_full_chain`` (which needs
+    ``g_vu``), one batch per hop on the instance's own ``"infer-gen"``
+    stream. ``scorer`` keeps the ``config.infer_views`` best: under teacher
+    loss the ones its teacher classifies most confidently (the first
+    generated without a teacher), under similarity the closest to the real
+    view, otherwise a uniform draw.
     """
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
     rng = derive_rng(config.seed, "infer-gen", instance.id)
-    views = sample_channel(g_uv, stack_views([instance.real_view] * (config.infer_generate or config.initial_views)), rng)
+    views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
     if config.infer_full_chain:
         for _ in range(config.ccg_rounds):
             views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
     chosen = views.take(rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views))
-    if real_v is not None:
-        if real_v.modality != MODALITY_V or not real_v.matches(student.schema.v_spec):
-            raise PipelineError("appended real view does not match the synthetic-side spec")
-        chosen = ViewBatch(chosen.kind, MODALITY_V, np.concatenate([chosen.data, real_v.data[None]]))
     e = instance.entities
     (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
     return Label(int(np.argmax(logits)))
@@ -711,8 +696,10 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def save_report(report: RunReport, path) -> None:
+    """Write ``report.json`` as one line: ``json.dumps`` without ``indent``
+    takes the C encoder."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_dict(report), handle, indent=2, sort_keys=False)
+        handle.write(json.dumps(report_to_dict(report)))
         handle.write("\n")
 
 

@@ -15,7 +15,6 @@ scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -97,23 +96,3 @@ def similarity_scores(views: ViewBatch, real_view: View, embedder) -> list[float
 def random_scores(n: int, seed: int, *stream: int | str) -> list[float]:
     rng = derive_rng(seed, "random-selection", *stream)
     return list(rng.random(n))
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """A validated policy name plus its keep fraction and, for the
-    similarity policy, the embedding width."""
-
-    name: str
-    keep_fraction: float = 0.6
-    embed_dim: int = 8
-
-    def __post_init__(self):
-        if self.name not in POLICY_NAMES:
-            raise SelectionError(f"unknown policy {self.name!r}; choose one of {POLICY_NAMES}")
-        if self.name != "keep_all" and not (0.0 < self.keep_fraction <= 1.0):
-            raise SelectionError("keep_fraction must be in (0, 1]")
-
-    @property
-    def needs_teacher(self) -> bool:
-        return self.name == "teacher_loss"

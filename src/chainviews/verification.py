@@ -279,7 +279,6 @@ def check_gradient_student(seed: int = 0, n_cases: int = 10) -> CheckResult:
             value_dim=4,
             ff_hidden=6,
             ff_dim=5,
-            shared_attention=bool(i % 2),
         )
         worst = max(worst, grad_check(model, *_student_sample(model, rng)))
     threshold = 1e-4

@@ -1,5 +1,8 @@
 """The command-line front-end, driven in-process through main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
 import warnings
 from pathlib import Path
@@ -7,10 +10,15 @@ from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainviews.nn
 from chainviews.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, main
 from chainviews.datamodel import read_dataset
+
+
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"
 
 
 def write_yaml(path, mapping):
@@ -440,8 +448,7 @@ def test_diversity_rejects_a_symbol_outside_the_alphabet(run_artifacts, tmp_path
 
 @pytest.mark.parametrize("model, phase", [("teacher", "teacher, selection 0"), ("student", "student")])
 def test_diverging_training_exits_2_and_names_the_phase(tmp_path, capsys, model, phase):
-    quick = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"
-    mapping = yaml.safe_load(quick.read_text(encoding="utf-8"))
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
     mapping["pipeline"][model]["learning_rate"] = 1.0e300
     config = write_yaml(tmp_path / "diverge.yaml", mapping)
     with warnings.catch_warnings(record=True) as caught:
@@ -459,3 +466,188 @@ def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     config = write_yaml(tmp_path / "wide.yaml", mapping)
     assert main(["diversity", "--config", config]) == EXIT_USAGE
     assert "exceeds the synthetic view size" in capsys.readouterr().err
+
+
+# --- malformed config values ---------------------------------------------------------
+
+
+def custom_world_mapping(out_dir):
+    """A two-class custom world with explicit channels, one of them composed,
+    and the tiny pipeline: every world, channel and data key in one config."""
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    custom = {
+        "class_means": [[2.0, 0.0], [-2.0, 0.0]],
+        "within_class_sigma": 0.5,
+        "entity_vocab": 2,
+        "entity_pairs_by_class": [[[0, 1]], [[1, 0]]],
+        "v_size": 2,
+    }
+    stage = {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.3}
+    return tiny_mapping(
+        out_dir,
+        world={"custom": custom},
+        channels={"u_to_v": {**stage, "bias": [0.0, 0.0]}, "v_to_u": {"kind": "compose", "stages": [stage]}},
+    )
+
+
+def with_value(mapping, path, value):
+    node = mapping
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return mapping
+
+
+def run_exit_and_stderr(mapping, directory: Path) -> tuple[int, str]:
+    config = write_yaml(directory / "bad.yaml", mapping)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", config, "--out", str(directory / "out")])
+    return code, err.getvalue()
+
+
+def test_the_custom_world_config_runs(tmp_path):
+    assert run_exit_and_stderr(custom_world_mapping(tmp_path / "out"), tmp_path) == (EXIT_OK, "")
+
+
+RAGGED = [[1.0, 0.0], [0.0]]
+HUGE = 10**400  # a YAML integer too large for a float
+
+MALFORMED = [
+    # (base config, key path, value): each must fail as the config is read,
+    # not with a raw TypeError/ValueError or after the whole run
+    ("quick", ("pipeline", "ccg_rounds"), "two"),
+    ("quick", ("pipeline", "initial_views"), "x"),
+    ("quick", ("pipeline", "keep_fraction"), "half"),
+    ("quick", ("pipeline", "spawn_per_kept"), 3),
+    ("quick", ("pipeline", "spawn_per_kept"), ["a"]),
+    ("quick", ("pipeline", "teacher", "learning_rate"), "fast"),
+    ("quick", ("pipeline", "teacher", "steps"), 2.5),
+    ("quick", ("pipeline", "student", "batch_size"), 0),
+    ("quick", ("pipeline", "pca_dim"), 0),
+    ("quick", ("pipeline", "gmm_components"), 0),
+    ("quick", ("data", "train_per_class"), "x"),
+    ("quick", ("data", "none_class"), "x"),
+    ("quick", ("diversity", "pca_dims"), ["a"]),
+    ("quick", ("ablation",), {"seeds": 3}),
+    ("custom", ("channels", "u_to_v", "noise_sigma"), "x"),
+    ("custom", ("channels", "u_to_v", "weight"), RAGGED),
+    ("custom", ("channels", "v_to_u", "stages"), 5),
+    ("custom", ("world", "custom", "class_means"), "x"),
+    ("quick", ("pipeline", "teacher", "learning_rate"), HUGE),
+    ("custom", ("channels", "u_to_v", "weight"), [[HUGE, 0.0], [0.0, 1.0]]),
+    # keys of deleted settings; "no" is a string, not a bool
+    ("quick", ("pipeline", "teacher_warm_start"), True),
+    ("quick", ("pipeline", "infer_generate"), 4),
+    ("quick", ("pipeline", "shared_attention"), "no"),
+    ("quick", ("pipeline", "teacher", "weight_decay"), 0.01),
+    ("quick", ("pipeline", "student", "cosine_decay"), True),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value", MALFORMED, ids=[f"{'.'.join(path)}={value!r:.24}" for _, path, value in MALFORMED]
+)
+def test_malformed_config_values_exit_1_naming_the_key(tmp_path, base, path, value):
+    if base == "quick":
+        mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    else:
+        mapping = custom_world_mapping(tmp_path / "out")
+    code, err = run_exit_and_stderr(with_value(mapping, path, value), tmp_path)
+    assert code == EXIT_USAGE
+    key = path[-1] if path != ("ablation",) else "seeds"
+    assert err.startswith("error: ") and key in err, err
+
+
+def test_keep_fraction_must_be_a_number_under_every_policy(tmp_path):
+    # keep_all never reads the fraction, but a string there is still malformed
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["pipeline"].update(policy="keep_all", keep_fraction="half")
+    code, err = run_exit_and_stderr(mapping, tmp_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "keep_fraction" in err, err
+
+
+def test_ablate_and_the_k_flag_report_malformed_values_as_config_errors(tmp_path, capsys):
+    # --k rewrites the pipeline section and ablate builds its own benchmarks;
+    # both must leave malformed values to the config parser
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    config = write_yaml(tmp_path / "spawn.yaml", with_value(copy.deepcopy(mapping), ("pipeline", "spawn_per_kept"), 3))
+    assert main(["run", "--config", config, "--k", "2", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "pipeline.spawn_per_kept must be a list of integers" in capsys.readouterr().err
+    config = write_yaml(tmp_path / "list.yaml", {**mapping, "pipeline": [1, 2]})
+    assert main(["run", "--config", config, "--k", "2", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "pipeline must be a mapping, got list" in capsys.readouterr().err
+    config = write_yaml(tmp_path / "empty.yaml", with_value(mapping, ("data", "train_per_class"), 0))
+    assert main(["ablate", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "data.train_per_class must be a positive integer, got 0" in capsys.readouterr().err
+
+
+TEXT = st.text(alphabet="abxyz01 .-", max_size=4)
+
+
+def not_an_int(low):
+    return st.one_of(
+        TEXT, st.booleans(), st.floats(), st.none(), st.lists(st.integers(0, 3), max_size=2), st.integers(-5, low - 1)
+    )
+
+
+def not_a_number(positive=True):
+    too_low = st.floats(max_value=0.0) if positive else st.floats(max_value=-1e-6)
+    return st.one_of(
+        TEXT, st.booleans(), st.none(), st.lists(st.floats(0.1, 1.0), max_size=2), too_low, st.just(float("nan")), st.just(HUGE)
+    )
+
+
+NOT_A_MATRIX = st.one_of(
+    TEXT,
+    st.floats(),
+    st.none(),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.sampled_from(
+        [RAGGED, [["a", 1.0], [0.0, 1.0]], [[float("nan"), 0.0], [0.0, 1.0]], [[True, False], [0, 1]], [[HUGE, 0], [0, 1]]]
+    ),
+)
+
+# every value each key may never hold, for the custom-world config
+FUZZED = {
+    ("pipeline", "ccg_rounds"): not_an_int(0),
+    ("pipeline", "initial_views"): not_an_int(1),
+    ("pipeline", "train_views"): not_an_int(1),
+    ("pipeline", "infer_views"): not_an_int(1),
+    ("pipeline", "pca_dim"): not_an_int(1),
+    ("pipeline", "gmm_components"): not_an_int(1),
+    ("pipeline", "spawn_per_kept"): st.one_of(
+        TEXT, st.integers(), st.none(), st.lists(not_an_int(0), min_size=1, max_size=1), st.just([1, 1])
+    ),
+    ("pipeline", "keep_fraction"): st.one_of(not_a_number(), st.floats(min_value=1.0, exclude_min=True)),
+    ("pipeline", "policy"): st.one_of(TEXT, st.integers(), st.none()),
+    ("pipeline", "infer_full_chain"): st.one_of(TEXT, st.integers(), st.floats(), st.none()),
+    ("pipeline", "teacher", "steps"): not_an_int(0),
+    ("pipeline", "teacher", "batch_size"): not_an_int(1),
+    ("pipeline", "student", "learning_rate"): st.one_of(not_a_number(positive=False), st.just(float("inf"))),
+    ("data", "train_per_class"): not_an_int(1),
+    ("data", "test_per_class"): not_an_int(1),
+    ("data", "none_class"): st.one_of(TEXT, st.booleans(), st.floats(), st.integers(max_value=-1), st.integers(2, 50)),
+    ("world", "custom", "class_means"): NOT_A_MATRIX,
+    ("world", "custom", "within_class_sigma"): not_a_number(),
+    ("world", "custom", "entity_vocab"): not_an_int(1),
+    ("world", "custom", "v_size"): not_an_int(1),
+    ("world", "custom", "entity_pairs_by_class"): st.one_of(
+        TEXT, st.integers(), st.none(), st.sampled_from([[[0, 1]], [[["a", 1]]], [[[0, 1, 1]]], [[[0.5, 1]], [[1, 0]]]])
+    ),
+    ("channels", "u_to_v", "weight"): NOT_A_MATRIX,
+    ("channels", "u_to_v", "bias"): st.one_of(TEXT, st.floats(), st.just([1.0]), st.just([[1.0, 0.0]])),
+    ("channels", "u_to_v", "noise_sigma"): not_a_number(),
+    ("channels", "v_to_u", "stages"): st.one_of(TEXT, st.integers(), st.none(), st.just([]), st.just({"kind": "discrete"})),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(FUZZED)).flatmap(lambda path: st.tuples(st.just(path), FUZZED[path])))
+def test_every_malformed_pipeline_data_world_or_channel_value_exits_1(tmp_path_factory, case):
+    path, value = case
+    directory = tmp_path_factory.mktemp("fuzz")
+    code, err = run_exit_and_stderr(with_value(custom_world_mapping(directory / "out"), path, value), directory)
+    assert code == EXIT_USAGE, err
+    assert err.startswith("error: ") and path[-1] in err, err

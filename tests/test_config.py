@@ -176,7 +176,7 @@ def test_diversity_grid_validation():
     config = parse_config(base_mapping(diversity={"pca_dims": [2], "components": [1, 3]}))
     assert config.diversity_pca_dims == (2,)
     assert config.diversity_components == (1, 3)
-    with pytest.raises(ConfigError, match="must be positive"):
+    with pytest.raises(ConfigError, match="diversity.pca_dims entries must be a positive integer"):
         parse_config(base_mapping(diversity={"pca_dims": [0]}))
 
 

@@ -21,6 +21,9 @@ from chainviews.datamodel import (
     vector_view,
 )
 from chainviews.models import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamW,
     ModalityError,
     StudentModel,
@@ -96,7 +99,7 @@ def test_teacher_gradients_match_finite_differences():
 def test_student_gradients_match_finite_differences():
     for i in range(3):
         rng = derive_rng(i, "student-grad")
-        model = StudentModel(derive_rng(i, "student-init"), schema(), shared_attention=bool(i % 2))
+        model = StudentModel(derive_rng(i, "student-init"), schema())
         assert grad_check(model, *as_inputs(model, [student_sample(rng)])) < 1e-4
 
 
@@ -191,12 +194,6 @@ def test_unimodal_consumes_u_side_only():
         model.logits(as_inputs(model, [((vector_view([0.0] * 4, MODALITY_V), EntityPair(0, 1)), 0)])[0])
 
 
-def test_shared_attention_flag_changes_parameter_count():
-    shared = StudentModel(derive_rng(0, "s"), schema(), shared_attention=True)
-    split = StudentModel(derive_rng(0, "s"), schema(), shared_attention=False)
-    assert len(split.params) > len(shared.params)
-
-
 # --- batches ----------------------------------------------------------------------------
 #
 # Entity ids repeat across the batch (subject 2 three times, also as an
@@ -222,9 +219,7 @@ def unimodal_batch(rng):
 
 def batched_cases():
     yield TeacherModel(derive_rng(0, "batch-teacher"), schema()), teacher_batch(derive_rng(0, "batch-t"))
-    for shared in (True, False):
-        model = StudentModel(derive_rng(0, "batch-student"), schema(), shared_attention=shared)
-        yield model, student_batch(derive_rng(0, "batch-s"))
+    yield StudentModel(derive_rng(0, "batch-student"), schema()), student_batch(derive_rng(0, "batch-s"))
     yield UnimodalModel(derive_rng(0, "batch-uni"), schema()), unimodal_batch(derive_rng(0, "batch-u"))
 
 
@@ -281,7 +276,7 @@ def test_batched_logits_match_row_by_row_and_training_repeats(kind, seed, n_rows
             model = TeacherModel(init, sch)
             return model, model.inputs(synth.take(np.arange(n_rows)), subj, obj)
         if kind == "student":
-            model = StudentModel(init, sch, shared_attention=bool(seed % 2))
+            model = StudentModel(init, sch)
             sets = [synth.take(np.arange(b * n_views, (b + 1) * n_views)) for b in range(n_rows)]
             return model, model.inputs(real, sets, subj, obj)
         model = UnimodalModel(init, sch)
@@ -296,7 +291,7 @@ def test_batched_logits_match_row_by_row_and_training_repeats(kind, seed, n_rows
 
     def fit():
         model, inputs = fresh()
-        config = TrainConfig(learning_rate=0.05, steps=4, batch_size=2, weight_decay=0.01, seed=seed)
+        config = TrainConfig(learning_rate=0.05, steps=4, batch_size=2, seed=seed)
         model, losses = train(model, inputs, labels, config)
         return param_digest(model.params), losses.tobytes()
 
@@ -448,31 +443,25 @@ def test_divergence_in_the_last_step_is_caught():
     assert err.value.step == 1
 
 
-def test_cosine_decay_changes_the_trajectory():
-    inputs, labels = separable_toy(20, seed=2)
-
-    def run(cosine):
-        model = TinyLinearModel(derive_rng(2, "cos-init"), 2)
-        config = TrainConfig(learning_rate=0.1, steps=30, batch_size=5, cosine_decay=cosine)
-        model, _ = train(model, inputs, labels, config)
-        return param_digest(model.params)
-
-    assert run(False) != run(True)
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    # integer fields take integers only; the learning rate takes a finite number
+    for field, bad in (("steps", 2.5), ("steps", "3"), ("batch_size", True), ("seed", -1)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
+    for bad in ("fast", float("nan"), float("inf"), False, 10**400):  # 10**400 is too large for a float
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
 
 
 def test_flat_adamw_matches_a_per_key_update(tmp_path):
     rng = derive_rng(3, "adamw")
     params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "idle": rng.normal(size=(2, 2))}
     reference = {key: w.copy() for key, w in params.items()}
-    cfg = TrainConfig(weight_decay=0.1)
-    optimizer = AdamW(params, cfg)
+    optimizer = AdamW(params)
     m = {key: np.zeros_like(w) for key, w in reference.items()}
     v = {key: np.zeros_like(w) for key, w in reference.items()}
     for t in range(1, 7):
@@ -481,11 +470,11 @@ def test_flat_adamw_matches_a_per_key_update(tmp_path):
         optimizer.step(grads, lr)
         for key, w in reference.items():
             g = grads.get(key, np.zeros_like(w))
-            m[key] = cfg.beta1 * m[key] + (1 - cfg.beta1) * g
-            v[key] = cfg.beta2 * v[key] + (1 - cfg.beta2) * g * g
-            m_hat = m[key] / (1 - cfg.beta1**t)
-            v_hat = v[key] / (1 - cfg.beta2**t)
-            w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
+            m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g
+            v[key] = ADAM_BETA2 * v[key] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[key] / (1 - ADAM_BETA1**t)
+            v_hat = v[key] / (1 - ADAM_BETA2**t)
+            w -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         for key in reference:
             assert params[key].shape == reference[key].shape
             assert params[key].tobytes() == reference[key].tobytes()
@@ -502,7 +491,7 @@ def test_flat_adamw_matches_a_per_key_update(tmp_path):
     # perturbation that missed the model would read as a zero gradient
     model = TeacherModel(derive_rng(3, "adamw-init"), schema())
     samples = [teacher_sample(derive_rng(3, "adamw-data", i)) for i in range(6)]
-    train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=5, batch_size=3, weight_decay=0.1))
+    train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=5, batch_size=3))
     assert len({id(w.base) for w in model.params.values()}) == 1
     assert grad_check(model, *as_inputs(model, samples[:2])) < 1e-4
 

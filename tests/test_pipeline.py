@@ -22,7 +22,6 @@ from chainviews.datamodel import (
     dataset_to_string,
     discrete_view,
     validate_dataset,
-    vector_view,
 )
 from chainviews.models import TeacherModel
 from chainviews.nn import log_softmax, softmax_xent
@@ -99,11 +98,6 @@ def test_metrics_none_class_excluded_by_default():
     assert got["precision"] == pytest.approx(2 / 3)
     assert got["recall"] == pytest.approx(2 / 3)
     assert got["f1"] == pytest.approx(2 / 3)
-    # counting the none class turns micro precision/recall into plain accuracy
-    full = compute_metrics(preds, labels, schema, include_none=True)
-    assert full["precision"] == pytest.approx(0.6)
-    assert full["recall"] == pytest.approx(0.6)
-    assert full["f1"] == pytest.approx(0.6)
 
 
 def test_metrics_all_none_predictions_score_zero():
@@ -213,19 +207,6 @@ def test_fresh_teacher_initialization_differs_per_round(tiny_run):
     first = TeacherModel(derive_rng(seed, "teacher-init", 0), schema)
     second = TeacherModel(derive_rng(seed, "teacher-init", 1), schema)
     assert any(not np.array_equal(first.params[k], second.params[k]) for k in first.params)
-
-
-def test_warm_start_changes_later_rounds_only(tiny_run):
-    config = replace(tiny_run.config, teacher_warm_start=True)
-    warm = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config)
-    cold_rounds = tiny_run.result.report.rounds
-    warm_rounds = warm.report.rounds
-    for cold_entry, warm_entry in zip(cold_rounds[0].per_instance, warm_rounds[0].per_instance):
-        assert cold_entry.scores == warm_entry.scores
-    assert any(
-        cold_entry.scores != warm_entry.scores
-        for cold_entry, warm_entry in zip(cold_rounds[1].per_instance, warm_rounds[1].per_instance)
-    )
 
 
 # --- stage extraction -------------------------------------------------------------
@@ -434,9 +415,9 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
         {"policy_name": "random"},
         {"policy_name": "keep_all"},
         {"ccg_rounds": 0, "spawn_per_kept": ()},
-        {"teacher_warm_start": True, "infer_full_chain": True},
+        {"infer_full_chain": True},
     ],
-    ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "warm_full_chain"],
+    ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "full_chain"],
 )
 def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
     assert_stepwise_calls_reproduce_the_run(tiny_run, replace(tiny_run.config, **overrides))
@@ -447,13 +428,10 @@ def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
     spawns=st.lists(st.integers(0, 3), max_size=3),
     keep_fraction=st.sampled_from((0.2, 0.5, 0.6, 1.0)),
     policy_name=st.sampled_from(POLICY_NAMES),
-    warm_start=st.booleans(),
     full_chain=st.booleans(),
     train_views=st.integers(1, 4),
 )
-def test_stepwise_calls_reproduce_random_schedules(
-    tiny_run, spawns, keep_fraction, policy_name, warm_start, full_chain, train_views
-):
+def test_stepwise_calls_reproduce_random_schedules(tiny_run, spawns, keep_fraction, policy_name, full_chain, train_views):
     # every live candidate is scored at the student's pick, so the last
     # selection's survivors and their children bound train_views
     live = tiny_run.config.initial_views
@@ -465,7 +443,6 @@ def test_stepwise_calls_reproduce_random_schedules(
         spawn_per_kept=tuple(spawns),
         keep_fraction=keep_fraction,
         policy_name=policy_name,
-        teacher_warm_start=warm_start,
         infer_full_chain=full_chain,
         train_views=min(train_views, live),
     )
@@ -512,7 +489,7 @@ def test_generation_depends_only_on_the_instance_and_round(
         spawn_per_kept=tuple(spawns),
         policy_name=policy_name,
         infer_full_chain=full_chain,
-        infer_generate=4,
+        initial_views=4,
         infer_views=4,
     )
 
@@ -728,13 +705,12 @@ class RecordingStudent:
 
 
 def generated_views(instance, g_uv, config):
-    n_gen = config.infer_generate or config.initial_views
     rng = derive_rng(config.seed, "infer-gen", instance.id)
-    return sample_channel(g_uv, stack_views([instance.real_view] * n_gen), rng)
+    return sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
 
 
 def test_infer_without_teacher_takes_the_first_views(tiny_run):
-    config = tiny_config(infer_generate=5, infer_views=2)
+    config = tiny_config(initial_views=5, infer_views=2)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[0]
     label = infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
@@ -748,7 +724,7 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
 
 
 def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
-    config = tiny_config(infer_generate=6, infer_views=3)
+    config = tiny_config(initial_views=6, infer_views=3)
     teacher = TeacherModel(derive_rng(99, "probe"), tiny_run.schema)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[1]
@@ -765,31 +741,8 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
         assert np.array_equal(row, views.data[want_idx])
 
 
-def test_infer_appends_real_view_unscored(tiny_run):
-    config = tiny_config(infer_generate=4, infer_views=1)
-    student = RecordingStudent(tiny_run.schema)
-    instance = tiny_run.test[2]
-    (row,) = sample_channel(tiny_run.g_uv, stack_views([instance.real_view]), derive_rng(123, "aux")).data
-    real_v = vector_view(row, "v")
-    infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema), real_v=real_v)
-    (got,) = student.calls
-    assert len(got) == 2
-    assert np.array_equal(got.data[-1], real_v.data)
-
-
-def test_infer_rejects_mismatched_real_view(tiny_run):
-    config = tiny_config()
-    student = RecordingStudent(tiny_run.schema)
-    args = (tiny_run.test[0], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
-    with pytest.raises(PipelineError, match="does not match"):
-        # right shape, wrong side
-        infer(student, *args, real_v=tiny_run.test[0].real_view)
-    with pytest.raises(PipelineError, match="does not match"):
-        infer(student, *args, real_v=vector_view([0.0, 0.0, 0.0], "v"))
-
-
 def test_infer_full_chain_round_trips_each_view(tiny_run):
-    config = tiny_config(infer_generate=3, infer_views=3, infer_full_chain=True)
+    config = tiny_config(initial_views=3, infer_views=3, infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[3]
     infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
@@ -944,7 +897,7 @@ def test_report_round_trips_through_json(tiny_run, tmp_path):
     path = tmp_path / "report.json"
     save_report(tiny_run.result.report, path)
     text = path.read_text(encoding="utf-8")
-    assert text.endswith("\n")
+    assert text.endswith("\n") and text.count("\n") == 1  # one line
     assert json.loads(text) == report_to_dict(tiny_run.result.report)
     payload = json.loads(text)
     assert payload["condition"] == "full"
@@ -976,7 +929,7 @@ def test_pipeline_config_validation():
         tiny_config(ccg_rounds=1, spawn_per_kept=(-1,))
     with pytest.raises(ValueError, match="ccg_rounds"):
         tiny_config(ccg_rounds=-1, spawn_per_kept=())
-    with pytest.raises(ValueError, match="view counts"):
+    with pytest.raises(ValueError, match="initial_views must be a positive integer"):
         tiny_config(initial_views=0)
     with pytest.raises(ValueError, match="workers"):
         tiny_config(workers=0)

@@ -1,16 +1,18 @@
 """Keep-count arithmetic and the four selection policies, each a score per
 candidate ranked by ``rank_keep``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewBatch, ViewSpec, vector_view
+from chainviews.pipeline import PipelineConfig, Scorer
 from chainviews.rng import derive_rng
 from chainviews.selection import (
     POLICY_NAMES,
     RandomLinearEmbedder,
     SelectionError,
-    SelectionPolicy,
     cosine_similarity,
     keep_count,
     random_scores,
@@ -201,18 +203,34 @@ def test_keep_all_policy():
     assert rank_keep([0.0, 0.0], 2) == [0, 1]
 
 
-# --- policy object -------------------------------------------------------------------
+# --- the policy setting ----------------------------------------------------------------
 
 
 def test_policy_names_are_closed():
     assert set(POLICY_NAMES) == {"teacher_loss", "similarity", "random", "keep_all"}
     with pytest.raises(SelectionError, match="unknown policy"):
-        SelectionPolicy("clip")
+        PipelineConfig(policy_name="clip")
 
 
-def test_policy_fraction_validation():
+def test_policy_fraction_validation(small_schema, small_instance):
     with pytest.raises(SelectionError):
-        SelectionPolicy("teacher_loss", keep_fraction=0.0)
-    assert SelectionPolicy("teacher_loss", keep_fraction=1.0).keep_fraction == 1.0
-    assert SelectionPolicy("teacher_loss").needs_teacher
-    assert not SelectionPolicy("random").needs_teacher
+        PipelineConfig(policy_name="teacher_loss", keep_fraction=0.0)
+    # every out-of-range or non-numeric fraction is a SelectionError
+    for bad in (-0.5, 1.5, float("nan"), "half", None, 10**400):
+        with pytest.raises(SelectionError, match="keep_fraction"):
+            PipelineConfig(policy_name="teacher_loss", keep_fraction=bad)
+    assert PipelineConfig(policy_name="teacher_loss", keep_fraction=1.0).keep_fraction == 1.0
+    # keep_all keeps every candidate, so its fraction is never read and only
+    # has to be a finite number
+    assert PipelineConfig(policy_name="keep_all", keep_fraction=0.0).keep_fraction == 0.0
+    for bad in ("half", float("nan")):
+        with pytest.raises(SelectionError, match="keep_fraction"):
+            PipelineConfig(policy_name="keep_all", keep_fraction=bad)
+    # only the teacher-loss policy trains a teacher
+    live = [np.arange(2)]
+    pool = scored_pool([0.5, 0.25])
+    instance = replace(small_instance, synthetic_pool=pool)
+    for name in POLICY_NAMES:
+        scorer = Scorer(PipelineConfig(policy_name=name), small_schema)
+        scorer.select([instance], live, 0)
+        assert (scorer.teacher is not None) == (name == "teacher_loss")
