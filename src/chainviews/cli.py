@@ -97,6 +97,13 @@ def _condition_name(config: ExperimentConfig) -> str:
     }[policy]
 
 
+def _check_pca_dim(config: ExperimentConfig, v_spec) -> None:
+    """A run's diversity table projects the v-side views onto
+    ``pipeline.pca_dim`` components: no more than the views have."""
+    if config.pipeline.pca_dim > v_spec.size:
+        raise ConfigError(f"pipeline.pca_dim {config.pipeline.pca_dim} exceeds the v-side view size {v_spec.size}")
+
+
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -128,6 +135,7 @@ def cmd_run(args) -> int:
     config = _load(args, k_override=args.k)
     out = _out_dir(config, args.out)
     train_instances, test_instances, schema, g_uv, g_vu = load_experiment_data(config)
+    _check_pca_dim(config, schema.v_spec)
     pipeline = replace(config.pipeline, workers=args.workers)
     condition = _condition_name(config)
     result = run_pipeline(
@@ -164,7 +172,9 @@ def cmd_ablate(args) -> int:
     out = _out_dir(config, args.out)
 
     def make_world(seed: int):
-        return build_world(config, seed=seed)
+        world = build_world(config, seed=seed)
+        _check_pca_dim(config, world[3])
+        return world
 
     base = replace(config.pipeline, workers=args.workers)
     started = time.perf_counter()

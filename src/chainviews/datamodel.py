@@ -10,45 +10,42 @@ in pool order. That is everything later stages need to reconstruct how the
 pool evolved. A :class:`ViewBatch` is the same kind of matrix on its own:
 what a channel takes and returns.
 
-Datasets serialize to line-delimited JSON: the first line is the schema
-record, every following line is one instance. The encoding is canonical
-(fixed key order, shortest round-trip floats), so ``read(write(x))`` followed
-by another ``write`` is byte-identical. The columnar pool changes nothing in
-the file, which stays version 2. Layout of an instance line::
+Datasets are line-delimited JSON, format version 3 (the only one read): a
+schema line, then one line per instance, laid out as the pool is held::
 
-    {"id": 0, "label": 2, "subject": 1, "object": 5,
-     "real_view": {"kind": "vector", "data": [...]},
-     "synthetic_views": [
-        {"round": 0, "step": "u_to_v", "parent_id": -1,
-         "teacher_loss": 0.41, "survived": 2,
-         "view": {"kind": "vector", "data": [...]}},
-        ...]}
+    {"id": 0, "label": 2, "subject": 1, "object": 5, "real_view": M,
+     "pool": {"round": [0, 1, 1], "step": ["u_to_v", "v_to_u", "u_to_v"],
+              "parent_id": [-1, 0, 1], "teacher_loss": [0.41, null, null],
+              "survived": [2, 0, 0], "v": M, "u": M}}
 
-``parent_id`` is the pool index of the parent view; ``-1`` denotes the
-instance's real view. ``teacher_loss`` is present iff a teacher has scored
-the view. ``survived`` counts the consecutive selections that kept the view,
-starting with selection ``round``, the first one that judges it; a discarded
-view is never a candidate again, so the count is its whole selection
-history. Views on the "u" side of a ``v_to_u`` step are intermediate
-products, kept for provenance with ``survived`` 0.
+``M`` is ``{"kind", "shape": [rows, width], "data"}``, ``data`` the base64 of
+the rows' little-endian bytes (``<f8`` vectors, ``<i8`` symbols); the real
+view is one row and an empty side is ``null``. Decoded by hand::
 
-Version 1 files stored a boolean selection flag instead of ``survived``;
-they are read only when no instance holds synthetic views.
+    raw = base64.b64decode(m["data"])
+    dtype = "<f8" if m["kind"] == "vector" else "<i8"
+    matrix = np.frombuffer(raw, dtype).reshape(m["shape"])
+
+``parent_id`` -1 is the real view. ``teacher_loss`` is null until a teacher
+scores the view. ``survived`` counts the consecutive selections that kept
+the view from selection ``round``, the first that judges it, on; a discarded
+view is never a candidate again. ``v_to_u`` views are intermediate products,
+kept for provenance with ``survived`` 0. The encoding is canonical, so
+``write(read(write(x)))`` is byte-identical to ``write(x)``.
 """
 
 from __future__ import annotations
 
-import io
+import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MODALITY_U = "u"
 MODALITY_V = "v"
@@ -423,15 +420,12 @@ def validate_dataset(instances: Iterable[Instance], schema: DatasetSchema) -> Va
 
 # --- serialization ---------------------------------------------------------
 
-
-def _encode_spec(spec: ViewSpec) -> dict:
-    return {"kind": spec.kind, "size": spec.size}
+_WIRE = {"vector": np.dtype("<f8"), "discrete": np.dtype("<i8")}  # 8 bytes per element on disk
 
 
-def _int_field(record: dict, key: str, line: int) -> int:
-    """``record[key]`` as an int; bools, strings and non-integral numbers
-    are rejected rather than coerced."""
-    value = record[key]
+def _integer(value, key: str, line: int) -> int:
+    """``value``, read for ``key``, as an int; bools, strings and
+    non-integral numbers are rejected rather than coerced."""
     if type(value) is int:  # not a bool
         return value
     if isinstance(value, float) and value.is_integer():
@@ -441,133 +435,128 @@ def _int_field(record: dict, key: str, line: int) -> int:
 
 def _decode_spec(record: dict, line: int) -> ViewSpec:
     try:
-        return ViewSpec(kind=record["kind"], size=_int_field(record, "size", line))
+        return ViewSpec(kind=record["kind"], size=_integer(record["size"], "size", line))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad view spec: {exc}", line)
 
 
-def _encode_pool(pool: Pool) -> list[dict]:
-    sides = {MODALITY_V: pool.v, MODALITY_U: pool.u}
-    kinds = {m: side.kind for m, side in sides.items() if side is not None}
-    rows = {m: iter(side.data.tolist()) for m, side in sides.items() if side is not None}
-    records = []
-    for round_, step, parent, loss, survived in zip(
-        pool.round.tolist(), pool.step.tolist(), pool.parent_id.tolist(),
-        pool.teacher_loss.tolist(), pool.survived.tolist(),
-    ):
-        side = MODALITY_V if step == STEP_U_TO_V else MODALITY_U
-        record = {"round": round_, "step": step, "parent_id": parent}
-        if not math.isnan(loss):
-            record["teacher_loss"] = loss
-        record["survived"] = survived
-        record["view"] = {"kind": kinds[side], "data": next(rows[side])}
-        records.append(record)
-    return records
-
-
-def _encode_instance(instance: Instance) -> dict:
-    real = instance.real_view
-    return {
-        "id": instance.id,
-        "label": instance.label.value,
-        "subject": instance.entities.subject,
-        "object": instance.entities.object,
-        "real_view": {"kind": real.kind, "data": real.data.tolist()},
-        "synthetic_views": _encode_pool(instance.synthetic_pool),
-    }
-
-
-_JSON_TYPES = {"vector": ({int, float}, "numbers"), "discrete": ({int}, "integers")}
-
-
-def _decode_side(records: list, modality: str, line: int, name, spec: ViewSpec) -> ViewBatch | None:
-    """The view records of one side as one batch; ``name(k)`` names record
-    ``k`` in errors. Nothing is coerced: a bool or a string in a vector view,
-    a fraction in a discrete one, views of differing lengths and views that
-    are not of the schema's kind (and, for vectors, size) are errors."""
-    if not records:
+def _encode_matrix(batch: ViewBatch | None) -> dict | None:
+    """A batch of views as its kind, shape and the base64 of its row-major
+    little-endian bytes. Non-finite values are refused, as the reader would."""
+    if batch is None:
         return None
+    if not np.isfinite(batch.data).all():
+        raise ValueError("view data must be finite to be written")
+    raw = batch.data.astype(_WIRE[batch.kind], copy=False).tobytes()  # row-major whatever the strides
+    return {"kind": batch.kind, "shape": list(batch.data.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndarray | None = None) -> ViewBatch:
+    """The inverse of :func:`_encode_matrix`, checked against ``spec``. ``at``
+    holds the pool index of each row; without it the matrix is the real
+    view, one row."""
     try:
-        kinds = {record["kind"] for record in records}
-        datas = [record["data"] for record in records]
+        kind, shape, text = record["kind"], record["shape"], record["data"]
     except (KeyError, TypeError):
-        raise DatasetFormatError("view record must carry 'kind' and 'data'", line)
-    kind = kinds.pop()
-    if kinds or kind not in _JSON_TYPES:
-        raise DatasetFormatError(f"bad view: {modality}-side views need one known kind, got {kind!r}", line)
-    allowed, what = _JSON_TYPES[kind]
-    if not set(map(type, datas)) <= {list}:
-        raise DatasetFormatError("bad view: view data must be a list", line)
-    lengths = set(map(len, datas))
-    if 0 in lengths or len(lengths) > 1:
-        raise DatasetFormatError(f"bad view: views on one side must share a length, got lengths {sorted(lengths)}", line)
-    found = set(map(type, chain.from_iterable(datas)))
-    if not found <= allowed:
-        names = ", ".join(sorted(t.__name__ for t in found - allowed))
-        raise DatasetFormatError(f"bad view: {kind} view data must be {what}, got {names}", line)
-    try:
-        data = np.array(datas, dtype=_DTYPES[kind])
-    except OverflowError as exc:
-        raise DatasetFormatError(f"bad view: {exc}", line)
-    if kind != spec.kind or (kind == "vector" and data.shape[1] != spec.size):
+        raise DatasetFormatError("bad view: a matrix must carry 'kind', 'shape' and 'data'", line)
+    if type(shape) is not list or len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
+        raise DatasetFormatError(f"bad view: shape must be two positive integers, got {shape!r}", line)
+    rows, width = shape
+    if at is None and rows != 1:
+        raise DatasetFormatError(f"bad view: the real view must be one row, got {rows}", line)
+    if at is not None and rows != len(at):
+        raise DatasetFormatError(f"bad view: the {modality} matrix holds {rows} rows for {len(at)} {modality}-side views", line)
+    if kind != spec.kind or (kind == "vector" and width != spec.size):
         raise DatasetFormatError(
             f"bad view: the schema's {modality}-side views are {spec.kind} of size {spec.size}, "
-            f"got {kind} views of length {data.shape[1]}",
+            f"got {kind} views of length {width}",
             line,
         )
+    if type(text) is not str:
+        raise DatasetFormatError(f"bad view: data must be a base64 string, got {type(text).__name__}", line)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise DatasetFormatError(f"bad view: data is not base64 ({exc})", line)
+    if len(raw) != rows * width * 8:
+        raise DatasetFormatError(f"bad view: shape {shape} needs {rows * width * 8} bytes, data holds {len(raw)}", line)
+    data = np.frombuffer(raw, dtype=_WIRE[kind]).reshape(rows, width)
+    name = (lambda k: "the real view") if at is None else (lambda k: f"synthetic view {at[k]}")
     fits = rows_match(kind, data, spec)
     if not fits.all():
         raise DatasetFormatError(f"{name(int(np.argmin(fits)))} holds a symbol outside [0, {spec.size})", line)
-    # json.loads reads a literal that overflows a float, such as 1e999, as
-    # infinity without calling parse_constant, so it is caught here
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise DatasetFormatError(f"{name(int(np.argmin(finite)))} holds a non-finite number", line)
     return ViewBatch(kind, modality, data)
 
 
-def _int_column(records: list, key: str, line: int) -> list[int]:
-    """``record[key]`` of every record, each read as :func:`_int_field` does."""
-    values = [record[key] for record in records]
+def _encode_instance(instance: Instance) -> dict:
+    real, pool = instance.real_view, instance.synthetic_pool
+    return {
+        "id": instance.id,
+        "label": instance.label.value,
+        "subject": instance.entities.subject,
+        "object": instance.entities.object,
+        "real_view": _encode_matrix(ViewBatch(real.kind, MODALITY_U, real.data[None])),
+        "pool": {
+            "round": pool.round.tolist(),
+            "step": pool.step.tolist(),
+            "parent_id": pool.parent_id.tolist(),
+            "teacher_loss": [None if math.isnan(loss) else loss for loss in pool.teacher_loss.tolist()],
+            "survived": pool.survived.tolist(),
+            "v": _encode_matrix(pool.v),
+            "u": _encode_matrix(pool.u),
+        },
+    }
+
+
+def _int_column(values: list, key: str, line: int) -> list[int]:
+    """A column of integers, each read as :func:`_integer` reads one."""
     if set(map(type, values)) <= {int}:
         return values
-    return [_int_field(record, key, line) for record in records]
+    return [_integer(value, key, line) for value in values]
 
 
-def _decode_pool(records: list, line: int, schema: DatasetSchema) -> Pool:
-    """One instance's ``synthetic_views`` records, read column by column."""
-    steps = [record["step"] for record in records]
+def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
+    """One instance's ``pool`` record, checked column by column."""
+    columns = {key: record[key] for key in _POOL_COLUMNS}
+    lengths = {key: len(column) if type(column) is list else None for key, column in columns.items()}
+    if None in lengths.values() or len(set(lengths.values())) > 1:
+        raise DatasetFormatError(f"pool columns must be lists of one length, got lengths {lengths}", line)
+    steps = columns["step"]
     if not set(steps) <= {STEP_U_TO_V, STEP_V_TO_U}:
         raise DatasetFormatError(f"unknown step {next(s for s in steps if s not in (STEP_U_TO_V, STEP_V_TO_U))!r}", line)
-    losses = [record.get("teacher_loss") for record in records]
+    losses = columns["teacher_loss"]
     if not set(map(type, losses)) <= {int, float, type(None)}:
-        raise DatasetFormatError("teacher_loss must be a number", line)
-    losses = np.array(losses, dtype=np.float64)  # an absent loss (None) reads as NaN
+        raise DatasetFormatError("teacher_loss must be a number or null", line)
+    losses = np.array(losses, dtype=np.float64)  # null (unscored) reads as NaN
     if np.isinf(losses).any():
         raise DatasetFormatError(f"view {int(np.argmax(np.isinf(losses)))} has a non-finite teacher loss", line)
+    is_v = np.array(steps, dtype=np.str_) == STEP_U_TO_V
     sides = {}
-    for modality, step, spec in ((MODALITY_V, STEP_U_TO_V, schema.v_spec), (MODALITY_U, STEP_V_TO_U, schema.u_spec)):
-        which = [i for i, found in enumerate(steps) if found == step]
-        name = lambda k, which=which: f"synthetic view {which[k]}"  # noqa: E731
-        sides[modality] = _decode_side([records[i]["view"] for i in which], modality, line, name, spec)
+    for modality, spec, rows in ((MODALITY_V, schema.v_spec, is_v), (MODALITY_U, schema.u_spec, ~is_v)):
+        at = np.flatnonzero(rows)  # the pool index of each row
+        if record[modality] is not None or len(at):
+            sides[modality] = _decode_matrix(record[modality], modality, spec, line, at)
     return Pool(
-        round=_int_column(records, "round", line),
+        round=_int_column(columns["round"], "round", line),
         step=steps,
-        parent_id=_int_column(records, "parent_id", line),
+        parent_id=_int_column(columns["parent_id"], "parent_id", line),
         teacher_loss=losses,
-        survived=_int_column(records, "survived", line),
+        survived=_int_column(columns["survived"], "survived", line),
         **sides,
     )
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
     try:
-        pool = _decode_pool(record["synthetic_views"], line, schema)
-        real = _decode_side([record["real_view"]], MODALITY_U, line, lambda k: "the real view", schema.u_spec)
+        pool = _decode_pool(record["pool"], line, schema)
+        real = _decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line)
         return Instance(
-            id=_int_field(record, "id", line),
-            label=Label(_int_field(record, "label", line)),
-            entities=EntityPair(subject=_int_field(record, "subject", line), object=_int_field(record, "object", line)),
+            id=_integer(record["id"], "id", line),
+            label=Label(_integer(record["label"], "label", line)),
+            entities=EntityPair(subject=_integer(record["subject"], "subject", line), object=_integer(record["object"], "object", line)),
             real_view=View(real.kind, real.data[0], MODALITY_U),
             synthetic_pool=pool,
         )
@@ -581,29 +570,31 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
-def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:
-    """Write schema plus instances to ``sink`` (path or text file object)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            write_dataset(instances, schema, handle)
-            return
+def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iterator[str]:
     header = {
         "version": FORMAT_VERSION,
         "class_count": schema.class_count,
         "entity_vocab": schema.entity_vocab,
-        "u_spec": _encode_spec(schema.u_spec),
-        "v_spec": _encode_spec(schema.v_spec),
+        "u_spec": asdict(schema.u_spec),
+        "v_spec": asdict(schema.v_spec),
         "none_class": schema.none_class,
     }
-    sink.write(_dumps(header) + "\n")
+    yield _dumps(header) + "\n"
     for instance in instances:
-        sink.write(_dumps(_encode_instance(instance)) + "\n")
+        yield _dumps(_encode_instance(instance)) + "\n"
+
+
+def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:
+    """Write schema plus instances to ``sink`` (path or text file object)."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(_dataset_lines(instances, schema))
+    else:
+        sink.writelines(_dataset_lines(instances, schema))
 
 
 def dataset_to_string(instances: Iterable[Instance], schema: DatasetSchema) -> str:
-    buf = io.StringIO()
-    write_dataset(instances, schema, buf)
-    return buf.getvalue()
+    return "".join(_dataset_lines(instances, schema))
 
 
 def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
@@ -612,11 +603,8 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     Raises :class:`DatasetFormatError` with a line number on malformed input.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_dataset(handle)
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    lines = source.read().splitlines()
+        source = Path(source).read_text(encoding="utf-8")
+    lines = (source if isinstance(source, str) else source.read()).splitlines()
     if not lines:
         raise DatasetFormatError("empty dataset: missing schema line")
 
@@ -635,15 +623,19 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
 
     header = parse_json(lines[0], 1)
     version = header.get("version")
-    if version not in (1, FORMAT_VERSION):
-        raise DatasetFormatError(f"unsupported format version {version!r}", 1)
+    if version != FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"unsupported format version {version!r}: only version {FORMAT_VERSION} is read; "
+            "re-run to write the dataset in it",
+            1,
+        )
     try:
         schema = DatasetSchema(
-            class_count=_int_field(header, "class_count", 1),
-            entity_vocab=_int_field(header, "entity_vocab", 1),
+            class_count=_integer(header["class_count"], "class_count", 1),
+            entity_vocab=_integer(header["entity_vocab"], "entity_vocab", 1),
             u_spec=_decode_spec(header["u_spec"], 1),
             v_spec=_decode_spec(header["v_spec"], 1),
-            none_class=None if header.get("none_class") is None else _int_field(header, "none_class", 1),
+            none_class=None if header.get("none_class") is None else _integer(header["none_class"], "none_class", 1),
         )
     except DatasetFormatError:
         raise
@@ -654,12 +646,5 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     for offset, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
-        record = parse_json(text, offset)
-        if version == 1 and record.get("synthetic_views"):
-            raise DatasetFormatError(
-                "format version 1 stores selection flags, not survival counts; "
-                "re-run to write this dataset in the current format",
-                offset,
-            )
-        instances.append(_decode_instance(record, offset, schema))
+        instances.append(_decode_instance(parse_json(text, offset), offset, schema))
     return instances, schema

@@ -467,8 +467,7 @@ def stage_diversity(
     usable = {name: m for name, m in stages.items() if m.shape[0] >= 2}
     if not usable:
         return ()
-    pca_dim = min(config.pca_dim, schema.v_spec.size)
-    return tuple(diversity_report(usable, pca_dim, config.gmm_components, seed=config.seed))
+    return tuple(diversity_report(usable, config.pca_dim, config.gmm_components, seed=config.seed))
 
 
 # --- the run --------------------------------------------------------------------

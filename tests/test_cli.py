@@ -1,13 +1,16 @@
 """The command-line front-end, driven in-process through main(argv)."""
 
+import base64
 import contextlib
 import copy
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -365,26 +368,38 @@ def test_diversity_needs_synthetic_views(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, message",
-    [('"survived":1', '"survived":-1', "non-negative"), ('"version":2', '"version":1', "version 1")],
-    ids=["negative_count", "version_1_pool"],
+    "pattern, replacement, message",
+    [
+        (r'"survived":\[\d+', '"survived":[-1', "non-negative"),
+        ('"version":3', '"version":1', "version 1"),
+        ('"version":3', '"version":2', "version 2"),
+    ],
+    ids=["negative_count", "version_1_pool", "version_2_pool"],
 )
-def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, capsys, old, new, message):
+def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, capsys, pattern, replacement, message):
     dataset = tmp_path / "dataset.jsonl"
-    dataset.write_text((run_artifacts.out / "dataset.jsonl").read_text().replace(old, new, 1))
+    text = (run_artifacts.out / "dataset.jsonl").read_text()
+    dataset.write_text(re.sub(pattern, replacement, text, count=1))
     code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
 
 
-def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
+def diversity_on_edited(run_artifacts, tmp_path, edit) -> int:
+    """``chainviews diversity`` on the run's dataset with ``edit`` applied to
+    the first instance record."""
     lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
-    record["real_view"]["data"][0] = float("nan")
+    edit(record)
     lines[1] = json.dumps(record)
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
-    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    return main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+
+
+def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
+    # the teacher losses are the only floats written as JSON numbers
+    code = diversity_on_edited(run_artifacts, tmp_path, lambda record: record["pool"]["teacher_loss"].__setitem__(0, float("nan")))
     assert code == EXIT_USAGE
     assert "line 2: non-finite number NaN" in capsys.readouterr().err
 
@@ -392,36 +407,39 @@ def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
 def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_path, capsys):
     lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
-    record["real_view"]["data"][0] = 12345.5
+    record["pool"]["teacher_loss"][0] = 12345.5
     lines[1] = json.dumps(record).replace("12345.5", "1e999")
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
     code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
     assert code == EXIT_USAGE
-    assert "line 2: the real view holds a non-finite number" in capsys.readouterr().err
+    assert "line 2: view 0 has a non-finite teacher loss" in capsys.readouterr().err
+
+
+def decode_matrix(m) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"])
+
+
+def encode_matrix(kind, data) -> dict:
+    data = np.asarray(data, dtype="<f8" if kind == "vector" else "<i8")
+    return {"kind": kind, "shape": list(data.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
 @pytest.mark.parametrize(
-    "cut_all, cut, message",
+    "edit, message",
     [
-        (False, lambda data: data[:1], "views on one side must share a length, got lengths [1, 2]"),
-        (False, lambda data: [True, "2"], "vector view data must be numbers, got bool, str"),
-        (True, lambda data: data[:1], "the schema's v-side views are vector of size 2, got vector views of length 1"),
+        # one view a value short: the data no longer fills the shape
+        (lambda m: m.update(data=encode_matrix("vector", decode_matrix(m).ravel()[:-1])["data"]), "shape [6, 2] needs 96 bytes, data holds 88"),
+        # values given as a JSON list, which the reader would have to coerce
+        (lambda m: m.update(data=[True, "2"]), "data must be a base64 string, got list"),
+        # every view a value short: consistent, but not the schema's width
+        (lambda m: m.update(encode_matrix("vector", decode_matrix(m)[:, :1])), "the schema's v-side views are vector of size 2, got vector views of length 1"),
     ],
     ids=["short_view", "coerced_values", "short_instance"],
 )
-def test_diversity_rejects_malformed_view_data(run_artifacts, tmp_path, capsys, cut_all, cut, message):
+def test_diversity_rejects_malformed_view_data(run_artifacts, tmp_path, capsys, edit, message):
     # without the checks at read time, short views fail later in numpy and exit 2
-    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    v_side = [sv for sv in record["synthetic_views"] if sv["step"] == "u_to_v"]
-    for sv in v_side if cut_all else v_side[1:2]:
-        sv["view"]["data"] = cut(sv["view"]["data"])
-    lines[1] = json.dumps(record)
-    dataset = tmp_path / "dataset.jsonl"
-    dataset.write_text("\n".join(lines) + "\n")
-    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
-    assert code == EXIT_USAGE
+    assert diversity_on_edited(run_artifacts, tmp_path, lambda record: edit(record["pool"]["v"])) == EXIT_USAGE
     assert f"line 2: bad view: {message}" in capsys.readouterr().err
 
 
@@ -435,9 +453,10 @@ def test_diversity_rejects_a_symbol_outside_the_alphabet(run_artifacts, tmp_path
     lines[0] = json.dumps(header)
     for i, text in enumerate(lines[1:], start=1):
         record = json.loads(text)
-        v_side = [sv for sv in record["synthetic_views"] if sv["step"] == "u_to_v"]
-        for k, sv in enumerate(v_side):
-            sv["view"] = {"kind": "discrete", "data": [0, symbol if (i, k) == (1, 1) else 3, 2]}
+        symbols = np.tile([0, 3, 2], (record["pool"]["v"]["shape"][0], 1))
+        if i == 1:
+            symbols[1, 1] = symbol
+        record["pool"]["v"] = encode_matrix("discrete", symbols)
         lines[i] = json.dumps(record)
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
@@ -466,6 +485,18 @@ def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     config = write_yaml(tmp_path / "wide.yaml", mapping)
     assert main(["diversity", "--config", config]) == EXIT_USAGE
     assert "exceeds the synthetic view size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_run_and_ablate_reject_a_pca_dim_wider_than_the_v_side(tmp_path, capsys, command):
+    # the clean preset's v side is narrower than 9: the report's diversity
+    # table cannot project onto 9 components
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["pipeline"]["pca_dim"] = 9
+    config = write_yaml(tmp_path / "wide.yaml", mapping)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "pipeline.pca_dim 9 exceeds the v-side view size" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # --- malformed config values ---------------------------------------------------------

@@ -1,7 +1,10 @@
 """Domain types, validation, and the line-delimited dataset format."""
 
+import base64
 import io
 import json
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -286,16 +289,22 @@ def full_dataset(n=100):
     return instances, make_schema()
 
 
+def assert_same_bits(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0 and NaN payloads count."""
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def assert_pools_equal(a, b):
     assert len(a) == len(b)
-    for name in ("round", "step", "parent_id", "survived"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert np.array_equal(a.teacher_loss, b.teacher_loss, equal_nan=True)
+    assert np.array_equal(a.step, b.step)
+    for name in ("round", "parent_id", "teacher_loss", "survived"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
     for side_a, side_b in ((a.v, b.v), (a.u, b.u)):
         assert (side_a is None) == (side_b is None)
         if side_a is not None:
             assert (side_a.kind, side_a.modality) == (side_b.kind, side_b.modality)
-            assert np.array_equal(side_a.data, side_b.data) and side_a.data.dtype == side_b.data.dtype
+            assert_same_bits(side_a.data, side_b.data)
 
 
 def test_round_trip_is_identity_and_byte_stable():
@@ -306,18 +315,19 @@ def test_round_trip_is_identity_and_byte_stable():
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
         assert a.id == b.id and a.label == b.label and a.entities == b.entities
-        assert a.real_view.equals(b.real_view)
+        assert_same_bits(a.real_view.data, b.real_view.data)
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)
     # re-serialization is byte-identical
     assert dataset_to_string(loaded, loaded_schema) == text
-    assert '"survived":2' in text and '"selected"' not in text
+    assert '"survived":[2,0]' in text and '"synthetic_views"' not in text
 
 
 def test_teacher_loss_omitted_when_unscored():
     instances, schema = full_dataset(2)
     lines = dataset_to_string(instances, schema).splitlines()
-    assert "teacher_loss" in lines[1]  # instance 0 scored
-    assert "teacher_loss" not in lines[2]  # instance 1 unscored
+    scored, unscored = (json.loads(line)["pool"]["teacher_loss"] for line in lines[1:])
+    assert type(scored[0]) is float and scored[1] is None  # instance 0 scored its v-side view
+    assert unscored == [None, None]  # instance 1 scored nothing
 
 
 def test_round_trip_via_file(tmp_path):
@@ -362,17 +372,56 @@ def test_nan_payload_cannot_be_written():
 
 def test_unknown_version_rejected():
     text = dataset_to_string([], make_schema())
-    bumped = text.replace('"version":2', '"version":99')
+    bumped = text.replace('"version":3', '"version":99')
     with pytest.raises(DatasetFormatError) as err:
         read_dataset(bumped)
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_versions_are_rejected_naming_their_version(version):
+    instances, schema = full_dataset(2)
+    text = dataset_to_string(instances, schema).replace('"version":3', f'"version":{version}', 1)
+    with pytest.raises(DatasetFormatError, match=f"unsupported format version {version}: only version 3 is read") as err:
+        read_dataset(text)
+    assert err.value.line == 1
+
+
+def encode(kind, rows):
+    """``rows`` as a version-3 matrix record, encoded independently of the
+    writer: ``struct`` packs little-endian whatever the host's byte order."""
+    flat = [x for row in rows for x in row]
+    raw = struct.pack(f"<{len(flat)}{'d' if kind == 'vector' else 'q'}", *flat)
+    return {"kind": kind, "shape": [len(rows), len(rows[0])], "data": base64.b64encode(raw).decode("ascii")}
+
+
+def edited(instances, schema, line, edit):
+    """The dataset's text with ``edit`` applied to the record on ``line``."""
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[line - 1])
+    edit(record)
+    lines[line - 1] = json.dumps(record)
+    return "\n".join(lines)
+
+
+def test_a_matrix_decodes_by_hand_as_little_endian_row_major():
+    instance = make_instance(pool=[(0, STEP_U_TO_V, REAL_PARENT, [1.5, -0.0]), (0, STEP_U_TO_V, REAL_PARENT, [5e-324, -2.0])])
+    record = json.loads(dataset_to_string([instance], make_schema()).splitlines()[1])
+    m = record["pool"]["v"]
+    assert m == encode("vector", [[1.5, -0.0], [5e-324, -2.0]])
+    matrix = np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"])
+    assert matrix.tobytes() == instance.synthetic_pool.v.data.astype("<f8").tobytes()
+    assert record["real_view"] == encode("vector", [[0.0, -1.0]])
+    symbols = Instance(0, Label(0), EntityPair(0, 1), discrete_view([3, 2**62, 0], MODALITY_U))
+    text = dataset_to_string([symbols], make_schema(u_spec=ViewSpec("discrete", 2**63 - 1)))
+    assert json.loads(text.splitlines()[1])["real_view"] == encode("discrete", [[3, 2**62, 0]])
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ('"survived":1', '"survived":-1', "non-negative"),
-        ('"parent_id":0,"survived":0', '"parent_id":0,"survived":1', "only v-side"),
+        ('"survived":[1,0]', '"survived":[-1,0]', "non-negative"),
+        ('"survived":[1,0]', '"survived":[1,1]', "only v-side"),
     ],
     ids=["negative", "u_side"],
 )
@@ -399,73 +448,106 @@ def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
         (3, ("label",)),
         (3, ("subject",)),
         (3, ("object",)),
-        (3, ("synthetic_views", 0, "round")),
-        (3, ("synthetic_views", 0, "parent_id")),
-        (3, ("synthetic_views", 0, "survived")),
+        # the pool columns, at synthetic view 0
+        pytest.param(3, ("pool", "round", 0), id="3-synthetic_views.0.round"),
+        pytest.param(3, ("pool", "parent_id", 0), id="3-synthetic_views.0.parent_id"),
+        pytest.param(3, ("pool", "survived", 0), id="3-synthetic_views.0.survived"),
     ],
     ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p),
 )
 def test_integer_fields_reject_other_values(line, path, value):
     instances, schema = full_dataset(3)
-    lines = dataset_to_string(instances, schema).splitlines()
-    record = json.loads(lines[line - 1])
-    target = record
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    lines[line - 1] = json.dumps(record)
-    with pytest.raises(DatasetFormatError, match=f"{path[-1]} must be an integer") as err:
-        read_dataset("\n".join(lines))
+
+    def edit(record):
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    key = path[1] if path[0] == "pool" else path[-1]  # a pool column's name, not its index
+    with pytest.raises(DatasetFormatError, match=f"{key} must be an integer") as err:
+        read_dataset(edited(instances, schema, line, edit))
     assert err.value.line == line
 
 
 def test_integral_numbers_read_as_integers():
     instances, schema = full_dataset(3)
     text = dataset_to_string(instances, schema)
-    loaded, _ = read_dataset(text.replace('"id":1,', '"id":1.0,', 1))
+    loaded, _ = read_dataset(text.replace('"id":1,', '"id":1.0,', 1).replace('"round":[0,1]', '"round":[0.0,1]', 1))
     assert dataset_to_string(loaded, schema) == text
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_rejected_at_read_time(value):
+    # the teacher losses are the only floats written as JSON numbers
     instances, schema = full_dataset(3)
-    lines = dataset_to_string(instances, schema).splitlines()
-    record = json.loads(lines[2])
-    record["real_view"]["data"][0] = value
-    lines[2] = json.dumps(record)
+    text = edited(instances, schema, 3, lambda record: record["pool"]["teacher_loss"].__setitem__(0, value))
     with pytest.raises(DatasetFormatError, match="non-finite number") as err:
-        read_dataset("\n".join(lines))
+        read_dataset(text)
     assert err.value.line == 3
 
 
+def with_bits(record, side, row, column, value):
+    """Set one element of a version-3 matrix record to ``value``'s bits."""
+    m = record[side] if side == "real_view" else record["pool"][side]
+    data = np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"]).copy()
+    data[row, column] = value
+    m["data"] = base64.b64encode(data.astype("<f8").tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize(
-    "path, message",
+    "edit, message",
     [
-        (("real_view", "data", 0), "the real view holds a non-finite number"),
-        (("synthetic_views", 1, "view", "data", 1), "synthetic view 1 holds a non-finite number"),
-        (("synthetic_views", 0, "teacher_loss"), "view 0 has a non-finite teacher loss"),
+        (lambda record: with_bits(record, "real_view", 0, 0, np.inf), "the real view holds a non-finite number"),
+        (lambda record: with_bits(record, "u", 0, 1, np.inf), "synthetic view 1 holds a non-finite number"),
+        (lambda record: record["pool"]["teacher_loss"].__setitem__(0, 12345.5), "view 0 has a non-finite teacher loss"),
     ],
     ids=["real_view", "synthetic_view", "teacher_loss"],
 )
-def test_literals_that_overflow_a_float_are_rejected_at_read_time(path, message):
-    # json.loads reads 1e999 as inf without calling parse_constant
+def test_literals_that_overflow_a_float_are_rejected_at_read_time(edit, message):
+    # json.loads reads 1e999 as inf without calling parse_constant; in a
+    # matrix, inf is a bit pattern
     instances, schema = full_dataset(3)
-    lines = dataset_to_string(instances, schema).splitlines()
-    record = json.loads(lines[1])
-    target = record
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = 12345.5
-    lines[1] = json.dumps(record).replace("12345.5", "1e999")
+    text = edited(instances, schema, 2, edit).replace("12345.5", "1e999")
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset("\n".join(lines))
+        read_dataset(text)
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "bits, row",
+    [(0x7FF8000000000000, 1), (0x7FF0000000000001, 1), (0xFFF8000000000123, 0), (0x7FF0000000000000, 1), (0xFFF0000000000000, 0)],
+    ids=["nan", "signalling_nan", "negative_nan_payload", "inf", "-inf"],
+)
+def test_non_finite_bit_patterns_name_the_pool_index(bits, row):
+    # v-side rows 0 and 1 are pool views 0 and 2: the error names the pool index
+    pool = [
+        (0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]),
+        (1, STEP_V_TO_U, 0, [0.5, 0.5]),
+        (1, STEP_U_TO_V, 1, [2.0, 3.0]),
+    ]
+
+    def edit(record):
+        m = record["pool"]["v"]
+        raw = bytearray(base64.b64decode(m["data"]))
+        raw[16 * row : 16 * row + 8] = struct.pack("<Q", bits)
+        m["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+    with pytest.raises(DatasetFormatError, match=f"synthetic view {2 * row} holds a non-finite number") as err:
+        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
+    assert err.value.line == 2
+
+
+EMPTY_POOL_RECORD = {"round": [], "step": [], "parent_id": [], "teacher_loss": [], "survived": [], "v": None, "u": None}
+
+
 def test_symbol_that_overflows_an_integer_is_a_format_error():
+    # symbols are 8-byte integers on disk; the matrix's shape is the JSON
+    # number left to overflow
     header = dataset_to_string([], make_schema(u_spec=ViewSpec("discrete", 4)))
-    line = '{"id":0,"label":0,"subject":0,"object":1,"real_view":{"kind":"discrete","data":[1e999]},"synthetic_views":[]}'
-    with pytest.raises(DatasetFormatError, match="bad view") as err:
+    real = json.dumps(encode("discrete", [[1]])).replace('"shape": [1, 1]', '"shape": [1, 1e999]')
+    line = f'{{"id":0,"label":0,"subject":0,"object":1,"real_view":{real},"pool":{json.dumps(EMPTY_POOL_RECORD)}}}'
+    with pytest.raises(DatasetFormatError, match="bad view: shape must be two positive integers") as err:
         read_dataset(header + line + "\n")
     assert err.value.line == 2
 
@@ -478,30 +560,31 @@ def test_symbols_outside_the_alphabet_are_rejected(where, symbol):
     discrete = ViewSpec("discrete", 4)
     header = dataset_to_string([], make_schema(u_spec=discrete, v_spec=discrete))
     real, synthetic = ([0, symbol], [0, 3]) if where == "real" else ([0, 3], [0, symbol])
+    pool = {**EMPTY_POOL_RECORD, "round": [0], "step": ["u_to_v"], "parent_id": [-1], "teacher_loss": [None], "survived": [0]}
     record = {
         "id": 0, "label": 0, "subject": 0, "object": 1,
-        "real_view": {"kind": "discrete", "data": real},
-        "synthetic_views": [
-            {"round": 0, "step": "u_to_v", "parent_id": -1, "survived": 0, "view": {"kind": "discrete", "data": synthetic}}
-        ],
+        "real_view": encode("discrete", [real]),
+        "pool": {**pool, "v": encode("discrete", [synthetic])},
     }
     name = "the real view" if where == "real" else "synthetic view 0"
     with pytest.raises(DatasetFormatError, match=rf"{name} holds a symbol outside \[0, 4\)") as err:
         read_dataset(header + json.dumps(record) + "\n")
     assert err.value.line == 2
-    record["real_view"]["data"], record["synthetic_views"][0]["view"]["data"] = [0, 3], [0, 3]
+    record["real_view"], record["pool"]["v"] = encode("discrete", [[0, 3]]), encode("discrete", [[0, 3]])
     [loaded], _ = read_dataset(header + json.dumps(record) + "\n")
     assert loaded.synthetic_pool.v.data.tolist() == [[0, 3]]
 
 
 def test_views_of_unequal_length_on_one_side_are_rejected():
+    # ragged rows cannot be written in a matrix; the nearest malformation is
+    # one view cut short, so the data no longer fills the shape
     pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
-    lines = dataset_to_string([make_instance(pool=pool)], make_schema()).splitlines()
-    record = json.loads(lines[1])
-    record["synthetic_views"][1]["view"]["data"] = [2.0]
-    lines[1] = json.dumps(record)
-    with pytest.raises(DatasetFormatError, match=r"views on one side must share a length, got lengths \[1, 2\]") as err:
-        read_dataset("\n".join(lines))
+
+    def edit(record):
+        record["pool"]["v"]["data"] = encode("vector", [[0.0, 1.0, 2.0]])["data"]
+
+    with pytest.raises(DatasetFormatError, match=r"shape \[2, 2\] needs 32 bytes, data holds 24") as err:
+        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
     assert err.value.line == 2
 
 
@@ -509,54 +592,105 @@ def test_views_that_disagree_with_the_schema_are_rejected():
     # every view of one side cut short: each side's matrix is consistent on
     # its own, but no longer has the width the schema declares
     instances, schema = full_dataset(3)
-    lines = dataset_to_string(instances, schema).splitlines()
-    record = json.loads(lines[2])
-    record["synthetic_views"][1]["view"]["data"] = [0.5]
-    lines[2] = json.dumps(record)
+    text = edited(instances, schema, 3, lambda record: record["pool"].update(u=encode("vector", [[0.5]])))
     with pytest.raises(DatasetFormatError, match="the schema's u-side views are vector of size 2, got vector views of length 1") as err:
-        read_dataset("\n".join(lines))
+        read_dataset(text)
     assert err.value.line == 3
 
 
 @pytest.mark.parametrize(
-    "where, kind, data, message",
+    "where, data, message",
     [
-        ("synthetic", "discrete", [1.5, 2.9], "discrete view data must be integers, got float"),
-        ("synthetic", "vector", [True, "2"], "vector view data must be numbers, got bool, str"),
-        ("real", "discrete", [1, 2.0], "discrete view data must be integers, got float"),
-        ("real", "vector", [0.5, None], "vector view data must be numbers, got NoneType"),
+        # the data of a matrix is one base64 string: a JSON list of values,
+        # which the reader would have to coerce, is refused outright
+        ("synthetic", [1.5, 2.9], "data must be a base64 string, got list"),
+        ("synthetic", [True, "2"], "data must be a base64 string, got list"),
+        ("real", [1, 2.0], "data must be a base64 string, got list"),
+        ("real", None, "data must be a base64 string, got NoneType"),
     ],
     ids=["discrete_fraction", "vector_bool_and_string", "real_discrete_float", "real_vector_null"],
 )
-def test_view_data_is_never_coerced(where, kind, data, message):
+def test_view_data_is_never_coerced(where, data, message):
     instances, schema = full_dataset(3)
-    lines = dataset_to_string(instances, schema).splitlines()
-    record = json.loads(lines[2])
-    target = record["synthetic_views"][0]["view"] if where == "synthetic" else record["real_view"]
-    target.update(kind=kind, data=data)
-    lines[2] = json.dumps(record)
+
+    def edit(record):
+        (record["pool"]["v"] if where == "synthetic" else record["real_view"])["data"] = data
+
     with pytest.raises(DatasetFormatError, match=f"bad view: {message}") as err:
-        read_dataset("\n".join(lines))
+        read_dataset(edited(instances, schema, 3, edit))
     assert err.value.line == 3
 
 
-def test_version_1_without_synthetic_views_is_read():
-    instances = [make_instance(i, i % 3) for i in range(3)]
-    text = dataset_to_string(instances, make_schema()).replace('"version":2', '"version":1', 1)
-    loaded, schema = read_dataset(text)
-    assert schema == make_schema() and [inst.id for inst in loaded] == [0, 1, 2]
-    assert all(len(inst.synthetic_pool) == 0 for inst in loaded)
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # 32 zero bytes are 43 "A"s and one "=": a lax decoder would skip the
+        # "*" and the newline and read the right byte count
+        ("A" * 11 + "*" + "A" * 32 + "=", "data is not base64"),
+        ("A" * 43, "data is not base64"),
+        ("A" * 43 + "=\n", "data is not base64"),
+        ("A" * 42 + "é=", "data is not base64"),
+        (base64.b64encode(bytes(40)).decode("ascii"), r"shape \[2, 2\] needs 32 bytes, data holds 40"),
+        (base64.b64encode(bytes(24)).decode("ascii"), r"shape \[2, 2\] needs 32 bytes, data holds 24"),
+    ],
+    ids=["non_alphabet", "missing_padding", "trailing_newline", "non_ascii", "too_many_bytes", "too_few_bytes"],
+)
+def test_matrix_data_must_be_strict_base64_of_the_shape(data, message):
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
+    text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"]["v"].update(data=data))
+    with pytest.raises(DatasetFormatError, match=f"bad view: {message}") as err:
+        read_dataset(text)
+    assert err.value.line == 2
 
 
-def test_version_1_with_synthetic_views_asks_for_a_rerun():
-    header = dataset_to_string([], make_schema()).replace('"version":2', '"version":1', 1)
-    line = (
-        '{"id":0,"label":0,"subject":0,"object":1,"real_view":{"kind":"vector","data":[0.0,-1.0]},'
-        '"synthetic_views":[{"round":0,"step":"u_to_v","parent_id":-1,"teacher_loss":0.5,"selected":true,'
-        '"view":{"kind":"vector","data":[0.0,0.0]}}]}'
-    )
-    with pytest.raises(DatasetFormatError, match="version 1.*re-run") as err:
-        read_dataset(header + line + "\n")
+@pytest.mark.parametrize(
+    "shape",
+    [[True, 2], [2, True], [0, 2], [2, 0], [2.0, 2], [2, 2.0], [2], [2, 2, 1], "2x2", None],
+    ids=["bool_rows", "bool_width", "zero_rows", "zero_width", "float_rows", "float_width", "one_entry", "three_entries", "string", "null"],
+)
+def test_matrix_shape_must_be_two_positive_integers(shape):
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
+    text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"]["v"].update(shape=shape))
+    with pytest.raises(DatasetFormatError, match="bad view: shape must be two positive integers") as err:
+        read_dataset(text)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("column", ["round", "step", "parent_id", "teacher_loss", "survived"])
+def test_pool_columns_of_unequal_length_are_rejected(column):
+    instances, schema = full_dataset(3)
+    text = edited(instances, schema, 3, lambda record: record["pool"][column].pop())
+    with pytest.raises(DatasetFormatError, match="pool columns must be lists of one length") as err:
+        read_dataset(text)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "steps, v_rows, message",
+    [
+        (["u_to_v", "u_to_v", "v_to_u"], 1, "the v matrix holds 1 rows for 2 v-side views"),
+        (["u_to_v", "v_to_u", "v_to_u"], 2, "the v matrix holds 2 rows for 1 v-side views"),
+        (["v_to_u", "v_to_u", "v_to_u"], 2, "the v matrix holds 2 rows for 0 v-side views"),
+    ],
+    ids=["too_few_rows", "too_many_rows", "rows_for_no_views"],
+)
+def test_the_v_matrix_needs_one_row_per_u_to_v_step(steps, v_rows, message):
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (1, STEP_V_TO_U, 0, [0.5, 0.5]), (1, STEP_U_TO_V, 1, [2.0, 3.0])]
+
+    def edit(record):
+        record["pool"]["step"] = steps
+        record["pool"]["v"] = encode("vector", [[0.0, 1.0]] * v_rows)
+
+    with pytest.raises(DatasetFormatError, match=message) as err:
+        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
+    assert err.value.line == 2
+
+
+def test_a_side_with_views_needs_a_matrix():
+    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0])]
+    text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"].update(v=None))
+    with pytest.raises(DatasetFormatError, match="bad view: a matrix must carry 'kind', 'shape' and 'data'") as err:
+        read_dataset(text)
     assert err.value.line == 2
 
 
@@ -571,17 +705,25 @@ def test_schema_mismatch_surfaces_on_validation():
 
 # --- the columnar format, property-based ----------------------------------------------
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the bits a text format could lose: the sign of zero, subnormals, the extremes
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+def symbols(size):
+    return st.integers(0, size - 1) | st.just(size - 1)  # the largest symbol, often
 
 
 @st.composite
 def datasets(draw):
-    """Random schemas and pools: either side vector or discrete, scored and
-    unscored views, any survival counts on the v side."""
+    """Random schemas and pools: either side vector or discrete (up to the
+    largest int64 alphabet), scored and unscored views, any survival counts
+    on the v side."""
     sides = {}
     for modality in (MODALITY_U, MODALITY_V):
         kind = draw(st.sampled_from(("vector", "discrete")))
-        sides[modality] = (kind, draw(st.integers(1, 4)))
+        sizes = st.integers(1, 4) if kind == "vector" else st.integers(1, 4) | st.sampled_from((2**31, 2**63 - 1))
+        sides[modality] = (kind, draw(sizes))
     schema = DatasetSchema(
         class_count=3,
         entity_vocab=4,
@@ -593,7 +735,7 @@ def datasets(draw):
     def rows(modality, n):
         kind, size = sides[modality]
         width = size if kind == "vector" else draw(st.integers(1, 3))
-        values = FINITE if kind == "vector" else st.integers(0, size - 1)
+        values = FINITE if kind == "vector" else symbols(size)
         data = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=n, max_size=n))
         return ViewBatch(kind, modality, np.array(data, dtype=np.float64 if kind == "vector" else np.int64).reshape(n, width))
 
@@ -614,7 +756,8 @@ def datasets(draw):
             u=rows(MODALITY_U, n - n_v) if n - n_v else None,
         )
         kind, size = sides[MODALITY_U]
-        real = draw(st.lists(FINITE if kind == "vector" else st.integers(0, size - 1), min_size=size, max_size=size))
+        width = size if kind == "vector" else draw(st.integers(1, 3))
+        real = draw(st.lists(FINITE if kind == "vector" else symbols(size), min_size=width, max_size=width))
         instances.append(
             Instance(
                 id=iid,
@@ -638,5 +781,6 @@ def test_write_read_write_is_byte_identical_and_field_equal(dataset):
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
         assert (a.id, a.label, a.entities) == (b.id, b.label, b.entities)
-        assert a.real_view.equals(b.real_view)
+        assert (a.real_view.kind, a.real_view.modality) == (b.real_view.kind, b.real_view.modality)
+        assert_same_bits(a.real_view.data, b.real_view.data)
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)

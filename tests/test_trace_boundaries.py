@@ -45,3 +45,30 @@ print(names.count("models.TeacherModel.loss_and_grads"), names.count("models.Ada
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["7", "7"]
+
+
+def test_dataset_write_and_read_are_each_one_span(tmp_path):
+    # datamodel.write_s and datamodel.read_s sum these spans: a path that
+    # opened the file and recursed would be two nested spans, and an I/O
+    # path that bypassed the boundaries none
+    code = f"""
+import numpy as np
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from chainviews import datamodel
+schema = datamodel.DatasetSchema(3, 5, datamodel.ViewSpec("vector", 2), datamodel.ViewSpec("vector", 2))
+pool = datamodel.Pool.initial(datamodel.ViewBatch("vector", "v", np.ones((3, 2))))
+real = datamodel.vector_view([0.5, -1.0], "u")
+instances = [datamodel.Instance(i, datamodel.Label(0), datamodel.EntityPair(0, 1), real, pool) for i in range(2)]
+path = {str(tmp_path / "dataset.jsonl")!r}
+tracer.enabled = True
+datamodel.write_dataset(instances, schema, path)
+read, _ = datamodel.read_dataset(path)
+names = [span[tracing.NAME] for span in tracer.spans]
+print(names.count("datamodel.write_dataset"), names.count("datamodel.read_dataset"), len(read))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "benchmarks"), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "2"]
