@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -585,12 +586,24 @@ def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iter
 
 
 def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:
-    """Write schema plus instances to ``sink`` (path or text file object)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(_dataset_lines(instances, schema))
-    else:
+    """Write schema plus instances to ``sink`` (path or text file object).
+
+    A path gets the whole dataset or nothing: the lines go to a temporary
+    file beside it that replaces it only after the last line, so an
+    instance that fails to encode leaves no file, or the old one untouched.
+    """
+    if not isinstance(sink, (str, Path)):
         sink.writelines(_dataset_lines(instances, schema))
+        return
+    path = Path(sink)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(_dataset_lines(instances, schema))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def dataset_to_string(instances: Iterable[Instance], schema: DatasetSchema) -> str:

@@ -3,12 +3,12 @@
 The teacher never sees the real view: it classifies a synthetic view from
 the entity pair and the view alone, so its per-sample loss measures how much
 label evidence survived the generation chain. The student fuses the real
-view with a *set* of synthetic views through one single-query
-cross-attention block: the subject and object queries, each built from the
-real encoding and one entity, attend over the synthetic encodings with the
-same weights, the two attended vectors are concatenated, and a feedforward
-stage plus linear head produce logits. The unimodal baseline is the student
-with the synthetic branch removed.
+view with a *set* of synthetic views through one two-query cross-attention
+call: the subject and object queries, each built from the real encoding and
+one entity, attend over the synthetic encodings, which are projected to keys
+and values once; the two attended vectors are concatenated, and a
+feedforward stage plus linear head produce logits. The unimodal baseline is
+the student with the synthetic branch removed.
 
 All three expose ``params``, ``inputs(...)``, ``logits(inputs)`` and
 ``loss_and_grads(inputs, labels)``, which is what :func:`train` and the
@@ -161,7 +161,9 @@ class StudentModel:
 
     A row is a u-side real view, a non-empty set of ``N`` v-side views (the
     same ``N`` in every row) and an entity pair. The subject and object
-    queries share one attention block.
+    queries are stacked into one ``(B, 2, d)`` array and attend in one
+    :func:`cross_attention` call (and one backward call), so each row's
+    synthetic encodings are projected to keys and values once.
     """
 
     def __init__(
@@ -219,35 +221,32 @@ class StudentModel:
         table = self.params["entity_emb"]
         q_sub, c_qsub = linear_forward(self.params, "qsub", np.concatenate([real_enc, table[subj]], axis=1))
         q_obj, c_qobj = linear_forward(self.params, "qobj", np.concatenate([real_enc, table[obj]], axis=1))
+        queries = np.stack([q_sub, q_obj], axis=1)
 
         rows, c_rows = mlp_forward(self.params, "venc", x_v.reshape(-1, x_v.shape[2]))
         matrix = rows.reshape(x_v.shape[0], x_v.shape[1], rows.shape[1])
-
-        att_sub, c_att_sub = cross_attention(self.params, "attn", q_sub, matrix, matrix)
-        att_obj, c_att_obj = cross_attention(self.params, "attn", q_obj, matrix, matrix)
+        att, c_att = cross_attention(self.params, "attn", queries, matrix, matrix)
 
         # residual around the attention: the query (real view + entity) stays
-        # on the path to the head even when every synthetic view is junk
-        ff_in = np.concatenate([q_sub + att_sub, q_obj + att_obj], axis=1)
+        # on the path to the head even when every synthetic view is junk;
+        # the (B, 2, d) rows flatten to [subject | object]
+        ff_in = (queries + att).reshape(len(queries), -1)
         fused, c_ff = mlp_forward(self.params, "ff", ff_in)
         logits, c_head = linear_forward(self.params, "head", fused)
-        return logits, (subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att_sub, c_att_obj, c_ff, c_head)
+        return logits, (subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att, c_ff, c_head)
 
     def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
-        subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att_sub, c_att_obj, c_ff, c_head = cache
+        subj, obj, c_real, c_qsub, c_qobj, c_rows, c_att, c_ff, c_head = cache
         dfused = linear_backward(self.params, c_head, dlogits, grads)
-        dff_in = mlp_backward(self.params, c_ff, dfused, grads)
-        value_dim = dff_in.shape[1] // 2
-        d_att_sub = dff_in[:, :value_dim]
-        d_att_obj = dff_in[:, value_dim:]
+        d_att = mlp_backward(self.params, c_ff, dfused, grads).reshape(len(dfused), 2, -1)
 
-        dq_sub, dm_sub_k, dm_sub_v = cross_attention_backward(self.params, c_att_sub, d_att_sub, grads)
-        dq_obj, dm_obj_k, dm_obj_v = cross_attention_backward(self.params, c_att_obj, d_att_obj, grads)
-        dmatrix = dm_sub_k + dm_sub_v + dm_obj_k + dm_obj_v
+        dq, dm_k, dm_v = cross_attention_backward(self.params, c_att, d_att, grads)
+        dmatrix = dm_k + dm_v
         mlp_backward(self.params, c_rows, dmatrix.reshape(-1, dmatrix.shape[2]), grads)
 
-        dq_sub_in = linear_backward(self.params, c_qsub, dq_sub + d_att_sub, grads)
-        dq_obj_in = linear_backward(self.params, c_qobj, dq_obj + d_att_obj, grads)
+        dq += d_att
+        dq_sub_in = linear_backward(self.params, c_qsub, dq[:, 0], grads)
+        dq_obj_in = linear_backward(self.params, c_qobj, dq[:, 1], grads)
         emb = self._emb_dim
         mlp_backward(self.params, c_real, dq_sub_in[:, :-emb] + dq_obj_in[:, :-emb], grads)
         _entity_grad(grads, self.params["entity_emb"], subj, obj, dq_sub_in[:, -emb:], dq_obj_in[:, -emb:])

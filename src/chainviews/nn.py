@@ -102,29 +102,30 @@ def attention_init(
 
 
 def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.ndarray, m_values: np.ndarray):
-    """Single-query attention over a set of rows, one set per sample.
+    """Multi-query attention over a set of rows, one set per sample.
 
-    ``query`` is ``(B, d_q)`` and ``m_keys`` / ``m_values`` are ``(B, N, d_m)``:
-    sample ``b``'s query attends over its own ``N`` rows (pooling by
-    attention, as in the Set Transformer). Keys and values are projected per
-    row, weights are a softmax over scaled dot products against the projected
-    query, and the output ``(B, d_o)`` is the weight-averaged projected value.
-    No positional information enters, so each output row is invariant to
-    permuting its sample's rows.
+    ``query`` is ``(B, Q, d_q)`` and ``m_keys`` / ``m_values`` are
+    ``(B, N, d_m)``: each of sample ``b``'s ``Q`` queries attends over its own
+    ``N`` rows (pooling by attention, as in the Set Transformer). Keys and
+    values are projected once per row and shared by the ``Q`` queries;
+    weights are a softmax over scaled dot products against each projected
+    query, and the output ``(B, Q, d_o)`` is the weight-averaged projected
+    value. No positional information enters, so each output row is invariant
+    to permuting its sample's rows.
     """
-    if m_keys.ndim != 3 or m_values.ndim != 3 or m_keys.shape[:2] != m_values.shape[:2]:
-        raise ValueError("keys and values must be (B, N, d) with matching B and N")
+    if query.ndim != 3 or m_keys.ndim != 3 or m_values.ndim != 3 or m_keys.shape[:2] != m_values.shape[:2]:
+        raise ValueError("query must be (B, Q, d) and keys and values (B, N, d) with matching B and N")
     if m_keys.shape[1] == 0:
         raise ValueError("empty attention set")
     wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
     scale = 1.0 / math.sqrt(wq.shape[0])
     q_proj = query @ wq.T
     keys = m_keys @ wk.T
-    scores = np.einsum("bnk,bk->bn", keys, q_proj) * scale
-    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
+    scores = (q_proj @ keys.transpose(0, 2, 1)) * scale
+    weights = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights /= weights.sum(axis=2, keepdims=True)
     values = m_values @ wv.T
-    out = np.einsum("bn,bno->bo", weights, values)
+    out = weights @ values
     cache = (prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale)
     return out, cache
 
@@ -134,17 +135,20 @@ def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Gra
     prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale = cache
     wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
 
-    accumulate(grads, f"{prefix}.wv", dout.T @ np.einsum("bn,bnm->bm", weights, m_values))
-    dm_values = weights[:, :, None] * (dout @ wv)[:, None, :]
+    def flat(a):  # (B, R, d) -> (B * R, d)
+        return a.reshape(-1, a.shape[2])
 
-    dweights = np.einsum("bno,bo->bn", values, dout)
-    dscores = weights * (dweights - (weights * dweights).sum(axis=1, keepdims=True))
+    accumulate(grads, f"{prefix}.wv", flat(dout).T @ flat(weights @ m_values))
+    dm_values = weights.transpose(0, 2, 1) @ (dout @ wv)
 
-    dkeys = dscores[:, :, None] * q_proj[:, None, :] * scale
-    dq_proj = np.einsum("bn,bnk->bk", dscores, keys) * scale
-    accumulate(grads, f"{prefix}.wk", np.einsum("bnk,bnm->km", dkeys, m_keys))
+    dweights = dout @ values.transpose(0, 2, 1)
+    dscores = weights * (dweights - (weights * dweights).sum(axis=2, keepdims=True)) * scale
+
+    dkeys = dscores.transpose(0, 2, 1) @ q_proj
+    dq_proj = dscores @ keys
+    accumulate(grads, f"{prefix}.wk", flat(dkeys).T @ flat(m_keys))
     dm_keys = dkeys @ wk
-    accumulate(grads, f"{prefix}.wq", dq_proj.T @ query)
+    accumulate(grads, f"{prefix}.wq", flat(dq_proj).T @ flat(query))
     dquery = dq_proj @ wq
     return dquery, dm_keys, dm_values
 

@@ -17,7 +17,10 @@ Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
 ``("infer-gen", id)`` at test time -- and passes each batch through a
 channel in one call, so an instance's views never depend on the other
-instances. All work runs in order on the calling thread.
+instances. Test-time scoring and classification then batch the whole split:
+the final teacher scores the generated views ``SCORE_CHUNK_ROWS`` rows per
+call, and one student call classifies every instance. All work runs in
+order on the calling thread.
 Wall-clock timings in the report are the one explicitly non-deterministic
 field.
 """
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, ViewBatch
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, View, ViewBatch
 from .diversity import StageDiversity, diversity_report
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
 from .nn import featurize_rows, log_softmax, softmax_xent
@@ -47,6 +50,12 @@ from .selection import (
     random_scores,
     similarity_scores,
 )
+
+# Test-time teacher scoring runs ``TeacherModel.logits`` on this many
+# generated views per call (about 68 instances at 30 views each). Scoring a
+# 600-instance test split (18,000 views) in one call took the benchmark's
+# ablation run from 50.5 to 60.6 MiB peak RSS; chunks this size, 51.7 MiB.
+SCORE_CHUNK_ROWS = 2048
 
 CONDITIONS = ("full", "no_ccg", "similarity_teacher", "random_teacher", "no_teacher", "unimodal")
 
@@ -204,11 +213,11 @@ class Scorer:
     """The run's selection policy, ``config.policy_name``, as a scoring
     function.
 
-    Scores are lower-is-better and ``rank_keep`` breaks ties by index. The
-    teacher-loss policy scores a selection's candidates by the frozen
-    final-pass losses of a fresh teacher trained on them (``teacher`` holds
-    the latest, ``None`` until the first selection), the student's pick by
-    those stored losses and test-time views by the teacher's confidence. The
+    Scores are lower-is-better and ties break by index. The teacher-loss
+    policy scores a selection's candidates by the frozen final-pass losses
+    of a fresh teacher trained on them (``teacher`` holds the latest,
+    ``None`` until the first selection), the student's pick by those stored
+    losses and test-time views by the teacher's confidence (``pick``). The
     other policies score every step alike: similarity to the real view under
     an 8-wide random embedding, or a uniform draw per (step, instance);
     keep_all keeps every candidate, so its selection scores are all zero.
@@ -228,19 +237,13 @@ class Scorer:
         """Scores of one instance's views at selection ``stream`` (its index),
         at the student's pick ("student-pick", where ``stored`` holds the
         views' stored teacher losses) or at test time ("infer-pick").
-        Teacher-loss selections go through ``select``."""
+        Teacher-loss selections go through ``select``, and test-time views
+        under a teacher through ``pick``; with no teacher yet they tie."""
         name = self.config.policy_name
         if name == "similarity":
             return similarity_scores(views, instance.real_view, self.embedder)
         if name == "teacher_loss":
-            if stream == "student-pick":
-                return stored.tolist()
-            if self.teacher is None:
-                return [0.0] * len(views)
-            # the loss against the teacher's own most likely label: label-free
-            e = instance.entities
-            logits = self.teacher.logits(self.teacher.inputs(views, e.subject, e.object))
-            return (-np.max(log_softmax(logits), axis=1)).tolist()
+            return stored.tolist() if stream == "student-pick" else [0.0] * len(views)
         if name == "keep_all" and isinstance(stream, int):
             return [0.0] * len(views)
         return random_scores(len(views), self.config.seed, stream, instance.id)
@@ -265,6 +268,30 @@ class Scorer:
         )
         return [part.tolist() for part in np.split(losses, np.cumsum(counts)[:-1])]
 
+    def pick(self, instances: Sequence[Instance], views: Sequence[ViewBatch]) -> np.ndarray:
+        """Row indices of the ``config.infer_views`` best test-time views of
+        each instance, best first: one row per instance, from its batch of
+        ``views`` (the same count for every instance).
+
+        A stable argsort ranks by (score, index), as ``rank_keep`` does. With
+        a teacher, the teacher-loss policy scores every view by its loss
+        against the teacher's own most likely label (label-free), one
+        ``logits`` call per ``SCORE_CHUNK_ROWS`` rows of the split.
+        """
+        if self.config.policy_name == "teacher_loss" and self.teacher is not None:
+            data = np.concatenate([batch.data for batch in views])
+            subj, obj, _ = _per_row(instances, len(views[0]))
+            scores = np.empty(len(data))
+            for start in range(0, len(data), SCORE_CHUNK_ROWS):
+                rows = slice(start, start + SCORE_CHUNK_ROWS)
+                chunk = ViewBatch(views[0].kind, MODALITY_V, data[rows])
+                logits = self.teacher.logits(self.teacher.inputs(chunk, subj[rows], obj[rows]))
+                scores[rows] = -np.max(log_softmax(logits), axis=1)
+            scores = scores.reshape(len(views), -1)
+        else:
+            scores = np.array([self.scores(inst, batch, "infer-pick") for inst, batch in zip(instances, views)])
+        return np.argsort(scores, axis=1, kind="stable")[:, : self.config.infer_views]
+
 
 # --- stepwise building blocks ---------------------------------------------------
 #
@@ -274,6 +301,11 @@ class Scorer:
 # survival count: a v-side view first faces selection ``round``, and each
 # selection that keeps it moves it on to the next, so it is a candidate at
 # selection ``s`` exactly when ``round + survived == s``.
+
+
+def _copies(view: View, n: int) -> ViewBatch:
+    """A batch of ``n`` copies of one view."""
+    return ViewBatch(view.kind, view.modality, np.repeat(view.data[None], n, axis=0))
 
 
 def _live_ids(pool: Pool, selection_index: int) -> np.ndarray:
@@ -303,7 +335,7 @@ def run_round0(
 
     def build(instance: Instance) -> Instance:
         rng = derive_rng(config.seed, "gen", instance.id, 0)
-        views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
+        views = sample_channel(g_uv, _copies(instance.real_view, config.initial_views), rng)
         return replace(instance, synthetic_pool=Pool.initial(views))
 
     return parallel_map(build, instances)
@@ -429,33 +461,44 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
 
 def infer(
     student: StudentModel,
-    instance: Instance,
+    instances: Sequence[Instance],
     g_uv,
     g_vu,
     config: PipelineConfig,
     scorer: Scorer,
-) -> Label:
-    """Classify one test instance.
+) -> list[Label]:
+    """Classify a test split: one label per instance, in order.
 
-    ``config.initial_views`` fresh views come from the round-0 channel, or
-    from the whole chain when ``config.infer_full_chain`` (which needs
-    ``g_vu``), one batch per hop on the instance's own ``"infer-gen"``
-    stream. ``scorer`` keeps the ``config.infer_views`` best: under teacher
-    loss the ones its teacher classifies most confidently (the first
-    generated without a teacher), under similarity the closest to the real
-    view, otherwise a uniform draw.
+    Per instance, ``config.initial_views`` fresh views come from the round-0
+    channel, or from the whole chain when ``config.infer_full_chain`` (which
+    needs ``g_vu``), one batch per hop on the instance's own ``"infer-gen"``
+    stream. ``scorer.pick`` keeps each instance's ``config.infer_views``
+    best: under teacher loss the ones its teacher classifies most
+    confidently (the first generated without a teacher), scored
+    ``SCORE_CHUNK_ROWS`` rows per teacher call so that peak memory stays
+    near that of one instance at a time; under similarity the closest to
+    the real view, otherwise a uniform draw. One student call then
+    classifies the whole split. An instance's label depends only on the
+    instance, never on the rest of the split or on the chunking.
     """
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
-    rng = derive_rng(config.seed, "infer-gen", instance.id)
-    views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
-    if config.infer_full_chain:
-        for _ in range(config.ccg_rounds):
-            views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
-    chosen = views.take(rank_keep(scorer.scores(instance, views, "infer-pick"), config.infer_views))
-    e = instance.entities
-    (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
-    return Label(int(np.argmax(logits)))
+    if not instances:
+        return []
+
+    def generate(instance: Instance) -> ViewBatch:
+        rng = derive_rng(config.seed, "infer-gen", instance.id)
+        views = sample_channel(g_uv, _copies(instance.real_view, config.initial_views), rng)
+        if config.infer_full_chain:
+            for _ in range(config.ccg_rounds):
+                views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
+        return views
+
+    views = parallel_map(generate, instances)
+    chosen = [batch.take(rows) for batch, rows in zip(views, scorer.pick(instances, views))]
+    subj, obj, _ = _per_row(instances)
+    logits = student.logits(student.inputs(stack_views([inst.real_view for inst in instances]), chosen, subj, obj))
+    return [Label(int(c)) for c in np.argmax(logits, axis=1)]
 
 
 def stage_diversity(
@@ -516,10 +559,13 @@ def run_pipeline(
     The run is the stepwise calls in order: ``run_round0``, one
     ``run_ccg_round`` per round (one selection with no children when
     ``ccg_rounds=0``), ``score_trailing``, ``train_student`` and ``infer``
-    per test instance, all reading ``config`` and sharing one Scorer.
+    over the test split, all reading ``config`` and sharing one Scorer.
     """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
+    if config.pca_dim > schema.v_spec.size:
+        # stage_diversity would fail only after the whole run
+        raise PipelineError(f"pca_dim {config.pca_dim} exceeds the v-side view size {schema.v_spec.size}")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
@@ -543,7 +589,7 @@ def run_pipeline(
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = parallel_map(lambda inst: infer(student, inst, g_uv, g_vu, config, scorer).value, test_instances)
+    predictions = [label.value for label in infer(student, test_instances, g_uv, g_vu, config, scorer)]
     metrics = compute_metrics(predictions, [inst.label.value for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 

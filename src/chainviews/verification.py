@@ -187,7 +187,8 @@ def check_gradient_mlp(seed: int = 0, n_cases: int = 10) -> CheckResult:
 
 
 def check_gradient_attention(seed: int = 0, n_cases: int = 10) -> CheckResult:
-    """Cross-attention gradients, including those w.r.t. query and memory."""
+    """Cross-attention gradients, including those w.r.t. the two queries
+    (as the student uses it) and the memory."""
     start = time.perf_counter()
     worst = 0.0
     for i in range(n_cases):
@@ -195,10 +196,10 @@ def check_gradient_attention(seed: int = 0, n_cases: int = 10) -> CheckResult:
         d_q, d_m, d_k, d_o, rows = 4, 5, 3, 4, 6
         params: dict = {}
         nn.attention_init(params, rng, "attn", d_q, d_m, d_k, d_o)
-        params["attn.query"] = rng.normal(size=(1, d_q))
+        params["attn.query"] = rng.normal(size=(1, 2, d_q))
         params["attn.keys"] = rng.normal(size=(1, rows, d_m))
         params["attn.values"] = rng.normal(size=(1, rows, d_m))
-        probe = rng.normal(size=(1, d_o))
+        probe = rng.normal(size=(1, 2, d_o))
 
         def loss_fn():
             out, _ = nn.cross_attention(

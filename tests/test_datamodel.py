@@ -370,6 +370,33 @@ def test_nan_payload_cannot_be_written():
         dataset_to_string([inst], make_schema())
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_write_leaves_no_partial_dataset(tmp_path, existing):
+    # the second instance fails to encode after the first line is out
+    bad = Instance(
+        id=1,
+        label=Label(0),
+        entities=EntityPair(0, 1),
+        real_view=vector_view([float("nan"), 0.0], MODALITY_U),
+    )
+    path = tmp_path / "dataset.jsonl"
+    if existing:
+        write_dataset([make_instance(7)], make_schema(), path)
+    before = path.read_bytes() if existing else None
+    with pytest.raises(ValueError):
+        write_dataset([make_instance(0), bad], make_schema(), path)
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["dataset.jsonl"] if existing else [])
+
+
+def test_writing_a_path_replaces_the_old_file(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset([make_instance(0), make_instance(1)], make_schema(), str(path))
+    write_dataset([make_instance(2)], make_schema(), str(path))
+    assert path.read_text(encoding="utf-8") == dataset_to_string([make_instance(2)], make_schema())
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+
 def test_unknown_version_rejected():
     text = dataset_to_string([], make_schema())
     bumped = text.replace('"version":3', '"version":99')

@@ -41,7 +41,7 @@ def test_cross_attention_matches_dense_reimplementation():
     q = rng.normal(size=d_q)
     keys = rng.normal(size=(4, d_m))
     values = rng.normal(size=(4, d_m))
-    (out,), _ = nn.cross_attention(params, "ca", q[None], keys[None], values[None])
+    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], keys[None], values[None])
 
     scores = (keys @ params["ca.wk"].T) @ (params["ca.wq"] @ q) / math.sqrt(d_k)
     weights = np.exp(scores - scores.max())
@@ -58,7 +58,7 @@ def test_cross_attention_single_row():
     nn.attention_init(params, rng, "ca", 3, 4, 5, 2)
     q = rng.normal(size=3)
     row = rng.normal(size=(1, 4))
-    (out,), _ = nn.cross_attention(params, "ca", q[None], row[None], row[None])
+    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], row[None], row[None])
     np.testing.assert_allclose(out, params["ca.wv"] @ row[0], atol=1e-12)
 
 
@@ -69,9 +69,9 @@ def test_cross_attention_duplication_invariance():
     q = rng.normal(size=3)
     keys = rng.normal(size=(3, 4))
     values = rng.normal(size=(3, 4))
-    base, _ = nn.cross_attention(params, "ca", q[None], keys[None], values[None])
+    base, _ = nn.cross_attention(params, "ca", q[None, None], keys[None], values[None])
     doubled, _ = nn.cross_attention(
-        params, "ca", q[None], np.vstack([keys, keys])[None], np.vstack([values, values])[None]
+        params, "ca", q[None, None], np.vstack([keys, keys])[None], np.vstack([values, values])[None]
     )
     np.testing.assert_allclose(base, doubled, atol=1e-12)
 
@@ -80,7 +80,7 @@ def test_cross_attention_rejects_empty_set():
     params = {}
     nn.attention_init(params, derive_rng(0, "e"), "ca", 3, 4, 5, 2)
     with pytest.raises(ValueError, match="empty"):
-        nn.cross_attention(params, "ca", np.zeros((1, 3)), np.zeros((1, 0, 4)), np.zeros((1, 0, 4)))
+        nn.cross_attention(params, "ca", np.zeros((1, 1, 3)), np.zeros((1, 0, 4)), np.zeros((1, 0, 4)))
 
 
 def test_cross_attention_rows_are_independent_sets():
@@ -88,7 +88,7 @@ def test_cross_attention_rows_are_independent_sets():
     params = {}
     rng = derive_rng(4, "attn-batch")
     nn.attention_init(params, rng, "ca", 3, 4, 5, 2)
-    q = rng.normal(size=(3, 3))
+    q = rng.normal(size=(3, 1, 3))
     keys = rng.normal(size=(3, 6, 4))
     values = rng.normal(size=(3, 6, 4))
     batched, _ = nn.cross_attention(params, "ca", q, keys, values)
@@ -101,10 +101,10 @@ def test_batched_cross_attention_gradients_match_finite_differences():
     params = {}
     rng = derive_rng(5, "attn-batch-grad")
     nn.attention_init(params, rng, "ca", 4, 5, 3, 4)
-    params["query"] = rng.normal(size=(3, 4))
+    params["query"] = rng.normal(size=(3, 2, 4))
     params["keys"] = rng.normal(size=(3, 6, 5))
     params["values"] = rng.normal(size=(3, 6, 5))
-    probe = rng.normal(size=(3, 4))
+    probe = rng.normal(size=(3, 2, 4))
 
     def loss_fn():
         out, _ = nn.cross_attention(params, "ca", params["query"], params["keys"], params["values"])
@@ -114,6 +114,45 @@ def test_batched_cross_attention_gradients_match_finite_differences():
     grads = {}
     grads["query"], grads["keys"], grads["values"] = nn.cross_attention_backward(params, cache, probe, grads)
     assert nn.finite_difference_check(params, loss_fn, grads) < 1e-4
+
+
+def test_two_query_attention_equals_two_one_query_calls():
+    # stacking the student's subject and object queries into one call shares
+    # the key/value projections: output and every gradient match per-query calls
+    params = {}
+    rng = derive_rng(6, "attn-two-query")
+    nn.attention_init(params, rng, "ca", 4, 5, 3, 4)
+    query = rng.normal(size=(3, 2, 4))
+    keys = rng.normal(size=(3, 6, 5))
+    values = rng.normal(size=(3, 6, 5))
+    probe = rng.normal(size=(3, 2, 4))
+
+    both, cache = nn.cross_attention(params, "ca", query, keys, values)
+    grads = {}
+    dq, dk, dv = nn.cross_attention_backward(params, cache, probe, grads)
+
+    one_grads = {}
+    one_dk = np.zeros_like(keys)
+    one_dv = np.zeros_like(values)
+    for j in range(2):
+        out, one_cache = nn.cross_attention(params, "ca", query[:, j : j + 1], keys, values)
+        np.testing.assert_allclose(both[:, j : j + 1], out, rtol=0, atol=1e-12)
+        one_dq, dk_j, dv_j = nn.cross_attention_backward(params, one_cache, probe[:, j : j + 1], one_grads)
+        np.testing.assert_allclose(dq[:, j : j + 1], one_dq, rtol=0, atol=1e-12)
+        one_dk += dk_j
+        one_dv += dv_j
+    np.testing.assert_allclose(dk, one_dk, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dv, one_dv, rtol=0, atol=1e-12)
+    assert grads.keys() == one_grads.keys() == {"ca.wq", "ca.wk", "ca.wv"}
+    for key in grads:
+        np.testing.assert_allclose(grads[key], one_grads[key], rtol=0, atol=1e-12)
+
+
+def test_cross_attention_rejects_a_query_without_a_query_axis():
+    params = {}
+    nn.attention_init(params, derive_rng(0, "q"), "ca", 3, 4, 5, 2)
+    with pytest.raises(ValueError, match=r"\(B, Q, d\)"):
+        nn.cross_attention(params, "ca", np.zeros((1, 3)), np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
 
 
 # --- losses ------------------------------------------------------------------------

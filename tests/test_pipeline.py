@@ -49,7 +49,7 @@ from chainviews.pipeline import (
     train_student,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import POLICY_NAMES, keep_count
+from chainviews.selection import POLICY_NAMES, keep_count, rank_keep
 
 from conftest import tiny_benchmark, tiny_config, tiny_world
 
@@ -332,7 +332,7 @@ def test_none_class_is_left_out_of_the_run_metrics():
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
     scorer = Scorer(config, schema)
     scorer.teacher = result.teacher
-    predictions = [infer(result.student, inst, g_uv, g_vu, config, scorer).value for inst in test_inst]
+    predictions = [label.value for label in infer(result.student, test_inst, g_uv, g_vu, config, scorer)]
     labels = [inst.label.value for inst in test_inst]
     assert result.report.metrics == compute_metrics(predictions, labels, schema)
     tp, fp, fn = confusion_counts(predictions, labels, classes=(1, 2))
@@ -395,7 +395,7 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
         step = score_trailing(step, teacher)
     student = train_student(step, config, scorer)
     assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
-    predictions = [infer(student, inst, g_uv, g_vu, config, scorer).value for inst in data.test]
+    predictions = [label.value for label in infer(student, data.test, g_uv, g_vu, config, scorer)]
     stepwise = replace(
         orchestrated.report,
         rounds=tuple(rounds),
@@ -501,13 +501,10 @@ def test_generation_depends_only_on_the_instance_and_round(
         return instance_lines(step, tiny_run.schema)
 
     def generated(instances):
-        scorer = Scorer(config, tiny_run.schema)
-        out = {}
-        for instance in instances:
-            student = RecordingStudent(tiny_run.schema)
-            infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, scorer)
-            out[instance.id] = [row.tobytes() for row in student.calls[0].data]
-        return out
+        student = RecordingStudent(tiny_run.schema)
+        infer(student, instances, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
+        (call,) = student.calls
+        return {inst.id: [row.tobytes() for row in views.data] for inst, views in zip(instances, call)}
 
     full = curate(tiny_run.train)
     subset = curate([tiny_run.train[i] for i in train_order[:train_size]])
@@ -678,30 +675,34 @@ def test_identity_channels_copy_the_real_view_everywhere():
         for side in (instance.synthetic_pool.v, instance.synthetic_pool.u):
             assert np.all(side.data == instance.real_view.data)
     # identical inputs at train and test time give the training-time prediction
-    for instance in instances:
+    predicted = infer(result.student, instances, g_uv, g_vu, config, scorer)
+    for instance, label in zip(instances, predicted, strict=True):
         synthetic = stack_views([discrete_view(instance.real_view.data, "v")] * config.infer_views)
         e = instance.entities
         inputs = result.student.inputs(stack_views([instance.real_view]), [synthetic], e.subject, e.object)
         train_time = int(np.argmax(result.student.logits(inputs)))
-        predicted = infer(result.student, instance, g_uv, g_vu, config, scorer)
-        assert predicted == Label(train_time)
+        assert label == Label(train_time)
 
 
 # --- inference ---------------------------------------------------------------------
 
 
 class RecordingStudent:
+    """Records each classify call's list of chosen view batches, one per
+    instance, and predicts class 1 for every instance."""
+
     def __init__(self, schema):
         self.schema = schema
         self.calls = []
 
     def inputs(self, real, synth, subj, obj):
-        (views,) = synth
-        self.calls.append(views)
-        return ()
+        assert len(real) == len(synth) == len(subj) == len(obj)
+        self.calls.append(list(synth))
+        return (len(synth),)
 
     def logits(self, inputs):
-        return np.array([[0.0, 1.0, 0.0]])
+        (n,) = inputs
+        return np.tile([0.0, 1.0, 0.0], (n, 1))
 
 
 def generated_views(instance, g_uv, config):
@@ -713,10 +714,10 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     config = tiny_config(initial_views=5, infer_views=2)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[0]
-    label = infer(student, instance, tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
-    assert label == Label(1)
+    labels = infer(student, [instance], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
+    assert labels == [Label(1)]
     expected = generated_views(instance, tiny_run.g_uv, config).data[:2]
-    (got,) = student.calls
+    ((got,),) = student.calls
     assert len(got) == 2
     assert got.modality == "v"
     for row, want in zip(got.data, expected):
@@ -730,12 +731,12 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     instance = tiny_run.test[1]
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = teacher
-    infer(student, instance, tiny_run.g_uv, None, config, scorer)
+    infer(student, [instance], tiny_run.g_uv, None, config, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
     logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
     scores = list(-np.max(log_softmax(logits), axis=1))
     order = sorted(range(len(views)), key=lambda i: (scores[i], i))
-    (got,) = student.calls
+    ((got,),) = student.calls
     assert len(got) == 3
     for row, want_idx in zip(got.data, order[:3]):
         assert np.array_equal(row, views.data[want_idx])
@@ -745,12 +746,12 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
     config = tiny_config(initial_views=3, infer_views=3, infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[3]
-    infer(student, instance, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
+    infer(student, [instance], tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
     rng = derive_rng(config.seed, "infer-gen", instance.id)
     expected = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 3), rng)
     for _ in range(config.ccg_rounds):
         expected = sample_channel(tiny_run.g_uv, sample_channel(tiny_run.g_vu, expected, rng), rng)
-    (got,) = student.calls
+    ((got,),) = student.calls
     for row, want in zip(got.data, expected.data):
         assert np.array_equal(row, want)
     plain = generated_views(instance, tiny_run.g_uv, config)
@@ -761,7 +762,104 @@ def test_infer_full_chain_needs_the_return_channel(tiny_run):
     config = tiny_config(infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     with pytest.raises(PipelineError, match="g_vu"):
-        infer(student, tiny_run.test[0], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
+        infer(student, tiny_run.test[:1], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
+    assert student.calls == []
+
+
+def reference_infer(student, instance, g_uv, g_vu, config, scorer):
+    """One test instance on its own: its stream, ``rank_keep`` over its
+    scores and a batch-of-one student. Returns the label and the chosen
+    views' bytes."""
+    rng = derive_rng(config.seed, "infer-gen", instance.id)
+    views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
+    if config.infer_full_chain:
+        for _ in range(config.ccg_rounds):
+            views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
+    e = instance.entities
+    if config.policy_name == "teacher_loss" and scorer.teacher is not None:
+        logits = scorer.teacher.logits(scorer.teacher.inputs(views, e.subject, e.object))
+        scores = (-np.max(log_softmax(logits), axis=1)).tolist()
+    else:
+        scores = scorer.scores(instance, views, "infer-pick")
+    chosen = views.take(rank_keep(scores, config.infer_views))
+    (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
+    return Label(int(np.argmax(logits))), chosen.data.tobytes()
+
+
+class SpyStudent:
+    """A real student that also records the chosen views of each call."""
+
+    def __init__(self, student):
+        self.student = student
+        self.chosen = []
+
+    def inputs(self, real, synth, subj, obj):
+        self.chosen.extend(views.data.tobytes() for views in synth)
+        return self.student.inputs(real, synth, subj, obj)
+
+    def logits(self, inputs):
+        return self.student.logits(inputs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    order=st.permutations(range(18)),
+    size=st.integers(1, 18),
+    policy_name=st.sampled_from(POLICY_NAMES),
+    with_teacher=st.booleans(),
+    full_chain=st.booleans(),
+)
+def test_batched_infer_matches_one_instance_at_a_time(tiny_run, order, size, policy_name, with_teacher, full_chain):
+    config = replace(tiny_run.config, policy_name=policy_name, infer_full_chain=full_chain)
+    scorer = Scorer(config, tiny_run.schema)
+    scorer.teacher = tiny_run.result.teacher if with_teacher else None
+    split = [tiny_run.test[i] for i in order[:size]]
+    args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
+    expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in split]
+    spy = SpyStudent(tiny_run.result.student)
+    assert infer(spy, split, *args) == [label for label, _ in expected]
+    assert spy.chosen == [chosen for _, chosen in expected]
+
+
+def test_infer_labels_do_not_depend_on_the_teacher_chunks(tiny_run):
+    # at 8 views per instance a chunk holds a whole number of instances; the
+    # first instances' labels and views stay put as the split crosses a
+    # chunk boundary, and match the one-at-a-time reference there
+    config = replace(tiny_run.config, initial_views=8)
+    per_chunk, rest = divmod(pipeline_module.SCORE_CHUNK_ROWS, config.initial_views)
+    assert rest == 0 and per_chunk > 1
+    world, g_uv, g_vu, v_spec = tiny_world()
+    split, _ = generate_benchmark(world, per_chunk // tiny_run.schema.class_count + 1, v_spec, stream="test")
+    scorer = Scorer(config, tiny_run.schema)
+    scorer.teacher = tiny_run.result.teacher
+    spy = SpyStudent(tiny_run.result.student)
+    labels = infer(spy, split[: per_chunk + 1], g_uv, g_vu, config, scorer)
+    chosen = spy.chosen
+    assert len(labels) == len(chosen) == per_chunk + 1
+    for n in (1, per_chunk - 1, per_chunk):
+        spy.chosen = []
+        assert infer(spy, split[:n], g_uv, g_vu, config, scorer) == labels[:n]
+        assert spy.chosen == chosen[:n]
+    for i in (0, per_chunk - 2, per_chunk - 1, per_chunk):
+        assert (labels[i], chosen[i]) == reference_infer(tiny_run.result.student, split[i], g_uv, g_vu, config, scorer)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
+def test_every_generated_view_is_scored_whatever_the_chunk(tiny_run, monkeypatch, chunk_rows):
+    monkeypatch.setattr(pipeline_module, "SCORE_CHUNK_ROWS", chunk_rows)
+    config = replace(tiny_run.config, initial_views=6)
+    scorer = Scorer(config, tiny_run.schema)
+    scorer.teacher = tiny_run.result.teacher
+    args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
+    expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in tiny_run.test]
+    spy = SpyStudent(tiny_run.result.student)
+    assert infer(spy, tiny_run.test, *args) == [label for label, _ in expected]
+    assert spy.chosen == [chosen for _, chosen in expected]
+
+
+def test_infer_of_no_instances_is_empty(tiny_run):
+    student = RecordingStudent(tiny_run.schema)
+    assert infer(student, [], tiny_run.g_uv, None, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema)) == []
     assert student.calls == []
 
 
@@ -772,16 +870,28 @@ def test_run_pipeline_rejects_occupied_pools(tiny_run):
         )
 
 
+@pytest.mark.parametrize("condition", ["full", "unimodal"])
+def test_run_pipeline_rejects_a_pca_dim_wider_than_the_v_side_before_generating(tiny_run, monkeypatch, condition):
+    sampled = []
+    monkeypatch.setattr(pipeline_module, "sample_channel", lambda *args: sampled.append(args))
+    config = tiny_config(pca_dim=3)
+    with pytest.raises(PipelineError, match="pca_dim 3 exceeds the v-side view size 2"):
+        run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config, condition)
+    assert sampled == []
+
+
 def test_confidence_loss_is_best_case_over_labels(tiny_run):
     teacher = TeacherModel(derive_rng(5, "probe"), tiny_run.schema)
-    scorer = Scorer(tiny_config(), tiny_run.schema)
+    scorer = Scorer(tiny_config(initial_views=10, infer_views=4), tiny_run.schema)
     scorer.teacher = teacher
     instance = tiny_run.test[0]
     views = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 10), derive_rng(50, "aux"))
-    confidence = scorer.scores(instance, views, "infer-pick")
     logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
+    confidence = -np.max(log_softmax(logits), axis=1)
     losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
-    assert np.all(np.array(confidence) <= losses + 1e-12)
+    assert np.all(confidence <= losses + 1e-12)
+    (picked,) = scorer.pick([instance], [views])
+    assert picked.tolist() == rank_keep(confidence.tolist(), 4)
 
 
 # --- conditions and ablation --------------------------------------------------------

@@ -72,3 +72,44 @@ print(names.count("datamodel.write_dataset"), names.count("datamodel.read_datase
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "2"]
+
+
+def test_evaluation_is_one_student_call_and_one_teacher_call_per_chunk():
+    # models.student_infer_s and models.score_calls count these spans: after
+    # the student's training, the test split is one StudentModel.logits call
+    # and its generated views ceil(rows / SCORE_CHUNK_ROWS) teacher calls
+    code = """
+import math
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from chainviews import pipeline
+from conftest import tiny_benchmark, tiny_config
+pipeline.SCORE_CHUNK_ROWS = 16
+train, test, schema, g_uv, g_vu = tiny_benchmark()
+config = tiny_config()
+tracer.enabled = True
+pipeline.run_pipeline(train, test, schema, g_uv, g_vu, config)
+spans = tracer.spans
+
+def in_train(span):
+    while span[tracing.PARENT] is not None:
+        span = spans[span[tracing.PARENT]]
+        if span[tracing.NAME] == "models.train":
+            return True
+    return False
+
+students = [s for s in spans if s[tracing.NAME] == "models.StudentModel.logits" and not in_train(s)]
+(trained,) = [s for s in spans if s[tracing.NAME] == "models.train" and s[tracing.TAG] == "StudentModel"]
+teachers = [s for s in spans if s[tracing.NAME] == "models.TeacherModel.logits" and s[tracing.START] > trained[tracing.END]]
+rows = len(test) * config.initial_views
+print(len(students), len(teachers), math.ceil(rows / 16))
+"""
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "benchmarks"), str(ROOT / "src"), str(ROOT / "tests")])
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    students, teachers, chunks = proc.stdout.split()
+    assert students == "1"
+    assert teachers == chunks != "1"
