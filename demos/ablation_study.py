@@ -34,8 +34,6 @@ base = PipelineConfig(
     infer_views=6,
     teacher=TrainConfig(learning_rate=0.02, steps=260, batch_size=48),
     student=TrainConfig(learning_rate=0.01, steps=450, batch_size=32),
-    pca_dim=2,
-    gmm_components=2,
 )
 conditions = ("full", "no_ccg", "no_teacher", "unimodal")
 seeds = (0, 1)

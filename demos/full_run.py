@@ -14,6 +14,8 @@ from pathlib import Path
 from chainviews import (
     PipelineConfig,
     TrainConfig,
+    diversity_report,
+    extract_stages,
     generate_benchmark,
     lossy_world_preset,
     run_pipeline,
@@ -53,7 +55,8 @@ for key in ("accuracy", "precision", "recall", "f1"):
 
 print()
 print("== view spread per stage ==")
-for row in report.diversity:
+stages = extract_stages(result.instances, schema)
+for row in diversity_report(stages, pca_dim=2, n_components=3, seed=config.seed):
     print(f"{row.stage:4s} n={row.n_views:3d} generalized variance {row.statistic:.4f}")
 
 print()

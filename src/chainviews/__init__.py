@@ -33,7 +33,6 @@ from .config import (
     ExperimentConfig,
     build_world,
     channel_from_spec,
-    load_config,
     load_experiment_data,
     parse_config,
 )
@@ -90,8 +89,6 @@ from .models import (
     TrainingDivergedError,
     UnimodalModel,
     grad_check,
-    load_params,
-    save_params,
     train,
 )
 from .pipeline import (

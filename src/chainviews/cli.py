@@ -3,7 +3,8 @@
 Five subcommands: ``gen-benchmark`` (sample a world into dataset files),
 ``run`` (one full pipeline run), ``ablate`` (all conditions over seeds),
 ``verify`` (the invariant suite), ``diversity`` (stage-wise generalized
-variance from a finished run's dataset).
+variance from a finished run's dataset, which must pass ``validate_dataset``;
+the one producer of that table).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
 3 verification failure.
@@ -19,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +32,7 @@ from .config import (
     parse_config,
     read_config_mapping,
 )
-from .datamodel import DatasetFormatError, read_dataset, write_dataset
+from .datamodel import DatasetFormatError, read_dataset, validate_dataset, write_dataset
 from .diversity import diversity_report
 from .pipeline import (
     ablation_table,
@@ -97,13 +97,6 @@ def _condition_name(config: ExperimentConfig) -> str:
     }[policy]
 
 
-def _check_pca_dim(config: ExperimentConfig, v_spec) -> None:
-    """A run's diversity table projects the v-side views onto
-    ``pipeline.pca_dim`` components: no more than the views have."""
-    if config.pipeline.pca_dim > v_spec.size:
-        raise ConfigError(f"pipeline.pca_dim {config.pipeline.pca_dim} exceeds the v-side view size {v_spec.size}")
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -135,8 +128,6 @@ def cmd_run(args) -> int:
     config = _load(args, k_override=args.k)
     out = _out_dir(config, args.out)
     train_instances, test_instances, schema, g_uv, g_vu = load_experiment_data(config)
-    _check_pca_dim(config, schema.v_spec)
-    pipeline = replace(config.pipeline, workers=args.workers)
     condition = _condition_name(config)
     result = run_pipeline(
         train_instances,
@@ -144,7 +135,7 @@ def cmd_run(args) -> int:
         schema,
         g_uv,
         g_vu,
-        pipeline,
+        config.pipeline,
         condition=condition,
         config_digest=config.digest,
     )
@@ -170,17 +161,10 @@ def cmd_ablate(args) -> int:
     if config.world_preset is None and config.world_custom is None:
         raise ConfigError("ablate needs a generative 'world' section, not dataset paths")
     out = _out_dir(config, args.out)
-
-    def make_world(seed: int):
-        world = build_world(config, seed=seed)
-        _check_pca_dim(config, world[3])
-        return world
-
-    base = replace(config.pipeline, workers=args.workers)
     started = time.perf_counter()
-    rows, reports = run_ablation(
-        make_world,
-        base,
+    rows, _ = run_ablation(
+        lambda seed: build_world(config, seed=seed),
+        config.pipeline,
         seeds=config.ablation_seeds,
         conditions=config.ablation_conditions,
         n_train_per_class=config.train_per_class,
@@ -236,6 +220,7 @@ def cmd_diversity(args) -> int:
     out = _out_dir(config, args.out)
     dataset_path = Path(args.dataset) if args.dataset else out / "dataset.jsonl"
     instances, schema = read_dataset(dataset_path)
+    validate_dataset(instances, schema).raise_if_invalid()
     stages = extract_stages(instances, schema)
     if not stages:
         raise ConfigError(f"{dataset_path} holds no synthetic views; run the pipeline first")
@@ -275,6 +260,13 @@ def cmd_diversity(args) -> int:
 # --- argument parsing -------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainviews",
@@ -292,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def workers(p):
         p.add_argument(
-            "--workers", type=int, default=1, help="accepted for compatibility; no effect, all work runs on one thread"
+            "--workers", type=_positive_int, default=1, help="accepted for compatibility; no effect, all work runs on one thread"
         )
 
     p = sub.add_parser("gen-benchmark", help="sample a benchmark world into dataset files")

@@ -38,7 +38,7 @@ from .channels import (
 )
 from .datamodel import MODALITY_U, MODALITY_V, ViewSpec, read_dataset
 from .models import TrainConfig, check_int, check_number, is_real
-from .pipeline import CONDITIONS, PipelineConfig, config_hash
+from .pipeline import CONDITIONS, INERT_FIELDS, PipelineConfig, config_hash
 
 
 class ConfigError(ValueError):
@@ -58,9 +58,9 @@ _TOP_KEYS = {
     "ablation",
     "diversity",
 }
-# the YAML spells policy_name "policy"; the seed is top-level, workers a flag
-_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"seed", "workers", "policy_name"} | {"policy"}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
+# the YAML spells policy_name "policy"; the seed is top-level
+_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"seed", "policy_name", *INERT_FIELDS} | {"policy"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def _require_mapping(value, where: str) -> Mapping:
@@ -394,13 +394,6 @@ def merge_overrides(mapping: Mapping, overrides: Mapping | None) -> dict:
         else:
             merged[key] = value
     return merged
-
-
-def load_config(path, overrides: Mapping | None = None) -> ExperimentConfig:
-    """Parse a YAML config file, applying overrides (e.g. CLI flags) before
-    validation so the digest covers the effective settings."""
-    mapping = merge_overrides(read_config_mapping(path), overrides)
-    return parse_config(mapping, source=str(path))
 
 
 # --- materializing experiments ---------------------------------------------------

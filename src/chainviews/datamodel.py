@@ -338,7 +338,7 @@ class ValidationReport:
                 f"[{v.instance_id if v.instance_id is not None else 'schema'}] {v.message}"
                 for v in self.violations[:10]
             )
-            raise ValueError(f"dataset failed validation: {lines}")
+            raise DatasetFormatError(f"dataset failed validation: {lines}")
 
 
 def _ancestry(pool: Pool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -49,9 +49,6 @@ from .nn import (
     softmax_xent,
 )
 
-CHECKPOINT_VERSION = 1
-
-
 class ModalityError(ValueError):
     """A view arrived on the wrong side of a model."""
 
@@ -329,13 +326,11 @@ class TrainConfig:
     learning_rate: float = 0.01
     steps: int = 200
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         check_number("learning_rate", self.learning_rate)
         check_int("steps", self.steps, 0)
         check_int("batch_size", self.batch_size, 1)
-        check_int("seed", self.seed, 0)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -368,17 +363,17 @@ class AdamW:
         self.flat -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
-def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train",)):
+def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stream=("train",)):
     """Run Adam on mean batch loss at ``config.learning_rate``; returns
     (model, per_sample_losses).
 
     ``inputs`` is the model's tuple of row arrays (see its ``inputs``) and
     ``labels`` one class index per row; nothing is featurized here. Each
     step gathers the batch's rows of every array. Batches are contiguous
-    chunks of a per-epoch permutation, all from the model's own derived
-    stream, so identical (config, inputs, labels) always produce identical
-    parameters. The returned losses come from one final frozen pass over
-    all rows in input order.
+    chunks of a per-epoch permutation, all from the run's ``seed`` and the
+    model's ``rng_stream``, so identical (config, seed, inputs, labels)
+    always produce identical parameters. The returned losses come from one
+    final frozen pass over all rows in input order.
     """
     from .rng import derive_rng
 
@@ -388,7 +383,7 @@ def train(model, inputs: tuple, labels, config: TrainConfig, rng_stream=("train"
         raise ValueError("cannot train on an empty sample list")
     if any(len(a) != n for a in inputs):
         raise ValueError(f"every input array needs one row per label ({n})")
-    rng = derive_rng(config.seed, *rng_stream)
+    rng = derive_rng(seed, *rng_stream)
     optimizer = AdamW(model.params)
     order = rng.permutation(n)
     cursor = 0
@@ -421,21 +416,3 @@ def grad_check(model, inputs: tuple, labels, epsilon: float = 1e-5) -> float:
         return float(np.mean(softmax_xent(model.logits(inputs), labels)[0]))
 
     return finite_difference_check(model.params, loss_fn, analytic, epsilon=epsilon)
-
-
-# --- checkpoints ---------------------------------------------------------------
-
-
-def save_params(params: Params, path) -> None:
-    """Write a flat named-tensor checkpoint (.npz with a version stamp)."""
-    payload = {"__version__": np.array(CHECKPOINT_VERSION)}
-    payload.update(params)
-    np.savez(path, **payload)
-
-
-def load_params(path) -> Params:
-    with np.load(path) as data:
-        version = int(data["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return {k: data[k].copy() for k in data.files if k != "__version__"}

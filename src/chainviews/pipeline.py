@@ -30,14 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .channels import generate_benchmark, sample_channel, stack_views
 from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, View, ViewBatch
-from .diversity import StageDiversity, diversity_report
+from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
 from .nn import featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng
@@ -66,6 +66,9 @@ class PipelineError(RuntimeError):
     pass
 
 
+INERT_FIELDS = ("pca_dim", "gmm_components", "workers")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for one curation run; see the module docstring for the loop."""
@@ -81,14 +84,17 @@ class PipelineConfig:
     student: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=0.01, steps=350, batch_size=32))
     seed: int = 0
     infer_full_chain: bool = False  # test-time views pass through the whole chain
-    pca_dim: int = 2
-    gmm_components: int = 3
-    workers: int = 1  # accepted for compatibility; has no effect (all work runs on one thread)
+    # Inert (INERT_FIELDS): accepted so that older callers still construct a
+    # config, but never read, checked or digested. The diversity table is
+    # ``chainviews diversity``'s, and all work runs on the calling thread.
+    pca_dim: object = None
+    gmm_components: object = None
+    workers: object = None
 
     def __post_init__(self):
         for name in ("ccg_rounds", "seed"):
             check_int(name, getattr(self, name), 0)
-        for name in ("initial_views", "train_views", "infer_views", "pca_dim", "gmm_components", "workers"):
+        for name in ("initial_views", "train_views", "infer_views"):
             check_int(name, getattr(self, name), 1)
         if not isinstance(self.spawn_per_kept, tuple) or len(self.spawn_per_kept) != self.ccg_rounds:
             raise ValueError(f"spawn_per_kept needs {self.ccg_rounds} entries, got {self.spawn_per_kept!r}")
@@ -105,8 +111,8 @@ class PipelineConfig:
             )
 
     def to_dict(self) -> dict:
-        """Every field but ``workers``, which never changes a result."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        """Every field but the inert ones, which never change a result."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in INERT_FIELDS}
         out["spawn_per_kept"] = list(self.spawn_per_kept)
         out["teacher"], out["student"] = vars(self.teacher).copy(), vars(self.student).copy()
         return out
@@ -144,7 +150,6 @@ class RunReport:
     rounds: tuple[RoundRecord, ...]
     final_pool_size: int  # v-side candidates per instance after the last generation
     metrics: dict
-    diversity: tuple[StageDiversity, ...]
     timing: dict  # wall-clock seconds; excluded from determinism guarantees
 
 
@@ -262,9 +267,9 @@ class Scorer:
         counts = [len(ids) for ids in live]
         subj, obj, labels = _per_row(instances, counts)
         views = ViewBatch(batches[0].kind, MODALITY_V, np.concatenate([b.data for b in batches]))
-        cfg = replace(self.config.teacher, seed=seed)
+        inputs = self.teacher.inputs(views, subj, obj)
         _, losses = train(
-            self.teacher, self.teacher.inputs(views, subj, obj), labels, cfg, rng_stream=("teacher-train", selection_index)
+            self.teacher, inputs, labels, self.config.teacher, seed, rng_stream=("teacher-train", selection_index)
         )
         return [part.tolist() for part in np.split(losses, np.cumsum(counts)[:-1])]
 
@@ -455,7 +460,7 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
     inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)
-    train(student, inputs, labels, replace(config.student, seed=config.seed), rng_stream=("student-train",))
+    train(student, inputs, labels, config.student, config.seed, rng_stream=("student-train",))
     return student
 
 
@@ -501,18 +506,6 @@ def infer(
     return [Label(int(c)) for c in np.argmax(logits, axis=1)]
 
 
-def stage_diversity(
-    instances: Sequence[Instance], schema: DatasetSchema, config: PipelineConfig
-) -> tuple[StageDiversity, ...]:
-    """Generalized variance of every stage of a finished run with two or
-    more views."""
-    stages = extract_stages(instances, schema)
-    usable = {name: m for name, m in stages.items() if m.shape[0] >= 2}
-    if not usable:
-        return ()
-    return tuple(diversity_report(usable, config.pca_dim, config.gmm_components, seed=config.seed))
-
-
 # --- the run --------------------------------------------------------------------
 
 
@@ -522,7 +515,7 @@ def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfi
     model = UnimodalModel(rng, schema)
     subj, obj, labels = _per_row(train_instances)
     inputs = model.inputs(stack_views([inst.real_view for inst in train_instances]), subj, obj)
-    train(model, inputs, labels, replace(config.student, seed=config.seed), rng_stream=("unimodal-train",))
+    train(model, inputs, labels, config.student, config.seed, rng_stream=("unimodal-train",))
     train_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -538,7 +531,6 @@ def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfi
         rounds=(),
         final_pool_size=0,
         metrics=metrics,
-        diversity=(),
         timing={"train_student": train_seconds, "evaluate": time.perf_counter() - t0},
     )
     return RunResult(instances=list(train_instances), report=report, teacher=None, student=model)
@@ -563,9 +555,6 @@ def run_pipeline(
     """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
-    if config.pca_dim > schema.v_spec.size:
-        # stage_diversity would fail only after the whole run
-        raise PipelineError(f"pca_dim {config.pca_dim} exceeds the v-side view size {schema.v_spec.size}")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
@@ -601,7 +590,6 @@ def run_pipeline(
         rounds=tuple(rounds),
         final_pool_size=len(_live_ids(instances[0].synthetic_pool, len(rounds))) if instances else 0,
         metrics=metrics,
-        diversity=stage_diversity(instances, schema, config),
         timing=timing,
     )
     return RunResult(instances=instances, report=report, teacher=scorer.teacher, student=student)
@@ -735,7 +723,6 @@ def report_to_dict(report: RunReport) -> dict:
             }
             for r in report.rounds
         ],
-        "diversity": [asdict(d) for d in report.diversity],
         "timing": report.timing,
     }
 

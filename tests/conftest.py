@@ -69,8 +69,6 @@ def tiny_config(**overrides):
         teacher=TrainConfig(learning_rate=0.05, steps=30, batch_size=8),
         student=TrainConfig(learning_rate=0.02, steps=40, batch_size=8),
         seed=7,
-        pca_dim=2,
-        gmm_components=2,
     )
     base.update(overrides)
     return PipelineConfig(**base)

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 import chainviews.nn
 from chainviews.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, main
+from chainviews.config import load_experiment_data, parse_config, read_config_mapping
 from chainviews.datamodel import read_dataset
+from chainviews.diversity import diversity_report
+from chainviews.pipeline import extract_stages, run_pipeline
 
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"
@@ -42,8 +45,6 @@ def tiny_mapping(out_dir, **overrides):
             "keep_fraction": 0.5,
             "train_views": 2,
             "infer_views": 2,
-            "pca_dim": 2,
-            "gmm_components": 2,
             "teacher": {"steps": 12, "batch_size": 8, "learning_rate": 0.05},
             "student": {"steps": 15, "batch_size": 8, "learning_rate": 0.05},
         },
@@ -71,6 +72,8 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["warp"]) == EXIT_USAGE
     assert main(["verify", "--workers", "2"]) == EXIT_USAGE  # only run and ablate take --workers
+    for command in ("run", "ablate"):  # --workers is a no-op, but it must be a positive integer
+        assert main([command, "--config", str(QUICK), "--workers", "0"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -218,7 +221,9 @@ def test_run_k_zero_flag(run_artifacts, tmp_path, capsys):
     assert main(["run", "--config", run_artifacts.config, "--out", str(out), "--k", "0"]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["ccg_rounds"] == 0
-    assert [d["stage"] for d in report["diversity"]] == ["V0"]
+    assert "diversity" not in report  # `chainviews diversity` writes the stage table
+    assert main(["diversity", "--config", run_artifacts.config, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "diversity.meta.json").read_text())["stages"] == ["V0"]
     assert (out / "metrics.csv").read_text().splitlines()[1].startswith("no_ccg,")
     capsys.readouterr()
 
@@ -332,6 +337,23 @@ def test_diversity_table_from_a_finished_run(run_artifacts, capsys):
     capsys.readouterr()
 
 
+def test_diversity_of_a_run_equals_the_api_report_at_its_seed(run_artifacts, capsys):
+    # `run` then `diversity` on one --out is the table's one producer; it
+    # must equal diversity_report over the stages of the same run in-process
+    config = parse_config(read_config_mapping(run_artifacts.config))
+    train, test, schema, g_uv, g_vu = load_experiment_data(config)
+    result = run_pipeline(train, test, schema, g_uv, g_vu, config.pipeline, "full")
+    stages = extract_stages(result.instances, schema)
+    assert main(["diversity", "--config", run_artifacts.config]) == EXIT_OK
+    rows = [line.split(",") for line in (run_artifacts.out / "diversity.csv").read_text().splitlines()[1:]]
+    grid = [(d, c) for d in config.diversity_pca_dims for c in config.diversity_components]
+    assert [(int(row[0]), int(row[1])) for row in rows] == grid
+    for row, (pca_dim, components) in zip(rows, grid):
+        records = diversity_report(stages, pca_dim, components, seed=config.seed)
+        assert [float(cell) for cell in row[2:]] == [r.statistic for r in records]
+    capsys.readouterr()
+
+
 def test_diversity_explicit_dataset_flag(run_artifacts, tmp_path, capsys):
     out = tmp_path / "div"
     code = main(
@@ -395,6 +417,19 @@ def diversity_on_edited(run_artifacts, tmp_path, edit) -> int:
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
     return main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+
+
+def test_diversity_rejects_a_broken_ancestry_chain(run_artifacts, tmp_path, capsys):
+    # a view that names itself as its parent parses, but its chain never
+    # reaches the real view: validate_dataset must turn the file away
+    def self_parent(record):
+        parents = record["pool"]["parent_id"]
+        parents[-1] = len(parents) - 1
+
+    assert diversity_on_edited(run_artifacts, tmp_path, self_parent) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset failed validation: ") and "view 7 has a broken ancestry chain" in err, err
+    assert not (tmp_path / "diversity.csv").exists()
 
 
 def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
@@ -487,18 +522,6 @@ def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     assert "exceeds the synthetic view size" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_run_and_ablate_reject_a_pca_dim_wider_than_the_v_side(tmp_path, capsys, command):
-    # the clean preset's v side is narrower than 9: the report's diversity
-    # table cannot project onto 9 components
-    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
-    mapping["pipeline"]["pca_dim"] = 9
-    config = write_yaml(tmp_path / "wide.yaml", mapping)
-    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert "pipeline.pca_dim 9 exceeds the v-side view size" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
-
-
 # --- malformed config values ---------------------------------------------------------
 
 
@@ -555,8 +578,6 @@ MALFORMED = [
     ("quick", ("pipeline", "teacher", "learning_rate"), "fast"),
     ("quick", ("pipeline", "teacher", "steps"), 2.5),
     ("quick", ("pipeline", "student", "batch_size"), 0),
-    ("quick", ("pipeline", "pca_dim"), 0),
-    ("quick", ("pipeline", "gmm_components"), 0),
     ("quick", ("data", "train_per_class"), "x"),
     ("quick", ("data", "none_class"), "x"),
     ("quick", ("diversity", "pca_dims"), ["a"]),
@@ -573,6 +594,9 @@ MALFORMED = [
     ("quick", ("pipeline", "shared_attention"), "no"),
     ("quick", ("pipeline", "teacher", "weight_decay"), 0.01),
     ("quick", ("pipeline", "student", "cosine_decay"), True),
+    # the diversity table is `chainviews diversity`'s, set by its own grid
+    ("quick", ("pipeline", "pca_dim"), 0),
+    ("quick", ("pipeline", "gmm_components"), 0),
 ]
 
 
@@ -646,8 +670,6 @@ FUZZED = {
     ("pipeline", "initial_views"): not_an_int(1),
     ("pipeline", "train_views"): not_an_int(1),
     ("pipeline", "infer_views"): not_an_int(1),
-    ("pipeline", "pca_dim"): not_an_int(1),
-    ("pipeline", "gmm_components"): not_an_int(1),
     ("pipeline", "spawn_per_kept"): st.one_of(
         TEXT, st.integers(), st.none(), st.lists(not_an_int(0), min_size=1, max_size=1), st.just([1, 1])
     ),

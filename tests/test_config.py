@@ -1,5 +1,7 @@
 """Declarative experiment configs: parsing, channel specs, overrides, digests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -19,7 +21,6 @@ from chainviews.config import (
     ExperimentConfig,
     build_world,
     channel_from_spec,
-    load_config,
     load_experiment_data,
     merge_overrides,
     parse_config,
@@ -29,6 +30,8 @@ from chainviews.config import (
 from chainviews.datamodel import ViewBatch, ViewSpec, dataset_to_string, write_dataset
 from chainviews.pipeline import CONDITIONS
 from chainviews.rng import derive_rng
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_mapping(**overrides):
@@ -82,6 +85,12 @@ def test_unknown_keys_are_named():
         parse_config(base_mapping(pipeline={"warm": True}))
     with pytest.raises(ConfigError, match="pipeline.teacher.*momentum"):
         parse_config(base_mapping(pipeline={"teacher": {"momentum": 0.9}}))
+    # inert PipelineConfig fields and the run-wide seed are no YAML keys
+    for key in ("pca_dim", "gmm_components", "workers"):
+        with pytest.raises(ConfigError, match=f"unknown keys in pipeline: {key}"):
+            parse_config(base_mapping(pipeline={key: 2}))
+    with pytest.raises(ConfigError, match="unknown keys in pipeline.student: seed"):
+        parse_config(base_mapping(pipeline={"student": {"seed": 2}}))
 
 
 def test_world_and_dataset_are_exclusive(tmp_path):
@@ -269,6 +278,11 @@ def write_yaml(path, mapping):
     return path
 
 
+def load_config(path, overrides=None):
+    """A config file with flag overrides, parsed the way the CLI does it."""
+    return parse_config(merge_overrides(read_config_mapping(path), overrides), source=str(path))
+
+
 def test_load_config_round_trips_yaml(tmp_path):
     path = write_yaml(tmp_path / "exp.yaml", base_mapping(out_dir="results"))
     config = load_config(path)
@@ -314,6 +328,14 @@ def test_overrides_change_the_digest(tmp_path):
 
 
 # --- worlds and data ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.name)
+def test_every_shipped_config_parses_and_builds_its_world(path):
+    config = parse_config(read_config_mapping(path), source=str(path))
+    world, g_uv, g_vu, v_spec = build_world(config)
+    assert world.seed == config.seed
+    assert g_uv.out_port.spec == v_spec == g_vu.in_port.spec
 
 
 def test_build_world_preset_and_seed_override():

@@ -32,8 +32,6 @@ from chainviews.models import (
     TrainingDivergedError,
     UnimodalModel,
     grad_check,
-    load_params,
-    save_params,
     train,
 )
 from chainviews.nn import softmax_xent
@@ -291,8 +289,8 @@ def test_batched_logits_match_row_by_row_and_training_repeats(kind, seed, n_rows
 
     def fit():
         model, inputs = fresh()
-        config = TrainConfig(learning_rate=0.05, steps=4, batch_size=2, seed=seed)
-        model, losses = train(model, inputs, labels, config)
+        config = TrainConfig(learning_rate=0.05, steps=4, batch_size=2)
+        model, losses = train(model, inputs, labels, config, seed)
         return param_digest(model.params), losses.tobytes()
 
     assert fit() == fit()
@@ -339,7 +337,7 @@ def test_training_solves_a_separable_linear_toy():
     inputs, labels = separable_toy()
     model = TinyLinearModel(derive_rng(0, "toy-init"), 2)
     config = TrainConfig(learning_rate=0.1, steps=120, batch_size=10)
-    model, losses = train(model, inputs, labels, config)
+    model, losses = train(model, inputs, labels, config, 0)
     predictions = list(np.argmax(model.logits(inputs), axis=1))
     assert predictions == list(labels)
     assert losses.shape == (len(labels),)
@@ -351,7 +349,7 @@ def test_zero_learning_rate_is_a_null_update():
     before = {k: v.copy() for k, v in model.params.items()}
     initial_losses = model.loss_and_grads(inputs, labels)[0]
     config = TrainConfig(learning_rate=0.0, steps=50, batch_size=8)
-    model, losses = train(model, inputs, labels, config)
+    model, losses = train(model, inputs, labels, config, 0)
     for key in before:
         np.testing.assert_array_equal(model.params[key], before[key])
     np.testing.assert_allclose(losses, initial_losses, atol=1e-15)
@@ -362,8 +360,8 @@ def test_training_is_bit_deterministic():
         model = TeacherModel(derive_rng(7, "det-init"), schema())
         rng = derive_rng(7, "det-data")
         samples = [teacher_sample(rng) for _ in range(12)]
-        config = TrainConfig(learning_rate=0.05, steps=25, batch_size=6, seed=7)
-        model, losses = train(model, *as_inputs(model, samples), config, rng_stream=("teacher-train", 0))
+        config = TrainConfig(learning_rate=0.05, steps=25, batch_size=6)
+        model, losses = train(model, *as_inputs(model, samples), config, 7, rng_stream=("teacher-train", 0))
         return param_digest(model.params), losses
 
     digest_a, losses_a = run()
@@ -377,7 +375,7 @@ def test_returned_losses_are_frozen_final_pass():
     rng = derive_rng(8, "frozen-data")
     samples = [teacher_sample(rng) for _ in range(10)]
     config = TrainConfig(learning_rate=0.05, steps=20, batch_size=4)
-    model, losses = train(model, *as_inputs(model, samples), config)
+    model, losses = train(model, *as_inputs(model, samples), config, 0)
     recomputed, _ = softmax_xent(model.logits(as_inputs(model, samples)[0]), [label for _, label in samples])
     np.testing.assert_array_equal(losses, recomputed)
 
@@ -392,14 +390,14 @@ def test_training_reduces_mean_loss():
         view = vector_view(rng.normal(size=4) + 2.0 * label, MODALITY_V)
         samples.append(((view, rand_entities(rng)), label))
     initial = float(np.mean(model.loss_and_grads(*as_inputs(model, samples))[0]))
-    _, losses = train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=80, batch_size=10))
+    _, losses = train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=80, batch_size=10), 0)
     assert float(losses.mean()) < initial
 
 
 def test_empty_sample_list_rejected():
     model = TinyLinearModel(derive_rng(0, "e"), 2)
     with pytest.raises(ValueError):
-        train(model, (np.empty((0, 2)),), [], TrainConfig())
+        train(model, (np.empty((0, 2)),), [], TrainConfig(), 0)
 
 
 def test_nan_loss_aborts_with_step_number():
@@ -414,7 +412,7 @@ def test_nan_loss_aborts_with_step_number():
             return np.full(len(labels), np.nan), {"w": np.zeros(1)}
 
     with pytest.raises(TrainingDivergedError) as err:
-        train(PoisonModel(), (np.zeros((1, 1)),), [0], TrainConfig(steps=3))
+        train(PoisonModel(), (np.zeros((1, 1)),), [0], TrainConfig(steps=3), 0)
     assert "step 0" in str(err.value)
 
 
@@ -428,7 +426,7 @@ def test_divergence_names_the_phase_without_numpy_warnings(rng_stream, phase):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TrainingDivergedError) as err:
-            train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=5, batch_size=5), rng_stream=rng_stream)
+            train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=5, batch_size=5), 0, rng_stream=rng_stream)
     assert err.value.phase == phase
     assert str(err.value).startswith(f"{phase} training: ")
 
@@ -439,7 +437,7 @@ def test_divergence_in_the_last_step_is_caught():
     inputs, labels = separable_toy(20, seed=2)
     model = TinyLinearModel(derive_rng(2, "diverge-init"), 2)
     with pytest.raises(TrainingDivergedError) as err:
-        train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=1, batch_size=5))
+        train(model, inputs, labels, TrainConfig(learning_rate=1e308, steps=1, batch_size=5), 0)
     assert err.value.step == 1
 
 
@@ -449,15 +447,17 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     # integer fields take integers only; the learning rate takes a finite number
-    for field, bad in (("steps", 2.5), ("steps", "3"), ("batch_size", True), ("seed", -1)):
+    for field, bad in (("steps", 2.5), ("steps", "3"), ("batch_size", True)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: bad})
+    with pytest.raises(TypeError, match="seed"):  # the run's seed is train's argument
+        TrainConfig(seed=0)
     for bad in ("fast", float("nan"), float("inf"), False, 10**400):  # 10**400 is too large for a float
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=bad)
 
 
-def test_flat_adamw_matches_a_per_key_update(tmp_path):
+def test_flat_adamw_matches_a_per_key_update():
     rng = derive_rng(3, "adamw")
     params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "idle": rng.normal(size=(2, 2))}
     reference = {key: w.copy() for key, w in params.items()}
@@ -480,37 +480,12 @@ def test_flat_adamw_matches_a_per_key_update(tmp_path):
             assert params[key].tobytes() == reference[key].tobytes()
     assert all(np.shares_memory(w, optimizer.flat) for w in params.values())
 
-    path = tmp_path / "flat.npz"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert sorted(loaded) == sorted(params)
-    assert all(loaded[key].tobytes() == params[key].tobytes() for key in params)
-
     # after training the model's params are views into the optimizer's
     # buffer; the finite-difference check perturbs them in place, so a
     # perturbation that missed the model would read as a zero gradient
     model = TeacherModel(derive_rng(3, "adamw-init"), schema())
     samples = [teacher_sample(derive_rng(3, "adamw-data", i)) for i in range(6)]
-    train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=5, batch_size=3))
+    train(model, *as_inputs(model, samples), TrainConfig(learning_rate=0.05, steps=5, batch_size=3), 0)
     assert len({id(w.base) for w in model.params.values()}) == 1
     assert grad_check(model, *as_inputs(model, samples[:2])) < 1e-4
 
-
-# --- checkpoints -----------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip(tmp_path):
-    model = TeacherModel(derive_rng(0, "ckpt"), schema())
-    path = tmp_path / "teacher.npz"
-    save_params(model.params, path)
-    loaded = load_params(path)
-    assert sorted(loaded) == sorted(model.params)
-    for key in loaded:
-        np.testing.assert_array_equal(loaded[key], model.params[key])
-
-
-def test_checkpoint_version_guard(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, __version__=np.array(99), w=np.zeros(2))
-    with pytest.raises(ValueError, match="version"):
-        load_params(path)

@@ -37,7 +37,7 @@ rng = derive_rng(0, "trace-data")
 views = datamodel.ViewBatch("vector", "v", rng.normal(size=(10, 4)))
 inputs = teacher.inputs(views, rng.integers(5, size=10), rng.integers(5, size=10))
 tracer.enabled = True
-models.train(teacher, inputs, rng.integers(3, size=10), models.TrainConfig(steps=7, batch_size=4))
+models.train(teacher, inputs, rng.integers(3, size=10), models.TrainConfig(steps=7, batch_size=4), 0)
 names = [span[tracing.NAME] for span in tracer.spans]
 print(names.count("models.TeacherModel.loss_and_grads"), names.count("models.AdamW.step"))
 """
