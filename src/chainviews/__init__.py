@@ -22,6 +22,7 @@ from .channels import (
     Port,
     PrototypeCollapseChannel,
     PRESET_NAMES,
+    Streams,
     compose,
     generate_benchmark,
     lossy_world_preset,

@@ -14,14 +14,17 @@ library ships four families:
 
 Every channel samples a batch: ``sample(X, rng)`` maps the stacked input
 rows ``X`` (``(B, d_in)`` vectors or ``(B, L)`` symbol sequences) to ``B``
-output rows with one set of draws from ``rng``; a batch of one is just a
-batch. :func:`sample_channel` is the entry point: it checks a
-:class:`~chainviews.datamodel.ViewBatch` against the channel's input port
-once and returns the output rows as a batch on the output side
-(:func:`stack_views` builds a batch from single views). Channels declare
-typed ports, so composing mismatched stages or feeding views from the wrong
-side fails loudly instead of silently reinterpreting data. All sampling
-goes through an explicit Generator.
+output rows; a batch of one is just a batch. ``rng`` is a Generator, or a
+:class:`Streams` that splits the rows into contiguous segments with one
+Generator each: every segment then draws exactly what sampling its rows
+alone on its own Generator would, while the arithmetic runs once over the
+whole batch. A plain Generator is one segment. :func:`sample_channel` is
+the entry point: it checks a :class:`~chainviews.datamodel.ViewBatch`
+against the channel's input port once and returns the output rows as a
+batch on the output side (:func:`stack_views` builds a batch from single
+views). Channels declare typed ports, so composing mismatched stages or
+feeding views from the wrong side fails loudly instead of silently
+reinterpreting data. All sampling goes through explicit Generators.
 """
 
 from __future__ import annotations
@@ -68,6 +71,53 @@ class Port:
         return batch.modality == self.modality and bool(rows_match(batch.kind, batch.data, self.spec).all())
 
 
+class Streams:
+    """One Generator per contiguous segment of a batch's rows.
+
+    ``generators[i]`` draws for the ``sizes[i]`` rows that follow the
+    earlier segments' rows. Each draw fills every segment from its own
+    Generator in segment order, so a Generator sees the same sequence of
+    draws as it would sampling its segment's rows alone: the mixture mask,
+    then branch ``a``'s draws, then branch ``b``'s, stage by stage in a
+    composition. The Generators must be distinct objects.
+    """
+
+    def __init__(self, generators: Sequence[np.random.Generator], sizes: Sequence[int]):
+        self.generators = tuple(generators)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.shape != (len(self.generators),) or np.any(sizes < 0):
+            raise ChannelError("streams need one non-negative segment size per generator")
+        self.ends = np.cumsum(sizes)
+
+    def __len__(self) -> int:
+        return int(self.ends[-1]) if len(self.ends) else 0
+
+    def draw(self, method: str, tail: tuple = ()) -> np.ndarray:
+        """``len(self)`` rows of shape ``tail`` from ``Generator.<method>``
+        (``random`` or ``standard_normal``), each segment from its own stream."""
+        out = np.empty((len(self),) + tuple(tail))
+        start = 0
+        for generator, end in zip(self.generators, self.ends.tolist()):
+            getattr(generator, method)(out=out[start:end])
+            start = end
+        return out
+
+    def take(self, mask: np.ndarray) -> "Streams":
+        """The streams of the rows where ``mask`` holds, each segment keeping
+        its Generator (segments may become empty)."""
+        kept = np.concatenate([[0], np.cumsum(mask)])[self.ends]
+        return Streams(self.generators, np.diff(kept, prepend=0))
+
+
+def _streams(rng: np.random.Generator | Streams, rows: int) -> Streams:
+    """``rng`` as streams over ``rows`` rows: a Generator is one segment."""
+    if not isinstance(rng, Streams):
+        return Streams((rng,), (rows,))
+    if len(rng) != rows:
+        raise ChannelError(f"streams cover {len(rng)} rows, the batch has {rows}")
+    return rng
+
+
 class DiscreteChannel:
     """Symbol-wise categorical channel given by a row-stochastic matrix."""
 
@@ -89,8 +139,8 @@ class DiscreteChannel:
         self.out_port = out_port
         self._cumulative = np.cumsum(matrix, axis=1)
 
-    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        draws = rng.random(X.shape)
+    def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
+        draws = _streams(rng, len(X)).draw("random", X.shape[1:])
         rows = self._cumulative[X]
         # inverse-CDF per position: the count of cumsum entries <= the draw,
         # which is searchsorted(row, draw, side="right") on each sorted row
@@ -121,9 +171,9 @@ class LinearGaussianChannel:
         self.in_port = in_port
         self.out_port = out_port
 
-    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         mean = X @ self.weight.T + self.bias
-        return mean + self.noise_sigma * rng.standard_normal(mean.shape)
+        return mean + self.noise_sigma * _streams(rng, len(X)).draw("standard_normal", mean.shape[1:])
 
 
 class PrototypeCollapseChannel:
@@ -176,13 +226,14 @@ class PrototypeCollapseChannel:
         p = np.exp(logits)
         return p / p.sum(axis=1, keepdims=True)
 
-    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         # inverse CDF per row over the normalised cumulative probabilities,
         # as Generator.choice does for a single draw
+        streams = _streams(rng, len(X))
         cdf = np.cumsum(self.snap_probabilities(X), axis=1)
         cdf /= cdf[:, -1:]
-        j = np.minimum((cdf <= rng.random(X.shape[0])[:, None]).sum(axis=1), len(self.prototypes) - 1)
-        return self.prototypes[j] + self.jitter_sigma * rng.standard_normal((X.shape[0], self.out_port.spec.size))
+        j = np.minimum((cdf <= streams.draw("random")[:, None]).sum(axis=1), len(self.prototypes) - 1)
+        return self.prototypes[j] + self.jitter_sigma * streams.draw("standard_normal", (self.out_port.spec.size,))
 
 
 class MixtureChannel:
@@ -199,11 +250,12 @@ class MixtureChannel:
         self.in_port = a.in_port
         self.out_port = a.out_port
 
-    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         # one branch mask per batch, then each branch on its own rows
-        take_a = rng.random(X.shape[0]) < self.branch_prob
-        from_a = self.a.sample(X[take_a], rng)
-        from_b = self.b.sample(X[~take_a], rng)
+        streams = _streams(rng, len(X))
+        take_a = streams.draw("random") < self.branch_prob
+        from_a = self.a.sample(X[take_a], streams.take(take_a))
+        from_b = self.b.sample(X[~take_a], streams.take(~take_a))
         out = np.empty((X.shape[0],) + from_a.shape[1:], dtype=from_a.dtype)
         out[take_a] = from_a
         out[~take_a] = from_b
@@ -227,7 +279,7 @@ class ComposedChannel:
         self.in_port = stages[0].in_port
         self.out_port = stages[-1].out_port
 
-    def sample(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         for stage in self.stages:
             X = stage.sample(X, rng)
         return X
@@ -250,12 +302,21 @@ def stack_views(views: Sequence[View]) -> ViewBatch:
     return ViewBatch(first.kind, first.modality, np.stack([view.data for view in views]))
 
 
-def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator) -> ViewBatch:
+def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator | Streams) -> ViewBatch:
     """Draw one output view per input row with one batched ``sample`` call.
 
-    The batch must match the channel's input port. The draws depend on the
-    batch as a whole: the same rows in the same order on the same stream
+    The batch must match the channel's input port. ``rng`` is a Generator
+    or :class:`Streams` covering the batch's rows. The draws depend on each
+    segment as a whole: the same rows in the same order on the same stream
     give the same outputs, and an empty batch draws nothing.
+
+    Bit contract: the products a channel computes (``W x``, a projection)
+    run over the whole batch. When every weight is 0 or 1, as in the
+    presets, each output row is bit-identical to sampling its segment alone.
+    With arbitrary weights the matrix-product kernel may sum in a different
+    order at another batch size, so a row can differ at round-off from the
+    same segment sampled alone. Outputs stay a pure function of the inputs
+    and streams.
     """
     port = channel.in_port
     if not port.accepts(batch):

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    DEFAULT_PCA_DIMS,
     ConfigError,
     ExperimentConfig,
     build_world,
@@ -227,13 +228,17 @@ def cmd_diversity(args) -> int:
     thin = [name for name, matrix in stages.items() if matrix.shape[0] < 2]
     if thin:
         raise ConfigError(f"stages with fewer than 2 views: {', '.join(thin)}")
+    too_wide = [d for d in config.diversity_pca_dims if d > schema.v_spec.size]
+    if too_wide:
+        # checked over the whole grid before the first fit, so nothing is half done
+        raise ConfigError(
+            f"diversity.pca_dims {list(config.diversity_pca_dims)}: pca_dim {too_wide[0]} exceeds the "
+            f"synthetic view size {schema.v_spec.size} (the default grid is {DEFAULT_PCA_DIMS}; "
+            f"set diversity.pca_dims to widths of at most {schema.v_spec.size})"
+        )
     stage_names = list(stages)
     lines = [",".join(["pca_dim", "n_components"] + stage_names)]
     for pca_dim in config.diversity_pca_dims:
-        if pca_dim > schema.v_spec.size:
-            raise ConfigError(
-                f"pca_dim {pca_dim} exceeds the synthetic view size {schema.v_spec.size}"
-            )
         for n_components in config.diversity_components:
             records = diversity_report(stages, pca_dim, n_components, seed=config.seed)
             by_stage = {r.stage: r.statistic for r in records}

@@ -45,6 +45,9 @@ class ConfigError(ValueError):
     pass
 
 
+# ``chainviews diversity``'s PCA widths when the config has no diversity.pca_dims
+DEFAULT_PCA_DIMS = (2, 4)
+
 CHANNEL_KINDS = ("discrete", "linear_gaussian", "prototype_collapse", "mixture", "compose")
 
 _TOP_KEYS = {
@@ -328,7 +331,7 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
 
     diversity = _require_mapping(mapping.get("diversity", {}), "diversity")
     _reject_unknown(diversity, {"pca_dims", "components"}, "diversity")
-    pca_dims = _ints(diversity.get("pca_dims", (2, 4)), "diversity.pca_dims", 1)
+    pca_dims = _ints(diversity.get("pca_dims", DEFAULT_PCA_DIMS), "diversity.pca_dims", 1)
     components = _ints(diversity.get("components", (3,)), "diversity.components", 1)
 
     pipeline = _parse_pipeline(mapping.get("pipeline"), seed)

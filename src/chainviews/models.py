@@ -351,11 +351,15 @@ class AdamW:
             offset += w.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self.grad = np.empty_like(self.flat)  # each step's gradient, gathered in key order
+        self._zeros = np.zeros(max(self.sizes.values(), default=0))  # stands in for a missing key
         self.t = 0
 
     def step(self, grads: Grads, lr: float) -> None:
         self.t += 1
-        g = np.concatenate([np.ravel(grads[k]) if k in grads else np.zeros(n) for k, n in self.sizes.items()])
+        g = np.concatenate(
+            [grads[k].reshape(-1) if k in grads else self._zeros[:n] for k, n in self.sizes.items()], out=self.grad
+        )
         self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
         self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
         m_hat = self.m / (1 - ADAM_BETA1**self.t)

@@ -15,12 +15,13 @@ nothing), which is the "no chained generation" ablation.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
-``("infer-gen", id)`` at test time -- and passes each batch through a
-channel in one call, so an instance's views never depend on the other
-instances. Test-time scoring and classification then batch the whole split:
-the final teacher scores the generated views ``SCORE_CHUNK_ROWS`` rows per
-call, and one student call classifies every instance. All work runs in
-order on the calling thread.
+``("infer-gen", id)`` at test time. Each hop is one channel call over every
+instance's rows, each instance's rows drawing from its own stream
+(``channels.Streams``), so an instance's views never depend on the other
+instances. At test time one loop over chunks of whole instances, at most
+``SCORE_CHUNK_ROWS`` generated views each, generates, scores with the final
+teacher and picks; one student call then classifies every instance. All
+work runs in order on the calling thread.
 Wall-clock timings in the report are the one explicitly non-deterministic
 field.
 """
@@ -35,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, View, ViewBatch
+from .channels import Streams, generate_benchmark, sample_channel, stack_views
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, ViewBatch
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
 from .nn import featurize_rows, log_softmax, softmax_xent
@@ -51,10 +52,11 @@ from .selection import (
     similarity_scores,
 )
 
-# Test-time teacher scoring runs ``TeacherModel.logits`` on this many
-# generated views per call (about 68 instances at 30 views each). Scoring a
-# 600-instance test split (18,000 views) in one call took the benchmark's
-# ablation run from 50.5 to 60.6 MiB peak RSS; chunks this size, 51.7 MiB.
+# Test-time generation and teacher scoring run on chunks of whole instances
+# of at most this many generated views (68 instances at 30 views each; one
+# instance when it alone has more). Scoring a 600-instance test split
+# (18,000 views) in one call took the benchmark's ablation run from 50.5 to
+# 60.6 MiB peak RSS; chunks this size, 51.7 MiB.
 SCORE_CHUNK_ROWS = 2048
 
 CONDITIONS = ("full", "no_ccg", "similarity_teacher", "random_teacher", "no_teacher", "unimodal")
@@ -273,28 +275,25 @@ class Scorer:
         )
         return [part.tolist() for part in np.split(losses, np.cumsum(counts)[:-1])]
 
-    def pick(self, instances: Sequence[Instance], views: Sequence[ViewBatch]) -> np.ndarray:
+    def pick(self, instances: Sequence[Instance], views: ViewBatch) -> np.ndarray:
         """Row indices of the ``config.infer_views`` best test-time views of
-        each instance, best first: one row per instance, from its batch of
-        ``views`` (the same count for every instance).
+        each instance, best first: one row per instance, indexing its own
+        rows of ``views``, which holds the same count per instance,
+        instance-major.
 
         A stable argsort ranks by (score, index), as ``rank_keep`` does. With
         a teacher, the teacher-loss policy scores every view by its loss
-        against the teacher's own most likely label (label-free), one
-        ``logits`` call per ``SCORE_CHUNK_ROWS`` rows of the split.
+        against the teacher's own most likely label (label-free), in one
+        ``logits`` call over ``views``.
         """
+        count = len(views) // len(instances)
         if self.config.policy_name == "teacher_loss" and self.teacher is not None:
-            data = np.concatenate([batch.data for batch in views])
-            subj, obj, _ = _per_row(instances, len(views[0]))
-            scores = np.empty(len(data))
-            for start in range(0, len(data), SCORE_CHUNK_ROWS):
-                rows = slice(start, start + SCORE_CHUNK_ROWS)
-                chunk = ViewBatch(views[0].kind, MODALITY_V, data[rows])
-                logits = self.teacher.logits(self.teacher.inputs(chunk, subj[rows], obj[rows]))
-                scores[rows] = -np.max(log_softmax(logits), axis=1)
-            scores = scores.reshape(len(views), -1)
+            subj, obj, _ = _per_row(instances, count)
+            logits = self.teacher.logits(self.teacher.inputs(views, subj, obj))
+            scores = -np.max(log_softmax(logits), axis=1).reshape(len(instances), count)
         else:
-            scores = np.array([self.scores(inst, batch, "infer-pick") for inst, batch in zip(instances, views)])
+            batches = _split(views, [count] * len(instances))
+            scores = np.array([self.scores(inst, batch, "infer-pick") for inst, batch in zip(instances, batches)])
         return np.argsort(scores, axis=1, kind="stable")[:, : self.config.infer_views]
 
 
@@ -308,9 +307,15 @@ class Scorer:
 # selection ``s`` exactly when ``round + survived == s``.
 
 
-def _copies(view: View, n: int) -> ViewBatch:
-    """A batch of ``n`` copies of one view."""
-    return ViewBatch(view.kind, view.modality, np.repeat(view.data[None], n, axis=0))
+def _copies(instances: Sequence[Instance], n: int) -> ViewBatch:
+    """``n`` copies of each instance's real view, instance-major."""
+    reals = stack_views([inst.real_view for inst in instances])
+    return ViewBatch(reals.kind, reals.modality, np.repeat(reals.data, n, axis=0))
+
+
+def _split(batch: ViewBatch, sizes: Sequence[int]) -> list[ViewBatch]:
+    """``batch`` cut into consecutive batches of ``sizes`` rows."""
+    return [ViewBatch(batch.kind, batch.modality, part) for part in np.split(batch.data, np.cumsum(sizes)[:-1])]
 
 
 def _live_ids(pool: Pool, selection_index: int) -> np.ndarray:
@@ -332,30 +337,19 @@ def run_round0(
     """Give every instance its initial batch of generated views.
 
     Requires empty synthetic pools; each instance ends up with exactly
-    ``config.initial_views`` round-0 views parented to the real view.
+    ``config.initial_views`` round-0 views parented to the real view. One
+    u-to-v call covers every instance, each instance's copies of its real
+    view drawing from its own ``("gen", id, 0)`` stream.
     """
     occupied = [inst.id for inst in instances if len(inst.synthetic_pool)]
     if occupied:
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
-
-    def build(instance: Instance) -> Instance:
-        rng = derive_rng(config.seed, "gen", instance.id, 0)
-        views = sample_channel(g_uv, _copies(instance.real_view, config.initial_views), rng)
-        return replace(instance, synthetic_pool=Pool.initial(views))
-
-    return parallel_map(build, instances)
-
-
-def _spawn_children(instance: Instance, parents: np.ndarray, round_index: int, spawn: int, g_vu, g_uv, seed: int):
-    """Every kept parent's ``spawn`` children: one v-to-u batch over the
-    parents (parent-major), then one u-to-v batch over its outputs, on the
-    instance's stream for this round. Each (u, v) pair is appended in turn."""
-    pool = instance.synthetic_pool
-    sources = np.repeat(parents, spawn)
-    rng = derive_rng(seed, "gen", instance.id, round_index)
-    u_views = sample_channel(g_vu, pool.v_rows(sources), rng)
-    v_views = sample_channel(g_uv, u_views, rng)
-    return replace(instance, synthetic_pool=pool.spawned(sources, round_index, u_views, v_views))
+    if not instances:
+        return []
+    sizes = [config.initial_views] * len(instances)
+    streams = Streams([derive_rng(config.seed, "gen", inst.id, 0) for inst in instances], sizes)
+    views = sample_channel(g_uv, _copies(instances, config.initial_views), streams)
+    return [replace(inst, synthetic_pool=Pool.initial(v)) for inst, v in zip(instances, _split(views, sizes))]
 
 
 def run_ccg_round(
@@ -375,8 +369,11 @@ def run_ccg_round(
     losses back as ``teacher_loss``. The best ``config.keep_fraction`` per
     instance (all of them under keep_all) count one more survival, and each
     kept view spawns the round's ``config.spawn_per_kept`` entry of children
-    (u-side then v-side, both recorded; none when ``ccg_rounds=0``). Pass a
-    list as ``rounds`` to collect each round's RoundRecord.
+    (u-side then v-side, both recorded; none when ``ccg_rounds=0``): one
+    v-to-u call over every instance's kept parents (parent-major), then one
+    u-to-v call over its outputs, each instance's rows on its own
+    ``("gen", id, round_index)`` stream. Pass a list as ``rounds`` to
+    collect each round's RoundRecord.
     """
     last = max(config.ccg_rounds, 1)
     if not 1 <= round_index <= last:
@@ -404,10 +401,17 @@ def run_ccg_round(
             raise PipelineError("instances diverged in pool size; balanced worlds cannot do that")
         rounds.append(RoundRecord(selection_index, pool_sizes.pop(), kept_sizes.pop(), spawn, tuple(records)))
     if spawn > 0:
-        instances = parallel_map(
-            lambda pair: _spawn_children(pair[0], pair[1], round_index, spawn, g_vu, g_uv, config.seed),
-            list(zip(instances, kept)),
-        )
+        sources = [np.repeat(ids, spawn) for ids in kept]
+        sizes = [len(ids) for ids in sources]
+        streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], sizes)
+        parents = [inst.synthetic_pool.v_rows(ids) for inst, ids in zip(instances, sources)]
+        parents = ViewBatch(parents[0].kind, MODALITY_V, np.concatenate([batch.data for batch in parents]))
+        u_views = sample_channel(g_vu, parents, streams)
+        v_views = sample_channel(g_uv, u_views, streams)
+        instances = [
+            replace(inst, synthetic_pool=inst.synthetic_pool.spawned(ids, round_index, u, v))
+            for inst, ids, u, v in zip(instances, sources, _split(u_views, sizes), _split(v_views, sizes))
+        ]
     return instances
 
 
@@ -476,31 +480,33 @@ def infer(
 
     Per instance, ``config.initial_views`` fresh views come from the round-0
     channel, or from the whole chain when ``config.infer_full_chain`` (which
-    needs ``g_vu``), one batch per hop on the instance's own ``"infer-gen"``
-    stream. ``scorer.pick`` keeps each instance's ``config.infer_views``
-    best: under teacher loss the ones its teacher classifies most
-    confidently (the first generated without a teacher), scored
-    ``SCORE_CHUNK_ROWS`` rows per teacher call so that peak memory stays
-    near that of one instance at a time; under similarity the closest to
-    the real view, otherwise a uniform draw. One student call then
-    classifies the whole split. An instance's label depends only on the
-    instance, never on the rest of the split or on the chunking.
+    needs ``g_vu``), on the instance's own ``("infer-gen", id)`` stream.
+    ``scorer.pick`` keeps each instance's ``config.infer_views`` best: under
+    teacher loss the ones its teacher classifies most confidently (the first
+    generated without a teacher); under similarity the closest to the real
+    view, otherwise a uniform draw. One loop over chunks of whole instances,
+    at most ``SCORE_CHUNK_ROWS`` views each (one instance at least),
+    generates with one channel call per hop, scores with one teacher call
+    and picks, so that peak memory stays near that of one chunk. One student
+    call then classifies the whole split. An instance's label depends only
+    on the instance, never on the rest of the split or on the chunking.
     """
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
     if not instances:
         return []
-
-    def generate(instance: Instance) -> ViewBatch:
-        rng = derive_rng(config.seed, "infer-gen", instance.id)
-        views = sample_channel(g_uv, _copies(instance.real_view, config.initial_views), rng)
+    n = config.initial_views
+    per_chunk = max(1, SCORE_CHUNK_ROWS // n)
+    chosen = []
+    for start in range(0, len(instances), per_chunk):
+        chunk = instances[start : start + per_chunk]
+        streams = Streams([derive_rng(config.seed, "infer-gen", inst.id) for inst in chunk], [n] * len(chunk))
+        views = sample_channel(g_uv, _copies(chunk, n), streams)
         if config.infer_full_chain:
             for _ in range(config.ccg_rounds):
-                views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
-        return views
-
-    views = parallel_map(generate, instances)
-    chosen = [batch.take(rows) for batch, rows in zip(views, scorer.pick(instances, views))]
+                views = sample_channel(g_uv, sample_channel(g_vu, views, streams), streams)
+        rows = scorer.pick(chunk, views) + n * np.arange(len(chunk))[:, None]
+        chosen.extend(ViewBatch(views.kind, MODALITY_V, data) for data in views.data[rows])
     subj, obj, _ = _per_row(instances)
     logits = student.logits(student.inputs(stack_views([inst.real_view for inst in instances]), chosen, subj, obj))
     return [Label(int(c)) for c in np.argmax(logits, axis=1)]

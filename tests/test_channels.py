@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from chainviews.channels import (
@@ -14,6 +16,7 @@ from chainviews.channels import (
     Port,
     PrototypeCollapseChannel,
     PRESET_NAMES,
+    Streams,
     compose,
     generate_benchmark,
     lossy_world_preset,
@@ -464,3 +467,60 @@ def test_collapse_heavy_batches_agree_with_batches_of_one():
         for out in batch_and_singles(g_uv, x, seed=2):
             nearest = ((out[:, None, :] - centres[None]) ** 2).sum(axis=2).argmin(axis=1)
             assert_rate(nearest < len(protos), g_uv.branch_prob)
+
+
+# --- one batch over per-instance streams ----------------------------------------------
+
+
+def _segment_channels():
+    """Every preset's two channels, a discrete channel, a mixture whose
+    branch ``a`` never fires (so it samples zero rows) and two
+    compositions, one with a mixture stage."""
+    channels = []
+    for name in PRESET_NAMES:
+        _, g_uv, g_vu = lossy_world_preset(name, seed=0)
+        channels += [g_uv, g_vu, compose([g_uv, g_vu])]
+    u3, v3 = disc_port(3, MODALITY_U), disc_port(3, MODALITY_V)
+    noisy = DiscreteChannel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], u3, v3)
+    channels += [noisy, MixtureChannel(0.0, noisy, DiscreteChannel(np.eye(3), u3, v3))]
+    return channels
+
+
+SEGMENT_CHANNELS = _segment_channels()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    channel=st.sampled_from(SEGMENT_CHANNELS),
+    sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_one_batch_over_segments_equals_each_segment_alone(channel, sizes, seed):
+    spec = channel.in_port.spec
+    data = derive_rng(seed, "rows")
+    n = sum(sizes)
+    rows = data.normal(size=(n, spec.size)) if spec.kind == "vector" else data.integers(spec.size, size=(n, 4))
+    batch = ViewBatch(spec.kind, channel.in_port.modality, rows)
+    together = [derive_rng(seed, "segment", i) for i in range(len(sizes))]
+    alone = [derive_rng(seed, "segment", i) for i in range(len(sizes))]
+    out = sample_channel(channel, batch, Streams(together, sizes)).data
+    starts = np.cumsum([0] + sizes[:-1])
+    parts = [
+        sample_channel(channel, batch.take(slice(start, start + size)), rng).data
+        for start, size, rng in zip(starts, sizes, alone)
+    ]
+    assert out.dtype == parts[0].dtype
+    assert out.tobytes() == np.concatenate(parts).tobytes()
+    # every segment's generator made exactly the draws it makes alone
+    assert [rng.random() for rng in together] == [rng.random() for rng in alone]
+
+
+def test_streams_must_cover_the_batch():
+    chan = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+    batch = stack_views([discrete_view([0, 1], MODALITY_U)] * 3)
+    with pytest.raises(ChannelError, match="cover 2 rows"):
+        sample_channel(chan, batch, Streams([derive_rng(0, "a"), derive_rng(0, "b")], [1, 1]))
+    with pytest.raises(ChannelError, match="one non-negative segment size"):
+        Streams([derive_rng(0, "a")], [2, 1])
+    with pytest.raises(ChannelError, match="one non-negative segment size"):
+        Streams([derive_rng(0, "a"), derive_rng(0, "b")], [4, -1])

@@ -522,6 +522,22 @@ def test_diversity_rejects_oversized_pca_dim(run_artifacts, tmp_path, capsys):
     assert "exceeds the synthetic view size" in capsys.readouterr().err
 
 
+def test_default_diversity_grid_on_a_narrow_v_side_fails_before_any_fit(run_artifacts, tmp_path, monkeypatch, capsys):
+    # the clean preset's v side is 2 wide and the default grid is (2, 4):
+    # the whole grid is checked before the pca_dim 2 rows are fitted
+    mapping = tiny_mapping(tmp_path / "out")
+    del mapping["diversity"]
+    config = write_yaml(tmp_path / "default-grid.yaml", mapping)
+    fits = []
+    monkeypatch.setattr("chainviews.cli.diversity_report", lambda *args, **kwargs: fits.append(args))
+    dataset = str(run_artifacts.out / "dataset.jsonl")
+    assert main(["diversity", "--config", config, "--dataset", dataset]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "diversity.pca_dims" in err and "synthetic view size 2" in err and "(2, 4)" in err
+    assert fits == []
+    assert not (tmp_path / "out" / "diversity.csv").exists()
+
+
 # --- malformed config values ---------------------------------------------------------
 
 

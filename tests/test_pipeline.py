@@ -876,7 +876,7 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     confidence = -np.max(log_softmax(logits), axis=1)
     losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
     assert np.all(confidence <= losses + 1e-12)
-    (picked,) = scorer.pick([instance], [views])
+    (picked,) = scorer.pick([instance], views)
     assert picked.tolist() == rank_keep(confidence.tolist(), 4)
 
 

@@ -6,10 +6,13 @@ not list -- say a new ``from .channels import sample_channel`` in another
 module -- would otherwise fail only in a traced benchmark run.
 """
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import tiny_benchmark, tiny_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,3 +116,42 @@ print(len(students), len(teachers), math.ceil(rows / 16))
     students, teachers, chunks = proc.stdout.split()
     assert students == "1"
     assert teachers == chunks != "1"
+
+
+def test_generation_is_one_channel_call_per_hop_and_one_stream_per_instance():
+    # channels.sample_calls and rng.derive_calls count these spans: each hop
+    # is one sample_channel call over every instance (per infer chunk at test
+    # time), while every instance still draws from its own derived stream
+    code = """
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from chainviews import pipeline
+from conftest import tiny_benchmark, tiny_config
+pipeline.SCORE_CHUNK_ROWS = 16
+train, test, schema, g_uv, g_vu = tiny_benchmark()
+for full_chain in (False, True):
+    config = tiny_config(infer_full_chain=full_chain)
+    tracer.spans.clear()
+    tracer.enabled = True
+    pipeline.run_pipeline(train, test, schema, g_uv, g_vu, config)
+    tracer.enabled = False
+    names = [span[tracing.NAME] for span in tracer.spans]
+    print(names.count("channels.sample_channel"), names.count("rng.derive_rng"))
+"""
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "benchmarks"), str(ROOT / "src"), str(ROOT / "tests")])
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    train, test, _, _, _ = tiny_benchmark()
+    config = tiny_config()
+    spawning = sum(1 for g in config.spawn_per_kept if g)
+    chunks = math.ceil(len(test) / (16 // config.initial_views))
+    assert chunks > 1
+    # streams: ("gen", id, 0), ("gen", id, round) per spawning round,
+    # ("infer-gen", id), teacher init and training per selection, student
+    # init and training
+    streams = len(train) * (1 + spawning) + len(test) + 2 * config.ccg_rounds + 2
+    for line, infer_hops in zip(proc.stdout.splitlines(), (1, 1 + 2 * config.ccg_rounds), strict=True):
+        assert line.split() == [str(1 + 2 * spawning + chunks * infer_hops), str(streams)]
