@@ -610,15 +610,46 @@ def dataset_to_string(instances: Iterable[Instance], schema: DatasetSchema) -> s
     return "".join(_dataset_lines(instances, schema))
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each ended by ``"\\n"`` only, sliced one at a
+    time rather than split into a list."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
+def _utf8_lines(handle) -> Iterator[str]:
+    """The lines of a binary file, split at ``b"\\n"`` and decoded one at a
+    time; a line that is not UTF-8 is a format error on that line."""
+    for number, raw in enumerate(handle, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"not UTF-8 ({exc})", number) from None
+
+
 def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     """Parse a dataset from ``source`` (path, text file object, or string).
+
+    The source is read one line at a time, so beyond the instances a read
+    holds about one line. A line ends at ``"\\n"``, as the writer writes it
+    (a ``"\\r"`` before it is JSON whitespace); a path is decoded as UTF-8
+    line by line, a file object is iterated and a string is sliced.
 
     Raises :class:`DatasetFormatError` with a line number on malformed input.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        source = Path(source).read_text(encoding="utf-8")
-    lines = (source if isinstance(source, str) else source.read()).splitlines()
-    if not lines:
+        with open(source, "rb") as handle:
+            return _parse_lines(_utf8_lines(handle))
+    return _parse_lines(_text_lines(source) if isinstance(source, str) else iter(source))
+
+
+def _parse_lines(lines: Iterator[str]) -> tuple[list[Instance], DatasetSchema]:
+    first = next(lines, None)
+    if first is None:
         raise DatasetFormatError("empty dataset: missing schema line")
 
     def parse_json(text: str, line: int) -> dict:
@@ -634,7 +665,7 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
             raise DatasetFormatError("expected a JSON object", line)
         return record
 
-    header = parse_json(lines[0], 1)
+    header = parse_json(first, 1)
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise DatasetFormatError(
@@ -656,8 +687,8 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
         raise DatasetFormatError(f"bad schema record: {exc}", 1)
 
     instances = []
-    for offset, text in enumerate(lines[1:], start=2):
-        if not text.strip():
+    for offset, text in enumerate(lines, start=2):
+        if not text or text.isspace():
             continue
         instances.append(_decode_instance(parse_json(text, offset), offset, schema))
     return instances, schema

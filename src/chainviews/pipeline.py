@@ -166,8 +166,8 @@ class RunResult:
 def parallel_map(fn, items: Sequence) -> list:
     """Map ``fn`` over ``items`` in order on the calling thread.
 
-    Kept as a function because the benchmark traces it as the per-instance
-    fan-out boundary.
+    Nothing in the package calls it; it stays because the benchmark traces
+    it as the per-instance fan-out boundary.
     """
     return [fn(item) for item in items]
 
@@ -207,6 +207,13 @@ def compute_metrics(predictions: Sequence[int], labels: Sequence[int], schema: D
 
 
 # --- scoring -------------------------------------------------------------------
+
+
+def _v_rows(pools: Sequence[Pool], ids: Sequence[np.ndarray]) -> ViewBatch:
+    """The v-side views at pool indices ``ids[k]`` of each ``pools[k]``, as
+    one batch, pool after pool."""
+    batches = [pool.v_rows(rows) for pool, rows in zip(pools, ids)]
+    return ViewBatch(batches[0].kind, MODALITY_V, np.concatenate([batch.data for batch in batches]))
 
 
 def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
@@ -265,10 +272,9 @@ class Scorer:
             ]
         seed = self.config.seed
         self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
-        batches = [inst.synthetic_pool.v_rows(ids) for inst, ids in zip(instances, live)]
         counts = [len(ids) for ids in live]
         subj, obj, labels = _per_row(instances, counts)
-        views = ViewBatch(batches[0].kind, MODALITY_V, np.concatenate([b.data for b in batches]))
+        views = _v_rows([inst.synthetic_pool for inst in instances], live)
         inputs = self.teacher.inputs(views, subj, obj)
         _, losses = train(
             self.teacher, inputs, labels, self.config.teacher, seed, rng_stream=("teacher-train", selection_index)
@@ -404,8 +410,7 @@ def run_ccg_round(
         sources = [np.repeat(ids, spawn) for ids in kept]
         sizes = [len(ids) for ids in sources]
         streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], sizes)
-        parents = [inst.synthetic_pool.v_rows(ids) for inst, ids in zip(instances, sources)]
-        parents = ViewBatch(parents[0].kind, MODALITY_V, np.concatenate([batch.data for batch in parents]))
+        parents = _v_rows([inst.synthetic_pool for inst in instances], sources)
         u_views = sample_channel(g_vu, parents, streams)
         v_views = sample_channel(g_uv, u_views, streams)
         instances = [
@@ -419,20 +424,23 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
     """Give every v-side view that carries no loss one from ``teacher``.
 
     After the last selection these are its children, so the student's pick
-    then compares every live candidate under the final teacher.
+    then compares every live candidate under the final teacher. One
+    ``logits`` call covers every instance's unscored rows, instance-major,
+    and the losses split back per instance, as ``Scorer.select`` does.
     """
-
-    def score(instance: Instance) -> Instance:
-        pool = instance.synthetic_pool
-        todo = np.flatnonzero(pool.is_v & np.isnan(pool.teacher_loss))
-        if not todo.size:
-            return instance
-        e = instance.entities
-        logits = teacher.logits(teacher.inputs(pool.v_rows(todo), e.subject, e.object))
-        losses, _ = softmax_xent(logits, np.full(len(todo), instance.label.value))
-        return replace(instance, synthetic_pool=pool.judged(todo, losses))
-
-    return parallel_map(score, instances)
+    instances = list(instances)
+    pools = [inst.synthetic_pool for inst in instances]
+    todo = [np.flatnonzero(pool.is_v & np.isnan(pool.teacher_loss)) for pool in pools]
+    scored = [k for k, ids in enumerate(todo) if ids.size]
+    if not scored:
+        return instances
+    counts = [todo[k].size for k in scored]
+    subj, obj, labels = _per_row([instances[k] for k in scored], counts)
+    views = _v_rows([pools[k] for k in scored], [todo[k] for k in scored])
+    losses, _ = softmax_xent(teacher.logits(teacher.inputs(views, subj, obj)), labels)
+    for k, part in zip(scored, np.split(losses, np.cumsum(counts)[:-1])):
+        instances[k] = replace(instances[k], synthetic_pool=pools[k].judged(todo[k], part))
+    return instances
 
 
 def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer: Scorer) -> StudentModel:

@@ -451,6 +451,18 @@ def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_p
     assert "line 2: view 0 has a non-finite teacher loss" in capsys.readouterr().err
 
 
+def test_diversity_rejects_a_byte_that_is_not_utf8_naming_its_line(run_artifacts, tmp_path, capsys):
+    lines = (run_artifacts.out / "dataset.jsonl").read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"id"', b'"\xffid"', 1)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"\n".join(lines))
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not UTF-8 ("), err
+    assert not (tmp_path / "diversity.csv").exists()
+
+
 def decode_matrix(m) -> np.ndarray:
     return np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"])
 

@@ -5,6 +5,8 @@ import io
 import json
 import struct
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,6 +359,94 @@ def test_empty_dataset_header_only():
 def test_missing_header_is_an_error():
     with pytest.raises(DatasetFormatError):
         read_dataset(io.StringIO(""))
+
+
+def test_a_path_read_holds_about_one_line_beyond_its_instances(tmp_path):
+    rng = np.random.default_rng(1)
+    instances = []
+    for i in range(160):
+        pool = Pool.initial(ViewBatch("vector", MODALITY_V, rng.normal(size=(400, 2))))
+        pool = replace(pool, teacher_loss=rng.random(len(pool)))
+        instances.append(replace(make_instance(i, i % 3), synthetic_pool=pool))
+    path = tmp_path / "big.jsonl"
+    write_dataset(instances, make_schema(), path)
+    raw = path.read_bytes()
+    longest = max(map(len, raw.split(b"\n")))
+    assert len(raw) > 3_000_000 and len(raw) > 100 * longest
+    tracemalloc.start()
+    try:
+        loaded, _ = read_dataset(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == len(instances)
+    # reading the whole text first would add at least one copy of the file
+    assert peak - held < 8 * longest, (peak - held, longest)
+
+
+class LinesOnly:
+    """A text source that can only be iterated line by line."""
+
+    def __init__(self, text):
+        self.lines = text.splitlines(keepends=True)
+
+    def __iter__(self):
+        return iter(self.lines)
+
+    def read(self, *args):
+        raise AssertionError("read() called")
+
+    def readlines(self, *args):
+        raise AssertionError("readlines() called")
+
+
+def test_a_file_object_is_read_by_iteration_alone():
+    instances, schema = full_dataset(5)
+    text = dataset_to_string(instances, schema)
+    loaded, loaded_schema = read_dataset(LinesOnly(text))
+    assert dataset_to_string(loaded, loaded_schema) == text
+
+
+@pytest.mark.parametrize("line", [1, 2, 4])
+def test_a_byte_that_is_not_utf8_is_a_format_error_on_its_line(tmp_path, line):
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).encode("utf-8").split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: not UTF-8 ") as err:
+        read_dataset(path)
+    assert err.value.line == line
+
+
+def test_a_crlf_copy_reads_identically(tmp_path):
+    instances, schema = full_dataset(6)
+    text = dataset_to_string(instances, schema)
+    crlf = text.replace("\n", "\r\n")
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(crlf.encode("utf-8"))
+    for source in (path, crlf, io.StringIO(crlf, newline="")):
+        loaded, loaded_schema = read_dataset(source)
+        assert dataset_to_string(loaded, loaded_schema) == text
+
+
+def test_a_line_separator_inside_a_string_does_not_end_the_line(tmp_path):
+    instances, schema = full_dataset(4)
+    lines = dataset_to_string(instances, schema).splitlines()
+    record = json.loads(lines[1])
+    record["note"] = "one\u2028two\u2029three\x85four"  # splitlines() would end the line at each
+    lines[1] = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    good = "\n".join(lines) + "\n"
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(good, encoding="utf-8")
+    for source in (good, path):
+        assert [i.id for i in read_dataset(source)[0]] == [0, 1, 2, 3]
+    bad = "\n".join(lines[:3] + [lines[3][:-10]]) + "\n"  # the last line is cut short
+    path.write_text(bad, encoding="utf-8")
+    for source in (bad, path):
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(source)
+        assert err.value.line == 4
 
 
 def test_nan_payload_cannot_be_written():

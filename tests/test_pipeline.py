@@ -880,6 +880,34 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     assert picked.tolist() == rank_keep(confidence.tolist(), 4)
 
 
+def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_run, monkeypatch):
+    teacher = TeacherModel(derive_rng(7, "probe"), tiny_run.schema)
+    instances = []
+    for k, instance in enumerate(tiny_run.result.instances):
+        pool = instance.synthetic_pool
+        losses = pool.teacher_loss.copy()
+        if k % 2 == 0:  # odd instances keep every loss, so they need no score
+            losses[np.flatnonzero(pool.is_v)[k % 3 :: 2]] = np.nan
+        instances.append(replace(instance, synthetic_pool=replace(pool, teacher_loss=losses)))
+    logits, calls = TeacherModel.logits, []
+    monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append(len(inputs[0])) or logits(self, inputs))
+    scored = score_trailing(instances, teacher)
+    todo = [np.flatnonzero(i.synthetic_pool.is_v & np.isnan(i.synthetic_pool.teacher_loss)) for i in instances]
+    assert calls == [sum(map(len, todo))] and calls[0] > 0
+    for before, after, ids in zip(instances, scored, todo):
+        if not ids.size:
+            assert after is before
+            continue
+        e = before.entities
+        alone = logits(teacher, teacher.inputs(before.synthetic_pool.v_rows(ids), e.subject, e.object))
+        expected, _ = softmax_xent(alone, [before.label.value] * len(ids))
+        np.testing.assert_allclose(after.synthetic_pool.teacher_loss[ids], expected, rtol=1e-12, atol=0)
+        rest = np.setdiff1d(np.arange(len(before.synthetic_pool)), ids)
+        assert np.array_equal(after.synthetic_pool.teacher_loss[rest], before.synthetic_pool.teacher_loss[rest], equal_nan=True)
+    calls.clear()
+    assert score_trailing(scored, teacher) == scored and calls == []
+
+
 # --- conditions and ablation --------------------------------------------------------
 
 
