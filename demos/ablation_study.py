@@ -5,10 +5,10 @@ shared benchmarks, so rows differ only in the condition:
 
   full        filter with a trained teacher, one regrow round
   no_ccg      filter once, never regrow (round count 0)
-  no_teacher  random selection in place of the teacher
+  no_teacher  keep every candidate, no filtering
   unimodal    drop the synthetic branch entirely, real views only
 
-Two seeds keep this demo around half a minute; the acceptance suite runs
+Two seeds keep this demo to a few seconds; the acceptance suite runs
 the same study over ten seeds with a paired sign test.
 """
 
@@ -64,5 +64,5 @@ by_condition = {c: [r.f1 for r in rows if r.condition == c] for c in conditions}
 gap_teacher = np.mean(by_condition["full"]) - np.mean(by_condition["no_teacher"])
 gap_real = np.mean(by_condition["full"]) - np.mean(by_condition["unimodal"])
 print()
-print(f"teacher filtering is worth {gap_teacher:+.4f} F1 over random selection here,")
+print(f"teacher filtering is worth {gap_teacher:+.4f} F1 over keeping every view here,")
 print(f"and the synthetic branch {gap_real:+.4f} F1 over using real views alone")

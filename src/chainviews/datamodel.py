@@ -37,6 +37,7 @@ kept for provenance with ``survived`` 0. The encoding is canonical, so
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
 import os
@@ -610,17 +611,6 @@ def dataset_to_string(instances: Iterable[Instance], schema: DatasetSchema) -> s
     return "".join(_dataset_lines(instances, schema))
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, each ended by ``"\\n"`` only, sliced one at a
-    time rather than split into a list."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        yield text[start:end]
-        start = end + 1
-
-
 def _utf8_lines(handle) -> Iterator[str]:
     """The lines of a binary file, split at ``b"\\n"`` and decoded one at a
     time; a line that is not UTF-8 is a format error on that line."""
@@ -632,19 +622,23 @@ def _utf8_lines(handle) -> Iterator[str]:
 
 
 def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
-    """Parse a dataset from ``source`` (path, text file object, or string).
+    """Parse a dataset from ``source``: a path (``str`` or ``Path``) or a
+    binary file object.
 
     The source is read one line at a time, so beyond the instances a read
-    holds about one line. A line ends at ``"\\n"``, as the writer writes it
-    (a ``"\\r"`` before it is JSON whitespace); a path is decoded as UTF-8
-    line by line, a file object is iterated and a string is sliced.
+    holds about one line. A line ends at ``b"\\n"``, as the writer writes it
+    (a ``"\\r"`` before it is JSON whitespace), and is decoded as UTF-8 on
+    its own. Any other source, a text file object included, is a
+    ``TypeError``.
 
     Raises :class:`DatasetFormatError` with a line number on malformed input.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return _parse_lines(_utf8_lines(handle))
-    return _parse_lines(_text_lines(source) if isinstance(source, str) else iter(source))
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError(f"read_dataset takes a path (str or Path) or a binary file object, not {type(source).__name__}")
+    return _parse_lines(_utf8_lines(source))
 
 
 def _parse_lines(lines: Iterator[str]) -> tuple[list[Instance], DatasetSchema]:

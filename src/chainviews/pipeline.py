@@ -47,8 +47,8 @@ from .selection import (
     RandomLinearEmbedder,
     SelectionError,
     keep_count,
-    rank_keep,
     random_scores,
+    rank_segments,
     similarity_scores,
 )
 
@@ -224,17 +224,18 @@ def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
 
 
 class Scorer:
-    """The run's selection policy, ``config.policy_name``, as a scoring
-    function.
+    """The run's selection policy, ``config.policy_name``: one scoring call
+    per use over every instance's rows, instance-major, for a selection
+    (``select``), the student's pick (``student_pick``) and test time
+    (``pick``). Scores are lower-is-better and rank by (score, index).
 
-    Scores are lower-is-better and ties break by index. The teacher-loss
-    policy scores a selection's candidates by the frozen final-pass losses
-    of a fresh teacher trained on them (``teacher`` holds the latest,
-    ``None`` until the first selection), the student's pick by those stored
-    losses and test-time views by the teacher's confidence (``pick``). The
-    other policies score every step alike: similarity to the real view under
-    an 8-wide random embedding, or a uniform draw per (step, instance);
-    keep_all keeps every candidate, so its selection scores are all zero.
+    The teacher-loss policy scores a selection by the frozen final-pass
+    losses of a fresh teacher trained on its candidates (``teacher`` holds
+    the latest, ``None`` until the first selection), the student's pick by
+    those stored losses and test-time views by the teacher's confidence.
+    Similarity scores closeness to the real view under an 8-wide random
+    embedding and the random policy draws per (step, instance); keep_all
+    scores zeros at a selection and picks as the random policy does.
     """
 
     def __init__(self, config: PipelineConfig, schema: DatasetSchema):
@@ -247,60 +248,58 @@ class Scorer:
             else None
         )
 
-    def scores(self, instance: Instance, views: ViewBatch, stream, stored=None) -> list:
-        """Scores of one instance's views at selection ``stream`` (its index),
-        at the student's pick ("student-pick", where ``stored`` holds the
-        views' stored teacher losses) or at test time ("infer-pick").
-        Teacher-loss selections go through ``select``, and test-time views
-        under a teacher through ``pick``; with no teacher yet they tie."""
-        name = self.config.policy_name
-        if name == "similarity":
-            return similarity_scores(views, instance.real_view, self.embedder)
-        if name == "teacher_loss":
-            return stored.tolist() if stream == "student-pick" else [0.0] * len(views)
-        if name == "keep_all" and isinstance(stream, int):
-            return [0.0] * len(views)
-        return random_scores(len(views), self.config.seed, stream, instance.id)
+    def _untrained(self, instances: Sequence[Instance], views: ViewBatch, counts, stream) -> np.ndarray:
+        """Similarity scores of ``views`` (``counts[k]`` rows per instance), or
+        one draw per instance on its ``("random-selection", stream, id)`` stream."""
+        if self.config.policy_name == "similarity":
+            return similarity_scores(views, _copies(instances, counts), self.embedder)
+        seed = self.config.seed
+        return np.concatenate([random_scores(n, seed, stream, inst.id) for inst, n in zip(instances, counts)])
 
-    def select(self, instances: Sequence[Instance], live: list[np.ndarray], selection_index: int) -> list[list[float]]:
-        """Per-instance scores of the live candidates (pool indices) at one
-        selection."""
+    def select(self, instances: Sequence[Instance], live: list[np.ndarray], selection_index: int) -> np.ndarray:
+        """Scores of every instance's live candidates (pool indices
+        ``live[k]``) at one selection, instance-major."""
+        counts = [len(ids) for ids in live]
+        if self.config.policy_name == "keep_all":
+            return np.zeros(sum(counts))
+        views = _v_rows([inst.synthetic_pool for inst in instances], live)
         if self.config.policy_name != "teacher_loss":
-            return [
-                self.scores(inst, inst.synthetic_pool.v_rows(ids), selection_index)
-                for inst, ids in zip(instances, live)
-            ]
+            return self._untrained(instances, views, counts, selection_index)
         seed = self.config.seed
         self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
-        counts = [len(ids) for ids in live]
         subj, obj, labels = _per_row(instances, counts)
-        views = _v_rows([inst.synthetic_pool for inst in instances], live)
         inputs = self.teacher.inputs(views, subj, obj)
         _, losses = train(
             self.teacher, inputs, labels, self.config.teacher, seed, rng_stream=("teacher-train", selection_index)
         )
-        return [part.tolist() for part in np.split(losses, np.cumsum(counts)[:-1])]
+        return losses
+
+    def student_pick(self, instances: Sequence[Instance], live: list[np.ndarray]) -> np.ndarray:
+        """Scores of every instance's live candidates for the student's pick;
+        under teacher loss the stored losses (NaN where none is stored)."""
+        pools = [inst.synthetic_pool for inst in instances]
+        if self.config.policy_name == "teacher_loss":
+            return np.concatenate([pool.teacher_loss[ids] for pool, ids in zip(pools, live)])
+        return self._untrained(instances, _v_rows(pools, live), [len(ids) for ids in live], "student-pick")
 
     def pick(self, instances: Sequence[Instance], views: ViewBatch) -> np.ndarray:
         """Row indices of the ``config.infer_views`` best test-time views of
         each instance, best first: one row per instance, indexing its own
-        rows of ``views``, which holds the same count per instance,
-        instance-major.
+        rows of ``views``, which holds the same count per instance.
 
-        A stable argsort ranks by (score, index), as ``rank_keep`` does. With
-        a teacher, the teacher-loss policy scores every view by its loss
+        With a teacher, the teacher-loss policy scores every view by its loss
         against the teacher's own most likely label (label-free), in one
-        ``logits`` call over ``views``.
+        ``logits`` call over ``views``; without one the views tie.
         """
-        count = len(views) // len(instances)
-        if self.config.policy_name == "teacher_loss" and self.teacher is not None:
-            subj, obj, _ = _per_row(instances, count)
-            logits = self.teacher.logits(self.teacher.inputs(views, subj, obj))
-            scores = -np.max(log_softmax(logits), axis=1).reshape(len(instances), count)
+        counts = [len(views) // len(instances)] * len(instances)
+        if self.config.policy_name != "teacher_loss":
+            scores = self._untrained(instances, views, counts, "infer-pick")
+        elif self.teacher is None:
+            scores = np.zeros(len(views))
         else:
-            batches = _split(views, [count] * len(instances))
-            scores = np.array([self.scores(inst, batch, "infer-pick") for inst, batch in zip(instances, batches)])
-        return np.argsort(scores, axis=1, kind="stable")[:, : self.config.infer_views]
+            subj, obj, _ = _per_row(instances, counts)
+            scores = -np.max(log_softmax(self.teacher.logits(self.teacher.inputs(views, subj, obj))), axis=1)
+        return np.array([ranked[: self.config.infer_views] for ranked in rank_segments(scores, counts)])
 
 
 # --- stepwise building blocks ---------------------------------------------------
@@ -313,8 +312,9 @@ class Scorer:
 # selection ``s`` exactly when ``round + survived == s``.
 
 
-def _copies(instances: Sequence[Instance], n: int) -> ViewBatch:
-    """``n`` copies of each instance's real view, instance-major."""
+def _copies(instances: Sequence[Instance], n) -> ViewBatch:
+    """``n`` copies of each instance's real view (one count per instance, or
+    one for all), instance-major."""
     reals = stack_views([inst.real_view for inst in instances])
     return ViewBatch(reals.kind, reals.modality, np.repeat(reals.data, n, axis=0))
 
@@ -391,15 +391,18 @@ def run_ccg_round(
     if any(not ids.size for ids in live):
         raise PipelineError("every instance needs at least one live candidate view")
 
+    counts = [len(ids) for ids in live]
+    fraction = 1.0 if config.policy_name == "keep_all" else config.keep_fraction
+    k_of = {n: keep_count(fraction, n) for n in dict.fromkeys(counts)}
     scores = scorer.select(instances, live, selection_index)
+    parts = np.split(scores, np.cumsum(counts)[:-1])
     records, kept = [], []
-    for idx, instance in enumerate(instances):
-        ids = live[idx]
-        k = len(ids) if config.policy_name == "keep_all" else keep_count(config.keep_fraction, len(ids))
-        kept.append(ids[sorted(rank_keep(scores[idx], k))])
-        losses = scores[idx] if config.policy_name == "teacher_loss" else None
+    for idx, (instance, ranked) in enumerate(zip(instances, rank_segments(scores, counts))):
+        ids, part = live[idx], parts[idx]
+        kept.append(ids[np.sort(ranked[: k_of[len(ids)]])])
+        losses = part if config.policy_name == "teacher_loss" else None
         instances[idx] = replace(instance, synthetic_pool=instance.synthetic_pool.judged(ids, losses, kept[-1]))
-        records.append(InstanceSelectionRecord(instance.id, tuple(ids.tolist()), tuple(scores[idx]), tuple(kept[-1].tolist())))
+        records.append(InstanceSelectionRecord(instance.id, *(tuple(a.tolist()) for a in (ids, part, kept[-1]))))
     if rounds is not None:
         pool_sizes = {len(r.candidate_ids) for r in records}
         kept_sizes = {len(r.kept_ids) for r in records}
@@ -426,7 +429,7 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
     After the last selection these are its children, so the student's pick
     then compares every live candidate under the final teacher. One
     ``logits`` call covers every instance's unscored rows, instance-major,
-    and the losses split back per instance, as ``Scorer.select`` does.
+    and the losses split back per instance, as a selection does.
     """
     instances = list(instances)
     pools = [inst.synthetic_pool for inst in instances]
@@ -455,20 +458,16 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
     """
     next_selection = _next_selection(instances)
     n_train = config.train_views
+    live = [_live_ids(inst.synthetic_pool, next_selection) for inst in instances]
+    counts = [len(ids) for ids in live]
+    scores = scorer.student_pick(instances, live)
+    parts = np.split(scores, np.cumsum(counts)[:-1])
     synth = []
-    for instance in instances:
-        pool = instance.synthetic_pool
-        ids = _live_ids(pool, next_selection)
-        scores = np.asarray(
-            scorer.scores(instance, pool.v_rows(ids), "student-pick", pool.teacher_loss[ids]), dtype=np.float64
-        )
-        scored = ~np.isnan(scores)
-        if scored.sum() < n_train:
-            raise PipelineError(
-                f"instance {instance.id} has {scored.sum()} scored candidate views, needs {n_train}"
-            )
-        ranked = ids[scored][rank_keep(scores[scored].tolist(), n_train)]
-        synth.append(pool.v_rows(ranked))
+    for instance, ids, part, ranked in zip(instances, live, parts, rank_segments(scores, counts)):
+        scored = np.count_nonzero(~np.isnan(part))
+        if scored < n_train:
+            raise PipelineError(f"instance {instance.id} has {scored} scored candidate views, needs {n_train}")
+        synth.append(instance.synthetic_pool.v_rows(ids[ranked[:n_train]]))
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
     inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)

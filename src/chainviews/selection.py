@@ -2,8 +2,8 @@
 
 Every policy answers the same question: given one instance's candidate
 views, which ``ceil(keep_fraction * n)`` survive into the next round? Each
-policy is a lower-is-better score per candidate, and :func:`rank_keep` is
-the one ranking over those scores. The teacher-loss policy scores by
+policy is a lower-is-better score per candidate, and :func:`rank_segments`
+ranks every instance's scores at once. The teacher-loss policy scores by
 teacher loss (computed upstream), the similarity policy by closeness to the
 real view under a fixed cross-modal embedder (:func:`similarity_scores`),
 and the random / keep-all policies are the ablation controls
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import View, ViewBatch, ViewSpec
+from .datamodel import ViewBatch, ViewSpec
 from .nn import featurize_rows
 from .rng import derive_rng
 
@@ -45,13 +45,22 @@ def keep_count(keep_fraction: float, n: int) -> int:
     return -(-product.numerator // product.denominator)
 
 
-def rank_keep(scores: Sequence[float], k: int) -> list[int]:
-    """Indices of the ``k`` best (lowest) scores, best first.
+def rank_segments(scores: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """Each segment's row positions, best (lowest score) first.
 
-    Ranking is by (score, index), so equal scores keep the lower index;
-    callers that want the survivors in index order sort the result.
+    ``scores`` holds ``counts[k]`` rows for segment ``k``, segment after
+    segment. One stable sort orders every row by (segment, score, index), so
+    equal scores keep the lower index; NaN ranks last.
     """
-    return sorted(range(len(scores)), key=lambda i: (scores[i], i))[:k]
+    order = np.lexsort((scores, np.repeat(np.arange(len(counts)), counts)))
+    starts = np.cumsum(counts) - counts
+    return np.split(order - np.repeat(starts, counts), np.cumsum(counts)[:-1])
+
+
+def rank_keep(scores: Sequence[float], k: int) -> list[int]:
+    """Indices of the ``k`` best (lowest) scores, best first, as one segment
+    of :func:`rank_segments`; sort the result for index order."""
+    return rank_segments(np.asarray(scores, dtype=np.float64), [len(scores)])[0][:k].tolist()
 
 
 class RandomLinearEmbedder:
@@ -69,30 +78,27 @@ class RandomLinearEmbedder:
         self.w_u = rng.normal(0.0, 1.0 / np.sqrt(u_spec.size), size=(dim, u_spec.size))
         self.w_v = rng.normal(0.0, 1.0 / np.sqrt(v_spec.size), size=(dim, v_spec.size))
 
-    def embed(self, view: View) -> np.ndarray:
-        return self.embed_rows(view.modality, view.kind, view.data[None])[0]
-
-    def embed_rows(self, modality: str, kind: str, data: np.ndarray) -> list[np.ndarray]:
-        """One embedding per row of ``data`` (views of one side and kind),
-        each its own matrix-vector product."""
-        weight, spec = (self.w_u, self.u_spec) if modality == "u" else (self.w_v, self.v_spec)
-        return [weight @ row for row in featurize_rows(kind, data, spec.size)]
+    def embed(self, views: ViewBatch) -> np.ndarray:
+        """``(B, dim)`` embeddings of a batch of one side. A stack of
+        matrix-vector products, so each row has the bits of ``weight @ row``."""
+        weight, spec = (self.w_u, self.u_spec) if views.modality == "u" else (self.w_v, self.v_spec)
+        return np.matmul(weight, featurize_rows(views.kind, views.data, spec.size)[..., None])[..., 0]
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float(a @ b) / (na * nb)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row ``i``, each its own dot product (so with its bits)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def similarity_scores(views: ViewBatch, real_view: View, embedder) -> list[float]:
-    """Lower-is-better scores: negated cosine against the real view, one per
-    row of ``views``."""
-    anchor = embedder.embed(real_view)
-    return [-cosine_similarity(e, anchor) for e in embedder.embed_rows(views.modality, views.kind, views.data)]
+def similarity_scores(views: ViewBatch, anchors: ViewBatch, embedder) -> np.ndarray:
+    """Lower-is-better scores: the negated cosine between each row of
+    ``views`` and the same row of ``anchors`` (the real views) under
+    ``embedder``. A zero embedding on either side has cosine -1."""
+    e, a = embedder.embed(views), embedder.embed(anchors)
+    norm_e, norm_a = np.sqrt(_row_dots(e, e)), np.sqrt(_row_dots(a, a))
+    nonzero = (norm_e != 0) & (norm_a != 0)
+    return -np.divide(_row_dots(e, a), norm_e * norm_a, out=np.full(len(e), -1.0), where=nonzero)
 
 
-def random_scores(n: int, seed: int, *stream: int | str) -> list[float]:
-    rng = derive_rng(seed, "random-selection", *stream)
-    return list(rng.random(n))
+def random_scores(n: int, seed: int, *stream: int | str) -> np.ndarray:
+    return derive_rng(seed, "random-selection", *stream).random(n)

@@ -49,6 +49,11 @@ def make_instance(iid=0, label=0, pool=()):
     )
 
 
+def from_text(text):
+    """Dataset text as the binary file object ``read_dataset`` reads."""
+    return io.BytesIO(text.encode("utf-8"))
+
+
 def make_schema(**overrides):
     fields = dict(
         class_count=3,
@@ -312,7 +317,7 @@ def assert_pools_equal(a, b):
 def test_round_trip_is_identity_and_byte_stable():
     instances, schema = full_dataset()
     text = dataset_to_string(instances, schema)
-    loaded, loaded_schema = read_dataset(text)
+    loaded, loaded_schema = read_dataset(from_text(text))
     assert loaded_schema == schema
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
@@ -345,20 +350,20 @@ def test_truncated_final_line_names_the_line():
     text = dataset_to_string(instances, schema)
     truncated = text.rstrip("\n")[:-10]
     with pytest.raises(DatasetFormatError) as err:
-        read_dataset(truncated)
+        read_dataset(from_text(truncated))
     assert err.value.line == 4  # header + 3 instances; the last one is broken
 
 
 def test_empty_dataset_header_only():
     text = dataset_to_string([], make_schema())
-    loaded, schema = read_dataset(text)
+    loaded, schema = read_dataset(from_text(text))
     assert loaded == []
     assert schema == make_schema()
 
 
 def test_missing_header_is_an_error():
     with pytest.raises(DatasetFormatError):
-        read_dataset(io.StringIO(""))
+        read_dataset(from_text(""))
 
 
 def test_a_path_read_holds_about_one_line_beyond_its_instances(tmp_path):
@@ -384,11 +389,11 @@ def test_a_path_read_holds_about_one_line_beyond_its_instances(tmp_path):
     assert peak - held < 8 * longest, (peak - held, longest)
 
 
-class LinesOnly:
-    """A text source that can only be iterated line by line."""
+class LinesOnly(io.RawIOBase):
+    """A binary source that can only be iterated line by line."""
 
     def __init__(self, text):
-        self.lines = text.splitlines(keepends=True)
+        self.lines = text.encode("utf-8").splitlines(keepends=True)
 
     def __iter__(self):
         return iter(self.lines)
@@ -419,13 +424,48 @@ def test_a_byte_that_is_not_utf8_is_a_format_error_on_its_line(tmp_path, line):
     assert err.value.line == line
 
 
+def test_a_bad_byte_in_a_file_object_is_a_format_error_on_its_line():
+    instances, schema = full_dataset(3)
+    lines = dataset_to_string(instances, schema).encode("utf-8").split(b"\n")
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+    with pytest.raises(DatasetFormatError, match="^line 3: not UTF-8 ") as err:
+        read_dataset(io.BytesIO(b"\n".join(lines)))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("kind", ["open", "StringIO", "list"])
+def test_a_text_source_is_refused_naming_the_accepted_sources(tmp_path, kind):
+    instances, schema = full_dataset(2)
+    text = dataset_to_string(instances, schema)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(text.encode("utf-8").replace(b'"', b'"\xff', 1))
+    with pytest.raises(TypeError, match=r"a path \(str or Path\) or a binary file object"):
+        if kind == "open":
+            with open(path, encoding="utf-8") as handle:  # decoding it would fail at the first read
+                read_dataset(handle)
+        else:
+            read_dataset(io.StringIO(text) if kind == "StringIO" else text.splitlines(keepends=True))
+
+
+def test_a_str_is_always_a_path(tmp_path):
+    # dataset text, with or without a newline, is not taken for its content
+    instances, schema = full_dataset(2)
+    text = dataset_to_string(instances, schema)
+    for source in (text, dataset_to_string([], schema).rstrip("\n")):
+        with pytest.raises(OSError):
+            read_dataset(source)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert dataset_to_string(*read_dataset(str(path))) == text
+
+
 def test_a_crlf_copy_reads_identically(tmp_path):
     instances, schema = full_dataset(6)
     text = dataset_to_string(instances, schema)
     crlf = text.replace("\n", "\r\n")
     path = tmp_path / "crlf.jsonl"
     path.write_bytes(crlf.encode("utf-8"))
-    for source in (path, crlf, io.StringIO(crlf, newline="")):
+    for source in (path, from_text(crlf)):
         loaded, loaded_schema = read_dataset(source)
         assert dataset_to_string(loaded, loaded_schema) == text
 
@@ -439,11 +479,11 @@ def test_a_line_separator_inside_a_string_does_not_end_the_line(tmp_path):
     good = "\n".join(lines) + "\n"
     path = tmp_path / "dataset.jsonl"
     path.write_text(good, encoding="utf-8")
-    for source in (good, path):
+    for source in (from_text(good), path):
         assert [i.id for i in read_dataset(source)[0]] == [0, 1, 2, 3]
     bad = "\n".join(lines[:3] + [lines[3][:-10]]) + "\n"  # the last line is cut short
     path.write_text(bad, encoding="utf-8")
-    for source in (bad, path):
+    for source in (from_text(bad), path):
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(source)
         assert err.value.line == 4
@@ -491,7 +531,7 @@ def test_unknown_version_rejected():
     text = dataset_to_string([], make_schema())
     bumped = text.replace('"version":3', '"version":99')
     with pytest.raises(DatasetFormatError) as err:
-        read_dataset(bumped)
+        read_dataset(from_text(bumped))
     assert err.value.line == 1
 
 
@@ -500,7 +540,7 @@ def test_earlier_versions_are_rejected_naming_their_version(version):
     instances, schema = full_dataset(2)
     text = dataset_to_string(instances, schema).replace('"version":3', f'"version":{version}', 1)
     with pytest.raises(DatasetFormatError, match=f"unsupported format version {version}: only version 3 is read") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 1
 
 
@@ -549,7 +589,7 @@ def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
     assert old in lines[2]
     lines[2] = lines[2].replace(old, new)
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset("\n".join(lines))
+        read_dataset(from_text("\n".join(lines)))
     assert err.value.line == 3
 
 
@@ -583,14 +623,14 @@ def test_integer_fields_reject_other_values(line, path, value):
 
     key = path[1] if path[0] == "pool" else path[-1]  # a pool column's name, not its index
     with pytest.raises(DatasetFormatError, match=f"{key} must be an integer") as err:
-        read_dataset(edited(instances, schema, line, edit))
+        read_dataset(from_text(edited(instances, schema, line, edit)))
     assert err.value.line == line
 
 
 def test_integral_numbers_read_as_integers():
     instances, schema = full_dataset(3)
     text = dataset_to_string(instances, schema)
-    loaded, _ = read_dataset(text.replace('"id":1,', '"id":1.0,', 1).replace('"round":[0,1]', '"round":[0.0,1]', 1))
+    loaded, _ = read_dataset(from_text(text.replace('"id":1,', '"id":1.0,', 1).replace('"round":[0,1]', '"round":[0.0,1]', 1)))
     assert dataset_to_string(loaded, schema) == text
 
 
@@ -600,7 +640,7 @@ def test_non_finite_numbers_are_rejected_at_read_time(value):
     instances, schema = full_dataset(3)
     text = edited(instances, schema, 3, lambda record: record["pool"]["teacher_loss"].__setitem__(0, value))
     with pytest.raises(DatasetFormatError, match="non-finite number") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 3
 
 
@@ -627,7 +667,7 @@ def test_literals_that_overflow_a_float_are_rejected_at_read_time(edit, message)
     instances, schema = full_dataset(3)
     text = edited(instances, schema, 2, edit).replace("12345.5", "1e999")
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 2
 
 
@@ -651,7 +691,7 @@ def test_non_finite_bit_patterns_name_the_pool_index(bits, row):
         m["data"] = base64.b64encode(bytes(raw)).decode("ascii")
 
     with pytest.raises(DatasetFormatError, match=f"synthetic view {2 * row} holds a non-finite number") as err:
-        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
+        read_dataset(from_text(edited([make_instance(pool=pool)], make_schema(), 2, edit)))
     assert err.value.line == 2
 
 
@@ -665,7 +705,7 @@ def test_symbol_that_overflows_an_integer_is_a_format_error():
     real = json.dumps(encode("discrete", [[1]])).replace('"shape": [1, 1]', '"shape": [1, 1e999]')
     line = f'{{"id":0,"label":0,"subject":0,"object":1,"real_view":{real},"pool":{json.dumps(EMPTY_POOL_RECORD)}}}'
     with pytest.raises(DatasetFormatError, match="bad view: shape must be two positive integers") as err:
-        read_dataset(header + line + "\n")
+        read_dataset(from_text(header + line + "\n"))
     assert err.value.line == 2
 
 
@@ -685,10 +725,10 @@ def test_symbols_outside_the_alphabet_are_rejected(where, symbol):
     }
     name = "the real view" if where == "real" else "synthetic view 0"
     with pytest.raises(DatasetFormatError, match=rf"{name} holds a symbol outside \[0, 4\)") as err:
-        read_dataset(header + json.dumps(record) + "\n")
+        read_dataset(from_text(header + json.dumps(record) + "\n"))
     assert err.value.line == 2
     record["real_view"], record["pool"]["v"] = encode("discrete", [[0, 3]]), encode("discrete", [[0, 3]])
-    [loaded], _ = read_dataset(header + json.dumps(record) + "\n")
+    [loaded], _ = read_dataset(from_text(header + json.dumps(record) + "\n"))
     assert loaded.synthetic_pool.v.data.tolist() == [[0, 3]]
 
 
@@ -701,7 +741,7 @@ def test_views_of_unequal_length_on_one_side_are_rejected():
         record["pool"]["v"]["data"] = encode("vector", [[0.0, 1.0, 2.0]])["data"]
 
     with pytest.raises(DatasetFormatError, match=r"shape \[2, 2\] needs 32 bytes, data holds 24") as err:
-        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
+        read_dataset(from_text(edited([make_instance(pool=pool)], make_schema(), 2, edit)))
     assert err.value.line == 2
 
 
@@ -711,7 +751,7 @@ def test_views_that_disagree_with_the_schema_are_rejected():
     instances, schema = full_dataset(3)
     text = edited(instances, schema, 3, lambda record: record["pool"].update(u=encode("vector", [[0.5]])))
     with pytest.raises(DatasetFormatError, match="the schema's u-side views are vector of size 2, got vector views of length 1") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 3
 
 
@@ -734,7 +774,7 @@ def test_view_data_is_never_coerced(where, data, message):
         (record["pool"]["v"] if where == "synthetic" else record["real_view"])["data"] = data
 
     with pytest.raises(DatasetFormatError, match=f"bad view: {message}") as err:
-        read_dataset(edited(instances, schema, 3, edit))
+        read_dataset(from_text(edited(instances, schema, 3, edit)))
     assert err.value.line == 3
 
 
@@ -756,7 +796,7 @@ def test_matrix_data_must_be_strict_base64_of_the_shape(data, message):
     pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
     text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"]["v"].update(data=data))
     with pytest.raises(DatasetFormatError, match=f"bad view: {message}") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 2
 
 
@@ -769,7 +809,7 @@ def test_matrix_shape_must_be_two_positive_integers(shape):
     pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (0, STEP_U_TO_V, REAL_PARENT, [2.0, 3.0])]
     text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"]["v"].update(shape=shape))
     with pytest.raises(DatasetFormatError, match="bad view: shape must be two positive integers") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 2
 
 
@@ -778,7 +818,7 @@ def test_pool_columns_of_unequal_length_are_rejected(column):
     instances, schema = full_dataset(3)
     text = edited(instances, schema, 3, lambda record: record["pool"][column].pop())
     with pytest.raises(DatasetFormatError, match="pool columns must be lists of one length") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 3
 
 
@@ -799,7 +839,7 @@ def test_the_v_matrix_needs_one_row_per_u_to_v_step(steps, v_rows, message):
         record["pool"]["v"] = encode("vector", [[0.0, 1.0]] * v_rows)
 
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset(edited([make_instance(pool=pool)], make_schema(), 2, edit))
+        read_dataset(from_text(edited([make_instance(pool=pool)], make_schema(), 2, edit)))
     assert err.value.line == 2
 
 
@@ -807,7 +847,7 @@ def test_a_side_with_views_needs_a_matrix():
     pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0])]
     text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: record["pool"].update(v=None))
     with pytest.raises(DatasetFormatError, match="bad view: a matrix must carry 'kind', 'shape' and 'data'") as err:
-        read_dataset(text)
+        read_dataset(from_text(text))
     assert err.value.line == 2
 
 
@@ -816,7 +856,7 @@ def test_schema_mismatch_surfaces_on_validation():
     instances, _ = full_dataset(3)  # labels 0, 1, 2
     wrong = make_schema(class_count=2)
     text = dataset_to_string(instances, wrong)
-    loaded, loaded_schema = read_dataset(text)
+    loaded, loaded_schema = read_dataset(from_text(text))
     assert not validate_dataset(loaded, loaded_schema).ok
 
 
@@ -892,7 +932,7 @@ def datasets(draw):
 def test_write_read_write_is_byte_identical_and_field_equal(dataset):
     instances, schema = dataset
     text = dataset_to_string(instances, schema)
-    loaded, loaded_schema = read_dataset(text)
+    loaded, loaded_schema = read_dataset(from_text(text))
     assert loaded_schema == schema
     assert dataset_to_string(loaded, loaded_schema) == text
     assert len(loaded) == len(instances)

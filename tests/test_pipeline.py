@@ -48,7 +48,7 @@ from chainviews.pipeline import (
     train_student,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import POLICY_NAMES, keep_count, rank_keep
+from chainviews.selection import POLICY_NAMES, keep_count, random_scores, rank_keep, similarity_scores
 
 from conftest import tiny_benchmark, tiny_config, tiny_world
 
@@ -775,8 +775,12 @@ def reference_infer(student, instance, g_uv, g_vu, config, scorer):
     if config.policy_name == "teacher_loss" and scorer.teacher is not None:
         logits = scorer.teacher.logits(scorer.teacher.inputs(views, e.subject, e.object))
         scores = (-np.max(log_softmax(logits), axis=1)).tolist()
-    else:
-        scores = scorer.scores(instance, views, "infer-pick")
+    elif config.policy_name == "teacher_loss":
+        scores = [0.0] * len(views)  # no teacher yet: the views tie
+    elif config.policy_name == "similarity":
+        scores = similarity_scores(views, stack_views([instance.real_view] * len(views)), scorer.embedder)
+    else:  # random, and keep_all, which picks as random does
+        scores = random_scores(len(views), config.seed, "infer-pick", instance.id)
     chosen = views.take(rank_keep(scores, config.infer_views))
     (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
     return Label(int(np.argmax(logits))), chosen.data.tobytes()

@@ -1,22 +1,23 @@
 """Keep-count arithmetic and the four selection policies, each a score per
-candidate ranked by ``rank_keep``."""
+candidate ranked by ``rank_segments`` (``rank_keep`` for one segment)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewBatch, ViewSpec, vector_view
+from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewBatch, ViewSpec
+from chainviews.nn import featurize_rows
 from chainviews.pipeline import PipelineConfig, Scorer
 from chainviews.rng import derive_rng
 from chainviews.selection import (
     POLICY_NAMES,
     RandomLinearEmbedder,
     SelectionError,
-    cosine_similarity,
     keep_count,
     random_scores,
     rank_keep,
+    rank_segments,
     similarity_scores,
 )
 from conftest import scored_pool
@@ -94,6 +95,22 @@ def test_filter_by_loss_tie_break_is_stable():
     assert rank_keep([0.3, 0.1], 9) == [1, 0]
 
 
+def test_segments_rank_as_each_segment_alone():
+    # one sort over every segment gives each segment's (score, index) order;
+    # segments may differ in size or be empty, and NaN ranks last
+    rng = derive_rng(5, "segments")
+    for _ in range(50):
+        counts = rng.integers(0, 7, size=rng.integers(1, 6)).tolist()
+        scores = rng.integers(0, 3, size=sum(counts)).astype(float)
+        scores[rng.random(len(scores)) < 0.1] = np.nan
+        ranked = rank_segments(scores, counts)
+        assert len(ranked) == len(counts)
+        for part, order in zip(np.split(scores, np.cumsum(counts)[:-1]), ranked):
+            finite = [i for i in range(len(part)) if not np.isnan(part[i])]
+            expected = sorted(finite, key=lambda i: (part[i], i)) + [i for i in range(len(part)) if np.isnan(part[i])]
+            assert order.tolist() == expected
+
+
 def test_filter_by_loss_boundary_ordering():
     rng = derive_rng(0, "loss-prop")
     for _ in range(25):
@@ -123,10 +140,33 @@ def embedder():
     return RandomLinearEmbedder(ViewSpec("vector", 2), ViewSpec("vector", 2), dim=4, seed=0)
 
 
+def cosine_similarity(a, b):
+    """The per-row reference: cosine of two embeddings, -1 when either is zero."""
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return -1.0
+    return float(a @ b) / (na * nb)
+
+
+def reference_scores(views, anchors, emb):
+    """Negated cosine per row, each row embedded with its own ``W @ row``."""
+    def rows(batch, weight, spec):
+        return [weight @ row for row in featurize_rows(batch.kind, batch.data, spec.size)]
+
+    e = rows(views, emb.w_v, emb.v_spec)
+    a = rows(anchors, emb.w_u, emb.u_spec)
+    return np.array([-cosine_similarity(x, y) for x, y in zip(e, a)])
+
+
+def reals(row, n):
+    """``n`` copies of one u-side real view, as the anchors of ``n`` views."""
+    return ViewBatch("vector", MODALITY_U, np.repeat(np.atleast_2d(row), n, axis=0))
+
+
 def test_identical_view_is_always_kept():
-    real = vector_view([1.0, 2.0], MODALITY_U)
-    # row 1 is a v-side copy of the real view's embedding source
     views = ViewBatch("vector", MODALITY_V, [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+    real = reals([1.0, 2.0], len(views))
+    # row 1 is a v-side copy of the real view's embedding source
     emb = embedder()
     # make u and v embeddings agree so the twin has cosine exactly 1
     emb.w_v = emb.w_u
@@ -136,23 +176,39 @@ def test_identical_view_is_always_kept():
 
 def test_similarity_kept_set_matches_sort_oracle():
     rng = derive_rng(2, "sim")
-    real = vector_view(rng.normal(size=2), MODALITY_U)
     views = ViewBatch("vector", MODALITY_V, rng.normal(size=(10, 2)))
+    real = reals(rng.normal(size=2), len(views))
     emb = embedder()
     kept, _ = split(similarity_scores(views, real, emb), 0.5)
-    anchor = emb.embed(real)
-    sims = [cosine_similarity(emb.embed(vector_view(row, MODALITY_V)), anchor) for row in views.data]
+    sims = -reference_scores(views, real, emb)
     oracle = sorted(range(10), key=lambda i: (-sims[i], i))[:5]
     assert kept == sorted(oracle)
+
+
+@pytest.mark.parametrize("u_width, v_kind, v_width", [(32, "vector", 4), (2, "vector", 2), (32, "discrete", 6)])
+def test_batched_similarity_matches_the_per_row_reference_bit_for_bit(u_width, v_kind, v_width):
+    rng = derive_rng(3, "sim-bits", u_width, v_width)
+    emb = RandomLinearEmbedder(ViewSpec("vector", u_width), ViewSpec(v_kind, v_width), seed=4)
+    n = 300
+    data = rng.normal(size=(n, v_width)) if v_kind == "vector" else rng.integers(v_width, size=(n, 7))
+    if v_kind == "vector":
+        data[5] = 0.0  # a zero view: cosine -1
+    anchors = rng.normal(size=(n, u_width))
+    anchors[9] = 0.0  # a zero real view: cosine -1
+    views = ViewBatch(v_kind, MODALITY_V, data)
+    real = ViewBatch("vector", MODALITY_U, anchors)
+    scores = similarity_scores(views, real, emb)
+    expected = reference_scores(views, real, emb)
+    assert scores.tobytes() == expected.tobytes()
+    assert scores[9] == 1.0 and (v_kind != "vector" or scores[5] == 1.0)
 
 
 def test_zero_norm_embedding_scores_minus_one():
     assert cosine_similarity(np.zeros(3), np.ones(3)) == -1.0
     emb = embedder()
-    real = vector_view([1.0, 0.0], MODALITY_U)
     # a zero vector embeds to zero under a linear map
     views = ViewBatch("vector", MODALITY_V, [[0.0, 0.0], [1.0, 0.0]])
-    scores = similarity_scores(views, real, emb)
+    scores = similarity_scores(views, reals([1.0, 0.0], len(views)), emb)
     assert scores[0] == 1.0  # negated cosine of -1
 
 
@@ -160,9 +216,8 @@ def test_orthogonal_tie_keeps_lower_index():
     emb = embedder()
     emb.w_u = np.eye(2)
     emb.w_v = np.eye(2)
-    real = vector_view([1.0, 0.0], MODALITY_U)
     views = ViewBatch("vector", MODALITY_V, [[0.0, 1.0], [0.0, -1.0]])
-    scores = similarity_scores(views, real, emb)
+    scores = similarity_scores(views, reals([1.0, 0.0], len(views)), emb)
     kept, _ = split(scores, 0.5)
     assert kept == [0]
     assert np.array_equal(views.data[kept[0]], [0.0, 1.0])
