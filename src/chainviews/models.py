@@ -19,7 +19,10 @@ subj, obj)`` with ``x_v`` ``(B, N, d)``, the unimodal model's ``(x_u, subj,
 obj)`` -- and ``logits`` maps that tuple to ``(B, C)``. Each model has one
 ``_forward`` and one ``_backward``, so a batch of one takes the same path
 as a training batch. :func:`train` runs Adam on the mean batch loss at a
-constant learning rate.
+constant learning rate: each step's backward pass writes the gradients
+straight into the optimizer's flat gradient buffer, laid out like its flat
+parameters, and :class:`AdamW` steps both in place. Called without that
+buffer, ``loss_and_grads`` returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, ViewBatch
 from .nn import (
     Grads,
     Params,
-    accumulate,
     attention_init,
+    check_labels,
     cross_attention,
     cross_attention_backward,
     featurize_rows,
@@ -79,11 +82,15 @@ def _ids(ids, n: int) -> np.ndarray:
 
 
 def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> None:
-    # np.add.at sums repeated ids; fancy-index += would keep only one row
-    g = np.zeros_like(table)
+    # the one write of the table's gradient; np.add.at sums repeated ids,
+    # where fancy-index += would keep only one row
+    g = grads.get("entity_emb")
+    if g is None:
+        g = grads["entity_emb"] = np.zeros_like(table)
+    else:
+        g.fill(0.0)
     np.add.at(g, subj, d_subj)
     np.add.at(g, obj, d_obj)
-    accumulate(grads, "entity_emb", g)
 
 
 # The two public methods every model shares. Each class binds them in its own
@@ -96,13 +103,16 @@ def _logits(model, inputs) -> np.ndarray:
     return model._forward(inputs)[0]
 
 
-def _loss_and_grads(model, inputs, labels) -> tuple[np.ndarray, Grads]:
+def _loss_and_grads(model, inputs, labels, grads: Grads | None = None) -> tuple[np.ndarray, Grads]:
     """Per-sample losses ``(B,)`` of ``B`` inputs against their ``B`` labels,
-    plus the gradients of their mean."""
+    plus the gradients of their mean: written into ``grads``, which must
+    hold an array for every parameter key (:func:`train` passes its
+    optimizer's buffer), or into fresh arrays when ``grads`` is None."""
     logits, cache = model._forward(inputs)
     losses, dlogits = softmax_xent(logits, labels)
-    grads: Grads = {}
-    model._backward(cache, dlogits / len(losses), grads)
+    dlogits /= len(losses)
+    grads = {} if grads is None else grads
+    model._backward(cache, dlogits, grads)
     return losses, grads
 
 
@@ -218,7 +228,7 @@ class StudentModel:
         table = self.params["entity_emb"]
         q_sub, c_qsub = linear_forward(self.params, "qsub", np.concatenate([real_enc, table[subj]], axis=1))
         q_obj, c_qobj = linear_forward(self.params, "qobj", np.concatenate([real_enc, table[obj]], axis=1))
-        queries = np.stack([q_sub, q_obj], axis=1)
+        queries = np.concatenate([q_sub, q_obj], axis=1).reshape(len(q_sub), 2, -1)
 
         rows, c_rows = mlp_forward(self.params, "venc", x_v.reshape(-1, x_v.shape[2]))
         matrix = rows.reshape(x_v.shape[0], x_v.shape[1], rows.shape[1])
@@ -339,32 +349,49 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamW:
     """Adam with betas 0.9 and 0.999 and eps 1e-8 (``ADAM_BETA1``,
     ``ADAM_BETA2``, ``ADAM_EPS``) -- AdamW with no weight decay. The values
-    of ``params`` become reshaped views into one flat buffer, so a step is
-    one update over all parameters."""
+    of ``params`` become reshaped views into one flat buffer, and ``grads``
+    maps each key to the same-shaped view into a second flat buffer, so a
+    backward pass that writes into ``grads`` leaves a step nothing to gather.
+    A step updates the moments and the parameters in place."""
 
     def __init__(self, params: Params):
         self.flat = np.concatenate([np.ravel(w) for w in params.values()])
-        self.sizes, offset = {}, 0
+        self.grad = np.zeros_like(self.flat)
+        self.grads: Grads = {}
+        offset = 0
         for key, w in params.items():
-            self.sizes[key] = w.size
             params[key] = self.flat[offset : offset + w.size].reshape(w.shape)
+            self.grads[key] = self.grad[offset : offset + w.size].reshape(w.shape)
             offset += w.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self.grad = np.empty_like(self.flat)  # each step's gradient, gathered in key order
-        self._zeros = np.zeros(max(self.sizes.values(), default=0))  # stands in for a missing key
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         self.t = 0
 
     def step(self, grads: Grads, lr: float) -> None:
+        """One update from ``grads``: the optimizer's own ``grads`` as they
+        stand, or any dict of same-shaped gradients, a missing key counting
+        as zero."""
         self.t += 1
-        g = np.concatenate(
-            [grads[k].reshape(-1) if k in grads else self._zeros[:n] for k, n in self.sizes.items()], out=self.grad
-        )
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
-        m_hat = self.m / (1 - ADAM_BETA1**self.t)
-        v_hat = self.v / (1 - ADAM_BETA2**self.t)
-        self.flat -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        if grads is not self.grads:
+            for key, view in self.grads.items():
+                view[...] = grads[key] if key in grads else 0.0
+        # m = B1 * m + (1 - B1) * g and v = B2 * v + (1 - B2) * g * g, then
+        # flat -= lr * (m_hat / (sqrt(v_hat) + eps)), op for op in place
+        g, m, v = self.grad, self.m, self.v
+        update, v_hat = self._scratch
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=update)
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=update)
+        v += np.multiply(update, g, out=update)
+        np.divide(m, 1 - ADAM_BETA1**self.t, out=update)
+        np.divide(v, 1 - ADAM_BETA2**self.t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        update /= v_hat
+        update *= lr
+        self.flat -= update
 
 
 def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stream=("train",)):
@@ -372,16 +399,18 @@ def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stre
     (model, per_sample_losses).
 
     ``inputs`` is the model's tuple of row arrays (see its ``inputs``) and
-    ``labels`` one class index per row; nothing is featurized here. Each
-    step gathers the batch's rows of every array. Batches are contiguous
-    chunks of a per-epoch permutation, all from the run's ``seed`` and the
-    model's ``rng_stream``, so identical (config, seed, inputs, labels)
-    always produce identical parameters. The returned losses come from one
-    final frozen pass over all rows in input order.
+    ``labels`` one integer class index per row; nothing is featurized here.
+    Batches are contiguous chunks of a per-epoch permutation, all from the
+    run's ``seed`` and the model's ``rng_stream``, so identical (config,
+    seed, inputs, labels) always produce identical parameters. Each epoch
+    gathers its rows once, in permuted order, and each step slices its batch
+    from them. Every step hands ``model.loss_and_grads`` the optimizer's
+    gradient buffer (:attr:`AdamW.grads`) to write into. The returned losses
+    come from one final frozen pass over all rows in input order.
     """
     from .rng import derive_rng
 
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels)
     n = len(labels)
     if not n:
         raise ValueError("cannot train on an empty sample list")
@@ -389,18 +418,22 @@ def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stre
         raise ValueError(f"every input array needs one row per label ({n})")
     rng = derive_rng(seed, *rng_stream)
     optimizer = AdamW(model.params)
-    order = rng.permutation(n)
-    cursor = 0
+    size = config.batch_size
+    cursor = n  # the first step draws the first epoch
     # a diverging run overflows before its loss turns non-finite; the check
     # below reports it once, naming the phase, instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
             if cursor >= n:
-                order = rng.permutation(n)
+                # gather only the rows the remaining steps reach
+                order = rng.permutation(n)[: (config.steps - step) * size]
+                epoch, epoch_labels = tuple(a[order] for a in inputs), labels[order]
                 cursor = 0
-            batch = order[cursor : cursor + config.batch_size]
-            cursor += config.batch_size
-            losses, grads = model.loss_and_grads(tuple(a[batch] for a in inputs), labels[batch])
+            end = cursor + size
+            losses, grads = model.loss_and_grads(
+                tuple(a[cursor:end] for a in epoch), epoch_labels[cursor:end], optimizer.grads
+            )
+            cursor = end
             if not np.isfinite(losses).all():
                 raise TrainingDivergedError(step, rng_stream)
             optimizer.step(grads, config.learning_rate)
@@ -414,6 +447,7 @@ def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stre
 def grad_check(model, inputs: tuple, labels, epsilon: float = 1e-5) -> float:
     """Max relative error of the model's analytic gradients of the mean loss
     of ``inputs`` (the model's row arrays) against ``labels``."""
+    labels = check_labels(labels)
     _, analytic = model.loss_and_grads(inputs, labels)
 
     def loss_fn():

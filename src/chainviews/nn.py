@@ -5,9 +5,13 @@ prefixes ("venc.l1.w", "attn.wq", ...). Activations are row-batched: axis 0
 indexes samples, so a batch of one is a ``(1, d)`` array and the same code
 serves training, scoring and the gradient checks. Forward functions return
 an output plus an opaque cache; backward functions consume the cache and
-accumulate parameter gradients, summed over the batch, into a grads dict,
-which makes weight sharing (the same prefix used twice in one forward pass)
-work without any extra machinery.
+write each parameter's gradient, summed over the batch, into a grads dict.
+A key already in the dict is written in place (``out=``) -- training passes
+views into one flat buffer, so no gradient is copied -- and a missing key
+gets a fresh array, so ``{}`` collects a backward pass's gradients. Writes
+replace rather than sum: each parameter is used once per forward pass, and
+a parameter read twice (the entity table, for subject and object) has its
+rows summed by the caller before the one write.
 
 The only nonlinearities are tanh and softmax, both smooth, so every gradient
 here can be validated against central finite differences to tight tolerance;
@@ -25,11 +29,22 @@ Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
 
 
-def accumulate(grads: Grads, key: str, value: np.ndarray) -> None:
-    if key in grads:
-        grads[key] += value
-    else:
-        grads[key] = np.array(value, dtype=np.float64)
+def check_labels(labels) -> np.ndarray:
+    """``labels`` as a 1-D int64 array, or a ValueError naming the first
+    label that is not an integer (a bool or a float is not one)."""
+    array = np.asarray(labels)
+    if array.ndim != 1:
+        raise ValueError(f"labels must be one class index per row, got an array of shape {array.shape}")
+    if isinstance(labels, np.ndarray) and array.dtype.kind in "iu":
+        return array.astype(np.int64, copy=False)
+    for row, label in enumerate(labels):
+        if isinstance(label, (bool, np.bool_)) or not isinstance(label, (int, np.integer)):
+            shown = label.item() if isinstance(label, np.generic) else label
+            raise ValueError(f"label {shown!r} at row {row} is not an integer class index")
+    try:
+        return np.asarray(labels, dtype=np.int64)
+    except OverflowError:  # an int beyond int64 is no class index either
+        raise ValueError(f"labels must be class indices, got {labels!r}") from None
 
 
 def featurize_rows(kind: str, data: np.ndarray, alphabet: int | None = None) -> np.ndarray:
@@ -55,15 +70,16 @@ def linear_init(params: Params, rng: np.random.Generator, prefix: str, d_in: int
 
 def linear_forward(params: Params, prefix: str, x: np.ndarray):
     """``x`` is ``(B, d_in)``; returns ``(B, d_out)`` plus the cache."""
-    y = x @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
-    return y, (prefix, x)
+    w_key, b_key = f"{prefix}.w", f"{prefix}.b"
+    y = x @ params[w_key].T + params[b_key]
+    return y, (w_key, b_key, x)
 
 
 def linear_backward(params: Params, cache, dy: np.ndarray, grads: Grads) -> np.ndarray:
-    prefix, x = cache
-    accumulate(grads, f"{prefix}.w", dy.T @ x)
-    accumulate(grads, f"{prefix}.b", dy.sum(axis=0))
-    return dy @ params[f"{prefix}.w"]
+    w_key, b_key, x = cache
+    grads[w_key] = np.matmul(dy.T, x, out=grads.get(w_key))
+    grads[b_key] = np.add.reduce(dy, axis=0, out=grads.get(b_key))
+    return dy @ params[w_key]
 
 
 # --- one-hidden-layer encoder ------------------------------------------------
@@ -117,7 +133,8 @@ def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.n
         raise ValueError("query must be (B, Q, d) and keys and values (B, N, d) with matching B and N")
     if m_keys.shape[1] == 0:
         raise ValueError("empty attention set")
-    wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
+    keys_of = (f"{prefix}.wq", f"{prefix}.wk", f"{prefix}.wv")
+    wq, wk, wv = (params[key] for key in keys_of)
     scale = 1.0 / math.sqrt(wq.shape[0])
     q_proj = query @ wq.T
     keys = m_keys @ wk.T
@@ -126,19 +143,19 @@ def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.n
     weights /= weights.sum(axis=2, keepdims=True)
     values = m_values @ wv.T
     out = weights @ values
-    cache = (prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale)
+    cache = (keys_of, query, m_keys, m_values, q_proj, keys, weights, values, scale)
     return out, cache
 
 
 def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Grads):
     """Gradients of :func:`cross_attention`; returns (dquery, dm_keys, dm_values)."""
-    prefix, query, m_keys, m_values, q_proj, keys, weights, values, scale = cache
-    wq, wk, wv = params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
+    (q_key, k_key, v_key), query, m_keys, m_values, q_proj, keys, weights, values, scale = cache
+    wq, wk, wv = params[q_key], params[k_key], params[v_key]
 
     def flat(a):  # (B, R, d) -> (B * R, d)
         return a.reshape(-1, a.shape[2])
 
-    accumulate(grads, f"{prefix}.wv", flat(dout).T @ flat(weights @ m_values))
+    grads[v_key] = np.matmul(flat(dout).T, flat(weights @ m_values), out=grads.get(v_key))
     dm_values = weights.transpose(0, 2, 1) @ (dout @ wv)
 
     dweights = dout @ values.transpose(0, 2, 1)
@@ -146,9 +163,9 @@ def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Gra
 
     dkeys = dscores.transpose(0, 2, 1) @ q_proj
     dq_proj = dscores @ keys
-    accumulate(grads, f"{prefix}.wk", flat(dkeys).T @ flat(m_keys))
+    grads[k_key] = np.matmul(flat(dkeys).T, flat(m_keys), out=grads.get(k_key))
     dm_keys = dkeys @ wk
-    accumulate(grads, f"{prefix}.wq", flat(dq_proj).T @ flat(query))
+    grads[q_key] = np.matmul(flat(dq_proj).T, flat(query), out=grads.get(q_key))
     dquery = dq_proj @ wq
     return dquery, dm_keys, dm_values
 
@@ -159,12 +176,13 @@ def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Gra
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Per-row cross-entropy in nats with the max-subtraction trick.
 
-    ``logits`` is ``(B, C)`` and ``labels`` holds ``B`` class indices;
-    returns (losses ``(B,)``, d losses / d logits ``(B, C)``), where row
-    ``b`` of the gradient is that of loss ``b`` alone.
+    ``logits`` is ``(B, C)`` and ``labels`` holds ``B`` integer class
+    indices; returns (losses ``(B,)``, d losses / d logits ``(B, C)``),
+    where row ``b`` of the gradient is that of loss ``b`` alone.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != logits.shape[:1] or np.any((labels < 0) | (labels >= logits.shape[1])):
+    labels = check_labels(labels)
+    # as unsigned, a negative label exceeds every class count
+    if labels.shape != logits.shape[:1] or (len(labels) and labels.view(np.uint64).max() >= logits.shape[1]):
         raise ValueError(f"labels must be one class index per row, each below {logits.shape[1]}")
     rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)

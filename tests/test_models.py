@@ -318,7 +318,8 @@ class TinyLinearModel:
         (x,) = inputs
         return x @ self.params["w"].T + self.params["b"]
 
-    def loss_and_grads(self, inputs, labels):
+    def loss_and_grads(self, inputs, labels, grads=None):
+        # returns fresh gradients whatever ``grads`` holds; AdamW.step gathers them
         (x,) = inputs
         losses, dlogits = softmax_xent(self.logits(inputs), labels)
         dlogits /= len(labels)
@@ -394,6 +395,88 @@ def test_training_reduces_mean_loss():
     assert float(losses.mean()) < initial
 
 
+def reference_train(model, inputs, labels, config, seed, rng_stream):
+    """The training loop written out: each step gathers its batch rows by
+    index, gets fresh gradients and updates every key on its own."""
+    labels = np.asarray(labels)
+    rng = derive_rng(seed, *rng_stream)
+    m = {key: np.zeros_like(w) for key, w in model.params.items()}
+    v = {key: np.zeros_like(w) for key, w in model.params.items()}
+    order, cursor = rng.permutation(len(labels)), 0
+    for t in range(1, config.steps + 1):
+        if cursor >= len(labels):
+            order, cursor = rng.permutation(len(labels)), 0
+        batch = order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
+        _, grads = model.loss_and_grads(tuple(a[batch] for a in inputs), labels[batch])
+        for key, w in model.params.items():
+            g = grads[key]
+            m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g
+            v[key] = ADAM_BETA2 * v[key] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[key] / (1 - ADAM_BETA1**t)
+            v_hat = v[key] / (1 - ADAM_BETA2**t)
+            w -= config.learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    losses, _ = softmax_xent(model.logits(inputs), labels)
+    return losses
+
+
+def training_cases():
+    # 10 rows in batches of 4: epochs of 4 + 4 + 2 rows, and 8 steps end
+    # partway through the third epoch
+    rng = derive_rng(12, "pin-data")
+    n = 10
+    subj, obj, labels = rng.integers(5, size=n), rng.integers(5, size=n), rng.integers(3, size=n)
+    real = ViewBatch("vector", MODALITY_U, rng.normal(size=(n, 3)))
+    synth = ViewBatch("vector", MODALITY_V, rng.normal(size=(n * 2, 4)))
+    sets = [synth.take(np.arange(2 * b, 2 * b + 2)) for b in range(n)]
+    for name, build, make_inputs in (
+        ("teacher", TeacherModel, lambda model: model.inputs(synth.take(np.arange(n)), subj, obj)),
+        ("student", StudentModel, lambda model: model.inputs(real, sets, subj, obj)),
+        ("unimodal", UnimodalModel, lambda model: model.inputs(real, subj, obj)),
+    ):
+        yield name, (lambda build=build: build(derive_rng(12, "pin-init"), schema())), make_inputs, labels
+
+
+@pytest.mark.parametrize("case", list(training_cases()), ids=lambda case: case[0])
+def test_train_matches_the_written_out_loop_bit_for_bit(case):
+    _, fresh, make_inputs, labels = case
+    config = TrainConfig(learning_rate=0.05, steps=8, batch_size=4)
+    stream = ("pin-train",)
+    model = fresh()
+    trained, losses = train(model, make_inputs(model), labels, config, 12, rng_stream=stream)
+    reference = fresh()
+    expected = reference_train(reference, make_inputs(reference), labels, config, 12, stream)
+    assert losses.tobytes() == expected.tobytes()
+    assert trained.params.keys() == reference.params.keys()
+    for key in reference.params:
+        assert trained.params[key].tobytes() == reference.params[key].tobytes(), key
+
+
+def test_train_rejects_labels_that_are_not_integers():
+    # checked once, before any step: a float or a bool is refused, not truncated
+    class Recorder(TinyLinearModel):
+        calls = 0
+
+        def loss_and_grads(self, inputs, labels, grads=None):
+            Recorder.calls += 1
+            return super().loss_and_grads(inputs, labels, grads)
+
+    inputs = (derive_rng(0, "labels").normal(size=(4, 2)),)
+    for labels, named in (([0.2, 1.9, 2.5, True], "0.2 at row 0"), ([0, 1, 1, True], "True at row 3"), (np.ones(4), "1.0 at row 0")):
+        with pytest.raises(ValueError, match=f"label {named} is not an integer"):
+            train(Recorder(derive_rng(0, "labels-init"), 2), inputs, labels, TrainConfig(steps=2), 0)
+    assert Recorder.calls == 0
+
+
+def test_grad_check_rejects_labels_that_are_not_integers():
+    rng = derive_rng(0, "grad-labels")
+    model = TeacherModel(derive_rng(0, "grad-labels-init"), schema())
+    inputs, _ = as_inputs(model, [teacher_sample(rng)])
+    for labels in ([0.9], [True], np.array([2.0])):
+        with pytest.raises(ValueError, match="is not an integer class index"):
+            grad_check(model, inputs, labels)
+
+
 def test_empty_sample_list_rejected():
     model = TinyLinearModel(derive_rng(0, "e"), 2)
     with pytest.raises(ValueError):
@@ -408,7 +491,7 @@ def test_nan_loss_aborts_with_step_number():
         def logits(self, inputs):
             return np.zeros((len(inputs[0]), 2))
 
-        def loss_and_grads(self, inputs, labels):
+        def loss_and_grads(self, inputs, labels, grads=None):
             return np.full(len(labels), np.nan), {"w": np.zeros(1)}
 
     with pytest.raises(TrainingDivergedError) as err:

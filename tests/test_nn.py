@@ -137,10 +137,13 @@ def test_two_query_attention_equals_two_one_query_calls():
     for j in range(2):
         out, one_cache = nn.cross_attention(params, "ca", query[:, j : j + 1], keys, values)
         np.testing.assert_allclose(both[:, j : j + 1], out, rtol=0, atol=1e-12)
-        one_dq, dk_j, dv_j = nn.cross_attention_backward(params, one_cache, probe[:, j : j + 1], one_grads)
+        grads_j = {}  # a backward pass writes its gradients; the two queries' are summed here
+        one_dq, dk_j, dv_j = nn.cross_attention_backward(params, one_cache, probe[:, j : j + 1], grads_j)
         np.testing.assert_allclose(dq[:, j : j + 1], one_dq, rtol=0, atol=1e-12)
         one_dk += dk_j
         one_dv += dv_j
+        for key, g in grads_j.items():
+            one_grads[key] = one_grads[key] + g if key in one_grads else g
     np.testing.assert_allclose(dk, one_dk, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dv, one_dv, rtol=0, atol=1e-12)
     assert grads.keys() == one_grads.keys() == {"ca.wq", "ca.wk", "ca.wv"}
@@ -173,6 +176,21 @@ def test_xent_saturated_correct_prediction():
 def test_xent_label_out_of_range():
     with pytest.raises(ValueError):
         nn.softmax_xent(np.zeros((1, 3)), [3])
+
+
+@pytest.mark.parametrize(
+    "labels, named",
+    [
+        ([0.9, 2.7], "0.9 at row 0"),
+        ([0, True], "True at row 1"),
+        (np.array([1.0, 2.0]), "1.0 at row 0"),
+        (np.array([False, True]), "False at row 0"),
+    ],
+)
+def test_xent_rejects_labels_that_are_not_integers(labels, named):
+    # a float or a bool is no class index: it is refused, not truncated
+    with pytest.raises(ValueError, match=f"label {named} is not an integer"):
+        nn.softmax_xent(np.zeros((2, 3)), labels)
 
 
 def test_xent_gradient_formula_and_finite_difference():
@@ -249,6 +267,24 @@ def linear_loss_setup(seed):
         return grads
 
     return params, loss_fn, analytic
+
+
+def test_backward_writes_into_the_arrays_it_is_given():
+    # a key already in the dict is written in place, its stale contents
+    # replaced rather than summed, with the bits a fresh array gets
+    params, _, _ = linear_loss_setup(3)
+    x = np.array([[0.5, -1.0, 2.0, 0.0], [1.0, 0.0, -3.0, 0.25]])
+    y, cache = nn.linear_forward(params, "lin", x)
+    _, dy = nn.softmax_xent(y, [0, 2])
+    fresh = {}
+    nn.linear_backward(params, cache, dy, fresh)
+    buffer = {key: np.full_like(w, 7.0) for key, w in params.items()}
+    given = dict(buffer)
+    nn.linear_backward(params, cache, dy, given)
+    assert sorted(fresh) == sorted(params)
+    for key in params:
+        assert given[key] is buffer[key]
+        assert given[key].tobytes() == fresh[key].tobytes()
 
 
 def test_finite_difference_check_passes_on_correct_gradients():

@@ -1,0 +1,73 @@
+"""The pairs command's arithmetic: quartiles, wins and the verdict.
+
+Nothing here runs the benchmark; ``tools/pairs.py`` is loaded as a module.
+"""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(pairs)
+
+PARENT = [float(v) for v in range(10, 20)]  # q1 11.75, median 14.5, q3 17.25: IQR 5.5
+
+
+def test_quartiles_follow_statistics_quantiles():
+    assert pairs.quartiles(PARENT) == (11.75, 14.5, 17.25)
+    assert pairs.quartiles(PARENT) == tuple(statistics.quantiles(PARENT, n=4))
+    assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    with pytest.raises(ValueError):
+        pairs.quartiles([])
+
+
+def test_wins_count_ties_for_neither_side():
+    parent = [1.0, 2.0, 3.0, 4.0]
+    change = [0.5, 2.0, 3.5, 1.0]
+    assert pairs.wins(parent, change, "lower") == {"change": 2, "parent": 1, "pairs": 4}
+    assert pairs.wins(parent, change, "higher") == {"change": 1, "parent": 2, "pairs": 4}
+    with pytest.raises(ValueError):
+        pairs.wins(parent, change[:3], "lower")
+
+
+def test_verdict_needs_nine_wins_and_a_median_gap_beyond_the_parent_iqr():
+    # ten wins, but a gain of 5.0 is inside the parent's IQR of 5.5
+    close = pairs.compare(PARENT, [v - 5.0 for v in PARENT], "lower")
+    assert close["wins"]["change"] == 10 and close["parent_iqr"] == 5.5 and close["median_gain"] == 5.0
+    assert not close["change_is_better"]
+    assert pairs.compare(PARENT, [v - 6.0 for v in PARENT], "lower")["change_is_better"]
+
+    # a large gain from only eight wins in ten is not enough; nine is
+    eight = [v - 20.0 for v in PARENT[:8]] + PARENT[8:]
+    assert pairs.compare(PARENT, eight, "lower")["wins"]["change"] == 8
+    assert not pairs.compare(PARENT, eight, "lower")["change_is_better"]
+    nine = [v - 20.0 for v in PARENT[:9]] + PARENT[9:]
+    assert pairs.compare(PARENT, nine, "lower")["change_is_better"]
+
+    # for a higher-is-better metric the gain is the change's excess
+    higher = pairs.compare(PARENT, [v + 6.0 for v in PARENT], "higher")
+    assert higher["median_gain"] == 6.0 and higher["change_is_better"]
+    assert not pairs.compare(PARENT, [v + 6.0 for v in PARENT], "lower")["change_is_better"]
+    with pytest.raises(ValueError, match="better"):
+        pairs.compare(PARENT, PARENT, "faster")
+
+
+def test_summarize_compares_every_metric_across_the_pairs():
+    rows = [{"parent": {"wall_s": p, "f1": 0.8}, "change": {"wall_s": p - 6.0, "f1": 0.8}} for p in PARENT]
+    summary = pairs.summarize(rows, {"wall_s": "lower", "f1": "higher"})
+    assert summary["wall_s"]["change_is_better"]
+    assert summary["wall_s"]["change"]["median"] == 8.5
+    assert summary["f1"]["wins"] == {"change": 0, "parent": 0, "pairs": 10}
+    assert not summary["f1"]["change_is_better"]
+
+
+def test_src_lines_counts_like_wc(tmp_path):
+    package = tmp_path / "src" / "chainviews"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nno newline at the end")
+    (package / "notes.txt").write_text("not counted\n")
+    assert pairs.src_lines(tmp_path) == 3

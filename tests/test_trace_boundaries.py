@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import tiny_benchmark, tiny_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,10 +26,11 @@ def test_every_trace_boundary_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_every_training_step_goes_through_the_traced_loss_and_grads():
+@pytest.mark.parametrize("model", ["TeacherModel", "StudentModel", "UnimodalModel"])
+def test_every_training_step_goes_through_the_traced_loss_and_grads(model):
     # train must reach the model through its loss_and_grads method, or the
     # traced runs' models.fwd_bwd_calls would stop counting its steps
-    code = """
+    code = f"""
 import numpy as np
 import tracing
 tracer = tracing.Tracer()
@@ -35,14 +38,20 @@ tracing.install(tracer)
 from chainviews import datamodel, models
 from chainviews.rng import derive_rng
 schema = datamodel.DatasetSchema(3, 5, datamodel.ViewSpec("vector", 3), datamodel.ViewSpec("vector", 4))
-teacher = models.TeacherModel(derive_rng(0, "trace-init"), schema)
+model = models.{model}(derive_rng(0, "trace-init"), schema)
 rng = derive_rng(0, "trace-data")
+real = datamodel.ViewBatch("vector", "u", rng.normal(size=(10, 3)))
 views = datamodel.ViewBatch("vector", "v", rng.normal(size=(10, 4)))
-inputs = teacher.inputs(views, rng.integers(5, size=10), rng.integers(5, size=10))
+subj, obj = rng.integers(5, size=10), rng.integers(5, size=10)
+inputs = {{
+    "TeacherModel": lambda: model.inputs(views, subj, obj),
+    "StudentModel": lambda: model.inputs(real, [views.take([b]) for b in range(10)], subj, obj),
+    "UnimodalModel": lambda: model.inputs(real, subj, obj),
+}}["{model}"]()
 tracer.enabled = True
-models.train(teacher, inputs, rng.integers(3, size=10), models.TrainConfig(steps=7, batch_size=4), 0)
+models.train(model, inputs, rng.integers(3, size=10), models.TrainConfig(steps=7, batch_size=4), 0)
 names = [span[tracing.NAME] for span in tracer.spans]
-print(names.count("models.TeacherModel.loss_and_grads"), names.count("models.AdamW.step"))
+print(names.count("models.{model}.loss_and_grads"), names.count("models.AdamW.step"))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "benchmarks"), str(ROOT / "src")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
