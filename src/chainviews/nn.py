@@ -133,8 +133,8 @@ def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.n
         raise ValueError("query must be (B, Q, d) and keys and values (B, N, d) with matching B and N")
     if m_keys.shape[1] == 0:
         raise ValueError("empty attention set")
-    keys_of = (f"{prefix}.wq", f"{prefix}.wk", f"{prefix}.wv")
-    wq, wk, wv = (params[key] for key in keys_of)
+    weight_keys = (f"{prefix}.wq", f"{prefix}.wk", f"{prefix}.wv")
+    wq, wk, wv = (params[key] for key in weight_keys)
     scale = 1.0 / math.sqrt(wq.shape[0])
     q_proj = query @ wq.T
     keys = m_keys @ wk.T
@@ -143,7 +143,7 @@ def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.n
     weights /= weights.sum(axis=2, keepdims=True)
     values = m_values @ wv.T
     out = weights @ values
-    cache = (keys_of, query, m_keys, m_values, q_proj, keys, weights, values, scale)
+    cache = (weight_keys, query, m_keys, m_values, q_proj, keys, weights, values, scale)
     return out, cache
 
 

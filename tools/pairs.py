@@ -139,7 +139,7 @@ def git(*args: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -150,6 +150,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    # the measured code is this checkout as it stands now, committed or not
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", "src", "benchmarks"))
 
     def log(line):
         print(line, file=sys.stderr, flush=True)
@@ -159,12 +161,11 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(parent_tree), parent_commit)
         try:
             trees = {"parent": parent_tree, "change": ROOT}
-            measured = [measure(trees, args.workload, seed, args.pairs, args.seconds, directions, log)
-                        for seed in args.seed]
+            measured = [measure(trees, workload, seed, args.pairs, args.seconds, directions, log)
+                        for workload in args.workload for seed in args.seed]
             lines = {side: src_lines(tree) for side, tree in trees.items()}
         finally:
             git("worktree", "remove", "--force", str(parent_tree))
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     result = {
         "command": ["tools/pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "parent": {"rev": args.parent, "commit": parent_commit, "src_lines": lines["parent"]},
