@@ -438,6 +438,7 @@ def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stre
                 raise TrainingDivergedError(step, rng_stream)
             optimizer.step(grads, config.learning_rate)
 
+        epoch = epoch_labels = None  # hold no gathered rows over the frozen pass, the peak of memory
         losses, _ = softmax_xent(model.logits(inputs), labels)
         if not np.isfinite(losses).all():  # the last step diverged
             raise TrainingDivergedError(config.steps, rng_stream)

@@ -462,7 +462,8 @@ def test_train_rejects_labels_that_are_not_integers():
             return super().loss_and_grads(inputs, labels, grads)
 
     inputs = (derive_rng(0, "labels").normal(size=(4, 2)),)
-    for labels, named in (([0.2, 1.9, 2.5, True], "0.2 at row 0"), ([0, 1, 1, True], "True at row 3"), (np.ones(4), "1.0 at row 0")):
+    cases = (([0.2, 1.9, 2.5, True], "0.2 at row 0"), ([0, 1, 1, True], "True at row 3"), (np.ones(4), "1.0 at row 0"))
+    for labels, named in cases:
         with pytest.raises(ValueError, match=f"label {named} is not an integer"):
             train(Recorder(derive_rng(0, "labels-init"), 2), inputs, labels, TrainConfig(steps=2), 0)
     assert Recorder.calls == 0
