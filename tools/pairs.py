@@ -151,7 +151,10 @@ def main(argv=None) -> int:
     directions = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     # the measured code is this checkout as it stands now, committed or not
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", "src", "benchmarks"))
+    change = {
+        "commit": git("rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no", "--", "src", "benchmarks")),
+    }
 
     def log(line):
         print(line, file=sys.stderr, flush=True)
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
     result = {
         "command": ["tools/pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "parent": {"rev": args.parent, "commit": parent_commit, "src_lines": lines["parent"]},
-        "change": {"commit": git("rev-parse", "HEAD"), "uncommitted_changes": dirty, "src_lines": lines["change"]},
+        "change": {**change, "src_lines": lines["change"]},
         "machine": measured[0][1],
         "runs": [run for run, _ in measured],
     }
