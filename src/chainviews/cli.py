@@ -37,6 +37,7 @@ from .datamodel import DatasetFormatError, read_dataset, validate_dataset, write
 from .diversity import diversity_report
 from .pipeline import (
     ablation_table,
+    condition_name,
     extract_stages,
     metrics_table_text,
     run_ablation,
@@ -86,18 +87,6 @@ def _load(args, k_override: int | None = None) -> ExperimentConfig:
     return parse_config(mapping, source=str(args.config))
 
 
-def _condition_name(config: ExperimentConfig) -> str:
-    """Map a plain run's settings onto the ablation vocabulary."""
-    policy = config.pipeline.policy_name
-    if policy == "teacher_loss":
-        return "full" if config.pipeline.ccg_rounds > 0 else "no_ccg"
-    return {
-        "similarity": "similarity_teacher",
-        "random": "random_teacher",
-        "keep_all": "no_teacher",
-    }[policy]
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -129,7 +118,7 @@ def cmd_run(args) -> int:
     config = _load(args, k_override=args.k)
     out = _out_dir(config, args.out)
     train_instances, test_instances, schema, g_uv, g_vu = load_experiment_data(config)
-    condition = _condition_name(config)
+    condition = condition_name(config.pipeline)
     result = run_pipeline(
         train_instances,
         test_instances,

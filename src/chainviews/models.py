@@ -78,7 +78,8 @@ def _feature_rows(batch: ViewBatch, spec, modality: str, message: str) -> np.nda
 
 def _ids(ids, n: int) -> np.ndarray:
     """Entity ids as ``n`` rows; one id stands for all ``n``."""
-    return np.broadcast_to(np.asarray(ids, dtype=np.int64), (n,))
+    rows = np.atleast_1d(ids) if np.ndim(ids) == 0 else ids
+    return np.broadcast_to(check_labels(rows, "entity id", "entity"), (n,))
 
 
 def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> None:

@@ -29,22 +29,23 @@ Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
 
 
-def check_labels(labels) -> np.ndarray:
+def check_labels(labels, name: str = "label", of: str = "class") -> np.ndarray:
     """``labels`` as a 1-D int64 array, or a ValueError naming the first
-    label that is not an integer (a bool or a float is not one)."""
+    entry that is not an integer (a bool or a float is not one). ``name``
+    and ``of`` word the message: entity ids pass "entity id", "entity"."""
     array = np.asarray(labels)
     if array.ndim != 1:
-        raise ValueError(f"labels must be one class index per row, got an array of shape {array.shape}")
+        raise ValueError(f"{name}s must be one {of} index per row, got an array of shape {array.shape}")
     if isinstance(labels, np.ndarray) and array.dtype.kind in "iu":
         return array.astype(np.int64, copy=False)
     for row, label in enumerate(labels):
         if isinstance(label, (bool, np.bool_)) or not isinstance(label, (int, np.integer)):
             shown = label.item() if isinstance(label, np.generic) else label
-            raise ValueError(f"label {shown!r} at row {row} is not an integer class index")
+            raise ValueError(f"{name} {shown!r} at row {row} is not an integer {of} index")
     try:
         return np.asarray(labels, dtype=np.int64)
-    except OverflowError:  # an int beyond int64 is no class index either
-        raise ValueError(f"labels must be class indices, got {labels!r}") from None
+    except OverflowError:  # an int beyond int64 is no index either
+        raise ValueError(f"{name}s must be {of} indices, got {labels!r}") from None
 
 
 def featurize_rows(kind: str, data: np.ndarray, alphabet: int | None = None) -> np.ndarray:

@@ -40,7 +40,7 @@ from .channels import Streams, generate_benchmark, sample_channel, stack_views
 from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, ViewBatch
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
-from .nn import featurize_rows, log_softmax, softmax_xent
+from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng
 from .selection import (
     POLICY_NAMES,
@@ -59,7 +59,19 @@ from .selection import (
 # 60.6 MiB peak RSS; chunks this size, 51.7 MiB.
 SCORE_CHUNK_ROWS = 2048
 
-CONDITIONS = ("full", "no_ccg", "similarity_teacher", "random_teacher", "no_teacher", "unimodal")
+# Each ablation condition as the config fields it sets on the base config.
+# condition_name takes the last entry a config matches, so a policy's entry
+# wins over no_ccg and every entry over full. "unimodal" runs the base config
+# through a model that takes no synthetic views.
+CONDITION_FIELDS = {
+    "full": {},
+    "no_ccg": {"ccg_rounds": 0, "spawn_per_kept": ()},
+    "similarity_teacher": {"policy_name": "similarity"},
+    "random_teacher": {"policy_name": "random"},
+    "no_teacher": {"policy_name": "keep_all"},
+    "unimodal": {},
+}
+CONDITIONS = tuple(CONDITION_FIELDS)
 
 METRIC_COLUMNS = ("condition", "accuracy", "precision", "recall", "f1")
 
@@ -182,8 +194,8 @@ def compute_metrics(predictions: Sequence[int], labels: Sequence[int], schema: D
     micro counts (predicting "none" for a "none" instance earns nothing).
     Empty denominators yield 0.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    predictions = check_labels(predictions, "prediction")
+    labels = check_labels(labels)
     if predictions.shape != labels.shape or predictions.ndim != 1 or predictions.shape[0] == 0:
         raise ValueError("predictions and labels must be equal-length non-empty vectors")
     accuracy = float(np.mean(predictions == labels))
@@ -610,17 +622,21 @@ def run_pipeline(
 
 def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
     """Config tweaks per ablation condition; everything else stays shared."""
-    if condition in ("full", "unimodal"):
-        return base
-    if condition == "no_ccg":
-        return replace(base, ccg_rounds=0, spawn_per_kept=())
-    if condition == "similarity_teacher":
-        return replace(base, policy_name="similarity")
-    if condition == "random_teacher":
-        return replace(base, policy_name="random")
-    if condition == "no_teacher":
-        return replace(base, policy_name="keep_all")
-    raise PipelineError(f"unknown condition {condition!r}")
+    if condition not in CONDITION_FIELDS:
+        raise PipelineError(f"unknown condition {condition!r}")
+    changes = CONDITION_FIELDS[condition]
+    return replace(base, **changes) if changes else base
+
+
+def condition_name(config: PipelineConfig) -> str:
+    """The ablation condition a plain run of ``config`` is: the last one,
+    unimodal aside, whose fields ``config`` already has."""
+    matches = [
+        condition
+        for condition, changes in CONDITION_FIELDS.items()
+        if condition != "unimodal" and all(getattr(config, k) == v for k, v in changes.items())
+    ]
+    return matches[-1]
 
 
 # --- stage extraction ---------------------------------------------------------

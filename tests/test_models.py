@@ -478,6 +478,21 @@ def test_grad_check_rejects_labels_that_are_not_integers():
             grad_check(model, inputs, labels)
 
 
+def test_inputs_reject_entity_ids_that_are_not_integers():
+    # a float or a bool is no entity index: it is refused, not truncated
+    model = TeacherModel(derive_rng(0, "ids-init"), schema())
+    views = ViewBatch("vector", MODALITY_V, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="entity id 0.7 at row 0 is not an integer entity index"):
+        model.inputs(views, [0.7, True], [4.9, 2])
+    with pytest.raises(ValueError, match="entity id 4.9 at row 0 is not an integer"):
+        model.inputs(views, [0, 1], [4.9, 2])
+    for scalar in (True, 0.7):
+        with pytest.raises(ValueError, match=f"entity id {scalar} at row 0 is not an integer"):
+            model.inputs(views, scalar, 2)
+    _, subj, obj = model.inputs(views, 3, np.array([4, 2]))  # one id stands for every row
+    assert subj.tolist() == [3, 3] and obj.tolist() == [4, 2]
+
+
 def test_empty_sample_list_rejected():
     model = TinyLinearModel(derive_rng(0, "e"), 2)
     with pytest.raises(ValueError):

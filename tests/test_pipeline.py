@@ -34,6 +34,7 @@ from chainviews.pipeline import (
     ablation_table,
     compute_metrics,
     condition_config,
+    condition_name,
     config_hash,
     extract_stages,
     infer,
@@ -124,6 +125,18 @@ def test_metrics_rejects_bad_shapes():
         compute_metrics([0, 1], [0], schema)
     with pytest.raises(ValueError):
         compute_metrics([], [], schema)
+
+
+def test_metrics_reject_predictions_and_labels_that_are_not_integers():
+    # truncated, [0.9, 2.7] against [0.2, 2.5] would score accuracy and F1 1.0
+    schema = DatasetSchema(3, 6, ViewSpec("vector", 2), ViewSpec("vector", 2))
+    with pytest.raises(ValueError, match="prediction 0.9 at row 0 is not an integer class index"):
+        compute_metrics([0.9, 2.7], [0.2, 2.5], schema)
+    with pytest.raises(ValueError, match="label 0.2 at row 0 is not an integer class index"):
+        compute_metrics([0, 2], [0.2, 2.5], schema)
+    with pytest.raises(ValueError, match="label True at row 1 is not an integer"):
+        compute_metrics([0, 1], [0, True], schema)
+    assert compute_metrics(np.array([0, 2]), [0, 2], schema)["f1"] == 1.0
 
 
 def test_default_config_matches_published_schedule():
@@ -926,6 +939,16 @@ def test_condition_config_mapping():
     assert condition_config(base, "no_teacher").policy_name == "keep_all"
     with pytest.raises(PipelineError, match="unknown condition"):
         condition_config(base, "mystery")
+
+
+def test_condition_name_inverts_condition_config():
+    base = tiny_config()
+    for condition in CONDITIONS:
+        if condition != "unimodal":
+            assert condition_name(condition_config(base, condition)) == condition
+    # a policy's condition wins over no_ccg, as a plain run with no rounds names it
+    no_rounds = condition_config(base, "no_ccg")
+    assert condition_name(condition_config(no_rounds, "random_teacher")) == "random_teacher"
 
 
 def test_run_pipeline_rejects_unknown_condition(tiny_run):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -30,18 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
-
-def quartiles(values) -> tuple[float, float, float]:
-    """(q1, median, q3) as ``statistics.quantiles(values, n=4)`` gives them,
-    the convention of ``benchmarks/run.py``."""
-    values = list(values)
-    if not values:
-        raise ValueError("no values")
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
+from run import quartiles  # noqa: E402  -- the benchmark's own (q1, median, q3)
 
 
 def wins(parent, change, better: str) -> dict:
