@@ -40,12 +40,9 @@ from .config import (
 from .datamodel import (
     DatasetFormatError,
     DatasetSchema,
-    EntityPair,
     Instance,
-    Label,
     Pool,
     ValidationReport,
-    View,
     ViewBatch,
     ViewSpec,
     discrete_view,

@@ -21,10 +21,10 @@ alone on its own Generator would, while the arithmetic runs once over the
 whole batch. A plain Generator is one segment. :func:`sample_channel` is
 the entry point: it checks a :class:`~chainviews.datamodel.ViewBatch`
 against the channel's input port once and returns the output rows as a
-batch on the output side (:func:`stack_views` builds a batch from single
-views). Channels declare typed ports, so composing mismatched stages or
-feeding views from the wrong side fails loudly instead of silently
-reinterpreting data. All sampling goes through explicit Generators.
+batch on the output side (:func:`stack_views` concatenates batches).
+Channels declare typed ports, so composing mismatched stages or feeding
+views from the wrong side fails loudly instead of silently reinterpreting
+data. All sampling goes through explicit Generators.
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ from .datamodel import (
     MODALITY_U,
     MODALITY_V,
     DatasetSchema,
-    EntityPair,
     Instance,
-    Label,
-    View,
     ViewBatch,
     ViewSpec,
     rows_match,
@@ -289,17 +286,17 @@ def compose(channels: Sequence) -> ComposedChannel:
     return ComposedChannel(channels)
 
 
-def stack_views(views: Sequence[View]) -> ViewBatch:
-    """One batch of ``views``, which must share their kind, side and length."""
+def stack_views(views: Sequence[ViewBatch]) -> ViewBatch:
+    """The rows of ``views`` as one batch; they must share their kind, side and length."""
     if not views:
         raise ChannelError("cannot stack an empty view list")
     first = views[0]
     if any(view.kind != first.kind or view.modality != first.modality for view in views):
         raise ChannelError("one batch needs views of one kind on one side")
-    lengths = {view.data.shape[0] for view in views}
+    lengths = {view.data.shape[1] for view in views}
     if len(lengths) > 1:
         raise ChannelError(f"one batch needs views of one length, got lengths {sorted(lengths)}")
-    return ViewBatch(first.kind, first.modality, np.stack([view.data for view in views]))
+    return ViewBatch(first.kind, first.modality, np.concatenate([view.data for view in views]))
 
 
 def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator | Streams) -> ViewBatch:
@@ -405,12 +402,7 @@ def generate_benchmark(
             u = world.class_means[y] + world.within_class_sigma * rng.standard_normal(world.u_dim)
             subject, obj = pairs[int(rng.integers(len(pairs)))]
             instances.append(
-                Instance(
-                    id=next_id,
-                    label=Label(y),
-                    entities=EntityPair(subject=subject, object=obj),
-                    real_view=vector_view(u, MODALITY_U),
-                )
+                Instance(id=next_id, label=y, subject=subject, object=obj, real_view=vector_view(u, MODALITY_U))
             )
             next_id += 1
     return instances, schema

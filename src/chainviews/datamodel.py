@@ -1,8 +1,9 @@
 """Core value types and the on-disk dataset format.
 
-An :class:`Instance` is one labeled example: an entity pair, one real view in
-the primary modality ("u"), and a :class:`Pool` of synthetic views produced
-by cross-modal channels. A pool is columnar: one array per field, indexed in
+An :class:`Instance` holds the fields of its record (below): ints ``id``,
+``label``, ``subject`` and ``object``, the real view as a one-row u-side
+:class:`ViewBatch` and a :class:`Pool` of synthetic views produced by
+cross-modal channels. A pool is columnar: one array per field, indexed in
 pool order -- ``round``, ``step`` and ``parent_id`` (provenance),
 ``teacher_loss`` (NaN while unscored) and ``survived`` (curation state) --
 plus one read-only data matrix per side, holding that side's views as rows
@@ -87,18 +88,6 @@ class ViewSpec:
             raise ValueError("view size must be positive")
 
 
-def _view_array(kind: str, modality: str, data, ndim: int) -> np.ndarray:
-    """``data`` as one view (``ndim`` 1) or a batch of views, one per row."""
-    if kind not in _DTYPES:
-        raise ValueError(f"unknown view kind {kind!r}")
-    if modality not in (MODALITY_U, MODALITY_V):
-        raise ValueError(f"unknown modality {modality!r}")
-    arr = np.asarray(data, dtype=_DTYPES[kind])
-    if arr.ndim != ndim or arr.shape[-1] == 0:
-        raise ValueError(f"view data must be a {ndim}-d array of non-empty views")
-    return arr
-
-
 def rows_match(kind: str, data: np.ndarray, spec: ViewSpec) -> np.ndarray:
     """Per row of ``data`` (one view per row): does that view fit ``spec``?"""
     if kind != spec.kind:
@@ -106,40 +95,6 @@ def rows_match(kind: str, data: np.ndarray, spec: ViewSpec) -> np.ndarray:
     if kind == "vector":
         return np.full(data.shape[0], data.shape[1] == spec.size)
     return np.all((data >= 0) & (data < spec.size), axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class View:
-    """One observation in one modality.
-
-    ``data`` is a float vector for kind "vector" and an int symbol sequence
-    for kind "discrete". Arrays are treated as immutable once constructed.
-    """
-
-    kind: str
-    data: np.ndarray
-    modality: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _view_array(self.kind, self.modality, self.data, 1))
-
-    def matches(self, spec: ViewSpec) -> bool:
-        return bool(rows_match(self.kind, self.data[None], spec)[0])
-
-    def equals(self, other: "View") -> bool:
-        return (
-            self.kind == other.kind
-            and self.modality == other.modality
-            and np.array_equal(self.data, other.data)
-        )
-
-
-def vector_view(data, modality: str) -> View:
-    return View(kind="vector", data=np.asarray(data, dtype=np.float64), modality=modality)
-
-
-def discrete_view(data, modality: str) -> View:
-    return View(kind="discrete", data=np.asarray(data, dtype=np.int64), modality=modality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +108,13 @@ class ViewBatch:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _view_array(self.kind, self.modality, self.data, 2))
+        if self.kind not in _DTYPES:
+            raise ValueError(f"unknown view kind {self.kind!r}")
+        if self.modality not in (MODALITY_U, MODALITY_V):
+            raise ValueError(f"unknown modality {self.modality!r}")
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=_DTYPES[self.kind]))
+        if self.data.ndim != 2 or self.data.shape[1] == 0:
+            raise ValueError("view data must be a 2-d array of non-empty views")
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -162,23 +123,12 @@ class ViewBatch:
         return ViewBatch(self.kind, self.modality, self.data[rows])
 
 
-@dataclass(frozen=True)
-class Label:
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("label must be non-negative")
+def vector_view(data, modality: str) -> ViewBatch:
+    return ViewBatch("vector", modality, [data])
 
 
-@dataclass(frozen=True)
-class EntityPair:
-    subject: int
-    object: int
-
-    def __post_init__(self):
-        if self.subject < 0 or self.object < 0:
-            raise ValueError("entity ids must be non-negative")
+def discrete_view(data, modality: str) -> ViewBatch:
+    return ViewBatch("discrete", modality, [data])
 
 
 _POOL_COLUMNS = {"round": np.int64, "step": np.str_, "parent_id": np.int64, "teacher_loss": np.float64, "survived": np.int64}
@@ -293,16 +243,18 @@ EMPTY_POOL = Pool(round=(), step=(), parent_id=(), teacher_loss=(), survived=())
 @dataclass(frozen=True, eq=False)
 class Instance:
     id: int
-    label: Label
-    entities: EntityPair
-    real_view: View
+    label: int
+    subject: int
+    object: int
+    real_view: ViewBatch
     synthetic_pool: Pool = EMPTY_POOL
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("instance id must be non-negative")
-        if self.real_view.modality != MODALITY_U:
-            raise ValueError("real view must live on the u side")
+        for name in ("id", "label", "subject", "object"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"instance {name} must be non-negative")
+        if self.real_view.modality != MODALITY_U or len(self.real_view) != 1:
+            raise ValueError("the real view must be one u-side row")
 
 
 @dataclass(frozen=True)
@@ -365,14 +317,14 @@ def validate_instance(instance: Instance, schema: DatasetSchema) -> list[Violati
     def bad(message: str):
         out.append(Violation(instance.id, message))
 
-    if not (0 <= instance.label.value < schema.class_count):
-        bad(f"label {instance.label.value} outside [0, {schema.class_count})")
-    for name, ent in (("subject", instance.entities.subject), ("object", instance.entities.object)):
+    if not (0 <= instance.label < schema.class_count):
+        bad(f"label {instance.label} outside [0, {schema.class_count})")
+    for name, ent in (("subject", instance.subject), ("object", instance.object)):
         if not (0 <= ent < schema.entity_vocab):
             bad(f"{name} entity {ent} outside vocabulary of size {schema.entity_vocab}")
-    if not instance.real_view.matches(schema.u_spec):
+    if not rows_match(instance.real_view.kind, instance.real_view.data, schema.u_spec).all():
         bad("real view does not match the u-side spec")
-    if instance.real_view.kind == "vector" and not np.all(np.isfinite(instance.real_view.data)):
+    if not np.isfinite(instance.real_view.data).all():
         bad("real view contains non-finite values")
 
     pool = instance.synthetic_pool
@@ -494,13 +446,13 @@ def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndar
 
 
 def _encode_instance(instance: Instance) -> dict:
-    real, pool = instance.real_view, instance.synthetic_pool
+    pool = instance.synthetic_pool
     return {
         "id": instance.id,
-        "label": instance.label.value,
-        "subject": instance.entities.subject,
-        "object": instance.entities.object,
-        "real_view": _encode_matrix(ViewBatch(real.kind, MODALITY_U, real.data[None])),
+        "label": instance.label,
+        "subject": instance.subject,
+        "object": instance.object,
+        "real_view": _encode_matrix(instance.real_view),
         "pool": {
             "round": pool.round.tolist(),
             "step": pool.step.tolist(),
@@ -557,9 +509,10 @@ def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance
         real = _decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line)
         return Instance(
             id=_integer(record["id"], "id", line),
-            label=Label(_integer(record["label"], "label", line)),
-            entities=EntityPair(subject=_integer(record["subject"], "subject", line), object=_integer(record["object"], "object", line)),
-            real_view=View(real.kind, real.data[0], MODALITY_U),
+            label=_integer(record["label"], "label", line),
+            subject=_integer(record["subject"], "subject", line),
+            object=_integer(record["object"], "object", line),
+            real_view=real,
             synthetic_pool=pool,
         )
     except DatasetFormatError:

@@ -76,10 +76,15 @@ def _feature_rows(batch: ViewBatch, spec, modality: str, message: str) -> np.nda
     return featurize_rows(batch.kind, batch.data, spec.size)
 
 
-def _ids(ids, n: int) -> np.ndarray:
-    """Entity ids as ``n`` rows; one id stands for all ``n``."""
+def _ids(ids, n: int, vocab: int) -> np.ndarray:
+    """Entity ids as ``n`` rows; one id stands for all ``n``. An id outside
+    ``[0, vocab)`` is a ValueError naming it and its row."""
     rows = np.atleast_1d(ids) if np.ndim(ids) == 0 else ids
-    return np.broadcast_to(check_labels(rows, "entity id", "entity"), (n,))
+    rows = check_labels(rows, "entity id", "entity")
+    outside = np.flatnonzero((rows < 0) | (rows >= vocab))
+    if len(outside):
+        raise ValueError(f"entity id {rows[outside[0]]} at row {outside[0]} is outside the vocabulary [0, {vocab})")
+    return np.broadcast_to(rows, (n,))
 
 
 def _entity_grad(grads: Grads, table: np.ndarray, subj, obj, d_subj, d_obj) -> None:
@@ -144,7 +149,7 @@ class TeacherModel:
 
     def inputs(self, views: ViewBatch, subj, obj) -> tuple:
         x_v = _feature_rows(views, self.schema.v_spec, MODALITY_V, "the teacher scores v-side views only")
-        return x_v, _ids(subj, len(x_v)), _ids(obj, len(x_v))
+        return x_v, _ids(subj, len(x_v), self.schema.entity_vocab), _ids(obj, len(x_v), self.schema.entity_vocab)
 
     def _forward(self, inputs):
         x, subj, obj = inputs
@@ -221,7 +226,7 @@ class StudentModel:
             raise ModalityError("synthetic inputs to the student must be v-side views")
         data = np.concatenate([views.data for views in synth])
         x_v = featurize_rows(synth[0].kind, data, self.schema.v_spec.size).reshape(len(synth), len(synth[0]), -1)
-        return x_u, x_v, _ids(subj, len(x_u)), _ids(obj, len(x_u))
+        return x_u, x_v, _ids(subj, len(x_u), self.schema.entity_vocab), _ids(obj, len(x_u), self.schema.entity_vocab)
 
     def _forward(self, inputs):
         x_u, x_v, subj, obj = inputs
@@ -284,7 +289,7 @@ class UnimodalModel:
 
     def inputs(self, real: ViewBatch, subj, obj) -> tuple:
         x_u = _feature_rows(real, self.schema.u_spec, MODALITY_U, "the unimodal model consumes u-side views")
-        return x_u, _ids(subj, len(x_u)), _ids(obj, len(x_u))
+        return x_u, _ids(subj, len(x_u), self.schema.entity_vocab), _ids(obj, len(x_u), self.schema.entity_vocab)
 
     def _forward(self, inputs):
         x_u, subj, obj = inputs

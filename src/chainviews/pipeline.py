@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Streams, generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Label, Pool, ViewBatch
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Pool, ViewBatch
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
 from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
@@ -231,7 +231,7 @@ def _v_rows(pools: Sequence[Pool], ids: Sequence[np.ndarray]) -> ViewBatch:
 def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
     """Subject ids, object ids and labels of ``instances`` (three rows), each
     repeated ``counts`` times (one count per instance, or one for all)."""
-    rows = np.array([(i.entities.subject, i.entities.object, i.label.value) for i in instances], dtype=np.int64)
+    rows = np.array([(i.subject, i.object, i.label) for i in instances], dtype=np.int64)
     return np.repeat(rows.reshape(-1, 3), counts, axis=0).T
 
 
@@ -494,8 +494,8 @@ def infer(
     g_vu,
     config: PipelineConfig,
     scorer: Scorer,
-) -> list[Label]:
-    """Classify a test split: one label per instance, in order.
+) -> np.ndarray:
+    """Classify a test split: one int64 label per instance, in order.
 
     Per instance, ``config.initial_views`` fresh views come from the round-0
     channel, or from the whole chain when ``config.infer_full_chain`` (which
@@ -513,7 +513,7 @@ def infer(
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
     if not instances:
-        return []
+        return np.zeros(0, dtype=np.int64)
     n = config.initial_views
     per_chunk = max(1, SCORE_CHUNK_ROWS // n)
     chosen = []
@@ -528,7 +528,7 @@ def infer(
         chosen.extend(ViewBatch(views.kind, MODALITY_V, data) for data in views.data[rows])
     subj, obj, _ = _per_row(instances)
     logits = student.logits(student.inputs(stack_views([inst.real_view for inst in instances]), chosen, subj, obj))
-    return [Label(int(c)) for c in np.argmax(logits, axis=1)]
+    return np.argmax(logits, axis=1)
 
 
 # --- the run --------------------------------------------------------------------
@@ -603,8 +603,8 @@ def run_pipeline(
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = [label.value for label in infer(student, test_instances, g_uv, g_vu, config, scorer)]
-    metrics = compute_metrics(predictions, [inst.label.value for inst in test_instances], schema)
+    predictions = infer(student, test_instances, g_uv, g_vu, config, scorer)
+    metrics = compute_metrics(predictions, [inst.label for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 
     report = RunReport(

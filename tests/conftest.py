@@ -27,9 +27,7 @@ from chainviews.datamodel import (
     STEP_U_TO_V,
     STEP_V_TO_U,
     DatasetSchema,
-    EntityPair,
     Instance,
-    Label,
     Pool,
     ViewBatch,
     ViewSpec,
@@ -119,9 +117,4 @@ def small_schema():
 
 @pytest.fixture
 def small_instance(small_schema):
-    return Instance(
-        id=0,
-        label=Label(1),
-        entities=EntityPair(subject=2, object=3),
-        real_view=vector_view([0.5, -1.0], MODALITY_U),
-    )
+    return Instance(id=0, label=1, subject=2, object=3, real_view=vector_view([0.5, -1.0], MODALITY_U))

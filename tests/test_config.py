@@ -27,7 +27,7 @@ from chainviews.config import (
     read_config_mapping,
     world_from_custom,
 )
-from chainviews.datamodel import ViewBatch, ViewSpec, dataset_to_string, write_dataset
+from chainviews.datamodel import ViewBatch, ViewSpec, dataset_to_string, rows_match, write_dataset
 from chainviews.pipeline import CONDITIONS
 from chainviews.rng import derive_rng
 
@@ -399,7 +399,7 @@ def test_load_experiment_data_from_world():
     train_inst, test_inst, schema, g_uv, g_vu = load_experiment_data(config)
     assert len(train_inst) == schema.class_count * 2
     assert len(test_inst) == schema.class_count * 3
-    assert all(inst.real_view.matches(schema.u_spec) for inst in train_inst)
+    assert all(rows_match(inst.real_view.kind, inst.real_view.data, schema.u_spec).all() for inst in train_inst)
     assert g_uv.out_port.spec == schema.v_spec
 
 

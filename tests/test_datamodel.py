@@ -21,16 +21,14 @@ from chainviews.datamodel import (
     STEP_V_TO_U,
     DatasetFormatError,
     DatasetSchema,
-    EntityPair,
     Instance,
-    Label,
     Pool,
-    View,
     ViewBatch,
     ViewSpec,
     dataset_to_string,
     discrete_view,
     read_dataset,
+    rows_match,
     validate_dataset,
     vector_view,
     write_dataset,
@@ -42,8 +40,9 @@ from conftest import make_pool
 def make_instance(iid=0, label=0, pool=()):
     return Instance(
         id=iid,
-        label=Label(label),
-        entities=EntityPair(subject=0, object=1),
+        label=label,
+        subject=0,
+        object=1,
         real_view=vector_view([0.1 * iid, -1.0], MODALITY_U),
         synthetic_pool=make_pool(pool),
     )
@@ -68,49 +67,56 @@ def make_schema(**overrides):
 # --- construction invariants -------------------------------------------------
 
 
-def test_label_rejects_negative():
-    with pytest.raises(ValueError):
-        Label(-1)
+# one entity may fill both roles
+GOOD_FIELDS = dict(id=0, label=0, subject=2, object=2, real_view=vector_view([0.0, 0.0], MODALITY_U))
 
 
-def test_entity_pair_allows_same_id_distinct_roles():
-    pair = EntityPair(subject=2, object=2)
-    assert pair.subject == pair.object == 2
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", -1, "instance id must be non-negative"),
+        ("label", -1, "instance label must be non-negative"),
+        ("subject", -1, "instance subject must be non-negative"),
+        ("object", -1, "instance object must be non-negative"),
+        ("real_view", ViewBatch("vector", MODALITY_U, np.zeros((0, 2))), "one u-side row"),
+        ("real_view", ViewBatch("vector", MODALITY_U, np.zeros((2, 2))), "one u-side row"),
+        ("real_view", vector_view([0.0, 0.0], MODALITY_V), "one u-side row"),
+    ],
+    ids=["negative_id", "negative_label", "negative_subject", "negative_object", "no_rows", "two_rows", "v_side"],
+)
+def test_instance_refuses_negative_ints_and_a_real_view_not_one_u_side_row(field, value, message):
+    good = Instance(**GOOD_FIELDS)
+    assert good.subject == good.object == 2
+    with pytest.raises(ValueError, match=message):
+        Instance(**{**GOOD_FIELDS, field: value})
 
 
 def test_view_rejects_unknown_kind_and_modality():
-    with pytest.raises(ValueError):
-        View(kind="audio", data=[1.0], modality=MODALITY_U)
-    with pytest.raises(ValueError):
-        View(kind="vector", data=[1.0], modality="w")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown view kind"):
+        ViewBatch(kind="audio", modality=MODALITY_U, data=[[1.0]])
+    with pytest.raises(ValueError, match="unknown modality"):
+        ViewBatch(kind="vector", modality="w", data=[[1.0]])
+    with pytest.raises(ValueError, match="non-empty views"):
         vector_view([], MODALITY_U)
 
 
 def test_non_finite_values_are_validation_violations():
-    inst = Instance(
-        id=0,
-        label=Label(0),
-        entities=EntityPair(0, 1),
-        real_view=vector_view([0.0, float("nan")], MODALITY_U),
-    )
+    inst = Instance(id=0, label=0, subject=0, object=1, real_view=vector_view([0.0, float("nan")], MODALITY_U))
     report = validate_dataset([inst], make_schema())
     assert any("non-finite" in v.message for v in report.violations)
 
 
 def test_negative_symbols_fail_the_spec_match():
     schema = make_schema(v_spec=ViewSpec("discrete", 4))
-    ok = discrete_view([0, 3], MODALITY_V)
-    bad = discrete_view([0, -2], MODALITY_V)
-    assert ok.matches(schema.v_spec)
-    assert not bad.matches(schema.v_spec)
+    views = ViewBatch("discrete", MODALITY_V, [[0, 3], [0, -2]])
+    assert rows_match(views.kind, views.data, schema.v_spec).tolist() == [True, False]
 
 
 def test_view_matches_spec():
     view = vector_view([1.0, 2.0], MODALITY_V)
-    assert view.matches(ViewSpec("vector", 2))
-    assert not view.matches(ViewSpec("vector", 3))
-    assert not view.matches(ViewSpec("discrete", 2))
+    assert rows_match(view.kind, view.data, ViewSpec("vector", 2)).tolist() == [True]
+    assert rows_match(view.kind, view.data, ViewSpec("vector", 3)).tolist() == [False]
+    assert rows_match(view.kind, view.data, ViewSpec("discrete", 2)).tolist() == [False]
 
 
 def test_pool_verdicts_are_copies():
@@ -154,16 +160,6 @@ def test_step_and_modality_must_agree():
         )
 
 
-def test_instance_requires_u_side_real_view():
-    with pytest.raises(ValueError):
-        Instance(
-            id=0,
-            label=Label(0),
-            entities=EntityPair(0, 1),
-            real_view=vector_view([0.0, 0.0], MODALITY_V),
-        )
-
-
 # --- validation ----------------------------------------------------------------
 
 
@@ -177,12 +173,7 @@ def test_validate_well_formed_dataset_ok():
 def test_validate_label_out_of_range():
     schema = make_schema(class_count=3)
     bad = make_instance(0, 2)
-    bad = Instance(
-        id=0,
-        label=Label(3),  # == C, one past the end
-        entities=bad.entities,
-        real_view=bad.real_view,
-    )
+    bad = replace(bad, label=3)  # == C, one past the end
     report = validate_dataset([bad], schema)
     assert not report.ok
     assert any("label" in v.message for v in report.violations)
@@ -321,7 +312,7 @@ def test_round_trip_is_identity_and_byte_stable():
     assert loaded_schema == schema
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
-        assert a.id == b.id and a.label == b.label and a.entities == b.entities
+        assert (a.id, a.label, a.subject, a.object) == (b.id, b.label, b.subject, b.object)
         assert_same_bits(a.real_view.data, b.real_view.data)
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)
     # re-serialization is byte-identical
@@ -490,12 +481,7 @@ def test_a_line_separator_inside_a_string_does_not_end_the_line(tmp_path):
 
 
 def test_nan_payload_cannot_be_written():
-    inst = Instance(
-        id=0,
-        label=Label(0),
-        entities=EntityPair(0, 1),
-        real_view=vector_view([float("nan"), 0.0], MODALITY_U),
-    )
+    inst = Instance(id=0, label=0, subject=0, object=1, real_view=vector_view([float("nan"), 0.0], MODALITY_U))
     with pytest.raises(ValueError):
         dataset_to_string([inst], make_schema())
 
@@ -503,12 +489,7 @@ def test_nan_payload_cannot_be_written():
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_a_failed_write_leaves_no_partial_dataset(tmp_path, existing):
     # the second instance fails to encode after the first line is out
-    bad = Instance(
-        id=1,
-        label=Label(0),
-        entities=EntityPair(0, 1),
-        real_view=vector_view([float("nan"), 0.0], MODALITY_U),
-    )
+    bad = Instance(id=1, label=0, subject=0, object=1, real_view=vector_view([float("nan"), 0.0], MODALITY_U))
     path = tmp_path / "dataset.jsonl"
     if existing:
         write_dataset([make_instance(7)], make_schema(), path)
@@ -569,7 +550,7 @@ def test_a_matrix_decodes_by_hand_as_little_endian_row_major():
     matrix = np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"])
     assert matrix.tobytes() == instance.synthetic_pool.v.data.astype("<f8").tobytes()
     assert record["real_view"] == encode("vector", [[0.0, -1.0]])
-    symbols = Instance(0, Label(0), EntityPair(0, 1), discrete_view([3, 2**62, 0], MODALITY_U))
+    symbols = Instance(0, 0, 0, 1, discrete_view([3, 2**62, 0], MODALITY_U))
     text = dataset_to_string([symbols], make_schema(u_spec=ViewSpec("discrete", 2**63 - 1)))
     assert json.loads(text.splitlines()[1])["real_view"] == encode("discrete", [[3, 2**62, 0]])
 
@@ -918,9 +899,10 @@ def datasets(draw):
         instances.append(
             Instance(
                 id=iid,
-                label=Label(draw(st.integers(0, 2))),
-                entities=EntityPair(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
-                real_view=View(kind, real, MODALITY_U),
+                label=draw(st.integers(0, 2)),
+                subject=draw(st.integers(0, 3)),
+                object=draw(st.integers(0, 3)),
+                real_view=ViewBatch(kind, MODALITY_U, [real]),
                 synthetic_pool=pool,
             )
         )
@@ -937,7 +919,7 @@ def test_write_read_write_is_byte_identical_and_field_equal(dataset):
     assert dataset_to_string(loaded, loaded_schema) == text
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
-        assert (a.id, a.label, a.entities) == (b.id, b.label, b.entities)
+        assert (a.id, a.label, a.subject, a.object) == (b.id, b.label, b.subject, b.object)
         assert (a.real_view.kind, a.real_view.modality) == (b.real_view.kind, b.real_view.modality)
         assert_same_bits(a.real_view.data, b.real_view.data)
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)

@@ -15,7 +15,6 @@ from chainviews.datamodel import (
     MODALITY_U,
     MODALITY_V,
     DatasetSchema,
-    EntityPair,
     ViewBatch,
     ViewSpec,
     vector_view,
@@ -48,7 +47,8 @@ def schema(v_kind="vector"):
 
 
 def rand_entities(rng):
-    return EntityPair(subject=int(rng.integers(5)), object=int(rng.integers(5)))
+    """A (subject, object) pair of entity ids."""
+    return int(rng.integers(5)), int(rng.integers(5))
 
 
 def teacher_sample(rng):
@@ -70,7 +70,7 @@ def as_inputs(model, samples):
     """The model's input arrays and the labels of ``((views..., entities), label)`` samples."""
     parts, labels = zip(*samples)
     *views, entities = zip(*parts)
-    subj, obj = [e.subject for e in entities], [e.object for e in entities]
+    subj, obj = [e[0] for e in entities], [e[1] for e in entities]
     if isinstance(model, StudentModel):
         return model.inputs(stack_views(views[0]), [views_of(s) for s in views[1]], subj, obj), list(labels)
     return model.inputs(stack_views(views[0]), subj, obj), list(labels)
@@ -133,7 +133,7 @@ def test_teacher_rejects_u_side_views():
     model = TeacherModel(derive_rng(0, "rej"), schema())
     wrong = vector_view([0.0, 0.0, 0.0], MODALITY_U)
     with pytest.raises(ModalityError):
-        model.logits(as_inputs(model, [((wrong, EntityPair(0, 1)), 0)])[0])
+        model.logits(as_inputs(model, [((wrong, (0, 1)), 0)])[0])
 
 
 def test_zeroed_model_gives_uniform_logits():
@@ -189,14 +189,14 @@ def test_student_rejects_swapped_modalities():
 def test_unimodal_consumes_u_side_only():
     model = UnimodalModel(derive_rng(0, "uni"), schema())
     with pytest.raises(ModalityError):
-        model.logits(as_inputs(model, [((vector_view([0.0] * 4, MODALITY_V), EntityPair(0, 1)), 0)])[0])
+        model.logits(as_inputs(model, [((vector_view([0.0] * 4, MODALITY_V), (0, 1)), 0)])[0])
 
 
 # --- batches ----------------------------------------------------------------------------
 #
 # Entity ids repeat across the batch (subject 2 three times, also as an
 # object), so the embedding gradient must sum rows, not overwrite them.
-REPEATED_ENTITIES = (EntityPair(2, 4), EntityPair(2, 2), EntityPair(1, 2))
+REPEATED_ENTITIES = ((2, 4), (2, 2), (1, 2))
 
 
 def teacher_batch(rng):
@@ -491,6 +491,37 @@ def test_inputs_reject_entity_ids_that_are_not_integers():
             model.inputs(views, scalar, 2)
     _, subj, obj = model.inputs(views, 3, np.array([4, 2]))  # one id stands for every row
     assert subj.tolist() == [3, 3] and obj.tolist() == [4, 2]
+
+
+def inputs_with_ids(kind, subj, obj):
+    """``inputs`` of a fresh ``kind`` model on two rows with these entity ids."""
+    u = ViewBatch("vector", MODALITY_U, np.zeros((2, 3)))
+    v = ViewBatch("vector", MODALITY_V, np.zeros((2, 4)))
+    if kind == "teacher":
+        return TeacherModel(derive_rng(0, "ids-init"), schema()).inputs(v, subj, obj)
+    if kind == "student":
+        return StudentModel(derive_rng(0, "ids-init"), schema()).inputs(u, [v.take([0]), v.take([1])], subj, obj)
+    return UnimodalModel(derive_rng(0, "ids-init"), schema()).inputs(u, subj, obj)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student", "unimodal"])
+@pytest.mark.parametrize(
+    "subj, obj, message",
+    [
+        ([-1, 4], [0, 0], r"entity id -1 at row 0 is outside the vocabulary \[0, 5\)"),
+        ([0, 5], [0, 0], r"entity id 5 at row 1 is outside the vocabulary \[0, 5\)"),
+        ([0, 0], [2, -3], r"entity id -3 at row 1 is outside"),
+        (1, 7, r"entity id 7 at row 0 is outside"),
+    ],
+    ids=["negative_subject", "subject_at_vocab", "negative_object", "scalar_object"],
+)
+def test_inputs_refuse_entity_ids_outside_the_vocabulary(kind, subj, obj, message):
+    # a negative id would wrap to the end of the embedding table, and one at
+    # the vocabulary size would fail later with a bare IndexError
+    with pytest.raises(ValueError, match=message):
+        inputs_with_ids(kind, subj, obj)
+    *_, subj_rows, obj_rows = inputs_with_ids(kind, [0, 4], 4)
+    assert subj_rows.tolist() == [0, 4] and obj_rows.tolist() == [4, 4]
 
 
 def test_empty_sample_list_rejected():

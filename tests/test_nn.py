@@ -236,12 +236,12 @@ def test_log_softmax_normalizes():
 
 def test_featurize_passes_vectors_through():
     view = vector_view([1.5, -2.0], MODALITY_V)
-    np.testing.assert_array_equal(nn.featurize_rows(view.kind, view.data[None], 2)[0], [1.5, -2.0])
+    np.testing.assert_array_equal(nn.featurize_rows(view.kind, view.data, 2)[0], [1.5, -2.0])
 
 
 def test_featurize_normalized_symbol_counts():
     view = discrete_view([0, 2, 2, 1], MODALITY_V)
-    np.testing.assert_array_equal(nn.featurize_rows(view.kind, view.data[None], 4)[0], [0.25, 0.25, 0.5, 0.0])
+    np.testing.assert_array_equal(nn.featurize_rows(view.kind, view.data, 4)[0], [0.25, 0.25, 0.5, 0.0])
 
 
 # --- gradient machinery ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The pairs command's arithmetic: quartiles, wins and the verdict.
+"""The pairs command's arithmetic: quartiles, wins and the verdicts.
 
 Nothing here runs the benchmark; ``tools/pairs.py`` is loaded as a module.
 """
@@ -62,6 +62,29 @@ def test_summarize_compares_every_metric_across_the_pairs():
     assert summary["wall_s"]["change"]["median"] == 8.5
     assert summary["f1"]["wins"] == {"change": 0, "parent": 0, "pairs": 10}
     assert not summary["f1"]["change_is_better"]
+
+
+def test_bound_verdict_reads_the_bound_as_a_fraction_of_the_parent_median():
+    # bound 0.25 of the parent median 14.5 allows 3.625 worse; the parent's
+    # IQR of 5.5 is wider than that, so the metric is unresolved
+    slower = pairs.bound_verdict(pairs.compare(PARENT, [v + 3.0 for v in PARENT], "lower"), 0.25)
+    assert slower == {"bound": 0.25, "allowed": 3.625, "within_bound": True, "unresolved": True}
+    assert not pairs.bound_verdict(pairs.compare(PARENT, [v + 4.0 for v in PARENT], "lower"), 0.25)["within_bound"]
+    # a faster change is always within bound; a wider bound resolves the spread
+    faster = pairs.bound_verdict(pairs.compare(PARENT, [v - 4.0 for v in PARENT], "lower"), 0.5)
+    assert faster == {"bound": 0.5, "allowed": 7.25, "within_bound": True, "unresolved": False}
+
+    # for a higher-is-better metric the change is worse when its median is lower
+    assert pairs.bound_verdict(pairs.compare(PARENT, [v - 3.0 for v in PARENT], "higher"), 0.25)["within_bound"]
+    assert not pairs.bound_verdict(pairs.compare(PARENT, [v - 4.0 for v in PARENT], "higher"), 0.25)["within_bound"]
+    assert pairs.bound_verdict(pairs.compare(PARENT, [v + 9.0 for v in PARENT], "higher"), 0.25)["within_bound"]
+
+
+def test_digests_equal_needs_one_digest_on_both_sides():
+    assert pairs.digests_equal({"parent": ["abc"], "change": ["abc"]})
+    assert not pairs.digests_equal({"parent": ["abc"], "change": ["abd"]})
+    assert not pairs.digests_equal({"parent": ["abc"], "change": ["abc", "abd"]})  # a side disagrees with itself
+    assert not pairs.digests_equal({"parent": ["None"], "change": ["None"]})  # no run wrote one
 
 
 def test_src_lines_counts_like_wc(tmp_path):

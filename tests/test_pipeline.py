@@ -15,9 +15,8 @@ from chainviews.datamodel import (
     REAL_PARENT,
     STEP_U_TO_V,
     DatasetSchema,
-    EntityPair,
     Instance,
-    Label,
+    ViewBatch,
     ViewSpec,
     dataset_to_string,
     discrete_view,
@@ -340,8 +339,8 @@ def test_none_class_is_left_out_of_the_run_metrics():
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
     scorer = Scorer(config, schema)
     scorer.teacher = result.teacher
-    predictions = [label.value for label in infer(result.student, test_inst, g_uv, g_vu, config, scorer)]
-    labels = [inst.label.value for inst in test_inst]
+    predictions = infer(result.student, test_inst, g_uv, g_vu, config, scorer).tolist()
+    labels = [inst.label for inst in test_inst]
     assert result.report.metrics == compute_metrics(predictions, labels, schema)
     tp, fp, fn = confusion_counts(predictions, labels, classes=(1, 2))
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -405,12 +404,12 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
         step = score_trailing(step, teacher)
     student = train_student(step, config, scorer)
     assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
-    predictions = [label.value for label in infer(student, data.test, g_uv, g_vu, config, scorer)]
+    predictions = infer(student, data.test, g_uv, g_vu, config, scorer)
     stepwise = replace(
         orchestrated.report,
         rounds=tuple(rounds),
         final_pool_size=pool_size,
-        metrics=compute_metrics(predictions, [inst.label.value for inst in data.test], schema),
+        metrics=compute_metrics(predictions, [inst.label for inst in data.test], schema),
     )
     assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
     assert dataset_to_string(step, schema) == dataset_to_string(orchestrated.instances, schema)
@@ -575,7 +574,7 @@ def test_single_view_fusion_still_trains(tiny_run):
     student = train_student(step, config, scorer)
     instance = tiny_run.train[0]
     real, synth = stack_views([instance.real_view]), [step[0].synthetic_pool.v_rows([0])]
-    logits = student.logits(student.inputs(real, synth, instance.entities.subject, instance.entities.object))
+    logits = student.logits(student.inputs(real, synth, instance.subject, instance.object))
     assert logits.shape == (1, tiny_run.schema.class_count)
 
 
@@ -654,12 +653,7 @@ def identity_world():
     g_vu = DiscreteChannel(eye, v_port, u_port)
     schema = DatasetSchema(2, 4, spec, spec)
     instances = [
-        Instance(
-            id=i,
-            label=Label(i % 2),
-            entities=EntityPair(i % 4, (i + 1) % 4),
-            real_view=discrete_view([i % 2] * 3, "u"),
-        )
+        Instance(id=i, label=i % 2, subject=i % 4, object=(i + 1) % 4, real_view=discrete_view([i % 2] * 3, "u"))
         for i in range(4)
     ]
     return instances, schema, g_uv, g_vu
@@ -686,11 +680,10 @@ def test_identity_channels_copy_the_real_view_everywhere():
     # identical inputs at train and test time give the training-time prediction
     predicted = infer(result.student, instances, g_uv, g_vu, config, scorer)
     for instance, label in zip(instances, predicted, strict=True):
-        synthetic = stack_views([discrete_view(instance.real_view.data, "v")] * config.infer_views)
-        e = instance.entities
-        inputs = result.student.inputs(stack_views([instance.real_view]), [synthetic], e.subject, e.object)
+        synthetic = stack_views([ViewBatch("discrete", "v", instance.real_view.data)] * config.infer_views)
+        inputs = result.student.inputs(instance.real_view, [synthetic], instance.subject, instance.object)
         train_time = int(np.argmax(result.student.logits(inputs)))
-        assert label == Label(train_time)
+        assert label == train_time
 
 
 # --- inference ---------------------------------------------------------------------
@@ -724,7 +717,7 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[0]
     labels = infer(student, [instance], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
-    assert labels == [Label(1)]
+    assert labels.tolist() == [1]
     expected = generated_views(instance, tiny_run.g_uv, config).data[:2]
     ((got,),) = student.calls
     assert len(got) == 2
@@ -742,7 +735,7 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     scorer.teacher = teacher
     infer(student, [instance], tiny_run.g_uv, None, config, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
-    logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
+    logits = teacher.logits(teacher.inputs(views, instance.subject, instance.object))
     scores = list(-np.max(log_softmax(logits), axis=1))
     order = sorted(range(len(views)), key=lambda i: (scores[i], i))
     ((got,),) = student.calls
@@ -784,9 +777,8 @@ def reference_infer(student, instance, g_uv, g_vu, config, scorer):
     if config.infer_full_chain:
         for _ in range(config.ccg_rounds):
             views = sample_channel(g_uv, sample_channel(g_vu, views, rng), rng)
-    e = instance.entities
     if config.policy_name == "teacher_loss" and scorer.teacher is not None:
-        logits = scorer.teacher.logits(scorer.teacher.inputs(views, e.subject, e.object))
+        logits = scorer.teacher.logits(scorer.teacher.inputs(views, instance.subject, instance.object))
         scores = (-np.max(log_softmax(logits), axis=1)).tolist()
     elif config.policy_name == "teacher_loss":
         scores = [0.0] * len(views)  # no teacher yet: the views tie
@@ -795,8 +787,8 @@ def reference_infer(student, instance, g_uv, g_vu, config, scorer):
     else:  # random, and keep_all, which picks as random does
         scores = random_scores(len(views), config.seed, "infer-pick", instance.id)
     chosen = views.take(rank_keep(scores, config.infer_views))
-    (logits,) = student.logits(student.inputs(stack_views([instance.real_view]), [chosen], e.subject, e.object))
-    return Label(int(np.argmax(logits))), chosen.data.tobytes()
+    (logits,) = student.logits(student.inputs(instance.real_view, [chosen], instance.subject, instance.object))
+    return int(np.argmax(logits)), chosen.data.tobytes()
 
 
 class SpyStudent:
@@ -830,7 +822,7 @@ def test_batched_infer_matches_one_instance_at_a_time(tiny_run, order, size, pol
     args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
     expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in split]
     spy = SpyStudent(tiny_run.result.student)
-    assert infer(spy, split, *args) == [label for label, _ in expected]
+    assert infer(spy, split, *args).tolist() == [label for label, _ in expected]
     assert spy.chosen == [chosen for _, chosen in expected]
 
 
@@ -846,12 +838,12 @@ def test_infer_labels_do_not_depend_on_the_teacher_chunks(tiny_run):
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = tiny_run.result.teacher
     spy = SpyStudent(tiny_run.result.student)
-    labels = infer(spy, split[: per_chunk + 1], g_uv, g_vu, config, scorer)
+    labels = infer(spy, split[: per_chunk + 1], g_uv, g_vu, config, scorer).tolist()
     chosen = spy.chosen
     assert len(labels) == len(chosen) == per_chunk + 1
     for n in (1, per_chunk - 1, per_chunk):
         spy.chosen = []
-        assert infer(spy, split[:n], g_uv, g_vu, config, scorer) == labels[:n]
+        assert infer(spy, split[:n], g_uv, g_vu, config, scorer).tolist() == labels[:n]
         assert spy.chosen == chosen[:n]
     for i in (0, per_chunk - 2, per_chunk - 1, per_chunk):
         assert (labels[i], chosen[i]) == reference_infer(tiny_run.result.student, split[i], g_uv, g_vu, config, scorer)
@@ -866,13 +858,14 @@ def test_every_generated_view_is_scored_whatever_the_chunk(tiny_run, monkeypatch
     args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
     expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in tiny_run.test]
     spy = SpyStudent(tiny_run.result.student)
-    assert infer(spy, tiny_run.test, *args) == [label for label, _ in expected]
+    assert infer(spy, tiny_run.test, *args).tolist() == [label for label, _ in expected]
     assert spy.chosen == [chosen for _, chosen in expected]
 
 
 def test_infer_of_no_instances_is_empty(tiny_run):
     student = RecordingStudent(tiny_run.schema)
-    assert infer(student, [], tiny_run.g_uv, None, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema)) == []
+    labels = infer(student, [], tiny_run.g_uv, None, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
+    assert labels.dtype == np.int64 and labels.shape == (0,)
     assert student.calls == []
 
 
@@ -889,9 +882,9 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     scorer.teacher = teacher
     instance = tiny_run.test[0]
     views = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 10), derive_rng(50, "aux"))
-    logits = teacher.logits(teacher.inputs(views, instance.entities.subject, instance.entities.object))
+    logits = teacher.logits(teacher.inputs(views, instance.subject, instance.object))
     confidence = -np.max(log_softmax(logits), axis=1)
-    losses, _ = softmax_xent(logits, [instance.label.value] * len(views))
+    losses, _ = softmax_xent(logits, [instance.label] * len(views))
     assert np.all(confidence <= losses + 1e-12)
     (picked,) = scorer.pick([instance], views)
     assert picked.tolist() == rank_keep(confidence.tolist(), 4)
@@ -915,9 +908,8 @@ def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_
         if not ids.size:
             assert after is before
             continue
-        e = before.entities
-        alone = logits(teacher, teacher.inputs(before.synthetic_pool.v_rows(ids), e.subject, e.object))
-        expected, _ = softmax_xent(alone, [before.label.value] * len(ids))
+        alone = logits(teacher, teacher.inputs(before.synthetic_pool.v_rows(ids), before.subject, before.object))
+        expected, _ = softmax_xent(alone, [before.label] * len(ids))
         np.testing.assert_allclose(after.synthetic_pool.teacher_loss[ids], expected, rtol=1e-12, atol=0)
         rest = np.setdiff1d(np.arange(len(before.synthetic_pool)), ids)
         assert np.array_equal(after.synthetic_pool.teacher_loss[rest], before.synthetic_pool.teacher_loss[rest], equal_nan=True)

@@ -72,7 +72,7 @@ from chainviews import datamodel
 schema = datamodel.DatasetSchema(3, 5, datamodel.ViewSpec("vector", 2), datamodel.ViewSpec("vector", 2))
 pool = datamodel.Pool.initial(datamodel.ViewBatch("vector", "v", np.ones((3, 2))))
 real = datamodel.vector_view([0.5, -1.0], "u")
-instances = [datamodel.Instance(i, datamodel.Label(0), datamodel.EntityPair(0, 1), real, pool) for i in range(2)]
+instances = [datamodel.Instance(i, 0, 0, 1, real, pool) for i in range(2)]
 path = {str(tmp_path / "dataset.jsonl")!r}
 tracer.enabled = True
 datamodel.write_dataset(instances, schema, path)

@@ -3,19 +3,24 @@
     python3 tools/pairs.py --parent HEAD~1 --workload ablation --seed 0 11 \
         --pairs 10 --seconds 20 --out BENCH.json
 
-The parent is checked out with ``git worktree add --detach`` into a
-temporary directory, removed again at the end. Each pair runs the unchanged
+The parent commit is unpacked with ``git archive`` into a temporary
+directory, removed again at the end. Each pair runs the unchanged
 ``benchmarks/run.py`` once in each tree, one after the other; which tree
 goes first alternates from pair to pair, because host speed drifts. The
 output file holds, per (workload, seed), every pair's end-to-end metrics,
 each side's median and quartiles, the wins out of pairs (a tie counts for
-neither side) and the verdict on each metric, plus both sides' output
+neither side) and the verdicts on each metric, plus both sides' output
 digests, the machine record and the ``src/chainviews/*.py`` line count of
 each tree.
 
 A change is *better* on a metric when it wins at least nine pairs in ten
 and its median beats the parent's by more than the parent's interquartile
-range.
+range. It is *within bound* when its median is worse than the parent's by
+at most the metric's ``bound`` in BENCHMARK.json, read as a fraction of the
+parent's median. The metric is *unresolved* when the parent's own
+interquartile range is wider than that allowance: the runs spread too much
+to tell a regression of that size. ``digests_equal`` holds when every run
+of both sides wrote one and the same output digest.
 """
 
 from __future__ import annotations
@@ -63,6 +68,26 @@ def compare(parent, change, better: str) -> dict:
     }
 
 
+def bound_verdict(compared: dict, bound: float) -> dict:
+    """``compare``'s record of one metric judged against ``bound``, a
+    fraction of the parent's median: the allowance, ``within_bound`` and
+    ``unresolved``."""
+    allowed = bound * abs(compared["parent"]["median"])
+    return {
+        "bound": bound,
+        "allowed": allowed,
+        "within_bound": -compared["median_gain"] <= allowed,
+        "unresolved": compared["parent_iqr"] > allowed,
+    }
+
+
+def digests_equal(digests: dict) -> bool:
+    """Whether every run of both sides wrote one and the same digest;
+    ``digests`` holds each side's distinct digests."""
+    values = [*digests["parent"], *digests["change"]]
+    return len(set(values)) == 1 and "None" not in values
+
+
 def summarize(pairs: list[dict], directions: dict) -> dict:
     """``compare`` for every metric of ``directions`` (name -> "lower" or
     "higher") over ``pairs``, each ``{"parent": metrics, "change": metrics}``."""
@@ -96,9 +121,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, directions: dict, log):
-    """``pairs`` alternating pairs of one (workload, seed): the run's record
-    and the machine record of its first invocation."""
+def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, spec: list[dict], log):
+    """``pairs`` alternating pairs of one (workload, seed), judged on the
+    end-to-end metrics of ``spec``: the run's record and the machine record
+    of its first invocation."""
+    directions = {metric["name"]: metric["better"] for metric in spec}
     rows, digests, machine = [], {side: [] for side in SIDES}, None
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -112,13 +139,18 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, d
         rows.append(row)
         log(f"{workload} seed {seed} pair {i + 1}/{pairs} ({order[0]} first): "
             + ", ".join(f"{name} {row['parent'][name]:.4g} -> {row['change'][name]:.4g}" for name in directions))
+    metrics = summarize(rows, directions)
+    for metric in spec:
+        metrics[metric["name"]].update(bound_verdict(metrics[metric["name"]], metric["bound"]))
+    digests = {side: sorted(set(map(str, values))) for side, values in digests.items()}
     return {
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
         "pairs": rows,
-        "metrics": summarize(rows, directions),
-        "digests": {side: sorted(set(map(str, values))) for side, values in digests.items()},
+        "metrics": metrics,
+        "digests": digests,
+        "digests_equal": digests_equal(digests),
     }, machine
 
 
@@ -137,8 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     # the measured code is this checkout as it stands now, committed or not
     change = {
@@ -151,14 +182,13 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            measured = [measure(trees, workload, seed, args.pairs, args.seconds, directions, log)
-                        for workload in args.workload for seed in args.seed]
-            lines = {side: src_lines(tree) for side, tree in trees.items()}
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        measured = [measure(trees, workload, seed, args.pairs, args.seconds, spec, log)
+                    for workload in args.workload for seed in args.seed]
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
     result = {
         "command": ["tools/pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "parent": {"rev": args.parent, "commit": parent_commit, "src_lines": lines["parent"]},
@@ -172,7 +202,10 @@ def main(argv=None) -> int:
             print(f"{run['workload']} seed {run['seed']} {name:12s} parent {m['parent']['median']:.4f} "
                   f"change {m['change']['median']:.4f}  wins {m['wins']['change']}/{m['wins']['pairs']}  "
                   f"gain {m['median_gain']:+.4f} vs parent IQR {m['parent_iqr']:.4f}  "
-                  f"{'better' if m['change_is_better'] else 'not shown better'}")
+                  f"{'better' if m['change_is_better'] else 'not shown better'}; "
+                  f"{'within' if m['within_bound'] else 'WORSE beyond'} bound {m['bound']:g} ({m['allowed']:.4f} worse allowed)"
+                  f"{', unresolved' if m['unresolved'] else ''}")
+        print(f"{run['workload']} seed {run['seed']} digests_equal {run['digests_equal']}")
     return 0
 
 
