@@ -85,10 +85,19 @@ GOOD_FIELDS = dict(id=0, label=0, subject=2, object=2, real_view=vector_view([0.
     ids=["negative_id", "negative_label", "negative_subject", "negative_object", "no_rows", "two_rows", "v_side"],
 )
 def test_instance_refuses_negative_ints_and_a_real_view_not_one_u_side_row(field, value, message):
-    good = Instance(**GOOD_FIELDS)
-    assert good.subject == good.object == 2
+    Instance(**GOOD_FIELDS)
     with pytest.raises(ValueError, match=message):
         Instance(**{**GOOD_FIELDS, field: value})
+
+
+def test_label_rejects_negative():
+    with pytest.raises(ValueError, match="instance label must be non-negative"):
+        Instance(**{**GOOD_FIELDS, "label": -1})
+
+
+def test_entity_pair_allows_same_id_distinct_roles():
+    inst = Instance(**GOOD_FIELDS)
+    assert inst.subject == inst.object == 2
 
 
 def test_view_rejects_unknown_kind_and_modality():
