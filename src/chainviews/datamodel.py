@@ -11,24 +11,26 @@ in pool order. That is everything later stages need to reconstruct how the
 pool evolved. A :class:`ViewBatch` is the same kind of matrix on its own:
 what a channel takes and returns.
 
-Datasets are line-delimited JSON, format version 3 (the only one read): a
+Datasets are line-delimited JSON, format version 4 (the only one read): a
 schema line, then one line per instance, laid out as the pool is held::
 
     {"id": 0, "label": 2, "subject": 1, "object": 5, "real_view": M,
-     "pool": {"round": [0, 1, 1], "step": ["u_to_v", "v_to_u", "u_to_v"],
-              "parent_id": [-1, 0, 1], "teacher_loss": [0.41, null, null],
-              "survived": [2, 0, 0], "v": M, "u": M}}
+     "pool": {"round": C, "step": C, "parent_id": C, "teacher_loss": C,
+              "survived": C, "v": M, "u": M}}
 
-``M`` is ``{"kind", "shape": [rows, width], "data"}``, ``data`` the base64 of
-the rows' little-endian bytes (``<f8`` vectors, ``<i8`` symbols); the real
-view is one row and an empty side is ``null``. Decoded by hand::
+``C`` is a pool column as the base64 of its little-endian 8-byte values:
+``<f8`` for ``teacher_loss``, ``<i8`` for the rest, ``step`` stored as 0 for
+``u_to_v`` and 1 for ``v_to_u``. ``M`` is ``{"kind", "shape": [rows, width],
+"data"}``, ``data`` the base64 of the rows' little-endian bytes (``<f8``
+vectors, ``<i8`` symbols); the real view is one row and an empty side is
+``null``. Decoded by hand::
 
-    raw = base64.b64decode(m["data"])
+    column = np.frombuffer(base64.b64decode(c), "<i8")  # "<f8" for teacher_loss
     dtype = "<f8" if m["kind"] == "vector" else "<i8"
-    matrix = np.frombuffer(raw, dtype).reshape(m["shape"])
+    matrix = np.frombuffer(base64.b64decode(m["data"]), dtype).reshape(m["shape"])
 
-``parent_id`` -1 is the real view. ``teacher_loss`` is null until a teacher
-scores the view. ``survived`` counts the consecutive selections that kept
+``parent_id`` -1 is the real view. ``teacher_loss`` is NaN (its bits kept)
+until a teacher scores the view. ``survived`` counts the consecutive selections that kept
 the view from selection ``round``, the first that judges it, on; a discarded
 view is never a candidate again. ``v_to_u`` views are intermediate products,
 kept for provenance with ``survived`` 0. The encoding is canonical, so
@@ -40,7 +42,6 @@ from __future__ import annotations
 import base64
 import io
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -48,7 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MODALITY_U = "u"
 MODALITY_V = "v"
@@ -251,8 +252,12 @@ class Instance:
 
     def __post_init__(self):
         for name in ("id", "label", "subject", "object"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"instance {name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"instance {name} must be non-negative")
+            object.__setattr__(self, name, int(value))  # a plain int, as the line template writes it
         if self.real_view.modality != MODALITY_U or len(self.real_view) != 1:
             raise ValueError("the real view must be one u-side row")
 
@@ -375,6 +380,8 @@ def validate_dataset(instances: Iterable[Instance], schema: DatasetSchema) -> Va
 # --- serialization ---------------------------------------------------------
 
 _WIRE = {"vector": np.dtype("<f8"), "discrete": np.dtype("<i8")}  # 8 bytes per element on disk
+_COLUMN_WIRE = {"round": "<i8", "step": "<i8", "parent_id": "<i8", "teacher_loss": "<f8", "survived": "<i8"}
+_STEPS = np.array([STEP_U_TO_V, STEP_V_TO_U])  # indexed by the step code on disk
 
 
 def _integer(value, key: str, line: int) -> int:
@@ -394,15 +401,30 @@ def _decode_spec(record: dict, line: int) -> ViewSpec:
         raise DatasetFormatError(f"bad view spec: {exc}", line)
 
 
-def _encode_matrix(batch: ViewBatch | None) -> dict | None:
-    """A batch of views as its kind, shape and the base64 of its row-major
-    little-endian bytes. Non-finite values are refused, as the reader would."""
+def _base64(array: np.ndarray, wire) -> str:
+    return base64.b64encode(array.astype(wire, copy=False).tobytes()).decode("ascii")  # row-major whatever the strides
+
+
+def _unbase64(text, what: str, line: int) -> bytes:
+    """Strict base64: the alphabet and its padding, nothing else."""
+    if type(text) is not str:
+        raise DatasetFormatError(f"{what} must be a base64 string, got {type(text).__name__}", line)
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise DatasetFormatError(f"{what} is not base64 ({exc})", line)
+
+
+def _encode_matrix(batch: ViewBatch | None) -> str:
+    """A batch of views as the JSON text of its kind, shape and the base64
+    of its row-major little-endian bytes. Non-finite values are refused, as
+    the reader would."""
     if batch is None:
-        return None
+        return "null"
     if not np.isfinite(batch.data).all():
         raise ValueError("view data must be finite to be written")
-    raw = batch.data.astype(_WIRE[batch.kind], copy=False).tobytes()  # row-major whatever the strides
-    return {"kind": batch.kind, "shape": list(batch.data.shape), "data": base64.b64encode(raw).decode("ascii")}
+    rows, width = batch.data.shape
+    return f'{{"kind":"{batch.kind}","shape":[{rows},{width}],"data":"{_base64(batch.data, _WIRE[batch.kind])}"}}'
 
 
 def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndarray | None = None) -> ViewBatch:
@@ -426,12 +448,7 @@ def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndar
             f"got {kind} views of length {width}",
             line,
         )
-    if type(text) is not str:
-        raise DatasetFormatError(f"bad view: data must be a base64 string, got {type(text).__name__}", line)
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise DatasetFormatError(f"bad view: data is not base64 ({exc})", line)
+    raw = _unbase64(text, "bad view: data", line)
     if len(raw) != rows * width * 8:
         raise DatasetFormatError(f"bad view: shape {shape} needs {rows * width * 8} bytes, data holds {len(raw)}", line)
     data = np.frombuffer(raw, dtype=_WIRE[kind]).reshape(rows, width)
@@ -445,62 +462,48 @@ def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndar
     return ViewBatch(kind, modality, data)
 
 
-def _encode_instance(instance: Instance) -> dict:
+_LINE = (
+    '{{"id":{},"label":{},"subject":{},"object":{},"real_view":{},"pool":{{"round":"{}","step":"{}",'
+    '"parent_id":"{}","teacher_loss":"{}","survived":"{}","v":{},"u":{}}}}}\n'
+)
+
+
+def _encode_instance(instance: Instance) -> str:
+    """One instance's line, filled into :data:`_LINE`: every field is an int,
+    a kind name, base64 text or null, so the line is the text of
+    ``json.dumps(record, separators=(",", ":"))`` without its string scan."""
     pool = instance.synthetic_pool
-    return {
-        "id": instance.id,
-        "label": instance.label,
-        "subject": instance.subject,
-        "object": instance.object,
-        "real_view": _encode_matrix(instance.real_view),
-        "pool": {
-            "round": pool.round.tolist(),
-            "step": pool.step.tolist(),
-            "parent_id": pool.parent_id.tolist(),
-            "teacher_loss": [None if math.isnan(loss) else loss for loss in pool.teacher_loss.tolist()],
-            "survived": pool.survived.tolist(),
-            "v": _encode_matrix(pool.v),
-            "u": _encode_matrix(pool.u),
-        },
-    }
+    columns = map(_base64, (pool.round, ~pool.is_v, pool.parent_id, pool.teacher_loss, pool.survived), _COLUMN_WIRE.values())
+    fields = (instance.id, instance.label, instance.subject, instance.object, _encode_matrix(instance.real_view))
+    return _LINE.format(*fields, *columns, _encode_matrix(pool.v), _encode_matrix(pool.u))
 
 
-def _int_column(values: list, key: str, line: int) -> list[int]:
-    """A column of integers, each read as :func:`_integer` reads one."""
-    if set(map(type, values)) <= {int}:
-        return values
-    return [_integer(value, key, line) for value in values]
+def _decode_column(text, key: str, line: int) -> np.ndarray:
+    """The pool column ``key``: base64 of little-endian 8-byte values."""
+    raw = _unbase64(text, f"bad pool column: {key}", line)
+    if len(raw) % 8:
+        raise DatasetFormatError(f"bad pool column: {key} holds {len(raw)} bytes, not a whole number of 8-byte values", line)
+    return np.frombuffer(raw, _COLUMN_WIRE[key])
 
 
 def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
     """One instance's ``pool`` record, checked column by column."""
-    columns = {key: record[key] for key in _POOL_COLUMNS}
-    lengths = {key: len(column) if type(column) is list else None for key, column in columns.items()}
-    if None in lengths.values() or len(set(lengths.values())) > 1:
-        raise DatasetFormatError(f"pool columns must be lists of one length, got lengths {lengths}", line)
-    steps = columns["step"]
-    if not set(steps) <= {STEP_U_TO_V, STEP_V_TO_U}:
-        raise DatasetFormatError(f"unknown step {next(s for s in steps if s not in (STEP_U_TO_V, STEP_V_TO_U))!r}", line)
-    losses = columns["teacher_loss"]
-    if not set(map(type, losses)) <= {int, float, type(None)}:
-        raise DatasetFormatError("teacher_loss must be a number or null", line)
-    losses = np.array(losses, dtype=np.float64)  # null (unscored) reads as NaN
+    columns = {key: _decode_column(record[key], key, line) for key in _COLUMN_WIRE}
+    lengths = {key: len(column) for key, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise DatasetFormatError(f"pool columns must be of one length, got lengths {lengths}", line)
+    codes, losses = columns["step"], columns["teacher_loss"]
+    unknown = np.flatnonzero((codes != 0) & (codes != 1))
+    if len(unknown):
+        raise DatasetFormatError(f"view {unknown[0]} has unknown step code {codes[unknown[0]]}", line)
     if np.isinf(losses).any():
         raise DatasetFormatError(f"view {int(np.argmax(np.isinf(losses)))} has a non-finite teacher loss", line)
-    is_v = np.array(steps, dtype=np.str_) == STEP_U_TO_V
     sides = {}
-    for modality, spec, rows in ((MODALITY_V, schema.v_spec, is_v), (MODALITY_U, schema.u_spec, ~is_v)):
+    for modality, spec, rows in ((MODALITY_V, schema.v_spec, codes == 0), (MODALITY_U, schema.u_spec, codes == 1)):
         at = np.flatnonzero(rows)  # the pool index of each row
         if record[modality] is not None or len(at):
             sides[modality] = _decode_matrix(record[modality], modality, spec, line, at)
-    return Pool(
-        round=_int_column(columns["round"], "round", line),
-        step=steps,
-        parent_id=_int_column(columns["parent_id"], "parent_id", line),
-        teacher_loss=losses,
-        survived=_int_column(columns["survived"], "survived", line),
-        **sides,
-    )
+    return Pool(columns["round"], _STEPS[codes], columns["parent_id"], losses, columns["survived"], **sides)
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
@@ -521,10 +524,6 @@ def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance
         raise DatasetFormatError(f"bad instance record: {exc}", line)
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
-
-
 def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iterator[str]:
     header = {
         "version": FORMAT_VERSION,
@@ -534,9 +533,9 @@ def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iter
         "v_spec": asdict(schema.v_spec),
         "none_class": schema.none_class,
     }
-    yield _dumps(header) + "\n"
+    yield json.dumps(header, separators=(",", ":")) + "\n"
     for instance in instances:
-        yield _dumps(_encode_instance(instance)) + "\n"
+        yield _encode_instance(instance)
 
 
 def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:

@@ -77,15 +77,17 @@ def _log_gaussian_diag(data_t: np.ndarray, mean: np.ndarray, var: np.ndarray) ->
     return -0.5 * total
 
 
-def _farthest_point_indices(data: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    first = int(rng.integers(data.shape[0]))
-    chosen = [first]
-    dist = np.sum((data - data[first]) ** 2, axis=1)
-    while len(chosen) < k:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.sum((data - data[nxt]) ** 2, axis=1))
-    return chosen
+def _farthest_point_indices(data_t: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """Farthest-point seeding over the points of ``data_t`` (d, n). Squared
+    distances add coordinate by coordinate, the order in which numpy sums a
+    row shorter than 8, so the picks equal those made on the (n, d) rows."""
+    chosen, dist = [int(rng.integers(data_t.shape[1]))], np.inf
+    while True:
+        diff = data_t - data_t[:, chosen[-1], None]
+        dist = np.minimum(dist, np.sum(diff * diff, axis=0))
+        if len(chosen) == k:
+            return chosen
+        chosen.append(int(np.argmax(dist)))
 
 
 def fit_gmm(
@@ -110,14 +112,12 @@ def fit_gmm(
     if not (1 <= n_components <= n):
         raise DiversityError("n_components must be in [1, n]")
 
-    rng = derive_rng(seed, "gmm-init")
-    seeds = _farthest_point_indices(data, n_components, rng)
-    means = data[seeds].copy()
+    data_t = np.ascontiguousarray(data.T)  # (d, n): each coordinate is one contiguous row
+    means = data[_farthest_point_indices(data_t, n_components, derive_rng(seed, "gmm-init"))]
     global_var = np.maximum(data.var(axis=0), cov_floor)
     variances = np.tile(global_var, (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
-    data_t = np.ascontiguousarray(data.T)  # (d, n): each coordinate is one contiguous row
     trace: list[float] = []
     for _ in range(max_iters):
         log_parts = np.stack(

@@ -5,6 +5,8 @@ near-identity channels, so full pipeline runs finish in well under a second
 while still exercising every phase.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,15 @@ def make_pool(rows):
         v=side(STEP_U_TO_V, MODALITY_V),
         u=side(STEP_V_TO_U, MODALITY_U),
     )
+
+
+def recolumn(pool_record, key, edit):
+    """Re-encode column ``key`` of a dataset line's ``pool`` record, decoded
+    by hand as the format describes: ``edit`` takes its values as a list and
+    returns the new ones."""
+    wire = "<f8" if key == "teacher_loss" else "<i8"
+    values = edit(np.frombuffer(base64.b64decode(pool_record[key]), wire).tolist())
+    pool_record[key] = base64.b64encode(np.array(values, dtype=wire).tobytes()).decode("ascii")
 
 
 def scored_pool(losses, round=0):

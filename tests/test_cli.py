@@ -5,7 +5,6 @@ import contextlib
 import copy
 import io
 import json
-import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +21,7 @@ from chainviews.config import load_experiment_data, parse_config, read_config_ma
 from chainviews.datamodel import read_dataset
 from chainviews.diversity import diversity_report
 from chainviews.pipeline import extract_stages, run_pipeline
+from conftest import recolumn
 
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "clean_quick.yaml"
@@ -389,42 +389,39 @@ def test_diversity_needs_synthetic_views(tmp_path, capsys):
     assert "no synthetic views" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "pattern, replacement, message",
-    [
-        (r'"survived":\[\d+', '"survived":[-1', "non-negative"),
-        ('"version":3', '"version":1', "version 1"),
-        ('"version":3', '"version":2', "version 2"),
-    ],
-    ids=["negative_count", "version_1_pool", "version_2_pool"],
-)
-def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, capsys, pattern, replacement, message):
-    dataset = tmp_path / "dataset.jsonl"
-    text = (run_artifacts.out / "dataset.jsonl").read_text()
-    dataset.write_text(re.sub(pattern, replacement, text, count=1))
-    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
-    assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
-
-
-def diversity_on_edited(run_artifacts, tmp_path, edit) -> int:
+def diversity_on_edited(run_artifacts, tmp_path, edit, line=1) -> int:
     """``chainviews diversity`` on the run's dataset with ``edit`` applied to
-    the first instance record."""
+    the record on 0-based ``line`` (the first instance by default)."""
     lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
+    record = json.loads(lines[line])
     edit(record)
-    lines[1] = json.dumps(record)
+    lines[line] = json.dumps(record)
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
     return main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (1, lambda record: recolumn(record["pool"], "survived", lambda counts: [-1] + counts[1:]), "non-negative"),
+        (0, lambda header: header.update(version=1), "version 1"),
+        (0, lambda header: header.update(version=2), "version 2"),
+        (0, lambda header: header.update(version=3), "version 3"),
+    ],
+    ids=["negative_count", "version_1_pool", "version_2_pool", "version_3_pool"],
+)
+def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, capsys, line, edit, message):
+    assert diversity_on_edited(run_artifacts, tmp_path, edit, line) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and err.startswith(f"error: line {line + 1}: "), err
 
 
 def test_diversity_rejects_a_broken_ancestry_chain(run_artifacts, tmp_path, capsys):
     # a view that names itself as its parent parses, but its chain never
     # reaches the real view: validate_dataset must turn the file away
     def self_parent(record):
-        parents = record["pool"]["parent_id"]
-        parents[-1] = len(parents) - 1
+        recolumn(record["pool"], "parent_id", lambda parents: parents[:-1] + [len(parents) - 1])
 
     assert diversity_on_edited(run_artifacts, tmp_path, self_parent) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -433,21 +430,19 @@ def test_diversity_rejects_a_broken_ancestry_chain(run_artifacts, tmp_path, caps
 
 
 def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
-    # the teacher losses are the only floats written as JSON numbers
-    code = diversity_on_edited(run_artifacts, tmp_path, lambda record: record["pool"]["teacher_loss"].__setitem__(0, float("nan")))
+    # no float is written as a JSON number, so a NaN constant is refused wherever it stands
+    code = diversity_on_edited(run_artifacts, tmp_path, lambda record: record.__setitem__("label", float("nan")))
     assert code == EXIT_USAGE
     assert "line 2: non-finite number NaN" in capsys.readouterr().err
 
 
 def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_path, capsys):
-    lines = (run_artifacts.out / "dataset.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    record["pool"]["teacher_loss"][0] = 12345.5
-    lines[1] = json.dumps(record).replace("12345.5", "1e999")
-    dataset = tmp_path / "dataset.jsonl"
-    dataset.write_text("\n".join(lines) + "\n")
-    code = main(["diversity", "--config", run_artifacts.config, "--out", str(tmp_path), "--dataset", str(dataset)])
-    assert code == EXIT_USAGE
+    # a loss written as the literal 1e999 read as inf in format 3; in the
+    # loss column of format 4, inf is a bit pattern, refused the same way
+    def infinite_loss(record):
+        recolumn(record["pool"], "teacher_loss", lambda losses: [float("inf")] + losses[1:])
+
+    assert diversity_on_edited(run_artifacts, tmp_path, infinite_loss) == EXIT_USAGE
     assert "line 2: view 0 has a non-finite teacher loss" in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import re
 import struct
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ from chainviews.datamodel import (
     write_dataset,
 )
 from chainviews.datamodel import _ancestry
-from conftest import make_pool
+from conftest import make_pool, recolumn
 
 
 def make_instance(iid=0, label=0, pool=()):
@@ -88,6 +89,22 @@ def test_instance_refuses_negative_ints_and_a_real_view_not_one_u_side_row(field
     Instance(**GOOD_FIELDS)
     with pytest.raises(ValueError, match=message):
         Instance(**{**GOOD_FIELDS, field: value})
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 1.0, "1", np.float64(2.0), None], ids=["bool", "fraction", "float", "string", "numpy_float", "none"])
+@pytest.mark.parametrize("field", ["id", "label", "subject", "object"])
+def test_instance_refuses_a_non_integer_field_naming_it(field, value):
+    # the line template writes each field as is: 1.5 must never reach it as a label
+    with pytest.raises(ValueError, match=re.escape(f"instance {field} must be an integer, got {value!r}")):
+        Instance(**{**GOOD_FIELDS, field: value})
+
+
+def test_instance_stores_numpy_ints_as_int():
+    inst = Instance(np.int64(3), np.int32(1), np.uint8(2), np.int16(0), GOOD_FIELDS["real_view"])
+    assert [type(getattr(inst, name)) for name in ("id", "label", "subject", "object")] == [int] * 4
+    text = dataset_to_string([inst], make_schema())
+    assert '{"id":3,"label":1,"subject":2,"object":0,' in text
+    assert read_dataset(from_text(text))[0][0].id == 3
 
 
 def test_label_rejects_negative():
@@ -326,15 +343,27 @@ def test_round_trip_is_identity_and_byte_stable():
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)
     # re-serialization is byte-identical
     assert dataset_to_string(loaded, loaded_schema) == text
-    assert '"survived":[2,0]' in text and '"synthetic_views"' not in text
+    assert f'"survived":"{base64.b64encode(struct.pack("<2q", 2, 0)).decode()}"' in text and '"synthetic_views"' not in text
 
 
 def test_teacher_loss_omitted_when_unscored():
+    # an unscored view's loss is NaN on disk
     instances, schema = full_dataset(2)
     lines = dataset_to_string(instances, schema).splitlines()
-    scored, unscored = (json.loads(line)["pool"]["teacher_loss"] for line in lines[1:])
-    assert type(scored[0]) is float and scored[1] is None  # instance 0 scored its v-side view
-    assert unscored == [None, None]  # instance 1 scored nothing
+    scored, unscored = (np.frombuffer(base64.b64decode(json.loads(line)["pool"]["teacher_loss"]), "<f8") for line in lines[1:])
+    assert np.isfinite(scored[0]) and np.isnan(scored[1])  # instance 0 scored its v-side view
+    assert np.isnan(unscored).all() and len(unscored) == 2  # instance 1 scored nothing
+
+
+def test_pool_columns_decode_by_hand_as_little_endian_8_byte_values():
+    instances, schema = full_dataset(3)
+    for instance, line in zip(instances, dataset_to_string(instances, schema).splitlines()[1:]):
+        record, pool = json.loads(line)["pool"], instance.synthetic_pool
+        column = {key: np.frombuffer(base64.b64decode(record[key]), "<i8") for key in ("round", "step", "parent_id", "survived")}
+        assert [column["round"].tolist(), column["parent_id"].tolist(), column["survived"].tolist()] == [
+            pool.round.tolist(), pool.parent_id.tolist(), pool.survived.tolist()]
+        assert column["step"].tolist() == [0 if step == STEP_U_TO_V else 1 for step in pool.step]
+        assert_same_bits(np.frombuffer(base64.b64decode(record["teacher_loss"]), "<f8").astype(np.float64), pool.teacher_loss)
 
 
 def test_round_trip_via_file(tmp_path):
@@ -519,23 +548,23 @@ def test_writing_a_path_replaces_the_old_file(tmp_path):
 
 def test_unknown_version_rejected():
     text = dataset_to_string([], make_schema())
-    bumped = text.replace('"version":3', '"version":99')
+    bumped = text.replace('"version":4', '"version":99')
     with pytest.raises(DatasetFormatError) as err:
         read_dataset(from_text(bumped))
     assert err.value.line == 1
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_earlier_versions_are_rejected_naming_their_version(version):
     instances, schema = full_dataset(2)
-    text = dataset_to_string(instances, schema).replace('"version":3', f'"version":{version}', 1)
-    with pytest.raises(DatasetFormatError, match=f"unsupported format version {version}: only version 3 is read") as err:
+    text = dataset_to_string(instances, schema).replace('"version":4', f'"version":{version}', 1)
+    with pytest.raises(DatasetFormatError, match=f"unsupported format version {version}: only version 4 is read") as err:
         read_dataset(from_text(text))
     assert err.value.line == 1
 
 
 def encode(kind, rows):
-    """``rows`` as a version-3 matrix record, encoded independently of the
+    """``rows`` as a matrix record, encoded independently of the
     writer: ``struct`` packs little-endian whatever the host's byte order."""
     flat = [x for row in rows for x in row]
     raw = struct.pack(f"<{len(flat)}{'d' if kind == 'vector' else 'q'}", *flat)
@@ -567,19 +596,21 @@ def test_a_matrix_decodes_by_hand_as_little_endian_row_major():
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ('"survived":[1,0]', '"survived":[-1,0]', "non-negative"),
-        ('"survived":[1,0]', '"survived":[1,1]', "only v-side"),
+        ([1, 0], [-1, 0], "non-negative"),
+        ([1, 0], [1, 1], "only v-side"),
     ],
     ids=["negative", "u_side"],
 )
 def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
     instances, schema = full_dataset(3)
-    text = dataset_to_string(instances, schema)
-    lines = text.splitlines()
-    assert old in lines[2]
-    lines[2] = lines[2].replace(old, new)
+
+    def edit(survived):
+        assert survived == old
+        return new
+
+    text = edited(instances, schema, 3, lambda record: recolumn(record["pool"], "survived", edit))
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset(from_text("\n".join(lines)))
+        read_dataset(from_text(text))
     assert err.value.line == 3
 
 
@@ -595,7 +626,7 @@ def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
         (3, ("label",)),
         (3, ("subject",)),
         (3, ("object",)),
-        # the pool columns, at synthetic view 0
+        # the pool columns, given as a list holding the value as version 3 did
         pytest.param(3, ("pool", "round", 0), id="3-synthetic_views.0.round"),
         pytest.param(3, ("pool", "parent_id", 0), id="3-synthetic_views.0.parent_id"),
         pytest.param(3, ("pool", "survived", 0), id="3-synthetic_views.0.survived"),
@@ -606,13 +637,17 @@ def test_integer_fields_reject_other_values(line, path, value):
     instances, schema = full_dataset(3)
 
     def edit(record):
+        if path[0] == "pool":
+            record["pool"][path[1]] = [value]
+            return
         target = record
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
 
-    key = path[1] if path[0] == "pool" else path[-1]  # a pool column's name, not its index
-    with pytest.raises(DatasetFormatError, match=f"{key} must be an integer") as err:
+    pool = path[0] == "pool"
+    message = f"bad pool column: {path[1]} must be a base64 string, got list" if pool else f"{path[-1]} must be an integer"
+    with pytest.raises(DatasetFormatError, match=message) as err:
         read_dataset(from_text(edited(instances, schema, line, edit)))
     assert err.value.line == line
 
@@ -620,22 +655,23 @@ def test_integer_fields_reject_other_values(line, path, value):
 def test_integral_numbers_read_as_integers():
     instances, schema = full_dataset(3)
     text = dataset_to_string(instances, schema)
-    loaded, _ = read_dataset(from_text(text.replace('"id":1,', '"id":1.0,', 1).replace('"round":[0,1]', '"round":[0.0,1]', 1)))
+    loaded, _ = read_dataset(from_text(text.replace('"id":1,', '"id":1.0,', 1)))
     assert dataset_to_string(loaded, schema) == text
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_rejected_at_read_time(value):
-    # the teacher losses are the only floats written as JSON numbers
+    # no float is written as a JSON number, so a NaN or Infinity constant
+    # is refused wherever it stands
     instances, schema = full_dataset(3)
-    text = edited(instances, schema, 3, lambda record: record["pool"]["teacher_loss"].__setitem__(0, value))
+    text = edited(instances, schema, 3, lambda record: record.__setitem__("label", value))
     with pytest.raises(DatasetFormatError, match="non-finite number") as err:
         read_dataset(from_text(text))
     assert err.value.line == 3
 
 
 def with_bits(record, side, row, column, value):
-    """Set one element of a version-3 matrix record to ``value``'s bits."""
+    """Set one element of a matrix record to ``value``'s bits."""
     m = record[side] if side == "real_view" else record["pool"][side]
     data = np.frombuffer(base64.b64decode(m["data"]), "<f8").reshape(m["shape"]).copy()
     data[row, column] = value
@@ -647,13 +683,14 @@ def with_bits(record, side, row, column, value):
     [
         (lambda record: with_bits(record, "real_view", 0, 0, np.inf), "the real view holds a non-finite number"),
         (lambda record: with_bits(record, "u", 0, 1, np.inf), "synthetic view 1 holds a non-finite number"),
-        (lambda record: record["pool"]["teacher_loss"].__setitem__(0, 12345.5), "view 0 has a non-finite teacher loss"),
+        (lambda record: recolumn(record["pool"], "teacher_loss", lambda losses: [np.inf] + losses[1:]), "view 0 has a non-finite teacher loss"),
+        (lambda record: record.__setitem__("label", 12345.5), "label must be an integer, got inf"),
     ],
-    ids=["real_view", "synthetic_view", "teacher_loss"],
+    ids=["real_view", "synthetic_view", "teacher_loss", "label"],
 )
 def test_literals_that_overflow_a_float_are_rejected_at_read_time(edit, message):
     # json.loads reads 1e999 as inf without calling parse_constant; in a
-    # matrix, inf is a bit pattern
+    # matrix or a pool column, inf is a bit pattern
     instances, schema = full_dataset(3)
     text = edited(instances, schema, 2, edit).replace("12345.5", "1e999")
     with pytest.raises(DatasetFormatError, match=message) as err:
@@ -685,7 +722,63 @@ def test_non_finite_bit_patterns_name_the_pool_index(bits, row):
     assert err.value.line == 2
 
 
-EMPTY_POOL_RECORD = {"round": [], "step": [], "parent_id": [], "teacher_loss": [], "survived": [], "v": None, "u": None}
+THREE_VIEWS = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (1, STEP_V_TO_U, 0, [0.5, 0.5]), (1, STEP_U_TO_V, 1, [2.0, 3.0])]
+
+
+@pytest.mark.parametrize("bits", [0x7FF0000000000000, 0xFFF0000000000000], ids=["inf", "-inf"])
+@pytest.mark.parametrize("index", [0, 2])
+def test_an_infinite_teacher_loss_names_the_pool_index(bits, index):
+    # NaN bits mean unscored; an infinite loss is no loss a teacher gives
+    (inf,) = struct.unpack("<d", struct.pack("<Q", bits))
+
+    def edit(record):
+        recolumn(record["pool"], "teacher_loss", lambda losses: [inf if i == index else x for i, x in enumerate(losses)])
+
+    with pytest.raises(DatasetFormatError, match=f"^line 2: view {index} has a non-finite teacher loss") as err:
+        read_dataset(from_text(edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, edit)))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        # 24 zero bytes are 32 "A"s: a lax decoder would skip the "*"
+        ("round", "A" * 11 + "*" + "A" * 21, "round is not base64"),
+        ("parent_id", "A" * 31 + "\n", "parent_id is not base64"),
+        ("survived", base64.b64encode(bytes(12)).decode("ascii"), "survived holds 12 bytes, not a whole number of 8-byte values"),
+        ("teacher_loss", None, "teacher_loss must be a base64 string, got NoneType"),
+    ],
+    ids=["non_alphabet", "trailing_newline", "12_bytes", "null"],
+)
+def test_pool_columns_must_be_strict_base64_of_8_byte_values(key, text, message):
+    def edit(record):
+        record["pool"][key] = text
+
+    with pytest.raises(DatasetFormatError, match=f"^line 2: bad pool column: {message}") as err:
+        read_dataset(from_text(edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, edit)))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("code", [2, -1])
+def test_a_step_code_other_than_0_or_1_names_the_pool_index(code):
+    def edit(record):
+        recolumn(record["pool"], "step", lambda steps: steps[:2] + [code])
+
+    text = edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, edit)
+    with pytest.raises(DatasetFormatError, match=f"^line 2: view 2 has unknown step code {code}$") as err:
+        read_dataset(from_text(text))
+    assert err.value.line == 2
+
+
+def pool_record(v=None, u=None, **columns):
+    """A pool record holding ``columns`` (each empty unless given)."""
+    record = {key: "" for key in ("round", "step", "parent_id", "teacher_loss", "survived")}
+    for key, values in columns.items():
+        recolumn(record, key, lambda _: values)
+    return {**record, "v": v, "u": u}
+
+
+EMPTY_POOL_RECORD = pool_record()
 
 
 def test_symbol_that_overflows_an_integer_is_a_format_error():
@@ -707,7 +800,7 @@ def test_symbols_outside_the_alphabet_are_rejected(where, symbol):
     discrete = ViewSpec("discrete", 4)
     header = dataset_to_string([], make_schema(u_spec=discrete, v_spec=discrete))
     real, synthetic = ([0, symbol], [0, 3]) if where == "real" else ([0, 3], [0, symbol])
-    pool = {**EMPTY_POOL_RECORD, "round": [0], "step": ["u_to_v"], "parent_id": [-1], "teacher_loss": [None], "survived": [0]}
+    pool = pool_record(round=[0], step=[0], parent_id=[-1], teacher_loss=[np.nan], survived=[0])
     record = {
         "id": 0, "label": 0, "subject": 0, "object": 1,
         "real_view": encode("discrete", [real]),
@@ -806,8 +899,8 @@ def test_matrix_shape_must_be_two_positive_integers(shape):
 @pytest.mark.parametrize("column", ["round", "step", "parent_id", "teacher_loss", "survived"])
 def test_pool_columns_of_unequal_length_are_rejected(column):
     instances, schema = full_dataset(3)
-    text = edited(instances, schema, 3, lambda record: record["pool"][column].pop())
-    with pytest.raises(DatasetFormatError, match="pool columns must be lists of one length") as err:
+    text = edited(instances, schema, 3, lambda record: recolumn(record["pool"], column, lambda values: values[:-1]))
+    with pytest.raises(DatasetFormatError, match="pool columns must be of one length") as err:
         read_dataset(from_text(text))
     assert err.value.line == 3
 
@@ -822,14 +915,12 @@ def test_pool_columns_of_unequal_length_are_rejected(column):
     ids=["too_few_rows", "too_many_rows", "rows_for_no_views"],
 )
 def test_the_v_matrix_needs_one_row_per_u_to_v_step(steps, v_rows, message):
-    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0]), (1, STEP_V_TO_U, 0, [0.5, 0.5]), (1, STEP_U_TO_V, 1, [2.0, 3.0])]
-
     def edit(record):
-        record["pool"]["step"] = steps
+        recolumn(record["pool"], "step", lambda _: [0 if step == STEP_U_TO_V else 1 for step in steps])
         record["pool"]["v"] = encode("vector", [[0.0, 1.0]] * v_rows)
 
     with pytest.raises(DatasetFormatError, match=message) as err:
-        read_dataset(from_text(edited([make_instance(pool=pool)], make_schema(), 2, edit)))
+        read_dataset(from_text(edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, edit)))
     assert err.value.line == 2
 
 
@@ -855,6 +946,8 @@ def test_schema_mismatch_surfaces_on_validation():
 # the bits a text format could lose: the sign of zero, subnormals, the extremes
 EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max)
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# unscored: the canonical NaN, and NaNs whose sign and payload the loss column must keep
+NANS = tuple(struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (0x7FF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001))
 
 
 def symbols(size):
@@ -890,7 +983,7 @@ def datasets(draw):
     for iid in range(draw(st.integers(0, 3))):
         n = draw(st.integers(0, 8))
         on_v = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        losses = draw(st.lists(st.one_of(st.just(np.nan), FINITE), min_size=n, max_size=n))
+        losses = draw(st.lists(st.one_of(st.sampled_from(NANS), FINITE), min_size=n, max_size=n))
         survived = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         n_v = sum(on_v)
         pool = Pool(
@@ -932,3 +1025,48 @@ def test_write_read_write_is_byte_identical_and_field_equal(dataset):
         assert (a.real_view.kind, a.real_view.modality) == (b.real_view.kind, b.real_view.modality)
         assert_same_bits(a.real_view.data, b.real_view.data)
         assert_pools_equal(a.synthetic_pool, b.synthetic_pool)
+
+
+def reference_line(instance):
+    """An instance's line as ``json.dumps`` writes its record, each column
+    packed by ``struct``, independently of the writer's template."""
+    pool = instance.synthetic_pool
+
+    def column(code, values):
+        return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+    def matrix(batch):
+        return None if batch is None else encode(batch.kind, batch.data.tolist())
+
+    record = {
+        "id": instance.id,
+        "label": instance.label,
+        "subject": instance.subject,
+        "object": instance.object,
+        "real_view": matrix(instance.real_view),
+        "pool": {
+            "round": column("q", pool.round.tolist()),
+            "step": column("q", [0 if step == STEP_U_TO_V else 1 for step in pool.step]),
+            "parent_id": column("q", pool.parent_id.tolist()),
+            "teacher_loss": column("d", pool.teacher_loss.tolist()),
+            "survived": column("q", pool.survived.tolist()),
+            "v": matrix(pool.v),
+            "u": matrix(pool.u),
+        },
+    }
+    return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dataset=datasets())
+def test_the_line_template_writes_what_json_dumps_writes(dataset):
+    instances, schema = dataset
+    lines = dataset_to_string(instances, schema).split("\n")
+    assert lines[1:] == [reference_line(instance) for instance in instances] + [""]
+
+
+def test_a_non_canonical_nan_loss_keeps_its_bits():
+    (nan,) = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))
+    text = dataset_to_string([make_instance(pool=[(0, STEP_U_TO_V, REAL_PARENT, [0.0, 1.0], nan)])], make_schema())
+    [loaded], _ = read_dataset(from_text(text))
+    assert struct.unpack("<Q", loaded.synthetic_pool.teacher_loss.tobytes())[0] == 0xFFF8000000000123

@@ -14,6 +14,7 @@ from chainviews.diversity import (
     sample_gmm,
     total_covariance,
 )
+from chainviews.diversity import _farthest_point_indices
 from chainviews.rng import derive_rng
 
 
@@ -216,14 +217,38 @@ def test_empty_report_is_an_error():
 # --- the EM layout against its reference ---------------------------------------------
 
 
+def reference_farthest_points(data, k, rng):
+    """Farthest-point seeding on the (n, d) layout, each squared distance
+    summed along its point's row."""
+    chosen = [int(rng.integers(data.shape[0]))]
+    dist = np.sum((data - data[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.sum((data - data[chosen[-1]]) ** 2, axis=1))
+    return chosen
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_farthest_points_on_the_transposed_layout_match_the_row_layout(d, ties):
+    # rounded to a coarse grid, many points share a distance and argmax
+    # must break every tie as the row layout does
+    for trial in range(20):
+        rng = derive_rng(trial, f"farthest-{d}")
+        n, k = int(rng.integers(2, 400)), int(rng.integers(1, 7))
+        data = rng.normal(size=(n, d)) * rng.uniform(0.01, 1e3, size=d)
+        data = np.round(data / 300.0) if ties else data
+        k = min(k, n)
+        want = reference_farthest_points(data, k, derive_rng(trial, "seed"))
+        assert _farthest_point_indices(np.ascontiguousarray(data.T), k, derive_rng(trial, "seed")) == want
+
+
 def reference_fit_gmm(data, n_components, seed=0, max_iters=200, tol=1e-7, cov_floor=1e-6):
     """EM on the (n, d) layout, one row per point, summing each point's
     coordinates along its row: the arithmetic fit_gmm must reproduce bit for
     bit on its (d, n) layout."""
-    from chainviews.diversity import _farthest_point_indices
-
     n, d = data.shape
-    means = data[_farthest_point_indices(data, n_components, derive_rng(seed, "gmm-init"))].copy()
+    means = data[reference_farthest_points(data, n_components, derive_rng(seed, "gmm-init"))]
     variances = np.tile(np.maximum(data.var(axis=0), cov_floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
     trace = []
