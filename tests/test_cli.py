@@ -437,8 +437,8 @@ def test_diversity_rejects_non_finite_values(run_artifacts, tmp_path, capsys):
 
 
 def test_diversity_rejects_a_literal_that_overflows_a_float(run_artifacts, tmp_path, capsys):
-    # a loss written as the literal 1e999 read as inf in format 3; in the
-    # loss column of format 4, inf is a bit pattern, refused the same way
+    # the loss column holds inf as a bit pattern, not a literal json.loads
+    # overflows to: the reader must refuse it all the same, naming the view
     def infinite_loss(record):
         recolumn(record["pool"], "teacher_loss", lambda losses: [float("inf")] + losses[1:])
 

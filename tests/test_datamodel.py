@@ -359,11 +359,11 @@ def test_pool_columns_decode_by_hand_as_little_endian_8_byte_values():
     instances, schema = full_dataset(3)
     for instance, line in zip(instances, dataset_to_string(instances, schema).splitlines()[1:]):
         record, pool = json.loads(line)["pool"], instance.synthetic_pool
-        column = {key: np.frombuffer(base64.b64decode(record[key]), "<i8") for key in ("round", "step", "parent_id", "survived")}
-        assert [column["round"].tolist(), column["parent_id"].tolist(), column["survived"].tolist()] == [
-            pool.round.tolist(), pool.parent_id.tolist(), pool.survived.tolist()]
+        column = {key: np.frombuffer(base64.b64decode(record[key]), "<f8" if key == "teacher_loss" else "<i8") for key in record if key not in ("v", "u")}
+        for key in ("round", "parent_id", "survived"):
+            assert column[key].tolist() == getattr(pool, key).tolist()
         assert column["step"].tolist() == [0 if step == STEP_U_TO_V else 1 for step in pool.step]
-        assert_same_bits(np.frombuffer(base64.b64decode(record["teacher_loss"]), "<f8").astype(np.float64), pool.teacher_loss)
+        assert_same_bits(column["teacher_loss"].astype(np.float64), pool.teacher_loss)
 
 
 def test_round_trip_via_file(tmp_path):
@@ -626,7 +626,7 @@ def test_bad_survival_count_in_a_file_names_the_line(old, new, message):
         (3, ("label",)),
         (3, ("subject",)),
         (3, ("object",)),
-        # the pool columns, given as a list holding the value as version 3 did
+        # the pool columns, given as a JSON list holding the value in place of base64
         pytest.param(3, ("pool", "round", 0), id="3-synthetic_views.0.round"),
         pytest.param(3, ("pool", "parent_id", 0), id="3-synthetic_views.0.parent_id"),
         pytest.param(3, ("pool", "survived", 0), id="3-synthetic_views.0.survived"),
