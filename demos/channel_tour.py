@@ -10,6 +10,7 @@ actually collapses.
 import numpy as np
 
 from chainviews import (
+    ComposedChannel,
     DiscreteChannel,
     LinearGaussianChannel,
     MixtureChannel,
@@ -18,7 +19,6 @@ from chainviews import (
     PRESET_NAMES,
     ViewBatch,
     ViewSpec,
-    compose,
     derive_rng,
     discrete_view,
     generate_benchmark,
@@ -39,7 +39,7 @@ out = sample_channel(flip, stack_views([msg]), rng)
 print(f"input symbols  {msg.data.tolist()}")
 print(f"after 10% flip {out.data[0].tolist()}")
 
-twice = compose([flip, DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_out, sym_out)])
+twice = ComposedChannel([flip, DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_out, sym_out)])
 print(f"two flips composed: effective matrix row 0 = {twice.stages[0].matrix[0] @ twice.stages[1].matrix}")
 
 print()

@@ -23,7 +23,6 @@ from .channels import (
     PrototypeCollapseChannel,
     PRESET_NAMES,
     Streams,
-    compose,
     generate_benchmark,
     lossy_world_preset,
     sample_channel,
@@ -119,7 +118,6 @@ from .selection import (
     RandomLinearEmbedder,
     SelectionError,
     keep_count,
-    rank_keep,
 )
 from .verification import CheckResult, all_passed, run_checks
 

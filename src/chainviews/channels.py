@@ -282,10 +282,6 @@ class ComposedChannel:
         return X
 
 
-def compose(channels: Sequence) -> ComposedChannel:
-    return ComposedChannel(channels)
-
-
 def stack_views(views: Sequence[ViewBatch]) -> ViewBatch:
     """The rows of ``views`` as one batch; they must share their kind, side and length."""
     if not views:
@@ -426,42 +422,26 @@ def _vec_port(size: int, modality: str) -> Port:
     return Port(ViewSpec("vector", size), modality)
 
 
-def _clean_preset(seed: int):
-    d = 2
-    means = 4.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    world = BenchmarkWorld(
-        name="clean",
+def _preset_world(name: str, means: np.ndarray, within_class_sigma: float, seed: int) -> BenchmarkWorld:
+    return BenchmarkWorld(
+        name=name,
         class_count=4,
         class_means=means,
-        within_class_sigma=1.0,
+        within_class_sigma=within_class_sigma,
         entity_vocab=8,
         entity_pairs_by_class=_PRESET_PAIRS,
         seed=seed,
     )
-    eye = np.eye(d)
-    zero = np.zeros(d)
-    g_uv = LinearGaussianChannel(eye, zero, 0.4, _vec_port(d, MODALITY_U), _vec_port(d, MODALITY_V))
-    g_vu = LinearGaussianChannel(eye, zero, 0.4, _vec_port(d, MODALITY_V), _vec_port(d, MODALITY_U))
-    return world, g_uv, g_vu
 
 
-def _noisy_preset(seed: int):
-    d = 4
-    means = 3.0 * np.eye(4)
-    world = BenchmarkWorld(
-        name="noisy",
-        class_count=4,
-        class_means=means,
-        within_class_sigma=1.0,
-        entity_vocab=8,
-        entity_pairs_by_class=_PRESET_PAIRS,
-        seed=seed,
-    )
+def _identity_preset(name: str, means: np.ndarray, noise_sigma: float, seed: int):
+    # clean and noisy: unit within-class sigma, identity channels both ways
+    d = means.shape[1]
     eye = np.eye(d)
     zero = np.zeros(d)
-    g_uv = LinearGaussianChannel(eye, zero, 0.8, _vec_port(d, MODALITY_U), _vec_port(d, MODALITY_V))
-    g_vu = LinearGaussianChannel(eye, zero, 0.8, _vec_port(d, MODALITY_V), _vec_port(d, MODALITY_U))
-    return world, g_uv, g_vu
+    g_uv = LinearGaussianChannel(eye, zero, noise_sigma, _vec_port(d, MODALITY_U), _vec_port(d, MODALITY_V))
+    g_vu = LinearGaussianChannel(eye, zero, noise_sigma, _vec_port(d, MODALITY_V), _vec_port(d, MODALITY_U))
+    return _preset_world(name, means, 1.0, seed), g_uv, g_vu
 
 
 def _collapse_heavy_preset(seed: int):
@@ -472,15 +452,7 @@ def _collapse_heavy_preset(seed: int):
     d_u, d_v = 32, 4
     means = np.zeros((4, d_u))
     means[:, :4] = 3.0 * np.eye(4)
-    world = BenchmarkWorld(
-        name="collapse-heavy",
-        class_count=4,
-        class_means=means,
-        within_class_sigma=1.5,
-        entity_vocab=8,
-        entity_pairs_by_class=_PRESET_PAIRS,
-        seed=seed,
-    )
+    world = _preset_world("collapse-heavy", means, 1.5, seed)
     proj = np.zeros((d_v, d_u))
     proj[:, :4] = np.eye(4)
     u_port, v_port = _vec_port(d_u, MODALITY_U), _vec_port(d_v, MODALITY_V)
@@ -501,9 +473,12 @@ def _collapse_heavy_preset(seed: int):
     return world, g_uv, g_vu
 
 
+# Each builder makes its means afresh, so no two worlds share an array.
 _PRESETS = {
-    "clean": _clean_preset,
-    "noisy": _noisy_preset,
+    "clean": lambda seed: _identity_preset(
+        "clean", 4.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.4, seed
+    ),
+    "noisy": lambda seed: _identity_preset("noisy", 3.0 * np.eye(4), 0.8, seed),
     "collapse-heavy": _collapse_heavy_preset,
 }
 

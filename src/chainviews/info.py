@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from .nn import softmax_xent
 from .rng import derive_rng
 
 DEFAULT_CELL_CAP = 1_000_000
@@ -150,26 +151,18 @@ def chain_mi_profile(spec: MarkovChainSpec, tol: float = 1e-9) -> list[float]:
     return profile
 
 
-def mi_lower_bound(f, samples, class_count: int) -> float:
-    """Average of ``f(v, y) - logsumexp_y' f(v, y')`` over ``samples``.
-
-    With ``f`` returning classifier logits this is exactly the negative mean
-    cross-entropy, a lower bound on I(V; Y) minus log(class_count) under
+def mi_lower_bound(logits, labels) -> float:
+    """The negative mean cross-entropy of ``(n, C)`` classifier ``logits``
+    against ``n`` labels: a lower bound on I(V; Y) minus log(C) under
     uniform labels; see :func:`verify_classifier_bound` for the shifted,
     tight form. Never positive.
     """
-    samples = list(samples)
-    if not samples:
-        raise InfoError("need at least one sample")
-    if class_count < 2:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise InfoError(f"need an (n, C) logits matrix with at least one row, got shape {logits.shape}")
+    if logits.shape[1] < 2:
         raise InfoError("need at least two classes")
-    total = 0.0
-    for view, label in samples:
-        scores = np.array([float(f(view, y)) for y in range(class_count)])
-        m = scores.max()
-        lse = m + math.log(np.exp(scores - m).sum())
-        total += scores[label] - lse
-    return total / len(samples)
+    return -float(np.mean(softmax_xent(logits, labels)[0]))
 
 
 # --- trained-classifier bound verification ----------------------------------

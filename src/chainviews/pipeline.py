@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -111,7 +111,10 @@ class PipelineConfig:
         for name in ("initial_views", "train_views", "infer_views"):
             check_int(name, getattr(self, name), 1)
         if not isinstance(self.spawn_per_kept, tuple) or len(self.spawn_per_kept) != self.ccg_rounds:
-            raise ValueError(f"spawn_per_kept needs {self.ccg_rounds} entries, got {self.spawn_per_kept!r}")
+            raise ValueError(
+                f"spawn_per_kept must be a tuple of non-negative integers, one per round (ccg_rounds="
+                f"{self.ccg_rounds}), got {type(self.spawn_per_kept).__name__} {self.spawn_per_kept!r}"
+            )
         for g in self.spawn_per_kept:
             check_int("spawn_per_kept entries", g, 0)
         if not isinstance(self.infer_full_chain, bool):
@@ -161,9 +164,9 @@ class RunReport:
     config_digest: str
     seed: int
     ccg_rounds: int  # configured K; 0 still runs one selection-only pass
-    rounds: tuple[RoundRecord, ...]
     final_pool_size: int  # v-side candidates per instance after the last generation
     metrics: dict
+    rounds: tuple[RoundRecord, ...]
     timing: dict  # wall-clock seconds; excluded from determinism guarantees
 
 
@@ -726,34 +729,17 @@ def ablation_table(rows: Sequence[AblationRow]) -> list[dict]:
 # --- report serialization ------------------------------------------------------
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return {
-        "condition": report.condition,
-        "config_digest": report.config_digest,
-        "seed": report.seed,
-        "ccg_rounds": report.ccg_rounds,
-        "final_pool_size": report.final_pool_size,
-        "metrics": report.metrics,
-        "rounds": [
-            {
-                "selection_index": r.selection_index,
-                "pool_size": r.pool_size,
-                "kept_size": r.kept_size,
-                "spawned": r.spawned,
-                "per_instance": [
-                    {
-                        "instance_id": p.instance_id,
-                        "candidate_ids": list(p.candidate_ids),
-                        "scores": list(p.scores),
-                        "kept_ids": list(p.kept_ids),
-                    }
-                    for p in r.per_instance
-                ],
-            }
-            for r in report.rounds
-        ],
-        "timing": report.timing,
-    }
+def report_to_dict(record) -> dict:
+    """A report record as report.json's mapping, keyed by its fields in
+    declaration order: a tuple of records becomes a list of mappings, any
+    other tuple a list."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, tuple):
+            value = [report_to_dict(v) for v in value] if value and is_dataclass(value[0]) else list(value)
+        out[f.name] = value
+    return out
 
 
 def save_report(report: RunReport, path) -> None:

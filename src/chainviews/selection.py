@@ -57,12 +57,6 @@ def rank_segments(scores: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]
     return np.split(order - np.repeat(starts, counts), np.cumsum(counts)[:-1])
 
 
-def rank_keep(scores: Sequence[float], k: int) -> list[int]:
-    """Indices of the ``k`` best (lowest) scores, best first, as one segment
-    of :func:`rank_segments`; sort the result for index order."""
-    return rank_segments(np.asarray(scores, dtype=np.float64), [len(scores)])[0][:k].tolist()
-
-
 class RandomLinearEmbedder:
     """Fixed random linear maps into a shared space, one per modality.
 

@@ -17,7 +17,6 @@ from chainviews.channels import (
     PrototypeCollapseChannel,
     PRESET_NAMES,
     Streams,
-    compose,
     generate_benchmark,
     lossy_world_preset,
     sample_channel,
@@ -169,14 +168,14 @@ def test_mixture_branches_must_share_ports():
 
 def test_compose_empty_is_an_error():
     with pytest.raises(ChannelError, match="empty"):
-        compose([])
+        ComposedChannel([])
 
 
 def test_compose_requires_matching_ports():
     a = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
     b = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_V), disc_port(3, MODALITY_U))
     with pytest.raises(ChannelError):
-        compose([a, b])
+        ComposedChannel([a, b])
 
 
 def test_composed_sampling_equals_staged_sampling():
@@ -187,7 +186,7 @@ def test_composed_sampling_equals_staged_sampling():
     m2 = rows2 / rows2.sum(axis=1, keepdims=True)
     a = DiscreteChannel(m1, disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
     b = DiscreteChannel(m2, disc_port(3, MODALITY_V), disc_port(3, MODALITY_U))
-    chain = compose([a, b])
+    chain = ComposedChannel([a, b])
     views = stack_views([discrete_view([0, 1, 2], MODALITY_U), discrete_view([2, 2, 0], MODALITY_U)])
     got = sample_channel(chain, views, derive_rng(7, "cmp"))
     # identical stream, stages applied by hand
@@ -304,6 +303,73 @@ def test_preset_surface():
         instances, schema = generate_benchmark(world, 1, ViewSpec("vector", g_uv.out_port.spec.size))
         out = sample_channel(g_uv, stack_views([instances[0].real_view]), derive_rng(0, "probe"))
         assert g_uv.out_port.accepts(out) and out.data.shape[1] == schema.v_spec.size
+
+
+PRESET_PAIRS = (((0, 1), (6, 7)), ((0, 1), (2, 3)), ((2, 3), (4, 5)), ((4, 5), (6, 7)))
+
+
+def assert_bits(actual, expected):
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_linear(channel, weight, bias, noise_sigma):
+    assert type(channel) is LinearGaussianChannel
+    assert_bits(channel.weight, weight)
+    assert_bits(channel.bias, bias)
+    assert channel.noise_sigma == noise_sigma
+
+
+@pytest.mark.parametrize(
+    "name, means, noise_sigma",
+    [
+        ("clean", [[4.0, 0.0], [0.0, 4.0], [-4.0, 0.0], [0.0, -4.0]], 0.4),
+        ("noisy", [[3.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 3.0]], 0.8),
+    ],
+)
+def test_identity_presets_keep_their_numbers(name, means, noise_sigma):
+    world, g_uv, g_vu = lossy_world_preset(name, seed=5)
+    d = len(means[0])
+    assert (world.name, world.class_count, world.entity_vocab, world.seed) == (name, 4, 8, 5)
+    assert_bits(world.class_means, means)
+    assert world.within_class_sigma == 1.0
+    assert world.entity_pairs_by_class == PRESET_PAIRS
+    identity = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    assert_linear(g_uv, identity, [0.0] * d, noise_sigma)
+    assert_linear(g_vu, identity, [0.0] * d, noise_sigma)
+    assert (g_uv.in_port, g_uv.out_port) == (vec_port(d, MODALITY_U), vec_port(d, MODALITY_V))
+    assert (g_vu.in_port, g_vu.out_port) == (vec_port(d, MODALITY_V), vec_port(d, MODALITY_U))
+
+
+def test_collapse_heavy_preset_keeps_its_numbers():
+    world, g_uv, g_vu = lossy_world_preset("collapse-heavy", seed=5)
+    diagonal = (np.arange(4), np.arange(4))
+    means = np.zeros((4, 32))
+    means[diagonal] = 3.0
+    proj = np.zeros((4, 32))
+    proj[diagonal] = 1.0
+    assert (world.name, world.class_count, world.entity_vocab, world.seed) == ("collapse-heavy", 4, 8, 5)
+    assert_bits(world.class_means, means)
+    assert world.within_class_sigma == 1.5
+    assert world.entity_pairs_by_class == PRESET_PAIRS
+    assert type(g_uv) is MixtureChannel and g_uv.branch_prob == 0.55
+    collapse, faithful = g_uv.a, g_uv.b
+    assert type(collapse) is PrototypeCollapseChannel
+    assert_bits(collapse.prototypes, [[2.2, 2.2, 2.2, 2.2], [-2.2, -2.2, -2.2, -2.2]])
+    assert_bits(collapse.projection, proj)
+    assert (collapse.temperature, collapse.jitter_sigma) == (8.0, 0.4)
+    assert_linear(faithful, proj, np.zeros(4), 0.35)
+    assert_linear(g_vu, proj.T, np.zeros(32), 0.35)
+    assert (g_uv.in_port, g_uv.out_port) == (vec_port(32, MODALITY_U), vec_port(4, MODALITY_V))
+    assert (g_vu.in_port, g_vu.out_port) == (vec_port(4, MODALITY_V), vec_port(32, MODALITY_U))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_each_preset_call_builds_its_own_means(name):
+    first, _, _ = lossy_world_preset(name, seed=0)
+    second, _, _ = lossy_world_preset(name, seed=0)
+    assert not np.shares_memory(first.class_means, second.class_means)
 
 
 def test_collapse_heavy_shares_prototypes_across_classes():
@@ -478,7 +544,7 @@ def _segment_channels():
     channels = []
     for name in PRESET_NAMES:
         _, g_uv, g_vu = lossy_world_preset(name, seed=0)
-        channels += [g_uv, g_vu, compose([g_uv, g_vu])]
+        channels += [g_uv, g_vu, ComposedChannel([g_uv, g_vu])]
     u3, v3 = disc_port(3, MODALITY_U), disc_port(3, MODALITY_V)
     noisy = DiscreteChannel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], u3, v3)
     channels += [noisy, MixtureChannel(0.0, noisy, DiscreteChannel(np.eye(3), u3, v3))]

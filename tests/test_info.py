@@ -163,36 +163,37 @@ def test_chain_alphabets_must_match():
 
 
 def test_uniform_scorer_bounds_at_minus_ln_c():
-    samples = [(v, v % 3) for v in range(6)]
-    bound = mi_lower_bound(lambda v, y: 0.0, samples, class_count=3)
+    labels = [v % 3 for v in range(6)]
+    bound = mi_lower_bound(np.zeros((6, 3)), labels)
     assert abs(bound - (-math.log(3))) < 1e-12
 
 
 def test_bound_equals_negative_mean_cross_entropy():
     rng = derive_rng(1, "bound-xent")
     logits_table = rng.normal(size=(8, 4))
-    samples = [(v, int(rng.integers(4))) for v in range(8)]
-
-    def scorer(v, y):
-        return float(logits_table[v, y])
-
-    bound = mi_lower_bound(scorer, samples, class_count=4)
+    labels = [int(rng.integers(4)) for _ in range(8)]
+    bound = mi_lower_bound(logits_table, labels)
     losses = []
-    for v, y in samples:
-        row = logits_table[v]
+    for row, y in zip(logits_table, labels):
         losses.append(-(row[y] - (np.log(np.sum(np.exp(row - row.max()))) + row.max())))
     assert abs(bound - (-float(np.mean(losses)))) < 1e-12
 
 
 def test_bound_requires_samples():
     with pytest.raises(InfoError):
-        mi_lower_bound(lambda v, y: 0.0, [], class_count=2)
+        mi_lower_bound(np.zeros((0, 2)), [])
 
 
 def test_saturated_scorer_on_bijection_approaches_zero():
-    samples = [(0, 0), (1, 1)]
-    bound = mi_lower_bound(lambda v, y: 50.0 if v == y else -50.0, samples, class_count=2)
+    bound = mi_lower_bound([[50.0, -50.0], [-50.0, 50.0]], [0, 1])
     assert -1e-3 < bound <= 0.0
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_bound_refuses_a_label_outside_the_classes(label):
+    # a negative label must not index the last class from the end
+    with pytest.raises(ValueError, match="class index"):
+        mi_lower_bound(np.zeros((2, 3)), [0, label])
 
 
 # --- verify_classifier_bound ----------------------------------------------------------

@@ -48,7 +48,7 @@ from chainviews.pipeline import (
     train_student,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import POLICY_NAMES, keep_count, random_scores, rank_keep, similarity_scores
+from chainviews.selection import POLICY_NAMES, keep_count, random_scores, similarity_scores
 
 from conftest import tiny_benchmark, tiny_config, tiny_world
 
@@ -768,8 +768,14 @@ def test_infer_full_chain_needs_the_return_channel(tiny_run):
     assert student.calls == []
 
 
+def best_first(scores, k):
+    """Reference ranking in plain Python: the indices of the ``k`` lowest
+    scores, best first, equal scores by index."""
+    return sorted(range(len(scores)), key=lambda i: (scores[i], i))[:k]
+
+
 def reference_infer(student, instance, g_uv, g_vu, config, scorer):
-    """One test instance on its own: its stream, ``rank_keep`` over its
+    """One test instance on its own: its stream, ``best_first`` over its
     scores and a batch-of-one student. Returns the label and the chosen
     views' bytes."""
     rng = derive_rng(config.seed, "infer-gen", instance.id)
@@ -786,7 +792,7 @@ def reference_infer(student, instance, g_uv, g_vu, config, scorer):
         scores = similarity_scores(views, stack_views([instance.real_view] * len(views)), scorer.embedder)
     else:  # random, and keep_all, which picks as random does
         scores = random_scores(len(views), config.seed, "infer-pick", instance.id)
-    chosen = views.take(rank_keep(scores, config.infer_views))
+    chosen = views.take(best_first(scores, config.infer_views))
     (logits,) = student.logits(student.inputs(instance.real_view, [chosen], instance.subject, instance.object))
     return int(np.argmax(logits)), chosen.data.tobytes()
 
@@ -887,7 +893,7 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
     losses, _ = softmax_xent(logits, [instance.label] * len(views))
     assert np.all(confidence <= losses + 1e-12)
     (picked,) = scorer.pick([instance], views)
-    assert picked.tolist() == rank_keep(confidence.tolist(), 4)
+    assert picked.tolist() == best_first(confidence.tolist(), 4)
 
 
 def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_run, monkeypatch):
@@ -1036,6 +1042,24 @@ def test_metrics_table_text_is_pinned():
     assert ",".join(METRIC_COLUMNS) == text.splitlines()[0]
 
 
+REPORT_KEYS = ["condition", "config_digest", "seed", "ccg_rounds", "final_pool_size", "metrics", "rounds", "timing"]
+
+
+def test_report_keys_keep_the_report_json_order(tiny_run):
+    payload = report_to_dict(tiny_run.result.report)
+    assert list(payload) == REPORT_KEYS
+    assert len(payload["rounds"]) == tiny_run.config.ccg_rounds
+    for record in payload["rounds"]:
+        assert list(record) == ["selection_index", "pool_size", "kept_size", "spawned", "per_instance"]
+        for selection in record["per_instance"]:
+            assert list(selection) == ["instance_id", "candidate_ids", "scores", "kept_ids"]
+            assert all(type(selection[key]) is list for key in ("candidate_ids", "scores", "kept_ids"))
+    unimodal = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, None, None, tiny_run.config, "unimodal")
+    payload = report_to_dict(unimodal.report)
+    assert list(payload) == REPORT_KEYS
+    assert payload["rounds"] == []
+
+
 def test_report_round_trips_through_json(tiny_run, tmp_path):
     path = tmp_path / "report.json"
     save_report(tiny_run.result.report, path)
@@ -1066,8 +1090,10 @@ def test_clean_preset_reaches_high_accuracy_with_default_budgets():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError, match="spawn_per_kept"):
+    with pytest.raises(ValueError, match=r"spawn_per_kept must be a tuple .*\(ccg_rounds=1\), got tuple \(2, 1\)"):
         tiny_config(ccg_rounds=1)
+    with pytest.raises(ValueError, match=r"spawn_per_kept must be a tuple .*\(ccg_rounds=2\), got list \[2, 1\]"):
+        tiny_config(spawn_per_kept=[2, 1])
     with pytest.raises(ValueError, match="non-negative"):
         tiny_config(ccg_rounds=1, spawn_per_kept=(-1,))
     with pytest.raises(ValueError, match="ccg_rounds"):

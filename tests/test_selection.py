@@ -1,5 +1,5 @@
 """Keep-count arithmetic and the four selection policies, each a score per
-candidate ranked by ``rank_segments`` (``rank_keep`` for one segment)."""
+candidate ranked by ``rank_segments`` (one segment per instance)."""
 
 from dataclasses import replace
 
@@ -16,16 +16,20 @@ from chainviews.selection import (
     SelectionError,
     keep_count,
     random_scores,
-    rank_keep,
     rank_segments,
     similarity_scores,
 )
 from conftest import scored_pool
 
 
+def one_segment(scores):
+    """``scores`` ranked as one segment, best first."""
+    return rank_segments(np.asarray(scores, dtype=np.float64), [len(scores)])[0].tolist()
+
+
 def split(scores, keep_fraction):
     """(kept, discarded) candidate indices, both in index order."""
-    kept = sorted(rank_keep(scores, keep_count(keep_fraction, len(scores))))
+    kept = sorted(one_segment(scores)[: keep_count(keep_fraction, len(scores))])
     return kept, [i for i in range(len(scores)) if i not in kept]
 
 
@@ -86,13 +90,11 @@ def test_filter_by_loss_tie_break_is_stable():
     kept, _ = split([0.5] * 5, 0.4)
     # all losses equal: the two lowest indices survive
     assert kept == [0, 1]
-    assert rank_keep([0.5] * 5, 2) == [0, 1]
-    assert rank_keep([0.5] * 5, 0) == []
-    assert rank_keep([0.5] * 5, 5) == [0, 1, 2, 3, 4]
-    # best first, equal scores by index; k beyond n keeps everything
-    assert rank_keep([0.3, 0.1, 0.3, 0.1], 3) == [1, 3, 0]
-    assert rank_keep([0.3, 0.1, 0.3, 0.1], 4) == [1, 3, 0, 2]
-    assert rank_keep([0.3, 0.1], 9) == [1, 0]
+    assert one_segment([0.5] * 5) == [0, 1, 2, 3, 4]
+    # best first, equal scores by index
+    assert one_segment([0.3, 0.1, 0.3, 0.1]) == [1, 3, 0, 2]
+    assert one_segment([0.3, 0.1]) == [1, 0]
+    assert one_segment([]) == []
 
 
 def test_segments_rank_as_each_segment_alone():
@@ -221,8 +223,7 @@ def test_orthogonal_tie_keeps_lower_index():
     kept, _ = split(scores, 0.5)
     assert kept == [0]
     assert np.array_equal(views.data[kept[0]], [0.0, 1.0])
-    assert rank_keep(scores, 0) == []
-    assert rank_keep(scores, 2) == [0, 1]
+    assert one_segment(scores) == [0, 1]
 
 
 # --- random policy -------------------------------------------------------------------
@@ -255,7 +256,7 @@ def test_filter_random_is_uniform():
 
 def test_keep_all_policy():
     # keep_all scores every candidate alike and keeps all of them
-    assert rank_keep([0.0, 0.0], 2) == [0, 1]
+    assert one_segment([0.0, 0.0]) == [0, 1]
 
 
 # --- the policy setting ----------------------------------------------------------------
