@@ -44,6 +44,7 @@ from .datamodel import (
     rows_match,
     vector_view,
 )
+from .models import check_int
 from .rng import derive_rng
 
 _ATOL = 1e-12
@@ -335,7 +336,6 @@ class BenchmarkWorld:
     """
 
     name: str
-    class_count: int
     class_means: np.ndarray  # (C, d_u)
     within_class_sigma: float
     entity_vocab: int
@@ -345,8 +345,7 @@ class BenchmarkWorld:
     def __post_init__(self):
         means = np.asarray(self.class_means, dtype=np.float64)
         object.__setattr__(self, "class_means", means)
-        if means.shape[0] != self.class_count:
-            raise ValueError("need one mean per class")
+        check_int("seed", self.seed, 0)
         for i in range(means.shape[0]):
             for j in range(i + 1, means.shape[0]):
                 if np.array_equal(means[i], means[j]):
@@ -361,6 +360,10 @@ class BenchmarkWorld:
             for s, o in pairs:
                 if not (0 <= s < self.entity_vocab and 0 <= o < self.entity_vocab):
                     raise ValueError("entity pair outside vocabulary")
+
+    @property
+    def class_count(self) -> int:
+        return self.class_means.shape[0]
 
     @property
     def u_dim(self) -> int:
@@ -425,7 +428,6 @@ def _vec_port(size: int, modality: str) -> Port:
 def _preset_world(name: str, means: np.ndarray, within_class_sigma: float, seed: int) -> BenchmarkWorld:
     return BenchmarkWorld(
         name=name,
-        class_count=4,
         class_means=means,
         within_class_sigma=within_class_sigma,
         entity_vocab=8,

@@ -199,7 +199,6 @@ def world_from_custom(custom: Mapping, seed: int) -> tuple[BenchmarkWorld, ViewS
     try:
         world = BenchmarkWorld(
             name=str(custom.get("name", "custom")),
-            class_count=class_means.shape[0],
             class_means=class_means,
             within_class_sigma=float(sigma),
             entity_vocab=vocab,
@@ -320,7 +319,9 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
     ablation = _require_mapping(mapping.get("ablation", {}), "ablation")
     _reject_unknown(ablation, {"seeds", "conditions"}, "ablation")
     conditions = ablation.get("conditions", CONDITIONS)
-    bad = [c for c in conditions if c not in CONDITIONS] if isinstance(conditions, (list, tuple)) else [conditions]
+    if not isinstance(conditions, (list, tuple)) or not conditions:
+        raise ConfigError(f"ablation.conditions needs a non-empty list of condition names, got {conditions!r}")
+    bad = [c for c in conditions if c not in CONDITIONS]
     if bad:
         raise ConfigError(
             f"unknown ablation conditions {bad}; valid names: {', '.join(CONDITIONS)}"

@@ -90,21 +90,16 @@ def _farthest_point_indices(data_t: np.ndarray, k: int, rng: np.random.Generator
         chosen.append(int(np.argmax(dist)))
 
 
-def fit_gmm(
-    data: np.ndarray,
-    n_components: int,
-    seed: int = 0,
-    max_iters: int = 200,
-    tol: float = 1e-7,
-    cov_floor: float = 1e-6,
-) -> GmmModel:
+def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
     """EM for a diagonal-covariance mixture.
 
     Initialization is farthest-point seeding from a derived stream, so fits
-    are reproducible. The log-likelihood trace is monotone non-decreasing up
-    to 1e-8 per iteration; a larger drop raises, because EM cannot
-    legitimately do that. Component variances are floored at ``cov_floor``.
+    are reproducible. EM runs at most 200 iterations and stops once the mean
+    log-likelihood moves by less than 1e-7. The trace is monotone
+    non-decreasing up to 1e-8 per iteration; a larger drop raises, because
+    EM cannot legitimately do that. Component variances are floored at 1e-6.
     """
+    max_iters, tol, cov_floor = 200, 1e-7, 1e-6
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DiversityError("need an (n >= 2, d) data matrix")

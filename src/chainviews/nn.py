@@ -118,45 +118,46 @@ def attention_init(
     params[f"{prefix}.wv"] = rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_o, d_m))
 
 
-def cross_attention(params: Params, prefix: str, query: np.ndarray, m_keys: np.ndarray, m_values: np.ndarray):
+def cross_attention(params: Params, prefix: str, query: np.ndarray, memory: np.ndarray):
     """Multi-query attention over a set of rows, one set per sample.
 
-    ``query`` is ``(B, Q, d_q)`` and ``m_keys`` / ``m_values`` are
-    ``(B, N, d_m)``: each of sample ``b``'s ``Q`` queries attends over its own
-    ``N`` rows (pooling by attention, as in the Set Transformer). Keys and
-    values are projected once per row and shared by the ``Q`` queries;
-    weights are a softmax over scaled dot products against each projected
-    query, and the output ``(B, Q, d_o)`` is the weight-averaged projected
-    value. No positional information enters, so each output row is invariant
-    to permuting its sample's rows.
+    ``query`` is ``(B, Q, d_q)`` and ``memory`` is ``(B, N, d_m)``: each of
+    sample ``b``'s ``Q`` queries attends over its own ``N`` memory rows
+    (pooling by attention, as in the Set Transformer). The rows are projected
+    to keys and values once and shared by the ``Q`` queries; weights are a
+    softmax over scaled dot products against each projected query, and the
+    output ``(B, Q, d_o)`` is the weight-averaged projected value. No
+    positional information enters, so each output row is invariant to
+    permuting its sample's rows.
     """
-    if query.ndim != 3 or m_keys.ndim != 3 or m_values.ndim != 3 or m_keys.shape[:2] != m_values.shape[:2]:
-        raise ValueError("query must be (B, Q, d) and keys and values (B, N, d) with matching B and N")
-    if m_keys.shape[1] == 0:
+    if query.ndim != 3 or memory.ndim != 3:
+        raise ValueError("query must be (B, Q, d) and memory (B, N, d)")
+    if memory.shape[1] == 0:
         raise ValueError("empty attention set")
     weight_keys = (f"{prefix}.wq", f"{prefix}.wk", f"{prefix}.wv")
     wq, wk, wv = (params[key] for key in weight_keys)
     scale = 1.0 / math.sqrt(wq.shape[0])
     q_proj = query @ wq.T
-    keys = m_keys @ wk.T
+    keys = memory @ wk.T
     scores = (q_proj @ keys.transpose(0, 2, 1)) * scale
     weights = np.exp(scores - scores.max(axis=2, keepdims=True))
     weights /= weights.sum(axis=2, keepdims=True)
-    values = m_values @ wv.T
+    values = memory @ wv.T
     out = weights @ values
-    cache = (weight_keys, query, m_keys, m_values, q_proj, keys, weights, values, scale)
+    cache = (weight_keys, query, memory, q_proj, keys, weights, values, scale)
     return out, cache
 
 
 def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Grads):
-    """Gradients of :func:`cross_attention`; returns (dquery, dm_keys, dm_values)."""
-    (q_key, k_key, v_key), query, m_keys, m_values, q_proj, keys, weights, values, scale = cache
+    """Gradients of :func:`cross_attention`; returns (dquery, dmemory), where
+    ``dmemory`` is the keys path plus the values path."""
+    (q_key, k_key, v_key), query, memory, q_proj, keys, weights, values, scale = cache
     wq, wk, wv = params[q_key], params[k_key], params[v_key]
 
     def flat(a):  # (B, R, d) -> (B * R, d)
         return a.reshape(-1, a.shape[2])
 
-    grads[v_key] = np.matmul(flat(dout).T, flat(weights @ m_values), out=grads.get(v_key))
+    grads[v_key] = np.matmul(flat(dout).T, flat(weights @ memory), out=grads.get(v_key))
     dm_values = weights.transpose(0, 2, 1) @ (dout @ wv)
 
     dweights = dout @ values.transpose(0, 2, 1)
@@ -164,11 +165,11 @@ def cross_attention_backward(params: Params, cache, dout: np.ndarray, grads: Gra
 
     dkeys = dscores.transpose(0, 2, 1) @ q_proj
     dq_proj = dscores @ keys
-    grads[k_key] = np.matmul(flat(dkeys).T, flat(m_keys), out=grads.get(k_key))
+    grads[k_key] = np.matmul(flat(dkeys).T, flat(memory), out=grads.get(k_key))
     dm_keys = dkeys @ wk
     grads[q_key] = np.matmul(flat(dq_proj).T, flat(query), out=grads.get(q_key))
     dquery = dq_proj @ wq
-    return dquery, dm_keys, dm_values
+    return dquery, dm_keys + dm_values
 
 
 # --- loss ---------------------------------------------------------------------
@@ -204,20 +205,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 # --- finite-difference validation ---------------------------------------------
 
 
-def finite_difference_check(
-    params: Params,
-    loss_fn,
-    analytic: Grads,
-    epsilon: float = 1e-5,
-    denominator_floor: float = 1e-6,
-) -> float:
+def finite_difference_check(params: Params, loss_fn, analytic: Grads) -> float:
     """Max relative error between ``analytic`` and central differences.
 
     ``loss_fn`` must be a zero-argument closure over ``params`` (entries are
-    perturbed in place and restored). The relative error for one entry is
-    ``|a - n| / max(|a|, |n|, floor)``; the floor keeps near-zero gradients
-    from amplifying finite-difference round-off into false alarms.
+    perturbed in place by 1e-5 and restored). The relative error for one
+    entry is ``|a - n| / max(|a|, |n|, 1e-6)``; the floor keeps near-zero
+    gradients from amplifying finite-difference round-off into false alarms.
     """
+    epsilon, floor = 1e-5, 1e-6
     worst = 0.0
     for key in params:
         w = params[key]
@@ -234,6 +230,6 @@ def finite_difference_check(
             minus = loss_fn()
             flat_w[idx] = original
             numeric = (plus - minus) / (2.0 * epsilon)
-            rel = abs(flat_g[idx] - numeric) / max(abs(flat_g[idx]), abs(numeric), denominator_floor)
+            rel = abs(flat_g[idx] - numeric) / max(abs(flat_g[idx]), abs(numeric), floor)
             worst = max(worst, rel)
     return worst

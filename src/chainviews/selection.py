@@ -58,14 +58,15 @@ def rank_segments(scores: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]
 
 
 class RandomLinearEmbedder:
-    """Fixed random linear maps into a shared space, one per modality.
+    """Fixed random linear maps into a shared 8-d space, one per modality.
 
     A deterministic stand-in for a pretrained joint embedding model: it
     preserves geometry in expectation but learns nothing, which is the point
     of the similarity-selection ablation.
     """
 
-    def __init__(self, u_spec: ViewSpec, v_spec: ViewSpec, dim: int = 8, seed: int = 0):
+    def __init__(self, u_spec: ViewSpec, v_spec: ViewSpec, seed: int = 0):
+        dim = 8
         rng = derive_rng(seed, "embedder")
         self.u_spec = u_spec
         self.v_spec = v_spec
@@ -73,7 +74,7 @@ class RandomLinearEmbedder:
         self.w_v = rng.normal(0.0, 1.0 / np.sqrt(v_spec.size), size=(dim, v_spec.size))
 
     def embed(self, views: ViewBatch) -> np.ndarray:
-        """``(B, dim)`` embeddings of a batch of one side. A stack of
+        """``(B, 8)`` embeddings of a batch of one side. A stack of
         matrix-vector products, so each row has the bits of ``weight @ row``."""
         weight, spec = (self.w_u, self.u_spec) if views.modality == "u" else (self.w_v, self.v_spec)
         return np.matmul(weight, featurize_rows(views.kind, views.data, spec.size)[..., None])[..., 0]

@@ -169,22 +169,17 @@ def check_gradient_attention(seed: int) -> float:
         params: dict = {}
         nn.attention_init(params, rng, "attn", d_q, d_m, d_k, d_o)
         params["attn.query"] = rng.normal(size=(1, 2, d_q))
-        params["attn.keys"] = rng.normal(size=(1, rows, d_m))
-        params["attn.values"] = rng.normal(size=(1, rows, d_m))
+        params["attn.memory"] = rng.normal(size=(1, rows, d_m))
         probe = rng.normal(size=(1, 2, d_o))
 
         def loss_fn():
-            out, _ = nn.cross_attention(
-                params, "attn", params["attn.query"], params["attn.keys"], params["attn.values"]
-            )
+            out, _ = nn.cross_attention(params, "attn", params["attn.query"], params["attn.memory"])
             return float(np.sum(probe * out))
 
-        out, cache = nn.cross_attention(
-            params, "attn", params["attn.query"], params["attn.keys"], params["attn.values"]
-        )
+        out, cache = nn.cross_attention(params, "attn", params["attn.query"], params["attn.memory"])
         grads: dict = {}
         inputs = nn.cross_attention_backward(params, cache, probe, grads)
-        grads["attn.query"], grads["attn.keys"], grads["attn.values"] = inputs
+        grads["attn.query"], grads["attn.memory"] = inputs
         return nn.finite_difference_check(params, loss_fn, grads)
 
     return _worst(seed, "verify-grad-attn", 10, case)
@@ -224,7 +219,6 @@ def check_gradient_student(seed: int) -> float:
             synth_dim=4,
             query_dim=4,
             key_dim=3,
-            value_dim=4,
             ff_hidden=6,
             ff_dim=5,
         )

@@ -43,7 +43,6 @@ def tiny_world(seed=0, sigma=0.6, noise=0.3):
     means = 2.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     world = BenchmarkWorld(
         name="tiny",
-        class_count=3,
         class_means=means,
         within_class_sigma=sigma,
         entity_vocab=6,

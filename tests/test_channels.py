@@ -200,7 +200,7 @@ def test_identity_composition_preserves_entropy():
     # two identity channels on a uniform alphabet-4 input: I(in, out) = ln 4
     eye = np.eye(4)
     end_to_end = eye @ eye
-    joint = DiscreteJoint(sizes=(4, 4), table=0.25 * end_to_end)
+    joint = DiscreteJoint(0.25 * end_to_end)
     assert abs(exact_mi(joint) - np.log(4)) < 1e-12
 
 
@@ -209,7 +209,7 @@ def test_two_bsc_01_compose_to_bsc_018():
     bsc = np.array([[1 - flip, flip], [flip, 1 - flip]])
     end_to_end = bsc @ bsc
     np.testing.assert_allclose(end_to_end, [[0.82, 0.18], [0.18, 0.82]], atol=1e-12)
-    joint = DiscreteJoint(sizes=(2, 2), table=0.5 * end_to_end)
+    joint = DiscreteJoint(0.5 * end_to_end)
     # frozen expected value: exact MI of the composed pair
     assert abs(exact_mi(joint) - 0.221753) < 1e-6
 
@@ -274,13 +274,34 @@ def test_world_requires_distinct_means():
     with pytest.raises(ValueError, match="distinct"):
         BenchmarkWorld(
             name="bad",
-            class_count=2,
             class_means=np.zeros((2, 3)),
             within_class_sigma=1.0,
             entity_vocab=2,
             entity_pairs_by_class=(((0, 1),), ((0, 1),)),
             seed=0,
         )
+
+
+def test_world_class_count_is_the_number_of_means():
+    world, _, _, _ = tiny_world()
+    assert world.class_count == len(world.class_means) == 3
+    for name in PRESET_NAMES:
+        preset, _, _ = lossy_world_preset(name)
+        assert preset.class_count == len(preset.class_means) == 4
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, True, -1])
+def test_world_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        lossy_world_preset("clean", seed=seed)
+
+
+def test_numpy_integer_seed_gives_that_seeds_benchmark():
+    v_spec = ViewSpec("vector", 2)
+    want, _ = generate_benchmark(lossy_world_preset("clean", seed=1)[0], 2, v_spec)
+    got, _ = generate_benchmark(lossy_world_preset("clean", seed=np.int64(1))[0], 2, v_spec)
+    assert [inst.real_view.data.tobytes() for inst in got] == [inst.real_view.data.tobytes() for inst in want]
+    assert [(inst.subject, inst.object) for inst in got] == [(inst.subject, inst.object) for inst in want]
 
 
 # --- presets ------------------------------------------------------------------------

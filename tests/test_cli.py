@@ -291,6 +291,16 @@ def test_ablate_rejects_unknown_condition(tmp_path, capsys):
     assert "valid names: full, no_ccg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conditions", [[], "full"])
+def test_ablate_refuses_conditions_that_are_not_a_non_empty_list(tmp_path, capsys, conditions):
+    out = tmp_path / "x"
+    mapping = tiny_mapping(out, ablation={"seeds": [0], "conditions": conditions})
+    config = write_yaml(tmp_path / "bad.yaml", mapping)
+    assert main(["ablate", "--config", config]) == EXIT_USAGE
+    assert "ablation.conditions needs a non-empty list of condition names" in capsys.readouterr().err
+    assert not (out / "ablation.csv").exists()
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -310,8 +320,8 @@ def test_verify_catches_an_injected_gradient_bug(monkeypatch, capsys):
     real = chainviews.nn.cross_attention_backward
 
     def flipped(params, cache, upstream, grads):
-        dq, dk, dv = real(params, cache, upstream, grads)
-        return -dq, dk, dv
+        dq, dmemory = real(params, cache, upstream, grads)
+        return -dq, dmemory
 
     monkeypatch.setattr(chainviews.nn, "cross_attention_backward", flipped)
     assert main(["verify"]) == EXIT_VERIFY

@@ -115,7 +115,7 @@ def test_gmm_requires_enough_points():
 def test_covariance_floor_applies_to_collapsed_data():
     data = np.tile([1.0, 2.0], (20, 1))  # zero variance everywhere
     data[0] += 1e-9
-    gmm = fit_gmm(data, 1, seed=0, cov_floor=1e-6)
+    gmm = fit_gmm(data, 1, seed=0)
     assert np.all(gmm.diag_covs >= 1e-6)
 
 

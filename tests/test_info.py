@@ -47,7 +47,7 @@ def mi_by_double_loop(table):
 
 
 def bsc_joint(flip):
-    return DiscreteJoint(sizes=(2, 2), table=0.5 * np.array([[1 - flip, flip], [flip, 1 - flip]]))
+    return DiscreteJoint(0.5 * np.array([[1 - flip, flip], [flip, 1 - flip]]))
 
 
 def disc(matrix, a_in, a_out):
@@ -62,12 +62,12 @@ def disc(matrix, a_in, a_out):
 
 
 def test_independent_pair_has_zero_mi():
-    joint = DiscreteJoint(sizes=(3, 4), table=np.full((3, 4), 1.0 / 12.0))
+    joint = DiscreteJoint(np.full((3, 4), 1.0 / 12.0))
     assert abs(exact_mi(joint)) < 1e-12
 
 
 def test_bijection_on_uniform_alphabet_gives_ln_alphabet():
-    joint = DiscreteJoint(sizes=(4, 4), table=0.25 * np.eye(4))
+    joint = DiscreteJoint(0.25 * np.eye(4))
     assert abs(exact_mi(joint) - math.log(4)) < 1e-12
 
 
@@ -82,20 +82,28 @@ def test_exact_mi_is_symmetric_and_nonnegative():
     for _ in range(20):
         table = rng.random((3, 5)) + 1e-3
         table /= table.sum()
-        joint = DiscreteJoint(sizes=(3, 5), table=table)
-        assert abs(exact_mi(joint, 0, 1) - exact_mi(joint, 1, 0)) < 1e-12
+        joint = DiscreteJoint(table)
+        assert abs(exact_mi(joint) - exact_mi(DiscreteJoint(table.T))) < 1e-12
         assert exact_mi(joint) >= -1e-12
 
 
 def test_joint_must_normalize():
     with pytest.raises(InfoError):
-        DiscreteJoint(sizes=(2, 2), table=np.full((2, 2), 0.3))
+        DiscreteJoint(np.full((2, 2), 0.3))
 
 
 def test_cell_cap_enforced():
-    sizes = (101, 101, 101)
+    shape = (1001, 1000)  # 1,001,000 cells, above DEFAULT_CELL_CAP
     with pytest.raises(InfoError, match="cap"):
-        DiscreteJoint(sizes=sizes, table=np.full(sizes, 1.0 / 101**3))
+        DiscreteJoint(np.full(shape, 1.0 / (1001 * 1000)))
+
+
+@pytest.mark.parametrize(
+    "table", [np.array([0.5, 0.5]), np.full((2, 2, 2), 0.125), np.zeros((0, 3)), np.zeros((2, 0))]
+)
+def test_joint_needs_a_non_empty_two_dimensional_table(table):
+    with pytest.raises(InfoError, match="non-empty 2-d"):
+        DiscreteJoint(table)
 
 
 def test_entropy_of_uniform_binary():
@@ -205,7 +213,7 @@ def test_label_world_sampling_matches_searchsorted_reference():
         world = random_label_world(class_count=2 + seed % 3, alphabet=3 + seed, seed=seed)
         channel = world.channel.copy()
         channel[0] = np.eye(world.alphabet)[-1]  # a row whose mass sits on the last symbol
-        world = DiscreteLabelWorld(world.class_count, world.alphabet, channel, seed=seed)
+        world = DiscreteLabelWorld(channel, seed=seed)
         symbols, labels = world.sample(500, derive_rng(seed, "draws"))
         rng = derive_rng(seed, "draws")
         expected_labels = rng.integers(world.class_count, size=500)
@@ -219,9 +227,17 @@ def test_label_world_sampling_matches_searchsorted_reference():
         assert symbols.tolist() == expected
 
 
+def test_label_world_sizes_are_the_channel_shape():
+    world = random_label_world(class_count=3, alphabet=5, seed=0)
+    assert (world.class_count, world.alphabet) == world.channel.shape == (3, 5)
+    bsc = binary_symmetric_world(0.1)
+    assert (bsc.class_count, bsc.alphabet) == bsc.channel.shape == (2, 2)
+    assert world.joint().table.shape == (3, 5)
+
+
 def test_bijection_world_bound_converges_to_ln2():
-    world = DiscreteLabelWorld(class_count=2, alphabet=2, channel=np.eye(2), seed=0)
-    report = verify_classifier_bound(world, train_steps=400)
+    world = DiscreteLabelWorld(channel=np.eye(2), seed=0)
+    report = verify_classifier_bound(world)
     assert abs(report.exact - LN2) < 1e-12
     assert report.bound <= report.exact + 3 * report.se
     assert report.exact - report.bound < 0.05
@@ -234,9 +250,7 @@ def test_bsc_world_bound_stays_below_exact():
 
 
 def test_independent_world_bound_is_noise_level():
-    world = DiscreteLabelWorld(
-        class_count=3, alphabet=4, channel=np.tile(np.full(4, 0.25), (3, 1)), seed=1
-    )
+    world = DiscreteLabelWorld(channel=np.tile(np.full(4, 0.25), (3, 1)), seed=1)
     report = verify_classifier_bound(world)
     assert abs(report.exact) < 1e-12
     assert report.bound <= 3 * report.se
@@ -247,5 +261,5 @@ def test_random_worlds_rarely_violate():
     # smaller sibling of the acceptance criterion: 5 random worlds, none violate
     for seed in range(5):
         world = random_label_world(class_count=2 + seed % 3, alphabet=4 + seed, seed=seed)
-        report = verify_classifier_bound(world, train_steps=250, n_train=8000, n_eval=8000)
+        report = verify_classifier_bound(world)
         assert not report.violation, f"world seed {seed}: bound {report.bound} vs exact {report.exact}"

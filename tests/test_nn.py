@@ -39,14 +39,13 @@ def test_cross_attention_matches_dense_reimplementation():
     d_q, d_m, d_k, d_o = 3, 4, 5, 2
     nn.attention_init(params, rng, "ca", d_q, d_m, d_k, d_o)
     q = rng.normal(size=d_q)
-    keys = rng.normal(size=(4, d_m))
-    values = rng.normal(size=(4, d_m))
-    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], keys[None], values[None])
+    memory = rng.normal(size=(4, d_m))
+    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], memory[None])
 
-    scores = (keys @ params["ca.wk"].T) @ (params["ca.wq"] @ q) / math.sqrt(d_k)
+    scores = (memory @ params["ca.wk"].T) @ (params["ca.wq"] @ q) / math.sqrt(d_k)
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
-    expected = (values @ params["ca.wv"].T).T @ weights
+    expected = (memory @ params["ca.wv"].T).T @ weights
     assert abs(weights.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -58,7 +57,7 @@ def test_cross_attention_single_row():
     nn.attention_init(params, rng, "ca", 3, 4, 5, 2)
     q = rng.normal(size=3)
     row = rng.normal(size=(1, 4))
-    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], row[None], row[None])
+    ((out,),), _ = nn.cross_attention(params, "ca", q[None, None], row[None])
     np.testing.assert_allclose(out, params["ca.wv"] @ row[0], atol=1e-12)
 
 
@@ -67,12 +66,9 @@ def test_cross_attention_duplication_invariance():
     rng = derive_rng(2, "attn2")
     nn.attention_init(params, rng, "ca", 3, 4, 5, 2)
     q = rng.normal(size=3)
-    keys = rng.normal(size=(3, 4))
-    values = rng.normal(size=(3, 4))
-    base, _ = nn.cross_attention(params, "ca", q[None, None], keys[None], values[None])
-    doubled, _ = nn.cross_attention(
-        params, "ca", q[None, None], np.vstack([keys, keys])[None], np.vstack([values, values])[None]
-    )
+    memory = rng.normal(size=(3, 4))
+    base, _ = nn.cross_attention(params, "ca", q[None, None], memory[None])
+    doubled, _ = nn.cross_attention(params, "ca", q[None, None], np.vstack([memory, memory])[None])
     np.testing.assert_allclose(base, doubled, atol=1e-12)
 
 
@@ -80,7 +76,7 @@ def test_cross_attention_rejects_empty_set():
     params = {}
     nn.attention_init(params, derive_rng(0, "e"), "ca", 3, 4, 5, 2)
     with pytest.raises(ValueError, match="empty"):
-        nn.cross_attention(params, "ca", np.zeros((1, 1, 3)), np.zeros((1, 0, 4)), np.zeros((1, 0, 4)))
+        nn.cross_attention(params, "ca", np.zeros((1, 1, 3)), np.zeros((1, 0, 4)))
 
 
 def test_cross_attention_rows_are_independent_sets():
@@ -89,11 +85,10 @@ def test_cross_attention_rows_are_independent_sets():
     rng = derive_rng(4, "attn-batch")
     nn.attention_init(params, rng, "ca", 3, 4, 5, 2)
     q = rng.normal(size=(3, 1, 3))
-    keys = rng.normal(size=(3, 6, 4))
-    values = rng.normal(size=(3, 6, 4))
-    batched, _ = nn.cross_attention(params, "ca", q, keys, values)
+    memory = rng.normal(size=(3, 6, 4))
+    batched, _ = nn.cross_attention(params, "ca", q, memory)
     for b in range(3):
-        single, _ = nn.cross_attention(params, "ca", q[b : b + 1], keys[b : b + 1], values[b : b + 1])
+        single, _ = nn.cross_attention(params, "ca", q[b : b + 1], memory[b : b + 1])
         np.testing.assert_allclose(batched[b], single[0], atol=1e-12)
 
 
@@ -102,17 +97,16 @@ def test_batched_cross_attention_gradients_match_finite_differences():
     rng = derive_rng(5, "attn-batch-grad")
     nn.attention_init(params, rng, "ca", 4, 5, 3, 4)
     params["query"] = rng.normal(size=(3, 2, 4))
-    params["keys"] = rng.normal(size=(3, 6, 5))
-    params["values"] = rng.normal(size=(3, 6, 5))
+    params["memory"] = rng.normal(size=(3, 6, 5))
     probe = rng.normal(size=(3, 2, 4))
 
     def loss_fn():
-        out, _ = nn.cross_attention(params, "ca", params["query"], params["keys"], params["values"])
+        out, _ = nn.cross_attention(params, "ca", params["query"], params["memory"])
         return float(np.sum(probe * out))
 
-    _, cache = nn.cross_attention(params, "ca", params["query"], params["keys"], params["values"])
+    _, cache = nn.cross_attention(params, "ca", params["query"], params["memory"])
     grads = {}
-    grads["query"], grads["keys"], grads["values"] = nn.cross_attention_backward(params, cache, probe, grads)
+    grads["query"], grads["memory"] = nn.cross_attention_backward(params, cache, probe, grads)
     assert nn.finite_difference_check(params, loss_fn, grads) < 1e-4
 
 
@@ -123,29 +117,25 @@ def test_two_query_attention_equals_two_one_query_calls():
     rng = derive_rng(6, "attn-two-query")
     nn.attention_init(params, rng, "ca", 4, 5, 3, 4)
     query = rng.normal(size=(3, 2, 4))
-    keys = rng.normal(size=(3, 6, 5))
-    values = rng.normal(size=(3, 6, 5))
+    memory = rng.normal(size=(3, 6, 5))
     probe = rng.normal(size=(3, 2, 4))
 
-    both, cache = nn.cross_attention(params, "ca", query, keys, values)
+    both, cache = nn.cross_attention(params, "ca", query, memory)
     grads = {}
-    dq, dk, dv = nn.cross_attention_backward(params, cache, probe, grads)
+    dq, dmemory = nn.cross_attention_backward(params, cache, probe, grads)
 
     one_grads = {}
-    one_dk = np.zeros_like(keys)
-    one_dv = np.zeros_like(values)
+    one_dmemory = np.zeros_like(memory)
     for j in range(2):
-        out, one_cache = nn.cross_attention(params, "ca", query[:, j : j + 1], keys, values)
+        out, one_cache = nn.cross_attention(params, "ca", query[:, j : j + 1], memory)
         np.testing.assert_allclose(both[:, j : j + 1], out, rtol=0, atol=1e-12)
         grads_j = {}  # a backward pass writes its gradients; the two queries' are summed here
-        one_dq, dk_j, dv_j = nn.cross_attention_backward(params, one_cache, probe[:, j : j + 1], grads_j)
+        one_dq, dmemory_j = nn.cross_attention_backward(params, one_cache, probe[:, j : j + 1], grads_j)
         np.testing.assert_allclose(dq[:, j : j + 1], one_dq, rtol=0, atol=1e-12)
-        one_dk += dk_j
-        one_dv += dv_j
+        one_dmemory += dmemory_j
         for key, g in grads_j.items():
             one_grads[key] = one_grads[key] + g if key in one_grads else g
-    np.testing.assert_allclose(dk, one_dk, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dv, one_dv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dmemory, one_dmemory, rtol=0, atol=1e-12)
     assert grads.keys() == one_grads.keys() == {"ca.wq", "ca.wk", "ca.wv"}
     for key in grads:
         np.testing.assert_allclose(grads[key], one_grads[key], rtol=0, atol=1e-12)
@@ -155,7 +145,7 @@ def test_cross_attention_rejects_a_query_without_a_query_axis():
     params = {}
     nn.attention_init(params, derive_rng(0, "q"), "ca", 3, 4, 5, 2)
     with pytest.raises(ValueError, match=r"\(B, Q, d\)"):
-        nn.cross_attention(params, "ca", np.zeros((1, 3)), np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
+        nn.cross_attention(params, "ca", np.zeros((1, 3)), np.zeros((1, 2, 4)))
 
 
 # --- losses ------------------------------------------------------------------------

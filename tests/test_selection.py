@@ -139,7 +139,7 @@ def test_kept_subset_has_better_empirical_bound():
 
 
 def embedder():
-    return RandomLinearEmbedder(ViewSpec("vector", 2), ViewSpec("vector", 2), dim=4, seed=0)
+    return RandomLinearEmbedder(ViewSpec("vector", 2), ViewSpec("vector", 2), seed=0)
 
 
 def cosine_similarity(a, b):

@@ -81,8 +81,8 @@ def test_sign_flipped_attention_gradient_is_caught(monkeypatch):
     real = chainviews.nn.cross_attention_backward
 
     def flipped(params, cache, upstream, grads):
-        dq, dk, dv = real(params, cache, upstream, grads)
-        return -dq, dk, dv
+        dq, dmemory = real(params, cache, upstream, grads)
+        return -dq, dmemory
 
     monkeypatch.setattr(chainviews.nn, "cross_attention_backward", flipped)
     (result,) = run_checks(["gradient_attention"])
