@@ -14,11 +14,9 @@ from chainviews import (
     DiscreteChannel,
     LinearGaussianChannel,
     MixtureChannel,
-    Port,
     PrototypeCollapseChannel,
     PRESET_NAMES,
     ViewBatch,
-    ViewSpec,
     derive_rng,
     discrete_view,
     generate_benchmark,
@@ -31,28 +29,24 @@ from chainviews import (
 rng = derive_rng(0, "channel-tour")
 
 print("== discrete channels ==")
-sym_in = Port(ViewSpec("discrete", 2), "u")
-sym_out = Port(ViewSpec("discrete", 2), "v")
-flip = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_in, sym_out)
+flip = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), "u", "v")
 msg = discrete_view([0, 0, 1, 1, 0], "u")
 out = sample_channel(flip, stack_views([msg]), rng)
 print(f"input symbols  {msg.data.tolist()}")
 print(f"after 10% flip {out.data[0].tolist()}")
 
-twice = ComposedChannel([flip, DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), sym_out, sym_out)])
+twice = ComposedChannel([flip, DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]), "v", "v")])
 print(f"two flips composed: effective matrix row 0 = {twice.stages[0].matrix[0] @ twice.stages[1].matrix}")
 
 print()
 print("== vector channels ==")
-vec_u = Port(ViewSpec("vector", 2), "u")
-vec_v = Port(ViewSpec("vector", 2), "v")
-blur = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.3, vec_u, vec_v)
+blur = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.3, "u", "v")
 point = vector_view([1.0, -1.0], "u")
 samples = sample_channel(blur, stack_views([point] * 500), rng).data
 print(f"identity + noise 0.3: sample mean {samples.mean(axis=0).round(3)}, std {samples.std(axis=0).round(3)}")
 
 protos = np.array([[2.0, 2.0], [-2.0, -2.0]])
-snap = PrototypeCollapseChannel(protos, temperature=1.0, jitter_sigma=0.05, in_port=vec_u, out_port=vec_v)
+snap = PrototypeCollapseChannel(protos, temperature=1.0, jitter_sigma=0.05, in_modality="u", out_modality="v")
 near_point = vector_view([1.0, 0.5], "u")
 snapped = sample_channel(snap, stack_views([near_point] * 500), rng).data
 near_first = np.abs(snapped - protos[0]).max(axis=1) < 0.5

@@ -22,9 +22,10 @@ whole batch. A plain Generator is one segment. :func:`sample_channel` is
 the entry point: it checks a :class:`~chainviews.datamodel.ViewBatch`
 against the channel's input port once and returns the output rows as a
 batch on the output side (:func:`stack_views` concatenates batches).
-Channels declare typed ports, so composing mismatched stages or feeding
-views from the wrong side fails loudly instead of silently reinterpreting
-data. All sampling goes through explicit Generators.
+Each channel reads its typed ports' kinds and sizes off its own arrays and
+takes only their sides (modalities), so composing mismatched stages or
+feeding views from the wrong side fails loudly instead of silently
+reinterpreting data. All sampling goes through explicit Generators.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ from .datamodel import (
     Instance,
     ViewBatch,
     ViewSpec,
+    check_int,
+    check_number,
+    is_real,
     rows_match,
     vector_view,
 )
-from .models import check_int
 from .rng import derive_rng
 
 _ATOL = 1e-12
@@ -117,24 +120,18 @@ def _streams(rng: np.random.Generator | Streams, rows: int) -> Streams:
 
 
 class DiscreteChannel:
-    """Symbol-wise categorical channel given by a row-stochastic matrix."""
+    """Symbol-wise categorical channel given by a row-stochastic matrix:
+    ``matrix.shape[0]`` input symbols to ``matrix.shape[1]`` output symbols."""
 
-    def __init__(self, matrix, in_port: Port, out_port: Port):
+    def __init__(self, matrix, in_modality: str, out_modality: str):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ChannelError("transition matrix must be 2-d")
         if np.any(matrix < 0) or not np.allclose(matrix.sum(axis=1), 1.0, atol=_ATOL):
             raise ChannelError("transition matrix rows must be non-negative and sum to 1")
-        if in_port.spec.kind != "discrete" or out_port.spec.kind != "discrete":
-            raise ChannelError("discrete channel needs discrete ports")
-        if matrix.shape != (in_port.spec.size, out_port.spec.size):
-            raise ChannelError(
-                f"matrix shape {matrix.shape} does not match ports "
-                f"({in_port.spec.size}, {out_port.spec.size})"
-            )
         self.matrix = matrix
-        self.in_port = in_port
-        self.out_port = out_port
+        self.in_port = Port(ViewSpec("discrete", matrix.shape[0]), in_modality)
+        self.out_port = Port(ViewSpec("discrete", matrix.shape[1]), out_modality)
         self._cumulative = np.cumsum(matrix, axis=1)
 
     def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
@@ -147,27 +144,21 @@ class DiscreteChannel:
 
 
 class LinearGaussianChannel:
-    """``y = W x + b + noise_sigma * eps`` with standard normal ``eps``."""
+    """``y = W x + b + noise_sigma * eps`` with standard normal ``eps``:
+    ``weight.shape[1]``-wide inputs to ``weight.shape[0]``-wide outputs."""
 
-    def __init__(self, weight, bias, noise_sigma: float, in_port: Port, out_port: Port):
+    def __init__(self, weight, bias, noise_sigma: float, in_modality: str, out_modality: str):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
-        if in_port.spec.kind != "vector" or out_port.spec.kind != "vector":
-            raise ChannelError("linear-Gaussian channel needs vector ports")
-        if weight.shape != (out_port.spec.size, in_port.spec.size):
-            raise ChannelError(
-                f"weight shape {weight.shape} does not match ports "
-                f"({out_port.spec.size}, {in_port.spec.size})"
-            )
-        if bias.shape != (out_port.spec.size,):
-            raise ChannelError("bias shape does not match the output port")
-        if noise_sigma <= 0:
-            raise ChannelError("noise_sigma must be positive")
+        if weight.ndim != 2:
+            raise ChannelError(f"weight must be 2-d, got shape {weight.shape}")
+        if bias.shape != weight.shape[:1]:
+            raise ChannelError(f"bias shape {bias.shape} does not match the {weight.shape[0]} weight rows")
         self.weight = weight
         self.bias = bias
-        self.noise_sigma = float(noise_sigma)
-        self.in_port = in_port
-        self.out_port = out_port
+        self.noise_sigma = float(check_number("noise_sigma", noise_sigma, ChannelError, positive=True))
+        self.in_port = Port(ViewSpec("vector", weight.shape[1]), in_modality)
+        self.out_port = Port(ViewSpec("vector", weight.shape[0]), out_modality)
 
     def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         mean = X @ self.weight.T + self.bias
@@ -180,6 +171,8 @@ class PrototypeCollapseChannel:
     The prototype is drawn with probability proportional to
     ``exp(-||P x - p_j||^2 / temperature)`` where ``P`` is an optional input
     projection (identity when omitted). Low temperature means hard snapping.
+    Outputs are ``prototypes.shape[1]`` wide; inputs are ``projection.shape[1]``
+    wide, or as wide as the outputs without a projection.
     """
 
     def __init__(
@@ -187,33 +180,25 @@ class PrototypeCollapseChannel:
         prototypes,
         temperature: float,
         jitter_sigma: float,
-        in_port: Port,
-        out_port: Port,
+        in_modality: str,
+        out_modality: str,
         projection=None,
     ):
         prototypes = np.asarray(prototypes, dtype=np.float64)
-        if in_port.spec.kind != "vector" or out_port.spec.kind != "vector":
-            raise ChannelError("prototype channel needs vector ports")
-        if prototypes.ndim != 2 or prototypes.shape[1] != out_port.spec.size:
-            raise ChannelError("prototypes must be (k, out_size)")
-        if temperature <= 0:
-            raise ChannelError("temperature must be positive")
-        if jitter_sigma < 0:
-            raise ChannelError("jitter_sigma must be non-negative")
-        if projection is None:
-            if in_port.spec.size != out_port.spec.size:
-                raise ChannelError("projection required when port sizes differ")
-            self.projection = None
-        else:
+        if prototypes.ndim != 2 or not prototypes.size:
+            raise ChannelError(f"prototypes must be a non-empty 2-d array, got shape {prototypes.shape}")
+        width = prototypes.shape[1]
+        if projection is not None:
             projection = np.asarray(projection, dtype=np.float64)
-            if projection.shape != (out_port.spec.size, in_port.spec.size):
-                raise ChannelError("projection shape does not match ports")
-            self.projection = projection
+            if projection.ndim != 2 or len(projection) != width:
+                raise ChannelError(f"projection must be 2-d with {width} rows, got shape {projection.shape}")
         self.prototypes = prototypes
-        self.temperature = float(temperature)
-        self.jitter_sigma = float(jitter_sigma)
-        self.in_port = in_port
-        self.out_port = out_port
+        self.projection = projection
+        self.temperature = float(check_number("temperature", temperature, ChannelError, positive=True))
+        self.jitter_sigma = float(check_number("jitter_sigma", jitter_sigma, ChannelError))
+        in_size = width if projection is None else projection.shape[1]
+        self.in_port = Port(ViewSpec("vector", in_size), in_modality)
+        self.out_port = Port(ViewSpec("vector", width), out_modality)
 
     def snap_probabilities(self, X: np.ndarray) -> np.ndarray:
         """Per-row prototype probabilities: ``(B, d_in)`` inputs to ``(B, k)``."""
@@ -238,8 +223,8 @@ class MixtureChannel:
     """With probability ``branch_prob`` sample branch ``a``, else ``b``."""
 
     def __init__(self, branch_prob: float, a, b):
-        if not (0.0 <= branch_prob <= 1.0):
-            raise ChannelError("branch_prob must be in [0, 1]")
+        if not (is_real(branch_prob) and 0.0 <= branch_prob <= 1.0):
+            raise ChannelError(f"branch_prob must be a finite number in [0, 1], got {branch_prob!r}")
         if a.in_port != b.in_port or a.out_port != b.out_port:
             raise ChannelError("mixture branches must share ports")
         self.branch_prob = float(branch_prob)
@@ -335,7 +320,6 @@ class BenchmarkWorld:
     entities from giving the label away on their own.
     """
 
-    name: str
     class_means: np.ndarray  # (C, d_u)
     within_class_sigma: float
     entity_vocab: int
@@ -346,12 +330,12 @@ class BenchmarkWorld:
         means = np.asarray(self.class_means, dtype=np.float64)
         object.__setattr__(self, "class_means", means)
         check_int("seed", self.seed, 0)
+        check_number("within_class_sigma", self.within_class_sigma, positive=True)
+        check_int("entity_vocab", self.entity_vocab, 1)
         for i in range(means.shape[0]):
             for j in range(i + 1, means.shape[0]):
                 if np.array_equal(means[i], means[j]):
                     raise ValueError(f"classes {i} and {j} share a mean; means must be distinct")
-        if self.within_class_sigma <= 0:
-            raise ValueError("within_class_sigma must be positive")
         if len(self.entity_pairs_by_class) != self.class_count:
             raise ValueError("need entity pairs for every class")
         for pairs in self.entity_pairs_by_class:
@@ -409,8 +393,6 @@ def generate_benchmark(
 
 # --- presets ---------------------------------------------------------------
 
-PRESET_NAMES = ("clean", "noisy", "collapse-heavy")
-
 # Entity layout shared by the presets: 8 entities, each pair claimed by two
 # adjacent classes, so the pair alone carries exactly one of the two label bits.
 _PRESET_PAIRS = (
@@ -421,13 +403,8 @@ _PRESET_PAIRS = (
 )
 
 
-def _vec_port(size: int, modality: str) -> Port:
-    return Port(ViewSpec("vector", size), modality)
-
-
-def _preset_world(name: str, means: np.ndarray, within_class_sigma: float, seed: int) -> BenchmarkWorld:
+def _preset_world(means: np.ndarray, within_class_sigma: float, seed: int) -> BenchmarkWorld:
     return BenchmarkWorld(
-        name=name,
         class_means=means,
         within_class_sigma=within_class_sigma,
         entity_vocab=8,
@@ -436,14 +413,14 @@ def _preset_world(name: str, means: np.ndarray, within_class_sigma: float, seed:
     )
 
 
-def _identity_preset(name: str, means: np.ndarray, noise_sigma: float, seed: int):
+def _identity_preset(means: np.ndarray, noise_sigma: float, seed: int):
     # clean and noisy: unit within-class sigma, identity channels both ways
     d = means.shape[1]
     eye = np.eye(d)
     zero = np.zeros(d)
-    g_uv = LinearGaussianChannel(eye, zero, noise_sigma, _vec_port(d, MODALITY_U), _vec_port(d, MODALITY_V))
-    g_vu = LinearGaussianChannel(eye, zero, noise_sigma, _vec_port(d, MODALITY_V), _vec_port(d, MODALITY_U))
-    return _preset_world(name, means, 1.0, seed), g_uv, g_vu
+    g_uv = LinearGaussianChannel(eye, zero, noise_sigma, MODALITY_U, MODALITY_V)
+    g_vu = LinearGaussianChannel(eye, zero, noise_sigma, MODALITY_V, MODALITY_U)
+    return _preset_world(means, 1.0, seed), g_uv, g_vu
 
 
 def _collapse_heavy_preset(seed: int):
@@ -454,11 +431,10 @@ def _collapse_heavy_preset(seed: int):
     d_u, d_v = 32, 4
     means = np.zeros((4, d_u))
     means[:, :4] = 3.0 * np.eye(4)
-    world = _preset_world("collapse-heavy", means, 1.5, seed)
+    world = _preset_world(means, 1.5, seed)
     proj = np.zeros((d_v, d_u))
     proj[:, :4] = np.eye(4)
-    u_port, v_port = _vec_port(d_u, MODALITY_U), _vec_port(d_v, MODALITY_V)
-    faithful = LinearGaussianChannel(proj, np.zeros(d_v), 0.35, u_port, v_port)
+    faithful = LinearGaussianChannel(proj, np.zeros(d_v), 0.35, MODALITY_U, MODALITY_V)
     # both prototypes are equidistant from every class-mean projection, so a
     # collapsed view carries no label information at all
     prototypes = 2.2 * np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0]])
@@ -466,23 +442,24 @@ def _collapse_heavy_preset(seed: int):
         prototypes,
         temperature=8.0,
         jitter_sigma=0.4,
-        in_port=u_port,
-        out_port=v_port,
+        in_modality=MODALITY_U,
+        out_modality=MODALITY_V,
         projection=proj,
     )
     g_uv = MixtureChannel(0.55, collapse, faithful)
-    g_vu = LinearGaussianChannel(proj.T, np.zeros(d_u), 0.35, v_port, u_port)
+    g_vu = LinearGaussianChannel(proj.T, np.zeros(d_u), 0.35, MODALITY_V, MODALITY_U)
     return world, g_uv, g_vu
 
 
 # Each builder makes its means afresh, so no two worlds share an array.
 _PRESETS = {
     "clean": lambda seed: _identity_preset(
-        "clean", 4.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.4, seed
+        4.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.4, seed
     ),
-    "noisy": lambda seed: _identity_preset("noisy", 3.0 * np.eye(4), 0.8, seed),
+    "noisy": lambda seed: _identity_preset(3.0 * np.eye(4), 0.8, seed),
     "collapse-heavy": _collapse_heavy_preset,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def lossy_world_preset(name: str, seed: int = 0):

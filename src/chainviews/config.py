@@ -31,13 +31,12 @@ from .channels import (
     DiscreteChannel,
     LinearGaussianChannel,
     MixtureChannel,
-    Port,
     PrototypeCollapseChannel,
     lossy_world_preset,
     PRESET_NAMES,
 )
-from .datamodel import MODALITY_U, MODALITY_V, ViewSpec, read_dataset
-from .models import TrainConfig, check_int, check_number, is_real
+from .datamodel import MODALITY_U, MODALITY_V, ViewSpec, check_int, is_real, read_dataset
+from .models import TrainConfig
 from .pipeline import CONDITIONS, INERT_FIELDS, PipelineConfig, config_hash
 
 
@@ -97,72 +96,50 @@ def _array(spec: Mapping, key: str, where: str, ndim: int) -> np.ndarray:
 # --- channel specs -------------------------------------------------------------
 
 
-def _stages(spec: Mapping, where: str) -> list:
-    stages = spec["stages"]
-    if not isinstance(stages, list) or not stages:
-        raise ConfigError(f"{where}.stages: compose needs a list of at least one stage, got {stages!r}")
-    return stages
-
-
-def _spec_out(spec, where: str) -> ViewSpec:
-    """Output shape a tagged channel spec implies, for composition chains."""
-    kind = _require_mapping(spec, where).get("kind")
-    if kind == "discrete":
-        return ViewSpec("discrete", _array(spec, "matrix", where, 2).shape[1])
-    if kind == "linear_gaussian":
-        return ViewSpec("vector", len(_array(spec, "weight", where, 2)))
-    if kind == "prototype_collapse":
-        return ViewSpec("vector", _array(spec, "prototypes", where, 2).shape[1])
-    if kind == "mixture":
-        return _spec_out(spec["a"], f"{where}.a")
-    if kind == "compose":
-        return _spec_out(_stages(spec, where)[-1], f"{where}.stages[-1]")
-    raise ConfigError(f"{where}: unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
-
-
-def channel_from_spec(spec: Mapping, in_port: Port, out_port: Port, where: str = "channel"):
-    """Build a channel from its tagged mapping, anchored to the given ports.
-    Errors name the spec's keys under ``where`` (e.g. ``channels.u_to_v``)."""
+def channel_from_spec(spec: Mapping, in_modality: str, out_modality: str, where: str = "channel"):
+    """Build a channel from its tagged mapping, reading the ``in_modality``
+    side and emitting the ``out_modality`` side; its arrays fix its port
+    sizes. Errors name the spec's keys under ``where`` (e.g. ``channels.u_to_v``)."""
     spec = _require_mapping(spec, where)
     kind = spec.get("kind")
     try:
         if kind == "discrete":
             _reject_unknown(spec, {"kind", "matrix"}, where)
-            return DiscreteChannel(_array(spec, "matrix", where, 2), in_port, out_port)
+            return DiscreteChannel(_array(spec, "matrix", where, 2), in_modality, out_modality)
         if kind == "linear_gaussian":
             _reject_unknown(spec, {"kind", "weight", "bias", "noise_sigma"}, where)
             weight = _array(spec, "weight", where, 2)
             bias = np.zeros(weight.shape[0]) if spec.get("bias") is None else _array(spec, "bias", where, 1)
-            sigma = check_number(f"{where}.noise_sigma", spec["noise_sigma"], ConfigError)
-            return LinearGaussianChannel(weight, bias, sigma, in_port, out_port)
+            return LinearGaussianChannel(weight, bias, spec["noise_sigma"], in_modality, out_modality)
         if kind == "prototype_collapse":
             _reject_unknown(spec, {"kind", "prototypes", "temperature", "jitter_sigma", "projection"}, where)
             projection = spec.get("projection")
             return PrototypeCollapseChannel(
                 _array(spec, "prototypes", where, 2),
-                check_number(f"{where}.temperature", spec["temperature"], ConfigError),
-                check_number(f"{where}.jitter_sigma", spec["jitter_sigma"], ConfigError),
-                in_port,
-                out_port,
+                spec["temperature"],
+                spec["jitter_sigma"],
+                in_modality,
+                out_modality,
                 projection=None if projection is None else _array(spec, "projection", where, 2),
             )
         if kind == "mixture":
             _reject_unknown(spec, {"kind", "branch_prob", "a", "b"}, where)
-            a = channel_from_spec(spec["a"], in_port, out_port, f"{where}.a")
-            b = channel_from_spec(spec["b"], in_port, out_port, f"{where}.b")
-            return MixtureChannel(check_number(f"{where}.branch_prob", spec["branch_prob"], ConfigError), a, b)
+            a = channel_from_spec(spec["a"], in_modality, out_modality, f"{where}.a")
+            b = channel_from_spec(spec["b"], in_modality, out_modality, f"{where}.b")
+            return MixtureChannel(spec["branch_prob"], a, b)
         if kind == "compose":
             _reject_unknown(spec, {"kind", "stages"}, where)
-            stages_spec = _stages(spec, where)
-            stages = []
-            cursor = in_port
-            for i, stage_spec in enumerate(stages_spec):
-                at = f"{where}.stages[{i}]"
-                last = i == len(stages_spec) - 1
-                stage_out = out_port if last else Port(_spec_out(stage_spec, at), out_port.modality)
-                stages.append(channel_from_spec(stage_spec, cursor, stage_out, at))
-                cursor = stage_out
-            return ComposedChannel(stages)
+            stages = spec["stages"]
+            if not isinstance(stages, list) or not stages:
+                raise ConfigError(f"{where}.stages: compose needs a list of at least one stage, got {stages!r}")
+            # the first stage reads the source side and every stage emits the
+            # target side; ComposedChannel checks that adjacent stages fit
+            return ComposedChannel(
+                [
+                    channel_from_spec(stage, out_modality if i else in_modality, out_modality, f"{where}.stages[{i}]")
+                    for i, stage in enumerate(stages)
+                ]
+            )
     except KeyError as exc:
         raise ConfigError(f"{where} ({kind}) missing key {exc.args[0]!r}") from exc
     except ChannelError as exc:
@@ -170,17 +147,29 @@ def channel_from_spec(spec: Mapping, in_port: Port, out_port: Port, where: str =
     raise ConfigError(f"{where}: unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
 
 
+def _channel_pair(specs: Mapping, u_spec: ViewSpec, v_spec: ViewSpec | None = None):
+    """The ``(u_to_v, v_to_u)`` channels of a ``channels`` section, checked
+    against the data's u side and ``v_spec`` (by default what ``u_to_v`` emits)."""
+    g_uv = channel_from_spec(specs["u_to_v"], MODALITY_U, MODALITY_V, "channels.u_to_v")
+    g_vu = channel_from_spec(specs["v_to_u"], MODALITY_V, MODALITY_U, "channels.v_to_u")
+    v_spec = v_spec or g_uv.out_port.spec
+    for name, channel, sides in (("u_to_v", g_uv, (u_spec, v_spec)), ("v_to_u", g_vu, (v_spec, u_spec))):
+        for verb, port, want in zip(("reads", "emits"), (channel.in_port, channel.out_port), sides):
+            if port.spec != want:
+                raise ConfigError(
+                    f"channels.{name} {verb} {port.spec.kind} views of size {port.spec.size}, "
+                    f"but the data's {port.modality} side has {want.kind} views of size {want.size}"
+                )
+    return g_uv, g_vu
+
+
 # --- worlds --------------------------------------------------------------------
 
 
-def world_from_custom(custom: Mapping, seed: int) -> tuple[BenchmarkWorld, ViewSpec]:
+def world_from_custom(custom: Mapping, seed: int) -> BenchmarkWorld:
     where = "world.custom"
     custom = _require_mapping(custom, where)
-    _reject_unknown(
-        custom,
-        {"name", "class_means", "within_class_sigma", "entity_vocab", "entity_pairs_by_class", "v_size"},
-        where,
-    )
+    _reject_unknown(custom, {"class_means", "within_class_sigma", "entity_vocab", "entity_pairs_by_class"}, where)
     try:
         class_means = _array(custom, "class_means", where, 2)
         pairs = custom["entity_pairs_by_class"]
@@ -191,23 +180,19 @@ def world_from_custom(custom: Mapping, seed: int) -> tuple[BenchmarkWorld, ViewS
                 f"{where}.entity_pairs_by_class must list [subject, object] pairs per class, got {pairs!r}"
             )
         pairs = tuple(tuple(_ints(pair, f"{where}.entity_pairs_by_class", 0) for pair in per) for per in pairs)
-        sigma = check_number(f"{where}.within_class_sigma", custom["within_class_sigma"], ConfigError)
-        vocab = check_int(f"{where}.entity_vocab", custom["entity_vocab"], 1, ConfigError)
-        v_spec = ViewSpec("vector", check_int(f"{where}.v_size", custom["v_size"], 1, ConfigError))
-    except KeyError as exc:
-        raise ConfigError(f"{where} missing key {exc.args[0]!r}") from exc
-    try:
-        world = BenchmarkWorld(
-            name=str(custom.get("name", "custom")),
+        return BenchmarkWorld(
             class_means=class_means,
-            within_class_sigma=float(sigma),
-            entity_vocab=vocab,
+            within_class_sigma=custom["within_class_sigma"],
+            entity_vocab=custom["entity_vocab"],
             entity_pairs_by_class=pairs,
             seed=seed,
         )
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{where} missing key {exc.args[0]!r}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # BenchmarkWorld's checks name the key
         raise ConfigError(f"{where}: {exc}") from exc
-    return world, v_spec
 
 
 # --- the experiment config -----------------------------------------------------
@@ -326,6 +311,9 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(
             f"unknown ablation conditions {bad}; valid names: {', '.join(CONDITIONS)}"
         )
+    repeated = sorted({c for c in conditions if conditions.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"ablation.conditions names {', '.join(repeated)} more than once; name each condition once")
     seeds = _ints(ablation.get("seeds", list(range(10))), "ablation.seeds", 0)
     if not seeds:
         raise ConfigError("ablation.seeds must not be empty")
@@ -414,20 +402,15 @@ def build_world(config: ExperimentConfig, seed: int | None = None):
     world_seed = config.seed if seed is None else seed
     if config.world_preset is not None:
         world, g_uv, g_vu = lossy_world_preset(config.world_preset, seed=world_seed)
-        v_spec = g_uv.out_port.spec
     else:
-        world, v_spec = world_from_custom(config.world_custom, world_seed)
-        g_uv = g_vu = None
+        world = world_from_custom(config.world_custom, world_seed)
     if config.channel_specs is not None:
-        u_port = Port(ViewSpec("vector", world.u_dim), MODALITY_U)
-        v_port = Port(v_spec, MODALITY_V)
-        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port, "channels.u_to_v")
-        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port, "channels.v_to_u")
-    if g_uv is None or g_vu is None:
+        g_uv, g_vu = _channel_pair(config.channel_specs, ViewSpec("vector", world.u_dim))
+    elif config.world_preset is None:
         raise ConfigError("custom worlds need a 'channels' section")
     if config.none_class is not None and config.none_class >= world.class_count:
         raise ConfigError(f"data.none_class {config.none_class} is not one of the world's {world.class_count} classes")
-    return world, g_uv, g_vu, v_spec
+    return world, g_uv, g_vu, g_uv.out_port.spec
 
 
 def load_experiment_data(config: ExperimentConfig):
@@ -439,10 +422,7 @@ def load_experiment_data(config: ExperimentConfig):
         test_instances, test_schema = read_dataset(config.dataset_paths[1])
         if test_schema != schema:
             raise ConfigError("train and test datasets disagree on their schema")
-        u_port = Port(schema.u_spec, MODALITY_U)
-        v_port = Port(schema.v_spec, MODALITY_V)
-        g_uv = channel_from_spec(config.channel_specs["u_to_v"], u_port, v_port, "channels.u_to_v")
-        g_vu = channel_from_spec(config.channel_specs["v_to_u"], v_port, u_port, "channels.v_to_u")
+        g_uv, g_vu = _channel_pair(config.channel_specs, schema.u_spec, schema.v_spec)
         return train_instances, test_instances, schema, g_uv, g_vu
 
     world, g_uv, g_vu, v_spec = build_world(config)

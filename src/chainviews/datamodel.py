@@ -42,6 +42,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -75,6 +76,30 @@ class DatasetFormatError(ValueError):
         super().__init__(message)
 
 
+def check_int(name: str, value, low: int, error=ValueError):
+    """``value`` if it is an integer (not a bool) of at least ``low``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value!r}")
+    return value
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_number(name: str, value, error=ValueError, positive: bool = False):
+    """``value`` if it is a finite real number above 0 (``positive``) or at least 0."""
+    if not (is_real(value) and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be a finite {'positive' if positive else 'non-negative'} number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ViewSpec:
     """Shape contract for one modality: vector dimension or alphabet size."""
@@ -85,8 +110,7 @@ class ViewSpec:
     def __post_init__(self):
         if self.kind not in ("vector", "discrete"):
             raise ValueError(f"unknown view kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("view size must be positive")
+        check_int("view size", self.size, 1)
 
 
 def rows_match(kind: str, data: np.ndarray, spec: ViewSpec) -> np.ndarray:
@@ -252,11 +276,7 @@ class Instance:
 
     def __post_init__(self):
         for name in ("id", "label", "subject", "object"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"instance {name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"instance {name} must be non-negative")
+            value = check_int(f"instance {name}", getattr(self, name), 0)
             object.__setattr__(self, name, int(value))  # a plain int, as the line template writes it
         if self.real_view.modality != MODALITY_U or len(self.real_view) != 1:
             raise ValueError("the real view must be one u-side row")
@@ -271,11 +291,10 @@ class DatasetSchema:
     none_class: int | None = None
 
     def __post_init__(self):
-        if self.class_count < 2:
+        if check_int("class_count", self.class_count, 1) < 2:
             raise ValueError("need at least two classes")
-        if self.entity_vocab < 1:
-            raise ValueError("entity vocabulary must be positive")
-        if self.none_class is not None and not (0 <= self.none_class < self.class_count):
+        check_int("entity_vocab", self.entity_vocab, 1)
+        if self.none_class is not None and check_int("none_class", self.none_class, 0) >= self.class_count:
             raise ValueError("none_class outside label range")
 
 

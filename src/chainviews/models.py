@@ -27,13 +27,12 @@ buffer, ``loss_and_grads`` returns fresh arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, ViewBatch
+from .datamodel import MODALITY_U, MODALITY_V, DatasetSchema, ViewBatch, check_int, check_number
 from .nn import (
     Grads,
     Params,
@@ -302,30 +301,6 @@ class UnimodalModel:
 
 
 # --- training -----------------------------------------------------------------
-
-
-def check_int(name: str, value, low: int, error=ValueError):
-    """``value`` if it is an integer (not a bool) of at least ``low``, 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise error(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value!r}")
-    return value
-
-
-def is_real(value) -> bool:
-    """Whether ``value`` is an int or float (not a bool) with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def check_number(name: str, value, error=ValueError):
-    """``value`` if it is a finite non-negative real number."""
-    if not (is_real(value) and value >= 0):
-        raise error(f"{name} must be a finite non-negative number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,8 @@ def cross_attention(params: Params, prefix: str, query: np.ndarray, memory: np.n
     """
     if query.ndim != 3 or memory.ndim != 3:
         raise ValueError("query must be (B, Q, d) and memory (B, N, d)")
+    if query.shape[0] != memory.shape[0]:
+        raise ValueError(f"query and memory need one batch size, got {query.shape[0]} and {memory.shape[0]}")
     if memory.shape[1] == 0:
         raise ValueError("empty attention set")
     weight_keys = (f"{prefix}.wq", f"{prefix}.wk", f"{prefix}.wv")

@@ -37,9 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Streams, generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Pool, ViewBatch
+from .datamodel import MODALITY_V, DatasetSchema, Instance, Pool, ViewBatch, check_int, is_real
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
-from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, check_int, is_real, train
+from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
 from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng
 from .selection import (

@@ -22,7 +22,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
 
-from chainviews.channels import BenchmarkWorld, LinearGaussianChannel, Port, generate_benchmark
+from chainviews.channels import BenchmarkWorld, LinearGaussianChannel, generate_benchmark
 from chainviews.datamodel import (
     MODALITY_U,
     MODALITY_V,
@@ -42,18 +42,15 @@ from chainviews.pipeline import PipelineConfig
 def tiny_world(seed=0, sigma=0.6, noise=0.3):
     means = 2.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     world = BenchmarkWorld(
-        name="tiny",
         class_means=means,
         within_class_sigma=sigma,
         entity_vocab=6,
         entity_pairs_by_class=(((0, 1),), ((2, 3),), ((4, 5),)),
         seed=seed,
     )
-    u_port = Port(ViewSpec("vector", 2), MODALITY_U)
-    v_port = Port(ViewSpec("vector", 2), MODALITY_V)
     eye, zero = np.eye(2), np.zeros(2)
-    g_uv = LinearGaussianChannel(eye, zero, noise, u_port, v_port)
-    g_vu = LinearGaussianChannel(eye, zero, noise, v_port, u_port)
+    g_uv = LinearGaussianChannel(eye, zero, noise, MODALITY_U, MODALITY_V)
+    g_vu = LinearGaussianChannel(eye, zero, noise, MODALITY_V, MODALITY_U)
     return world, g_uv, g_vu, ViewSpec("vector", 2)
 
 

@@ -1,5 +1,7 @@
 """Stochastic channels, composition, benchmark worlds, and the presets."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,6 @@ from chainviews.pipeline import run_round0
 from conftest import tiny_config, tiny_world
 
 
-def disc_port(alphabet, modality):
-    return Port(ViewSpec("discrete", alphabet), modality)
-
-
 def vec_port(size, modality):
     return Port(ViewSpec("vector", size), modality)
 
@@ -41,7 +39,7 @@ def vec_port(size, modality):
 
 
 def test_identity_discrete_channel_copies_symbols():
-    chan = DiscreteChannel(np.eye(4), disc_port(4, MODALITY_U), disc_port(4, MODALITY_V))
+    chan = DiscreteChannel(np.eye(4), MODALITY_U, MODALITY_V)
     out = sample_channel(chan, stack_views([discrete_view([3, 1], MODALITY_U)]), derive_rng(0, "t"))
     assert out.modality == MODALITY_V
     assert out.data.tolist() == [[3, 1]]
@@ -50,7 +48,7 @@ def test_identity_discrete_channel_copies_symbols():
 def test_uniform_rows_pass_chi_square():
     # A=4, uniform rows: 10,000 draws per symbol position vs the uniform law
     chan = DiscreteChannel(
-        np.full((4, 4), 0.25), disc_port(4, MODALITY_U), disc_port(4, MODALITY_V)
+        np.full((4, 4), 0.25), MODALITY_U, MODALITY_V
     )
     symbols = sample_channel(chan, stack_views([discrete_view([0, 2], MODALITY_U)] * 10_000), derive_rng(0, "chi")).data
     counts = np.stack([np.bincount(symbols[:, position], minlength=4) for position in range(2)])
@@ -67,7 +65,7 @@ def test_discrete_sampling_matches_searchsorted_reference():
         a_in, a_out = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         table = rng.dirichlet(np.full(a_out, 0.5), size=a_in)
         table[0] = np.eye(a_out)[a_out - 1]  # a row whose mass sits on the last symbol
-        chan = DiscreteChannel(table, disc_port(a_in, MODALITY_U), disc_port(a_out, MODALITY_V))
+        chan = DiscreteChannel(table, MODALITY_U, MODALITY_V)
         views = [discrete_view(rng.integers(a_in, size=12), MODALITY_U) for _ in range(3)]
         outs = sample_channel(chan, stack_views(views), derive_rng(trial, "draws"))
         draws = derive_rng(trial, "draws").random((3, 12))
@@ -80,11 +78,11 @@ def test_discrete_sampling_matches_searchsorted_reference():
 def test_discrete_rows_must_be_stochastic():
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ChannelError):
-        DiscreteChannel(bad, disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+        DiscreteChannel(bad, MODALITY_U, MODALITY_V)
 
 
 def test_spec_mismatch_raises():
-    chan = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
+    chan = DiscreteChannel(np.eye(3), MODALITY_U, MODALITY_V)
     with pytest.raises(ChannelError):
         sample_channel(chan, stack_views([discrete_view([0, 4], MODALITY_U)]), derive_rng(0, "t"))
     with pytest.raises(ChannelError):
@@ -99,7 +97,7 @@ def test_spec_mismatch_raises():
 def test_linear_gaussian_mean_and_shape():
     weight = np.array([[2.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     bias = np.array([0.5, 0.0, 0.0])
-    chan = LinearGaussianChannel(weight, bias, 0.1, vec_port(2, MODALITY_U), vec_port(3, MODALITY_V))
+    chan = LinearGaussianChannel(weight, bias, 0.1, MODALITY_U, MODALITY_V)
     rng = derive_rng(0, "lg")
     x = np.array([1.0, 2.0])
     outs = sample_channel(chan, stack_views([vector_view(x, MODALITY_U)] * 4000), rng).data
@@ -109,7 +107,7 @@ def test_linear_gaussian_mean_and_shape():
 
 def test_linear_gaussian_requires_positive_noise():
     with pytest.raises(ChannelError):
-        LinearGaussianChannel(np.eye(2), np.zeros(2), 0.0, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
+        LinearGaussianChannel(np.eye(2), np.zeros(2), 0.0, MODALITY_U, MODALITY_V)
 
 
 def test_prototype_collapse_degenerate_case():
@@ -117,7 +115,7 @@ def test_prototype_collapse_degenerate_case():
     proto = np.array([[1.0, -2.0]])
     chan = PrototypeCollapseChannel(
         proto, temperature=1.0, jitter_sigma=0.0,
-        in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
+        in_modality=MODALITY_U, out_modality=MODALITY_V,
     )
     outs = sample_channel(chan, stack_views([vector_view([0.3, 0.7], MODALITY_U)] * 5), derive_rng(0, "pc"))
     assert len(outs) == 5
@@ -129,7 +127,7 @@ def test_prototype_snap_probabilities_form_a_distribution():
     protos = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     chan = PrototypeCollapseChannel(
         protos, temperature=2.0, jitter_sigma=0.1,
-        in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
+        in_modality=MODALITY_U, out_modality=MODALITY_V,
     )
     probs = chan.snap_probabilities(np.array([[0.9, 0.1], [-0.8, 0.2]]))
     assert probs.shape == (2, 3)
@@ -141,9 +139,9 @@ def point_mixture(branch_prob):
     # branch a emits exactly (5, 5); branch b stays near its input
     a = PrototypeCollapseChannel(
         np.array([[5.0, 5.0]]), temperature=1.0, jitter_sigma=0.0,
-        in_port=vec_port(2, MODALITY_U), out_port=vec_port(2, MODALITY_V),
+        in_modality=MODALITY_U, out_modality=MODALITY_V,
     )
-    b = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.01, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
+    b = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.01, MODALITY_U, MODALITY_V)
     return MixtureChannel(branch_prob, a, b)
 
 
@@ -157,10 +155,67 @@ def test_mixture_routes_between_branches():
 
 
 def test_mixture_branches_must_share_ports():
-    a = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.1, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
-    b = LinearGaussianChannel(np.eye(3), np.zeros(3), 0.1, vec_port(3, MODALITY_U), vec_port(3, MODALITY_V))
+    a = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.1, MODALITY_U, MODALITY_V)
+    b = LinearGaussianChannel(np.eye(3), np.zeros(3), 0.1, MODALITY_U, MODALITY_V)
     with pytest.raises(ChannelError):
         MixtureChannel(0.5, a, b)
+
+
+def test_leaf_ports_come_from_their_arrays():
+    disc = DiscreteChannel(np.full((3, 5), 0.2), MODALITY_V, MODALITY_U)
+    assert (disc.in_port, disc.out_port) == (
+        Port(ViewSpec("discrete", 3), MODALITY_V),
+        Port(ViewSpec("discrete", 5), MODALITY_U),
+    )
+    linear = LinearGaussianChannel(np.ones((4, 2)), np.zeros(4), 0.1, MODALITY_U, MODALITY_V)
+    assert (linear.in_port, linear.out_port) == (vec_port(2, MODALITY_U), vec_port(4, MODALITY_V))
+    protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    bare = PrototypeCollapseChannel(protos, 1.0, 0.0, MODALITY_U, MODALITY_V)
+    assert (bare.in_port, bare.out_port) == (vec_port(3, MODALITY_U), vec_port(3, MODALITY_V))
+    projected = PrototypeCollapseChannel(protos, 1.0, 0.0, MODALITY_U, MODALITY_V, projection=np.ones((3, 7)))
+    assert (projected.in_port, projected.out_port) == (vec_port(7, MODALITY_U), vec_port(3, MODALITY_V))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteChannel(np.full(3, 1 / 3), MODALITY_U, MODALITY_V), "transition matrix must be 2-d"),
+        (lambda: LinearGaussianChannel(np.ones(3), np.zeros(3), 0.1, MODALITY_U, MODALITY_V), "weight must be"),
+        (lambda: LinearGaussianChannel(np.eye(2), np.zeros(3), 0.1, MODALITY_U, MODALITY_V), "bias shape"),
+        (lambda: PrototypeCollapseChannel(np.ones(3), 1.0, 0.0, MODALITY_U, MODALITY_V), "prototypes must be"),
+        (
+            lambda: PrototypeCollapseChannel(np.eye(2), 1.0, 0.0, MODALITY_U, MODALITY_V, projection=np.ones((3, 5))),
+            "projection must be 2-d with 2 rows",
+        ),
+        (lambda: DiscreteChannel(np.eye(2), MODALITY_U, "w"), "unknown modality"),
+    ],
+    ids=["matrix", "weight", "bias", "prototypes", "projection", "modality"],
+)
+def test_leaf_arrays_and_sides_are_checked(build, message):
+    with pytest.raises(ChannelError, match=message):
+        build()
+
+
+def build_every_parameter(noise_sigma=0.1, temperature=1.0, jitter_sigma=0.1, branch_prob=0.5):
+    linear = LinearGaussianChannel(np.eye(2), np.zeros(2), noise_sigma, MODALITY_U, MODALITY_V)
+    snap = PrototypeCollapseChannel(np.eye(2), temperature, jitter_sigma, MODALITY_U, MODALITY_V)
+    return MixtureChannel(branch_prob, linear, snap)
+
+
+NOT_FINITE = [float("nan"), float("inf"), "0.5", None, True, [0.5]]
+
+
+@pytest.mark.parametrize(
+    "name, value, wanted",
+    [("noise_sigma", bad, "a finite positive number") for bad in NOT_FINITE + [-0.1]]
+    + [("temperature", bad, "a finite positive number") for bad in NOT_FINITE + [0]]
+    + [("jitter_sigma", bad, "a finite non-negative number") for bad in NOT_FINITE + [-0.1]]
+    + [("branch_prob", bad, "a finite number in [0, 1]") for bad in NOT_FINITE + [1.5, -0.1]],
+)
+def test_channels_refuse_parameters_that_are_not_finite_numbers_in_range(name, value, wanted):
+    build_every_parameter()
+    with pytest.raises(ChannelError, match=re.escape(f"{name} must be {wanted}, got {value!r}")):
+        build_every_parameter(**{name: value})
 
 
 # --- composition -----------------------------------------------------------------
@@ -172,8 +227,8 @@ def test_compose_empty_is_an_error():
 
 
 def test_compose_requires_matching_ports():
-    a = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
-    b = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_V), disc_port(3, MODALITY_U))
+    a = DiscreteChannel(np.eye(2), MODALITY_U, MODALITY_V)
+    b = DiscreteChannel(np.eye(3), MODALITY_V, MODALITY_U)
     with pytest.raises(ChannelError):
         ComposedChannel([a, b])
 
@@ -184,8 +239,8 @@ def test_composed_sampling_equals_staged_sampling():
     m1 = rows / rows.sum(axis=1, keepdims=True)
     rows2 = rng_matrix.random((3, 3)) + 0.1
     m2 = rows2 / rows2.sum(axis=1, keepdims=True)
-    a = DiscreteChannel(m1, disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
-    b = DiscreteChannel(m2, disc_port(3, MODALITY_V), disc_port(3, MODALITY_U))
+    a = DiscreteChannel(m1, MODALITY_U, MODALITY_V)
+    b = DiscreteChannel(m2, MODALITY_V, MODALITY_U)
     chain = ComposedChannel([a, b])
     views = stack_views([discrete_view([0, 1, 2], MODALITY_U), discrete_view([2, 2, 0], MODALITY_U)])
     got = sample_channel(chain, views, derive_rng(7, "cmp"))
@@ -273,13 +328,32 @@ def test_separated_world_is_linearly_separable():
 def test_world_requires_distinct_means():
     with pytest.raises(ValueError, match="distinct"):
         BenchmarkWorld(
-            name="bad",
             class_means=np.zeros((2, 3)),
             within_class_sigma=1.0,
             entity_vocab=2,
             entity_pairs_by_class=(((0, 1),), ((0, 1),)),
             seed=0,
         )
+
+
+WORLD_FIELDS = dict(
+    class_means=np.eye(2),
+    within_class_sigma=1.0,
+    entity_vocab=2,
+    entity_pairs_by_class=(((0, 1),), ((1, 0),)),
+    seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, wanted",
+    [("within_class_sigma", bad, "a finite positive number") for bad in NOT_FINITE + [0.0, -1.0]]
+    + [("entity_vocab", bad, "a positive integer") for bad in [float("nan"), float("inf"), "2", None, True, 2.0, 0]],
+)
+def test_world_refuses_a_sigma_or_vocabulary_out_of_its_domain(field, value, wanted):
+    BenchmarkWorld(**WORLD_FIELDS)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {wanted}, got {value!r}")):
+        BenchmarkWorld(**{**WORLD_FIELDS, field: value})
 
 
 def test_world_class_count_is_the_number_of_means():
@@ -315,7 +389,6 @@ def test_unknown_preset_errors():
 def test_preset_surface():
     for name in PRESET_NAMES:
         world, g_uv, g_vu = lossy_world_preset(name, seed=0)
-        assert world.name == name
         assert g_uv.in_port.modality == MODALITY_U
         assert g_uv.out_port.modality == MODALITY_V
         assert g_vu.in_port.modality == MODALITY_V
@@ -352,7 +425,7 @@ def assert_linear(channel, weight, bias, noise_sigma):
 def test_identity_presets_keep_their_numbers(name, means, noise_sigma):
     world, g_uv, g_vu = lossy_world_preset(name, seed=5)
     d = len(means[0])
-    assert (world.name, world.class_count, world.entity_vocab, world.seed) == (name, 4, 8, 5)
+    assert (world.class_count, world.entity_vocab, world.seed) == (4, 8, 5)
     assert_bits(world.class_means, means)
     assert world.within_class_sigma == 1.0
     assert world.entity_pairs_by_class == PRESET_PAIRS
@@ -370,7 +443,7 @@ def test_collapse_heavy_preset_keeps_its_numbers():
     means[diagonal] = 3.0
     proj = np.zeros((4, 32))
     proj[diagonal] = 1.0
-    assert (world.name, world.class_count, world.entity_vocab, world.seed) == ("collapse-heavy", 4, 8, 5)
+    assert (world.class_count, world.entity_vocab, world.seed) == (4, 8, 5)
     assert_bits(world.class_means, means)
     assert world.within_class_sigma == 1.5
     assert world.entity_pairs_by_class == PRESET_PAIRS
@@ -460,14 +533,14 @@ def test_per_instance_streams_make_generation_order_irrelevant():
 
 
 def test_ragged_discrete_batch_is_a_channel_error():
-    chan = DiscreteChannel(np.eye(3), disc_port(3, MODALITY_U), disc_port(3, MODALITY_V))
+    chan = DiscreteChannel(np.eye(3), MODALITY_U, MODALITY_V)
     views = [discrete_view([0, 1, 2], MODALITY_U), discrete_view([2, 1], MODALITY_U)]
     with pytest.raises(ChannelError, match="one length"):
         sample_channel(chan, stack_views(views), derive_rng(0, "t"))
 
 
 def test_empty_batch_draws_nothing():
-    chan = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.1, vec_port(2, MODALITY_U), vec_port(2, MODALITY_V))
+    chan = LinearGaussianChannel(np.eye(2), np.zeros(2), 0.1, MODALITY_U, MODALITY_V)
     rng = derive_rng(0, "t")
     out = sample_channel(chan, ViewBatch("vector", MODALITY_U, np.empty((0, 2))), rng)
     assert out.data.shape == (0, 2) and out.modality == MODALITY_V
@@ -496,8 +569,8 @@ def test_mixture_mask_sending_every_row_to_one_branch():
 def test_zero_row_sub_batch_inside_a_mixture():
     # the outer mixture never takes branch a, so the inner mixture (discrete,
     # integer rows) samples a zero-row batch on every call
-    flip = DiscreteChannel(np.array([[0.2, 0.8], [0.8, 0.2]]), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
-    keep = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+    flip = DiscreteChannel(np.array([[0.2, 0.8], [0.8, 0.2]]), MODALITY_U, MODALITY_V)
+    keep = DiscreteChannel(np.eye(2), MODALITY_U, MODALITY_V)
     outer = MixtureChannel(0.0, MixtureChannel(0.5, flip, keep), keep)
     outs = sample_channel(outer, stack_views([discrete_view([0, 1, 1], MODALITY_U)] * 4), derive_rng(0, "z"))
     assert outs.data.tolist() == [[0, 1, 1]] * 4
@@ -566,9 +639,8 @@ def _segment_channels():
     for name in PRESET_NAMES:
         _, g_uv, g_vu = lossy_world_preset(name, seed=0)
         channels += [g_uv, g_vu, ComposedChannel([g_uv, g_vu])]
-    u3, v3 = disc_port(3, MODALITY_U), disc_port(3, MODALITY_V)
-    noisy = DiscreteChannel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], u3, v3)
-    channels += [noisy, MixtureChannel(0.0, noisy, DiscreteChannel(np.eye(3), u3, v3))]
+    noisy = DiscreteChannel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], MODALITY_U, MODALITY_V)
+    channels += [noisy, MixtureChannel(0.0, noisy, DiscreteChannel(np.eye(3), MODALITY_U, MODALITY_V))]
     return channels
 
 
@@ -602,7 +674,7 @@ def test_one_batch_over_segments_equals_each_segment_alone(channel, sizes, seed)
 
 
 def test_streams_must_cover_the_batch():
-    chan = DiscreteChannel(np.eye(2), disc_port(2, MODALITY_U), disc_port(2, MODALITY_V))
+    chan = DiscreteChannel(np.eye(2), MODALITY_U, MODALITY_V)
     batch = stack_views([discrete_view([0, 1], MODALITY_U)] * 3)
     with pytest.raises(ChannelError, match="cover 2 rows"):
         sample_channel(chan, batch, Streams([derive_rng(0, "a"), derive_rng(0, "b")], [1, 1]))

@@ -228,7 +228,8 @@ def test_run_k_zero_flag(run_artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_on_dataset_files(tmp_path, capsys):
+def dataset_mapping(tmp_path, channels):
+    """A tiny run on clean-preset dataset files, with ``channels(d)`` for u width ``d``."""
     bench = tmp_path / "bench"
     gen_config = write_yaml(
         tmp_path / "gen.yaml",
@@ -241,21 +242,46 @@ def test_run_on_dataset_files(tmp_path, capsys):
     )
     assert main(["gen-benchmark", "--config", gen_config]) == EXIT_OK
     _, schema = read_dataset(bench / "train.jsonl")
-    d = schema.u_spec.size
-    eye = [[float(i == j) for j in range(d)] for i in range(d)]
     mapping = tiny_mapping(tmp_path / "from-files")
     del mapping["world"]
     del mapping["data"]
     mapping["seed"] = 7
     mapping["dataset"] = {"train": str(bench / "train.jsonl"), "test": str(bench / "test.jsonl")}
-    mapping["channels"] = {
-        "u_to_v": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
-        "v_to_u": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
-    }
-    config = write_yaml(tmp_path / "files.yaml", mapping)
+    mapping["channels"] = channels(schema.u_spec.size)
+    return mapping
+
+
+def test_run_on_dataset_files(tmp_path, capsys):
+    def identity(d):
+        eye = [[float(i == j) for j in range(d)] for i in range(d)]
+        return {
+            "u_to_v": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
+            "v_to_u": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
+        }
+
+    config = write_yaml(tmp_path / "files.yaml", dataset_mapping(tmp_path, identity))
     assert main(["run", "--config", config]) == EXIT_OK
     assert (tmp_path / "from-files" / "metrics.csv").exists()
     capsys.readouterr()
+
+
+def test_dataset_channels_that_do_not_fit_the_schema_exit_1_naming_the_channel(tmp_path, capsys):
+    # u -> v widens to d + 1 and v -> u reads d + 1: the pair chains, but the
+    # dataset's v side is d wide
+    def widening(d):
+        up = [[float(i == j) for j in range(d)] for i in range(d + 1)]
+        return {
+            "u_to_v": {"kind": "linear_gaussian", "weight": up, "noise_sigma": 0.4},
+            "v_to_u": {"kind": "linear_gaussian", "weight": np.array(up).T.tolist(), "noise_sigma": 0.4},
+        }
+
+    mapping = dataset_mapping(tmp_path, widening)
+    d = len(mapping["channels"]["u_to_v"]["weight"][0])
+    config = write_yaml(tmp_path / "files.yaml", mapping)
+    assert main(["run", "--config", config]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: channels.u_to_v emits vector views of size {d + 1}, but the data's v side has vector views of size {d}" in err
+    assert not (tmp_path / "from-files" / "metrics.csv").exists()
 
 
 # --- ablate ------------------------------------------------------------------------
@@ -298,6 +324,15 @@ def test_ablate_refuses_conditions_that_are_not_a_non_empty_list(tmp_path, capsy
     config = write_yaml(tmp_path / "bad.yaml", mapping)
     assert main(["ablate", "--config", config]) == EXIT_USAGE
     assert "ablation.conditions needs a non-empty list of condition names" in capsys.readouterr().err
+    assert not (out / "ablation.csv").exists()
+
+
+def test_ablate_refuses_a_repeated_condition(tmp_path, capsys):
+    out = tmp_path / "x"
+    mapping = tiny_mapping(out, ablation={"seeds": [0], "conditions": ["full", "unimodal", "full"]})
+    config = write_yaml(tmp_path / "bad.yaml", mapping)
+    assert main(["ablate", "--config", config]) == EXIT_USAGE
+    assert "ablation.conditions names full more than once" in capsys.readouterr().err
     assert not (out / "ablation.csv").exists()
 
 
@@ -567,7 +602,6 @@ def custom_world_mapping(out_dir):
         "within_class_sigma": 0.5,
         "entity_vocab": 2,
         "entity_pairs_by_class": [[[0, 1]], [[1, 0]]],
-        "v_size": 2,
     }
     stage = {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.3}
     return tiny_mapping(
@@ -595,6 +629,25 @@ def run_exit_and_stderr(mapping, directory: Path) -> tuple[int, str]:
 
 def test_the_custom_world_config_runs(tmp_path):
     assert run_exit_and_stderr(custom_world_mapping(tmp_path / "out"), tmp_path) == (EXIT_OK, "")
+
+
+def test_a_compose_whose_stages_do_not_chain_exits_1_naming_the_channel(tmp_path):
+    mapping = custom_world_mapping(tmp_path / "out")
+    widen = {"kind": "linear_gaussian", "weight": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "noise_sigma": 0.3}
+    mapping["channels"]["v_to_u"]["stages"] = [widen, widen]  # the second stage reads 2, the first emits 3
+    code, err = run_exit_and_stderr(mapping, tmp_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: channels.v_to_u (compose): cannot compose"), err
+
+
+@pytest.mark.parametrize("key, value", [("v_size", 2), ("name", "twoclass")])
+def test_removed_custom_world_keys_are_unknown(tmp_path, key, value):
+    # the v side is what channels.u_to_v emits, and no output reads a world name
+    mapping = custom_world_mapping(tmp_path / "out")
+    mapping["world"]["custom"][key] = value
+    code, err = run_exit_and_stderr(mapping, tmp_path)
+    assert code == EXIT_USAGE
+    assert f"unknown keys in world.custom: {key}" in err, err
 
 
 RAGGED = [[1.0, 0.0], [0.0]]
@@ -718,7 +771,6 @@ FUZZED = {
     ("world", "custom", "class_means"): NOT_A_MATRIX,
     ("world", "custom", "within_class_sigma"): not_a_number(),
     ("world", "custom", "entity_vocab"): not_an_int(1),
-    ("world", "custom", "v_size"): not_an_int(1),
     ("world", "custom", "entity_pairs_by_class"): st.one_of(
         TEXT, st.integers(), st.none(), st.sampled_from([[[0, 1]], [[["a", 1]]], [[[0, 1, 1]]], [[[0.5, 1]], [[1, 0]]]])
     ),

@@ -1,5 +1,6 @@
 """Declarative experiment configs: parsing, channel specs, overrides, digests."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,6 @@ def test_custom_world_needs_channels():
         "within_class_sigma": 0.5,
         "entity_vocab": 4,
         "entity_pairs_by_class": [[[0, 1]], [[2, 3]]],
-        "v_size": 2,
     }
     with pytest.raises(ConfigError, match="'channels' section"):
         parse_config(base_mapping(world={"custom": custom}))
@@ -181,6 +181,11 @@ def test_ablation_section_validation():
         parse_config(base_mapping(ablation={"seeds": []}))
 
 
+def test_ablation_conditions_must_not_repeat():
+    with pytest.raises(ConfigError, match=r"ablation.conditions names full, unimodal more than once"):
+        parse_config(base_mapping(ablation={"conditions": ["unimodal", "full", "no_ccg", "full", "unimodal"]}))
+
+
 def test_diversity_grid_validation():
     config = parse_config(base_mapping(diversity={"pca_dims": [2], "components": [1, 3]}))
     assert config.diversity_pca_dims == (2,)
@@ -209,11 +214,11 @@ def test_non_scalar_values_cannot_be_hashed():
 
 def test_channel_spec_kinds_build_their_channels():
     lg = channel_from_spec(
-        {"kind": "linear_gaussian", "weight": [[1.0, 0.0], [0.0, 1.0]], "noise_sigma": 0.3}, U2, V2
+        {"kind": "linear_gaussian", "weight": [[1.0, 0.0], [0.0, 1.0]], "noise_sigma": 0.3}, "u", "v"
     )
     assert isinstance(lg, LinearGaussianChannel)
     assert np.array_equal(lg.bias, np.zeros(2))  # bias defaults to zeros
-    disc = channel_from_spec({"kind": "discrete", "matrix": np.eye(3).tolist()}, UD3, VD3)
+    disc = channel_from_spec({"kind": "discrete", "matrix": np.eye(3).tolist()}, "u", "v")
     assert isinstance(disc, DiscreteChannel)
     proto = channel_from_spec(
         {
@@ -222,8 +227,8 @@ def test_channel_spec_kinds_build_their_channels():
             "temperature": 4.0,
             "jitter_sigma": 0.2,
         },
-        U2,
-        V2,
+        "u",
+        "v",
     )
     assert isinstance(proto, PrototypeCollapseChannel)
     mix = channel_from_spec(
@@ -233,8 +238,8 @@ def test_channel_spec_kinds_build_their_channels():
             "a": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.1},
             "b": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 1.0},
         },
-        U2,
-        V2,
+        "u",
+        "v",
     )
     assert isinstance(mix, MixtureChannel)
     assert mix.in_port == U2 and mix.out_port == V2
@@ -248,7 +253,7 @@ def test_compose_spec_infers_intermediate_ports():
             {"kind": "discrete", "matrix": np.full((4, 3), 1 / 3).tolist()},
         ],
     }
-    chain = channel_from_spec(spec, UD3, VD3)
+    chain = channel_from_spec(spec, "u", "v")
     assert isinstance(chain, ComposedChannel)
     assert chain.in_port.spec.size == 3 and chain.out_port.spec.size == 3
     assert chain.stages[0].out_port.spec.size == 4  # inferred from the first matrix
@@ -260,14 +265,43 @@ def test_compose_spec_infers_intermediate_ports():
 
 def test_channel_spec_errors():
     with pytest.raises(ConfigError, match="unknown channel kind"):
-        channel_from_spec({"kind": "teleport"}, U2, V2)
+        channel_from_spec({"kind": "teleport"}, "u", "v")
     with pytest.raises(ConfigError, match="missing key 'weight'"):
-        channel_from_spec({"kind": "linear_gaussian", "noise_sigma": 0.1}, U2, V2)
+        channel_from_spec({"kind": "linear_gaussian", "noise_sigma": 0.1}, "u", "v")
     with pytest.raises(ConfigError, match="unknown keys"):
-        channel_from_spec({"kind": "discrete", "matrix": [[1.0]], "weight": []}, UD3, VD3)
+        channel_from_spec({"kind": "discrete", "matrix": [[1.0]], "weight": []}, "u", "v")
     with pytest.raises(ConfigError, match="at least one stage"):
-        channel_from_spec({"kind": "compose", "stages": []}, U2, V2)
+        channel_from_spec({"kind": "compose", "stages": []}, "u", "v")
     assert CHANNEL_KINDS == ("discrete", "linear_gaussian", "prototype_collapse", "mixture", "compose")
+
+
+@pytest.mark.parametrize(
+    "name, weight, message",
+    [
+        ("u_to_v", np.ones((2, 3)), "channels.u_to_v reads vector views of size 3, but the data's u side has vector views of size 2"),
+        ("v_to_u", np.ones((3, 2)), "channels.v_to_u emits vector views of size 3, but the data's u side has vector views of size 2"),
+        ("v_to_u", np.ones((2, 3)), "channels.v_to_u reads vector views of size 3, but the data's v side has vector views of size 2"),
+    ],
+)
+def test_channels_must_fit_the_worlds_sides(name, weight, message):
+    eye = {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.1}
+    channels = {"u_to_v": eye, "v_to_u": eye, name: {**eye, "weight": weight.tolist()}}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_world(parse_config(base_mapping(channels=channels)))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("noise_sigma", float("nan"), "noise_sigma must be a finite positive number, got nan"),
+        ("noise_sigma", "x", "noise_sigma must be a finite positive number, got 'x'"),
+        ("noise_sigma", float("inf"), "noise_sigma must be a finite positive number, got inf"),
+    ],
+)
+def test_channel_parameter_errors_name_the_channel_and_key(key, value, message):
+    spec = {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.1, key: value}
+    with pytest.raises(ConfigError, match=re.escape(f"channels.u_to_v (linear_gaussian): {message}")):
+        channel_from_spec(spec, "u", "v", "channels.u_to_v")
 
 
 # --- files, overrides, digests -------------------------------------------------------
@@ -378,20 +412,16 @@ def test_build_world_rejects_dataset_configs(tmp_path):
 
 def test_world_from_custom_builds_and_reports_missing_keys():
     custom = {
-        "name": "twoclass",
         "class_means": [[2.0, 0.0], [0.0, 2.0]],
         "within_class_sigma": 0.4,
         "entity_vocab": 4,
         "entity_pairs_by_class": [[[0, 1]], [[2, 3]]],
-        "v_size": 2,
     }
-    world, v_spec = world_from_custom(custom, seed=6)
-    assert world.name == "twoclass"
+    world = world_from_custom(custom, seed=6)
     assert world.class_count == 2
     assert world.seed == 6
-    assert v_spec == ViewSpec("vector", 2)
-    with pytest.raises(ConfigError, match="missing key 'v_size'"):
-        world_from_custom({k: v for k, v in custom.items() if k != "v_size"}, seed=6)
+    with pytest.raises(ConfigError, match="missing key 'entity_vocab'"):
+        world_from_custom({k: v for k, v in custom.items() if k != "entity_vocab"}, seed=6)
 
 
 def test_load_experiment_data_from_world():

@@ -75,10 +75,10 @@ GOOD_FIELDS = dict(id=0, label=0, subject=2, object=2, real_view=vector_view([0.
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("id", -1, "instance id must be non-negative"),
-        ("label", -1, "instance label must be non-negative"),
-        ("subject", -1, "instance subject must be non-negative"),
-        ("object", -1, "instance object must be non-negative"),
+        ("id", -1, "instance id must be a non-negative integer, got -1"),
+        ("label", -1, "instance label must be a non-negative integer, got -1"),
+        ("subject", -1, "instance subject must be a non-negative integer, got -1"),
+        ("object", -1, "instance object must be a non-negative integer, got -1"),
         ("real_view", ViewBatch("vector", MODALITY_U, np.zeros((0, 2))), "one u-side row"),
         ("real_view", ViewBatch("vector", MODALITY_U, np.zeros((2, 2))), "one u-side row"),
         ("real_view", vector_view([0.0, 0.0], MODALITY_V), "one u-side row"),
@@ -95,7 +95,7 @@ def test_instance_refuses_negative_ints_and_a_real_view_not_one_u_side_row(field
 @pytest.mark.parametrize("field", ["id", "label", "subject", "object"])
 def test_instance_refuses_a_non_integer_field_naming_it(field, value):
     # the line template writes each field as is: 1.5 must never reach it as a label
-    with pytest.raises(ValueError, match=re.escape(f"instance {field} must be an integer, got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"instance {field} must be a non-negative integer, got {value!r}")):
         Instance(**{**GOOD_FIELDS, field: value})
 
 
@@ -108,8 +108,35 @@ def test_instance_stores_numpy_ints_as_int():
 
 
 def test_label_rejects_negative():
-    with pytest.raises(ValueError, match="instance label must be non-negative"):
+    with pytest.raises(ValueError, match="instance label must be a non-negative integer, got -1"):
         Instance(**{**GOOD_FIELDS, "label": -1})
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None, 0, -1])
+def test_view_spec_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError, match=re.escape(f"view size must be a positive integer, got {size!r}")):
+        ViewSpec("vector", size)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("class_count", 1.5, "class_count must be a positive integer, got 1.5"),
+        ("class_count", True, "class_count must be a positive integer, got True"),
+        ("class_count", "3", "class_count must be a positive integer, got '3'"),
+        ("class_count", 1, "need at least two classes"),
+        ("entity_vocab", 4.0, "entity_vocab must be a positive integer, got 4.0"),
+        ("entity_vocab", 0, "entity_vocab must be a positive integer, got 0"),
+        ("none_class", 0.5, "none_class must be a non-negative integer, got 0.5"),
+        ("none_class", False, "none_class must be a non-negative integer, got False"),
+        ("none_class", -1, "none_class must be a non-negative integer, got -1"),
+        ("none_class", 3, "none_class outside label range"),
+    ],
+)
+def test_schema_refuses_counts_that_are_not_integers_in_range(field, value, message):
+    make_schema()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_schema(**{field: value})
 
 
 def test_entity_pair_allows_same_id_distinct_roles():

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from chainviews.channels import DiscreteChannel, Port
-from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewSpec
+from chainviews.channels import DiscreteChannel
+from chainviews.datamodel import MODALITY_U, MODALITY_V
 from chainviews.info import (
     DataProcessingViolation,
     DiscreteJoint,
@@ -50,12 +50,8 @@ def bsc_joint(flip):
     return DiscreteJoint(0.5 * np.array([[1 - flip, flip], [flip, 1 - flip]]))
 
 
-def disc(matrix, a_in, a_out):
-    return DiscreteChannel(
-        np.asarray(matrix, dtype=np.float64),
-        Port(ViewSpec("discrete", a_in), MODALITY_U),
-        Port(ViewSpec("discrete", a_out), MODALITY_V),
-    )
+def disc(matrix):
+    return DiscreteChannel(np.asarray(matrix, dtype=np.float64), MODALITY_U, MODALITY_V)
 
 
 # --- exact_mi -------------------------------------------------------------------
@@ -116,7 +112,7 @@ def test_entropy_of_uniform_binary():
 def test_identity_chain_profile_is_constant():
     spec = MarkovChainSpec(
         initial=np.array([0.25, 0.25, 0.25, 0.25]),
-        stages=[disc(np.eye(4), 4, 4), disc(np.eye(4), 4, 4)],
+        stages=[disc(np.eye(4)), disc(np.eye(4))],
     )
     profile = chain_mi_profile(spec)
     h = math.log(4)
@@ -129,7 +125,7 @@ def test_bsc_chain_matches_frozen_profile():
     bsc = [[0.9, 0.1], [0.1, 0.9]]
     spec = MarkovChainSpec(
         initial=np.array([0.5, 0.5]),
-        stages=[disc(bsc, 2, 2), disc(bsc, 2, 2)],
+        stages=[disc(bsc), disc(bsc)],
     )
     profile = chain_mi_profile(spec)
     frozen = [0.693147, 0.368064, 0.221753]
@@ -148,7 +144,7 @@ def test_random_chains_are_non_increasing():
         channels = []
         for a, b in zip(sizes, sizes[1:]):
             rows = rng.dirichlet(np.ones(b), size=a)
-            channels.append(disc(rows, a, b))
+            channels.append(disc(rows))
         profile = chain_mi_profile(MarkovChainSpec(initial=initial, stages=channels))
         for earlier, later in zip(profile, profile[1:]):
             assert later <= earlier + 1e-9
@@ -157,14 +153,14 @@ def test_random_chains_are_non_increasing():
 def test_profile_guard_trips_on_impossible_tolerance():
     # with a negative tolerance even a perfectly constant profile counts as
     # an increase, which proves the violation guard is wired up
-    spec = MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(2), 2, 2)])
+    spec = MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(2))])
     with pytest.raises(DataProcessingViolation):
         chain_mi_profile(spec, tol=-1.0)
 
 
 def test_chain_alphabets_must_match():
     with pytest.raises(InfoError):
-        MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(3), 3, 3)])
+        MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(3))])
 
 
 # --- mi_lower_bound ------------------------------------------------------------------

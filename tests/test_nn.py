@@ -148,6 +148,14 @@ def test_cross_attention_rejects_a_query_without_a_query_axis():
         nn.cross_attention(params, "ca", np.zeros((1, 3)), np.zeros((1, 2, 4)))
 
 
+def test_cross_attention_refuses_unequal_batch_sizes():
+    # a one-sample query must not broadcast over four memory sets
+    params = {}
+    nn.attention_init(params, derive_rng(0, "q"), "ca", 3, 4, 5, 2)
+    with pytest.raises(ValueError, match="one batch size, got 1 and 4"):
+        nn.cross_attention(params, "ca", np.zeros((1, 2, 3)), np.zeros((4, 6, 4)))
+
+
 # --- losses ------------------------------------------------------------------------
 
 

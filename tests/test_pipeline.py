@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainviews.pipeline as pipeline_module
-from chainviews.channels import DiscreteChannel, Port, generate_benchmark, sample_channel, stack_views
+from chainviews.channels import DiscreteChannel, generate_benchmark, sample_channel, stack_views
 from chainviews.datamodel import (
     REAL_PARENT,
     STEP_U_TO_V,
@@ -646,11 +646,9 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
 
 def identity_world():
     spec = ViewSpec("discrete", 4)
-    u_port = Port(spec, "u")
-    v_port = Port(spec, "v")
     eye = np.eye(4)
-    g_uv = DiscreteChannel(eye, u_port, v_port)
-    g_vu = DiscreteChannel(eye, v_port, u_port)
+    g_uv = DiscreteChannel(eye, "u", "v")
+    g_vu = DiscreteChannel(eye, "v", "u")
     schema = DatasetSchema(2, 4, spec, spec)
     instances = [
         Instance(id=i, label=i % 2, subject=i % 4, object=(i + 1) % 4, real_view=discrete_view([i % 2] * 3, "u"))
