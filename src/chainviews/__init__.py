@@ -41,13 +41,10 @@ from .datamodel import (
     DatasetSchema,
     Instance,
     Pool,
-    ValidationReport,
     ViewBatch,
     ViewSpec,
     discrete_view,
     read_dataset,
-    validate_dataset,
-    validate_instance,
     vector_view,
     write_dataset,
 )

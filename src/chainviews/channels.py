@@ -125,8 +125,8 @@ class DiscreteChannel:
 
     def __init__(self, matrix, in_modality: str, out_modality: str):
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ChannelError("transition matrix must be 2-d")
+        if matrix.ndim != 2 or not matrix.size:
+            raise ChannelError(f"transition matrix must be 2-d and non-empty, got shape {matrix.shape}")
         if np.any(matrix < 0) or not np.allclose(matrix.sum(axis=1), 1.0, atol=_ATOL):
             raise ChannelError("transition matrix rows must be non-negative and sum to 1")
         self.matrix = matrix
@@ -150,8 +150,8 @@ class LinearGaussianChannel:
     def __init__(self, weight, bias, noise_sigma: float, in_modality: str, out_modality: str):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ChannelError(f"weight must be 2-d, got shape {weight.shape}")
+        if weight.ndim != 2 or not weight.size:
+            raise ChannelError(f"weight must be 2-d and non-empty, got shape {weight.shape}")
         if bias.shape != weight.shape[:1]:
             raise ChannelError(f"bias shape {bias.shape} does not match the {weight.shape[0]} weight rows")
         self.weight = weight
@@ -190,8 +190,8 @@ class PrototypeCollapseChannel:
         width = prototypes.shape[1]
         if projection is not None:
             projection = np.asarray(projection, dtype=np.float64)
-            if projection.ndim != 2 or len(projection) != width:
-                raise ChannelError(f"projection must be 2-d with {width} rows, got shape {projection.shape}")
+            if projection.ndim != 2 or len(projection) != width or not projection.size:
+                raise ChannelError(f"projection must be 2-d with {width} rows and a column, got shape {projection.shape}")
         self.prototypes = prototypes
         self.projection = projection
         self.temperature = float(check_number("temperature", temperature, ChannelError, positive=True))
@@ -367,8 +367,7 @@ def generate_benchmark(
     by construction. Instances arrive ordered by (class, index) with ids
     0..N-1, so regeneration with the same arguments is exact.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be positive")
+    check_int("n_per_class", n_per_class, 1)
     schema = DatasetSchema(
         class_count=world.class_count,
         entity_vocab=world.entity_vocab,

@@ -3,8 +3,8 @@
 Five subcommands: ``gen-benchmark`` (sample a world into dataset files),
 ``run`` (one full pipeline run), ``ablate`` (all conditions over seeds),
 ``verify`` (the invariant suite), ``diversity`` (stage-wise generalized
-variance from a finished run's dataset, which must pass ``validate_dataset``;
-the one producer of that table).
+variance from a finished run's dataset, which must pass ``read_dataset``'s
+checks; the one producer of that table).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
 3 verification failure.
@@ -33,7 +33,7 @@ from .config import (
     parse_config,
     read_config_mapping,
 )
-from .datamodel import DatasetFormatError, read_dataset, validate_dataset, write_dataset
+from .datamodel import DatasetFormatError, read_dataset, write_dataset
 from .diversity import diversity_report
 from .pipeline import (
     ablation_table,
@@ -210,7 +210,6 @@ def cmd_diversity(args) -> int:
     out = _out_dir(config, args.out)
     dataset_path = Path(args.dataset) if args.dataset else out / "dataset.jsonl"
     instances, schema = read_dataset(dataset_path)
-    validate_dataset(instances, schema).raise_if_invalid()
     stages = extract_stages(instances, schema)
     if not stages:
         raise ConfigError(f"{dataset_path} holds no synthetic views; run the pipeline first")

@@ -406,8 +406,6 @@ def build_world(config: ExperimentConfig, seed: int | None = None):
         world = world_from_custom(config.world_custom, world_seed)
     if config.channel_specs is not None:
         g_uv, g_vu = _channel_pair(config.channel_specs, ViewSpec("vector", world.u_dim))
-    elif config.world_preset is None:
-        raise ConfigError("custom worlds need a 'channels' section")
     if config.none_class is not None and config.none_class >= world.class_count:
         raise ConfigError(f"data.none_class {config.none_class} is not one of the world's {world.class_count} classes")
     return world, g_uv, g_vu, g_uv.out_port.spec

@@ -298,104 +298,6 @@ class DatasetSchema:
             raise ValueError("none_class outside label range")
 
 
-@dataclass(frozen=True)
-class Violation:
-    instance_id: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
-
-    def raise_if_invalid(self):
-        if not self.ok:
-            lines = "; ".join(
-                f"[{v.instance_id if v.instance_id is not None else 'schema'}] {v.message}"
-                for v in self.violations[:10]
-            )
-            raise DatasetFormatError(f"dataset failed validation: {lines}")
-
-
-def _ancestry(pool: Pool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per view: hops to the real view, whether its chain breaks, and whether
-    its own parent link does. A parent must predate its child in the pool,
-    which rules out cycles, so the walk ends within ``len(pool)`` hops."""
-    parent, current = pool.parent_id, np.arange(len(pool))
-    bad_link = (parent >= current) | (parent < REAL_PARENT)
-    depth, broken = np.zeros(len(pool), dtype=np.int64), np.zeros(len(pool), dtype=bool)
-    walking = np.ones(len(pool), dtype=bool)
-    while walking.any():
-        at = current[walking]
-        broken[walking] = bad_link[at]
-        current[walking] = np.where(bad_link[at], REAL_PARENT, parent[at])
-        depth[walking] += 1
-        walking &= (current != REAL_PARENT) & ~broken
-    return depth, broken, bad_link
-
-
-def validate_instance(instance: Instance, schema: DatasetSchema) -> list[Violation]:
-    out: list[Violation] = []
-
-    def bad(message: str):
-        out.append(Violation(instance.id, message))
-
-    if not (0 <= instance.label < schema.class_count):
-        bad(f"label {instance.label} outside [0, {schema.class_count})")
-    for name, ent in (("subject", instance.subject), ("object", instance.object)):
-        if not (0 <= ent < schema.entity_vocab):
-            bad(f"{name} entity {ent} outside vocabulary of size {schema.entity_vocab}")
-    if not rows_match(instance.real_view.kind, instance.real_view.data, schema.u_spec).all():
-        bad("real view does not match the u-side spec")
-    if not np.isfinite(instance.real_view.data).all():
-        bad("real view contains non-finite values")
-
-    pool = instance.synthetic_pool
-    misfit, non_finite = np.zeros(len(pool), dtype=bool), np.zeros(len(pool), dtype=bool)
-    for side, spec, rows in ((pool.v, schema.v_spec, pool.is_v), (pool.u, schema.u_spec, ~pool.is_v)):
-        if side is not None:
-            misfit[rows] = ~rows_match(side.kind, side.data, spec)
-            non_finite[rows] = ~np.all(np.isfinite(side.data), axis=1)
-    loss = pool.teacher_loss
-    bad_loss = ~np.isnan(loss) & ~(np.isfinite(loss) & (loss >= 0))
-    depth, broken, bad_link = _ancestry(pool)
-    too_deep = ~broken & (depth > 2 * (pool.round + 1))
-    # the generator alternates: a u_to_v view descends from the real view or
-    # a v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier one
-    real = pool.parent_id == REAL_PARENT
-    parent = np.where(bad_link | real, 0, pool.parent_id)
-    from_v, parent_round = ~real & pool.is_v[parent], pool.round[parent]
-    step_ok = np.where(pool.is_v, real | (~real & ~from_v & (parent_round == pool.round)), from_v & (parent_round < pool.round))
-    bad_step = ~bad_link & ~step_ok
-    for i in np.flatnonzero(misfit | non_finite | bad_loss | broken | too_deep | bad_step).tolist():
-        if misfit[i]:
-            bad(f"view {i} does not match the {MODALITY_V if pool.is_v[i] else MODALITY_U}-side spec")
-        if non_finite[i]:
-            bad(f"view {i} contains non-finite values")
-        if bad_loss[i]:
-            bad(f"view {i} has invalid teacher loss {loss[i]}")
-        if broken[i]:
-            bad(f"view {i} has a broken ancestry chain")
-        elif too_deep[i]:
-            bad(f"view {i} ancestry depth {depth[i]} exceeds 2*(round+1)={2 * (pool.round[i] + 1)}")
-        if bad_step[i]:
-            bad(f"view {i} ({pool.step[i]}, round {pool.round[i]}) cannot descend from view {pool.parent_id[i]}")
-    return out
-
-
-def validate_dataset(instances: Iterable[Instance], schema: DatasetSchema) -> ValidationReport:
-    """Check every instance against the schema and structural invariants."""
-    violations: list[Violation] = []
-    seen_ids: set[int] = set()
-    for instance in instances:
-        if instance.id in seen_ids:
-            violations.append(Violation(instance.id, "duplicate instance id"))
-        seen_ids.add(instance.id)
-        violations.extend(validate_instance(instance, schema))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
 # --- serialization ---------------------------------------------------------
 
 _WIRE = {"vector": np.dtype("<f8"), "discrete": np.dtype("<i8")}  # 8 bytes per element on disk
@@ -506,30 +408,45 @@ def _decode_column(text, key: str, line: int) -> np.ndarray:
 
 
 def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
-    """One instance's ``pool`` record, checked column by column."""
+    """One instance's ``pool`` record, checked column by column and each view
+    against its parent."""
     columns = {key: _decode_column(record[key], key, line) for key in _COLUMN_WIRE}
     lengths = {key: len(column) for key, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise DatasetFormatError(f"pool columns must be of one length, got lengths {lengths}", line)
-    codes, losses = columns["step"], columns["teacher_loss"]
+    codes, losses, rounds, parent = columns["step"], columns["teacher_loss"], columns["round"], columns["parent_id"]
     unknown = np.flatnonzero((codes != 0) & (codes != 1))
     if len(unknown):
         raise DatasetFormatError(f"view {unknown[0]} has unknown step code {codes[unknown[0]]}", line)
-    if np.isinf(losses).any():
-        raise DatasetFormatError(f"view {int(np.argmax(np.isinf(losses)))} has a non-finite teacher loss", line)
-    sides = {}
-    for modality, spec, rows in ((MODALITY_V, schema.v_spec, codes == 0), (MODALITY_U, schema.u_spec, codes == 1)):
+    bad_loss = np.flatnonzero(np.isinf(losses) | (losses < 0))  # NaN is unscored
+    if len(bad_loss):
+        i = bad_loss[0]
+        raise DatasetFormatError(f"view {i} has a {'non-finite' if np.isinf(losses[i]) else 'negative'} teacher loss", line)
+    sides, is_v = {}, codes == 0
+    for modality, spec, rows in ((MODALITY_V, schema.v_spec, is_v), (MODALITY_U, schema.u_spec, ~is_v)):
         at = np.flatnonzero(rows)  # the pool index of each row
         if record[modality] is not None or len(at):
             sides[modality] = _decode_matrix(record[modality], modality, spec, line, at)
-    return Pool(columns["round"], _STEPS[codes], columns["parent_id"], losses, columns["survived"], **sides)
+    # a parent predates its child, so every chain reaches the real view; the
+    # generator alternates, so a u_to_v view descends from the real view or a
+    # v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier
+    # one. Together these bound a chain at 2 * (round + 1) hops.
+    real = parent == REAL_PARENT
+    linked = (parent >= REAL_PARENT) & (parent < np.arange(len(parent)))
+    at = np.where(linked & ~real, parent, 0)
+    parent_v, parent_round = is_v[at], rounds[at]
+    fits = linked & np.where(is_v, real | (~parent_v & (parent_round == rounds)), ~real & parent_v & (parent_round < rounds))
+    if not fits.all():
+        i = int(np.argmin(fits))
+        raise DatasetFormatError(f"view {i} ({_STEPS[codes[i]]}, round {rounds[i]}) cannot descend from view {parent[i]}", line)
+    return Pool(rounds, _STEPS[codes], parent, losses, columns["survived"], **sides)
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
     try:
         pool = _decode_pool(record["pool"], line, schema)
         real = _decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line)
-        return Instance(
+        instance = Instance(
             id=_integer(record["id"], "id", line),
             label=_integer(record["label"], "label", line),
             subject=_integer(record["subject"], "subject", line),
@@ -537,6 +454,10 @@ def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance
             real_view=real,
             synthetic_pool=pool,
         )
+        for name, bound in (("label", schema.class_count), ("subject", schema.entity_vocab), ("object", schema.entity_vocab)):
+            if (value := getattr(instance, name)) >= bound:
+                raise DatasetFormatError(f"{name} {value} is outside [0, {bound})", line)
+        return instance
     except DatasetFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -602,7 +523,12 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     its own. Any other source, a text file object included, is a
     ``TypeError``.
 
-    Raises :class:`DatasetFormatError` with a line number on malformed input.
+    This is the one check of a dataset. Beyond a malformed line, it refuses
+    a label or entity outside the schema's counts, a repeated id, a view that
+    does not fit its side's spec or holds a non-finite number, a negative or
+    infinite teacher loss, and a view that does not descend from an earlier
+    one as the generator alternates its steps. Each raises
+    :class:`DatasetFormatError` naming the line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
@@ -651,9 +577,13 @@ def _parse_lines(lines: Iterator[str]) -> tuple[list[Instance], DatasetSchema]:
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad schema record: {exc}", 1)
 
-    instances = []
+    instances, ids = [], set()
     for offset, text in enumerate(lines, start=2):
         if not text or text.isspace():
             continue
-        instances.append(_decode_instance(parse_json(text, offset), offset, schema))
+        instance = _decode_instance(parse_json(text, offset), offset, schema)
+        if instance.id in ids:
+            raise DatasetFormatError(f"duplicate instance id {instance.id}", offset)
+        ids.add(instance.id)
+        instances.append(instance)
     return instances, schema

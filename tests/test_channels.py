@@ -196,6 +196,25 @@ def test_leaf_arrays_and_sides_are_checked(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinearGaussianChannel(np.ones((0, 3)), np.zeros(0), 0.1, MODALITY_U, MODALITY_V), r"weight must be 2-d and non-empty, got shape \(0, 3\)"),
+        (lambda: LinearGaussianChannel(np.ones((3, 0)), np.zeros(3), 0.1, MODALITY_U, MODALITY_V), r"weight must be 2-d and non-empty, got shape \(3, 0\)"),
+        (lambda: DiscreteChannel(np.ones((0, 0)), MODALITY_U, MODALITY_V), r"transition matrix must be 2-d and non-empty, got shape \(0, 0\)"),
+        (
+            lambda: PrototypeCollapseChannel(np.ones((2, 2)), 1.0, 0.1, MODALITY_U, MODALITY_V, projection=np.ones((2, 0))),
+            r"projection must be 2-d with 2 rows and a column, got shape \(2, 0\)",
+        ),
+    ],
+    ids=["weight_no_rows", "weight_no_columns", "matrix", "projection"],
+)
+def test_an_empty_array_is_a_channel_error_naming_it(build, message):
+    # the port sizes come from these arrays: an empty one would make a port of size 0
+    with pytest.raises(ChannelError, match=message):
+        build()
+
+
 def build_every_parameter(noise_sigma=0.1, temperature=1.0, jitter_sigma=0.1, branch_prob=0.5):
     linear = LinearGaussianChannel(np.eye(2), np.zeros(2), noise_sigma, MODALITY_U, MODALITY_V)
     snap = PrototypeCollapseChannel(np.eye(2), temperature, jitter_sigma, MODALITY_U, MODALITY_V)
@@ -289,6 +308,15 @@ def test_benchmark_counts_and_balance():
     labels = sorted(inst.label for inst in instances)
     assert labels == list(range(world.class_count))
     assert [inst.id for inst in instances] == list(range(len(instances)))
+
+
+@pytest.mark.parametrize("n_per_class", [1.5, True, 0, "2", None])
+def test_benchmark_refuses_a_count_that_is_not_a_positive_integer(n_per_class):
+    world, _, _, v_spec = tiny_world()
+    with pytest.raises(ValueError, match=re.escape(f"n_per_class must be a positive integer, got {n_per_class!r}")):
+        generate_benchmark(world, n_per_class, v_spec)
+    instances, _ = generate_benchmark(world, np.int64(2), v_spec)
+    assert len(instances) == 2 * world.class_count
 
 
 def test_benchmark_is_deterministic_and_stream_split():

@@ -251,18 +251,37 @@ def dataset_mapping(tmp_path, channels):
     return mapping
 
 
-def test_run_on_dataset_files(tmp_path, capsys):
-    def identity(d):
-        eye = [[float(i == j) for j in range(d)] for i in range(d)]
-        return {
-            "u_to_v": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
-            "v_to_u": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
-        }
+def identity_channels(d):
+    eye = [[float(i == j) for j in range(d)] for i in range(d)]
+    return {
+        "u_to_v": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
+        "v_to_u": {"kind": "linear_gaussian", "weight": eye, "noise_sigma": 0.4},
+    }
 
-    config = write_yaml(tmp_path / "files.yaml", dataset_mapping(tmp_path, identity))
+
+def test_run_on_dataset_files(tmp_path, capsys):
+    config = write_yaml(tmp_path / "files.yaml", dataset_mapping(tmp_path, identity_channels))
     assert main(["run", "--config", config]) == EXIT_OK
     assert (tmp_path / "from-files" / "metrics.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("label", 7, "label 7 is outside [0, 4)"), ("subject", 99, "subject 99 is outside [0, 8)")],
+)
+def test_run_on_a_dataset_file_with_a_field_out_of_range_exits_1_naming_the_line(tmp_path, capsys, field, value, message):
+    mapping = dataset_mapping(tmp_path, identity_channels)
+    train = Path(mapping["dataset"]["train"])
+    lines = train.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    train.write_text("\n".join(lines) + "\n")
+    config = write_yaml(tmp_path / "files.yaml", mapping)
+    assert main(["run", "--config", config]) == EXIT_USAGE
+    assert f"error: line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "from-files" / "metrics.csv").exists()
 
 
 def test_dataset_channels_that_do_not_fit_the_schema_exit_1_naming_the_channel(tmp_path, capsys):
@@ -464,13 +483,13 @@ def test_diversity_rejects_malformed_selection_records(run_artifacts, tmp_path, 
 
 def test_diversity_rejects_a_broken_ancestry_chain(run_artifacts, tmp_path, capsys):
     # a view that names itself as its parent parses, but its chain never
-    # reaches the real view: validate_dataset must turn the file away
+    # reaches the real view: the reader must turn the file away
     def self_parent(record):
         recolumn(record["pool"], "parent_id", lambda parents: parents[:-1] + [len(parents) - 1])
 
     assert diversity_on_edited(run_artifacts, tmp_path, self_parent) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: dataset failed validation: ") and "view 7 has a broken ancestry chain" in err, err
+    assert err.startswith("error: line 2: view 7 (") and "cannot descend from view 7" in err, err
     assert not (tmp_path / "diversity.csv").exists()
 
 

@@ -1,4 +1,4 @@
-"""Domain types, validation, and the line-delimited dataset format."""
+"""Domain types and the line-delimited dataset format, with the checks reading it makes."""
 
 import base64
 import io
@@ -30,11 +30,9 @@ from chainviews.datamodel import (
     discrete_view,
     read_dataset,
     rows_match,
-    validate_dataset,
     vector_view,
     write_dataset,
 )
-from chainviews.datamodel import _ancestry
 from conftest import make_pool, recolumn
 
 
@@ -153,10 +151,12 @@ def test_view_rejects_unknown_kind_and_modality():
         vector_view([], MODALITY_U)
 
 
-def test_non_finite_values_are_validation_violations():
-    inst = Instance(id=0, label=0, subject=0, object=1, real_view=vector_view([0.0, float("nan")], MODALITY_U))
-    report = validate_dataset([inst], make_schema())
-    assert any("non-finite" in v.message for v in report.violations)
+def test_a_nan_real_view_is_refused_at_read_time():
+    # the writer refuses it as well (test_nan_payload_cannot_be_written)
+    text = edited([make_instance()], make_schema(), 2, lambda record: with_bits(record, "real_view", 0, 1, np.nan))
+    with pytest.raises(DatasetFormatError, match="^line 2: the real view holds a non-finite number") as err:
+        read_dataset(from_text(text))
+    assert err.value.line == 2
 
 
 def test_negative_symbols_fail_the_spec_match():
@@ -195,10 +195,18 @@ def test_a_pool_leaves_the_callers_arrays_writeable():
     assert pool.v.data[0, 0] == 0.0 and pool.survived[0] == 0  # the pool froze copies
 
 
-def test_negative_teacher_loss_is_a_violation():
-    pool = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0], -0.5)]
-    report = validate_dataset([make_instance(pool=pool)], make_schema())
-    assert any("teacher loss" in v.message for v in report.violations)
+@pytest.mark.parametrize("index", [0, 2])
+def test_a_negative_teacher_loss_names_the_pool_index(index):
+    # a teacher's loss is a cross-entropy: never below 0, though -0.0 is 0
+    losses = [np.nan] * 3
+    losses[index] = -0.5
+    pool = [row + (loss,) for row, loss in zip(THREE_VIEWS, losses)]
+    with pytest.raises(DatasetFormatError, match=f"^line 2: view {index} has a negative teacher loss$"):
+        read_dataset(from_text(dataset_to_string([make_instance(pool=pool)], make_schema())))
+    losses[index] = -0.0
+    pool = [row + (loss,) for row, loss in zip(THREE_VIEWS, losses)]
+    [loaded], _ = read_dataset(from_text(dataset_to_string([make_instance(pool=pool)], make_schema())))
+    assert_same_bits(loaded.synthetic_pool.teacher_loss[index : index + 1], np.array([-0.0]))
 
 
 def test_step_and_modality_must_agree():
@@ -213,67 +221,70 @@ def test_step_and_modality_must_agree():
         )
 
 
-# --- validation ----------------------------------------------------------------
+# --- the checks a read makes ---------------------------------------------------
 
 
-def test_validate_well_formed_dataset_ok():
-    schema = make_schema()
-    report = validate_dataset([make_instance(i, i % 3) for i in range(3)], schema)
-    assert report.ok
-    assert report.violations == ()
+def read_text(instances, schema):
+    """What ``read_dataset`` makes of the text the writer writes for ``instances``."""
+    return read_dataset(from_text(dataset_to_string(instances, schema)))
 
 
-def test_validate_label_out_of_range():
-    schema = make_schema(class_count=3)
-    bad = make_instance(0, 2)
-    bad = replace(bad, label=3)  # == C, one past the end
-    report = validate_dataset([bad], schema)
-    assert not report.ok
-    assert any("label" in v.message for v in report.violations)
-    assert report.violations[0].instance_id == 0
+def test_a_well_formed_dataset_reads_back():
+    instances = [make_instance(i, i % 3) for i in range(3)]
+    loaded, schema = read_text(instances, make_schema())
+    assert schema == make_schema()
+    assert [(i.id, i.label) for i in loaded] == [(0, 0), (1, 1), (2, 2)]
 
 
-def test_validate_dimension_mismatch():
-    schema = make_schema(u_spec=ViewSpec("vector", 3))
-    report = validate_dataset([make_instance()], schema)
-    assert not report.ok
-    assert any("dimension" in v.message or "spec" in v.message for v in report.violations)
+def test_a_label_outside_the_classes_names_the_line():
+    # 3 == class_count, one past the end; the writer writes what it is given
+    instances = [make_instance(0, 2), replace(make_instance(1, 2), label=3)]
+    with pytest.raises(DatasetFormatError, match=re.escape("line 3: label 3 is outside [0, 3)")) as err:
+        read_text(instances, make_schema(class_count=3))
+    assert err.value.line == 3
 
 
-def test_validate_duplicate_ids():
-    schema = make_schema()
-    report = validate_dataset([make_instance(5), make_instance(5)], schema)
-    assert any("duplicate" in v.message for v in report.violations)
+def test_a_real_view_of_another_width_than_the_schema_names_the_line():
+    with pytest.raises(DatasetFormatError, match="^line 2: bad view: the schema's u-side views are vector of size 3, got vector views of length 2") as err:
+        read_text([make_instance()], make_schema(u_spec=ViewSpec("vector", 3)))
+    assert err.value.line == 2
 
 
-def test_validate_entity_out_of_vocab():
-    schema = make_schema(entity_vocab=1)
-    report = validate_dataset([make_instance()], schema)
-    assert not report.ok
+def test_a_repeated_instance_id_names_its_second_line():
+    with pytest.raises(DatasetFormatError, match="^line 4: duplicate instance id 5$") as err:
+        read_text([make_instance(5), make_instance(6), make_instance(5)], make_schema())
+    assert err.value.line == 4
 
 
-def test_validate_dangling_parent():
+@pytest.mark.parametrize("field", ["subject", "object"])
+def test_an_entity_outside_the_vocabulary_names_the_line(field):
+    instance = replace(make_instance(), **{field: 4})
+    with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: {field} 4 is outside [0, 4)")) as err:
+        read_text([instance], make_schema(entity_vocab=4))
+    assert err.value.line == 2
+
+
+def test_a_dangling_parent_names_the_view():
     pool = [(0, STEP_U_TO_V, 99, [0.0, 0.0])]
-    report = validate_dataset([make_instance(pool=pool)], make_schema())
-    assert not report.ok
-    assert any("ancestry" in v.message for v in report.violations)
+    with pytest.raises(DatasetFormatError, match=re.escape("line 2: view 0 (u_to_v, round 0) cannot descend from view 99")):
+        read_text([make_instance(pool=pool)], make_schema())
 
 
-def test_report_raise_if_invalid():
-    schema = make_schema(entity_vocab=1)
-    report = validate_dataset([make_instance()], schema)
-    with pytest.raises(ValueError):
-        report.raise_if_invalid()
+def test_a_refused_dataset_is_a_value_error_carrying_its_line():
+    # object 1 lies outside a one-entity vocabulary
+    with pytest.raises(ValueError) as err:
+        read_text([make_instance()], make_schema(entity_vocab=1))
+    assert isinstance(err.value, DatasetFormatError) and err.value.line == 2
 
 
-def test_ancestry_depth_bound():
+def test_a_chain_as_deep_as_its_round_allows_reads_back():
     # chain real -> v0 -> u1 -> v1: every view reaches the real view within
     # 2*(round+1) hops
     v0 = (0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0])
     u1 = (1, STEP_V_TO_U, 0, [0.0, 0.0])
     v1 = (1, STEP_U_TO_V, 1, [0.0, 0.0])
-    report = validate_dataset([make_instance(pool=[v0, u1, v1])], make_schema())
-    assert report.ok
+    [loaded], _ = read_text([make_instance(pool=[v0, u1, v1])], make_schema())
+    assert loaded.synthetic_pool.parent_id.tolist() == [REAL_PARENT, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -293,12 +304,11 @@ def test_ancestry_depth_bound():
     ],
     ids=["v_from_v", "u_from_real", "u_from_same_round", "v_from_older_u", "u_from_u"],
 )
-def test_validate_checks_that_steps_alternate(pool, bad):
+def test_a_read_checks_that_steps_alternate(pool, bad):
     # each pool is within the depth bound; only the generator's step order rules it out
-    report = validate_dataset([make_instance(pool=pool)], make_schema())
-    assert len(report.violations) == 1
-    assert report.violations[0].message.startswith(f"view {bad} (")
-    assert "cannot descend from" in report.violations[0].message
+    with pytest.raises(DatasetFormatError, match=rf"^line 2: view {bad} \(.*\) cannot descend from view ") as err:
+        read_text([make_instance(pool=pool)], make_schema())
+    assert err.value.line == 2
 
 
 def reference_ancestry_depth(parents, index):
@@ -313,16 +323,62 @@ def reference_ancestry_depth(parents, index):
     return hops
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(parents=st.lists(st.integers(REAL_PARENT, 9), max_size=10))
-def test_ancestry_walk_matches_the_view_by_view_walk(parents):
-    pool = make_pool([(9, STEP_U_TO_V, parent, [0.0, 0.0]) for parent in parents])
-    depth, broken, _ = _ancestry(pool)
-    for i in range(len(parents)):
-        want = reference_ancestry_depth(parents, i)
-        assert broken[i] == (want is None)
-        if want is not None:
-            assert depth[i] == want
+def first_refused_by_the_walk(rows):
+    """The first view of ``(round, step, parent_id)`` rows whose chain breaks,
+    runs deeper than 2 * (round + 1) hops or breaks the generator's step
+    order, walked view by view; None when every view passes."""
+    parents = [parent for _, _, parent in rows]
+    for i, (round_, step, parent) in enumerate(rows):
+        depth = reference_ancestry_depth(parents, i)
+        if depth is None or depth > 2 * (round_ + 1):
+            return i
+        if parent == REAL_PARENT:
+            step_ok = step == STEP_U_TO_V
+        else:
+            parent_round, parent_step, _ = rows[parent]
+            if step == STEP_U_TO_V:
+                step_ok = parent_step == STEP_V_TO_U and parent_round == round_
+            else:
+                step_ok = parent_step == STEP_U_TO_V and parent_round < round_
+        if not step_ok:
+            return i
+    return None
+
+
+@st.composite
+def lineages(draw, min_views=0, max_views=8):
+    """``(round, step, parent_id)`` rows as the generator makes them: a view
+    of the real view is u_to_v of any round, a view of a v_to_u view is
+    u_to_v of its round, a view of a u_to_v view is v_to_u of a later one."""
+    rows = []
+    for i in range(draw(st.integers(min_views, max_views))):
+        parent = draw(st.integers(REAL_PARENT, i - 1))
+        if parent == REAL_PARENT:
+            rows.append((draw(st.integers(0, 3)), STEP_U_TO_V, parent))
+        elif rows[parent][1] == STEP_V_TO_U:
+            rows.append((rows[parent][0], STEP_U_TO_V, parent))
+        else:
+            rows.append((rows[parent][0] + draw(st.integers(1, 2)), STEP_V_TO_U, parent))
+    return rows
+
+
+ANY_ROW = st.tuples(st.integers(0, 3), st.sampled_from((STEP_U_TO_V, STEP_V_TO_U)), st.integers(-2, 7))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=lineages(min_views=1, max_views=7) | st.lists(ANY_ROW, min_size=1, max_size=7))
+def test_a_read_accepts_a_pool_exactly_when_the_ancestry_walk_does(rows):
+    # parent ids below -1 cannot be held in a pool, so they are put in the text
+    pool = [(round_, step, max(parent, REAL_PARENT), [0.0, 0.0]) for round_, step, parent in rows]
+    parents = [parent for _, _, parent in rows]
+    text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: recolumn(record["pool"], "parent_id", lambda _: parents))
+    refused = first_refused_by_the_walk(rows)
+    if refused is None:
+        [loaded], _ = read_dataset(from_text(text))
+        assert loaded.synthetic_pool.parent_id.tolist() == parents
+    else:
+        with pytest.raises(DatasetFormatError, match=rf"^line 2: view {refused} \(.*\) cannot descend from view {parents[refused]}$"):
+            read_dataset(from_text(text))
 
 
 # --- serialization ---------------------------------------------------------------
@@ -959,13 +1015,12 @@ def test_a_side_with_views_needs_a_matrix():
     assert err.value.line == 2
 
 
-def test_schema_mismatch_surfaces_on_validation():
-    # the file parses but the instances violate the declared schema
+def test_a_schema_that_does_not_fit_the_instances_names_the_first_misfit():
+    # every line is well formed, but the third instance's label is no class of the schema's
     instances, _ = full_dataset(3)  # labels 0, 1, 2
-    wrong = make_schema(class_count=2)
-    text = dataset_to_string(instances, wrong)
-    loaded, loaded_schema = read_dataset(from_text(text))
-    assert not validate_dataset(loaded, loaded_schema).ok
+    with pytest.raises(DatasetFormatError, match=re.escape("line 4: label 2 is outside [0, 2)")) as err:
+        read_text(instances, make_schema(class_count=2))
+    assert err.value.line == 4
 
 
 # --- the columnar format, property-based ----------------------------------------------
@@ -984,8 +1039,8 @@ def symbols(size):
 @st.composite
 def datasets(draw):
     """Random schemas and pools: either side vector or discrete (up to the
-    largest int64 alphabet), scored and unscored views, any survival counts
-    on the v side."""
+    largest int64 alphabet), lineages as the generator makes them, scored
+    and unscored views, any survival counts on the v side."""
     sides = {}
     for modality in (MODALITY_U, MODALITY_V):
         kind = draw(st.sampled_from(("vector", "discrete")))
@@ -1008,15 +1063,16 @@ def datasets(draw):
 
     instances = []
     for iid in range(draw(st.integers(0, 3))):
-        n = draw(st.integers(0, 8))
-        on_v = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        losses = draw(st.lists(st.one_of(st.sampled_from(NANS), FINITE), min_size=n, max_size=n))
+        lineage = draw(lineages())
+        n = len(lineage)
+        on_v = [step == STEP_U_TO_V for _, step, _ in lineage]
+        losses = draw(st.lists(st.one_of(st.sampled_from(NANS), FINITE.filter(lambda x: x >= 0)), min_size=n, max_size=n))
         survived = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         n_v = sum(on_v)
         pool = Pool(
-            round=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
-            step=[STEP_U_TO_V if v else STEP_V_TO_U for v in on_v],
-            parent_id=[draw(st.integers(REAL_PARENT, max(i - 1, REAL_PARENT))) for i in range(n)],
+            round=[round_ for round_, _, _ in lineage],
+            step=[step for _, step, _ in lineage],
+            parent_id=[parent for _, _, parent in lineage],
             teacher_loss=losses,
             survived=[count if v else 0 for v, count in zip(on_v, survived)],
             v=rows(MODALITY_V, n_v) if n_v else None,

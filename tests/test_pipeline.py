@@ -1,5 +1,6 @@
 """Pipeline orchestration: metrics, the selection loop, stepwise parity, ablation."""
 
+import io
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from chainviews.datamodel import (
     ViewSpec,
     dataset_to_string,
     discrete_view,
-    validate_dataset,
+    read_dataset,
 )
 from chainviews.models import TeacherModel
 from chainviews.nn import log_softmax, softmax_xent
@@ -296,12 +297,18 @@ def test_keep_all_condition_never_discards():
     assert all(np.isnan(inst.synthetic_pool.teacher_loss).all() for inst in result.instances)
 
 
+def assert_reads_back(instances, schema):
+    """The dataset text of ``instances`` passes every check ``read_dataset`` makes."""
+    text = dataset_to_string(instances, schema)
+    loaded, loaded_schema = read_dataset(io.BytesIO(text.encode("utf-8")))
+    assert dataset_to_string(loaded, loaded_schema) == text
+
+
 @pytest.mark.parametrize("condition", CONDITIONS)
 def test_every_condition_writes_valid_pools(tiny_run, condition):
     config = condition_config(tiny_run.config, condition)
     result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config, condition)
-    report = validate_dataset(result.instances, tiny_run.schema)
-    assert report.ok, report.violations
+    assert_reads_back(result.instances, tiny_run.schema)
 
 
 # --- edge schedules ------------------------------------------------------------------
@@ -318,7 +325,7 @@ def test_keeping_every_view_under_the_teacher():
         pool = instance.synthetic_pool
         assert not np.isnan(pool.teacher_loss[pool.is_v]).any()
         assert pool.survived[pool.round == 0].tolist() == [2] * 5
-    assert validate_dataset(result.instances, schema).ok
+    assert_reads_back(result.instances, schema)
 
 
 def test_student_takes_the_whole_live_pool():
