@@ -415,13 +415,18 @@ def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
     if len(set(lengths.values())) > 1:
         raise DatasetFormatError(f"pool columns must be of one length, got lengths {lengths}", line)
     codes, losses, rounds, parent = columns["step"], columns["teacher_loss"], columns["round"], columns["parent_id"]
-    unknown = np.flatnonzero((codes != 0) & (codes != 1))
-    if len(unknown):
-        raise DatasetFormatError(f"view {unknown[0]} has unknown step code {codes[unknown[0]]}", line)
-    bad_loss = np.flatnonzero(np.isinf(losses) | (losses < 0))  # NaN is unscored
-    if len(bad_loss):
-        i = bad_loss[0]
-        raise DatasetFormatError(f"view {i} has a {'non-finite' if np.isinf(losses[i]) else 'negative'} teacher loss", line)
+    survived = columns["survived"]
+    for values, bad, fault in (
+        (codes, (codes != 0) & (codes != 1), "has unknown step code {}"),
+        (rounds, rounds < 0, "has round {}, which must be non-negative"),
+        (survived, survived < 0, "has survival count {}, which must be non-negative"),
+        (survived, (codes == 1) & (survived != 0), "has survival count {}, but only v-side views face selection"),
+        (losses, np.isinf(losses), "has a non-finite teacher loss"),
+        (losses, losses < 0, "has a negative teacher loss"),  # NaN is unscored
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DatasetFormatError(f"view {i} {fault.format(values[i])}", line)
     sides, is_v = {}, codes == 0
     for modality, spec, rows in ((MODALITY_V, schema.v_spec, is_v), (MODALITY_U, schema.u_spec, ~is_v)):
         at = np.flatnonzero(rows)  # the pool index of each row
@@ -439,7 +444,7 @@ def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
     if not fits.all():
         i = int(np.argmin(fits))
         raise DatasetFormatError(f"view {i} ({_STEPS[codes[i]]}, round {rounds[i]}) cannot descend from view {parent[i]}", line)
-    return Pool(rounds, _STEPS[codes], parent, losses, columns["survived"], **sides)
+    return Pool(rounds, _STEPS[codes], parent, losses, survived, **sides)
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:

@@ -853,6 +853,21 @@ def test_a_step_code_other_than_0_or_1_names_the_pool_index(code):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "column, values, fault",
+    [
+        ("round", [0, 1, -1], "view 2 has round -1, which must be non-negative"),
+        ("survived", [0, 0, -1], "view 2 has survival count -1, which must be non-negative"),
+        ("survived", [0, 2, 0], "view 1 has survival count 2, but only v-side views face selection"),
+    ],
+)
+def test_a_bad_round_or_survival_count_names_the_pool_index(column, values, fault):
+    text = edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, lambda record: recolumn(record["pool"], column, lambda _: values))
+    with pytest.raises(DatasetFormatError, match=f"^line 2: {fault}$") as err:
+        read_dataset(from_text(text))
+    assert err.value.line == 2
+
+
 def pool_record(v=None, u=None, **columns):
     """A pool record holding ``columns`` (each empty unless given)."""
     record = {key: "" for key in ("round", "step", "parent_id", "teacher_loss", "survived")}

@@ -244,9 +244,9 @@ def test_farthest_points_on_the_transposed_layout_match_the_row_layout(d, ties):
 
 
 def reference_fit_gmm(data, n_components, seed=0, max_iters=200, tol=1e-7, cov_floor=1e-6):
-    """EM on the (n, d) layout, one row per point, summing each point's
-    coordinates along its row: the arithmetic fit_gmm must reproduce bit for
-    bit on its (d, n) layout."""
+    """EM on the (n, d) layout, one row per point, each log density summed
+    from centred squares along the point's row: the independent oracle that
+    fit_gmm's matrix products must match to round-off."""
     n, d = data.shape
     means = data[reference_farthest_points(data, n_components, derive_rng(seed, "gmm-init"))]
     variances = np.tile(np.maximum(data.var(axis=0), cov_floor), (n_components, 1))
@@ -278,10 +278,42 @@ def reference_fit_gmm(data, n_components, seed=0, max_iters=200, tol=1e-7, cov_f
 
 @pytest.mark.parametrize("n, d, components", [(7, 1, 2), (300, 2, 3), (2000, 4, 2), (4000, 3, 3)])
 def test_em_on_the_transposed_layout_matches_the_row_layout_bit_for_bit(n, d, components):
+    # the id is kept, but fit_gmm's matrix products round differently from
+    # the oracle's row sums: the fits agree to round-off, not bit for bit
     rng = derive_rng(n, "layout")
     data = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d) + rng.integers(-3, 3, size=(n, 1))
     trace, weights, means, variances = reference_fit_gmm(data, components, seed=d)
     gmm = fit_gmm(data, components, seed=d)
-    assert gmm.log_likelihoods == tuple(trace)
+    assert len(gmm.log_likelihoods) == len(trace)
+    np.testing.assert_allclose(gmm.log_likelihoods, trace, rtol=1e-11)
     for got, want in ((gmm.weights, weights), (gmm.means, means), (gmm.diag_covs, variances)):
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+
+@pytest.mark.parametrize("components", [2, 3])
+@pytest.mark.parametrize("spread", [1e-3, 1e-2])
+def test_em_keeps_its_accuracy_on_a_tight_cluster_far_from_the_origin(spread, components):
+    # mean²/var is 10^12 or 10^10 on the far cluster. At 1e-2 its variance is
+    # above the floor, where an E[x²] - m² sum would be off by ~1e-6
+    # relative; the centred sum matches the oracle to round-off
+    rng = derive_rng(components, "far")
+    data = np.vstack([rng.normal(size=(2000, 2)), rng.normal(1e3, spread, size=(500, 2))])
+    trace, weights, means, variances = reference_fit_gmm(data, components, seed=0)
+    gmm = fit_gmm(data, components, seed=0)
+    assert len(gmm.log_likelihoods) == len(trace)
+    want = generalized_variance(GmmModel(weights, means, variances))
+    assert generalized_variance(gmm) == pytest.approx(want, rel=1e-8)
+    np.testing.assert_allclose(gmm.diag_covs, variances, rtol=1e-11)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 2.0])
+def test_component_and_pca_counts_must_be_integers(value):
+    data = derive_rng(14, "counts").normal(size=(20, 3))
+    with pytest.raises(DiversityError, match="^n_components must be a positive integer"):
+        fit_gmm(data, value)
+    with pytest.raises(DiversityError, match="^n_components must be a positive integer"):
+        pca_reduce(data, value)
+    with pytest.raises(DiversityError, match="^n_components must be a positive integer"):
+        diversity_report({"V0": data}, pca_dim=2, n_components=value)
+    with pytest.raises(DiversityError, match="^pca_dim must be a positive integer"):
+        diversity_report({"V0": data}, pca_dim=value, n_components=2)
