@@ -19,7 +19,7 @@ from chainviews import (
     run_round0,
     run_ccg_round,
 )
-from chainviews.selection import random_scores, rank_segments
+from chainviews.selection import random_scores, rank_rows
 
 world, g_uv, g_vu = lossy_world_preset("collapse-heavy", seed=3)
 train, schema = generate_benchmark(world, 10, g_uv.out_port.spec)
@@ -61,13 +61,13 @@ print(
 
 print()
 print("== selection policies on one scored pool ==")
-# every policy is a lower-is-better score per candidate, ranked by rank_segments
-# (one segment here: one instance's candidates)
+# every policy is a lower-is-better score per candidate, ranked by rank_rows
+# (one row per instance; one row here: one instance's candidates)
 losses = pooled[0].synthetic_pool.teacher_loss[:24]
 k = keep_count(0.5, len(losses))
-kept = set(rank_segments(losses, [len(losses)])[0][:k].tolist())
+kept = set(rank_rows(losses[None, :])[0, :k].tolist())
 print(f"loss policy:   keep {len(kept)}, worst kept loss {max(losses[i] for i in kept):.3f}, "
       f"best dropped loss {min(losses[i] for i in range(len(losses)) if i not in kept):.3f}")
-kept_r = rank_segments(random_scores(len(losses), 3, "demo-random"), [len(losses)])[0][:k]
+kept_r = rank_rows(random_scores(len(losses), 3, "demo-random")[None, :])[0, :k]
 print(f"random policy: keep {len(kept_r)}, mean kept loss {np.mean([losses[i] for i in kept_r]):.3f}")
 print(f"keep_count(0.6, 30) = {keep_count(0.6, 30)} (ceiling arithmetic, exact)")

@@ -412,12 +412,16 @@ def build_world(config: ExperimentConfig, seed: int | None = None):
 
 
 def load_experiment_data(config: ExperimentConfig):
-    """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``."""
+    """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``;
+    a dataset file that holds no instances is a ConfigError naming it."""
     from .channels import generate_benchmark
 
     if config.dataset_paths is not None:
         train_instances, schema = read_dataset(config.dataset_paths[0])
         test_instances, test_schema = read_dataset(config.dataset_paths[1])
+        for path, instances in zip(config.dataset_paths, (train_instances, test_instances)):
+            if not instances:
+                raise ConfigError(f"dataset {path} holds no instances")
         if test_schema != schema:
             raise ConfigError("train and test datasets disagree on their schema")
         g_uv, g_vu = _channel_pair(config.channel_specs, schema.u_spec, schema.v_spec)

@@ -8,8 +8,9 @@ pool order -- ``round``, ``step`` and ``parent_id`` (provenance),
 ``teacher_loss`` (NaN while unscored) and ``survived`` (curation state) --
 plus one read-only data matrix per side, holding that side's views as rows
 in pool order. That is everything later stages need to reconstruct how the
-pool evolved. A :class:`ViewBatch` is the same kind of matrix on its own:
-what a channel takes and returns.
+pool evolved. A pool is never updated: each pipeline step builds new ones
+from read-only rows of whole-split arrays. A :class:`ViewBatch` is the same
+kind of matrix on its own: what a channel takes and returns.
 
 Datasets are line-delimited JSON, format version 4 (the only one read): a
 schema line, then one line per instance, laid out as the pool is held::
@@ -44,7 +45,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -168,12 +169,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _append(side: ViewBatch | None, batch: ViewBatch) -> ViewBatch:
-    if side is not None and batch.kind != side.kind:
-        raise ValueError(f"cannot append {batch.kind} views to {side.kind} views")
-    return batch if side is None else ViewBatch(side.kind, side.modality, np.concatenate([side.data, batch.data]))
-
-
 @dataclass(frozen=True, eq=False)
 class Pool:
     """One instance's synthetic views: one read-only array per field, in
@@ -181,9 +176,9 @@ class Pool:
 
     ``v`` holds the rows of the ``u_to_v`` views and ``u`` those of the
     ``v_to_u`` views, each in pool order (``None`` while a side is empty).
-    ``teacher_loss`` is NaN for a view no teacher has scored. Updates return
-    a new pool and never touch this one. A writeable array handed in is
-    copied before it is frozen.
+    ``teacher_loss`` is NaN for a view no teacher has scored. A read-only
+    array handed in is kept as it is (the pipeline hands in row views of
+    whole-split arrays); a writeable one is copied before it is frozen.
     """
 
     round: np.ndarray
@@ -222,44 +217,11 @@ class Pool:
     def __len__(self) -> int:
         return len(self.round)
 
-    @classmethod
-    def initial(cls, v: ViewBatch) -> "Pool":
-        """Round-0 views, all parented to the real view."""
-        n = len(v)
-        return cls(np.zeros(n), np.full(n, STEP_U_TO_V), np.full(n, REAL_PARENT), np.full(n, np.nan), np.zeros(n), v=v)
-
     def v_rows(self, ids) -> ViewBatch:
         """The v-side views at pool indices ``ids``, in that order."""
         if not self.is_v[ids].all():
             raise ValueError("v_rows takes the pool indices of v-side views only")
         return self.v.take(np.cumsum(self.is_v)[ids] - 1)
-
-    def spawned(self, parents, round_index: int, u: ViewBatch, v: ViewBatch) -> "Pool":
-        """This pool plus one (u, v) pair per entry of ``parents``: u-side
-        view ``u[k]`` is a child of pool view ``parents[k]`` and ``v[k]`` a
-        child of that u-side view. The pairs are appended in turn."""
-        n, m = len(self), len(parents)
-        parent_id = np.empty(2 * m, dtype=np.int64)
-        parent_id[0::2], parent_id[1::2] = parents, n + np.arange(0, 2 * m, 2)
-        return Pool(
-            round=np.concatenate([self.round, np.full(2 * m, round_index)]),
-            step=np.concatenate([self.step, np.tile([STEP_V_TO_U, STEP_U_TO_V], m)]),
-            parent_id=np.concatenate([self.parent_id, parent_id]),
-            teacher_loss=np.concatenate([self.teacher_loss, np.full(2 * m, np.nan)]),
-            survived=np.concatenate([self.survived, np.zeros(2 * m, dtype=np.int64)]),
-            v=_append(self.v, v),
-            u=_append(self.u, u),
-        )
-
-    def judged(self, ids, losses=None, kept=()) -> "Pool":
-        """This pool after a verdict: ``losses`` stored as the teacher losses
-        of views ``ids`` (when given), one more survival for each view in
-        ``kept``."""
-        teacher_loss, survived = self.teacher_loss.copy(), self.survived.copy()
-        if losses is not None:
-            teacher_loss[ids] = losses
-        survived[list(kept)] += 1
-        return replace(self, teacher_loss=teacher_loss, survived=survived)
 
 
 EMPTY_POOL = Pool(round=(), step=(), parent_id=(), teacher_loss=(), survived=())

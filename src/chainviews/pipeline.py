@@ -13,6 +13,11 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
+Each step works on the split's pools as one layout of whole arrays (the
+same round and step at every pool index; see ``_Layout``) and ranks every
+instance's candidates with one row-wise sort. Pools of different layouts,
+and an empty train or test split, are a ``PipelineError``.
+
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
 ``("infer-gen", id)`` at test time. Each hop is one channel call over every
@@ -21,9 +26,8 @@ instance's rows, each instance's rows drawing from its own stream
 instances. At test time one loop over chunks of whole instances, at most
 ``SCORE_CHUNK_ROWS`` generated views each, generates, scores with the final
 teacher and picks; one student call then classifies every instance. All
-work runs in order on the calling thread.
-Wall-clock timings in the report are the one explicitly non-deterministic
-field.
+work runs in order on the calling thread. Wall-clock timings in the report
+are the one explicitly non-deterministic field.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Streams, generate_benchmark, sample_channel, stack_views
-from .datamodel import MODALITY_V, DatasetSchema, Instance, Pool, ViewBatch, check_int, is_real
+from .datamodel import (
+    MODALITY_V, REAL_PARENT, STEP_U_TO_V, STEP_V_TO_U, DatasetSchema, Instance, Pool, ViewBatch, check_int, is_real
+)
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
 from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
@@ -48,7 +54,7 @@ from .selection import (
     SelectionError,
     keep_count,
     random_scores,
-    rank_segments,
+    rank_rows,
     similarity_scores,
 )
 
@@ -110,6 +116,8 @@ class PipelineConfig:
             check_int(name, getattr(self, name), 0)
         for name in ("initial_views", "train_views", "infer_views"):
             check_int(name, getattr(self, name), 1)
+        if self.infer_views > self.initial_views:  # the test-time pick chooses among initial_views views
+            raise ValueError(f"infer_views ({self.infer_views}) must not exceed initial_views ({self.initial_views})")
         if not isinstance(self.spawn_per_kept, tuple) or len(self.spawn_per_kept) != self.ccg_rounds:
             raise ValueError(
                 f"spawn_per_kept must be a tuple of non-negative integers, one per round (ccg_rounds="
@@ -224,13 +232,6 @@ def compute_metrics(predictions: Sequence[int], labels: Sequence[int], schema: D
 # --- scoring -------------------------------------------------------------------
 
 
-def _v_rows(pools: Sequence[Pool], ids: Sequence[np.ndarray]) -> ViewBatch:
-    """The v-side views at pool indices ``ids[k]`` of each ``pools[k]``, as
-    one batch, pool after pool."""
-    batches = [pool.v_rows(rows) for pool, rows in zip(pools, ids)]
-    return ViewBatch(batches[0].kind, MODALITY_V, np.concatenate([batch.data for batch in batches]))
-
-
 def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
     """Subject ids, object ids and labels of ``instances`` (three rows), each
     repeated ``counts`` times (one count per instance, or one for all)."""
@@ -238,11 +239,19 @@ def _per_row(instances: Sequence[Instance], counts=1) -> np.ndarray:
     return np.repeat(rows.reshape(-1, 3), counts, axis=0).T
 
 
+def _copies(instances: Sequence[Instance], n) -> ViewBatch:
+    """``n`` copies of each instance's real view (one count per instance, or
+    one for all), instance-major."""
+    reals = stack_views([inst.real_view for inst in instances])
+    return ViewBatch(reals.kind, reals.modality, np.repeat(reals.data, n, axis=0))
+
+
 class Scorer:
     """The run's selection policy, ``config.policy_name``: one scoring call
-    per use over every instance's rows, instance-major, for a selection
-    (``select``), the student's pick (``student_pick``) and test time
-    (``pick``). Scores are lower-is-better and rank by (score, index).
+    per use over every instance's rows, instance-major and the same count per
+    instance, for a selection (``select``), the student's pick and test time
+    (``pick``). Each gives one row of lower-is-better scores per instance,
+    which ``rank_rows`` ranks by (score, index).
 
     The teacher-loss policy scores a selection by the frozen final-pass
     losses of a fresh teacher trained on its candidates (``teacher`` holds
@@ -263,39 +272,28 @@ class Scorer:
             else None
         )
 
-    def _untrained(self, instances: Sequence[Instance], views: ViewBatch, counts, stream) -> np.ndarray:
-        """Similarity scores of ``views`` (``counts[k]`` rows per instance), or
-        one draw per instance on its ``("random-selection", stream, id)`` stream."""
+    def untrained(self, instances: Sequence[Instance], views: ViewBatch, stream) -> np.ndarray:
+        """Similarity scores of ``views``, or one draw per instance on its
+        ``("random-selection", stream, id)`` stream."""
+        n = len(views) // len(instances)
         if self.config.policy_name == "similarity":
-            return similarity_scores(views, _copies(instances, counts), self.embedder)
-        seed = self.config.seed
-        return np.concatenate([random_scores(n, seed, stream, inst.id) for inst, n in zip(instances, counts)])
+            return similarity_scores(views, _copies(instances, n), self.embedder).reshape(-1, n)
+        return np.stack([random_scores(n, self.config.seed, stream, inst.id) for inst in instances])
 
-    def select(self, instances: Sequence[Instance], live: list[np.ndarray], selection_index: int) -> np.ndarray:
-        """Scores of every instance's live candidates (pool indices
-        ``live[k]``) at one selection, instance-major."""
-        counts = [len(ids) for ids in live]
+    def select(self, instances: Sequence[Instance], views: ViewBatch, selection_index: int) -> np.ndarray:
+        """Scores of every instance's candidates ``views`` at one selection."""
         if self.config.policy_name == "keep_all":
-            return np.zeros(sum(counts))
-        views = _v_rows([inst.synthetic_pool for inst in instances], live)
+            return np.zeros((len(instances), len(views) // len(instances)))
         if self.config.policy_name != "teacher_loss":
-            return self._untrained(instances, views, counts, selection_index)
+            return self.untrained(instances, views, selection_index)
         seed = self.config.seed
         self.teacher = TeacherModel(derive_rng(seed, "teacher-init", selection_index), self.schema)
-        subj, obj, labels = _per_row(instances, counts)
+        subj, obj, labels = _per_row(instances, len(views) // len(instances))
         inputs = self.teacher.inputs(views, subj, obj)
         _, losses = train(
             self.teacher, inputs, labels, self.config.teacher, seed, rng_stream=("teacher-train", selection_index)
         )
-        return losses
-
-    def student_pick(self, instances: Sequence[Instance], live: list[np.ndarray]) -> np.ndarray:
-        """Scores of every instance's live candidates for the student's pick;
-        under teacher loss the stored losses (NaN where none is stored)."""
-        pools = [inst.synthetic_pool for inst in instances]
-        if self.config.policy_name == "teacher_loss":
-            return np.concatenate([pool.teacher_loss[ids] for pool, ids in zip(pools, live)])
-        return self._untrained(instances, _v_rows(pools, live), [len(ids) for ids in live], "student-pick")
+        return losses.reshape(len(instances), -1)
 
     def pick(self, instances: Sequence[Instance], views: ViewBatch) -> np.ndarray:
         """Row indices of the ``config.infer_views`` best test-time views of
@@ -306,55 +304,102 @@ class Scorer:
         against the teacher's own most likely label (label-free), in one
         ``logits`` call over ``views``; without one the views tie.
         """
-        counts = [len(views) // len(instances)] * len(instances)
         if self.config.policy_name != "teacher_loss":
-            scores = self._untrained(instances, views, counts, "infer-pick")
+            scores = self.untrained(instances, views, "infer-pick")
         elif self.teacher is None:
             scores = np.zeros(len(views))
         else:
-            subj, obj, _ = _per_row(instances, counts)
+            subj, obj, _ = _per_row(instances, len(views) // len(instances))
             scores = -np.max(log_softmax(self.teacher.logits(self.teacher.inputs(views, subj, obj))), axis=1)
-        return np.array([ranked[: self.config.infer_views] for ranked in rank_segments(scores, counts)])
+        return rank_rows(scores.reshape(len(instances), -1))[:, : self.config.infer_views]
+
+
+# --- one layout per step ----------------------------------------------------------
+
+
+class _Layout:
+    """A split's pools as one layout.
+
+    Every pool the pipeline builds has the same ``round`` and ``step`` at
+    each index, because each instance starts with ``initial_views`` views and
+    keeps and spawns the same counts. A step stacks the pools it is given
+    into fresh arrays, refusing pools of different layouts: shared ``(L,)``
+    columns, ``(instances, L)`` view state and, in ``sides``, each side's
+    kind and ``(instances, rows, width)`` data. It works on whole arrays and
+    builds each instance's Pool once at its end from read-only row views.
+    A v-side view first faces selection ``round``, and each selection that
+    keeps it moves it on to the next, so it is a candidate at selection
+    ``s`` exactly when ``round + survived == s``.
+    """
+
+    def __init__(self, instances: Sequence[Instance]):
+        pools = [inst.synthetic_pool for inst in instances]
+        if not pools:
+            raise PipelineError("a step needs at least one instance")
+        first = pools[0]
+        if any(len(p) != len(first) or (p.round != first.round).any() or (p.is_v != first.is_v).any() for p in pools):
+            raise PipelineError("the instances' pools differ in layout: a step needs one round and step per index")
+        self.instances, self.at = list(instances), np.arange(len(pools))[:, None]  # a row index per instance
+        self.round, self.step, self.is_v = first.round, first.step, first.is_v
+        stacked = [np.stack([getattr(p, name) for p in pools]) for name in ("parent_id", "teacher_loss", "survived")]
+        self.parent_id, self.teacher_loss, self.survived = stacked
+        self.sides = {side.modality: (side.kind, np.stack([getattr(p, side.modality).data for p in pools]))
+                      for side in (first.v, first.u) if side}  # a side with no rows is left out
+
+    def live(self, selection_index: int) -> np.ndarray:
+        """The pool indices of each instance's candidates at selection
+        ``selection_index``, one row per instance."""
+        mask = self.is_v & (self.round + self.survived == selection_index)
+        counts = sorted(set(np.count_nonzero(mask, axis=1).tolist()))
+        if counts[0] == 0 or len(counts) > 1:
+            raise PipelineError(f"every instance needs the same positive number of live candidate views, got {counts}")
+        return np.nonzero(mask)[1].reshape(len(mask), -1)
+
+    def v_rows(self, at, ids) -> ViewBatch:
+        """The v-side views at pool indices ``ids`` of instances ``at``, as one
+        batch in the row-major order of ``ids``."""
+        kind, data = self.sides[MODALITY_V]
+        return ViewBatch(kind, MODALITY_V, data[at, (np.cumsum(self.is_v) - 1)[ids]].reshape(-1, data.shape[2]))
+
+    def add(self, round_index: int, step: np.ndarray, parent_id: np.ndarray, *batches: ViewBatch) -> None:
+        """Append unscored views of round ``round_index`` with steps ``step``, parents
+        ``parent_id`` (a row per instance) and each side's views in ``batches``."""
+        count, n = parent_id.shape
+        self.round = np.concatenate([self.round, np.full(n, round_index, dtype=np.int64)])
+        self.step = np.concatenate([self.step, step])
+        self.is_v = self.step == STEP_U_TO_V
+        self.parent_id = np.concatenate([self.parent_id, parent_id], axis=1)
+        self.teacher_loss = np.concatenate([self.teacher_loss, np.full((count, n), np.nan)], axis=1)
+        self.survived = np.concatenate([self.survived, np.zeros((count, n), dtype=np.int64)], axis=1)
+        for batch in batches:
+            data = batch.data.reshape(count, -1, batch.data.shape[1])
+            if batch.modality in self.sides:
+                data = np.concatenate([self.sides[batch.modality][1], data], axis=1)
+            self.sides[batch.modality] = (batch.kind, data)
+
+    def instances_out(self) -> list[Instance]:
+        """Each instance with its pool built from this layout: every column
+        and matrix a read-only row view of the whole split's array."""
+        arrays = [self.round, self.step, self.parent_id, self.teacher_loss, self.survived]
+        for array in arrays + [data for _, data in self.sides.values()]:
+            array.flags.writeable = False
+        return [
+            replace(inst, synthetic_pool=Pool(
+                self.round, self.step, self.parent_id[k], self.teacher_loss[k], self.survived[k],
+                **{side: ViewBatch(kind, side, data[k]) for side, (kind, data) in self.sides.items()},
+            ))
+            for k, inst in enumerate(self.instances)
+        ]
 
 
 # --- stepwise building blocks ---------------------------------------------------
 #
 # run_pipeline is these calls in order. Each reads its settings from the
 # run's PipelineConfig and scores with the run's one Scorer, so driving them
-# by hand with the same two reproduces it exactly. Liveness reads the
-# survival count: a v-side view first faces selection ``round``, and each
-# selection that keeps it moves it on to the next, so it is a candidate at
-# selection ``s`` exactly when ``round + survived == s``.
+# by hand with the same two reproduces it exactly.
 
 
-def _copies(instances: Sequence[Instance], n) -> ViewBatch:
-    """``n`` copies of each instance's real view (one count per instance, or
-    one for all), instance-major."""
-    reals = stack_views([inst.real_view for inst in instances])
-    return ViewBatch(reals.kind, reals.modality, np.repeat(reals.data, n, axis=0))
-
-
-def _split(batch: ViewBatch, sizes: Sequence[int]) -> list[ViewBatch]:
-    """``batch`` cut into consecutive batches of ``sizes`` rows."""
-    return [ViewBatch(batch.kind, batch.modality, part) for part in np.split(batch.data, np.cumsum(sizes)[:-1])]
-
-
-def _live_ids(pool: Pool, selection_index: int) -> np.ndarray:
-    return np.flatnonzero(pool.is_v & (pool.round + pool.survived == selection_index))
-
-
-def _next_selection(instances: Sequence[Instance]) -> int:
-    """The selection the newest live views face next: the largest
-    ``round + survived`` over v-side views (0 for empty pools)."""
-    return max(
-        (int(np.max(p.round + p.survived, where=p.is_v, initial=0)) for p in (i.synthetic_pool for i in instances)),
-        default=0,
-    )
-
-
-def run_round0(
-    instances: Sequence[Instance], g_uv, config: PipelineConfig
-) -> list[Instance]:
+def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> list[Instance]:
     """Give every instance its initial batch of generated views.
 
     Requires empty synthetic pools; each instance ends up with exactly
@@ -367,10 +412,11 @@ def run_round0(
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
     if not instances:
         return []
-    sizes = [config.initial_views] * len(instances)
-    streams = Streams([derive_rng(config.seed, "gen", inst.id, 0) for inst in instances], sizes)
-    views = sample_channel(g_uv, _copies(instances, config.initial_views), streams)
-    return [replace(inst, synthetic_pool=Pool.initial(v)) for inst, v in zip(instances, _split(views, sizes))]
+    n, layout = config.initial_views, _Layout(instances)
+    streams = Streams([derive_rng(config.seed, "gen", inst.id, 0) for inst in instances], [n] * len(instances))
+    views = sample_channel(g_uv, _copies(instances, n), streams)
+    layout.add(0, np.full(n, STEP_U_TO_V), np.full((len(instances), n), REAL_PARENT), views)
+    return layout.instances_out()
 
 
 def run_ccg_round(
@@ -401,41 +447,29 @@ def run_ccg_round(
         raise PipelineError(f"round_index {round_index} is outside 1..{last}")
     spawn = config.spawn_per_kept[round_index - 1] if config.ccg_rounds else 0
     selection_index = round_index - 1
-    instances = list(instances)
-    live = [_live_ids(inst.synthetic_pool, selection_index) for inst in instances]
-    if any(not ids.size for ids in live):
-        raise PipelineError("every instance needs at least one live candidate view")
-
-    counts = [len(ids) for ids in live]
-    fraction = 1.0 if config.policy_name == "keep_all" else config.keep_fraction
-    k_of = {n: keep_count(fraction, n) for n in dict.fromkeys(counts)}
-    scores = scorer.select(instances, live, selection_index)
-    parts = np.split(scores, np.cumsum(counts)[:-1])
-    records, kept = [], []
-    for idx, (instance, ranked) in enumerate(zip(instances, rank_segments(scores, counts))):
-        ids, part = live[idx], parts[idx]
-        kept.append(ids[np.sort(ranked[: k_of[len(ids)]])])
-        losses = part if config.policy_name == "teacher_loss" else None
-        instances[idx] = replace(instance, synthetic_pool=instance.synthetic_pool.judged(ids, losses, kept[-1]))
-        records.append(InstanceSelectionRecord(instance.id, *(tuple(a.tolist()) for a in (ids, part, kept[-1]))))
+    layout = _Layout(instances)
+    instances, at, live = layout.instances, layout.at, layout.live(selection_index)
+    n = live.shape[1]
+    k = n if config.policy_name == "keep_all" else keep_count(config.keep_fraction, n)
+    scores = scorer.select(instances, layout.v_rows(at, live), selection_index)
+    kept = np.sort(np.take_along_axis(live, rank_rows(scores)[:, :k], axis=1), axis=1)
+    if config.policy_name == "teacher_loss":
+        layout.teacher_loss[at, live] = scores
+    layout.survived[at, kept] += 1
     if rounds is not None:
-        pool_sizes = {len(r.candidate_ids) for r in records}
-        kept_sizes = {len(r.kept_ids) for r in records}
-        if len(pool_sizes) != 1 or len(kept_sizes) != 1:
-            raise PipelineError("instances diverged in pool size; balanced worlds cannot do that")
-        rounds.append(RoundRecord(selection_index, pool_sizes.pop(), kept_sizes.pop(), spawn, tuple(records)))
-    if spawn > 0:
-        sources = [np.repeat(ids, spawn) for ids in kept]
-        sizes = [len(ids) for ids in sources]
-        streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], sizes)
-        parents = _v_rows([inst.synthetic_pool for inst in instances], sources)
-        u_views = sample_channel(g_vu, parents, streams)
+        records = zip(instances, live.tolist(), scores.tolist(), kept.tolist())
+        per_instance = tuple(InstanceSelectionRecord(inst.id, *map(tuple, row)) for inst, *row in records)
+        rounds.append(RoundRecord(selection_index, n, k, spawn, per_instance))
+    if spawn > 0:  # (u, v) pairs in turn: u a child of its kept parent, v of u
+        sources = np.repeat(kept, spawn, axis=1)
+        count, m = sources.shape
+        streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], [m] * count)
+        u_views = sample_channel(g_vu, layout.v_rows(at, sources), streams)
         v_views = sample_channel(g_uv, u_views, streams)
-        instances = [
-            replace(inst, synthetic_pool=inst.synthetic_pool.spawned(ids, round_index, u, v))
-            for inst, ids, u, v in zip(instances, sources, _split(u_views, sizes), _split(v_views, sizes))
-        ]
-    return instances
+        parent_id = np.empty((count, 2 * m), dtype=np.int64)
+        parent_id[:, 0::2], parent_id[:, 1::2] = sources, len(layout.round) + np.arange(0, 2 * m, 2)
+        layout.add(round_index, np.tile([STEP_V_TO_U, STEP_U_TO_V], m), parent_id, u_views, v_views)
+    return layout.instances_out()
 
 
 def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list[Instance]:
@@ -444,45 +478,43 @@ def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list
     After the last selection these are its children, so the student's pick
     then compares every live candidate under the final teacher. One
     ``logits`` call covers every instance's unscored rows, instance-major,
-    and the losses split back per instance, as a selection does.
+    and the losses are written back in place of the NaNs.
     """
-    instances = list(instances)
-    pools = [inst.synthetic_pool for inst in instances]
-    todo = [np.flatnonzero(pool.is_v & np.isnan(pool.teacher_loss)) for pool in pools]
-    scored = [k for k, ids in enumerate(todo) if ids.size]
-    if not scored:
-        return instances
-    counts = [todo[k].size for k in scored]
-    subj, obj, labels = _per_row([instances[k] for k in scored], counts)
-    views = _v_rows([pools[k] for k in scored], [todo[k] for k in scored])
-    losses, _ = softmax_xent(teacher.logits(teacher.inputs(views, subj, obj)), labels)
-    for k, part in zip(scored, np.split(losses, np.cumsum(counts)[:-1])):
-        instances[k] = replace(instances[k], synthetic_pool=pools[k].judged(todo[k], part))
-    return instances
+    layout = _Layout(instances)
+    todo = layout.is_v & np.isnan(layout.teacher_loss)
+    if not todo.any():
+        return layout.instances
+    at, ids = np.nonzero(todo)
+    subj, obj, labels = _per_row(layout.instances, np.count_nonzero(todo, axis=1))
+    logits = teacher.logits(teacher.inputs(layout.v_rows(at, ids), subj, obj))
+    layout.teacher_loss[at, ids], _ = softmax_xent(logits, labels)
+    return layout.instances_out()
 
 
 def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer: Scorer) -> StudentModel:
     """Train the fusion student on each instance's best live candidates.
 
     The live candidates are the v-side views that would face the next
-    selection: the last selection's keepers plus the views generated after
-    it. Per instance the ``config.train_views`` best under ``scorer`` join
-    the real view and entities. The teacher-loss policy ranks by stored
-    loss, so only views that carry one are ranked: run ``score_trailing``
-    first to score the views generated after the last selection.
+    selection (the largest ``round + survived`` of a v-side view): the last
+    selection's keepers plus the views generated after it. Per instance the
+    ``config.train_views`` best under ``scorer`` join the real view and
+    entities. The teacher-loss policy ranks by stored loss, so only views
+    that carry one are ranked: run ``score_trailing`` first to score the
+    views generated after the last selection.
     """
-    next_selection = _next_selection(instances)
-    n_train = config.train_views
-    live = [_live_ids(inst.synthetic_pool, next_selection) for inst in instances]
-    counts = [len(ids) for ids in live]
-    scores = scorer.student_pick(instances, live)
-    parts = np.split(scores, np.cumsum(counts)[:-1])
-    synth = []
-    for instance, ids, part, ranked in zip(instances, live, parts, rank_segments(scores, counts)):
-        scored = np.count_nonzero(~np.isnan(part))
-        if scored < n_train:
-            raise PipelineError(f"instance {instance.id} has {scored} scored candidate views, needs {n_train}")
-        synth.append(instance.synthetic_pool.v_rows(ids[ranked[:n_train]]))
+    layout = _Layout(instances)
+    instances, at, n_train = layout.instances, layout.at, config.train_views
+    live = layout.live(int(np.max(layout.round + layout.survived, where=layout.is_v, initial=0)))
+    if config.policy_name == "teacher_loss":
+        scores = np.take_along_axis(layout.teacher_loss, live, axis=1)
+    else:
+        scores = scorer.untrained(instances, layout.v_rows(at, live), "student-pick")
+    scored = np.count_nonzero(~np.isnan(scores), axis=1)
+    if (short := scored < n_train).any():
+        k = int(np.argmax(short))
+        raise PipelineError(f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n_train}")
+    picked = layout.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n_train], axis=1))
+    synth = [ViewBatch(picked.kind, MODALITY_V, data) for data in np.split(picked.data, len(instances))]
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
     inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)
@@ -583,6 +615,9 @@ def run_pipeline(
     """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
+    for name, split in (("train", train_instances), ("test", test_instances)):
+        if not split:
+            raise PipelineError(f"the {name} split holds no instances")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
     if condition == "unimodal":
         return _run_unimodal(train_instances, test_instances, schema, config, digest)
@@ -610,13 +645,14 @@ def run_pipeline(
     metrics = compute_metrics(predictions, [inst.label for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 
+    pool = instances[0].synthetic_pool
     report = RunReport(
         condition=condition,
         config_digest=digest,
         seed=config.seed,
         ccg_rounds=config.ccg_rounds,
         rounds=tuple(rounds),
-        final_pool_size=len(_live_ids(instances[0].synthetic_pool, len(rounds))) if instances else 0,
+        final_pool_size=int(np.count_nonzero(pool.is_v & (pool.round + pool.survived == len(rounds)))),
         metrics=metrics,
         timing=timing,
     )
@@ -660,7 +696,7 @@ def extract_stages(instances: Sequence[Instance], schema: DatasetSchema) -> dict
     survived = np.concatenate([p.survived[p.is_v] for p in pools])
     features = np.concatenate([featurize_rows(p.v.kind, p.v.data, schema.v_spec.size) for p in pools])
     stages: dict[str, np.ndarray] = {}
-    for s in range(_next_selection(instances)):
+    for s in range(int(np.max(rounds + survived, initial=0))):
         kept = (rounds <= s) & (s < rounds + survived)
         raw = rounds == s + 1
         if kept.any():

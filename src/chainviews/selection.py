@@ -2,22 +2,20 @@
 
 Every policy answers the same question: given one instance's candidate
 views, which ``ceil(keep_fraction * n)`` survive into the next round? Each
-policy is a lower-is-better score per candidate, and :func:`rank_segments`
-ranks every instance's scores at once. The teacher-loss policy scores by
+policy is a lower-is-better score per candidate, one row per instance, and
+:func:`rank_rows` ranks every row at once. The teacher-loss policy scores by
 teacher loss (computed upstream), the similarity policy by closeness to the
 real view under a fixed cross-modal embedder (:func:`similarity_scores`),
 and the random / keep-all policies are the ablation controls
 (:func:`random_scores`, or all-equal scores).
 
 Ties break by ascending candidate index, so results are stable under equal
-scores.
+scores, and NaN (a view no teacher scored) ranks last.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
 import numpy as np
 
 from .datamodel import ViewBatch, ViewSpec
@@ -45,16 +43,14 @@ def keep_count(keep_fraction: float, n: int) -> int:
     return -(-product.numerator // product.denominator)
 
 
-def rank_segments(scores: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    """Each segment's row positions, best (lowest score) first.
+def rank_rows(scores: np.ndarray) -> np.ndarray:
+    """Each row's column positions, best (lowest score) first.
 
-    ``scores`` holds ``counts[k]`` rows for segment ``k``, segment after
-    segment. One stable sort orders every row by (segment, score, index), so
-    equal scores keep the lower index; NaN ranks last.
+    ``scores`` holds one row of candidates per instance. One stable sort
+    along the rows orders each by (score, index), so equal scores keep the
+    lower index; NaN ranks last.
     """
-    order = np.lexsort((scores, np.repeat(np.arange(len(counts)), counts)))
-    starts = np.cumsum(counts) - counts
-    return np.split(order - np.repeat(starts, counts), np.cumsum(counts)[:-1])
+    return np.argsort(scores, axis=1, kind="stable")
 
 
 class RandomLinearEmbedder:

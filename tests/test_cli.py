@@ -284,6 +284,17 @@ def test_run_on_a_dataset_file_with_a_field_out_of_range_exits_1_naming_the_line
     assert not (tmp_path / "from-files" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_run_on_a_dataset_file_with_no_instances_exits_1_naming_it(tmp_path, capsys, split):
+    mapping = dataset_mapping(tmp_path, identity_channels)
+    path = Path(mapping["dataset"][split])
+    path.write_text(path.read_text().splitlines()[0] + "\n")  # the schema line alone
+    config = write_yaml(tmp_path / "files.yaml", mapping)
+    assert main(["run", "--config", config]) == EXIT_USAGE
+    assert f"error: dataset {path} holds no instances" in capsys.readouterr().err
+    assert not (tmp_path / "from-files" / "metrics.csv").exists()
+
+
 def test_dataset_channels_that_do_not_fit_the_schema_exit_1_naming_the_channel(tmp_path, capsys):
     # u -> v widens to d + 1 and v -> u reads d + 1: the pair chains, but the
     # dataset's v side is d wide
@@ -726,6 +737,14 @@ def test_keep_fraction_must_be_a_number_under_every_policy(tmp_path):
     code, err = run_exit_and_stderr(mapping, tmp_path)
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "keep_fraction" in err, err
+
+
+def test_infer_views_above_initial_views_exits_1_naming_both(tmp_path):
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["pipeline"].update(initial_views=5, infer_views=8)
+    code, err = run_exit_and_stderr(mapping, tmp_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: pipeline: infer_views (8) must not exceed initial_views (5)"), err
 
 
 def test_ablate_and_the_k_flag_report_malformed_values_as_config_errors(tmp_path, capsys):

@@ -463,3 +463,18 @@ def test_load_experiment_data_from_files(tmp_path):
     write_dataset(other_train, other_schema, test_path)
     with pytest.raises(ConfigError, match="disagree on their schema"):
         load_experiment_data(config)
+
+
+def test_load_experiment_data_refuses_a_file_with_no_instances(tmp_path):
+    source = parse_config(base_mapping(data={"train_per_class": 2, "test_per_class": 2}))
+    train_inst, _, schema, _, _ = load_experiment_data(source)
+    train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    write_dataset(train_inst, schema, train_path)
+    write_dataset([], schema, test_path)
+    d = schema.u_spec.size
+    channel = {"kind": "linear_gaussian", "weight": np.eye(d).tolist(), "noise_sigma": 0.5}
+    mapping = {"seed": 2, "channels": {"u_to_v": channel, "v_to_u": channel}}
+    for paths in ((train_path, test_path), (test_path, train_path)):
+        config = parse_config({**mapping, "dataset": {"train": str(paths[0]), "test": str(paths[1])}})
+        with pytest.raises(ConfigError, match=f"dataset {re.escape(str(test_path))} holds no instances"):
+            load_experiment_data(config)

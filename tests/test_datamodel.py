@@ -172,19 +172,6 @@ def test_view_matches_spec():
     assert rows_match(view.kind, view.data, ViewSpec("discrete", 2)).tolist() == [False]
 
 
-def test_pool_verdicts_are_copies():
-    pool = make_pool([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (0, STEP_U_TO_V, REAL_PARENT, [1.0, 0.0])])
-    scored = pool.judged([1], [0.25])
-    assert np.isnan(pool.teacher_loss).all()
-    assert np.isnan(scored.teacher_loss[0]) and scored.teacher_loss[1] == 0.25
-    kept = scored.judged([], kept=[1])
-    assert scored.survived.tolist() == [0, 0] and kept.survived.tolist() == [0, 1]
-    assert kept.judged([], kept=[1]).survived.tolist() == [0, 2] and kept.teacher_loss[1] == 0.25
-    assert kept.v is pool.v  # the view data is shared, never copied
-    with pytest.raises(ValueError):
-        pool.survived[0] = 1  # columns are read-only
-
-
 def test_a_pool_leaves_the_callers_arrays_writeable():
     data, survived = np.array([[0.0, 1.0]]), np.array([0])
     v = ViewBatch("vector", MODALITY_V, data)
@@ -482,8 +469,8 @@ def test_a_path_read_holds_about_one_line_beyond_its_instances(tmp_path):
     rng = np.random.default_rng(1)
     instances = []
     for i in range(160):
-        pool = Pool.initial(ViewBatch("vector", MODALITY_V, rng.normal(size=(400, 2))))
-        pool = replace(pool, teacher_loss=rng.random(len(pool)))
+        v = ViewBatch("vector", MODALITY_V, rng.normal(size=(400, 2)))
+        pool = Pool(np.zeros(400), np.full(400, STEP_U_TO_V), np.full(400, REAL_PARENT), rng.random(400), np.zeros(400), v=v)
         instances.append(replace(make_instance(i, i % 3), synthetic_pool=pool))
     path = tmp_path / "big.jsonl"
     write_dataset(instances, make_schema(), path)

@@ -2,7 +2,7 @@
 
 Each runs in its own process from an empty temporary directory, importing
 the package from ``src/``. The demos call library functions directly (e.g.
-``filtering_demo.py`` ranks with ``rank_segments``, ``random_scores`` and
+``filtering_demo.py`` ranks with ``rank_rows``, ``random_scores`` and
 ``keep_count``), so a renamed or re-signed function fails here.
 """
 

@@ -94,3 +94,30 @@ def test_src_lines_counts_like_wc(tmp_path):
     (package / "b.py").write_text("three\nno newline at the end")
     (package / "notes.txt").write_text("not counted\n")
     assert pairs.src_lines(tmp_path) == 3
+
+
+def test_operation_totals_sum_each_side_over_the_pairs():
+    rows = [
+        {"parent_attempted": 9, "parent_failed": 0, "change_attempted": 9, "change_failed": 1},
+        {"parent_attempted": 7, "parent_failed": 2, "change_attempted": 8, "change_failed": 0},
+    ]
+    assert pairs.operation_totals(rows) == {
+        "parent": {"attempted": 16, "failed": 2},
+        "change": {"attempted": 17, "failed": 1},
+    }
+    assert pairs.operation_totals([]) == {side: {"attempted": 0, "failed": 0} for side in pairs.SIDES}
+
+
+def test_measure_records_both_counts_per_pair_and_their_totals(monkeypatch):
+    counts = {"parent": (5, 0), "change": (5, 1)}
+
+    def fake_run(tree, workload, seed, seconds):
+        attempted, failed = counts[tree]
+        return {"metrics": {"wall_s": 1.0}, "attempted": attempted, "failed": failed, "digest": "d", "machine": {}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    spec = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    run, _ = pairs.measure({side: side for side in pairs.SIDES}, "w", 0, 3, 1.0, spec, log=lambda line: None)
+    assert all((row["parent_attempted"], row["parent_failed"], row["change_attempted"], row["change_failed"]) == (5, 0, 5, 1)
+               for row in run["pairs"])
+    assert run["operations"] == {"parent": {"attempted": 15, "failed": 0}, "change": {"attempted": 15, "failed": 3}}

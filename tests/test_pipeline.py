@@ -564,7 +564,7 @@ def test_one_instance_per_class_with_single_views():
 
 def test_round0_view_counts_and_provenance(tiny_run):
     for m0 in (30, 1):
-        config = tiny_config(initial_views=m0)
+        config = tiny_config(initial_views=m0, infer_views=1)
         step = run_round0(tiny_run.train, tiny_run.g_uv, config)
         for instance in step:
             pool = instance.synthetic_pool
@@ -608,6 +608,72 @@ def test_train_student_needs_enough_scored_views(tiny_run):
     step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
     with pytest.raises(PipelineError, match="scored candidate"):
         train_student(step, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
+
+
+POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")
+
+
+def same_pool(a, b):
+    """Whether pools ``a`` and ``b`` hold equal columns and view matrices."""
+    sides = [(x.data, y.data) for x, y in ((a.v, b.v), (a.u, b.u)) if x is not None or y is not None]
+    columns = [(getattr(a, name), getattr(b, name)) for name in POOL_COLUMNS]
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in columns + sides)
+
+
+def test_pool_verdicts_are_copies(tiny_run):
+    # a round stacks its input pools into fresh arrays: the instances it was
+    # given keep their pools, and the pools it returns are read-only row
+    # views of one split-wide array per column, never per-instance copies
+    config = tiny_run.config
+    before = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    saved = [replace(inst.synthetic_pool, **{name: getattr(inst.synthetic_pool, name).copy() for name in POOL_COLUMNS})
+             for inst in before]
+    after = run_ccg_round(before, 1, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+    n = config.initial_views
+    for old, new, copy in zip(before, after, saved):
+        assert same_pool(old.synthetic_pool, copy)
+        assert np.isnan(old.synthetic_pool.teacher_loss).all() and not old.synthetic_pool.survived.any()
+        pool = new.synthetic_pool
+        assert not np.isnan(pool.teacher_loss[:n]).any() and pool.survived[:n].any()
+        for array in [getattr(pool, name) for name in POOL_COLUMNS] + [pool.v.data, pool.u.data]:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            pool.survived[0] = 1
+    first, second = (inst.synthetic_pool for inst in after[:2])
+    assert first.round is second.round and first.step is second.step  # one layout, shared
+    for name in ("parent_id", "teacher_loss", "survived"):
+        assert getattr(first, name).base is getattr(second, name).base is not None
+    assert first.v.data.base is second.v.data.base is not None
+
+
+def test_steps_refuse_pools_of_two_layouts(tiny_run):
+    config = tiny_run.config
+    scorer = Scorer(config, tiny_run.schema)
+    channels = (tiny_run.g_vu, tiny_run.g_uv)
+    shorter = run_round0(tiny_run.train[:1], tiny_run.g_uv, replace(config, initial_views=4))
+    step = run_ccg_round(run_round0(tiny_run.train[1:], tiny_run.g_uv, config), 1, *channels, config, scorer)
+    pool = step[0].synthetic_pool
+    moved = [replace(step[0], synthetic_pool=replace(pool, round=np.r_[1, pool.round[1:]]))]
+    for mixed in (shorter + run_round0(tiny_run.train[1:], tiny_run.g_uv, config), moved + step[1:]):
+        with pytest.raises(PipelineError, match="differ in layout"):
+            run_ccg_round(mixed, 1, *channels, config, scorer)
+        with pytest.raises(PipelineError, match="differ in layout"):
+            train_student(mixed, config, scorer)
+    # one layout, but one instance lost a keeper: its live count diverged
+    survived = pool.survived.copy()
+    survived[np.flatnonzero(survived)[0]] = 0
+    diverged = [replace(step[0], synthetic_pool=replace(pool, survived=survived))] + step[1:]
+    with pytest.raises(PipelineError, match=r"same positive number of live candidate views, got \[8, 9\]"):
+        run_ccg_round(diverged, 2, *channels, config, scorer)
+
+
+def test_run_pipeline_refuses_an_empty_split(tiny_run):
+    args = (tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, tiny_run.config)
+    for condition in ("full", "unimodal"):
+        with pytest.raises(PipelineError, match="the train split holds no instances"):
+            run_pipeline([], tiny_run.test, *args, condition)
+        with pytest.raises(PipelineError, match="the test split holds no instances"):
+            run_pipeline(tiny_run.train, [], *args, condition)
 
 
 def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
@@ -917,7 +983,7 @@ def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_
     assert calls == [sum(map(len, todo))] and calls[0] > 0
     for before, after, ids in zip(instances, scored, todo):
         if not ids.size:
-            assert after is before
+            assert same_pool(after.synthetic_pool, before.synthetic_pool)
             continue
         alone = logits(teacher, teacher.inputs(before.synthetic_pool.v_rows(ids), before.subject, before.object))
         expected, _ = softmax_xent(alone, [before.label] * len(ids))
@@ -1105,6 +1171,9 @@ def test_pipeline_config_validation():
         tiny_config(ccg_rounds=-1, spawn_per_kept=())
     with pytest.raises(ValueError, match="initial_views must be a positive integer"):
         tiny_config(initial_views=0)
+    with pytest.raises(ValueError, match=r"infer_views \(8\) must not exceed initial_views \(5\)"):
+        tiny_config(initial_views=5, infer_views=8)
+    assert tiny_config(initial_views=5, infer_views=5).infer_views == 5
     with pytest.raises(ValueError):
         tiny_config(policy_name="mystery")
     with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Keep-count arithmetic and the four selection policies, each a score per
-candidate ranked by ``rank_segments`` (one segment per instance)."""
-
-from dataclasses import replace
+candidate ranked by ``rank_rows`` (one row per instance)."""
 
 import numpy as np
 import pytest
@@ -16,15 +14,15 @@ from chainviews.selection import (
     SelectionError,
     keep_count,
     random_scores,
-    rank_segments,
+    rank_rows,
     similarity_scores,
 )
 from conftest import scored_pool
 
 
 def one_segment(scores):
-    """``scores`` ranked as one segment, best first."""
-    return rank_segments(np.asarray(scores, dtype=np.float64), [len(scores)])[0].tolist()
+    """``scores`` ranked as one row, best first."""
+    return rank_rows(np.asarray(scores, dtype=np.float64).reshape(1, -1))[0].tolist()
 
 
 def split(scores, keep_fraction):
@@ -98,16 +96,15 @@ def test_filter_by_loss_tie_break_is_stable():
 
 
 def test_segments_rank_as_each_segment_alone():
-    # one sort over every segment gives each segment's (score, index) order;
-    # segments may differ in size or be empty, and NaN ranks last
+    # one sort along the rows gives each row's (score, index) order, as the
+    # row would rank alone; rows may be empty, and NaN ranks last
     rng = derive_rng(5, "segments")
     for _ in range(50):
-        counts = rng.integers(0, 7, size=rng.integers(1, 6)).tolist()
-        scores = rng.integers(0, 3, size=sum(counts)).astype(float)
-        scores[rng.random(len(scores)) < 0.1] = np.nan
-        ranked = rank_segments(scores, counts)
-        assert len(ranked) == len(counts)
-        for part, order in zip(np.split(scores, np.cumsum(counts)[:-1]), ranked):
+        scores = rng.integers(0, 3, size=(rng.integers(1, 6), rng.integers(0, 7))).astype(float)
+        scores[rng.random(scores.shape) < 0.1] = np.nan
+        ranked = rank_rows(scores)
+        assert ranked.shape == scores.shape
+        for part, order in zip(scores, ranked):
             finite = [i for i in range(len(part)) if not np.isnan(part[i])]
             expected = sorted(finite, key=lambda i: (part[i], i)) + [i for i in range(len(part)) if np.isnan(part[i])]
             assert order.tolist() == expected
@@ -283,10 +280,8 @@ def test_policy_fraction_validation(small_schema, small_instance):
         with pytest.raises(SelectionError, match="keep_fraction"):
             PipelineConfig(policy_name="keep_all", keep_fraction=bad)
     # only the teacher-loss policy trains a teacher
-    live = [np.arange(2)]
-    pool = scored_pool([0.5, 0.25])
-    instance = replace(small_instance, synthetic_pool=pool)
+    views = scored_pool([0.5, 0.25]).v
     for name in POLICY_NAMES:
         scorer = Scorer(PipelineConfig(policy_name=name), small_schema)
-        scorer.select([instance], live, 0)
+        assert scorer.select([small_instance], views, 0).shape == (1, 2)
         assert (scorer.teacher is not None) == (name == "teacher_loss")

@@ -70,7 +70,7 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 from chainviews import datamodel
 schema = datamodel.DatasetSchema(3, 5, datamodel.ViewSpec("vector", 2), datamodel.ViewSpec("vector", 2))
-pool = datamodel.Pool.initial(datamodel.ViewBatch("vector", "v", np.ones((3, 2))))
+pool = datamodel.Pool([0] * 3, ["u_to_v"] * 3, [-1] * 3, [np.nan] * 3, [0] * 3, v=datamodel.ViewBatch("vector", "v", np.ones((3, 2))))
 real = datamodel.vector_view([0.5, -1.0], "u")
 instances = [datamodel.Instance(i, 0, 0, 1, real, pool) for i in range(2)]
 path = {str(tmp_path / "dataset.jsonl")!r}

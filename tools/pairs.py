@@ -9,9 +9,9 @@ directory, removed again at the end. Each pair runs the unchanged
 goes first alternates from pair to pair, because host speed drifts. The
 output file holds, per (workload, seed), every pair's end-to-end metrics,
 each side's median and quartiles, the wins out of pairs (a tie counts for
-neither side) and the verdicts on each metric, plus both sides' output
-digests, the machine record and the ``src/chainviews/*.py`` line count of
-each tree.
+neither side) and the verdicts on each metric, plus each side's operations
+attempted and failed (per pair and in total), both sides' output digests,
+the machine record and the ``src/chainviews/*.py`` line count of each tree.
 
 A change is *better* on a metric when it wins at least nine pairs in ten
 and its median beats the parent's by more than the parent's interquartile
@@ -97,6 +97,12 @@ def summarize(pairs: list[dict], directions: dict) -> dict:
     }
 
 
+def operation_totals(pairs: list[dict]) -> dict:
+    """Each side's operations attempted and failed, summed over ``pairs``."""
+    return {side: {count: sum(p[f"{side}_{count}"] for p in pairs) for count in ("attempted", "failed")}
+            for side in SIDES}
+
+
 def src_lines(tree: Path) -> int:
     """``wc -l src/chainviews/*.py`` of ``tree``: the total line count."""
     return sum(path.read_bytes().count(b"\n") for path in sorted((tree / "src" / "chainviews").glob("*.py")))
@@ -133,7 +139,7 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, s
         for side in order:
             result = run_once(trees[side], workload, seed, seconds)
             row[side] = result["metrics"]
-            row[f"{side}_failed"] = result["failed"]
+            row[f"{side}_attempted"], row[f"{side}_failed"] = result["attempted"], result["failed"]
             digests[side].append(result["digest"])
             machine = machine or result["machine"]
         rows.append(row)
@@ -149,6 +155,7 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, s
         "seconds": seconds,
         "pairs": rows,
         "metrics": metrics,
+        "operations": operation_totals(rows),
         "digests": digests,
         "digests_equal": digests_equal(digests),
     }, machine
@@ -205,6 +212,8 @@ def main(argv=None) -> int:
                   f"{'better' if m['change_is_better'] else 'not shown better'}; "
                   f"{'within' if m['within_bound'] else 'WORSE beyond'} bound {m['bound']:g} ({m['allowed']:.4f} worse allowed)"
                   f"{', unresolved' if m['unresolved'] else ''}")
+        print(f"{run['workload']} seed {run['seed']} operations "
+              + "; ".join(f"{side} {n['attempted']} attempted, {n['failed']} failed" for side, n in run["operations"].items()))
         print(f"{run['workload']} seed {run['seed']} digests_equal {run['digests_equal']}")
     return 0
 
