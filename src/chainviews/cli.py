@@ -32,8 +32,9 @@ from .config import (
     merge_overrides,
     parse_config,
     read_config_mapping,
+    read_dataset_file,
 )
-from .datamodel import DatasetFormatError, read_dataset, write_dataset
+from .datamodel import DatasetFormatError, write_dataset
 from .diversity import diversity_report
 from .pipeline import (
     ablation_table,
@@ -209,7 +210,7 @@ def cmd_diversity(args) -> int:
     config = _load(args)
     out = _out_dir(config, args.out)
     dataset_path = Path(args.dataset) if args.dataset else out / "dataset.jsonl"
-    instances, schema = read_dataset(dataset_path)
+    instances, schema = read_dataset_file(dataset_path)
     stages = extract_stages(instances, schema)
     if not stages:
         raise ConfigError(f"{dataset_path} holds no synthetic views; run the pipeline first")

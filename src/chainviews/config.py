@@ -84,6 +84,13 @@ def _ints(value, where: str, low: int) -> tuple[int, ...]:
     return tuple(check_int(f"{where} entries", v, low, ConfigError) for v in value)
 
 
+def _named_once(values, where: str, what: str) -> None:
+    """Refuse a list that names a value more than once, naming the repeats."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{where} names {', '.join(map(str, repeated))} more than once; name each {what} once")
+
+
 def _array(spec: Mapping, key: str, where: str, ndim: int) -> np.ndarray:
     """``spec[key]``, a non-empty ``ndim``-deep list of finite numbers, as floats."""
     value = spec[key]
@@ -311,12 +318,11 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(
             f"unknown ablation conditions {bad}; valid names: {', '.join(CONDITIONS)}"
         )
-    repeated = sorted({c for c in conditions if conditions.count(c) > 1})
-    if repeated:
-        raise ConfigError(f"ablation.conditions names {', '.join(repeated)} more than once; name each condition once")
+    _named_once(conditions, "ablation.conditions", "condition")
     seeds = _ints(ablation.get("seeds", list(range(10))), "ablation.seeds", 0)
     if not seeds:
         raise ConfigError("ablation.seeds must not be empty")
+    _named_once(seeds, "ablation.seeds", "seed")
 
     diversity = _require_mapping(mapping.get("diversity", {}), "diversity")
     _reject_unknown(diversity, {"pca_dims", "components"}, "diversity")
@@ -411,14 +417,22 @@ def build_world(config: ExperimentConfig, seed: int | None = None):
     return world, g_uv, g_vu, g_uv.out_port.spec
 
 
+def read_dataset_file(path):
+    """``read_dataset(path)``; a path it cannot open is a ConfigError naming it."""
+    try:
+        return read_dataset(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+
+
 def load_experiment_data(config: ExperimentConfig):
     """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``;
     a dataset file that holds no instances is a ConfigError naming it."""
     from .channels import generate_benchmark
 
     if config.dataset_paths is not None:
-        train_instances, schema = read_dataset(config.dataset_paths[0])
-        test_instances, test_schema = read_dataset(config.dataset_paths[1])
+        train_instances, schema = read_dataset_file(config.dataset_paths[0])
+        test_instances, test_schema = read_dataset_file(config.dataset_paths[1])
         for path, instances in zip(config.dataset_paths, (train_instances, test_instances)):
             if not instances:
                 raise ConfigError(f"dataset {path} holds no instances")

@@ -78,9 +78,10 @@ class DatasetFormatError(ValueError):
 
 
 def check_int(name: str, value, low: int, error=ValueError):
-    """``value`` if it is an integer (not a bool) of at least ``low``, 0 or 1."""
+    """``value`` if it is an integer (not a bool) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise error(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
+        raise error(f"{name} must be {kind}, got {value!r}")
     return value
 
 
@@ -193,24 +194,26 @@ class Pool:
     def __post_init__(self):
         for name, dtype in _POOL_COLUMNS.items():
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
-        n = len(self.round)
-        if self.round.ndim != 1 or any(getattr(self, name).shape != (n,) for name in _POOL_COLUMNS):
-            raise ValueError("pool columns must be 1-d and of one length")
+        shapes = {name: getattr(self, name).shape for name in _POOL_COLUMNS}
+        if self.round.ndim != 1 or len(set(shapes.values())) > 1:
+            lengths = {name: shape[0] if len(shape) == 1 else shape for name, shape in shapes.items()}
+            raise ValueError(f"pool columns must be of one length and 1-d, got lengths {lengths}")
         object.__setattr__(self, "is_v", self.step == STEP_U_TO_V)
-        n_v = np.count_nonzero(self.is_v)  # count_nonzero is the cheap test on arrays this small
-        for bad, message in (
-            (n_v + np.count_nonzero(self.step == STEP_V_TO_U) != n, "unknown step"),
-            (np.count_nonzero(self.round < 0), "round must be non-negative"),
-            (np.count_nonzero(self.parent_id < REAL_PARENT), "parent_id must be >= -1"),
-            (np.count_nonzero(self.survived < 0), "survived must be non-negative"),
-            (np.count_nonzero(self.survived[~self.is_v]), "only v-side views face selection"),
+        is_u = self.step == STEP_V_TO_U
+        for values, bad, fault in (
+            (self.step, ~(self.is_v | is_u), "has unknown step {!r}"),
+            (self.round, self.round < 0, "has round {}, which must be non-negative"),
+            (self.survived, self.survived < 0, "has survival count {}, which must be non-negative"),
+            (self.survived, is_u & (self.survived != 0), "has survival count {}, but only v-side views face selection"),
         ):
-            if bad:
-                raise ValueError(message)
-        for side, modality, count in ((self.v, MODALITY_V, n_v), (self.u, MODALITY_U, n - n_v)):
-            found = (0, modality) if side is None else (len(side), side.modality)
-            if found != (count, modality):
-                raise ValueError(f"the {modality}-side matrix must hold the {count} {modality}-side views")
+            if np.count_nonzero(bad):  # count_nonzero is the cheap test on arrays this small
+                i = int(np.argmax(bad))
+                raise ValueError(f"view {i} {fault.format(values[i].item())}")
+        for side, modality, count in ((self.v, MODALITY_V, np.count_nonzero(self.is_v)), (self.u, MODALITY_U, np.count_nonzero(is_u))):
+            if side is not None and side.modality != modality:
+                raise ValueError(f"the {modality} matrix holds {side.modality}-side views")
+            if (rows := 0 if side is None else len(side)) != count:
+                raise ValueError(f"the {modality} matrix holds {rows} rows for {count} {modality}-side views")
             if side is not None and side.data.flags.writeable:
                 object.__setattr__(self, modality, ViewBatch(side.kind, modality, _frozen(side.data)))
 
@@ -310,10 +313,9 @@ def _encode_matrix(batch: ViewBatch | None) -> str:
     return f'{{"kind":"{batch.kind}","shape":[{rows},{width}],"data":"{_base64(batch.data, _WIRE[batch.kind])}"}}'
 
 
-def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndarray | None = None) -> ViewBatch:
-    """The inverse of :func:`_encode_matrix`, checked against ``spec``. ``at``
-    holds the pool index of each row; without it the matrix is the real
-    view, one row."""
+def _decode_matrix(record, modality: str, spec: ViewSpec, line: int) -> ViewBatch:
+    """The inverse of :func:`_encode_matrix`, checked against ``spec``'s kind
+    and width; :func:`_check_values` checks the values."""
     try:
         kind, shape, text = record["kind"], record["shape"], record["data"]
     except (KeyError, TypeError):
@@ -321,10 +323,6 @@ def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndar
     if type(shape) is not list or len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
         raise DatasetFormatError(f"bad view: shape must be two positive integers, got {shape!r}", line)
     rows, width = shape
-    if at is None and rows != 1:
-        raise DatasetFormatError(f"bad view: the real view must be one row, got {rows}", line)
-    if at is not None and rows != len(at):
-        raise DatasetFormatError(f"bad view: the {modality} matrix holds {rows} rows for {len(at)} {modality}-side views", line)
     if kind != spec.kind or (kind == "vector" and width != spec.size):
         raise DatasetFormatError(
             f"bad view: the schema's {modality}-side views are {spec.kind} of size {spec.size}, "
@@ -334,15 +332,44 @@ def _decode_matrix(record, modality: str, spec: ViewSpec, line: int, at: np.ndar
     raw = _unbase64(text, "bad view: data", line)
     if len(raw) != rows * width * 8:
         raise DatasetFormatError(f"bad view: shape {shape} needs {rows * width * 8} bytes, data holds {len(raw)}", line)
-    data = np.frombuffer(raw, dtype=_WIRE[kind]).reshape(rows, width)
-    name = (lambda k: "the real view") if at is None else (lambda k: f"synthetic view {at[k]}")
-    fits = rows_match(kind, data, spec)
+    return ViewBatch(kind, modality, np.frombuffer(raw, dtype=_WIRE[kind]).reshape(rows, width))
+
+
+def _check_values(batch: ViewBatch, spec: ViewSpec, line: int, at: np.ndarray | None = None) -> ViewBatch:
+    """``batch`` if every view holds symbols of ``spec``'s alphabet or finite
+    numbers. ``at`` holds the pool index of each row; without it the batch
+    is the real view."""
+    fits, finite = rows_match(batch.kind, batch.data, spec), np.isfinite(batch.data).all(axis=1)
+    for ok, fault in ((fits, f"a symbol outside [0, {spec.size})"), (finite, "a non-finite number")):
+        if not ok.all():
+            view = "the real view" if at is None else f"synthetic view {at[np.argmin(ok)]}"
+            raise DatasetFormatError(f"{view} holds {fault}", line)
+    return batch
+
+
+def _check_generated(pool: Pool, where: str = "") -> None:
+    """Refuse what the generator never makes, a ValueError naming ``where``
+    and the view: a negative or infinite teacher loss (NaN is unscored), or
+    a view that does not descend from an earlier one as the generator
+    alternates its steps. The reader and the writer check a pool for these;
+    a Pool does not, as the pipeline builds many more Pools than it writes."""
+    losses = pool.teacher_loss
+    for bad, fault in ((np.isinf(losses), "has a non-finite teacher loss"), (losses < 0, "has a negative teacher loss")):
+        if bad.any():
+            raise ValueError(f"{where}view {int(np.argmax(bad))} {fault}")
+    # a parent predates its child, so every chain reaches the real view; the
+    # generator alternates, so a u_to_v view descends from the real view or a
+    # v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier
+    # one. Together these bound a chain at 2 * (round + 1) hops.
+    parent, rounds, is_v = pool.parent_id, pool.round, pool.is_v
+    real = parent == REAL_PARENT
+    linked = (parent >= REAL_PARENT) & (parent < np.arange(len(parent)))
+    at = np.where(linked & ~real, parent, 0)
+    parent_v, parent_round = is_v[at], rounds[at]
+    fits = linked & np.where(is_v, real | (~parent_v & (parent_round == rounds)), ~real & parent_v & (parent_round < rounds))
     if not fits.all():
-        raise DatasetFormatError(f"{name(int(np.argmin(fits)))} holds a symbol outside [0, {spec.size})", line)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise DatasetFormatError(f"{name(int(np.argmin(finite)))} holds a non-finite number", line)
-    return ViewBatch(kind, modality, data)
+        i = int(np.argmin(fits))
+        raise ValueError(f"{where}view {i} ({pool.step[i]}, round {rounds[i]}) cannot descend from view {parent[i]}")
 
 
 _LINE = (
@@ -354,8 +381,10 @@ _LINE = (
 def _encode_instance(instance: Instance) -> str:
     """One instance's line, filled into :data:`_LINE`: every field is an int,
     a kind name, base64 text or null, so the line is the text of
-    ``json.dumps(record, separators=(",", ":"))`` without its string scan."""
+    ``json.dumps(record, separators=(",", ":"))`` without its string scan.
+    A pool the reader would refuse is a ValueError naming the instance."""
     pool = instance.synthetic_pool
+    _check_generated(pool, f"instance {instance.id}: ")
     columns = map(_base64, (pool.round, ~pool.is_v, pool.parent_id, pool.teacher_loss, pool.survived), _COLUMN_WIRE.values())
     fields = (instance.id, instance.label, instance.subject, instance.object, _encode_matrix(instance.real_view))
     return _LINE.format(*fields, *columns, _encode_matrix(pool.v), _encode_matrix(pool.u))
@@ -370,49 +399,30 @@ def _decode_column(text, key: str, line: int) -> np.ndarray:
 
 
 def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
-    """One instance's ``pool`` record, checked column by column and each view
-    against its parent."""
+    """One instance's ``pool`` record as a :class:`Pool`, checked as the writer checks it."""
     columns = {key: _decode_column(record[key], key, line) for key in _COLUMN_WIRE}
-    lengths = {key: len(column) for key, column in columns.items()}
-    if len(set(lengths.values())) > 1:
-        raise DatasetFormatError(f"pool columns must be of one length, got lengths {lengths}", line)
-    codes, losses, rounds, parent = columns["step"], columns["teacher_loss"], columns["round"], columns["parent_id"]
-    survived = columns["survived"]
-    for values, bad, fault in (
-        (codes, (codes != 0) & (codes != 1), "has unknown step code {}"),
-        (rounds, rounds < 0, "has round {}, which must be non-negative"),
-        (survived, survived < 0, "has survival count {}, which must be non-negative"),
-        (survived, (codes == 1) & (survived != 0), "has survival count {}, but only v-side views face selection"),
-        (losses, np.isinf(losses), "has a non-finite teacher loss"),
-        (losses, losses < 0, "has a negative teacher loss"),  # NaN is unscored
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DatasetFormatError(f"view {i} {fault.format(values[i])}", line)
-    sides, is_v = {}, codes == 0
-    for modality, spec, rows in ((MODALITY_V, schema.v_spec, is_v), (MODALITY_U, schema.u_spec, ~is_v)):
-        at = np.flatnonzero(rows)  # the pool index of each row
-        if record[modality] is not None or len(at):
-            sides[modality] = _decode_matrix(record[modality], modality, spec, line, at)
-    # a parent predates its child, so every chain reaches the real view; the
-    # generator alternates, so a u_to_v view descends from the real view or a
-    # v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier
-    # one. Together these bound a chain at 2 * (round + 1) hops.
-    real = parent == REAL_PARENT
-    linked = (parent >= REAL_PARENT) & (parent < np.arange(len(parent)))
-    at = np.where(linked & ~real, parent, 0)
-    parent_v, parent_round = is_v[at], rounds[at]
-    fits = linked & np.where(is_v, real | (~parent_v & (parent_round == rounds)), ~real & parent_v & (parent_round < rounds))
-    if not fits.all():
-        i = int(np.argmin(fits))
-        raise DatasetFormatError(f"view {i} ({_STEPS[codes[i]]}, round {rounds[i]}) cannot descend from view {parent[i]}", line)
-    return Pool(rounds, _STEPS[codes], parent, losses, survived, **sides)
+    codes = columns["step"]
+    if (unknown := (codes != 0) & (codes != 1)).any():
+        i = int(np.argmax(unknown))
+        raise DatasetFormatError(f"view {i} has unknown step code {codes[i]}", line)
+    columns["step"] = _STEPS[codes]
+    layout = [(MODALITY_V, schema.v_spec, np.flatnonzero(codes == 0)), (MODALITY_U, schema.u_spec, np.flatnonzero(codes))]
+    sides = {m: _decode_matrix(record[m], m, spec, line) for m, spec, at in layout if record[m] is not None or len(at)}
+    try:
+        pool = Pool(**columns, **sides)
+        _check_generated(pool)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc), line) from None
+    for modality, spec, at in layout:
+        if modality in sides:  # the Pool checked that ``at`` names each row
+            _check_values(sides[modality], spec, line, at)
+    return pool
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
     try:
         pool = _decode_pool(record["pool"], line, schema)
-        real = _decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line)
+        real = _check_values(_decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line), schema.u_spec, line)
         instance = Instance(
             id=_integer(record["id"], "id", line),
             label=_integer(record["label"], "label", line),
@@ -446,15 +456,15 @@ def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iter
 
 
 def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:
-    """Write schema plus instances to ``sink`` (path or text file object).
+    """Write schema plus instances to the path ``sink`` (``str`` or ``Path``;
+    :func:`dataset_to_string` is the in-memory form).
 
-    A path gets the whole dataset or nothing: the lines go to a temporary
+    The path gets the whole dataset or nothing: the lines go to a temporary
     file beside it that replaces it only after the last line, so an
     instance that fails to encode leaves no file, or the old one untouched.
     """
     if not isinstance(sink, (str, Path)):
-        sink.writelines(_dataset_lines(instances, schema))
-        return
+        raise TypeError(f"write_dataset takes a path (str or Path), not {type(sink).__name__}")
     path = Path(sink)
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
     try:

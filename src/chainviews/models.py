@@ -8,7 +8,8 @@ call: the subject and object queries, each built from the real encoding and
 one entity, attend over the synthetic encodings, which are projected to keys
 and values once; the two attended vectors are concatenated, and a
 feedforward stage plus linear head produce logits. The unimodal baseline is
-the student with the synthetic branch removed.
+the student with the synthetic branch removed. Every layer width follows
+from one ``width`` (:func:`_widths`); the unimodal model's from ``WIDTH``.
 
 All three expose ``params``, ``inputs(...)``, ``logits(inputs)`` and
 ``loss_and_grads(inputs, labels)``, which is what :func:`train` and the
@@ -121,27 +122,29 @@ def _loss_and_grads(model, inputs, labels, grads: Grads | None = None) -> tuple[
     return losses, grads
 
 
+WIDTH = 16  # the default width; the unimodal model has no other
+
+
+def _widths(width: int) -> tuple[int, int, int]:
+    """The widths of a model of ``width``: every hidden layer; the entity
+    embedding, each encoder's output, the queries and the keys; the fusion
+    or feed-forward output."""
+    check_int("width", width, 2)
+    return width, width // 2, 3 * width // 4
+
+
 class TeacherModel:
     """Entity embeddings + synthetic-view encoder + fusion head; a row is a
     v-side view and an entity pair."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        schema: DatasetSchema,
-        emb_dim: int = 8,
-        enc_hidden: int = 16,
-        enc_dim: int = 8,
-        fuse_hidden: int = 16,
-        fuse_dim: int = 12,
-    ):
+    def __init__(self, rng: np.random.Generator, schema: DatasetSchema, width: int = WIDTH):
+        hidden, narrow, fused = _widths(width)
         self.schema = schema
         self.params: Params = {}
-        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        mlp_init(self.params, rng, "venc", schema.v_spec.size, enc_hidden, enc_dim)
-        mlp_init(self.params, rng, "fuse", 2 * emb_dim + enc_dim, fuse_hidden, fuse_dim)
-        linear_init(self.params, rng, "head", fuse_dim, schema.class_count)
-        self._emb_dim = emb_dim
+        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, narrow))
+        mlp_init(self.params, rng, "venc", schema.v_spec.size, hidden, narrow)
+        mlp_init(self.params, rng, "fuse", 3 * narrow, hidden, fused)
+        linear_init(self.params, rng, "head", fused, schema.class_count)
 
     logits = _logits
     loss_and_grads = _loss_and_grads
@@ -161,7 +164,7 @@ class TeacherModel:
 
     def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
         subj, obj, c_enc, c_fuse, c_head = cache
-        emb = self._emb_dim
+        emb = self.params["entity_emb"].shape[1]
         dfused = linear_backward(self.params, c_head, dlogits, grads)
         dfused_in = mlp_backward(self.params, c_fuse, dfused, grads)
         mlp_backward(self.params, c_enc, dfused_in[:, 2 * emb :], grads)
@@ -178,32 +181,19 @@ class StudentModel:
     synthetic encodings are projected to keys and values once.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        schema: DatasetSchema,
-        emb_dim: int = 8,
-        real_hidden: int = 16,
-        real_dim: int = 8,
-        synth_hidden: int = 16,
-        synth_dim: int = 8,
-        query_dim: int = 8,
-        key_dim: int = 8,
-        ff_hidden: int = 16,
-        ff_dim: int = 12,
-    ):
+    def __init__(self, rng: np.random.Generator, schema: DatasetSchema, width: int = WIDTH):
+        hidden, narrow, fused = _widths(width)
         self.schema = schema
         self.params: Params = {}
-        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        mlp_init(self.params, rng, "uenc", schema.u_spec.size, real_hidden, real_dim)
-        mlp_init(self.params, rng, "venc", schema.v_spec.size, synth_hidden, synth_dim)
-        linear_init(self.params, rng, "qsub", real_dim + emb_dim, query_dim)
-        linear_init(self.params, rng, "qobj", real_dim + emb_dim, query_dim)
+        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, narrow))
+        mlp_init(self.params, rng, "uenc", schema.u_spec.size, hidden, narrow)
+        mlp_init(self.params, rng, "venc", schema.v_spec.size, hidden, narrow)
+        linear_init(self.params, rng, "qsub", 2 * narrow, narrow)
+        linear_init(self.params, rng, "qobj", 2 * narrow, narrow)
         # the residual around the attention needs values as wide as the queries
-        attention_init(self.params, rng, "attn", query_dim, synth_dim, key_dim, query_dim)
-        mlp_init(self.params, rng, "ff", 2 * query_dim, ff_hidden, ff_dim)
-        linear_init(self.params, rng, "head", ff_dim, schema.class_count)
-        self._emb_dim = emb_dim
+        attention_init(self.params, rng, "attn", narrow, narrow, narrow, narrow)
+        mlp_init(self.params, rng, "ff", 2 * narrow, hidden, fused)
+        linear_init(self.params, rng, "head", fused, schema.class_count)
 
     logits = _logits
     loss_and_grads = _loss_and_grads
@@ -256,7 +246,7 @@ class StudentModel:
         dq += d_att
         dq_sub_in = linear_backward(self.params, c_qsub, dq[:, 0], grads)
         dq_obj_in = linear_backward(self.params, c_qobj, dq[:, 1], grads)
-        emb = self._emb_dim
+        emb = self.params["entity_emb"].shape[1]
         mlp_backward(self.params, c_real, dq_sub_in[:, :-emb] + dq_obj_in[:, :-emb], grads)
         _entity_grad(grads, self.params["entity_emb"], subj, obj, dq_sub_in[:, -emb:], dq_obj_in[:, -emb:])
 
@@ -266,13 +256,12 @@ class UnimodalModel:
     a row is a u-side view and an entity pair."""
 
     def __init__(self, rng: np.random.Generator, schema: DatasetSchema):
-        emb_dim, real_hidden, real_dim = 8, 16, 8
+        hidden, narrow, _ = _widths(WIDTH)
         self.schema = schema
         self.params: Params = {}
-        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, emb_dim))
-        mlp_init(self.params, rng, "uenc", schema.u_spec.size, real_hidden, real_dim)
-        linear_init(self.params, rng, "head", real_dim + 2 * emb_dim, schema.class_count)
-        self._emb_dim = emb_dim
+        self.params["entity_emb"] = rng.normal(0.0, 0.5, size=(schema.entity_vocab, narrow))
+        mlp_init(self.params, rng, "uenc", schema.u_spec.size, hidden, narrow)
+        linear_init(self.params, rng, "head", 3 * narrow, schema.class_count)
 
     logits = _logits
     loss_and_grads = _loss_and_grads
@@ -291,13 +280,10 @@ class UnimodalModel:
 
     def _backward(self, cache, dlogits: np.ndarray, grads: Grads) -> None:
         subj, obj, c_real, c_head = cache
-        emb = self._emb_dim
+        emb = self.params["entity_emb"].shape[1]
         dhead_in = linear_backward(self.params, c_head, dlogits, grads)
-        real_dim = dhead_in.shape[1] - 2 * emb
-        mlp_backward(self.params, c_real, dhead_in[:, :real_dim], grads)
-        d_subj = dhead_in[:, real_dim : real_dim + emb]
-        d_obj = dhead_in[:, real_dim + emb :]
-        _entity_grad(grads, self.params["entity_emb"], subj, obj, d_subj, d_obj)
+        mlp_backward(self.params, c_real, dhead_in[:, :emb], grads)
+        _entity_grad(grads, self.params["entity_emb"], subj, obj, dhead_in[:, emb : 2 * emb], dhead_in[:, 2 * emb :])
 
 
 # --- training -----------------------------------------------------------------

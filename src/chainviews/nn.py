@@ -48,15 +48,13 @@ def check_labels(labels, name: str = "label", of: str = "class") -> np.ndarray:
         raise ValueError(f"{name}s must be {of} indices, got {labels!r}") from None
 
 
-def featurize_rows(kind: str, data: np.ndarray, alphabet: int | None = None) -> np.ndarray:
+def featurize_rows(kind: str, data: np.ndarray, alphabet: int) -> np.ndarray:
     """Fixed featurization of a ``(B, width)`` matrix of one kind, one view
     per row: vectors pass through, discrete views become length-normalized
     symbol counts (a bag of symbols; the first weight matrix consuming it
     acts as the symbol embedding table). Symbols must lie in ``[0, alphabet)``."""
     if kind == "vector":
         return data
-    if alphabet is None:
-        raise ValueError("discrete views need the alphabet size to featurize")
     counts = (data[:, :, None] == np.arange(alphabet)).sum(axis=1).astype(np.float64)
     return counts / data.shape[1]
 

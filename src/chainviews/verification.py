@@ -5,7 +5,8 @@ observed statistic and its threshold, so failures are diagnosable from the
 emitted report alone. The suite covers the information-theoretic guarantees
 (chain profiles never increase; the trained-classifier bound stays below
 exact MI), the hand-written gradients, set invariance of the student,
-GMM fit monotonicity, and the keep-count arithmetic.
+GMM fit monotonicity, and the keep-count arithmetic. The teacher and
+student gradient checks build their models at the small width ``_WIDTH``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ _SCHEMA = DatasetSchema(
     u_spec=ViewSpec("vector", 3),
     v_spec=ViewSpec("vector", 4),
 )
+_WIDTH = 6
 
 
 def _layer_error(init, forward, backward, sizes: tuple[int, ...]):
@@ -199,7 +201,7 @@ def _random_instance(rng, n_views: int):
 @_check("gradient_teacher", 1e-4, "max relative error over 10 random models", strict=True)
 def check_gradient_teacher(seed: int) -> float:
     def case(rng, i) -> float:
-        model = TeacherModel(rng, _SCHEMA, emb_dim=3, enc_hidden=5, enc_dim=4, fuse_hidden=6, fuse_dim=5)
+        model = TeacherModel(rng, _SCHEMA, _WIDTH)
         label, subject, obj, _, views = _random_instance(rng, 1)
         return grad_check(model, model.inputs(views, subject, obj), label)
 
@@ -209,19 +211,7 @@ def check_gradient_teacher(seed: int) -> float:
 @_check("gradient_student", 1e-4, "max relative error over 10 random models", strict=True)
 def check_gradient_student(seed: int) -> float:
     def case(rng, i) -> float:
-        model = StudentModel(
-            rng,
-            _SCHEMA,
-            emb_dim=3,
-            real_hidden=5,
-            real_dim=4,
-            synth_hidden=5,
-            synth_dim=4,
-            query_dim=4,
-            key_dim=3,
-            ff_hidden=6,
-            ff_dim=5,
-        )
+        model = StudentModel(rng, _SCHEMA, _WIDTH)
         label, subject, obj, real, synth = _random_instance(rng, 3)
         return grad_check(model, model.inputs(real, [synth], subject, obj), label)
 

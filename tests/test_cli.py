@@ -295,6 +295,17 @@ def test_run_on_a_dataset_file_with_no_instances_exits_1_naming_it(tmp_path, cap
     assert not (tmp_path / "from-files" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "missing"])
+def test_run_on_a_dataset_path_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, unreadable):
+    mapping = dataset_mapping(tmp_path, identity_channels)
+    path = tmp_path / "bench" if unreadable == "directory" else tmp_path / "nope.jsonl"
+    mapping["dataset"]["train"] = str(path)
+    config = write_yaml(tmp_path / "files.yaml", mapping)
+    assert main(["run", "--config", config]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read dataset {path}: ")
+    assert not (tmp_path / "from-files" / "metrics.csv").exists()
+
+
 def test_dataset_channels_that_do_not_fit_the_schema_exit_1_naming_the_channel(tmp_path, capsys):
     # u -> v widens to d + 1 and v -> u reads d + 1: the pair chains, but the
     # dataset's v side is d wide
@@ -363,6 +374,15 @@ def test_ablate_refuses_a_repeated_condition(tmp_path, capsys):
     config = write_yaml(tmp_path / "bad.yaml", mapping)
     assert main(["ablate", "--config", config]) == EXIT_USAGE
     assert "ablation.conditions names full more than once" in capsys.readouterr().err
+    assert not (out / "ablation.csv").exists()
+
+
+def test_ablate_refuses_a_repeated_seed(tmp_path, capsys):
+    out = tmp_path / "x"
+    mapping = tiny_mapping(out, ablation={"seeds": [1, 1, 2], "conditions": ["full"]})
+    config = write_yaml(tmp_path / "bad.yaml", mapping)
+    assert main(["ablate", "--config", config]) == EXIT_USAGE
+    assert "error: ablation.seeds names 1 more than once; name each seed once" in capsys.readouterr().err
     assert not (out / "ablation.csv").exists()
 
 
@@ -445,6 +465,14 @@ def test_diversity_explicit_dataset_flag(run_artifacts, tmp_path, capsys):
     assert code == EXIT_OK
     assert (out / "diversity.csv").read_bytes() == (run_artifacts.out / "diversity.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_diversity_on_a_dataset_path_that_is_a_directory_exits_1_naming_it(run_artifacts, tmp_path, capsys):
+    out = tmp_path / "div"
+    code = main(["diversity", "--config", run_artifacts.config, "--out", str(out), "--dataset", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read dataset {tmp_path}: ")
+    assert not (out / "diversity.csv").exists()
 
 
 def test_diversity_needs_synthetic_views(tmp_path, capsys):

@@ -186,6 +186,14 @@ def test_ablation_conditions_must_not_repeat():
         parse_config(base_mapping(ablation={"conditions": ["unimodal", "full", "no_ccg", "full", "unimodal"]}))
 
 
+def test_ablation_seeds_must_not_repeat():
+    # a repeated seed would run twice and count twice in every mean row
+    with pytest.raises(ConfigError, match=r"^ablation.seeds names 1 more than once; name each seed once$"):
+        parse_config(base_mapping(ablation={"seeds": [1, 1, 2]}))
+    with pytest.raises(ConfigError, match=r"^ablation.seeds names 2, 10 more than once; name each seed once$"):
+        parse_config(base_mapping(ablation={"seeds": [10, 2, 10, 3, 2]}))
+
+
 def test_diversity_grid_validation():
     config = parse_config(base_mapping(diversity={"pca_dims": [2], "components": [1, 3]}))
     assert config.diversity_pca_dims == (2,)

@@ -185,15 +185,60 @@ def test_a_pool_leaves_the_callers_arrays_writeable():
 @pytest.mark.parametrize("index", [0, 2])
 def test_a_negative_teacher_loss_names_the_pool_index(index):
     # a teacher's loss is a cross-entropy: never below 0, though -0.0 is 0
-    losses = [np.nan] * 3
-    losses[index] = -0.5
-    pool = [row + (loss,) for row, loss in zip(THREE_VIEWS, losses)]
+    def edit(record):
+        recolumn(record["pool"], "teacher_loss", lambda losses: [-0.5 if i == index else x for i, x in enumerate(losses)])
+
     with pytest.raises(DatasetFormatError, match=f"^line 2: view {index} has a negative teacher loss$"):
-        read_dataset(from_text(dataset_to_string([make_instance(pool=pool)], make_schema())))
+        read_dataset(from_text(edited([make_instance(pool=THREE_VIEWS)], make_schema(), 2, edit)))
+    losses = [np.nan] * 3
     losses[index] = -0.0
     pool = [row + (loss,) for row, loss in zip(THREE_VIEWS, losses)]
     [loaded], _ = read_dataset(from_text(dataset_to_string([make_instance(pool=pool)], make_schema())))
     assert_same_bits(loaded.synthetic_pool.teacher_loss[index : index + 1], np.array([-0.0]))
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("round", [0, -1, 1], "view 1 has round -1, which must be non-negative"),
+        ("step", [STEP_U_TO_V, STEP_V_TO_U, "sideways"], "view 2 has unknown step 'sideways'"),
+        ("survived", [0, 0, -2], "view 2 has survival count -2, which must be non-negative"),
+        ("survived", [0, 1, 0], "view 1 has survival count 1, but only v-side views face selection"),
+        ("parent_id", [REAL_PARENT, 0], "pool columns must be of one length and 1-d, got lengths "
+         "{'round': 3, 'step': 3, 'parent_id': 2, 'teacher_loss': 3, 'survived': 3}"),
+    ],
+    ids=["negative_round", "unknown_step", "negative_survival", "u_side_survival", "unequal_columns"],
+)
+def test_pool_refusals_name_the_view_and_its_value(column, values, message):
+    # the reader turns each of these into a DatasetFormatError on the line
+    pool = make_pool(THREE_VIEWS)
+    columns = {name: getattr(pool, name) for name in ("round", "step", "parent_id", "teacher_loss", "survived")}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Pool(**{**columns, column: values}, v=pool.v, u=pool.u)
+
+
+@pytest.mark.parametrize(
+    "pool, message",
+    [
+        ([(0, STEP_U_TO_V, 1, [0.0, 0.0]), (0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0])], "view 0 (u_to_v, round 0) cannot descend from view 1"),
+        ([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0], -0.5)], "view 0 has a negative teacher loss"),
+        ([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0], float("inf"))], "view 0 has a non-finite teacher loss"),
+    ],
+    ids=["parent_after_child", "negative_loss", "infinite_loss"],
+)
+def test_the_writer_refuses_a_pool_the_reader_refuses(tmp_path, pool, message):
+    # a Pool holds these, but no file is written that would not read back
+    instances = [make_instance(0), make_instance(3, pool=pool)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'instance 3: {message}')}$"):
+        dataset_to_string(instances, make_schema())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_dataset(instances, make_schema(), tmp_path / "dataset.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_writer_takes_a_path_only():
+    with pytest.raises(TypeError, match="^write_dataset takes a path \\(str or Path\\), not StringIO$"):
+        write_dataset([make_instance()], make_schema(), io.StringIO())
 
 
 def test_step_and_modality_must_agree():
@@ -237,6 +282,14 @@ def test_a_real_view_of_another_width_than_the_schema_names_the_line():
     assert err.value.line == 2
 
 
+def test_a_real_view_of_two_rows_names_the_line():
+    # the Instance refuses it, and the reader reports that on the line
+    text = edited([make_instance()], make_schema(), 2, lambda record: record.update(real_view=encode("vector", [[0.0, 1.0], [2.0, 3.0]])))
+    with pytest.raises(DatasetFormatError, match="^line 2: bad instance record: the real view must be one u-side row$") as err:
+        read_dataset(from_text(text))
+    assert err.value.line == 2
+
+
 def test_a_repeated_instance_id_names_its_second_line():
     with pytest.raises(DatasetFormatError, match="^line 4: duplicate instance id 5$") as err:
         read_text([make_instance(5), make_instance(6), make_instance(5)], make_schema())
@@ -251,10 +304,27 @@ def test_an_entity_outside_the_vocabulary_names_the_line(field):
     assert err.value.line == 2
 
 
+def with_lineage(rows):
+    """Dataset text of one instance whose pool holds ``(round, step,
+    parent_id)`` rows of [0.0, 0.0] views. The writer refuses a lineage the
+    generator cannot make, so views of the real view are written and their
+    columns and matrices edited into the text."""
+    steps = [int(step == STEP_V_TO_U) for _, step, _ in rows]
+    sides = {"v": steps.count(0), "u": steps.count(1)}
+
+    def edit(record):
+        pool = record["pool"]
+        for key, values in zip(("round", "step", "parent_id"), ([r for r, _, _ in rows], steps, [p for _, _, p in rows])):
+            recolumn(pool, key, lambda _: values)
+        pool.update({side: encode("vector", [[0.0, 0.0]] * n) if n else None for side, n in sides.items()})
+
+    written = [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0])] * len(rows)
+    return edited([make_instance(pool=written)], make_schema(), 2, edit)
+
+
 def test_a_dangling_parent_names_the_view():
-    pool = [(0, STEP_U_TO_V, 99, [0.0, 0.0])]
     with pytest.raises(DatasetFormatError, match=re.escape("line 2: view 0 (u_to_v, round 0) cannot descend from view 99")):
-        read_text([make_instance(pool=pool)], make_schema())
+        read_dataset(from_text(with_lineage([(0, STEP_U_TO_V, 99)])))
 
 
 def test_a_refused_dataset_is_a_value_error_carrying_its_line():
@@ -275,26 +345,20 @@ def test_a_chain_as_deep_as_its_round_allows_reads_back():
 
 
 @pytest.mark.parametrize(
-    "pool, bad",
+    "rows, bad",
     [
-        ([(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (0, STEP_U_TO_V, 0, [0.0, 0.0])], 1),  # u_to_v from u_to_v
-        ([(1, STEP_V_TO_U, REAL_PARENT, [0.0, 0.0])], 0),  # v_to_u from the real view
-        ([(1, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0])], 1),  # same round
-        (
-            [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0]), (2, STEP_U_TO_V, 1, [0.0, 0.0])],
-            2,  # u_to_v from a v_to_u view of an earlier round
-        ),
-        (
-            [(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (1, STEP_V_TO_U, 0, [0.0, 0.0]), (2, STEP_V_TO_U, 1, [0.0, 0.0])],
-            2,  # v_to_u from v_to_u
-        ),
+        ([(0, STEP_U_TO_V, REAL_PARENT), (0, STEP_U_TO_V, 0)], 1),  # u_to_v from u_to_v
+        ([(1, STEP_V_TO_U, REAL_PARENT)], 0),  # v_to_u from the real view
+        ([(1, STEP_U_TO_V, REAL_PARENT), (1, STEP_V_TO_U, 0)], 1),  # same round
+        ([(0, STEP_U_TO_V, REAL_PARENT), (1, STEP_V_TO_U, 0), (2, STEP_U_TO_V, 1)], 2),  # u_to_v from a v_to_u view of an earlier round
+        ([(0, STEP_U_TO_V, REAL_PARENT), (1, STEP_V_TO_U, 0), (2, STEP_V_TO_U, 1)], 2),  # v_to_u from v_to_u
     ],
     ids=["v_from_v", "u_from_real", "u_from_same_round", "v_from_older_u", "u_from_u"],
 )
-def test_a_read_checks_that_steps_alternate(pool, bad):
+def test_a_read_checks_that_steps_alternate(rows, bad):
     # each pool is within the depth bound; only the generator's step order rules it out
     with pytest.raises(DatasetFormatError, match=rf"^line 2: view {bad} \(.*\) cannot descend from view ") as err:
-        read_text([make_instance(pool=pool)], make_schema())
+        read_dataset(from_text(with_lineage(rows)))
     assert err.value.line == 2
 
 
@@ -355,10 +419,8 @@ ANY_ROW = st.tuples(st.integers(0, 3), st.sampled_from((STEP_U_TO_V, STEP_V_TO_U
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=lineages(min_views=1, max_views=7) | st.lists(ANY_ROW, min_size=1, max_size=7))
 def test_a_read_accepts_a_pool_exactly_when_the_ancestry_walk_does(rows):
-    # parent ids below -1 cannot be held in a pool, so they are put in the text
-    pool = [(round_, step, max(parent, REAL_PARENT), [0.0, 0.0]) for round_, step, parent in rows]
     parents = [parent for _, _, parent in rows]
-    text = edited([make_instance(pool=pool)], make_schema(), 2, lambda record: recolumn(record["pool"], "parent_id", lambda _: parents))
+    text = with_lineage(rows)
     refused = first_refused_by_the_walk(rows)
     if refused is None:
         [loaded], _ = read_dataset(from_text(text))

@@ -84,6 +84,47 @@ def param_digest(params):
     return h.hexdigest()
 
 
+# --- shapes ------------------------------------------------------------------------
+
+# every key and shape at the default width 16, in parameter order (the order
+# AdamW lays the flat buffer out in), for 3 classes, 5 entities, u width 3
+# and v width 4: hidden layers 16; embedding, encodings, queries and keys 8;
+# fusion and feed-forward outputs 12
+DEFAULT_SHAPES = {
+    TeacherModel: [
+        ("entity_emb", (5, 8)), ("venc.l1.w", (16, 4)), ("venc.l1.b", (16,)), ("venc.l2.w", (8, 16)), ("venc.l2.b", (8,)),
+        ("fuse.l1.w", (16, 24)), ("fuse.l1.b", (16,)), ("fuse.l2.w", (12, 16)), ("fuse.l2.b", (12,)),
+        ("head.w", (3, 12)), ("head.b", (3,)),
+    ],
+    StudentModel: [
+        ("entity_emb", (5, 8)), ("uenc.l1.w", (16, 3)), ("uenc.l1.b", (16,)), ("uenc.l2.w", (8, 16)), ("uenc.l2.b", (8,)),
+        ("venc.l1.w", (16, 4)), ("venc.l1.b", (16,)), ("venc.l2.w", (8, 16)), ("venc.l2.b", (8,)),
+        ("qsub.w", (8, 16)), ("qsub.b", (8,)), ("qobj.w", (8, 16)), ("qobj.b", (8,)),
+        ("attn.wq", (8, 8)), ("attn.wk", (8, 8)), ("attn.wv", (8, 8)),
+        ("ff.l1.w", (16, 16)), ("ff.l1.b", (16,)), ("ff.l2.w", (12, 16)), ("ff.l2.b", (12,)),
+        ("head.w", (3, 12)), ("head.b", (3,)),
+    ],
+    UnimodalModel: [
+        ("entity_emb", (5, 8)), ("uenc.l1.w", (16, 3)), ("uenc.l1.b", (16,)), ("uenc.l2.w", (8, 16)), ("uenc.l2.b", (8,)),
+        ("head.w", (3, 24)), ("head.b", (3,)),
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", list(DEFAULT_SHAPES), ids=lambda cls: cls.__name__)
+def test_every_parameter_shape_at_the_default_width(cls):
+    model = cls(derive_rng(0, "shapes"), schema())
+    assert [(key, w.shape) for key, w in model.params.items()] == DEFAULT_SHAPES[cls]
+
+
+@pytest.mark.parametrize("cls", [TeacherModel, StudentModel], ids=lambda cls: cls.__name__)
+def test_width_must_be_an_integer_of_at_least_2(cls):
+    cls(derive_rng(0, "narrowest"), schema(), 2)
+    for width in (1, 2.5, True):
+        with pytest.raises(ValueError, match=f"^width must be an integer of at least 2, got {width!r}$"):
+            cls(derive_rng(0, "bad-width"), schema(), width)
+
+
 # --- gradient checks ---------------------------------------------------------------
 
 
