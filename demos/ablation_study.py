@@ -20,6 +20,7 @@ from chainviews import (
     PipelineConfig,
     TrainConfig,
     ablation_table,
+    generate_benchmark,
     lossy_world_preset,
     run_ablation,
 )
@@ -39,14 +40,16 @@ conditions = ("full", "no_ccg", "no_teacher", "unimodal")
 seeds = (0, 1)
 
 
-def make_world(seed):
+def make_data(seed):
     world, g_uv, g_vu = lossy_world_preset("collapse-heavy", seed=seed)
-    return world, g_uv, g_vu, g_uv.out_port.spec
+    train, schema = generate_benchmark(world, 20, g_uv.out_port.spec, stream="train")
+    test, _ = generate_benchmark(world, 150, g_uv.out_port.spec, stream="test")
+    return train, test, schema, g_uv, g_vu
 
 
 print(f"running {len(conditions)} conditions x {len(seeds)} seeds (roughly half a minute)...")
 start = time.time()
-rows, _ = run_ablation(make_world, base, seeds, conditions, n_train_per_class=20, n_test_per_class=150)
+rows, _ = run_ablation(make_data, base, seeds, conditions)
 print(f"done in {time.time() - start:.0f}s")
 
 print()

@@ -35,8 +35,9 @@ config = PipelineConfig(
 )
 
 print("generating 24 views for each of 40 instances, then teacher-scoring them...")
-pooled = run_round0(train, g_uv, config)
-pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
+pools = run_round0(train, g_uv, config)
+run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+pooled = pools.instances_out()
 
 # round 1 scored every round-0 view; its survival count records the split
 kept_losses, dropped_losses, collapsed_kept, collapsed_total = [], [], 0, 0

@@ -38,9 +38,9 @@ for seed in range(5):
         infer_views=2,
         teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
     )
-    pooled = run_round0(instances, g_uv, config)
-    pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
-    stages = extract_stages(pooled, schema)
+    pools = run_round0(instances, g_uv, config)
+    run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+    stages = extract_stages(pools.instances_out(), schema)
     for d in (2, 4):
         rows = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}
         wide = rows["V1'"]

@@ -95,6 +95,7 @@ from .pipeline import (
     RunReport,
     RunResult,
     Scorer,
+    SplitPools,
     ablation_table,
     compute_metrics,
     condition_config,

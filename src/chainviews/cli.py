@@ -154,12 +154,10 @@ def cmd_ablate(args) -> int:
     out = _out_dir(config, args.out)
     started = time.perf_counter()
     rows, _ = run_ablation(
-        lambda seed: build_world(config, seed=seed),
+        lambda seed: load_experiment_data(config, seed),
         config.pipeline,
         seeds=config.ablation_seeds,
         conditions=config.ablation_conditions,
-        n_train_per_class=config.train_per_class,
-        n_test_per_class=config.test_per_class,
     )
     elapsed = time.perf_counter() - started
     table = ablation_table(rows)

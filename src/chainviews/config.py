@@ -425,9 +425,10 @@ def read_dataset_file(path):
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def load_experiment_data(config: ExperimentConfig):
+def load_experiment_data(config: ExperimentConfig, seed: int | None = None):
     """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``;
-    a dataset file that holds no instances is a ConfigError naming it."""
+    ``seed`` reseeds a world (:func:`build_world`), and a dataset file that
+    holds no instances is a ConfigError naming it."""
     from .channels import generate_benchmark
 
     if config.dataset_paths is not None:
@@ -441,7 +442,7 @@ def load_experiment_data(config: ExperimentConfig):
         g_uv, g_vu = _channel_pair(config.channel_specs, schema.u_spec, schema.v_spec)
         return train_instances, test_instances, schema, g_uv, g_vu
 
-    world, g_uv, g_vu, v_spec = build_world(config)
+    world, g_uv, g_vu, v_spec = build_world(config, seed)
     train_instances, schema = generate_benchmark(
         world, config.train_per_class, v_spec, stream="train", none_class=config.none_class
     )

@@ -8,9 +8,10 @@ pool order -- ``round``, ``step`` and ``parent_id`` (provenance),
 ``teacher_loss`` (NaN while unscored) and ``survived`` (curation state) --
 plus one read-only data matrix per side, holding that side's views as rows
 in pool order. That is everything later stages need to reconstruct how the
-pool evolved. A pool is never updated: each pipeline step builds new ones
-from read-only rows of whole-split arrays. A :class:`ViewBatch` is the same
-kind of matrix on its own: what a channel takes and returns.
+pool evolved. A pool is never updated: the pipeline curates a split in one
+store and builds each instance's pool once, at the end, from read-only rows
+of the store's arrays. A :class:`ViewBatch` is the same kind of matrix on its
+own: what a channel takes and returns.
 
 Datasets are line-delimited JSON, format version 4 (the only one read): a
 schema line, then one line per instance, laid out as the pool is held::
@@ -303,60 +304,62 @@ def _unbase64(text, what: str, line: int) -> bytes:
 
 def _encode_matrix(batch: ViewBatch | None) -> str:
     """A batch of views as the JSON text of its kind, shape and the base64
-    of its row-major little-endian bytes. Non-finite values are refused, as
-    the reader would."""
+    of its row-major little-endian bytes."""
     if batch is None:
         return "null"
-    if not np.isfinite(batch.data).all():
-        raise ValueError("view data must be finite to be written")
     rows, width = batch.data.shape
     return f'{{"kind":"{batch.kind}","shape":[{rows},{width}],"data":"{_base64(batch.data, _WIRE[batch.kind])}"}}'
 
 
-def _decode_matrix(record, modality: str, spec: ViewSpec, line: int) -> ViewBatch:
-    """The inverse of :func:`_encode_matrix`, checked against ``spec``'s kind
-    and width; :func:`_check_values` checks the values."""
+def _decode_matrix(record, modality: str, line: int) -> ViewBatch:
+    """The inverse of :func:`_encode_matrix`; :func:`_check_instance` checks
+    the views against the schema."""
     try:
         kind, shape, text = record["kind"], record["shape"], record["data"]
     except (KeyError, TypeError):
         raise DatasetFormatError("bad view: a matrix must carry 'kind', 'shape' and 'data'", line)
     if type(shape) is not list or len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
         raise DatasetFormatError(f"bad view: shape must be two positive integers, got {shape!r}", line)
+    if kind not in _WIRE:
+        raise DatasetFormatError(f"bad view: unknown view kind {kind!r}", line)
     rows, width = shape
-    if kind != spec.kind or (kind == "vector" and width != spec.size):
-        raise DatasetFormatError(
-            f"bad view: the schema's {modality}-side views are {spec.kind} of size {spec.size}, "
-            f"got {kind} views of length {width}",
-            line,
-        )
     raw = _unbase64(text, "bad view: data", line)
     if len(raw) != rows * width * 8:
         raise DatasetFormatError(f"bad view: shape {shape} needs {rows * width * 8} bytes, data holds {len(raw)}", line)
     return ViewBatch(kind, modality, np.frombuffer(raw, dtype=_WIRE[kind]).reshape(rows, width))
 
 
-def _check_values(batch: ViewBatch, spec: ViewSpec, line: int, at: np.ndarray | None = None) -> ViewBatch:
-    """``batch`` if every view holds symbols of ``spec``'s alphabet or finite
-    numbers. ``at`` holds the pool index of each row; without it the batch
-    is the real view."""
-    fits, finite = rows_match(batch.kind, batch.data, spec), np.isfinite(batch.data).all(axis=1)
-    for ok, fault in ((fits, f"a symbol outside [0, {spec.size})"), (finite, "a non-finite number")):
-        if not ok.all():
-            view = "the real view" if at is None else f"synthetic view {at[np.argmin(ok)]}"
-            raise DatasetFormatError(f"{view} holds {fault}", line)
-    return batch
-
-
-def _check_generated(pool: Pool, where: str = "") -> None:
-    """Refuse what the generator never makes, a ValueError naming ``where``
-    and the view: a negative or infinite teacher loss (NaN is unscored), or
-    a view that does not descend from an earlier one as the generator
-    alternates its steps. The reader and the writer check a pool for these;
-    a Pool does not, as the pipeline builds many more Pools than it writes."""
+def _check_instance(instance: Instance, schema: DatasetSchema) -> None:
+    """Refuse, as a ValueError naming the field or view, what the reader
+    refuses in a well-formed instance: a label or entity outside the
+    schema's counts; a view of another kind or width than its side's spec,
+    or holding a symbol outside the alphabet or a non-finite number; a
+    negative or infinite teacher loss (NaN is unscored); a view that does
+    not descend from an earlier one as the generator alternates its steps.
+    The reader and the writer both call it; a Pool does not, as the
+    pipeline builds many more Pools than it writes."""
+    for name, bound in (("label", schema.class_count), ("subject", schema.entity_vocab), ("object", schema.entity_vocab)):
+        if (value := getattr(instance, name)) >= bound:
+            raise ValueError(f"{name} {value} is outside [0, {bound})")
+    pool = instance.synthetic_pool
+    sides = ((pool.v, schema.v_spec, pool.is_v), (pool.u, schema.u_spec, ~pool.is_v), (instance.real_view, schema.u_spec, None))
+    for batch, spec, on_side in sides:
+        if batch is None:
+            continue
+        if batch.kind != spec.kind or (batch.kind == "vector" and batch.data.shape[1] != spec.size):
+            raise ValueError(
+                f"bad view: the schema's {batch.modality}-side views are {spec.kind} of size {spec.size}, "
+                f"got {batch.kind} views of length {batch.data.shape[1]}"
+            )
+        fits, finite = rows_match(batch.kind, batch.data, spec), np.isfinite(batch.data).all(axis=1)
+        for ok, fault in ((fits, f"a symbol outside [0, {spec.size})"), (finite, "a non-finite number")):
+            if not ok.all():
+                view = "the real view" if on_side is None else f"synthetic view {np.flatnonzero(on_side)[np.argmin(ok)]}"
+                raise ValueError(f"{view} holds {fault}")
     losses = pool.teacher_loss
     for bad, fault in ((np.isinf(losses), "has a non-finite teacher loss"), (losses < 0, "has a negative teacher loss")):
         if bad.any():
-            raise ValueError(f"{where}view {int(np.argmax(bad))} {fault}")
+            raise ValueError(f"view {int(np.argmax(bad))} {fault}")
     # a parent predates its child, so every chain reaches the real view; the
     # generator alternates, so a u_to_v view descends from the real view or a
     # v_to_u view of its round, a v_to_u view from a u_to_v view of an earlier
@@ -369,7 +372,7 @@ def _check_generated(pool: Pool, where: str = "") -> None:
     fits = linked & np.where(is_v, real | (~parent_v & (parent_round == rounds)), ~real & parent_v & (parent_round < rounds))
     if not fits.all():
         i = int(np.argmin(fits))
-        raise ValueError(f"{where}view {i} ({pool.step[i]}, round {rounds[i]}) cannot descend from view {parent[i]}")
+        raise ValueError(f"view {i} ({pool.step[i]}, round {rounds[i]}) cannot descend from view {parent[i]}")
 
 
 _LINE = (
@@ -378,13 +381,16 @@ _LINE = (
 )
 
 
-def _encode_instance(instance: Instance) -> str:
+def _encode_instance(instance: Instance, schema: DatasetSchema) -> str:
     """One instance's line, filled into :data:`_LINE`: every field is an int,
     a kind name, base64 text or null, so the line is the text of
     ``json.dumps(record, separators=(",", ":"))`` without its string scan.
-    A pool the reader would refuse is a ValueError naming the instance."""
+    An instance the reader would refuse is a ValueError naming its id."""
+    try:
+        _check_instance(instance, schema)
+    except ValueError as exc:
+        raise ValueError(f"instance {instance.id}: {exc}") from None
     pool = instance.synthetic_pool
-    _check_generated(pool, f"instance {instance.id}: ")
     columns = map(_base64, (pool.round, ~pool.is_v, pool.parent_id, pool.teacher_loss, pool.survived), _COLUMN_WIRE.values())
     fields = (instance.id, instance.label, instance.subject, instance.object, _encode_matrix(instance.real_view))
     return _LINE.format(*fields, *columns, _encode_matrix(pool.v), _encode_matrix(pool.u))
@@ -398,47 +404,42 @@ def _decode_column(text, key: str, line: int) -> np.ndarray:
     return np.frombuffer(raw, _COLUMN_WIRE[key])
 
 
-def _decode_pool(record: dict, line: int, schema: DatasetSchema) -> Pool:
-    """One instance's ``pool`` record as a :class:`Pool`, checked as the writer checks it."""
+def _decode_pool(record: dict, line: int) -> Pool:
+    """One instance's ``pool`` record as a :class:`Pool`."""
     columns = {key: _decode_column(record[key], key, line) for key in _COLUMN_WIRE}
     codes = columns["step"]
     if (unknown := (codes != 0) & (codes != 1)).any():
         i = int(np.argmax(unknown))
         raise DatasetFormatError(f"view {i} has unknown step code {codes[i]}", line)
     columns["step"] = _STEPS[codes]
-    layout = [(MODALITY_V, schema.v_spec, np.flatnonzero(codes == 0)), (MODALITY_U, schema.u_spec, np.flatnonzero(codes))]
-    sides = {m: _decode_matrix(record[m], m, spec, line) for m, spec, at in layout if record[m] is not None or len(at)}
+    sides = {m: _decode_matrix(record[m], m, line) for m, code in ((MODALITY_V, 0), (MODALITY_U, 1))
+             if record[m] is not None or (codes == code).any()}
     try:
-        pool = Pool(**columns, **sides)
-        _check_generated(pool)
+        return Pool(**columns, **sides)
     except ValueError as exc:
         raise DatasetFormatError(str(exc), line) from None
-    for modality, spec, at in layout:
-        if modality in sides:  # the Pool checked that ``at`` names each row
-            _check_values(sides[modality], spec, line, at)
-    return pool
 
 
 def _decode_instance(record: dict, line: int, schema: DatasetSchema) -> Instance:
     try:
-        pool = _decode_pool(record["pool"], line, schema)
-        real = _check_values(_decode_matrix(record["real_view"], MODALITY_U, schema.u_spec, line), schema.u_spec, line)
+        pool = _decode_pool(record["pool"], line)
         instance = Instance(
             id=_integer(record["id"], "id", line),
             label=_integer(record["label"], "label", line),
             subject=_integer(record["subject"], "subject", line),
             object=_integer(record["object"], "object", line),
-            real_view=real,
+            real_view=_decode_matrix(record["real_view"], MODALITY_U, line),
             synthetic_pool=pool,
         )
-        for name, bound in (("label", schema.class_count), ("subject", schema.entity_vocab), ("object", schema.entity_vocab)):
-            if (value := getattr(instance, name)) >= bound:
-                raise DatasetFormatError(f"{name} {value} is outside [0, {bound})", line)
-        return instance
     except DatasetFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"bad instance record: {exc}", line)
+    try:
+        _check_instance(instance, schema)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc), line) from None
+    return instance
 
 
 def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iterator[str]:
@@ -452,7 +453,7 @@ def _dataset_lines(instances: Iterable[Instance], schema: DatasetSchema) -> Iter
     }
     yield json.dumps(header, separators=(",", ":")) + "\n"
     for instance in instances:
-        yield _encode_instance(instance)
+        yield _encode_instance(instance, schema)
 
 
 def write_dataset(instances: Iterable[Instance], schema: DatasetSchema, sink) -> None:

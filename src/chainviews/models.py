@@ -29,7 +29,6 @@ buffer, ``loss_and_grads`` returns fresh arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -198,21 +197,17 @@ class StudentModel:
     logits = _logits
     loss_and_grads = _loss_and_grads
 
-    def inputs(self, real: ViewBatch, synth: Sequence[ViewBatch], subj, obj) -> tuple:
-        """``synth`` holds one batch of synthetic views per real view."""
+    def inputs(self, real: ViewBatch, synth: ViewBatch, subj, obj) -> tuple:
+        """``synth`` holds the same number of v-side views for each real
+        view, in real-view order."""
         x_u = _feature_rows(real, self.schema.u_spec, MODALITY_U, "the student's primary input is the u-side real view")
-        set_sizes = {len(views) for views in synth}
-        if 0 in set_sizes:
-            raise ValueError("the student needs at least one synthetic view")
-        if len(set_sizes) > 1 or len(synth) != len(x_u):
+        if not len(synth) or len(synth) % len(x_u):
             raise ValueError(
-                "every sample in a batch needs the same number of synthetic views, "
-                f"got sets of {sorted(set_sizes)} for {len(x_u)} real views"
+                f"the student needs the same positive number of synthetic views per real view, "
+                f"got {len(synth)} synthetic views for {len(x_u)} real views"
             )
-        if any(views.modality != MODALITY_V for views in synth):
-            raise ModalityError("synthetic inputs to the student must be v-side views")
-        data = np.concatenate([views.data for views in synth])
-        x_v = featurize_rows(synth[0].kind, data, self.schema.v_spec.size).reshape(len(synth), len(synth[0]), -1)
+        x_v = _feature_rows(synth, self.schema.v_spec, MODALITY_V, "synthetic inputs to the student must be v-side views")
+        x_v = x_v.reshape(len(x_u), len(synth) // len(x_u), -1)
         return x_u, x_v, _ids(subj, len(x_u), self.schema.entity_vocab), _ids(obj, len(x_u), self.schema.entity_vocab)
 
     def _forward(self, inputs):

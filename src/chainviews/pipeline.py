@@ -13,10 +13,11 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
-Each step works on the split's pools as one layout of whole arrays (the
-same round and step at every pool index; see ``_Layout``) and ranks every
-instance's candidates with one row-wise sort. Pools of different layouts,
-and an empty train or test split, are a ``PipelineError``.
+The steps pass one store, a ``SplitPools``: the split's pools as whole
+arrays (the same round and step at every pool index), which each step
+updates in place and which ranks every instance's candidates with one
+row-wise sort. Each instance's Pool is built once, after the student
+trains. An empty train or test split is a ``PipelineError``.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Streams, generate_benchmark, sample_channel, stack_views
+from .channels import Streams, sample_channel, stack_views
 from .datamodel import (
     MODALITY_V, REAL_PARENT, STEP_U_TO_V, STEP_V_TO_U, DatasetSchema, Instance, Pool, ViewBatch, check_int, is_real
 )
@@ -314,45 +315,39 @@ class Scorer:
         return rank_rows(scores.reshape(len(instances), -1))[:, : self.config.infer_views]
 
 
-# --- one layout per step ----------------------------------------------------------
+# --- one store per split ---------------------------------------------------------
 
 
-class _Layout:
-    """A split's pools as one layout.
+class SplitPools:
+    """A split's synthetic pools as one store, which each step updates in place.
 
-    Every pool the pipeline builds has the same ``round`` and ``step`` at
-    each index, because each instance starts with ``initial_views`` views and
-    keeps and spawns the same counts. A step stacks the pools it is given
-    into fresh arrays, refusing pools of different layouts: shared ``(L,)``
-    columns, ``(instances, L)`` view state and, in ``sides``, each side's
-    kind and ``(instances, rows, width)`` data. It works on whole arrays and
-    builds each instance's Pool once at its end from read-only row views.
-    A v-side view first faces selection ``round``, and each selection that
-    keeps it moves it on to the next, so it is a candidate at selection
-    ``s`` exactly when ``round + survived == s``.
+    Every instance starts with ``initial_views`` views and keeps and spawns
+    the same counts, so every pool has the same ``round`` and ``step`` at
+    each index. The store holds them as shared ``(L,)`` columns, the view
+    state as ``(instances, L)`` arrays and, in ``sides``, each side's kind
+    and ``(instances, rows, width)`` data. ``instances_out`` builds each
+    instance's Pool once, from read-only row views. A v-side view first
+    faces selection ``round``, and each selection that keeps it moves it on
+    to the next, so it is a candidate at selection ``s`` exactly when
+    ``round + survived == s``.
     """
 
     def __init__(self, instances: Sequence[Instance]):
-        pools = [inst.synthetic_pool for inst in instances]
-        if not pools:
-            raise PipelineError("a step needs at least one instance")
-        first = pools[0]
-        if any(len(p) != len(first) or (p.round != first.round).any() or (p.is_v != first.is_v).any() for p in pools):
-            raise PipelineError("the instances' pools differ in layout: a step needs one round and step per index")
-        self.instances, self.at = list(instances), np.arange(len(pools))[:, None]  # a row index per instance
-        self.round, self.step, self.is_v = first.round, first.step, first.is_v
-        stacked = [np.stack([getattr(p, name) for p in pools]) for name in ("parent_id", "teacher_loss", "survived")]
-        self.parent_id, self.teacher_loss, self.survived = stacked
-        self.sides = {side.modality: (side.kind, np.stack([getattr(p, side.modality).data for p in pools]))
-                      for side in (first.v, first.u) if side}  # a side with no rows is left out
+        """An empty store for ``instances``, in their order."""
+        if not instances:
+            raise PipelineError("a split needs at least one instance")
+        count = len(instances)
+        self.instances, self.at = list(instances), np.arange(count)[:, None]  # a row index per instance
+        self.round, self.step, self.is_v = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.str_), np.zeros(0, dtype=bool)
+        self.parent_id, self.survived = np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0), dtype=np.int64)
+        self.teacher_loss, self.sides = np.zeros((count, 0)), {}
 
     def live(self, selection_index: int) -> np.ndarray:
         """The pool indices of each instance's candidates at selection
         ``selection_index``, one row per instance."""
         mask = self.is_v & (self.round + self.survived == selection_index)
-        counts = sorted(set(np.count_nonzero(mask, axis=1).tolist()))
-        if counts[0] == 0 or len(counts) > 1:
-            raise PipelineError(f"every instance needs the same positive number of live candidate views, got {counts}")
+        if not mask.any():
+            raise PipelineError(f"no view is a candidate at selection {selection_index}: run the rounds in order")
         return np.nonzero(mask)[1].reshape(len(mask), -1)
 
     def v_rows(self, at, ids) -> ViewBatch:
@@ -378,8 +373,9 @@ class _Layout:
             self.sides[batch.modality] = (batch.kind, data)
 
     def instances_out(self) -> list[Instance]:
-        """Each instance with its pool built from this layout: every column
-        and matrix a read-only row view of the whole split's array."""
+        """Each instance with its pool built from this store: every column
+        and matrix a read-only row view of the whole split's array. The
+        store is read-only from then on."""
         arrays = [self.round, self.step, self.parent_id, self.teacher_loss, self.survived]
         for array in arrays + [data for _, data in self.sides.values()]:
             array.flags.writeable = False
@@ -399,36 +395,34 @@ class _Layout:
 # by hand with the same two reproduces it exactly.
 
 
-def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> list[Instance]:
-    """Give every instance its initial batch of generated views.
+def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> SplitPools:
+    """The split's store, holding every instance's initial batch of generated views.
 
-    Requires empty synthetic pools; each instance ends up with exactly
-    ``config.initial_views`` round-0 views parented to the real view. One
-    u-to-v call covers every instance, each instance's copies of its real
-    view drawing from its own ``("gen", id, 0)`` stream.
+    Requires empty synthetic pools, which are left as they are; each
+    instance gets exactly ``config.initial_views`` round-0 views parented to
+    its real view. One u-to-v call covers every instance, each instance's
+    copies of its real view drawing from its own ``("gen", id, 0)`` stream.
     """
     occupied = [inst.id for inst in instances if len(inst.synthetic_pool)]
     if occupied:
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
-    if not instances:
-        return []
-    n, layout = config.initial_views, _Layout(instances)
+    n, pools = config.initial_views, SplitPools(instances)
     streams = Streams([derive_rng(config.seed, "gen", inst.id, 0) for inst in instances], [n] * len(instances))
     views = sample_channel(g_uv, _copies(instances, n), streams)
-    layout.add(0, np.full(n, STEP_U_TO_V), np.full((len(instances), n), REAL_PARENT), views)
-    return layout.instances_out()
+    pools.add(0, np.full(n, STEP_U_TO_V), np.full((len(instances), n), REAL_PARENT), views)
+    return pools
 
 
 def run_ccg_round(
-    instances: Sequence[Instance],
+    pools: SplitPools,
     round_index: int,
     g_vu,
     g_uv,
     config: PipelineConfig,
     scorer: Scorer,
     rounds: list[RoundRecord] | None = None,
-) -> list[Instance]:
-    """One selection-plus-generation round.
+) -> None:
+    """One selection-plus-generation round over the store ``pools``.
 
     ``round_index`` runs from 1 to ``max(config.ccg_rounds, 1)``: round 1
     judges the initial views. ``scorer`` scores every live candidate; the
@@ -447,15 +441,14 @@ def run_ccg_round(
         raise PipelineError(f"round_index {round_index} is outside 1..{last}")
     spawn = config.spawn_per_kept[round_index - 1] if config.ccg_rounds else 0
     selection_index = round_index - 1
-    layout = _Layout(instances)
-    instances, at, live = layout.instances, layout.at, layout.live(selection_index)
+    instances, at, live = pools.instances, pools.at, pools.live(selection_index)
     n = live.shape[1]
     k = n if config.policy_name == "keep_all" else keep_count(config.keep_fraction, n)
-    scores = scorer.select(instances, layout.v_rows(at, live), selection_index)
+    scores = scorer.select(instances, pools.v_rows(at, live), selection_index)
     kept = np.sort(np.take_along_axis(live, rank_rows(scores)[:, :k], axis=1), axis=1)
     if config.policy_name == "teacher_loss":
-        layout.teacher_loss[at, live] = scores
-    layout.survived[at, kept] += 1
+        pools.teacher_loss[at, live] = scores
+    pools.survived[at, kept] += 1
     if rounds is not None:
         records = zip(instances, live.tolist(), scores.tolist(), kept.tolist())
         per_instance = tuple(InstanceSelectionRecord(inst.id, *map(tuple, row)) for inst, *row in records)
@@ -464,35 +457,31 @@ def run_ccg_round(
         sources = np.repeat(kept, spawn, axis=1)
         count, m = sources.shape
         streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], [m] * count)
-        u_views = sample_channel(g_vu, layout.v_rows(at, sources), streams)
+        u_views = sample_channel(g_vu, pools.v_rows(at, sources), streams)
         v_views = sample_channel(g_uv, u_views, streams)
         parent_id = np.empty((count, 2 * m), dtype=np.int64)
-        parent_id[:, 0::2], parent_id[:, 1::2] = sources, len(layout.round) + np.arange(0, 2 * m, 2)
-        layout.add(round_index, np.tile([STEP_V_TO_U, STEP_U_TO_V], m), parent_id, u_views, v_views)
-    return layout.instances_out()
+        parent_id[:, 0::2], parent_id[:, 1::2] = sources, len(pools.round) + np.arange(0, 2 * m, 2)
+        pools.add(round_index, np.tile([STEP_V_TO_U, STEP_U_TO_V], m), parent_id, u_views, v_views)
 
 
-def score_trailing(instances: Sequence[Instance], teacher: TeacherModel) -> list[Instance]:
-    """Give every v-side view that carries no loss one from ``teacher``.
+def score_trailing(pools: SplitPools, teacher: TeacherModel) -> None:
+    """Give every v-side view of the store that carries no loss one from ``teacher``.
 
     After the last selection these are its children, so the student's pick
     then compares every live candidate under the final teacher. One
     ``logits`` call covers every instance's unscored rows, instance-major,
-    and the losses are written back in place of the NaNs.
+    and the losses are written in place of the NaNs.
     """
-    layout = _Layout(instances)
-    todo = layout.is_v & np.isnan(layout.teacher_loss)
-    if not todo.any():
-        return layout.instances
-    at, ids = np.nonzero(todo)
-    subj, obj, labels = _per_row(layout.instances, np.count_nonzero(todo, axis=1))
-    logits = teacher.logits(teacher.inputs(layout.v_rows(at, ids), subj, obj))
-    layout.teacher_loss[at, ids], _ = softmax_xent(logits, labels)
-    return layout.instances_out()
+    todo = pools.is_v & np.isnan(pools.teacher_loss)
+    if todo.any():
+        at, ids = np.nonzero(todo)
+        subj, obj, labels = _per_row(pools.instances, np.count_nonzero(todo, axis=1))
+        logits = teacher.logits(teacher.inputs(pools.v_rows(at, ids), subj, obj))
+        pools.teacher_loss[at, ids], _ = softmax_xent(logits, labels)
 
 
-def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer: Scorer) -> StudentModel:
-    """Train the fusion student on each instance's best live candidates.
+def train_student(pools: SplitPools, config: PipelineConfig, scorer: Scorer) -> StudentModel:
+    """Train the fusion student on each instance's best live candidates in the store.
 
     The live candidates are the v-side views that would face the next
     selection (the largest ``round + survived`` of a v-side view): the last
@@ -502,22 +491,20 @@ def train_student(instances: Sequence[Instance], config: PipelineConfig, scorer:
     that carry one are ranked: run ``score_trailing`` first to score the
     views generated after the last selection.
     """
-    layout = _Layout(instances)
-    instances, at, n_train = layout.instances, layout.at, config.train_views
-    live = layout.live(int(np.max(layout.round + layout.survived, where=layout.is_v, initial=0)))
+    instances, at, n_train = pools.instances, pools.at, config.train_views
+    live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
     if config.policy_name == "teacher_loss":
-        scores = np.take_along_axis(layout.teacher_loss, live, axis=1)
+        scores = np.take_along_axis(pools.teacher_loss, live, axis=1)
     else:
-        scores = scorer.untrained(instances, layout.v_rows(at, live), "student-pick")
+        scores = scorer.untrained(instances, pools.v_rows(at, live), "student-pick")
     scored = np.count_nonzero(~np.isnan(scores), axis=1)
     if (short := scored < n_train).any():
         k = int(np.argmax(short))
         raise PipelineError(f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n_train}")
-    picked = layout.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n_train], axis=1))
-    synth = [ViewBatch(picked.kind, MODALITY_V, data) for data in np.split(picked.data, len(instances))]
+    picked = pools.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n_train], axis=1))
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
-    inputs = student.inputs(stack_views([inst.real_view for inst in instances]), synth, subj, obj)
+    inputs = student.inputs(stack_views([inst.real_view for inst in instances]), picked, subj, obj)
     train(student, inputs, labels, config.student, config.seed, rng_stream=("student-train",))
     return student
 
@@ -551,7 +538,7 @@ def infer(
         return np.zeros(0, dtype=np.int64)
     n = config.initial_views
     per_chunk = max(1, SCORE_CHUNK_ROWS // n)
-    chosen = []
+    chosen = []  # each chunk's picks, instance-major
     for start in range(0, len(instances), per_chunk):
         chunk = instances[start : start + per_chunk]
         streams = Streams([derive_rng(config.seed, "infer-gen", inst.id) for inst in chunk], [n] * len(chunk))
@@ -559,10 +546,10 @@ def infer(
         if config.infer_full_chain:
             for _ in range(config.ccg_rounds):
                 views = sample_channel(g_uv, sample_channel(g_vu, views, streams), streams)
-        rows = scorer.pick(chunk, views) + n * np.arange(len(chunk))[:, None]
-        chosen.extend(ViewBatch(views.kind, MODALITY_V, data) for data in views.data[rows])
+        chosen.append(views.take((scorer.pick(chunk, views) + n * np.arange(len(chunk))[:, None]).ravel()))
     subj, obj, _ = _per_row(instances)
-    logits = student.logits(student.inputs(stack_views([inst.real_view for inst in instances]), chosen, subj, obj))
+    real = stack_views([inst.real_view for inst in instances])
+    logits = student.logits(student.inputs(real, stack_views(chosen), subj, obj))
     return np.argmax(logits, axis=1)
 
 
@@ -624,20 +611,20 @@ def run_pipeline(
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    instances = run_round0(train_instances, g_uv, config)
+    pools = run_round0(train_instances, g_uv, config)
     timing["generate_initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     scorer = Scorer(config, schema)
     rounds: list[RoundRecord] = []
     for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-        instances = run_ccg_round(instances, round_index, g_vu, g_uv, config, scorer, rounds)
+        run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds)
     if scorer.teacher is not None:
-        instances = score_trailing(instances, scorer.teacher)
+        score_trailing(pools, scorer.teacher)
     timing["rounds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    student = train_student(instances, config, scorer)
+    student = train_student(pools, config, scorer)
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -645,18 +632,17 @@ def run_pipeline(
     metrics = compute_metrics(predictions, [inst.label for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 
-    pool = instances[0].synthetic_pool
     report = RunReport(
         condition=condition,
         config_digest=digest,
         seed=config.seed,
         ccg_rounds=config.ccg_rounds,
         rounds=tuple(rounds),
-        final_pool_size=int(np.count_nonzero(pool.is_v & (pool.round + pool.survived == len(rounds)))),
+        final_pool_size=int(np.count_nonzero(pools.is_v & (pools.round + pools.survived[0] == len(rounds)))),
         metrics=metrics,
         timing=timing,
     )
-    return RunResult(instances=instances, report=report, teacher=scorer.teacher, student=student)
+    return RunResult(instances=pools.instances_out(), report=report, teacher=scorer.teacher, student=student)
 
 
 def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
@@ -720,18 +706,17 @@ class AblationRow:
 
 
 def run_ablation(
-    make_world,
+    make_data,
     base_config: PipelineConfig,
     seeds: Sequence[int],
     conditions: Sequence[str] = CONDITIONS,
-    n_train_per_class: int = 35,
-    n_test_per_class: int = 75,
 ) -> tuple[list[AblationRow], list[RunReport]]:
-    """Run every condition on shared per-seed benchmarks.
+    """Run every condition on shared per-seed data.
 
-    ``make_world`` maps a seed to ``(world, g_uv, g_vu, v_spec)``; the same
-    generated train/test instances and the same master seed feed every
-    condition, so rows differ only in the condition itself.
+    ``make_data`` maps a seed to ``(train, test, schema, g_uv, g_vu)``, as
+    ``config.load_experiment_data(config, seed)`` does; the same train/test
+    instances and the same master seed feed every condition, so rows differ
+    only in the condition itself.
     """
     for condition in conditions:
         if condition not in CONDITIONS:
@@ -739,9 +724,7 @@ def run_ablation(
     rows: list[AblationRow] = []
     reports: list[RunReport] = []
     for seed in seeds:
-        world, g_uv, g_vu, v_spec = make_world(seed)
-        train_instances, schema = generate_benchmark(world, n_train_per_class, v_spec, stream="train")
-        test_instances, _ = generate_benchmark(world, n_test_per_class, v_spec, stream="test")
+        train_instances, test_instances, schema, g_uv, g_vu = make_data(seed)
         for condition in conditions:
             config = replace(condition_config(base_config, condition), seed=seed)
             result = run_pipeline(train_instances, test_instances, schema, g_uv, g_vu, config, condition)

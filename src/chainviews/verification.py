@@ -213,7 +213,7 @@ def check_gradient_student(seed: int) -> float:
     def case(rng, i) -> float:
         model = StudentModel(rng, _SCHEMA, _WIDTH)
         label, subject, obj, real, synth = _random_instance(rng, 3)
-        return grad_check(model, model.inputs(real, [synth], subject, obj), label)
+        return grad_check(model, model.inputs(real, synth, subject, obj), label)
 
     return _worst(seed, "verify-grad-student", 10, case)
 
@@ -224,7 +224,7 @@ def check_permutation_invariance(seed: int) -> float:
     rng = derive_rng(seed, "verify-perm")
     model = StudentModel(rng, _SCHEMA)
     _, subject, obj, real, synth = _random_instance(rng, 6)
-    x_u, x_v, subj, obj = model.inputs(real, [synth], subject, obj)
+    x_u, x_v, subj, obj = model.inputs(real, synth, subject, obj)
     (base,) = model.logits((x_u, x_v, subj, obj))
     worst = 0.0
     for _ in range(100):

@@ -179,11 +179,13 @@ def test_criterion_7_ablation_reproduces_the_method_ordering():
     conditions = ("full", "no_ccg", "no_teacher", "unimodal")
     seeds = tuple(range(10))
 
-    def make_world(seed):
+    def make_data(seed):
         world, g_uv, g_vu = lossy_world_preset("collapse-heavy", seed=seed)
-        return world, g_uv, g_vu, g_uv.out_port.spec
+        train, schema = generate_benchmark(world, 20, g_uv.out_port.spec, stream="train")
+        test, _ = generate_benchmark(world, 150, g_uv.out_port.spec, stream="test")
+        return train, test, schema, g_uv, g_vu
 
-    rows, _ = run_ablation(make_world, base, seeds, conditions, n_train_per_class=20, n_test_per_class=150)
+    rows, _ = run_ablation(make_data, base, seeds, conditions)
     f1 = {}
     for row in rows:
         f1.setdefault(row.seed, {})[row.condition] = row.f1
@@ -224,9 +226,9 @@ def test_criterion_8_chained_generation_increases_spread():
             infer_views=2,
             teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
         )
-        pooled = run_round0(instances, g_uv, config)
-        pooled = run_ccg_round(pooled, 1, g_vu, g_uv, config, Scorer(config, schema))
-        stages = extract_stages(pooled, schema)
+        pools = run_round0(instances, g_uv, config)
+        run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+        stages = extract_stages(pools.instances_out(), schema)
         for d in (2, 4):
             by_name = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}
             wins[d] += by_name["V1'"] > by_name["V0"]

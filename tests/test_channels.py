@@ -548,8 +548,8 @@ def test_per_instance_streams_make_generation_order_irrelevant():
     world, g_uv, _, v_spec = tiny_world()
     instances, _ = generate_benchmark(world, 2, v_spec)
     config = tiny_config(initial_views=3, seed=11)
-    batch = run_round0(instances, g_uv, config)
-    (alone,) = run_round0([instances[3]], g_uv, config)  # no other draws first
+    batch = run_round0(instances, g_uv, config).instances_out()
+    (alone,) = run_round0([instances[3]], g_uv, config).instances_out()  # no other draws first
     assert alone.id == batch[3].id
     assert np.array_equal(alone.synthetic_pool.v.data, batch[3].synthetic_pool.v.data)
     # and the pool is the instance's ("gen", id, 0) stream through one batch

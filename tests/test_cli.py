@@ -386,6 +386,23 @@ def test_ablate_refuses_a_repeated_seed(tmp_path, capsys):
     assert not (out / "ablation.csv").exists()
 
 
+def test_ablate_and_run_read_one_data_path(tmp_path, capsys):
+    # with a none-of-the-above class, ablate's full row at seed 5 is run
+    # --seed 5's metrics row: both leave the none class out of the counts.
+    # At the default 35/75 instances per class one test instance is missed.
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["data"] = {"none_class": 3}
+    mapping["ablation"] = {"seeds": [5], "conditions": ["full"]}
+    config = write_yaml(tmp_path / "none.yaml", mapping)
+    assert main(["run", "--config", config, "--seed", "5", "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert main(["ablate", "--config", config, "--out", str(tmp_path / "ablate")]) == EXIT_OK
+    run_row = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1]
+    assert (tmp_path / "ablate" / "ablation.csv").read_text().splitlines()[1] == run_row
+    _, accuracy, precision, _, _ = run_row.split(",")
+    assert precision != accuracy
+    capsys.readouterr()
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -776,7 +793,7 @@ def test_infer_views_above_initial_views_exits_1_naming_both(tmp_path):
 
 
 def test_ablate_and_the_k_flag_report_malformed_values_as_config_errors(tmp_path, capsys):
-    # --k rewrites the pipeline section and ablate builds its own benchmarks;
+    # --k rewrites the pipeline section and ablate loads each seed's data;
     # both must leave malformed values to the config parser
     mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
     config = write_yaml(tmp_path / "spawn.yaml", with_value(copy.deepcopy(mapping), ("pipeline", "spawn_per_kept"), 3))

@@ -441,6 +441,16 @@ def test_load_experiment_data_from_world():
     assert g_uv.out_port.spec == schema.v_spec
 
 
+def test_load_experiment_data_reseeds_the_world():
+    # ablate loads each seed's data as run --seed would
+    def text(seed, reseed=None):
+        config = parse_config(base_mapping(seed=seed, data={"train_per_class": 2, "test_per_class": 3, "none_class": 1}))
+        train, test, schema, _, _ = load_experiment_data(config, reseed)
+        return dataset_to_string(train + test, schema)
+
+    assert text(0, 4) == text(4) != text(0)
+
+
 def test_load_experiment_data_from_files(tmp_path):
     source = parse_config(base_mapping(data={"train_per_class": 2, "test_per_class": 2}))
     train_inst, test_inst, schema, _, _ = load_experiment_data(source)

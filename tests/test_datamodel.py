@@ -236,6 +236,43 @@ def test_the_writer_refuses_a_pool_the_reader_refuses(tmp_path, pool, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def discrete_pool(*rows):
+    """A pool of round-0 v-side symbol sequences ``rows``, each parented to the real view."""
+    n = len(rows)
+    return Pool([0] * n, [STEP_U_TO_V] * n, [REAL_PARENT] * n, [float("nan")] * n, [0] * n, v=ViewBatch("discrete", MODALITY_V, rows))
+
+
+@pytest.mark.parametrize(
+    "instance, schema, message",
+    [
+        (make_instance(3, 3), make_schema(class_count=3), "label 3 is outside [0, 3)"),
+        (replace(make_instance(3), subject=4), make_schema(), "subject 4 is outside [0, 4)"),
+        (replace(make_instance(3), object=9), make_schema(), "object 9 is outside [0, 4)"),
+        (replace(make_instance(3), real_view=vector_view([0.0, 0.0, 0.0], MODALITY_U)), make_schema(),
+         "bad view: the schema's u-side views are vector of size 2, got vector views of length 3"),
+        (make_instance(3, pool=[(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0, 0.0])]), make_schema(),
+         "bad view: the schema's v-side views are vector of size 2, got vector views of length 3"),
+        (make_instance(3, pool=[(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0])]), make_schema(v_spec=ViewSpec("discrete", 4)),
+         "bad view: the schema's v-side views are discrete of size 4, got vector views of length 2"),
+        (replace(make_instance(3), synthetic_pool=discrete_pool([0, 3], [0, 7])), make_schema(v_spec=ViewSpec("discrete", 4)),
+         "synthetic view 1 holds a symbol outside [0, 4)"),
+        (make_instance(3, pool=[(0, STEP_U_TO_V, REAL_PARENT, [0.0, 0.0]), (0, STEP_U_TO_V, REAL_PARENT, [np.nan, 0.0])]),
+         make_schema(), "synthetic view 1 holds a non-finite number"),
+        (replace(make_instance(3), real_view=vector_view([np.inf, 0.0], MODALITY_U)), make_schema(),
+         "the real view holds a non-finite number"),
+    ],
+    ids=["label", "subject", "object", "real_view_width", "pool_view_width", "pool_view_kind", "symbol", "synthetic_nan", "real_inf"],
+)
+def test_the_writer_refuses_what_the_reader_refuses_against_the_schema(tmp_path, instance, schema, message):
+    # the reader refuses each of these on the line; the writer names the id
+    instances = [make_instance(0), instance]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'instance 3: {message}')}$"):
+        dataset_to_string(instances, schema)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'instance 3: {message}')}$"):
+        write_dataset(instances, schema, tmp_path / "dataset.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_writer_takes_a_path_only():
     with pytest.raises(TypeError, match="^write_dataset takes a path \\(str or Path\\), not StringIO$"):
         write_dataset([make_instance()], make_schema(), io.StringIO())
@@ -268,17 +305,24 @@ def test_a_well_formed_dataset_reads_back():
     assert [(i.id, i.label) for i in loaded] == [(0, 0), (1, 1), (2, 2)]
 
 
+def read_under(instances, schema, **header):
+    """What ``read_dataset`` makes of ``instances`` written under ``schema``
+    with the schema line's ``header`` fields replaced. The writer refuses
+    an instance that does not fit its schema, so a misfit is made this way."""
+    return read_dataset(from_text(edited(instances, schema, 1, lambda record: record.update(header))))
+
+
 def test_a_label_outside_the_classes_names_the_line():
-    # 3 == class_count, one past the end; the writer writes what it is given
+    # 3 == class_count, one past the end
     instances = [make_instance(0, 2), replace(make_instance(1, 2), label=3)]
     with pytest.raises(DatasetFormatError, match=re.escape("line 3: label 3 is outside [0, 3)")) as err:
-        read_text(instances, make_schema(class_count=3))
+        read_under(instances, make_schema(class_count=4), class_count=3)
     assert err.value.line == 3
 
 
 def test_a_real_view_of_another_width_than_the_schema_names_the_line():
     with pytest.raises(DatasetFormatError, match="^line 2: bad view: the schema's u-side views are vector of size 3, got vector views of length 2") as err:
-        read_text([make_instance()], make_schema(u_spec=ViewSpec("vector", 3)))
+        read_under([make_instance()], make_schema(), u_spec={"kind": "vector", "size": 3})
     assert err.value.line == 2
 
 
@@ -300,7 +344,7 @@ def test_a_repeated_instance_id_names_its_second_line():
 def test_an_entity_outside_the_vocabulary_names_the_line(field):
     instance = replace(make_instance(), **{field: 4})
     with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: {field} 4 is outside [0, 4)")) as err:
-        read_text([instance], make_schema(entity_vocab=4))
+        read_under([instance], make_schema(entity_vocab=5), entity_vocab=4)
     assert err.value.line == 2
 
 
@@ -330,7 +374,7 @@ def test_a_dangling_parent_names_the_view():
 def test_a_refused_dataset_is_a_value_error_carrying_its_line():
     # object 1 lies outside a one-entity vocabulary
     with pytest.raises(ValueError) as err:
-        read_text([make_instance()], make_schema(entity_vocab=1))
+        read_under([make_instance()], make_schema(), entity_vocab=1)
     assert isinstance(err.value, DatasetFormatError) and err.value.line == 2
 
 
@@ -1083,7 +1127,7 @@ def test_a_schema_that_does_not_fit_the_instances_names_the_first_misfit():
     # every line is well formed, but the third instance's label is no class of the schema's
     instances, _ = full_dataset(3)  # labels 0, 1, 2
     with pytest.raises(DatasetFormatError, match=re.escape("line 4: label 2 is outside [0, 2)")) as err:
-        read_text(instances, make_schema(class_count=2))
+        read_under(instances, make_schema(), class_count=2)
     assert err.value.line == 4
 
 

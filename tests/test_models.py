@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -72,7 +73,7 @@ def as_inputs(model, samples):
     *views, entities = zip(*parts)
     subj, obj = [e[0] for e in entities], [e[1] for e in entities]
     if isinstance(model, StudentModel):
-        return model.inputs(stack_views(views[0]), [views_of(s) for s in views[1]], subj, obj), list(labels)
+        return model.inputs(stack_views(views[0]), views_of([v for s in views[1] for v in s]), subj, obj), list(labels)
     return model.inputs(stack_views(views[0]), subj, obj), list(labels)
 
 
@@ -284,13 +285,17 @@ def test_a_batch_equals_its_rows_one_at_a_time():
             np.testing.assert_allclose(grads[key], mean, atol=1e-12)
 
 
-def test_student_rejects_ragged_sets():
+def test_student_needs_a_whole_number_of_synthetic_views_per_real_view():
+    # one flat batch cannot be ragged, but its length may not divide among the real views
     rng = derive_rng(6, "ragged")
     model = StudentModel(derive_rng(6, "ragged-init"), schema())
-    with pytest.raises(ValueError, match="same number of synthetic views"):
-        model.logits(as_inputs(model, [student_sample(rng, 3), student_sample(rng, 4)])[0])
-    with pytest.raises(ValueError, match="same number of synthetic views"):
-        model.loss_and_grads(*as_inputs(model, [student_sample(rng, 2), student_sample(rng, 1)]))
+    real = ViewBatch("vector", MODALITY_U, rng.normal(size=(2, 3)))
+    for n in (0, 1, 3, 5):
+        synth = ViewBatch("vector", MODALITY_V, rng.normal(size=(n, 4)))
+        message = f"the student needs the same positive number of synthetic views per real view, got {n} synthetic views for 2 real views"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model.inputs(real, synth, [0, 1], [1, 0])
+    assert model.inputs(real, ViewBatch("vector", MODALITY_V, rng.normal(size=(6, 4))), [0, 1], [1, 0])[1].shape == (2, 3, 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,8 +321,7 @@ def test_batched_logits_match_row_by_row_and_training_repeats(kind, seed, n_rows
             return model, model.inputs(synth.take(np.arange(n_rows)), subj, obj)
         if kind == "student":
             model = StudentModel(init, sch)
-            sets = [synth.take(np.arange(b * n_views, (b + 1) * n_views)) for b in range(n_rows)]
-            return model, model.inputs(real, sets, subj, obj)
+            return model, model.inputs(real, synth, subj, obj)
         model = UnimodalModel(init, sch)
         return model, model.inputs(real, subj, obj)
 
@@ -469,10 +473,9 @@ def training_cases():
     subj, obj, labels = rng.integers(5, size=n), rng.integers(5, size=n), rng.integers(3, size=n)
     real = ViewBatch("vector", MODALITY_U, rng.normal(size=(n, 3)))
     synth = ViewBatch("vector", MODALITY_V, rng.normal(size=(n * 2, 4)))
-    sets = [synth.take(np.arange(2 * b, 2 * b + 2)) for b in range(n)]
     for name, build, make_inputs in (
         ("teacher", TeacherModel, lambda model: model.inputs(synth.take(np.arange(n)), subj, obj)),
-        ("student", StudentModel, lambda model: model.inputs(real, sets, subj, obj)),
+        ("student", StudentModel, lambda model: model.inputs(real, synth, subj, obj)),
         ("unimodal", UnimodalModel, lambda model: model.inputs(real, subj, obj)),
     ):
         yield name, (lambda build=build: build(derive_rng(12, "pin-init"), schema())), make_inputs, labels
@@ -541,7 +544,7 @@ def inputs_with_ids(kind, subj, obj):
     if kind == "teacher":
         return TeacherModel(derive_rng(0, "ids-init"), schema()).inputs(v, subj, obj)
     if kind == "student":
-        return StudentModel(derive_rng(0, "ids-init"), schema()).inputs(u, [v.take([0]), v.take([1])], subj, obj)
+        return StudentModel(derive_rng(0, "ids-init"), schema()).inputs(u, v, subj, obj)
     return UnimodalModel(derive_rng(0, "ids-init"), schema()).inputs(u, subj, obj)
 
 

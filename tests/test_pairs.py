@@ -4,6 +4,7 @@ Nothing here runs the benchmark; ``tools/pairs.py`` is loaded as a module.
 """
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -121,3 +122,19 @@ def test_measure_records_both_counts_per_pair_and_their_totals(monkeypatch):
     assert all((row["parent_attempted"], row["parent_failed"], row["change_attempted"], row["change_failed"]) == (5, 0, 5, 1)
                for row in run["pairs"])
     assert run["operations"] == {"parent": {"attempted": 15, "failed": 0}, "change": {"attempted": 15, "failed": 3}}
+
+
+def test_cli_differences_skip_timing_and_the_dataset_path_only(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, seconds, dataset in ((parent, 1.0, "/a/dataset.jsonl"), (change, 2.5, "/b/dataset.jsonl")):
+        side.mkdir()
+        (side / "metrics.csv").write_text("condition,f1\nfull,0.5\n")
+        (side / "report.json").write_text(json.dumps({"metrics": {"f1": 0.5}, "timing": {"rounds": seconds}}))
+        (side / "diversity.meta.json").write_text(json.dumps({"seed": 5, "dataset": dataset}))
+    assert pairs.cli_differences(parent, change) == []
+
+    (change / "metrics.csv").write_text("condition,f1\nfull,0.6\n")
+    (change / "report.json").write_text(json.dumps({"metrics": {"f1": 0.6}, "timing": {"rounds": 1.0}}))
+    (change / "diversity.meta.json").write_text(json.dumps({"seed": 6, "dataset": "/a/dataset.jsonl"}))
+    (parent / "train.jsonl").write_text("{}\n")  # on one side only
+    assert pairs.cli_differences(parent, change) == ["diversity.meta.json", "metrics.csv", "report.json", "train.jsonl"]

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 import chainviews.pipeline as pipeline_module
 from chainviews.channels import DiscreteChannel, generate_benchmark, sample_channel, stack_views
 from chainviews.datamodel import (
+    EMPTY_POOL,
     REAL_PARENT,
     STEP_U_TO_V,
     DatasetSchema,
     Instance,
+    Pool,
     ViewBatch,
     ViewSpec,
     dataset_to_string,
@@ -31,6 +33,7 @@ from chainviews.pipeline import (
     PipelineConfig,
     PipelineError,
     Scorer,
+    SplitPools,
     ablation_table,
     compute_metrics,
     condition_config,
@@ -328,14 +331,25 @@ def test_keeping_every_view_under_the_teacher():
     assert_reads_back(result.instances, schema)
 
 
+def curate(instances, g_vu, g_uv, config, scorer, rounds=None) -> SplitPools:
+    """The store of ``instances`` after round 0 and every round of ``config``."""
+    pools = run_round0(instances, g_uv, config)
+    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
+        run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds)
+    return pools
+
+
 def test_student_takes_the_whole_live_pool():
     # 5 -> keep 3 -> +6 -> 9 -> keep 6 -> +6: twelve live candidates, all of them picked
     train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
     config = tiny_config(train_views=12)
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
     assert result.report.final_pool_size == 12
+    scorer = Scorer(config, schema)
+    pools = curate(train_inst, g_vu, g_uv, config, scorer)
+    score_trailing(pools, scorer.teacher)
     with pytest.raises(PipelineError, match="has 12 scored candidate views, needs 13"):
-        train_student(result.instances, replace(config, train_views=13), Scorer(config, schema))
+        train_student(pools, replace(config, train_views=13), scorer)
 
 
 def test_none_class_is_left_out_of_the_run_metrics():
@@ -394,10 +408,10 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
 
     scorer = Scorer(config, schema)
     rounds = []
-    step = run_round0(data.train, g_uv, config)
-    assert all(len(inst.synthetic_pool) == config.initial_views for inst in step)
+    pools = run_round0(data.train, g_uv, config)
+    assert pools.parent_id.shape == (len(data.train), config.initial_views)
     for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-        step = run_ccg_round(step, round_index, g_vu, g_uv, config, scorer, rounds)
+        assert run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds) is None
     # the schedule from keep/spawn arithmetic alone
     pool_size = config.initial_views
     for record in rounds:
@@ -408,8 +422,8 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
     assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
     if teacher is not None:
         assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
-        step = score_trailing(step, teacher)
-    student = train_student(step, config, scorer)
+        assert score_trailing(pools, teacher) is None
+    student = train_student(pools, config, scorer)
     assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
     predictions = infer(student, data.test, g_uv, g_vu, config, scorer)
     stepwise = replace(
@@ -419,7 +433,7 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
         metrics=compute_metrics(predictions, [inst.label for inst in data.test], schema),
     )
     assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
-    assert dataset_to_string(step, schema) == dataset_to_string(orchestrated.instances, schema)
+    assert dataset_to_string(pools.instances_out(), schema) == dataset_to_string(orchestrated.instances, schema)
 
 
 @pytest.mark.parametrize(
@@ -508,12 +522,9 @@ def test_generation_depends_only_on_the_instance_and_round(
         infer_views=4,
     )
 
-    def curate(instances):
-        scorer = Scorer(config, tiny_run.schema)
-        step = run_round0(instances, tiny_run.g_uv, config)
-        for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-            step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
-        return instance_lines(step, tiny_run.schema)
+    def curated(instances):
+        pools = curate(instances, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+        return instance_lines(pools.instances_out(), tiny_run.schema)
 
     def generated(instances):
         student = RecordingStudent(tiny_run.schema)
@@ -521,8 +532,8 @@ def test_generation_depends_only_on_the_instance_and_round(
         (call,) = student.calls
         return {inst.id: [row.tobytes() for row in views.data] for inst, views in zip(instances, call)}
 
-    full = curate(tiny_run.train)
-    subset = curate([tiny_run.train[i] for i in train_order[:train_size]])
+    full = curated(tiny_run.train)
+    subset = curated([tiny_run.train[i] for i in train_order[:train_size]])
     assert subset == {i: full[i] for i in subset}
     full = generated(tiny_run.test)
     subset = generated([tiny_run.test[i] for i in test_order[:test_size]])
@@ -534,15 +545,17 @@ def test_children_come_from_one_batch_per_channel_on_the_round_stream(tiny_run):
     # then g_uv on ("gen", id, 1); (u, v) pairs appended in that order
     config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), policy_name="random")
     scorer = Scorer(config, tiny_run.schema)
-    before = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
-    after = run_ccg_round(before, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    pools = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
+    round0 = pools.sides["v"][1].copy()
+    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     n = config.initial_views
-    for old, new in zip(before, after):
+    for k, new in enumerate(pools.instances_out()):
         pool = new.synthetic_pool
         kept = np.flatnonzero(pool.survived[:n]).tolist()
         sources = [i for i in kept for _ in range(2)]
-        rng = derive_rng(config.seed, "gen", old.id, 1)
-        u_views = sample_channel(tiny_run.g_vu, old.synthetic_pool.v_rows(sources), rng)
+        rng = derive_rng(config.seed, "gen", new.id, 1)
+        assert np.array_equal(pool.v.data[:n], round0[k])
+        u_views = sample_channel(tiny_run.g_vu, pool.v_rows(sources), rng)
         v_views = sample_channel(tiny_run.g_uv, u_views, rng)
         assert pool.parent_id[n::2].tolist() == sources
         assert pool.parent_id[n + 1 :: 2].tolist() == list(range(n, len(pool), 2))
@@ -565,7 +578,7 @@ def test_one_instance_per_class_with_single_views():
 def test_round0_view_counts_and_provenance(tiny_run):
     for m0 in (30, 1):
         config = tiny_config(initial_views=m0, infer_views=1)
-        step = run_round0(tiny_run.train, tiny_run.g_uv, config)
+        step = run_round0(tiny_run.train, tiny_run.g_uv, config).instances_out()
         for instance in step:
             pool = instance.synthetic_pool
             assert len(pool) == m0 and len(pool.v) == m0 and pool.u is None
@@ -576,38 +589,43 @@ def test_round0_view_counts_and_provenance(tiny_run):
 def test_single_view_fusion_still_trains(tiny_run):
     config = tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=1, student=replace(tiny_config().student, steps=10))
     scorer = Scorer(config, tiny_run.schema)
-    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    step = run_ccg_round(step, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
-    student = train_student(step, config, scorer)
+    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    student = train_student(pools, config, scorer)
     instance = tiny_run.train[0]
-    real, synth = stack_views([instance.real_view]), [step[0].synthetic_pool.v_rows([0])]
+    real, synth = stack_views([instance.real_view]), pools.instances_out()[0].synthetic_pool.v_rows([0])
     logits = student.logits(student.inputs(real, synth, instance.subject, instance.object))
     assert logits.shape == (1, tiny_run.schema.class_count)
 
 
 def test_round0_rejects_occupied_pools(tiny_run):
-    step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
+    step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config).instances_out()
     with pytest.raises(PipelineError, match="already hold"):
         run_round0(step, tiny_run.g_uv, tiny_run.config)
+
+
+def test_round0_refuses_an_empty_split(tiny_run):
+    with pytest.raises(PipelineError, match="a split needs at least one instance"):
+        run_round0([], tiny_run.g_uv, tiny_run.config)
 
 
 def test_ccg_round_argument_validation(tiny_run):
     config = tiny_run.config
     no_ccg = replace(config, ccg_rounds=0, spawn_per_kept=())
-    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
     channels = (tiny_run.g_vu, tiny_run.g_uv)
     for round_index, schedule in ((0, config), (3, config), (2, no_ccg)):
         last = max(schedule.ccg_rounds, 1)
         with pytest.raises(PipelineError, match=rf"round_index {round_index} is outside 1\.\.{last}"):
-            run_ccg_round(step, round_index, *channels, schedule, Scorer(schedule, tiny_run.schema))
-    with pytest.raises(PipelineError, match="live candidate"):
-        run_ccg_round(tiny_run.train, 1, *channels, config, Scorer(config, tiny_run.schema))
+            run_ccg_round(pools, round_index, *channels, schedule, Scorer(schedule, tiny_run.schema))
+    # round 2 judges round 1's keepers and children: none until round 1 has run
+    with pytest.raises(PipelineError, match="no view is a candidate at selection 1: run the rounds in order"):
+        run_ccg_round(pools, 2, *channels, config, Scorer(config, tiny_run.schema))
 
 
 def test_train_student_needs_enough_scored_views(tiny_run):
-    step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
     with pytest.raises(PipelineError, match="scored candidate"):
-        train_student(step, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
+        train_student(pools, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
 
 
 POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")
@@ -621,18 +639,16 @@ def same_pool(a, b):
 
 
 def test_pool_verdicts_are_copies(tiny_run):
-    # a round stacks its input pools into fresh arrays: the instances it was
-    # given keep their pools, and the pools it returns are read-only row
-    # views of one split-wide array per column, never per-instance copies
+    # the store leaves the instances it was built from as they were, and the
+    # pools it hands out are read-only row views of one split-wide array per
+    # column, never per-instance copies
     config = tiny_run.config
-    before = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    saved = [replace(inst.synthetic_pool, **{name: getattr(inst.synthetic_pool, name).copy() for name in POOL_COLUMNS})
-             for inst in before]
-    after = run_ccg_round(before, 1, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+    after = pools.instances_out()
     n = config.initial_views
-    for old, new, copy in zip(before, after, saved):
-        assert same_pool(old.synthetic_pool, copy)
-        assert np.isnan(old.synthetic_pool.teacher_loss).all() and not old.synthetic_pool.survived.any()
+    for old, new in zip(tiny_run.train, after):
+        assert old.synthetic_pool is EMPTY_POOL and (new.id, new.real_view) == (old.id, old.real_view)
         pool = new.synthetic_pool
         assert not np.isnan(pool.teacher_loss[:n]).any() and pool.survived[:n].any()
         for array in [getattr(pool, name) for name in POOL_COLUMNS] + [pool.v.data, pool.u.data]:
@@ -646,25 +662,11 @@ def test_pool_verdicts_are_copies(tiny_run):
     assert first.v.data.base is second.v.data.base is not None
 
 
-def test_steps_refuse_pools_of_two_layouts(tiny_run):
-    config = tiny_run.config
-    scorer = Scorer(config, tiny_run.schema)
-    channels = (tiny_run.g_vu, tiny_run.g_uv)
-    shorter = run_round0(tiny_run.train[:1], tiny_run.g_uv, replace(config, initial_views=4))
-    step = run_ccg_round(run_round0(tiny_run.train[1:], tiny_run.g_uv, config), 1, *channels, config, scorer)
-    pool = step[0].synthetic_pool
-    moved = [replace(step[0], synthetic_pool=replace(pool, round=np.r_[1, pool.round[1:]]))]
-    for mixed in (shorter + run_round0(tiny_run.train[1:], tiny_run.g_uv, config), moved + step[1:]):
-        with pytest.raises(PipelineError, match="differ in layout"):
-            run_ccg_round(mixed, 1, *channels, config, scorer)
-        with pytest.raises(PipelineError, match="differ in layout"):
-            train_student(mixed, config, scorer)
-    # one layout, but one instance lost a keeper: its live count diverged
-    survived = pool.survived.copy()
-    survived[np.flatnonzero(survived)[0]] = 0
-    diverged = [replace(step[0], synthetic_pool=replace(pool, survived=survived))] + step[1:]
-    with pytest.raises(PipelineError, match=r"same positive number of live candidate views, got \[8, 9\]"):
-        run_ccg_round(diverged, 2, *channels, config, scorer)
+def test_a_run_builds_one_pool_per_train_instance(tiny_run, monkeypatch):
+    built, post_init = [], Pool.__post_init__
+    monkeypatch.setattr(Pool, "__post_init__", lambda self: built.append(self) or post_init(self))
+    result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, tiny_run.config)
+    assert len(built) == len(tiny_run.train) and [inst.synthetic_pool for inst in result.instances] == built
 
 
 def test_run_pipeline_refuses_an_empty_split(tiny_run):
@@ -681,12 +683,10 @@ def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
     # so the pick comes from the six selected views alone
     config = tiny_run.config
     scorer = Scorer(config, tiny_run.schema)
-    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    for round_index in (1, 2):
-        step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
-    student = train_student(step, config, scorer)
+    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    student = train_student(pools, config, scorer)
     assert student is not None
-    scored = [int((~np.isnan(inst.synthetic_pool.teacher_loss)).sum()) for inst in step]
+    scored = np.count_nonzero(~np.isnan(pools.teacher_loss), axis=1)
     assert all(n >= config.train_views for n in scored)
 
 
@@ -696,9 +696,7 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
     )
     scorer = Scorer(config, tiny_run.schema)
     rounds = []
-    step = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    for round_index in (1, 2):
-        step = run_ccg_round(step, round_index, tiny_run.g_vu, tiny_run.g_uv, config, scorer, rounds)
+    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer, rounds)
     assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
     picked = []
     real_train = pipeline_module.train
@@ -708,8 +706,8 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         return real_train(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "train", recording_train)
-    train_student(step, config, scorer)
-    for instance, views, entry in zip(step, picked, rounds[-1].per_instance):
+    train_student(pools, config, scorer)
+    for instance, views, entry in zip(pools.instances_out(), picked, rounds[-1].per_instance):
         kept = instance.synthetic_pool.v_rows(list(entry.kept_ids)).data
         assert sorted(v.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
 
@@ -752,7 +750,7 @@ def test_identity_channels_copy_the_real_view_everywhere():
     predicted = infer(result.student, instances, g_uv, g_vu, config, scorer)
     for instance, label in zip(instances, predicted, strict=True):
         synthetic = stack_views([ViewBatch("discrete", "v", instance.real_view.data)] * config.infer_views)
-        inputs = result.student.inputs(instance.real_view, [synthetic], instance.subject, instance.object)
+        inputs = result.student.inputs(instance.real_view, synthetic, instance.subject, instance.object)
         train_time = int(np.argmax(result.student.logits(inputs)))
         assert label == train_time
 
@@ -760,18 +758,25 @@ def test_identity_channels_copy_the_real_view_everywhere():
 # --- inference ---------------------------------------------------------------------
 
 
+def per_instance(real, synth):
+    """A student's flat batch ``synth`` cut into one batch per real view."""
+    n = len(synth) // len(real)
+    assert len(synth) == n * len(real) and n > 0
+    return [synth.take(np.arange(k * n, (k + 1) * n)) for k in range(len(real))]
+
+
 class RecordingStudent:
-    """Records each classify call's list of chosen view batches, one per
-    instance, and predicts class 1 for every instance."""
+    """Records each classify call's chosen view batches, one per instance,
+    and predicts class 1 for every instance."""
 
     def __init__(self, schema):
         self.schema = schema
         self.calls = []
 
     def inputs(self, real, synth, subj, obj):
-        assert len(real) == len(synth) == len(subj) == len(obj)
-        self.calls.append(list(synth))
-        return (len(synth),)
+        assert len(real) == len(subj) == len(obj)
+        self.calls.append(per_instance(real, synth))
+        return (len(real),)
 
     def logits(self, inputs):
         (n,) = inputs
@@ -864,7 +869,7 @@ def reference_infer(student, instance, g_uv, g_vu, config, scorer):
     else:  # random, and keep_all, which picks as random does
         scores = random_scores(len(views), config.seed, "infer-pick", instance.id)
     chosen = views.take(best_first(scores, config.infer_views))
-    (logits,) = student.logits(student.inputs(instance.real_view, [chosen], instance.subject, instance.object))
+    (logits,) = student.logits(student.inputs(instance.real_view, chosen, instance.subject, instance.object))
     return int(np.argmax(logits)), chosen.data.tobytes()
 
 
@@ -876,7 +881,7 @@ class SpyStudent:
         self.chosen = []
 
     def inputs(self, real, synth, subj, obj):
-        self.chosen.extend(views.data.tobytes() for views in synth)
+        self.chosen.extend(views.data.tobytes() for views in per_instance(real, synth))
         return self.student.inputs(real, synth, subj, obj)
 
     def logits(self, inputs):
@@ -969,29 +974,30 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
 
 def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_run, monkeypatch):
     teacher = TeacherModel(derive_rng(7, "probe"), tiny_run.schema)
-    instances = []
-    for k, instance in enumerate(tiny_run.result.instances):
-        pool = instance.synthetic_pool
-        losses = pool.teacher_loss.copy()
-        if k % 2 == 0:  # odd instances keep every loss, so they need no score
-            losses[np.flatnonzero(pool.is_v)[k % 3 :: 2]] = np.nan
-        instances.append(replace(instance, synthetic_pool=replace(pool, teacher_loss=losses)))
+    scorer = Scorer(tiny_run.config, tiny_run.schema)
+    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, tiny_run.config, scorer)
+    score_trailing(pools, scorer.teacher)
+    for k in range(0, len(tiny_run.train), 2):  # odd instances keep every loss, so they need no score
+        pools.teacher_loss[k, np.flatnonzero(pools.is_v)[k % 3 :: 2]] = np.nan
+    before = pools.teacher_loss.copy()
+    todo = [np.flatnonzero(pools.is_v & np.isnan(row)) for row in before]
     logits, calls = TeacherModel.logits, []
     monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append(len(inputs[0])) or logits(self, inputs))
-    scored = score_trailing(instances, teacher)
-    todo = [np.flatnonzero(i.synthetic_pool.is_v & np.isnan(i.synthetic_pool.teacher_loss)) for i in instances]
+    assert score_trailing(pools, teacher) is None
     assert calls == [sum(map(len, todo))] and calls[0] > 0
-    for before, after, ids in zip(instances, scored, todo):
+    for k, (instance, ids) in enumerate(zip(tiny_run.train, todo)):
         if not ids.size:
-            assert same_pool(after.synthetic_pool, before.synthetic_pool)
+            assert np.array_equal(pools.teacher_loss[k], before[k], equal_nan=True)
             continue
-        alone = logits(teacher, teacher.inputs(before.synthetic_pool.v_rows(ids), before.subject, before.object))
-        expected, _ = softmax_xent(alone, [before.label] * len(ids))
-        np.testing.assert_allclose(after.synthetic_pool.teacher_loss[ids], expected, rtol=1e-12, atol=0)
-        rest = np.setdiff1d(np.arange(len(before.synthetic_pool)), ids)
-        assert np.array_equal(after.synthetic_pool.teacher_loss[rest], before.synthetic_pool.teacher_loss[rest], equal_nan=True)
+        alone = logits(teacher, teacher.inputs(pools.v_rows(k, ids), instance.subject, instance.object))
+        expected, _ = softmax_xent(alone, [instance.label] * len(ids))
+        np.testing.assert_allclose(pools.teacher_loss[k, ids], expected, rtol=1e-12, atol=0)
+        rest = np.setdiff1d(np.arange(len(pools.round)), ids)
+        assert np.array_equal(pools.teacher_loss[k, rest], before[k, rest], equal_nan=True)
     calls.clear()
-    assert score_trailing(scored, teacher) == scored and calls == []
+    scored = pools.teacher_loss.copy()
+    score_trailing(pools, teacher)
+    assert calls == [] and np.array_equal(pools.teacher_loss, scored, equal_nan=True)
 
 
 # --- conditions and ablation --------------------------------------------------------
@@ -1039,10 +1045,8 @@ def test_unimodal_condition_ignores_the_channels(tiny_run):
 
 
 def ablation_setup():
-    def make_world(seed):
-        from conftest import tiny_world
-
-        return tiny_world(seed=seed)
+    def make_data(seed):
+        return tiny_benchmark(seed=seed, n_train=2, n_test=2)
 
     base = tiny_config(
         initial_views=4,
@@ -1053,14 +1057,12 @@ def ablation_setup():
         teacher=replace(tiny_config().teacher, steps=10),
         student=replace(tiny_config().student, steps=15),
     )
-    return make_world, base
+    return make_data, base
 
 
 def test_run_ablation_rows_and_means():
-    make_world, base = ablation_setup()
-    rows, reports = run_ablation(
-        make_world, base, seeds=(0, 1), conditions=("no_teacher", "unimodal"), n_train_per_class=2, n_test_per_class=2
-    )
+    make_data, base = ablation_setup()
+    rows, reports = run_ablation(make_data, base, seeds=(0, 1), conditions=("no_teacher", "unimodal"))
     assert [(r.condition, r.seed) for r in rows] == [
         ("no_teacher", 0),
         ("unimodal", 0),
@@ -1087,9 +1089,9 @@ def test_run_ablation_rows_and_means():
 
 
 def test_run_ablation_rejects_unknown_condition():
-    make_world, base = ablation_setup()
+    make_data, base = ablation_setup()
     with pytest.raises(PipelineError, match="unknown condition"):
-        run_ablation(make_world, base, seeds=(0,), conditions=("full", "bogus"))
+        run_ablation(make_data, base, seeds=(0,), conditions=("full", "bogus"))
 
 
 def test_conditions_tuple_is_the_closed_set():

@@ -45,7 +45,7 @@ views = datamodel.ViewBatch("vector", "v", rng.normal(size=(10, 4)))
 subj, obj = rng.integers(5, size=10), rng.integers(5, size=10)
 inputs = {{
     "TeacherModel": lambda: model.inputs(views, subj, obj),
-    "StudentModel": lambda: model.inputs(real, [views.take([b]) for b in range(10)], subj, obj),
+    "StudentModel": lambda: model.inputs(real, views, subj, obj),
     "UnimodalModel": lambda: model.inputs(real, subj, obj),
 }}["{model}"]()
 tracer.enabled = True

@@ -21,12 +21,19 @@ parent's median. The metric is *unresolved* when the parent's own
 interquartile range is wider than that allowance: the runs spread too much
 to tell a regression of that size. ``digests_equal`` holds when every run
 of both sides wrote one and the same output digest.
+
+Once per tree, ``chainviews gen-benchmark``, ``run`` and ``diversity`` also
+run on ``configs/clean_quick.yaml``. ``cli_outputs_equal`` holds when both
+trees wrote the same files with the same contents, ``report.json`` compared
+without its wall-clock ``timing`` and ``diversity.meta.json`` without its
+``dataset`` path; ``cli_outputs_differ`` names the files that differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -161,6 +168,42 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, s
     }, machine
 
 
+CLI_CONFIG = "configs/clean_quick.yaml"
+# per CLI output file, the key that may differ between two trees
+CLI_UNCOMPARED = {"report.json": "timing", "diversity.meta.json": "dataset"}
+
+
+def run_cli(tree: Path, out: Path) -> None:
+    """``chainviews gen-benchmark``, ``run`` and ``diversity`` on
+    ``CLI_CONFIG``, from ``tree``'s sources, all writing to ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    for command in ("gen-benchmark", "run", "diversity"):
+        argv = [sys.executable, "-m", "chainviews.cli", command, "--config", CLI_CONFIG, "--out", str(out)]
+        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{proc.stderr}")
+
+
+def cli_content(path: Path):
+    """A CLI output file as compared: its bytes, or its JSON record without
+    the key of ``CLI_UNCOMPARED``."""
+    key = CLI_UNCOMPARED.get(path.name)
+    if key is None:
+        return path.read_bytes()
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record.pop(key, None)
+    return record
+
+
+def cli_differences(parent: Path, change: Path) -> list[str]:
+    """The names of the files in two CLI output directories that differ,
+    one-sided files included."""
+    names = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
+    return [name for name in names
+            if not ((parent / name).is_file() and (change / name).is_file())
+            or cli_content(parent / name) != cli_content(change / name)]
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -193,6 +236,10 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
+        cli_outs = {side: Path(tmp) / f"cli-{side}" for side in SIDES}
+        for side in SIDES:
+            run_cli(trees[side], cli_outs[side])
+        differing = cli_differences(cli_outs["parent"], cli_outs["change"])
         measured = [measure(trees, workload, seed, args.pairs, args.seconds, spec, log)
                     for workload in args.workload for seed in args.seed]
         lines = {side: src_lines(tree) for side, tree in trees.items()}
@@ -202,6 +249,8 @@ def main(argv=None) -> int:
         "change": {**change, "src_lines": lines["change"]},
         "machine": measured[0][1],
         "runs": [run for run, _ in measured],
+        "cli_outputs_equal": not differing,
+        "cli_outputs_differ": differing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for run in result["runs"]:
@@ -215,6 +264,7 @@ def main(argv=None) -> int:
         print(f"{run['workload']} seed {run['seed']} operations "
               + "; ".join(f"{side} {n['attempted']} attempted, {n['failed']} failed" for side, n in run["operations"].items()))
         print(f"{run['workload']} seed {run['seed']} digests_equal {run['digests_equal']}")
+    print(f"cli_outputs_equal {not differing}" + (f" (differ: {', '.join(differing)})" if differing else ""))
     return 0
 
 
