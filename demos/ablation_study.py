@@ -49,21 +49,22 @@ def make_data(seed):
 
 print(f"running {len(conditions)} conditions x {len(seeds)} seeds (roughly half a minute)...")
 start = time.time()
-rows, _ = run_ablation(make_data, base, seeds, conditions)
+reports = run_ablation(make_data, base, seeds, conditions)
 print(f"done in {time.time() - start:.0f}s")
 
 print()
 print(f"{'condition':>12s}  {'seed':>4s}  {'accuracy':>8s}  {'f1':>8s}")
-for row in rows:
-    print(f"{row.condition:>12s}  {row.seed:4d}  {row.accuracy:8.4f}  {row.f1:8.4f}")
+for report in reports:
+    m = report.metrics
+    print(f"{report.condition:>12s}  {report.seed:4d}  {m['accuracy']:8.4f}  {m['f1']:8.4f}")
 
 print()
 print("condition means (the summary rows the ablate command writes):")
-for entry in ablation_table(rows):
+for entry in ablation_table(reports):
     if entry["condition"].endswith("_mean"):
         print(f"{entry['condition']:>18s}  f1 {entry['f1']:.4f}")
 
-by_condition = {c: [r.f1 for r in rows if r.condition == c] for c in conditions}
+by_condition = {c: [r.metrics["f1"] for r in reports if r.condition == c] for c in conditions}
 gap_teacher = np.mean(by_condition["full"]) - np.mean(by_condition["no_teacher"])
 gap_real = np.mean(by_condition["full"]) - np.mean(by_condition["unimodal"])
 print()

@@ -87,7 +87,6 @@ from .models import (
 )
 from .pipeline import (
     CONDITIONS,
-    AblationRow,
     InstanceSelectionRecord,
     PipelineConfig,
     PipelineError,

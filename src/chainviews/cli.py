@@ -27,7 +27,6 @@ from .config import (
     DEFAULT_PCA_DIMS,
     ConfigError,
     ExperimentConfig,
-    build_world,
     load_experiment_data,
     merge_overrides,
     parse_config,
@@ -38,6 +37,7 @@ from .datamodel import DatasetFormatError, write_dataset
 from .diversity import diversity_report
 from .pipeline import (
     ablation_table,
+    condition_config,
     condition_name,
     extract_stages,
     metrics_table_text,
@@ -96,14 +96,9 @@ def cmd_gen_benchmark(args) -> int:
     if config.world_preset is None and config.world_custom is None:
         raise ConfigError("gen-benchmark needs a 'world' section, not dataset paths")
     out = _out_dir(config, args.out)
-    from .channels import generate_benchmark
-
-    world, _, _, v_spec = build_world(config)
+    train_instances, test_instances, schema, _, _ = load_experiment_data(config)
     files = {}
-    for stream, n in (("train", config.train_per_class), ("test", config.test_per_class)):
-        instances, schema = generate_benchmark(
-            world, n, v_spec, stream=stream, none_class=config.none_class
-        )
+    for stream, instances in (("train", train_instances), ("test", test_instances)):
         path = out / f"{stream}.jsonl"
         write_dataset(instances, schema, path)
         files[stream] = {"path": path.name, "instances": len(instances)}
@@ -151,16 +146,21 @@ def cmd_ablate(args) -> int:
     config = _load(args)
     if config.world_preset is None and config.world_custom is None:
         raise ConfigError("ablate needs a generative 'world' section, not dataset paths")
+    for condition in config.ablation_conditions:  # a condition's own schedule may leave too few views
+        try:
+            condition_config(config.pipeline, condition)
+        except ValueError as exc:
+            raise ConfigError(f"pipeline under ablation condition {condition}: {exc}") from exc
     out = _out_dir(config, args.out)
     started = time.perf_counter()
-    rows, _ = run_ablation(
+    reports = run_ablation(
         lambda seed: load_experiment_data(config, seed),
         config.pipeline,
         seeds=config.ablation_seeds,
         conditions=config.ablation_conditions,
     )
     elapsed = time.perf_counter() - started
-    table = ablation_table(rows)
+    table = ablation_table(reports)
     _write_text(out / "ablation.csv", metrics_table_text(table))
     _write_meta(
         out / "ablate.meta.json",

@@ -17,7 +17,9 @@ The steps pass one store, a ``SplitPools``: the split's pools as whole
 arrays (the same round and step at every pool index), which each step
 updates in place and which ranks every instance's candidates with one
 row-wise sort. Each instance's Pool is built once, after the student
-trains. An empty train or test split is a ``PipelineError``.
+trains. ``run_pipeline`` is the one run path: every condition, the unimodal
+baseline included, ends in one ``compute_metrics`` call and one
+``RunReport``. An empty train or test split is a ``PipelineError``.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
@@ -134,6 +136,13 @@ class PipelineConfig:
         if not is_real(self.keep_fraction) or (self.policy_name != "keep_all" and not 0.0 < self.keep_fraction <= 1.0):
             raise SelectionError(
                 f"keep_fraction must be a finite number in (0, 1] (any under keep_all), got {self.keep_fraction!r}"
+            )
+        live = self.initial_views  # each instance's candidates for the student, as run_ccg_round counts them
+        for spawn in self.spawn_per_kept or (0,):
+            live = (live if self.policy_name == "keep_all" else keep_count(self.keep_fraction, live)) * (1 + spawn)
+        if self.train_views > live:
+            raise ValueError(
+                f"train_views ({self.train_views}) exceeds the {live} candidate views per instance the schedule leaves"
             )
 
     def to_dict(self) -> dict:
@@ -342,6 +351,11 @@ class SplitPools:
         self.parent_id, self.survived = np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0), dtype=np.int64)
         self.teacher_loss, self.sides = np.zeros((count, 0)), {}
 
+    def check_writeable(self, step: str) -> None:
+        """Refuse ``step`` on a store made read-only by ``instances_out``."""
+        if not self.survived.flags.writeable:
+            raise PipelineError(f"{step}: the store has handed out its pools; start a new store with run_round0")
+
     def live(self, selection_index: int) -> np.ndarray:
         """The pool indices of each instance's candidates at selection
         ``selection_index``, one row per instance."""
@@ -414,15 +428,9 @@ def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> S
 
 
 def run_ccg_round(
-    pools: SplitPools,
-    round_index: int,
-    g_vu,
-    g_uv,
-    config: PipelineConfig,
-    scorer: Scorer,
-    rounds: list[RoundRecord] | None = None,
-) -> None:
-    """One selection-plus-generation round over the store ``pools``.
+    pools: SplitPools, round_index: int, g_vu, g_uv, config: PipelineConfig, scorer: Scorer
+) -> RoundRecord:
+    """One selection-plus-generation round over the store ``pools``; returns its RoundRecord.
 
     ``round_index`` runs from 1 to ``max(config.ccg_rounds, 1)``: round 1
     judges the initial views. ``scorer`` scores every live candidate; the
@@ -433,9 +441,9 @@ def run_ccg_round(
     (u-side then v-side, both recorded; none when ``ccg_rounds=0``): one
     v-to-u call over every instance's kept parents (parent-major), then one
     u-to-v call over its outputs, each instance's rows on its own
-    ``("gen", id, round_index)`` stream. Pass a list as ``rounds`` to
-    collect each round's RoundRecord.
+    ``("gen", id, round_index)`` stream.
     """
+    pools.check_writeable("run_ccg_round")
     last = max(config.ccg_rounds, 1)
     if not 1 <= round_index <= last:
         raise PipelineError(f"round_index {round_index} is outside 1..{last}")
@@ -449,10 +457,8 @@ def run_ccg_round(
     if config.policy_name == "teacher_loss":
         pools.teacher_loss[at, live] = scores
     pools.survived[at, kept] += 1
-    if rounds is not None:
-        records = zip(instances, live.tolist(), scores.tolist(), kept.tolist())
-        per_instance = tuple(InstanceSelectionRecord(inst.id, *map(tuple, row)) for inst, *row in records)
-        rounds.append(RoundRecord(selection_index, n, k, spawn, per_instance))
+    records = zip(instances, live.tolist(), scores.tolist(), kept.tolist())
+    per_instance = tuple(InstanceSelectionRecord(inst.id, *map(tuple, row)) for inst, *row in records)
     if spawn > 0:  # (u, v) pairs in turn: u a child of its kept parent, v of u
         sources = np.repeat(kept, spawn, axis=1)
         count, m = sources.shape
@@ -462,6 +468,7 @@ def run_ccg_round(
         parent_id = np.empty((count, 2 * m), dtype=np.int64)
         parent_id[:, 0::2], parent_id[:, 1::2] = sources, len(pools.round) + np.arange(0, 2 * m, 2)
         pools.add(round_index, np.tile([STEP_V_TO_U, STEP_U_TO_V], m), parent_id, u_views, v_views)
+    return RoundRecord(selection_index, n, k, spawn, per_instance)
 
 
 def score_trailing(pools: SplitPools, teacher: TeacherModel) -> None:
@@ -472,6 +479,7 @@ def score_trailing(pools: SplitPools, teacher: TeacherModel) -> None:
     ``logits`` call covers every instance's unscored rows, instance-major,
     and the losses are written in place of the NaNs.
     """
+    pools.check_writeable("score_trailing")
     todo = pools.is_v & np.isnan(pools.teacher_loss)
     if todo.any():
         at, ids = np.nonzero(todo)
@@ -556,33 +564,6 @@ def infer(
 # --- the run --------------------------------------------------------------------
 
 
-def _run_unimodal(train_instances, test_instances, schema, config: PipelineConfig, digest: str) -> RunResult:
-    t0 = time.perf_counter()
-    rng = derive_rng(config.seed, "unimodal-init")
-    model = UnimodalModel(rng, schema)
-    subj, obj, labels = _per_row(train_instances)
-    inputs = model.inputs(stack_views([inst.real_view for inst in train_instances]), subj, obj)
-    train(model, inputs, labels, config.student, config.seed, rng_stream=("unimodal-train",))
-    train_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    subj, obj, labels = _per_row(test_instances)
-    inputs = model.inputs(stack_views([inst.real_view for inst in test_instances]), subj, obj)
-    predictions = np.argmax(model.logits(inputs), axis=1)
-    metrics = compute_metrics(predictions, labels, schema)
-    report = RunReport(
-        condition="unimodal",
-        config_digest=digest,
-        seed=config.seed,
-        ccg_rounds=0,
-        rounds=(),
-        final_pool_size=0,
-        metrics=metrics,
-        timing={"train_student": train_seconds, "evaluate": time.perf_counter() - t0},
-    )
-    return RunResult(instances=list(train_instances), report=report, teacher=None, student=model)
-
-
 def run_pipeline(
     train_instances: Sequence[Instance],
     test_instances: Sequence[Instance],
@@ -595,10 +576,14 @@ def run_pipeline(
 ) -> RunResult:
     """Execute one condition end to end and return instances plus report.
 
-    The run is the stepwise calls in order: ``run_round0``, one
+    A curated condition is the stepwise calls in order: ``run_round0``, one
     ``run_ccg_round`` per round (one selection with no children when
     ``ccg_rounds=0``), ``score_trailing``, ``train_student`` and ``infer``
     over the test split, all reading ``config`` and sharing one Scorer.
+    ``unimodal`` instead trains a UnimodalModel on the real views with the
+    student's settings and classifies the test split's real views: no
+    rounds, no pools and no teacher. Every condition is scored by one
+    ``compute_metrics`` call into one RunReport.
     """
     if condition not in CONDITIONS:
         raise PipelineError(f"unknown condition {condition!r}; choose one of {CONDITIONS}")
@@ -606,43 +591,49 @@ def run_pipeline(
         if not split:
             raise PipelineError(f"the {name} split holds no instances")
     digest = config_digest or config_hash({"pipeline": config.to_dict(), "condition": condition})
-    if condition == "unimodal":
-        return _run_unimodal(train_instances, test_instances, schema, config, digest)
+    unimodal = condition == "unimodal"
     timing: dict[str, float] = {}
+    rounds, final_pool_size, teacher = [], 0, None
 
     t0 = time.perf_counter()
-    pools = run_round0(train_instances, g_uv, config)
-    timing["generate_initial"] = time.perf_counter() - t0
+    if unimodal:
+        student = UnimodalModel(derive_rng(config.seed, "unimodal-init"), schema)
+        subj, obj, labels = _per_row(train_instances)
+        inputs = student.inputs(stack_views([inst.real_view for inst in train_instances]), subj, obj)
+        train(student, inputs, labels, config.student, config.seed, rng_stream=("unimodal-train",))
+    else:
+        pools = run_round0(train_instances, g_uv, config)
+        timing["generate_initial"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    scorer = Scorer(config, schema)
-    rounds: list[RoundRecord] = []
-    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-        run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds)
-    if scorer.teacher is not None:
-        score_trailing(pools, scorer.teacher)
-    timing["rounds"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        scorer = Scorer(config, schema)
+        rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
+        teacher = scorer.teacher
+        if teacher is not None:
+            score_trailing(pools, teacher)
+        final_pool_size = int(np.count_nonzero(pools.is_v & (pools.round + pools.survived[0] == len(rounds))))
+        timing["rounds"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    student = train_student(pools, config, scorer)
+        t0 = time.perf_counter()
+        student = train_student(pools, config, scorer)
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predictions = infer(student, test_instances, g_uv, g_vu, config, scorer)
+    if unimodal:
+        subj, obj, _ = _per_row(test_instances)
+        inputs = student.inputs(stack_views([inst.real_view for inst in test_instances]), subj, obj)
+        predictions = np.argmax(student.logits(inputs), axis=1)
+    else:
+        predictions = infer(student, test_instances, g_uv, g_vu, config, scorer)
     metrics = compute_metrics(predictions, [inst.label for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 
     report = RunReport(
-        condition=condition,
-        config_digest=digest,
-        seed=config.seed,
-        ccg_rounds=config.ccg_rounds,
-        rounds=tuple(rounds),
-        final_pool_size=int(np.count_nonzero(pools.is_v & (pools.round + pools.survived[0] == len(rounds)))),
-        metrics=metrics,
-        timing=timing,
+        condition=condition, config_digest=digest, seed=config.seed, ccg_rounds=0 if unimodal else config.ccg_rounds,
+        final_pool_size=final_pool_size, metrics=metrics, rounds=tuple(rounds), timing=timing,
     )
-    return RunResult(instances=pools.instances_out(), report=report, teacher=scorer.teacher, student=student)
+    instances = list(train_instances) if unimodal else pools.instances_out()
+    return RunResult(instances=instances, report=report, teacher=teacher, student=student)
 
 
 def condition_config(base: PipelineConfig, condition: str) -> PipelineConfig:
@@ -695,53 +686,37 @@ def extract_stages(instances: Sequence[Instance], schema: DatasetSchema) -> dict
 # --- ablation -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    condition: str
-    seed: int
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
 def run_ablation(
     make_data,
     base_config: PipelineConfig,
     seeds: Sequence[int],
     conditions: Sequence[str] = CONDITIONS,
-) -> tuple[list[AblationRow], list[RunReport]]:
-    """Run every condition on shared per-seed data.
+) -> list[RunReport]:
+    """Run every condition on shared per-seed data; one report per run,
+    seed-major in ``conditions`` order.
 
     ``make_data`` maps a seed to ``(train, test, schema, g_uv, g_vu)``, as
     ``config.load_experiment_data(config, seed)`` does; the same train/test
-    instances and the same master seed feed every condition, so rows differ
-    only in the condition itself.
+    instances and the same master seed feed every condition, so reports
+    differ only in the condition itself. Every condition's config is built,
+    and so checked, before the first run.
     """
-    for condition in conditions:
-        if condition not in CONDITIONS:
-            raise PipelineError(f"unknown condition {condition!r}")
-    rows: list[AblationRow] = []
+    configs = {condition: condition_config(base_config, condition) for condition in conditions}
     reports: list[RunReport] = []
     for seed in seeds:
-        train_instances, test_instances, schema, g_uv, g_vu = make_data(seed)
-        for condition in conditions:
-            config = replace(condition_config(base_config, condition), seed=seed)
-            result = run_pipeline(train_instances, test_instances, schema, g_uv, g_vu, config, condition)
-            rows.append(AblationRow(condition, seed, *(result.report.metrics[c] for c in METRIC_COLUMNS[1:])))
-            reports.append(result.report)
-    return rows, reports
+        data = make_data(seed)  # (train, test, schema, g_uv, g_vu)
+        reports += [run_pipeline(*data, replace(configs[c], seed=seed), c).report for c in conditions]
+    return reports
 
 
-def ablation_table(rows: Sequence[AblationRow]) -> list[dict]:
-    """Per-seed rows plus one ``<condition>_mean`` row per condition, all with
+def ablation_table(reports: Sequence[RunReport]) -> list[dict]:
+    """Per-run rows plus one ``<condition>_mean`` row per condition, all with
     the metric columns condition/accuracy/precision/recall/f1."""
     columns = METRIC_COLUMNS[1:]
-    table = [{"condition": row.condition, **{c: getattr(row, c) for c in columns}} for row in rows]
-    for condition in dict.fromkeys(row.condition for row in rows):
-        group = [row for row in rows if row.condition == condition]
-        means = {c: float(np.mean([getattr(r, c) for r in group])) for c in columns}
-        table.append({"condition": f"{condition}_mean", **means})
+    table = [{"condition": report.condition, **{c: report.metrics[c] for c in columns}} for report in reports]
+    for condition in dict.fromkeys(report.condition for report in reports):
+        group = [report.metrics for report in reports if report.condition == condition]
+        table.append({"condition": f"{condition}_mean", **{c: float(np.mean([m[c] for m in group])) for c in columns}})
     return table
 
 

@@ -185,10 +185,10 @@ def test_criterion_7_ablation_reproduces_the_method_ordering():
         test, _ = generate_benchmark(world, 150, g_uv.out_port.spec, stream="test")
         return train, test, schema, g_uv, g_vu
 
-    rows, _ = run_ablation(make_data, base, seeds, conditions)
+    reports = run_ablation(make_data, base, seeds, conditions)
     f1 = {}
-    for row in rows:
-        f1.setdefault(row.seed, {})[row.condition] = row.f1
+    for report in reports:
+        f1.setdefault(report.seed, {})[report.condition] = report.metrics["f1"]
     teacher_wins = sum(f1[s]["full"] > f1[s]["no_teacher"] for s in seeds)
     unimodal_wins = sum(f1[s]["full"] > f1[s]["unimodal"] for s in seeds)
     p_teacher = binomtest(teacher_wins, len(seeds), 0.5, alternative="greater").pvalue

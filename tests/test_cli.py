@@ -325,6 +325,20 @@ def test_dataset_channels_that_do_not_fit_the_schema_exit_1_naming_the_channel(t
     assert not (tmp_path / "from-files" / "metrics.csv").exists()
 
 
+def test_train_views_above_what_the_schedule_leaves_exits_1_before_anything_runs(tmp_path, capsys):
+    # clean_quick: 12 initial views -> keep 8 -> +16 leaves 24 per instance
+    out = tmp_path / "out"
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["pipeline"]["train_views"] = 50
+    config = write_yaml(tmp_path / "many.yaml", mapping)
+    for command in ("run", "ablate"):
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: pipeline: train_views (50) exceeds the 24 candidate views per instance the schedule leaves\n"
+        )
+    assert not out.exists()
+
+
 # --- ablate ------------------------------------------------------------------------
 
 
@@ -375,6 +389,20 @@ def test_ablate_refuses_a_repeated_condition(tmp_path, capsys):
     assert main(["ablate", "--config", config]) == EXIT_USAGE
     assert "ablation.conditions names full more than once" in capsys.readouterr().err
     assert not (out / "ablation.csv").exists()
+
+
+def test_ablate_refuses_a_condition_whose_schedule_leaves_too_few_views(tmp_path, capsys):
+    # 4 initial views -> keep 2 -> +2 leaves 4, but no_ccg stops at the 2 kept
+    out = tmp_path / "x"
+    mapping = tiny_mapping(out, ablation={"seeds": [0], "conditions": ["full", "no_ccg"]})
+    mapping["pipeline"]["train_views"] = 3
+    config = write_yaml(tmp_path / "bad.yaml", mapping)
+    assert main(["ablate", "--config", config]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: pipeline under ablation condition no_ccg: train_views (3) exceeds the 2 candidate views per "
+        "instance the schedule leaves\n"
+    )
+    assert not out.exists()
 
 
 def test_ablate_refuses_a_repeated_seed(tmp_path, capsys):

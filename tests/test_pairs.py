@@ -138,3 +138,22 @@ def test_cli_differences_skip_timing_and_the_dataset_path_only(tmp_path):
     (change / "diversity.meta.json").write_text(json.dumps({"seed": 6, "dataset": "/a/dataset.jsonl"}))
     (parent / "train.jsonl").write_text("{}\n")  # on one side only
     assert pairs.cli_differences(parent, change) == ["diversity.meta.json", "metrics.csv", "report.json", "train.jsonl"]
+
+
+def test_cli_differences_skip_the_ablate_runtime_but_not_a_changed_ablation_byte(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, seconds in ((parent, 4.5), (change, 5.0)):
+        side.mkdir()
+        (side / "ablation.csv").write_text("condition,accuracy,precision,recall,f1\nfull,0.5,0.5,0.5,0.5\n")
+        (side / "ablate.meta.json").write_text(json.dumps({"seeds": [0, 1, 2], "runtime_seconds": seconds}))
+    assert pairs.cli_differences(parent, change) == []
+
+    (change / "ablation.csv").write_text("condition,accuracy,precision,recall,f1\nfull,0.5,0.5,0.5,0.6\n")
+    assert pairs.cli_differences(parent, change) == ["ablation.csv"]
+    (change / "ablate.meta.json").write_text(json.dumps({"seeds": [0, 1], "runtime_seconds": 4.5}))
+    assert pairs.cli_differences(parent, change) == ["ablate.meta.json", "ablation.csv"]
+
+
+def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
+    assert ("ablate", "configs/collapse_ablation.yaml") in pairs.CLI_COMMANDS
+    assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS)

@@ -331,12 +331,12 @@ def test_keeping_every_view_under_the_teacher():
     assert_reads_back(result.instances, schema)
 
 
-def curate(instances, g_vu, g_uv, config, scorer, rounds=None) -> SplitPools:
-    """The store of ``instances`` after round 0 and every round of ``config``."""
+def curate(instances, g_vu, g_uv, config, scorer) -> tuple[SplitPools, list]:
+    """The store of ``instances`` after round 0 and every round of ``config``,
+    and each round's record."""
     pools = run_round0(instances, g_uv, config)
-    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-        run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds)
-    return pools
+    rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
+    return pools, rounds
 
 
 def test_student_takes_the_whole_live_pool():
@@ -345,11 +345,14 @@ def test_student_takes_the_whole_live_pool():
     config = tiny_config(train_views=12)
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
     assert result.report.final_pool_size == 12
+    with pytest.raises(ValueError, match=r"train_views \(13\) exceeds the 12 candidate views per instance"):
+        replace(config, train_views=13)
+    # a store driven by hand keeps its own check: without score_trailing the
+    # six children of the last selection carry no loss
     scorer = Scorer(config, schema)
-    pools = curate(train_inst, g_vu, g_uv, config, scorer)
-    score_trailing(pools, scorer.teacher)
-    with pytest.raises(PipelineError, match="has 12 scored candidate views, needs 13"):
-        train_student(pools, replace(config, train_views=13), scorer)
+    pools, _ = curate(train_inst, g_vu, g_uv, config, scorer)
+    with pytest.raises(PipelineError, match="has 6 scored candidate views, needs 12"):
+        train_student(pools, config, scorer)
 
 
 def test_none_class_is_left_out_of_the_run_metrics():
@@ -407,11 +410,9 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
     orchestrated = run_pipeline(data.train, data.test, schema, g_uv, g_vu, config)
 
     scorer = Scorer(config, schema)
-    rounds = []
     pools = run_round0(data.train, g_uv, config)
     assert pools.parent_id.shape == (len(data.train), config.initial_views)
-    for round_index in range(1, max(config.ccg_rounds, 1) + 1):
-        assert run_ccg_round(pools, round_index, g_vu, g_uv, config, scorer, rounds) is None
+    rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
     # the schedule from keep/spawn arithmetic alone
     pool_size = config.initial_views
     for record in rounds:
@@ -520,10 +521,11 @@ def test_generation_depends_only_on_the_instance_and_round(
         infer_full_chain=full_chain,
         initial_views=4,
         infer_views=4,
+        train_views=1,  # generation never reads it; a schedule may leave fewer views than the default
     )
 
     def curated(instances):
-        pools = curate(instances, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+        pools, _ = curate(instances, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
         return instance_lines(pools.instances_out(), tiny_run.schema)
 
     def generated(instances):
@@ -589,7 +591,7 @@ def test_round0_view_counts_and_provenance(tiny_run):
 def test_single_view_fusion_still_trains(tiny_run):
     config = tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=1, student=replace(tiny_config().student, steps=10))
     scorer = Scorer(config, tiny_run.schema)
-    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     student = train_student(pools, config, scorer)
     instance = tiny_run.train[0]
     real, synth = stack_views([instance.real_view]), pools.instances_out()[0].synthetic_pool.v_rows([0])
@@ -620,6 +622,27 @@ def test_ccg_round_argument_validation(tiny_run):
     # round 2 judges round 1's keepers and children: none until round 1 has run
     with pytest.raises(PipelineError, match="no view is a candidate at selection 1: run the rounds in order"):
         run_ccg_round(pools, 2, *channels, config, Scorer(config, tiny_run.schema))
+
+
+def test_steps_refuse_a_store_that_handed_out_its_pools(tiny_run, monkeypatch):
+    # after instances_out the store is read-only: a further round or trailing
+    # score names its step before any teacher trains or scores
+    config = tiny_run.config
+    scorer = Scorer(config, tiny_run.schema)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    pools.instances_out()
+    calls, train, logits = [], pipeline_module.train, TeacherModel.logits
+    monkeypatch.setattr(pipeline_module, "train", lambda *args, **kwargs: calls.append("train") or train(*args, **kwargs))
+    monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append("logits") or logits(self, inputs))
+    for step, call in (
+        ("run_ccg_round", lambda: run_ccg_round(pools, 2, tiny_run.g_vu, tiny_run.g_uv, config, scorer)),
+        ("score_trailing", lambda: score_trailing(pools, scorer.teacher)),
+    ):
+        message = rf"^{step}: the store has handed out its pools; start a new store with run_round0$"
+        with pytest.raises(PipelineError, match=message):
+            call()
+    assert calls == []
 
 
 def test_train_student_needs_enough_scored_views(tiny_run):
@@ -683,7 +706,7 @@ def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
     # so the pick comes from the six selected views alone
     config = tiny_run.config
     scorer = Scorer(config, tiny_run.schema)
-    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     student = train_student(pools, config, scorer)
     assert student is not None
     scored = np.count_nonzero(~np.isnan(pools.teacher_loss), axis=1)
@@ -695,8 +718,7 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         policy_name="random", spawn_per_kept=(2, 0), train_views=6, student=replace(tiny_config().student, steps=2)
     )
     scorer = Scorer(config, tiny_run.schema)
-    rounds = []
-    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer, rounds)
+    pools, rounds = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
     assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
     picked = []
     real_train = pipeline_module.train
@@ -975,7 +997,7 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
 def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_run, monkeypatch):
     teacher = TeacherModel(derive_rng(7, "probe"), tiny_run.schema)
     scorer = Scorer(tiny_run.config, tiny_run.schema)
-    pools = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, tiny_run.config, scorer)
+    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, tiny_run.config, scorer)
     score_trailing(pools, scorer.teacher)
     for k in range(0, len(tiny_run.train), 2):  # odd instances keep every loss, so they need no score
         pools.teacher_loss[k, np.flatnonzero(pools.is_v)[k % 3 :: 2]] = np.nan
@@ -1062,17 +1084,19 @@ def ablation_setup():
 
 def test_run_ablation_rows_and_means():
     make_data, base = ablation_setup()
-    rows, reports = run_ablation(make_data, base, seeds=(0, 1), conditions=("no_teacher", "unimodal"))
-    assert [(r.condition, r.seed) for r in rows] == [
+    reports = run_ablation(make_data, base, seeds=(0, 1), conditions=("no_teacher", "unimodal"))
+    assert [(r.condition, r.seed) for r in reports] == [
         ("no_teacher", 0),
         ("unimodal", 0),
         ("no_teacher", 1),
         ("unimodal", 1),
     ]
-    assert len(reports) == len(rows)
-    assert all(report.seed == row.seed for report, row in zip(reports, rows))
+    train, test, schema, g_uv, g_vu = make_data(1)
+    config = condition_config(replace(base, seed=1), "no_teacher")
+    alone = run_pipeline(train, test, schema, g_uv, g_vu, config, "no_teacher")
+    assert report_sans_timing(reports[2]) == report_sans_timing(alone.report)
 
-    table = ablation_table(rows)
+    table = ablation_table(reports)
     assert [row["condition"] for row in table] == [
         "no_teacher",
         "unimodal",
@@ -1082,10 +1106,10 @@ def test_run_ablation_rows_and_means():
         "unimodal_mean",
     ]
     for condition in ("no_teacher", "unimodal"):
-        group = [r for r in rows if r.condition == condition]
+        group = [r.metrics for r in reports if r.condition == condition]
         mean_row = next(row for row in table if row["condition"] == f"{condition}_mean")
         for column in ("accuracy", "precision", "recall", "f1"):
-            assert mean_row[column] == pytest.approx(np.mean([getattr(r, column) for r in group]))
+            assert mean_row[column] == pytest.approx(np.mean([m[column] for m in group]))
 
 
 def test_run_ablation_rejects_unknown_condition():
@@ -1176,6 +1200,14 @@ def test_pipeline_config_validation():
     with pytest.raises(ValueError, match=r"infer_views \(8\) must not exceed initial_views \(5\)"):
         tiny_config(initial_views=5, infer_views=8)
     assert tiny_config(initial_views=5, infer_views=5).infer_views == 5
+    # the student picks from what the schedule leaves: 5 -> keep 3 with no
+    # rounds; 5 -> 15 -> 30 when keep_all keeps every view
+    with pytest.raises(ValueError, match=r"^train_views \(4\) exceeds the 3 candidate views per instance"):
+        tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=4)
+    assert tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=3).train_views == 3
+    with pytest.raises(ValueError, match=r"^train_views \(31\) exceeds the 30 candidate views per instance"):
+        tiny_config(policy_name="keep_all", keep_fraction=0.1, train_views=31)
+    assert tiny_config(policy_name="keep_all", keep_fraction=0.1, train_views=30).train_views == 30
     with pytest.raises(ValueError):
         tiny_config(policy_name="mystery")
     with pytest.raises(ValueError):

@@ -23,10 +23,13 @@ to tell a regression of that size. ``digests_equal`` holds when every run
 of both sides wrote one and the same output digest.
 
 Once per tree, ``chainviews gen-benchmark``, ``run`` and ``diversity`` also
-run on ``configs/clean_quick.yaml``. ``cli_outputs_equal`` holds when both
-trees wrote the same files with the same contents, ``report.json`` compared
-without its wall-clock ``timing`` and ``diversity.meta.json`` without its
-``dataset`` path; ``cli_outputs_differ`` names the files that differ.
+run on ``configs/clean_quick.yaml``, and ``chainviews ablate`` on
+``configs/collapse_ablation.yaml`` (about 4.5 s). ``cli_outputs_equal``
+holds when both trees wrote the same files with the same contents,
+``report.json`` compared without its wall-clock ``timing``,
+``ablate.meta.json`` without its wall-clock ``runtime_seconds`` and
+``diversity.meta.json`` without its ``dataset`` path;
+``cli_outputs_differ`` names the files that differ.
 """
 
 from __future__ import annotations
@@ -168,17 +171,22 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, s
     }, machine
 
 
-CLI_CONFIG = "configs/clean_quick.yaml"
+# each CLI command compared, with its config
+CLI_COMMANDS = (
+    ("gen-benchmark", "configs/clean_quick.yaml"),
+    ("run", "configs/clean_quick.yaml"),
+    ("diversity", "configs/clean_quick.yaml"),
+    ("ablate", "configs/collapse_ablation.yaml"),
+)
 # per CLI output file, the key that may differ between two trees
-CLI_UNCOMPARED = {"report.json": "timing", "diversity.meta.json": "dataset"}
+CLI_UNCOMPARED = {"report.json": "timing", "diversity.meta.json": "dataset", "ablate.meta.json": "runtime_seconds"}
 
 
 def run_cli(tree: Path, out: Path) -> None:
-    """``chainviews gen-benchmark``, ``run`` and ``diversity`` on
-    ``CLI_CONFIG``, from ``tree``'s sources, all writing to ``out``."""
+    """Each of ``CLI_COMMANDS`` from ``tree``'s sources, all writing to ``out``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    for command in ("gen-benchmark", "run", "diversity"):
-        argv = [sys.executable, "-m", "chainviews.cli", command, "--config", CLI_CONFIG, "--out", str(out)]
+    for command, config in CLI_COMMANDS:
+        argv = [sys.executable, "-m", "chainviews.cli", command, "--config", config, "--out", str(out)]
         proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{proc.stderr}")
