@@ -47,7 +47,7 @@ def make_data(seed):
     return train, test, schema, g_uv, g_vu
 
 
-print(f"running {len(conditions)} conditions x {len(seeds)} seeds (roughly half a minute)...")
+print(f"running {len(conditions)} conditions x {len(seeds)} seeds (a few seconds)...")
 start = time.time()
 reports = run_ablation(make_data, base, seeds, conditions)
 print(f"done in {time.time() - start:.0f}s")

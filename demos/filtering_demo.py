@@ -17,7 +17,7 @@ from chainviews import (
     keep_count,
     lossy_world_preset,
     run_round0,
-    run_ccg_round,
+    run_rounds,
 )
 from chainviews.selection import random_scores, rank_rows
 
@@ -36,7 +36,7 @@ config = PipelineConfig(
 
 print("generating 24 views for each of 40 instances, then teacher-scoring them...")
 pools = run_round0(train, g_uv, config)
-run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
 pooled = pools.instances_out()
 
 # round 1 scored every round-0 view; its survival count records the split

@@ -17,8 +17,8 @@ from chainviews import (
     extract_stages,
     generate_benchmark,
     lossy_world_preset,
-    run_ccg_round,
     run_round0,
+    run_rounds,
 )
 
 print("stage key: V0 = kept initial views, V1' = raw regrown views")
@@ -39,7 +39,7 @@ for seed in range(5):
         teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
     )
     pools = run_round0(instances, g_uv, config)
-    run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+    run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
     stages = extract_stages(pools.instances_out(), schema)
     for d in (2, 4):
         rows = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}

@@ -102,11 +102,10 @@ from .pipeline import (
     extract_stages,
     infer,
     run_ablation,
-    run_ccg_round,
     run_pipeline,
     run_round0,
+    run_rounds,
     save_report,
-    score_trailing,
     train_student,
 )
 from .rng import derive_rng, derive_seed_sequence

@@ -321,14 +321,9 @@ class AdamW:
         self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         self.t = 0
 
-    def step(self, grads: Grads, lr: float) -> None:
-        """One update from ``grads``: the optimizer's own ``grads`` as they
-        stand, or any dict of same-shaped gradients, a missing key counting
-        as zero."""
+    def step(self, lr: float) -> None:
+        """One update from the optimizer's own ``grads`` as they stand."""
         self.t += 1
-        if grads is not self.grads:
-            for key, view in self.grads.items():
-                view[...] = grads[key] if key in grads else 0.0
         # m = B1 * m + (1 - B1) * g and v = B2 * v + (1 - B2) * g * g, then
         # flat -= lr * (m_hat / (sqrt(v_hat) + eps)), op for op in place
         g, m, v = self.grad, self.m, self.v
@@ -383,13 +378,13 @@ def train(model, inputs: tuple, labels, config: TrainConfig, seed: int, rng_stre
                 epoch, epoch_labels = tuple(a[order] for a in inputs), labels[order]
                 cursor = 0
             end = cursor + size
-            losses, grads = model.loss_and_grads(
+            losses, _ = model.loss_and_grads(
                 tuple(a[cursor:end] for a in epoch), epoch_labels[cursor:end], optimizer.grads
             )
             cursor = end
             if not np.isfinite(losses).all():
                 raise TrainingDivergedError(step, rng_stream)
-            optimizer.step(grads, config.learning_rate)
+            optimizer.step(config.learning_rate)
 
         epoch = epoch_labels = None  # hold no gathered rows over the frozen pass, the peak of memory
         losses, _ = softmax_xent(model.logits(inputs), labels)

@@ -13,13 +13,14 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
-The steps pass one store, a ``SplitPools``: the split's pools as whole
-arrays (the same round and step at every pool index), which each step
-updates in place and which ranks every instance's candidates with one
-row-wise sort. Each instance's Pool is built once, after the student
-trains. ``run_pipeline`` is the one run path: every condition, the unimodal
-baseline included, ends in one ``compute_metrics`` call and one
-``RunReport``. An empty train or test split is a ``PipelineError``.
+A curated run is four calls: ``run_round0`` builds the split's store, a
+``SplitPools`` (its pools as whole arrays, the same round and step at every
+pool index), ``run_rounds`` runs every round over it in place, ranking each
+instance's candidates with one row-wise sort, ``train_student`` reads it and
+``infer`` classifies the test split. Each instance's Pool is built once,
+after the student trains. ``run_pipeline`` is the one run path: every
+condition, the unimodal baseline included, ends in one ``compute_metrics``
+call and one ``RunReport``. An empty split is a ``PipelineError``.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
@@ -137,13 +138,18 @@ class PipelineConfig:
             raise SelectionError(
                 f"keep_fraction must be a finite number in (0, 1] (any under keep_all), got {self.keep_fraction!r}"
             )
-        live = self.initial_views  # each instance's candidates for the student, as run_ccg_round counts them
+        live = self.initial_views  # each instance's candidates for the student, as run_rounds counts them
         for spawn in self.spawn_per_kept or (0,):
-            live = (live if self.policy_name == "keep_all" else keep_count(self.keep_fraction, live)) * (1 + spawn)
+            live = self.kept(live) * (1 + spawn)
         if self.train_views > live:
             raise ValueError(
                 f"train_views ({self.train_views}) exceeds the {live} candidate views per instance the schedule leaves"
             )
+
+    def kept(self, n: int) -> int:
+        """How many of ``n`` candidates a selection keeps: every one under
+        keep_all, else ``keep_count(keep_fraction, n)``."""
+        return n if self.policy_name == "keep_all" else keep_count(self.keep_fraction, n)
 
     def to_dict(self) -> dict:
         """Every field but the inert ones, which never change a result."""
@@ -351,17 +357,10 @@ class SplitPools:
         self.parent_id, self.survived = np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0), dtype=np.int64)
         self.teacher_loss, self.sides = np.zeros((count, 0)), {}
 
-    def check_writeable(self, step: str) -> None:
-        """Refuse ``step`` on a store made read-only by ``instances_out``."""
-        if not self.survived.flags.writeable:
-            raise PipelineError(f"{step}: the store has handed out its pools; start a new store with run_round0")
-
     def live(self, selection_index: int) -> np.ndarray:
         """The pool indices of each instance's candidates at selection
         ``selection_index``, one row per instance."""
         mask = self.is_v & (self.round + self.survived == selection_index)
-        if not mask.any():
-            raise PipelineError(f"no view is a candidate at selection {selection_index}: run the rounds in order")
         return np.nonzero(mask)[1].reshape(len(mask), -1)
 
     def v_rows(self, at, ids) -> ViewBatch:
@@ -404,9 +403,9 @@ class SplitPools:
 
 # --- stepwise building blocks ---------------------------------------------------
 #
-# run_pipeline is these calls in order. Each reads its settings from the
-# run's PipelineConfig and scores with the run's one Scorer, so driving them
-# by hand with the same two reproduces it exactly.
+# run_pipeline is run_round0, run_rounds, train_student and infer in order.
+# Each reads its settings from the run's one Scorer, which holds the run's
+# PipelineConfig, so calling them by hand with that Scorer reproduces it.
 
 
 def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> SplitPools:
@@ -427,31 +426,44 @@ def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> S
     return pools
 
 
-def run_ccg_round(
-    pools: SplitPools, round_index: int, g_vu, g_uv, config: PipelineConfig, scorer: Scorer
-) -> RoundRecord:
-    """One selection-plus-generation round over the store ``pools``; returns its RoundRecord.
+def run_rounds(pools: SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecord]:
+    """Every selection-plus-generation round of ``scorer.config`` over a store
+    fresh from ``run_round0``, updated in place; one RoundRecord per round.
 
-    ``round_index`` runs from 1 to ``max(config.ccg_rounds, 1)``: round 1
-    judges the initial views. ``scorer`` scores every live candidate; the
-    teacher policy trains a teacher on them and writes its frozen final-pass
-    losses back as ``teacher_loss``. The best ``config.keep_fraction`` per
-    instance (all of them under keep_all) count one more survival, and each
-    kept view spawns the round's ``config.spawn_per_kept`` entry of children
-    (u-side then v-side, both recorded; none when ``ccg_rounds=0``): one
-    v-to-u call over every instance's kept parents (parent-major), then one
-    u-to-v call over its outputs, each instance's rows on its own
-    ``("gen", id, round_index)`` stream.
+    Selection ``s`` (from 0; ``ccg_rounds=0`` runs one, which spawns
+    nothing) scores every live candidate with ``scorer``; the teacher policy
+    trains a fresh teacher on them and writes its frozen final-pass losses
+    back as ``teacher_loss``. The ``config.kept`` best per instance count one
+    more survival, and each spawns round ``s + 1``'s ``spawn_per_kept``
+    entry of children (u-side then v-side, both recorded): one v-to-u call
+    over every instance's kept parents (parent-major), then one u-to-v call
+    over its outputs, each instance's rows on its own ``("gen", id, s + 1)``
+    stream. Then every v-side view still without a loss gets one from the
+    final teacher, in one ``logits`` call over every instance's rows, so the
+    student's pick compares every live candidate.
+
+    A store that has recorded a survival or handed out its pools is refused
+    before any teacher trains.
     """
-    pools.check_writeable("run_ccg_round")
-    last = max(config.ccg_rounds, 1)
-    if not 1 <= round_index <= last:
-        raise PipelineError(f"round_index {round_index} is outside 1..{last}")
-    spawn = config.spawn_per_kept[round_index - 1] if config.ccg_rounds else 0
-    selection_index = round_index - 1
-    instances, at, live = pools.instances, pools.at, pools.live(selection_index)
-    n = live.shape[1]
-    k = n if config.policy_name == "keep_all" else keep_count(config.keep_fraction, n)
+    if not pools.survived.flags.writeable or pools.survived.any():
+        raise PipelineError("run_rounds needs a store fresh from run_round0: no survival recorded, pools not handed out")
+    config, instances = scorer.config, pools.instances
+    rounds = [_round(pools, s, spawn, g_vu, g_uv, scorer) for s, spawn in enumerate(config.spawn_per_kept or (0,))]
+    if config.policy_name == "teacher_loss" and (todo := pools.is_v & np.isnan(pools.teacher_loss)).any():
+        teacher, (at, ids) = scorer.teacher, np.nonzero(todo)
+        subj, obj, labels = _per_row(instances, np.count_nonzero(todo, axis=1))
+        logits = teacher.logits(teacher.inputs(pools.v_rows(at, ids), subj, obj))
+        pools.teacher_loss[at, ids], _ = softmax_xent(logits, labels)
+    return rounds
+
+
+def _round(pools: SplitPools, selection_index: int, spawn: int, g_vu, g_uv, scorer: Scorer) -> RoundRecord:
+    """One selection and the children it spawns, as ``run_rounds`` describes;
+    a call of its own, so that the round's scores and batches are freed before
+    the next teacher or the trailing scores run (held, they raised peak memory)."""
+    config, instances, at = scorer.config, pools.instances, pools.at
+    live = pools.live(selection_index)
+    n, k = live.shape[1], config.kept(live.shape[1])
     scores = scorer.select(instances, pools.v_rows(at, live), selection_index)
     kept = np.sort(np.take_along_axis(live, rank_rows(scores)[:, :k], axis=1), axis=1)
     if config.policy_name == "teacher_loss":
@@ -462,6 +474,7 @@ def run_ccg_round(
     if spawn > 0:  # (u, v) pairs in turn: u a child of its kept parent, v of u
         sources = np.repeat(kept, spawn, axis=1)
         count, m = sources.shape
+        round_index = selection_index + 1
         streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], [m] * count)
         u_views = sample_channel(g_vu, pools.v_rows(at, sources), streams)
         v_views = sample_channel(g_uv, u_views, streams)
@@ -471,45 +484,28 @@ def run_ccg_round(
     return RoundRecord(selection_index, n, k, spawn, per_instance)
 
 
-def score_trailing(pools: SplitPools, teacher: TeacherModel) -> None:
-    """Give every v-side view of the store that carries no loss one from ``teacher``.
-
-    After the last selection these are its children, so the student's pick
-    then compares every live candidate under the final teacher. One
-    ``logits`` call covers every instance's unscored rows, instance-major,
-    and the losses are written in place of the NaNs.
-    """
-    pools.check_writeable("score_trailing")
-    todo = pools.is_v & np.isnan(pools.teacher_loss)
-    if todo.any():
-        at, ids = np.nonzero(todo)
-        subj, obj, labels = _per_row(pools.instances, np.count_nonzero(todo, axis=1))
-        logits = teacher.logits(teacher.inputs(pools.v_rows(at, ids), subj, obj))
-        pools.teacher_loss[at, ids], _ = softmax_xent(logits, labels)
-
-
-def train_student(pools: SplitPools, config: PipelineConfig, scorer: Scorer) -> StudentModel:
+def train_student(pools: SplitPools, scorer: Scorer) -> StudentModel:
     """Train the fusion student on each instance's best live candidates in the store.
 
     The live candidates are the v-side views that would face the next
     selection (the largest ``round + survived`` of a v-side view): the last
     selection's keepers plus the views generated after it. Per instance the
-    ``config.train_views`` best under ``scorer`` join the real view and
-    entities. The teacher-loss policy ranks by stored loss, so only views
-    that carry one are ranked: run ``score_trailing`` first to score the
-    views generated after the last selection.
+    ``train_views`` best under ``scorer`` join the real view and entities.
+    The teacher-loss policy ranks by stored loss, which ``run_rounds`` gives
+    every live candidate; only views that carry one are ranked.
     """
-    instances, at, n_train = pools.instances, pools.at, config.train_views
+    config, instances, at = scorer.config, pools.instances, pools.at
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
     if config.policy_name == "teacher_loss":
         scores = np.take_along_axis(pools.teacher_loss, live, axis=1)
     else:
         scores = scorer.untrained(instances, pools.v_rows(at, live), "student-pick")
-    scored = np.count_nonzero(~np.isnan(scores), axis=1)
-    if (short := scored < n_train).any():
+    scored, n = np.count_nonzero(~np.isnan(scores), axis=1), config.train_views
+    if (short := scored < n).any():
         k = int(np.argmax(short))
-        raise PipelineError(f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n_train}")
-    picked = pools.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n_train], axis=1))
+        message = f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n}"
+        raise PipelineError(f"{message}; run run_rounds first")
+    picked = pools.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n], axis=1))
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
     inputs = student.inputs(stack_views([inst.real_view for inst in instances]), picked, subj, obj)
@@ -517,29 +513,23 @@ def train_student(pools: SplitPools, config: PipelineConfig, scorer: Scorer) -> 
     return student
 
 
-def infer(
-    student: StudentModel,
-    instances: Sequence[Instance],
-    g_uv,
-    g_vu,
-    config: PipelineConfig,
-    scorer: Scorer,
-) -> np.ndarray:
+def infer(student: StudentModel, instances: Sequence[Instance], g_uv, g_vu, scorer: Scorer) -> np.ndarray:
     """Classify a test split: one int64 label per instance, in order.
 
-    Per instance, ``config.initial_views`` fresh views come from the round-0
-    channel, or from the whole chain when ``config.infer_full_chain`` (which
-    needs ``g_vu``), on the instance's own ``("infer-gen", id)`` stream.
-    ``scorer.pick`` keeps each instance's ``config.infer_views`` best: under
-    teacher loss the ones its teacher classifies most confidently (the first
-    generated without a teacher); under similarity the closest to the real
-    view, otherwise a uniform draw. One loop over chunks of whole instances,
+    Per instance, ``initial_views`` fresh views come from the round-0
+    channel, or from the whole chain when ``infer_full_chain`` (which needs
+    ``g_vu``), on the instance's own ``("infer-gen", id)`` stream, all read
+    from ``scorer.config``. ``scorer.pick`` keeps each instance's
+    ``infer_views`` best: under teacher loss the ones its teacher classifies
+    most confidently (the first generated without a teacher); under
+    similarity the closest to the real view, otherwise a uniform draw. One loop over chunks of whole instances,
     at most ``SCORE_CHUNK_ROWS`` views each (one instance at least),
     generates with one channel call per hop, scores with one teacher call
     and picks, so that peak memory stays near that of one chunk. One student
     call then classifies the whole split. An instance's label depends only
     on the instance, never on the rest of the split or on the chunking.
     """
+    config = scorer.config
     if config.infer_full_chain and g_vu is None:
         raise PipelineError("infer_full_chain needs g_vu, the v-to-u channel")
     if not instances:
@@ -576,10 +566,9 @@ def run_pipeline(
 ) -> RunResult:
     """Execute one condition end to end and return instances plus report.
 
-    A curated condition is the stepwise calls in order: ``run_round0``, one
-    ``run_ccg_round`` per round (one selection with no children when
-    ``ccg_rounds=0``), ``score_trailing``, ``train_student`` and ``infer``
-    over the test split, all reading ``config`` and sharing one Scorer.
+    A curated condition is the stepwise calls in order: ``run_round0``,
+    ``run_rounds``, ``train_student`` and ``infer`` over the test split, all
+    sharing one Scorer of ``config``.
     ``unimodal`` instead trains a UnimodalModel on the real views with the
     student's settings and classifies the test split's real views: no
     rounds, no pools and no teacher. Every condition is scored by one
@@ -607,15 +596,13 @@ def run_pipeline(
 
         t0 = time.perf_counter()
         scorer = Scorer(config, schema)
-        rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
+        rounds = run_rounds(pools, g_vu, g_uv, scorer)
         teacher = scorer.teacher
-        if teacher is not None:
-            score_trailing(pools, teacher)
-        final_pool_size = int(np.count_nonzero(pools.is_v & (pools.round + pools.survived[0] == len(rounds))))
+        final_pool_size = pools.live(len(rounds)).shape[1]
         timing["rounds"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        student = train_student(pools, config, scorer)
+        student = train_student(pools, scorer)
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -624,7 +611,7 @@ def run_pipeline(
         inputs = student.inputs(stack_views([inst.real_view for inst in test_instances]), subj, obj)
         predictions = np.argmax(student.logits(inputs), axis=1)
     else:
-        predictions = infer(student, test_instances, g_uv, g_vu, config, scorer)
+        predictions = infer(student, test_instances, g_uv, g_vu, scorer)
     metrics = compute_metrics(predictions, [inst.label for inst in test_instances], schema)
     timing["evaluate"] = time.perf_counter() - t0
 

@@ -3,7 +3,7 @@
 Each test records one ``criterion N: PASS/FAIL`` line (replayed in the
 terminal summary, printed live under ``-s``) and then asserts, so a red run
 still reports every verdict. The heavyweight ablation study (criterion 7)
-takes a few minutes; everything else is seconds.
+takes about ten seconds; everything else is seconds.
 """
 
 import math
@@ -41,9 +41,9 @@ from chainviews.pipeline import (
     compute_metrics,
     extract_stages,
     run_ablation,
-    run_ccg_round,
     run_pipeline,
     run_round0,
+    run_rounds,
 )
 from chainviews.rng import derive_rng
 from chainviews.verification import run_checks
@@ -227,7 +227,7 @@ def test_criterion_8_chained_generation_increases_spread():
             teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
         )
         pools = run_round0(instances, g_uv, config)
-        run_ccg_round(pools, 1, g_vu, g_uv, config, Scorer(config, schema))
+        run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
         stages = extract_stages(pools.instances_out(), schema)
         for d in (2, 4):
             by_name = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}

@@ -364,11 +364,13 @@ class TinyLinearModel:
         return x @ self.params["w"].T + self.params["b"]
 
     def loss_and_grads(self, inputs, labels, grads=None):
-        # returns fresh gradients whatever ``grads`` holds; AdamW.step gathers them
+        # writes into ``grads`` (the optimizer's buffer under train), as the models do
         (x,) = inputs
         losses, dlogits = softmax_xent(self.logits(inputs), labels)
         dlogits /= len(labels)
-        return losses, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
+        grads = {key: np.empty_like(w) for key, w in self.params.items()} if grads is None else grads
+        grads["w"][...], grads["b"][...] = dlogits.T @ x, dlogits.sum(axis=0)
+        return losses, grads
 
 
 def separable_toy(n=40, seed=0):
@@ -640,8 +642,10 @@ def test_flat_adamw_matches_a_per_key_update():
     v = {key: np.zeros_like(w) for key, w in reference.items()}
     for t in range(1, 7):
         grads = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}  # "idle" has no gradient
+        for key, view in optimizer.grads.items():
+            view[...] = grads.get(key, 0.0)
         lr = 0.05 / t
-        optimizer.step(grads, lr)
+        optimizer.step(lr)
         for key, w in reference.items():
             g = grads.get(key, np.zeros_like(w))
             m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g

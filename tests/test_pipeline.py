@@ -33,7 +33,6 @@ from chainviews.pipeline import (
     PipelineConfig,
     PipelineError,
     Scorer,
-    SplitPools,
     ablation_table,
     compute_metrics,
     condition_config,
@@ -44,11 +43,10 @@ from chainviews.pipeline import (
     metrics_table_text,
     report_to_dict,
     run_ablation,
-    run_ccg_round,
     run_pipeline,
     run_round0,
+    run_rounds,
     save_report,
-    score_trailing,
     train_student,
 )
 from chainviews.rng import derive_rng
@@ -331,14 +329,6 @@ def test_keeping_every_view_under_the_teacher():
     assert_reads_back(result.instances, schema)
 
 
-def curate(instances, g_vu, g_uv, config, scorer) -> tuple[SplitPools, list]:
-    """The store of ``instances`` after round 0 and every round of ``config``,
-    and each round's record."""
-    pools = run_round0(instances, g_uv, config)
-    rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
-    return pools, rounds
-
-
 def test_student_takes_the_whole_live_pool():
     # 5 -> keep 3 -> +6 -> 9 -> keep 6 -> +6: twelve live candidates, all of them picked
     train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
@@ -347,12 +337,6 @@ def test_student_takes_the_whole_live_pool():
     assert result.report.final_pool_size == 12
     with pytest.raises(ValueError, match=r"train_views \(13\) exceeds the 12 candidate views per instance"):
         replace(config, train_views=13)
-    # a store driven by hand keeps its own check: without score_trailing the
-    # six children of the last selection carry no loss
-    scorer = Scorer(config, schema)
-    pools, _ = curate(train_inst, g_vu, g_uv, config, scorer)
-    with pytest.raises(PipelineError, match="has 6 scored candidate views, needs 12"):
-        train_student(pools, config, scorer)
 
 
 def test_none_class_is_left_out_of_the_run_metrics():
@@ -363,7 +347,7 @@ def test_none_class_is_left_out_of_the_run_metrics():
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
     scorer = Scorer(config, schema)
     scorer.teacher = result.teacher
-    predictions = infer(result.student, test_inst, g_uv, g_vu, config, scorer).tolist()
+    predictions = infer(result.student, test_inst, g_uv, g_vu, scorer).tolist()
     labels = [inst.label for inst in test_inst]
     assert result.report.metrics == compute_metrics(predictions, labels, schema)
     tp, fp, fn = confusion_counts(predictions, labels, classes=(1, 2))
@@ -412,7 +396,7 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
     scorer = Scorer(config, schema)
     pools = run_round0(data.train, g_uv, config)
     assert pools.parent_id.shape == (len(data.train), config.initial_views)
-    rounds = [run_ccg_round(pools, r, g_vu, g_uv, config, scorer) for r in range(1, max(config.ccg_rounds, 1) + 1)]
+    rounds = run_rounds(pools, g_vu, g_uv, scorer)
     # the schedule from keep/spawn arithmetic alone
     pool_size = config.initial_views
     for record in rounds:
@@ -423,10 +407,9 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
     assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
     if teacher is not None:
         assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
-        assert score_trailing(pools, teacher) is None
-    student = train_student(pools, config, scorer)
+    student = train_student(pools, scorer)
     assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
-    predictions = infer(student, data.test, g_uv, g_vu, config, scorer)
+    predictions = infer(student, data.test, g_uv, g_vu, scorer)
     stepwise = replace(
         orchestrated.report,
         rounds=tuple(rounds),
@@ -525,12 +508,13 @@ def test_generation_depends_only_on_the_instance_and_round(
     )
 
     def curated(instances):
-        pools, _ = curate(instances, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+        pools = run_round0(instances, tiny_run.g_uv, config)
+        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
         return instance_lines(pools.instances_out(), tiny_run.schema)
 
     def generated(instances):
         student = RecordingStudent(tiny_run.schema)
-        infer(student, instances, tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
+        infer(student, instances, tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema))
         (call,) = student.calls
         return {inst.id: [row.tobytes() for row in views.data] for inst, views in zip(instances, call)}
 
@@ -549,7 +533,7 @@ def test_children_come_from_one_batch_per_channel_on_the_round_stream(tiny_run):
     scorer = Scorer(config, tiny_run.schema)
     pools = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
     round0 = pools.sides["v"][1].copy()
-    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
     n = config.initial_views
     for k, new in enumerate(pools.instances_out()):
         pool = new.synthetic_pool
@@ -591,8 +575,9 @@ def test_round0_view_counts_and_provenance(tiny_run):
 def test_single_view_fusion_still_trains(tiny_run):
     config = tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=1, student=replace(tiny_config().student, steps=10))
     scorer = Scorer(config, tiny_run.schema)
-    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
-    student = train_student(pools, config, scorer)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
+    student = train_student(pools, scorer)
     instance = tiny_run.train[0]
     real, synth = stack_views([instance.real_view]), pools.instances_out()[0].synthetic_pool.v_rows([0])
     logits = student.logits(student.inputs(real, synth, instance.subject, instance.object))
@@ -610,45 +595,35 @@ def test_round0_refuses_an_empty_split(tiny_run):
         run_round0([], tiny_run.g_uv, tiny_run.config)
 
 
-def test_ccg_round_argument_validation(tiny_run):
-    config = tiny_run.config
-    no_ccg = replace(config, ccg_rounds=0, spawn_per_kept=())
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    channels = (tiny_run.g_vu, tiny_run.g_uv)
-    for round_index, schedule in ((0, config), (3, config), (2, no_ccg)):
-        last = max(schedule.ccg_rounds, 1)
-        with pytest.raises(PipelineError, match=rf"round_index {round_index} is outside 1\.\.{last}"):
-            run_ccg_round(pools, round_index, *channels, schedule, Scorer(schedule, tiny_run.schema))
-    # round 2 judges round 1's keepers and children: none until round 1 has run
-    with pytest.raises(PipelineError, match="no view is a candidate at selection 1: run the rounds in order"):
-        run_ccg_round(pools, 2, *channels, config, Scorer(config, tiny_run.schema))
-
-
-def test_steps_refuse_a_store_that_handed_out_its_pools(tiny_run, monkeypatch):
-    # after instances_out the store is read-only: a further round or trailing
-    # score names its step before any teacher trains or scores
-    config = tiny_run.config
-    scorer = Scorer(config, tiny_run.schema)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+def test_run_rounds_refuses_a_store_that_is_not_fresh(tiny_run, monkeypatch):
+    # a second call would judge again the views the first one discarded, and
+    # a store that handed out its pools is read-only: each is refused, and
+    # left as it was, before any teacher trains or scores
+    stores = []
+    for config in (tiny_run.config, replace(tiny_run.config, ccg_rounds=0, spawn_per_kept=())):
+        pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
+        stores.append((pools, config))
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
     pools.instances_out()
+    stores.append((pools, tiny_run.config))
     calls, train, logits = [], pipeline_module.train, TeacherModel.logits
     monkeypatch.setattr(pipeline_module, "train", lambda *args, **kwargs: calls.append("train") or train(*args, **kwargs))
     monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append("logits") or logits(self, inputs))
-    for step, call in (
-        ("run_ccg_round", lambda: run_ccg_round(pools, 2, tiny_run.g_vu, tiny_run.g_uv, config, scorer)),
-        ("score_trailing", lambda: score_trailing(pools, scorer.teacher)),
-    ):
-        message = rf"^{step}: the store has handed out its pools; start a new store with run_round0$"
+    message = r"^run_rounds needs a store fresh from run_round0: no survival recorded, pools not handed out$"
+    for pools, config in stores:
+        survived, losses = pools.survived.copy(), pools.teacher_loss.copy()
         with pytest.raises(PipelineError, match=message):
-            call()
+            run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
+        assert np.array_equal(pools.survived, survived)
+        assert np.array_equal(pools.teacher_loss, losses, equal_nan=True)
     assert calls == []
 
 
 def test_train_student_needs_enough_scored_views(tiny_run):
     pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
-    with pytest.raises(PipelineError, match="scored candidate"):
-        train_student(pools, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
+    with pytest.raises(PipelineError, match=r"has 0 scored candidate views, needs 3; run run_rounds first$"):
+        train_student(pools, Scorer(tiny_run.config, tiny_run.schema))
 
 
 POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")
@@ -667,7 +642,7 @@ def test_pool_verdicts_are_copies(tiny_run):
     # column, never per-instance copies
     config = tiny_run.config
     pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    run_ccg_round(pools, 1, tiny_run.g_vu, tiny_run.g_uv, config, Scorer(config, tiny_run.schema))
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
     after = pools.instances_out()
     n = config.initial_views
     for old, new in zip(tiny_run.train, after):
@@ -701,16 +676,19 @@ def test_run_pipeline_refuses_an_empty_split(tiny_run):
             run_pipeline(tiny_run.train, [], *args, condition)
 
 
-def test_train_student_without_teacher_ranks_stored_losses_only(tiny_run):
-    # after the final round the unscored children are invisible to the ranking,
-    # so the pick comes from the six selected views alone
-    config = tiny_run.config
-    scorer = Scorer(config, tiny_run.schema)
-    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
-    student = train_student(pools, config, scorer)
-    assert student is not None
-    scored = np.count_nonzero(~np.isnan(pools.teacher_loss), axis=1)
-    assert all(n >= config.train_views for n in scored)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("spawns", [(2, 1), (), (2, 0)], ids=["default", "no_ccg", "last_spawns_none"])
+def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, policy_name, spawns):
+    # under teacher_loss run_rounds leaves every v-side view, and so every
+    # candidate of the student's pick, with a finite loss; other policies store none
+    config = replace(tiny_run.config, policy_name=policy_name, ccg_rounds=len(spawns), spawn_per_kept=spawns)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    rounds = run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
+    live = np.take_along_axis(pools.teacher_loss, pools.live(len(rounds)), axis=1)
+    if policy_name == "teacher_loss":
+        assert np.isfinite(live).all() and np.isfinite(pools.teacher_loss[:, pools.is_v]).all()
+    else:
+        assert np.isnan(pools.teacher_loss).all()
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):
@@ -718,7 +696,8 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         policy_name="random", spawn_per_kept=(2, 0), train_views=6, student=replace(tiny_config().student, steps=2)
     )
     scorer = Scorer(config, tiny_run.schema)
-    pools, rounds = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, config, scorer)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    rounds = run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
     assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
     picked = []
     real_train = pipeline_module.train
@@ -728,7 +707,7 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         return real_train(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "train", recording_train)
-    train_student(pools, config, scorer)
+    train_student(pools, scorer)
     for instance, views, entry in zip(pools.instances_out(), picked, rounds[-1].per_instance):
         kept = instance.synthetic_pool.v_rows(list(entry.kept_ids)).data
         assert sorted(v.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
@@ -769,7 +748,7 @@ def test_identity_channels_copy_the_real_view_everywhere():
         for side in (instance.synthetic_pool.v, instance.synthetic_pool.u):
             assert np.all(side.data == instance.real_view.data)
     # identical inputs at train and test time give the training-time prediction
-    predicted = infer(result.student, instances, g_uv, g_vu, config, scorer)
+    predicted = infer(result.student, instances, g_uv, g_vu, scorer)
     for instance, label in zip(instances, predicted, strict=True):
         synthetic = stack_views([ViewBatch("discrete", "v", instance.real_view.data)] * config.infer_views)
         inputs = result.student.inputs(instance.real_view, synthetic, instance.subject, instance.object)
@@ -814,7 +793,7 @@ def test_infer_without_teacher_takes_the_first_views(tiny_run):
     config = tiny_config(initial_views=5, infer_views=2)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[0]
-    labels = infer(student, [instance], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
+    labels = infer(student, [instance], tiny_run.g_uv, None, Scorer(config, tiny_run.schema))
     assert labels.tolist() == [1]
     expected = generated_views(instance, tiny_run.g_uv, config).data[:2]
     ((got,),) = student.calls
@@ -831,7 +810,7 @@ def test_infer_with_teacher_keeps_most_confident_views(tiny_run):
     instance = tiny_run.test[1]
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = teacher
-    infer(student, [instance], tiny_run.g_uv, None, config, scorer)
+    infer(student, [instance], tiny_run.g_uv, None, scorer)
     views = generated_views(instance, tiny_run.g_uv, config)
     logits = teacher.logits(teacher.inputs(views, instance.subject, instance.object))
     scores = list(-np.max(log_softmax(logits), axis=1))
@@ -846,7 +825,7 @@ def test_infer_full_chain_round_trips_each_view(tiny_run):
     config = tiny_config(initial_views=3, infer_views=3, infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     instance = tiny_run.test[3]
-    infer(student, [instance], tiny_run.g_uv, tiny_run.g_vu, config, Scorer(config, tiny_run.schema))
+    infer(student, [instance], tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema))
     rng = derive_rng(config.seed, "infer-gen", instance.id)
     expected = sample_channel(tiny_run.g_uv, stack_views([instance.real_view] * 3), rng)
     for _ in range(config.ccg_rounds):
@@ -862,7 +841,7 @@ def test_infer_full_chain_needs_the_return_channel(tiny_run):
     config = tiny_config(infer_full_chain=True)
     student = RecordingStudent(tiny_run.schema)
     with pytest.raises(PipelineError, match="g_vu"):
-        infer(student, tiny_run.test[:1], tiny_run.g_uv, None, config, Scorer(config, tiny_run.schema))
+        infer(student, tiny_run.test[:1], tiny_run.g_uv, None, Scorer(config, tiny_run.schema))
     assert student.calls == []
 
 
@@ -872,10 +851,11 @@ def best_first(scores, k):
     return sorted(range(len(scores)), key=lambda i: (scores[i], i))[:k]
 
 
-def reference_infer(student, instance, g_uv, g_vu, config, scorer):
+def reference_infer(student, instance, g_uv, g_vu, scorer):
     """One test instance on its own: its stream, ``best_first`` over its
     scores and a batch-of-one student. Returns the label and the chosen
     views' bytes."""
+    config = scorer.config
     rng = derive_rng(config.seed, "infer-gen", instance.id)
     views = sample_channel(g_uv, stack_views([instance.real_view] * config.initial_views), rng)
     if config.infer_full_chain:
@@ -923,7 +903,7 @@ def test_batched_infer_matches_one_instance_at_a_time(tiny_run, order, size, pol
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = tiny_run.result.teacher if with_teacher else None
     split = [tiny_run.test[i] for i in order[:size]]
-    args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
+    args = (tiny_run.g_uv, tiny_run.g_vu, scorer)
     expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in split]
     spy = SpyStudent(tiny_run.result.student)
     assert infer(spy, split, *args).tolist() == [label for label, _ in expected]
@@ -942,15 +922,15 @@ def test_infer_labels_do_not_depend_on_the_teacher_chunks(tiny_run):
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = tiny_run.result.teacher
     spy = SpyStudent(tiny_run.result.student)
-    labels = infer(spy, split[: per_chunk + 1], g_uv, g_vu, config, scorer).tolist()
+    labels = infer(spy, split[: per_chunk + 1], g_uv, g_vu, scorer).tolist()
     chosen = spy.chosen
     assert len(labels) == len(chosen) == per_chunk + 1
     for n in (1, per_chunk - 1, per_chunk):
         spy.chosen = []
-        assert infer(spy, split[:n], g_uv, g_vu, config, scorer).tolist() == labels[:n]
+        assert infer(spy, split[:n], g_uv, g_vu, scorer).tolist() == labels[:n]
         assert spy.chosen == chosen[:n]
     for i in (0, per_chunk - 2, per_chunk - 1, per_chunk):
-        assert (labels[i], chosen[i]) == reference_infer(tiny_run.result.student, split[i], g_uv, g_vu, config, scorer)
+        assert (labels[i], chosen[i]) == reference_infer(tiny_run.result.student, split[i], g_uv, g_vu, scorer)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
@@ -959,7 +939,7 @@ def test_every_generated_view_is_scored_whatever_the_chunk(tiny_run, monkeypatch
     config = replace(tiny_run.config, initial_views=6)
     scorer = Scorer(config, tiny_run.schema)
     scorer.teacher = tiny_run.result.teacher
-    args = (tiny_run.g_uv, tiny_run.g_vu, config, scorer)
+    args = (tiny_run.g_uv, tiny_run.g_vu, scorer)
     expected = [reference_infer(tiny_run.result.student, instance, *args) for instance in tiny_run.test]
     spy = SpyStudent(tiny_run.result.student)
     assert infer(spy, tiny_run.test, *args).tolist() == [label for label, _ in expected]
@@ -968,7 +948,7 @@ def test_every_generated_view_is_scored_whatever_the_chunk(tiny_run, monkeypatch
 
 def test_infer_of_no_instances_is_empty(tiny_run):
     student = RecordingStudent(tiny_run.schema)
-    labels = infer(student, [], tiny_run.g_uv, None, tiny_run.config, Scorer(tiny_run.config, tiny_run.schema))
+    labels = infer(student, [], tiny_run.g_uv, None, Scorer(tiny_run.config, tiny_run.schema))
     assert labels.dtype == np.int64 and labels.shape == (0,)
     assert student.calls == []
 
@@ -995,31 +975,29 @@ def test_confidence_loss_is_best_case_over_labels(tiny_run):
 
 
 def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_run, monkeypatch):
-    teacher = TeacherModel(derive_rng(7, "probe"), tiny_run.schema)
+    # after the last teacher trains, one logits call scores the children of
+    # the last selection, every instance's rows at once; each row's loss is
+    # that of its instance scored alone
+    events, logits, train = [], TeacherModel.logits, pipeline_module.train
+
+    def recording_train(*args, **kwargs):
+        trained = train(*args, **kwargs)
+        events.append("trained")
+        return trained
+
+    monkeypatch.setattr(pipeline_module, "train", recording_train)
+    monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: events.append(len(inputs[0])) or logits(self, inputs))
     scorer = Scorer(tiny_run.config, tiny_run.schema)
-    pools, _ = curate(tiny_run.train, tiny_run.g_vu, tiny_run.g_uv, tiny_run.config, scorer)
-    score_trailing(pools, scorer.teacher)
-    for k in range(0, len(tiny_run.train), 2):  # odd instances keep every loss, so they need no score
-        pools.teacher_loss[k, np.flatnonzero(pools.is_v)[k % 3 :: 2]] = np.nan
-    before = pools.teacher_loss.copy()
-    todo = [np.flatnonzero(pools.is_v & np.isnan(row)) for row in before]
-    logits, calls = TeacherModel.logits, []
-    monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append(len(inputs[0])) or logits(self, inputs))
-    assert score_trailing(pools, teacher) is None
-    assert calls == [sum(map(len, todo))] and calls[0] > 0
-    for k, (instance, ids) in enumerate(zip(tiny_run.train, todo)):
-        if not ids.size:
-            assert np.array_equal(pools.teacher_loss[k], before[k], equal_nan=True)
-            continue
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
+    trailing = pools.is_v & (pools.round == tiny_run.config.ccg_rounds)
+    last = len(events) - 1 - events[::-1].index("trained")
+    assert events[last + 1 :] == [np.count_nonzero(trailing) * len(tiny_run.train)] and trailing.any()
+    teacher, ids = scorer.teacher, np.flatnonzero(trailing)
+    for k, instance in enumerate(tiny_run.train):
         alone = logits(teacher, teacher.inputs(pools.v_rows(k, ids), instance.subject, instance.object))
         expected, _ = softmax_xent(alone, [instance.label] * len(ids))
         np.testing.assert_allclose(pools.teacher_loss[k, ids], expected, rtol=1e-12, atol=0)
-        rest = np.setdiff1d(np.arange(len(pools.round)), ids)
-        assert np.array_equal(pools.teacher_loss[k, rest], before[k, rest], equal_nan=True)
-    calls.clear()
-    scored = pools.teacher_loss.copy()
-    score_trailing(pools, teacher)
-    assert calls == [] and np.array_equal(pools.teacher_loss, scored, equal_nan=True)
 
 
 # --- conditions and ablation --------------------------------------------------------
