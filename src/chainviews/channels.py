@@ -119,6 +119,14 @@ def _streams(rng: np.random.Generator | Streams, rows: int) -> Streams:
     return rng
 
 
+def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Each draw's category under the cumulative probabilities on the last
+    axis of ``cdf`` (one axis more than ``draws``): the count of entries at
+    or below it, ``searchsorted(row, draw, side="right")``, clipped to the
+    last category for a row that ends short of the draw."""
+    return np.minimum((cdf <= draws[..., None]).sum(axis=-1), cdf.shape[-1] - 1)
+
+
 class DiscreteChannel:
     """Symbol-wise categorical channel given by a row-stochastic matrix:
     ``matrix.shape[0]`` input symbols to ``matrix.shape[1]`` output symbols."""
@@ -127,7 +135,7 @@ class DiscreteChannel:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or not matrix.size:
             raise ChannelError(f"transition matrix must be 2-d and non-empty, got shape {matrix.shape}")
-        if np.any(matrix < 0) or not np.allclose(matrix.sum(axis=1), 1.0, atol=_ATOL):
+        if np.any(matrix < 0) or not np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=_ATOL):
             raise ChannelError("transition matrix rows must be non-negative and sum to 1")
         self.matrix = matrix
         self.in_port = Port(ViewSpec("discrete", matrix.shape[0]), in_modality)
@@ -135,12 +143,7 @@ class DiscreteChannel:
         self._cumulative = np.cumsum(matrix, axis=1)
 
     def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
-        draws = _streams(rng, len(X)).draw("random", X.shape[1:])
-        rows = self._cumulative[X]
-        # inverse-CDF per position: the count of cumsum entries <= the draw,
-        # which is searchsorted(row, draw, side="right") on each sorted row
-        symbols = (rows <= draws[..., None]).sum(axis=-1)
-        return np.minimum(symbols, self.out_port.spec.size - 1)
+        return inverse_cdf(self._cumulative[X], _streams(rng, len(X)).draw("random", X.shape[1:]))
 
 
 class LinearGaussianChannel:
@@ -210,12 +213,11 @@ class PrototypeCollapseChannel:
         return p / p.sum(axis=1, keepdims=True)
 
     def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
-        # inverse CDF per row over the normalised cumulative probabilities,
-        # as Generator.choice does for a single draw
+        # the normalised cdf, as Generator.choice draws one prototype
         streams = _streams(rng, len(X))
         cdf = np.cumsum(self.snap_probabilities(X), axis=1)
         cdf /= cdf[:, -1:]
-        j = np.minimum((cdf <= streams.draw("random")[:, None]).sum(axis=1), len(self.prototypes) - 1)
+        j = inverse_cdf(cdf, streams.draw("random"))
         return self.prototypes[j] + self.jitter_sigma * streams.draw("standard_normal", (self.out_port.spec.size,))
 
 

@@ -492,8 +492,11 @@ def train_student(pools: SplitPools, scorer: Scorer) -> StudentModel:
     selection's keepers plus the views generated after it. Per instance the
     ``train_views`` best under ``scorer`` join the real view and entities.
     The teacher-loss policy ranks by stored loss, which ``run_rounds`` gives
-    every live candidate; only views that carry one are ranked.
+    every live candidate; only views that carry one are ranked. A store with
+    no survival recorded is refused under every policy before any model is built.
     """
+    if not pools.survived.any():
+        raise PipelineError("train_student needs a store that run_rounds has run on: no survival recorded")
     config, instances, at = scorer.config, pools.instances, pools.at
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
     if config.policy_name == "teacher_loss":

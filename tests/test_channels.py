@@ -20,6 +20,7 @@ from chainviews.channels import (
     PRESET_NAMES,
     Streams,
     generate_benchmark,
+    inverse_cdf,
     lossy_world_preset,
     sample_channel,
     stack_views,
@@ -79,6 +80,25 @@ def test_discrete_rows_must_be_stochastic():
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ChannelError):
         DiscreteChannel(bad, MODALITY_U, MODALITY_V)
+    # the tolerance is an absolute 1e-12: numpy's default relative 1e-5
+    # would let a row 1e-6 short through
+    with pytest.raises(ChannelError, match="sum to 1"):
+        DiscreteChannel(np.array([[0.5, 0.5 - 1e-6], [0.5, 0.5]]), MODALITY_U, MODALITY_V)
+    DiscreteChannel(np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]]), MODALITY_U, MODALITY_V)
+
+
+def test_inverse_cdf_is_clipped_searchsorted():
+    rng = derive_rng(0, "inverse-cdf")
+    cdf = np.cumsum(rng.dirichlet(np.ones(5), size=40), axis=1)
+    cdf[:20] *= 1 - 1e-3  # rows whose last entry falls short of 1
+    draws = rng.random(40)
+    draws[::4] = cdf[::4, 2]  # draws equal to a cdf entry count it
+    draws[1::4] = cdf[1::4, -1] + 1e-4  # draws past the last entry take the last category
+    expected = [min(np.searchsorted(row, u, side="right"), 4) for row, u in zip(cdf, draws)]
+    assert inverse_cdf(cdf, draws).tolist() == expected
+    assert inverse_cdf(cdf, draws)[::4].tolist() == [3] * 10
+    # one more axis on each side: a (2, 20) block of draws over (2, 20, 5) cdfs
+    assert inverse_cdf(cdf.reshape(2, 20, 5), draws.reshape(2, 20)).tolist() == np.reshape(expected, (2, 20)).tolist()
 
 
 def test_spec_mismatch_raises():

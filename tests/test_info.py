@@ -158,6 +158,17 @@ def test_profile_guard_trips_on_impossible_tolerance():
         chain_mi_profile(spec, tol=-1.0)
 
 
+def test_stages_must_sum_to_one_within_an_absolute_1e9():
+    # the tolerance is absolute: numpy's default relative 1e-5 would let a
+    # row 1e-6 short through
+    short = np.array([[0.5, 0.5 - 1e-6], [0.5, 0.5]])
+    with pytest.raises(InfoError, match="row-stochastic"):
+        MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[short])
+    with pytest.raises(InfoError, match="row-stochastic"):
+        DiscreteLabelWorld(short)
+    DiscreteLabelWorld(np.array([[0.5, 0.5 - 1e-10], [0.5, 0.5]]))
+
+
 def test_chain_alphabets_must_match():
     with pytest.raises(InfoError):
         MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(3))])
@@ -221,6 +232,56 @@ def test_label_world_sampling_matches_searchsorted_reference():
         ]
         assert labels.tolist() == expected_labels.tolist()
         assert symbols.tolist() == expected
+
+
+def test_label_world_sampling_equals_the_explicit_formula_bit_for_bit():
+    # labels first, then one uniform per sample, each mapped to the count of
+    # its label's cumulative entries at or below it, clipped to the alphabet
+    world = random_label_world(class_count=4, alphabet=6, seed=3)
+    symbols, labels = world.sample(5000, derive_rng(3, "draws"))
+    rng = derive_rng(3, "draws")
+    expected_labels = rng.integers(4, size=5000)
+    draws = rng.random(5000)
+    expected = np.minimum((np.cumsum(world.channel, axis=1)[expected_labels] <= draws[:, None]).sum(axis=1), 5)
+    assert labels.tobytes() == expected_labels.tobytes()
+    assert symbols.dtype == expected.dtype and symbols.tobytes() == expected.tobytes()
+
+
+def reference_classifier_bound(world):
+    """The bound with its own Adam and log-sum-exp, as written out by hand
+    before the verifier ran the library's AdamW and softmax_xent."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    rng = derive_rng(world.seed, "bound-verify")
+    v_train, y_train = world.sample(20_000, rng)
+    v_eval, y_eval = world.sample(20_000, rng)
+    counts = np.zeros((world.class_count, world.alphabet))
+    np.add.at(counts, (y_train, v_train), 1.0)
+    col_total = counts.sum(axis=0)
+    weights, m, v2 = (np.zeros_like(counts) for _ in range(3))
+    for t in range(1, 401):
+        p = np.exp(weights - weights.max(axis=0, keepdims=True))
+        p /= p.sum(axis=0, keepdims=True)
+        grad = (p * col_total - counts) / 20_000
+        m = beta1 * m + (1 - beta1) * grad
+        v2 = beta2 * v2 + (1 - beta2) * grad**2
+        weights -= 0.2 * (m / (1 - beta1**t)) / (np.sqrt(v2 / (1 - beta2**t)) + eps)
+    logits = weights[:, v_eval]
+    lse = np.log(np.exp(logits - logits.max(axis=0)).sum(axis=0)) + logits.max(axis=0)
+    terms = logits[y_eval, np.arange(len(y_eval))] - lse + math.log(world.class_count)
+    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
+
+
+def test_bound_matches_the_hand_written_reference_on_the_acceptance_worlds():
+    # criterion 2's 20 worlds: the library's AdamW and cross-entropy move the
+    # bound and its standard error at round-off only, and flag the same worlds
+    for i in range(20):
+        rng = derive_rng(2026, "acceptance-bound", i)
+        class_count, alphabet = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        world = random_label_world(class_count, alphabet, seed=int(rng.integers(0, 2**32)))
+        report = verify_classifier_bound(world)
+        bound, se = reference_classifier_bound(world)
+        assert abs(report.bound - bound) < 1e-9 and abs(report.se - se) < 1e-9
+        assert report.violation == (bound > report.exact + 3 * se)
 
 
 def test_label_world_sizes_are_the_channel_shape():

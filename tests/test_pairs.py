@@ -154,6 +154,24 @@ def test_cli_differences_skip_the_ablate_runtime_but_not_a_changed_ablation_byte
     assert pairs.cli_differences(parent, change) == ["ablate.meta.json", "ablation.csv"]
 
 
+def verify_report(runtimes, statistic):
+    checks = [{"name": name, "passed": True, "statistic": statistic, "runtime_seconds": seconds}
+              for name, seconds in zip(("dpi_chains", "classifier_bound"), runtimes)]
+    return json.dumps({"all_passed": True, "seed": 0, "checks": checks, "tool_version": "0.1.0"}, indent=2)
+
+
+def test_cli_differences_skip_each_check_runtime_of_verify(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    (parent / "verify_report.json").write_text(verify_report((0.5, 0.2), 0.0))
+    (change / "verify_report.json").write_text(verify_report((0.7, 0.1), 0.0))
+    assert pairs.cli_differences(parent, change) == []
+
+    (change / "verify_report.json").write_text(verify_report((0.5, 0.2), 1.0))
+    assert pairs.cli_differences(parent, change) == ["verify_report.json"]
+
+
 def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
     assert ("ablate", "configs/collapse_ablation.yaml") in pairs.CLI_COMMANDS
-    assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS)
+    assert ("verify", None) in pairs.CLI_COMMANDS
+    assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS if config is not None)

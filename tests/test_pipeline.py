@@ -620,10 +620,24 @@ def test_run_rounds_refuses_a_store_that_is_not_fresh(tiny_run, monkeypatch):
     assert calls == []
 
 
-def test_train_student_needs_enough_scored_views(tiny_run):
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
-    with pytest.raises(PipelineError, match=r"has 0 scored candidate views, needs 3; run run_rounds first$"):
-        train_student(pools, Scorer(tiny_run.config, tiny_run.schema))
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_train_student_needs_enough_scored_views(tiny_run, monkeypatch, policy_name):
+    # a store straight from round 0 holds no selected view under any policy,
+    # and one whose views carry no teacher loss has none the teacher-loss
+    # pick can rank; both are refused before any model is built or trained
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built or trained")
+
+    monkeypatch.setattr(pipeline_module, "StudentModel", no_model)
+    monkeypatch.setattr(pipeline_module, "train", no_model)
+    config = replace(tiny_run.config, policy_name=policy_name)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    with pytest.raises(PipelineError, match=r"^train_student needs a store that run_rounds has run on: no survival recorded$"):
+        train_student(pools, Scorer(config, tiny_run.schema))
+    if policy_name != "teacher_loss":
+        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
+        with pytest.raises(PipelineError, match=r"has 0 scored candidate views, needs 3; run run_rounds first$"):
+            train_student(pools, Scorer(replace(config, policy_name="teacher_loss"), tiny_run.schema))
 
 
 POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")

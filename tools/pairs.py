@@ -23,13 +23,14 @@ to tell a regression of that size. ``digests_equal`` holds when every run
 of both sides wrote one and the same output digest.
 
 Once per tree, ``chainviews gen-benchmark``, ``run`` and ``diversity`` also
-run on ``configs/clean_quick.yaml``, and ``chainviews ablate`` on
-``configs/collapse_ablation.yaml`` (about 4.5 s). ``cli_outputs_equal``
-holds when both trees wrote the same files with the same contents,
-``report.json`` compared without its wall-clock ``timing``,
-``ablate.meta.json`` without its wall-clock ``runtime_seconds`` and
-``diversity.meta.json`` without its ``dataset`` path;
-``cli_outputs_differ`` names the files that differ.
+run on ``configs/clean_quick.yaml``, ``chainviews ablate`` on
+``configs/collapse_ablation.yaml`` (about 4.5 s) and ``chainviews verify``,
+which takes no config (about 1 s). ``cli_outputs_equal`` holds when both
+trees wrote the same files with the same contents, ``report.json``
+compared without its wall-clock ``timing``, ``ablate.meta.json`` and
+``verify_report.json`` without their wall-clock ``runtime_seconds`` (in
+``verify_report.json``, one per check) and ``diversity.meta.json`` without
+its ``dataset`` path; ``cli_outputs_differ`` names the files that differ.
 """
 
 from __future__ import annotations
@@ -171,25 +172,41 @@ def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, s
     }, machine
 
 
-# each CLI command compared, with its config
+# each CLI command compared, with its config (None: the command takes none)
 CLI_COMMANDS = (
     ("gen-benchmark", "configs/clean_quick.yaml"),
     ("run", "configs/clean_quick.yaml"),
     ("diversity", "configs/clean_quick.yaml"),
     ("ablate", "configs/collapse_ablation.yaml"),
+    ("verify", None),
 )
-# per CLI output file, the key that may differ between two trees
-CLI_UNCOMPARED = {"report.json": "timing", "diversity.meta.json": "dataset", "ablate.meta.json": "runtime_seconds"}
+# per CLI output file, the key that may differ between two trees, at any depth
+CLI_UNCOMPARED = {
+    "report.json": "timing",
+    "diversity.meta.json": "dataset",
+    "ablate.meta.json": "runtime_seconds",
+    "verify_report.json": "runtime_seconds",
+}
 
 
 def run_cli(tree: Path, out: Path) -> None:
     """Each of ``CLI_COMMANDS`` from ``tree``'s sources, all writing to ``out``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for command, config in CLI_COMMANDS:
-        argv = [sys.executable, "-m", "chainviews.cli", command, "--config", config, "--out", str(out)]
+        argv = [sys.executable, "-m", "chainviews.cli", command, "--out", str(out)]
+        argv += ["--config", config] if config else []
         proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{proc.stderr}")
+
+
+def without(value, key: str):
+    """A JSON value with ``key`` dropped from every object in it, at any depth."""
+    if isinstance(value, dict):
+        return {k: without(v, key) for k, v in value.items() if k != key}
+    if isinstance(value, list):
+        return [without(v, key) for v in value]
+    return value
 
 
 def cli_content(path: Path):
@@ -198,9 +215,7 @@ def cli_content(path: Path):
     key = CLI_UNCOMPARED.get(path.name)
     if key is None:
         return path.read_bytes()
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record.pop(key, None)
-    return record
+    return without(json.loads(path.read_text(encoding="utf-8")), key)
 
 
 def cli_differences(parent: Path, change: Path) -> list[str]:
