@@ -69,6 +69,6 @@ k = keep_count(0.5, len(losses))
 kept = set(rank_rows(losses[None, :])[0, :k].tolist())
 print(f"loss policy:   keep {len(kept)}, worst kept loss {max(losses[i] for i in kept):.3f}, "
       f"best dropped loss {min(losses[i] for i in range(len(losses)) if i not in kept):.3f}")
-kept_r = rank_rows(random_scores(len(losses), 3, "demo-random")[None, :])[0, :k]
+kept_r = rank_rows(random_scores(len(losses), 3, [("demo-random",)]))[0, :k]
 print(f"random policy: keep {len(kept_r)}, mean kept loss {np.mean([losses[i] for i in kept_r]):.3f}")
 print(f"keep_count(0.6, 30) = {keep_count(0.6, 30)} (ceiling arithmetic, exact)")

@@ -108,7 +108,7 @@ from .pipeline import (
     save_report,
     train_student,
 )
-from .rng import derive_rng, derive_seed_sequence
+from .rng import derive_rng, derive_rngs, derive_seed_sequence
 from .selection import (
     POLICY_NAMES,
     RandomLinearEmbedder,

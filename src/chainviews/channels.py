@@ -48,7 +48,8 @@ from .datamodel import (
     rows_match,
     vector_view,
 )
-from .rng import derive_rng
+from .rng import derive_rng  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
+from .rng import derive_rngs
 
 _ATOL = 1e-12
 
@@ -165,7 +166,10 @@ class LinearGaussianChannel:
 
     def sample(self, X: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
         mean = X @ self.weight.T + self.bias
-        return mean + self.noise_sigma * _streams(rng, len(X)).draw("standard_normal", mean.shape[1:])
+        out = _streams(rng, len(X)).draw("standard_normal", mean.shape[1:])
+        out *= self.noise_sigma
+        out += mean  # mean + sigma * noise, bit for bit: IEEE + commutes
+        return out
 
 
 class PrototypeCollapseChannel:
@@ -218,7 +222,10 @@ class PrototypeCollapseChannel:
         cdf = np.cumsum(self.snap_probabilities(X), axis=1)
         cdf /= cdf[:, -1:]
         j = inverse_cdf(cdf, streams.draw("random"))
-        return self.prototypes[j] + self.jitter_sigma * streams.draw("standard_normal", (self.out_port.spec.size,))
+        out = streams.draw("standard_normal", (self.out_port.spec.size,))
+        out *= self.jitter_sigma
+        out += self.prototypes[j]  # prototype + sigma * jitter, bit for bit
+        return out
 
 
 class MixtureChannel:
@@ -366,8 +373,10 @@ def generate_benchmark(
     """Sample a balanced labeled dataset of real views from the world.
 
     ``stream`` namespaces the random draws so train/test splits are disjoint
-    by construction. Instances arrive ordered by (class, index) with ids
-    0..N-1, so regeneration with the same arguments is exact.
+    by construction: instance ``i`` of class ``y`` draws from its own
+    ``("world", stream, y, i)`` stream, all derived in one batch. Instances
+    arrive ordered by (class, index) with ids 0..N-1, so regeneration with
+    the same arguments is exact.
     """
     check_int("n_per_class", n_per_class, 1)
     schema = DatasetSchema(
@@ -377,18 +386,16 @@ def generate_benchmark(
         v_spec=v_spec,
         none_class=none_class,
     )
+    cells = [(y, i) for y in range(world.class_count) for i in range(n_per_class)]
+    rngs = derive_rngs(world.seed, [("world", stream, y, i) for y, i in cells])
     instances = []
-    next_id = 0
-    for y in range(world.class_count):
+    for next_id, ((y, _), rng) in enumerate(zip(cells, rngs)):
         pairs = world.entity_pairs_by_class[y]
-        for i in range(n_per_class):
-            rng = derive_rng(world.seed, "world", stream, y, i)
-            u = world.class_means[y] + world.within_class_sigma * rng.standard_normal(world.u_dim)
-            subject, obj = pairs[int(rng.integers(len(pairs)))]
-            instances.append(
-                Instance(id=next_id, label=y, subject=subject, object=obj, real_view=vector_view(u, MODALITY_U))
-            )
-            next_id += 1
+        u = world.class_means[y] + world.within_class_sigma * rng.standard_normal(world.u_dim)
+        subject, obj = pairs[int(rng.integers(len(pairs)))]
+        instances.append(
+            Instance(id=next_id, label=y, subject=subject, object=obj, real_view=vector_view(u, MODALITY_U))
+        )
     return instances, schema
 
 

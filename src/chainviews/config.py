@@ -4,7 +4,8 @@ One YAML file describes a whole experiment: where the data comes from (a
 named world preset, a custom world, or dataset files), the channel pair, the
 pipeline knobs, and the ablation/diversity grids. Flags may override scalar
 keys before parsing, so the recorded config digest always reflects what
-actually ran.
+actually ran. ``yaml`` is imported only to read a file
+(:func:`read_config_mapping`), so importing the package does not load it.
 
 Channel specs are tagged mappings::
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
-import yaml
 
 from .channels import (
     BenchmarkWorld,
@@ -366,6 +366,8 @@ def _canonical(value):
 
 def read_config_mapping(path) -> dict:
     """Load the raw YAML tree (empty file allowed, non-mapping rejected)."""
+    import yaml  # here only: importing chainviews never loads it
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             mapping = yaml.safe_load(handle)

@@ -24,7 +24,8 @@ call and one ``RunReport``. An empty split is a ``PipelineError``.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
-``("infer-gen", id)`` at test time. Each hop is one channel call over every
+``("infer-gen", id)`` at test time -- and a split's streams for one round
+are derived in one ``derive_rngs`` batch. Each hop is one channel call over every
 instance's rows, each instance's rows drawing from its own stream
 (``channels.Streams``), so an instance's views never depend on the other
 instances. At test time one loop over chunks of whole instances, at most
@@ -51,7 +52,7 @@ from .datamodel import (
 from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
 from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 from .selection import (
     POLICY_NAMES,
     RandomLinearEmbedder,
@@ -294,7 +295,7 @@ class Scorer:
         n = len(views) // len(instances)
         if self.config.policy_name == "similarity":
             return similarity_scores(views, _copies(instances, n), self.embedder).reshape(-1, n)
-        return np.stack([random_scores(n, self.config.seed, stream, inst.id) for inst in instances])
+        return random_scores(n, self.config.seed, [(stream, inst.id) for inst in instances])
 
     def select(self, instances: Sequence[Instance], views: ViewBatch, selection_index: int) -> np.ndarray:
         """Scores of every instance's candidates ``views`` at one selection."""
@@ -356,6 +357,7 @@ class SplitPools:
         self.round, self.step, self.is_v = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.str_), np.zeros(0, dtype=bool)
         self.parent_id, self.survived = np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0), dtype=np.int64)
         self.teacher_loss, self.sides = np.zeros((count, 0)), {}
+        self.policy: str | None = None  # the policy run_rounds ran under
 
     def live(self, selection_index: int) -> np.ndarray:
         """The pool indices of each instance's candidates at selection
@@ -420,7 +422,7 @@ def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> S
     if occupied:
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
     n, pools = config.initial_views, SplitPools(instances)
-    streams = Streams([derive_rng(config.seed, "gen", inst.id, 0) for inst in instances], [n] * len(instances))
+    streams = Streams(derive_rngs(config.seed, [("gen", inst.id, 0) for inst in instances]), [n] * len(instances))
     views = sample_channel(g_uv, _copies(instances, n), streams)
     pools.add(0, np.full(n, STEP_U_TO_V), np.full((len(instances), n), REAL_PARENT), views)
     return pools
@@ -448,6 +450,7 @@ def run_rounds(pools: SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecor
     if not pools.survived.flags.writeable or pools.survived.any():
         raise PipelineError("run_rounds needs a store fresh from run_round0: no survival recorded, pools not handed out")
     config, instances = scorer.config, pools.instances
+    pools.policy = config.policy_name
     rounds = [_round(pools, s, spawn, g_vu, g_uv, scorer) for s, spawn in enumerate(config.spawn_per_kept or (0,))]
     if config.policy_name == "teacher_loss" and (todo := pools.is_v & np.isnan(pools.teacher_loss)).any():
         teacher, (at, ids) = scorer.teacher, np.nonzero(todo)
@@ -475,7 +478,7 @@ def _round(pools: SplitPools, selection_index: int, spawn: int, g_vu, g_uv, scor
         sources = np.repeat(kept, spawn, axis=1)
         count, m = sources.shape
         round_index = selection_index + 1
-        streams = Streams([derive_rng(config.seed, "gen", inst.id, round_index) for inst in instances], [m] * count)
+        streams = Streams(derive_rngs(config.seed, [("gen", inst.id, round_index) for inst in instances]), [m] * count)
         u_views = sample_channel(g_vu, pools.v_rows(at, sources), streams)
         v_views = sample_channel(g_uv, u_views, streams)
         parent_id = np.empty((count, 2 * m), dtype=np.int64)
@@ -493,11 +496,14 @@ def train_student(pools: SplitPools, scorer: Scorer) -> StudentModel:
     ``train_views`` best under ``scorer`` join the real view and entities.
     The teacher-loss policy ranks by stored loss, which ``run_rounds`` gives
     every live candidate; only views that carry one are ranked. A store with
-    no survival recorded is refused under every policy before any model is built.
+    no survival recorded, or whose rounds ran under another policy than
+    ``scorer``'s, is refused before any model is built.
     """
     if not pools.survived.any():
         raise PipelineError("train_student needs a store that run_rounds has run on: no survival recorded")
     config, instances, at = scorer.config, pools.instances, pools.at
+    if pools.policy != config.policy_name:
+        raise PipelineError(f"the rounds ran under policy {pools.policy!r}, the scorer's is {config.policy_name!r}")
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
     if config.policy_name == "teacher_loss":
         scores = np.take_along_axis(pools.teacher_loss, live, axis=1)
@@ -506,8 +512,7 @@ def train_student(pools: SplitPools, scorer: Scorer) -> StudentModel:
     scored, n = np.count_nonzero(~np.isnan(scores), axis=1), config.train_views
     if (short := scored < n).any():
         k = int(np.argmax(short))
-        message = f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n}"
-        raise PipelineError(f"{message}; run run_rounds first")
+        raise PipelineError(f"instance {instances[k].id} has {scored[k]} scored candidate views, needs {n}")
     picked = pools.v_rows(at, np.take_along_axis(live, rank_rows(scores)[:, :n], axis=1))
     student = StudentModel(derive_rng(config.seed, "student-init"), scorer.schema)
     subj, obj, labels = _per_row(instances)
@@ -539,10 +544,11 @@ def infer(student: StudentModel, instances: Sequence[Instance], g_uv, g_vu, scor
         return np.zeros(0, dtype=np.int64)
     n = config.initial_views
     per_chunk = max(1, SCORE_CHUNK_ROWS // n)
+    generators = derive_rngs(config.seed, [("infer-gen", inst.id) for inst in instances])
     chosen = []  # each chunk's picks, instance-major
     for start in range(0, len(instances), per_chunk):
         chunk = instances[start : start + per_chunk]
-        streams = Streams([derive_rng(config.seed, "infer-gen", inst.id) for inst in chunk], [n] * len(chunk))
+        streams = Streams(generators[start : start + per_chunk], [n] * len(chunk))
         views = sample_channel(g_uv, _copies(chunk, n), streams)
         if config.infer_full_chain:
             for _ in range(config.ccg_rounds):

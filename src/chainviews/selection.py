@@ -16,11 +16,13 @@ scores, and NaN (a view no teacher scored) ranks last.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
 
 from .datamodel import ViewBatch, ViewSpec
 from .nn import featurize_rows
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 POLICY_NAMES = ("teacher_loss", "similarity", "random", "keep_all")
 
@@ -91,5 +93,11 @@ def similarity_scores(views: ViewBatch, anchors: ViewBatch, embedder) -> np.ndar
     return -np.divide(_row_dots(e, a), norm_e * norm_a, out=np.full(len(e), -1.0), where=nonzero)
 
 
-def random_scores(n: int, seed: int, *stream: int | str) -> np.ndarray:
-    return derive_rng(seed, "random-selection", *stream).random(n)
+def random_scores(n: int, seed: int, streams: Sequence[Sequence[int | str]]) -> np.ndarray:
+    """One row of ``n`` uniform scores per entry of ``streams``: row ``k``
+    draws from the ``("random-selection", *streams[k])`` stream, and all the
+    streams are derived in one batch."""
+    out = np.empty((len(streams), n))
+    for row, rng in zip(out, derive_rngs(seed, [("random-selection", *stream) for stream in streams])):
+        rng.random(out=row)
+    return out

@@ -1,6 +1,9 @@
 """Declarative experiment configs: parsing, channel specs, overrides, digests."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +333,29 @@ def test_load_config_round_trips_yaml(tmp_path):
     config = load_config(path)
     assert config.out_dir == "results"
     assert config.digest == load_config(path).digest  # stable across reloads
+
+
+def test_importing_the_package_leaves_yaml_unloaded(tmp_path):
+    # yaml is imported only to read a config file: a fresh interpreter that
+    # imports chainviews has no yaml module until a file is read, and a
+    # malformed file still exits 1 through the CLI
+    good = write_yaml(tmp_path / "good.yaml", base_mapping())
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [unclosed", encoding="utf-8")
+    code = f"""
+import sys
+import chainviews, chainviews.cli
+print("yaml" in sys.modules)
+from chainviews.config import read_config_mapping
+print(read_config_mapping({str(good)!r})["seed"], "yaml" in sys.modules)
+sys.exit(chainviews.cli.main(["run", "--config", {str(bad)!r}, "--out", {str(tmp_path / "out")!r}]))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "3 True"]
+    assert "malformed config" in proc.stderr
 
 
 def test_read_config_mapping_errors(tmp_path):

@@ -5,12 +5,18 @@ Nothing here runs the benchmark; ``tools/pairs.py`` is loaded as a module.
 
 import importlib.util
 import json
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-SPEC = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+SPEC = importlib.util.spec_from_file_location("pairs", PAIRS)
 pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(pairs)
 
@@ -175,3 +181,26 @@ def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
     assert ("ablate", "configs/collapse_ablation.yaml") in pairs.CLI_COMMANDS
     assert ("verify", None) in pairs.CLI_COMMANDS
     assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS if config is not None)
+
+
+def test_sigterm_removes_the_scratch_directory(tmp_path):
+    # a run stopped with SIGTERM while it waits on a child process still
+    # leaves its with block, which removes the pairs-* directory
+    code = f"""
+import importlib.util, subprocess, sys
+spec = importlib.util.spec_from_file_location("pairs", {str(PAIRS)!r})
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+with pairs.scratch_directory() as tmp:
+    print(tmp, flush=True)
+    subprocess.run([sys.executable, "-c", "import time; time.sleep(60)"])
+"""
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True)
+    scratch = Path(proc.stdout.readline().strip())
+    assert scratch.parent == tmp_path and scratch.name.startswith("pairs-") and scratch.is_dir()
+    time.sleep(0.5)  # let the child start waiting on its own child
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    proc.stdout.close()
+    assert not scratch.exists() and not list(tmp_path.iterdir())

@@ -50,7 +50,7 @@ from chainviews.pipeline import (
     train_student,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import POLICY_NAMES, keep_count, random_scores, similarity_scores
+from chainviews.selection import POLICY_NAMES, keep_count, similarity_scores
 
 from conftest import tiny_benchmark, tiny_config, tiny_world
 
@@ -623,8 +623,7 @@ def test_run_rounds_refuses_a_store_that_is_not_fresh(tiny_run, monkeypatch):
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_train_student_needs_enough_scored_views(tiny_run, monkeypatch, policy_name):
     # a store straight from round 0 holds no selected view under any policy,
-    # and one whose views carry no teacher loss has none the teacher-loss
-    # pick can rank; both are refused before any model is built or trained
+    # and is refused before any model is built or trained
     def no_model(*args, **kwargs):
         raise AssertionError("a model was built or trained")
 
@@ -634,10 +633,37 @@ def test_train_student_needs_enough_scored_views(tiny_run, monkeypatch, policy_n
     pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
     with pytest.raises(PipelineError, match=r"^train_student needs a store that run_rounds has run on: no survival recorded$"):
         train_student(pools, Scorer(config, tiny_run.schema))
-    if policy_name != "teacher_loss":
-        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-        with pytest.raises(PipelineError, match=r"has 0 scored candidate views, needs 3; run run_rounds first$"):
-            train_student(pools, Scorer(replace(config, policy_name="teacher_loss"), tiny_run.schema))
+
+
+@pytest.mark.parametrize("ran, picks", [("random", "teacher_loss"), ("teacher_loss", "random"), ("keep_all", "similarity")])
+def test_train_student_refuses_a_policy_the_rounds_did_not_run(tiny_run, monkeypatch, ran, picks):
+    # the store records the policy run_rounds ran under; a scorer of another
+    # policy is refused, naming both, before any model is built or trained
+    config = replace(tiny_run.config, policy_name=ran)
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
+    assert pools.policy is None
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
+    assert pools.policy == ran
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built or trained")
+
+    monkeypatch.setattr(pipeline_module, "StudentModel", no_model)
+    monkeypatch.setattr(pipeline_module, "train", no_model)
+    message = rf"^the rounds ran under policy '{ran}', the scorer's is '{picks}'$"
+    with pytest.raises(PipelineError, match=message):
+        train_student(pools, Scorer(replace(config, policy_name=picks), tiny_run.schema))
+
+
+def test_train_student_names_a_shortfall_without_blaming_the_rounds(tiny_run):
+    # a scorer of the rounds' policy asking for more views than the store
+    # holds is refused with the count; the rounds did run, so no advice to run them
+    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
+    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(tiny_run.config, tiny_run.schema))
+    live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0))).shape[1]
+    greedy = replace(tiny_run.config, train_views=live + 1, ccg_rounds=0, spawn_per_kept=(), initial_views=2 * live + 2)
+    with pytest.raises(PipelineError, match=rf"^instance 0 has {live} scored candidate views, needs {live + 1}$"):
+        train_student(pools, Scorer(greedy, tiny_run.schema))
 
 
 POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")
@@ -883,7 +909,7 @@ def reference_infer(student, instance, g_uv, g_vu, scorer):
     elif config.policy_name == "similarity":
         scores = similarity_scores(views, stack_views([instance.real_view] * len(views)), scorer.embedder)
     else:  # random, and keep_all, which picks as random does
-        scores = random_scores(len(views), config.seed, "infer-pick", instance.id)
+        scores = derive_rng(config.seed, "random-selection", "infer-pick", instance.id).random(len(views))
     chosen = views.take(best_first(scores, config.infer_views))
     (logits,) = student.logits(student.inputs(instance.real_view, chosen, instance.subject, instance.object))
     return int(np.argmax(logits)), chosen.data.tobytes()

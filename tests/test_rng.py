@@ -1,8 +1,17 @@
 """Derived random streams: reproducible, independent, order-insensitive."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chainviews.rng import derive_rng, derive_seed_sequence
+from chainviews.rng import derive_rng, derive_rngs, derive_seed_sequence
+
+# integers at SeedSequence's word boundaries (0 coerces to one word, 2**32
+# and up to two), any integer (masked to 64 bits, negatives included) and
+# any text, non-ASCII included
+EDGE_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+WORDS = st.one_of(EDGE_INTS, st.integers(-(2**66), 2**66), st.text(max_size=6))
+SEEDS = st.one_of(EDGE_INTS, st.integers(-(2**66), 2**66))
 
 
 def test_same_path_same_stream():
@@ -44,3 +53,35 @@ def test_seed_sequence_spawns_deterministically():
     seq_b = derive_seed_sequence(11, "node")
     assert seq_a.entropy == seq_b.entropy
     assert np.array_equal(seq_a.generate_state(8), seq_b.generate_state(8))
+
+
+def same_stream(batched, master_seed, path):
+    """Whether ``batched`` is ``derive_rng(master_seed, *path)``'s stream:
+    the same bit-generator state and the same first draws."""
+    oracle = derive_rng(master_seed, *path)
+    if batched.bit_generator.state != oracle.bit_generator.state:
+        return False
+    return all(
+        np.array_equal(getattr(batched, method)(5), getattr(oracle, method)(5))
+        for method in ("random", "standard_normal")
+    )
+
+
+@given(master_seed=SEEDS, paths=st.lists(st.lists(WORDS, max_size=7), max_size=12))
+def test_batched_streams_equal_derive_rng(master_seed, paths):
+    # paths of 0 to 7 words coerce to 1 to 15 entropy words, so batches mix
+    # word counts below, at and above SeedSequence's pool of four
+    generators = derive_rngs(master_seed, paths)
+    assert len(generators) == len(paths)
+    assert len({id(g) for g in generators}) == len(paths)
+    for generator, path in zip(generators, paths):
+        assert same_stream(generator, master_seed, path)
+
+
+def test_batched_streams_edge_batches():
+    assert derive_rngs(3, []) == []
+    (one,) = derive_rngs(3, [("gen", 4, 1)])
+    assert same_stream(one, 3, ("gen", 4, 1))
+    mixed = [(), (0,), (2**32,), ("gen", 2**64 - 1, -1), tuple(range(9)), ("é", "日本", 2**40)]
+    for generator, path in zip(derive_rngs(2**33, mixed), mixed, strict=True):
+        assert same_stream(generator, 2**33, path)

@@ -227,16 +227,26 @@ def test_orthogonal_tie_keeps_lower_index():
 
 
 def test_filter_random_full_fraction_keeps_all():
-    kept, discarded = split(random_scores(3, 0), 1.0)
+    kept, discarded = split(random_scores(3, 0, [()])[0], 1.0)
     assert kept == [0, 1, 2] and not discarded
 
 
 def test_filter_random_is_deterministic_per_seed():
-    kept_a, _ = split(random_scores(8, 3, "inst", 0), 0.5)
-    kept_b, _ = split(random_scores(8, 3, "inst", 0), 0.5)
-    kept_c, _ = split(random_scores(8, 4, "inst", 0), 0.5)
+    kept_a, _ = split(random_scores(8, 3, [("inst", 0)])[0], 0.5)
+    kept_b, _ = split(random_scores(8, 3, [("inst", 0)])[0], 0.5)
+    kept_c, _ = split(random_scores(8, 4, [("inst", 0)])[0], 0.5)
     assert kept_a == kept_b
     assert kept_a != kept_c
+
+
+def test_random_scores_draw_one_row_per_stream():
+    # row k is what the ("random-selection", *streams[k]) stream draws alone
+    streams = [("inst", 0), ("inst", 1), ("infer-pick", 2**40), ()]
+    rows = random_scores(5, 9, streams)
+    assert rows.shape == (4, 5)
+    for row, stream in zip(rows, streams):
+        assert row.tobytes() == derive_rng(9, "random-selection", *stream).random(5).tobytes()
+    assert random_scores(5, 9, []).shape == (0, 5)
 
 
 def test_filter_random_is_uniform():
@@ -244,7 +254,7 @@ def test_filter_random_is_uniform():
     trials = 4000
     counts = np.zeros(4)
     for t in range(trials):
-        kept, _ = split(random_scores(4, 0, "trial", t), 0.5)
+        kept, _ = split(random_scores(4, 0, [("trial", t)])[0], 0.5)
         counts[kept] += 1
     expected = trials * 0.5
     sigma = np.sqrt(trials * 0.5 * 0.5)

@@ -128,25 +128,38 @@ print(len(students), len(teachers), math.ceil(rows / 16))
 
 
 def test_generation_is_one_channel_call_per_hop_and_one_stream_per_instance():
-    # channels.sample_calls and rng.derive_calls count these spans: each hop
-    # is one sample_channel call over every instance (per infer chunk at test
-    # time), while every instance still draws from its own derived stream
+    # channels.sample_calls counts these spans: each hop is one
+    # sample_channel call over every instance (per infer chunk at test
+    # time), while every instance still draws from its own derived stream.
+    # A stream is a derive_rng span or one path handed to derive_rngs, which
+    # derives a split's per-instance streams in one batch and is counted by
+    # wrapping it wherever the package binds it.
     code = """
+import sys
 import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
-from chainviews import pipeline
+from chainviews import pipeline, rng
 from conftest import tiny_benchmark, tiny_config
+batched = []
+original = rng.derive_rngs
+def counted(master_seed, paths):
+    batched.append(len(paths))
+    return original(master_seed, paths)
+for name, module in list(sys.modules.items()):
+    if name.startswith("chainviews") and getattr(module, "derive_rngs", None) is original:
+        module.derive_rngs = counted
 pipeline.SCORE_CHUNK_ROWS = 16
 train, test, schema, g_uv, g_vu = tiny_benchmark()
 for full_chain in (False, True):
     config = tiny_config(infer_full_chain=full_chain)
     tracer.spans.clear()
+    batched.clear()
     tracer.enabled = True
     pipeline.run_pipeline(train, test, schema, g_uv, g_vu, config)
     tracer.enabled = False
     names = [span[tracing.NAME] for span in tracer.spans]
-    print(names.count("channels.sample_channel"), names.count("rng.derive_rng"))
+    print(names.count("channels.sample_channel"), names.count("rng.derive_rng") + sum(batched))
 """
     env = dict(
         os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "benchmarks"), str(ROOT / "src"), str(ROOT / "tests")])

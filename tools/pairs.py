@@ -4,7 +4,8 @@
         --pairs 10 --seconds 20 --out BENCH.json
 
 The parent commit is unpacked with ``git archive`` into a temporary
-directory, removed again at the end. Each pair runs the unchanged
+directory, removed again at the end, also when the run is stopped with
+SIGTERM. Each pair runs the unchanged
 ``benchmarks/run.py`` once in each tree, one after the other; which tree
 goes first alternates from pair to pair, because host speed drifts. The
 output file holds, per (workload, seed), every pair's end-to-end metrics,
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -227,6 +229,18 @@ def cli_differences(parent: Path, change: Path) -> list[str]:
             or cli_content(parent / name) != cli_content(change / name)]
 
 
+def scratch_directory() -> tempfile.TemporaryDirectory:
+    """The run's ``pairs-*`` temporary directory, removed when its ``with``
+    block ends. SIGTERM raises ``SystemExit`` from then on, so that a
+    terminated run ends the block and removes the directory too."""
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, stop)
+    return tempfile.TemporaryDirectory(prefix="pairs-")
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -253,7 +267,7 @@ def main(argv=None) -> int:
     def log(line):
         print(line, file=sys.stderr, flush=True)
 
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+    with scratch_directory() as tmp:
         parent_tree = Path(tmp) / "parent"
         parent_tree.mkdir()
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout
