@@ -13,11 +13,10 @@ from chainviews import (
     PipelineConfig,
     Scorer,
     TrainConfig,
+    curate,
     generate_benchmark,
     keep_count,
     lossy_world_preset,
-    run_round0,
-    run_rounds,
 )
 from chainviews.selection import random_scores, rank_rows
 
@@ -35,9 +34,7 @@ config = PipelineConfig(
 )
 
 print("generating 24 views for each of 40 instances, then teacher-scoring them...")
-pools = run_round0(train, g_uv, config)
-run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
-pooled = pools.instances_out()
+pooled = curate(train, g_uv, g_vu, Scorer(config, schema))
 
 # round 1 scored every round-0 view; its survival count records the split
 kept_losses, dropped_losses, collapsed_kept, collapsed_total = [], [], 0, 0

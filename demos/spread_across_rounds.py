@@ -13,12 +13,11 @@ from chainviews import (
     PipelineConfig,
     Scorer,
     TrainConfig,
+    curate,
     diversity_report,
     extract_stages,
     generate_benchmark,
     lossy_world_preset,
-    run_round0,
-    run_rounds,
 )
 
 print("stage key: V0 = kept initial views, V1' = raw regrown views")
@@ -38,9 +37,7 @@ for seed in range(5):
         infer_views=2,
         teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
     )
-    pools = run_round0(instances, g_uv, config)
-    run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
-    stages = extract_stages(pools.instances_out(), schema)
+    stages = extract_stages(curate(instances, g_uv, g_vu, Scorer(config, schema)), schema)
     for d in (2, 4):
         rows = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}
         wide = rows["V1'"]

@@ -94,19 +94,16 @@ from .pipeline import (
     RunReport,
     RunResult,
     Scorer,
-    SplitPools,
     ablation_table,
     compute_metrics,
     condition_config,
     config_hash,
+    curate,
     extract_stages,
     infer,
     run_ablation,
     run_pipeline,
-    run_round0,
-    run_rounds,
     save_report,
-    train_student,
 )
 from .rng import derive_rng, derive_rngs, derive_seed_sequence
 from .selection import (

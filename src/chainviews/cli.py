@@ -70,21 +70,13 @@ def _out_dir(config: ExperimentConfig, arg_out: str | None) -> Path:
     return out
 
 
-def _load(args, k_override: int | None = None) -> ExperimentConfig:
+def _load(args) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     mapping = merge_overrides(read_config_mapping(args.config), overrides)
-    if k_override is not None:
-        mapping = merge_overrides(mapping, {"pipeline": {"ccg_rounds": k_override}})
-        section = mapping["pipeline"]  # a copy; a non-mapping section is a ConfigError
-        spawn = section.get("spawn_per_kept")
-        if isinstance(spawn, list):  # anything else is parse_config's to reject
-            spawn = spawn[:k_override]
-            spawn += [1] * (k_override - len(spawn))
-            section["spawn_per_kept"] = spawn
     return parse_config(mapping, source=str(args.config))
 
 
@@ -111,7 +103,7 @@ def cmd_gen_benchmark(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load(args, k_override=args.k)
+    config = _load(args)
     out = _out_dir(config, args.out)
     train_instances, test_instances, schema, g_uv, g_vu = load_experiment_data(config)
     condition = condition_name(config.pipeline)
@@ -286,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline once")
     common(p)
     workers(p)
-    p.add_argument("--k", type=int, default=None, help="override the number of generation rounds")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run every ablation condition over the configured seeds")

@@ -27,13 +27,21 @@ class DiversityError(ValueError):
     pass
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """A DiversityError naming the first row of ``data`` that holds a NaN or an infinity."""
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise DiversityError(f"row {int(np.argmax(bad))} holds a non-finite number")
+
+
 def pca_reduce(data: np.ndarray, n_components: int):
     """Center ``data`` and project onto the top principal directions.
 
     Returns ``(projection, reduced, explained_variance)`` where
     ``projection`` is (d, n_components) with orthonormal columns ordered by
     descending eigenvalue and ``explained_variance`` holds the
-    corresponding covariance eigenvalues.
+    corresponding covariance eigenvalues. A row holding a NaN or an
+    infinity is a DiversityError.
     """
     check_int("n_components", n_components, 1, DiversityError)
     data = np.asarray(data, dtype=np.float64)
@@ -44,6 +52,7 @@ def pca_reduce(data: np.ndarray, n_components: int):
         raise DiversityError("need at least two points")
     if not (1 <= n_components <= d):
         raise DiversityError(f"n_components must be in [1, {d}]")
+    _check_finite(data)
     mean = data.mean(axis=0)
     centered = data - mean
     # SVD of the centered matrix; right singular vectors are the principal axes
@@ -93,7 +102,8 @@ def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
     points' ``[x², x, 1]`` features, so its log densities lose accuracy in
     proportion to ``m²/v`` (the trace moves by ~4e-5 relative at 10¹²).
     Each variance is the centred sum ``Σ r·(x − m)²``, which does not.
-    Fits are deterministic but not bit-equal to earlier versions' fits.
+    Fits are deterministic but not bit-equal to earlier versions' fits. A row
+    holding a NaN or an infinity is a DiversityError.
     """
     max_iters, tol, cov_floor = 200, 1e-7, 1e-6
     check_int("n_components", n_components, 1, DiversityError)
@@ -103,6 +113,7 @@ def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
     n, d = data.shape
     if n_components > n:
         raise DiversityError("n_components must be in [1, n]")
+    _check_finite(data)
 
     data_t = np.ascontiguousarray(data.T)  # (d, n): each coordinate is one contiguous row
     features = np.concatenate([data_t * data_t, data_t, np.ones((1, n))])  # (2d+1, n)

@@ -13,14 +13,13 @@ per-instance pool evolves 30 -> keep 18 -> +72 -> 90 -> keep 54 -> +54 ->
 108. ``ccg_rounds=0`` still performs the initial selection (it just spawns
 nothing), which is the "no chained generation" ablation.
 
-A curated run is four calls: ``run_round0`` builds the split's store, a
-``SplitPools`` (its pools as whole arrays, the same round and step at every
-pool index), ``run_rounds`` runs every round over it in place, ranking each
-instance's candidates with one row-wise sort, ``train_student`` reads it and
-``infer`` classifies the test split. Each instance's Pool is built once,
-after the student trains. ``run_pipeline`` is the one run path: every
-condition, the unimodal baseline included, ends in one ``compute_metrics``
-call and one ``RunReport``. An empty split is a ``PipelineError``.
+``run_pipeline`` is the one run path: every condition, the unimodal
+baseline included, ends in one ``compute_metrics`` call and one
+``RunReport``. A curated one grows the train split's pools as ``curate``
+does, in one private store (whole arrays, the same round and step at every
+pool index, each instance's candidates ranked by one row-wise sort), trains
+the student from it and classifies the test split with ``infer``, all under
+one ``Scorer``. An empty split is a ``PipelineError``.
 
 Everything is a pure function of (config, seed): generation draws one
 stream per (instance, round) -- ``("gen", id, round)`` in training,
@@ -139,7 +138,7 @@ class PipelineConfig:
             raise SelectionError(
                 f"keep_fraction must be a finite number in (0, 1] (any under keep_all), got {self.keep_fraction!r}"
             )
-        live = self.initial_views  # each instance's candidates for the student, as run_rounds counts them
+        live = self.initial_views  # each instance's candidates for the student after the last round
         for spawn in self.spawn_per_kept or (0,):
             live = self.kept(live) * (1 + spawn)
         if self.train_views > live:
@@ -220,12 +219,17 @@ def compute_metrics(predictions: Sequence[int], labels: Sequence[int], schema: D
 
     When the schema names a none-of-the-above class it is left out of the
     micro counts (predicting "none" for a "none" instance earns nothing).
-    Empty denominators yield 0.
+    Empty denominators yield 0. A value outside ``[0, class_count)`` is a
+    ValueError naming its row.
     """
     predictions = check_labels(predictions, "prediction")
     labels = check_labels(labels)
     if predictions.shape != labels.shape or predictions.ndim != 1 or predictions.shape[0] == 0:
         raise ValueError("predictions and labels must be equal-length non-empty vectors")
+    for name, values in (("prediction", predictions), ("label", labels)):
+        if (bad := (values < 0) | (values >= schema.class_count)).any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"{name} {values[row]} at row {row} is outside [0, {schema.class_count})")
     accuracy = float(np.mean(predictions == labels))
     tp = fp = fn = 0
     for c in range(schema.class_count):
@@ -334,7 +338,7 @@ class Scorer:
 # --- one store per split ---------------------------------------------------------
 
 
-class SplitPools:
+class _SplitPools:
     """A split's synthetic pools as one store, which each step updates in place.
 
     Every instance starts with ``initial_views`` views and keeps and spawns
@@ -357,7 +361,6 @@ class SplitPools:
         self.round, self.step, self.is_v = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.str_), np.zeros(0, dtype=bool)
         self.parent_id, self.survived = np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0), dtype=np.int64)
         self.teacher_loss, self.sides = np.zeros((count, 0)), {}
-        self.policy: str | None = None  # the policy run_rounds ran under
 
     def live(self, selection_index: int) -> np.ndarray:
         """The pool indices of each instance's candidates at selection
@@ -403,14 +406,19 @@ class SplitPools:
         ]
 
 
-# --- stepwise building blocks ---------------------------------------------------
-#
-# run_pipeline is run_round0, run_rounds, train_student and infer in order.
-# Each reads its settings from the run's one Scorer, which holds the run's
-# PipelineConfig, so calling them by hand with that Scorer reproduces it.
+# --- the curation loop -----------------------------------------------------------
 
 
-def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> SplitPools:
+def curate(instances: Sequence[Instance], g_uv, g_vu, scorer: Scorer) -> list[Instance]:
+    """``instances`` with the pools every round of ``scorer.config`` grows:
+    ``run_pipeline``'s train split, byte for byte. The last teacher stays in
+    ``scorer.teacher``. Occupied pools or no instances are a PipelineError."""
+    pools = _round0(instances, g_uv, scorer.config)
+    _rounds(pools, g_vu, g_uv, scorer)
+    return pools.instances_out()
+
+
+def _round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> _SplitPools:
     """The split's store, holding every instance's initial batch of generated views.
 
     Requires empty synthetic pools, which are left as they are; each
@@ -421,16 +429,16 @@ def run_round0(instances: Sequence[Instance], g_uv, config: PipelineConfig) -> S
     occupied = [inst.id for inst in instances if len(inst.synthetic_pool)]
     if occupied:
         raise PipelineError(f"instances already hold synthetic views: {occupied[:5]}")
-    n, pools = config.initial_views, SplitPools(instances)
+    n, pools = config.initial_views, _SplitPools(instances)
     streams = Streams(derive_rngs(config.seed, [("gen", inst.id, 0) for inst in instances]), [n] * len(instances))
     views = sample_channel(g_uv, _copies(instances, n), streams)
     pools.add(0, np.full(n, STEP_U_TO_V), np.full((len(instances), n), REAL_PARENT), views)
     return pools
 
 
-def run_rounds(pools: SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecord]:
+def _rounds(pools: _SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecord]:
     """Every selection-plus-generation round of ``scorer.config`` over a store
-    fresh from ``run_round0``, updated in place; one RoundRecord per round.
+    fresh from ``_round0``, updated in place; one RoundRecord per round.
 
     Selection ``s`` (from 0; ``ccg_rounds=0`` runs one, which spawns
     nothing) scores every live candidate with ``scorer``; the teacher policy
@@ -443,14 +451,8 @@ def run_rounds(pools: SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecor
     stream. Then every v-side view still without a loss gets one from the
     final teacher, in one ``logits`` call over every instance's rows, so the
     student's pick compares every live candidate.
-
-    A store that has recorded a survival or handed out its pools is refused
-    before any teacher trains.
     """
-    if not pools.survived.flags.writeable or pools.survived.any():
-        raise PipelineError("run_rounds needs a store fresh from run_round0: no survival recorded, pools not handed out")
     config, instances = scorer.config, pools.instances
-    pools.policy = config.policy_name
     rounds = [_round(pools, s, spawn, g_vu, g_uv, scorer) for s, spawn in enumerate(config.spawn_per_kept or (0,))]
     if config.policy_name == "teacher_loss" and (todo := pools.is_v & np.isnan(pools.teacher_loss)).any():
         teacher, (at, ids) = scorer.teacher, np.nonzero(todo)
@@ -460,8 +462,8 @@ def run_rounds(pools: SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecor
     return rounds
 
 
-def _round(pools: SplitPools, selection_index: int, spawn: int, g_vu, g_uv, scorer: Scorer) -> RoundRecord:
-    """One selection and the children it spawns, as ``run_rounds`` describes;
+def _round(pools: _SplitPools, selection_index: int, spawn: int, g_vu, g_uv, scorer: Scorer) -> RoundRecord:
+    """One selection and the children it spawns, as ``_rounds`` describes;
     a call of its own, so that the round's scores and batches are freed before
     the next teacher or the trailing scores run (held, they raised peak memory)."""
     config, instances, at = scorer.config, pools.instances, pools.at
@@ -487,23 +489,19 @@ def _round(pools: SplitPools, selection_index: int, spawn: int, g_vu, g_uv, scor
     return RoundRecord(selection_index, n, k, spawn, per_instance)
 
 
-def train_student(pools: SplitPools, scorer: Scorer) -> StudentModel:
+def _train_student(pools: _SplitPools, scorer: Scorer) -> StudentModel:
     """Train the fusion student on each instance's best live candidates in the store.
 
     The live candidates are the v-side views that would face the next
     selection (the largest ``round + survived`` of a v-side view): the last
     selection's keepers plus the views generated after it. Per instance the
     ``train_views`` best under ``scorer`` join the real view and entities.
-    The teacher-loss policy ranks by stored loss, which ``run_rounds`` gives
-    every live candidate; only views that carry one are ranked. A store with
-    no survival recorded, or whose rounds ran under another policy than
-    ``scorer``'s, is refused before any model is built.
+    The teacher-loss policy ranks by stored loss, which ``_rounds`` gives
+    every live candidate. A NaN score (a channel that outputs NaN) leaves a
+    view unscored, and an instance with fewer than ``train_views`` scored
+    views is a PipelineError.
     """
-    if not pools.survived.any():
-        raise PipelineError("train_student needs a store that run_rounds has run on: no survival recorded")
     config, instances, at = scorer.config, pools.instances, pools.at
-    if pools.policy != config.policy_name:
-        raise PipelineError(f"the rounds ran under policy {pools.policy!r}, the scorer's is {config.policy_name!r}")
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
     if config.policy_name == "teacher_loss":
         scores = np.take_along_axis(pools.teacher_loss, live, axis=1)
@@ -575,9 +573,9 @@ def run_pipeline(
 ) -> RunResult:
     """Execute one condition end to end and return instances plus report.
 
-    A curated condition is the stepwise calls in order: ``run_round0``,
-    ``run_rounds``, ``train_student`` and ``infer`` over the test split, all
-    sharing one Scorer of ``config``.
+    A curated condition runs ``_round0``, ``_rounds`` and ``_train_student``
+    over the train split's store, as ``curate`` does plus the student, then
+    ``infer`` over the test split, all sharing one Scorer of ``config``.
     ``unimodal`` instead trains a UnimodalModel on the real views with the
     student's settings and classifies the test split's real views: no
     rounds, no pools and no teacher. Every condition is scored by one
@@ -600,18 +598,18 @@ def run_pipeline(
         inputs = student.inputs(stack_views([inst.real_view for inst in train_instances]), subj, obj)
         train(student, inputs, labels, config.student, config.seed, rng_stream=("unimodal-train",))
     else:
-        pools = run_round0(train_instances, g_uv, config)
+        pools = _round0(train_instances, g_uv, config)
         timing["generate_initial"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         scorer = Scorer(config, schema)
-        rounds = run_rounds(pools, g_vu, g_uv, scorer)
+        rounds = _rounds(pools, g_vu, g_uv, scorer)
         teacher = scorer.teacher
         final_pool_size = pools.live(len(rounds)).shape[1]
         timing["rounds"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        student = train_student(pools, scorer)
+        student = _train_student(pools, scorer)
     timing["train_student"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

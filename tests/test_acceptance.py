@@ -39,11 +39,10 @@ from chainviews.pipeline import (
     PipelineConfig,
     Scorer,
     compute_metrics,
+    curate,
     extract_stages,
     run_ablation,
     run_pipeline,
-    run_round0,
-    run_rounds,
 )
 from chainviews.rng import derive_rng
 from chainviews.verification import run_checks
@@ -226,9 +225,7 @@ def test_criterion_8_chained_generation_increases_spread():
             infer_views=2,
             teacher=TrainConfig(learning_rate=0.02, steps=60, batch_size=24),
         )
-        pools = run_round0(instances, g_uv, config)
-        run_rounds(pools, g_vu, g_uv, Scorer(config, schema))
-        stages = extract_stages(pools.instances_out(), schema)
+        stages = extract_stages(curate(instances, g_uv, g_vu, Scorer(config, schema)), schema)
         for d in (2, 4):
             by_name = {r.stage: r.statistic for r in diversity_report(stages, pca_dim=d, n_components=3, seed=seed)}
             wins[d] += by_name["V1'"] > by_name["V0"]

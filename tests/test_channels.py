@@ -28,7 +28,7 @@ from chainviews.channels import (
 from chainviews.datamodel import MODALITY_U, MODALITY_V, ViewBatch, ViewSpec, discrete_view, vector_view
 from chainviews.info import DiscreteJoint, exact_mi
 from chainviews.rng import derive_rng
-from chainviews.pipeline import run_round0
+from chainviews.pipeline import Scorer, curate
 from conftest import tiny_config, tiny_world
 
 
@@ -565,11 +565,12 @@ def test_clean_preset_preserves_label_information():
 def test_per_instance_streams_make_generation_order_irrelevant():
     # regenerating one instance's round-0 views in isolation reproduces the
     # run over all instances
-    world, g_uv, _, v_spec = tiny_world()
-    instances, _ = generate_benchmark(world, 2, v_spec)
-    config = tiny_config(initial_views=3, seed=11)
-    batch = run_round0(instances, g_uv, config).instances_out()
-    (alone,) = run_round0([instances[3]], g_uv, config).instances_out()  # no other draws first
+    world, g_uv, g_vu, v_spec = tiny_world()
+    instances, schema = generate_benchmark(world, 2, v_spec)
+    # no rounds after round 0 and no teacher: the pools hold the round-0 views alone
+    config = tiny_config(initial_views=3, seed=11, ccg_rounds=0, spawn_per_kept=(), policy_name="keep_all")
+    batch = curate(instances, g_uv, g_vu, Scorer(config, schema))
+    (alone,) = curate([instances[3]], g_uv, g_vu, Scorer(config, schema))  # no other draws first
     assert alone.id == batch[3].id
     assert np.array_equal(alone.synthetic_pool.v.data, batch[3].synthetic_pool.v.data)
     # and the pool is the instance's ("gen", id, 0) stream through one batch

@@ -2,7 +2,6 @@
 
 import base64
 import contextlib
-import copy
 import io
 import json
 import warnings
@@ -74,6 +73,7 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert main(["verify", "--workers", "2"]) == EXIT_USAGE  # only run and ablate take --workers
     for command in ("run", "ablate"):  # --workers is a no-op, but it must be a positive integer
         assert main([command, "--config", str(QUICK), "--workers", "0"]) == EXIT_USAGE
+    assert main(["run", "--config", str(QUICK), "--k", "2"]) == EXIT_USAGE  # rounds are pipeline.ccg_rounds
     capsys.readouterr()
 
 
@@ -216,13 +216,16 @@ def test_run_seed_override_changes_outputs(run_artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_k_zero_flag(run_artifacts, tmp_path, capsys):
+def test_run_with_zero_rounds(tmp_path, capsys):
     out = tmp_path / "k0"
-    assert main(["run", "--config", run_artifacts.config, "--out", str(out), "--k", "0"]) == EXIT_OK
+    mapping = tiny_mapping(out)
+    mapping["pipeline"].update(ccg_rounds=0, spawn_per_kept=[])
+    config = write_yaml(tmp_path / "k0.yaml", mapping)
+    assert main(["run", "--config", config]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["ccg_rounds"] == 0
     assert "diversity" not in report  # `chainviews diversity` writes the stage table
-    assert main(["diversity", "--config", run_artifacts.config, "--out", str(out)]) == EXIT_OK
+    assert main(["diversity", "--config", config]) == EXIT_OK
     assert json.loads((out / "diversity.meta.json").read_text())["stages"] == ["V0"]
     assert (out / "metrics.csv").read_text().splitlines()[1].startswith("no_ccg,")
     capsys.readouterr()
@@ -820,16 +823,9 @@ def test_infer_views_above_initial_views_exits_1_naming_both(tmp_path):
     assert err.startswith("error: pipeline: infer_views (8) must not exceed initial_views (5)"), err
 
 
-def test_ablate_and_the_k_flag_report_malformed_values_as_config_errors(tmp_path, capsys):
-    # --k rewrites the pipeline section and ablate loads each seed's data;
-    # both must leave malformed values to the config parser
+def test_ablate_reports_malformed_values_as_config_errors(tmp_path, capsys):
+    # ablate loads each seed's data, and must leave malformed values to the config parser
     mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
-    config = write_yaml(tmp_path / "spawn.yaml", with_value(copy.deepcopy(mapping), ("pipeline", "spawn_per_kept"), 3))
-    assert main(["run", "--config", config, "--k", "2", "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert "pipeline.spawn_per_kept must be a list of integers" in capsys.readouterr().err
-    config = write_yaml(tmp_path / "list.yaml", {**mapping, "pipeline": [1, 2]})
-    assert main(["run", "--config", config, "--k", "2", "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert "pipeline must be a mapping, got list" in capsys.readouterr().err
     config = write_yaml(tmp_path / "empty.yaml", with_value(mapping, ("data", "train_per_class"), 0))
     assert main(["ablate", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "data.train_per_class must be a positive integer, got 0" in capsys.readouterr().err

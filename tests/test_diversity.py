@@ -214,6 +214,20 @@ def test_empty_report_is_an_error():
         diversity_report({}, pca_dim=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_refused_naming_the_row(bad):
+    # unchecked, a NaN made the SVD fail to converge and the EM trace NaN
+    data = derive_rng(4, "non-finite").standard_normal((50, 3))
+    data[17, 1] = bad
+    message = r"^row 17 holds a non-finite number$"
+    with pytest.raises(DiversityError, match=message):
+        pca_reduce(data, 2)
+    with pytest.raises(DiversityError, match=message):
+        fit_gmm(data, 2)
+    with pytest.raises(DiversityError, match=message):
+        diversity_report({"V0": data}, pca_dim=2)
+
+
 # --- the EM layout against its reference ---------------------------------------------
 
 

@@ -183,6 +183,25 @@ def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
     assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS if config is not None)
 
 
+def test_demo_differences_name_the_demos_whose_stdout_differs():
+    parent = {"channel_tour": "H(U) 1.5\n", "filtering_demo": "kept 12\n"}
+    assert pairs.demo_differences(parent, dict(parent)) == []
+    change = {"channel_tour": "H(U) 1.5\n", "filtering_demo": "kept 13\n"}
+    assert pairs.demo_differences(parent, change) == ["filtering_demo"]
+    change["spread_across_rounds"] = ""  # a demo one tree alone ran differs
+    assert pairs.demo_differences(parent, change) == ["filtering_demo", "spread_across_rounds"]
+    assert pairs.demo_differences(change, parent) == ["filtering_demo", "spread_across_rounds"]
+
+
+def test_the_compared_demos_exist_and_run_as_the_suite_runs_them(tmp_path):
+    assert all((pairs.ROOT / "demos" / f"{name}.py").is_file() for name in pairs.DEMOS)
+    outputs = pairs.demo_outputs(pairs.ROOT, tmp_path)
+    assert list(outputs) == list(pairs.DEMOS) and all(outputs.values())
+    # each ran in a directory of its own, which it left empty
+    cwds = list(tmp_path.iterdir())
+    assert len(cwds) == len(pairs.DEMOS) and not any(list(cwd.iterdir()) for cwd in cwds)
+
+
 def test_sigterm_removes_the_scratch_directory(tmp_path):
     # a run stopped with SIGTERM while it waits on a child process still
     # leaves its with block, which removes the pairs-* directory

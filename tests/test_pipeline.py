@@ -1,4 +1,4 @@
-"""Pipeline orchestration: metrics, the selection loop, stepwise parity, ablation."""
+"""Pipeline orchestration: metrics, the selection loop, curate's parity with a run, ablation."""
 
 import io
 import json
@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainviews.pipeline as pipeline_module
-from chainviews.channels import DiscreteChannel, generate_benchmark, sample_channel, stack_views
+from chainviews.channels import DiscreteChannel, LinearGaussianChannel, generate_benchmark, sample_channel, stack_views
 from chainviews.datamodel import (
     EMPTY_POOL,
+    MODALITY_U,
+    MODALITY_V,
     REAL_PARENT,
     STEP_U_TO_V,
     DatasetSchema,
@@ -38,16 +40,14 @@ from chainviews.pipeline import (
     condition_config,
     condition_name,
     config_hash,
+    curate,
     extract_stages,
     infer,
     metrics_table_text,
     report_to_dict,
     run_ablation,
     run_pipeline,
-    run_round0,
-    run_rounds,
     save_report,
-    train_student,
 )
 from chainviews.rng import derive_rng
 from chainviews.selection import POLICY_NAMES, keep_count, similarity_scores
@@ -138,6 +138,21 @@ def test_metrics_reject_predictions_and_labels_that_are_not_integers():
     with pytest.raises(ValueError, match="label True at row 1 is not an integer"):
         compute_metrics([0, 1], [0, True], schema)
     assert compute_metrics(np.array([0, 2]), [0, 2], schema)["f1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "predictions, labels, message",
+    [
+        ([0, 1, 9], [0, 7, 2], "prediction 9 at row 2"),  # counted as they stand: F1 0.5
+        ([0, 1, 2], [0, 7, 2], "label 7 at row 1"),
+        (np.array([0, -1]), np.array([0, 1]), "prediction -1 at row 1"),  # counted as they stand: F1 0.667
+    ],
+)
+def test_metrics_reject_values_outside_the_classes(predictions, labels, message):
+    schema = DatasetSchema(4, 6, ViewSpec("vector", 2), ViewSpec("vector", 2))
+    with pytest.raises(ValueError, match=rf"^{message} is outside \[0, 4\)$"):
+        compute_metrics(predictions, labels, schema)
+    assert compute_metrics([0, 3], [0, 3], schema)["f1"] == 1.0
 
 
 def test_default_config_matches_published_schedule():
@@ -386,38 +401,42 @@ def test_config_digest_ignores_workers():
     assert config_hash({"pipeline": tiny_config(seed=8).to_dict()}) != one
 
 
-# --- stepwise building blocks ------------------------------------------------------
+# --- curate ----------------------------------------------------------------------
 
 
-def assert_stepwise_calls_reproduce_the_run(data, config):
+def assert_curate_reproduces_the_run(data, config):
+    # curate's pools and last teacher are the run's, and its pools record the
+    # report's rounds: the candidates each selection faced, kept and dropped
     schema, g_uv, g_vu = data.schema, data.g_uv, data.g_vu
-    orchestrated = run_pipeline(data.train, data.test, schema, g_uv, g_vu, config)
-
+    run = run_pipeline(data.train, data.test, schema, g_uv, g_vu, config)
     scorer = Scorer(config, schema)
-    pools = run_round0(data.train, g_uv, config)
-    assert pools.parent_id.shape == (len(data.train), config.initial_views)
-    rounds = run_rounds(pools, g_vu, g_uv, scorer)
-    # the schedule from keep/spawn arithmetic alone
-    pool_size = config.initial_views
-    for record in rounds:
-        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
-        assert (record.pool_size, record.kept_size) == (pool_size, kept)
-        pool_size = kept * (1 + record.spawned)
+    curated = curate(data.train, g_uv, g_vu, scorer)
+    assert dataset_to_string(curated, schema) == dataset_to_string(run.instances, schema)
     teacher = scorer.teacher
-    assert (teacher is None) == (orchestrated.teacher is None) == (config.policy_name != "teacher_loss")
+    assert (teacher is None) == (run.teacher is None) == (config.policy_name != "teacher_loss")
     if teacher is not None:
-        assert all(np.array_equal(teacher.params[k], orchestrated.teacher.params[k]) for k in teacher.params)
-    student = train_student(pools, scorer)
-    assert all(np.array_equal(student.params[k], orchestrated.student.params[k]) for k in student.params)
-    predictions = infer(student, data.test, g_uv, g_vu, scorer)
-    stepwise = replace(
-        orchestrated.report,
-        rounds=tuple(rounds),
-        final_pool_size=pool_size,
-        metrics=compute_metrics(predictions, [inst.label for inst in data.test], schema),
-    )
-    assert report_sans_timing(stepwise) == report_sans_timing(orchestrated.report)
-    assert dataset_to_string(pools.instances_out(), schema) == dataset_to_string(orchestrated.instances, schema)
+        assert all(np.array_equal(teacher.params[k], run.teacher.params[k]) for k in teacher.params)
+    pool_size = config.initial_views
+    for s, record in enumerate(run.report.rounds):
+        # the schedule from keep/spawn arithmetic alone
+        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
+        assert (record.selection_index, record.pool_size, record.kept_size) == (s, pool_size, kept)
+        for instance, entry in zip(curated, record.per_instance, strict=True):
+            pool = instance.synthetic_pool
+            faced = pool.is_v & (pool.round <= s) & (s <= pool.round + pool.survived)
+            survived = faced & (s < pool.round + pool.survived)
+            assert entry.instance_id == instance.id
+            assert list(entry.candidate_ids) == np.flatnonzero(faced).tolist()
+            assert list(entry.kept_ids) == np.flatnonzero(survived).tolist()
+            # a dropped view keeps the loss of the selection that dropped it
+            scores, dropped = dict(zip(entry.candidate_ids, entry.scores)), faced & ~survived
+            if teacher is not None:
+                assert [scores[i] for i in np.flatnonzero(dropped)] == pool.teacher_loss[dropped].tolist()
+        pool_size = kept * (1 + record.spawned)
+    assert run.report.final_pool_size == pool_size
+    # curate's scorer classifies the test split as the run did
+    predictions = infer(run.student, data.test, g_uv, g_vu, scorer)
+    assert compute_metrics(predictions, [inst.label for inst in data.test], schema) == run.report.metrics
 
 
 @pytest.mark.parametrize(
@@ -432,8 +451,8 @@ def assert_stepwise_calls_reproduce_the_run(data, config):
     ],
     ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "full_chain"],
 )
-def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
-    assert_stepwise_calls_reproduce_the_run(tiny_run, replace(tiny_run.config, **overrides))
+def test_curate_reproduces_the_run(tiny_run, overrides):
+    assert_curate_reproduces_the_run(tiny_run, replace(tiny_run.config, **overrides))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -444,7 +463,7 @@ def test_stepwise_calls_reproduce_the_orchestrated_run(tiny_run, overrides):
     full_chain=st.booleans(),
     train_views=st.integers(1, 4),
 )
-def test_stepwise_calls_reproduce_random_schedules(tiny_run, spawns, keep_fraction, policy_name, full_chain, train_views):
+def test_curate_reproduces_random_schedules(tiny_run, spawns, keep_fraction, policy_name, full_chain, train_views):
     # every live candidate is scored at the student's pick, so the last
     # selection's survivors and their children bound train_views
     live = tiny_run.config.initial_views
@@ -459,7 +478,7 @@ def test_stepwise_calls_reproduce_random_schedules(tiny_run, spawns, keep_fracti
         infer_full_chain=full_chain,
         train_views=min(train_views, live),
     )
-    assert_stepwise_calls_reproduce_the_run(tiny_run, config)
+    assert_curate_reproduces_the_run(tiny_run, config)
 
 
 def test_a_run_builds_one_scorer(tiny_run, monkeypatch):
@@ -508,9 +527,8 @@ def test_generation_depends_only_on_the_instance_and_round(
     )
 
     def curated(instances):
-        pools = run_round0(instances, tiny_run.g_uv, config)
-        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-        return instance_lines(pools.instances_out(), tiny_run.schema)
+        curated = curate(instances, tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema))
+        return instance_lines(curated, tiny_run.schema)
 
     def generated(instances):
         student = RecordingStudent(tiny_run.schema)
@@ -527,20 +545,19 @@ def test_generation_depends_only_on_the_instance_and_round(
 
 
 def test_children_come_from_one_batch_per_channel_on_the_round_stream(tiny_run):
+    # round 0 is the real view's copies through g_uv on ("gen", id, 0); then
     # kept parents parent-major, each repeated spawn times, through g_vu and
     # then g_uv on ("gen", id, 1); (u, v) pairs appended in that order
     config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), policy_name="random")
-    scorer = Scorer(config, tiny_run.schema)
-    pools = run_round0(tiny_run.train[:2], tiny_run.g_uv, config)
-    round0 = pools.sides["v"][1].copy()
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
     n = config.initial_views
-    for k, new in enumerate(pools.instances_out()):
+    curated = curate(tiny_run.train[:2], tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema))
+    for new in curated:
         pool = new.synthetic_pool
+        round0 = sample_channel(tiny_run.g_uv, stack_views([new.real_view] * n), derive_rng(config.seed, "gen", new.id, 0))
+        assert np.array_equal(pool.v.data[:n], round0.data)
         kept = np.flatnonzero(pool.survived[:n]).tolist()
         sources = [i for i in kept for _ in range(2)]
         rng = derive_rng(config.seed, "gen", new.id, 1)
-        assert np.array_equal(pool.v.data[:n], round0[k])
         u_views = sample_channel(tiny_run.g_vu, pool.v_rows(sources), rng)
         v_views = sample_channel(tiny_run.g_uv, u_views, rng)
         assert pool.parent_id[n::2].tolist() == sources
@@ -564,7 +581,7 @@ def test_one_instance_per_class_with_single_views():
 def test_round0_view_counts_and_provenance(tiny_run):
     for m0 in (30, 1):
         config = tiny_config(initial_views=m0, infer_views=1)
-        step = run_round0(tiny_run.train, tiny_run.g_uv, config).instances_out()
+        step = pipeline_module._round0(tiny_run.train, tiny_run.g_uv, config).instances_out()
         for instance in step:
             pool = instance.synthetic_pool
             assert len(pool) == m0 and len(pool.v) == m0 and pool.u is None
@@ -574,96 +591,22 @@ def test_round0_view_counts_and_provenance(tiny_run):
 
 def test_single_view_fusion_still_trains(tiny_run):
     config = tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=1, student=replace(tiny_config().student, steps=10))
-    scorer = Scorer(config, tiny_run.schema)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
-    student = train_student(pools, scorer)
-    instance = tiny_run.train[0]
-    real, synth = stack_views([instance.real_view]), pools.instances_out()[0].synthetic_pool.v_rows([0])
+    result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config)
+    student, instance = result.student, tiny_run.train[0]
+    real, synth = stack_views([instance.real_view]), result.instances[0].synthetic_pool.v_rows([0])
     logits = student.logits(student.inputs(real, synth, instance.subject, instance.object))
     assert logits.shape == (1, tiny_run.schema.class_count)
 
 
-def test_round0_rejects_occupied_pools(tiny_run):
-    step = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config).instances_out()
+def test_curate_rejects_occupied_pools(tiny_run):
+    curated = curate(tiny_run.train, tiny_run.g_uv, tiny_run.g_vu, Scorer(tiny_run.config, tiny_run.schema))
     with pytest.raises(PipelineError, match="already hold"):
-        run_round0(step, tiny_run.g_uv, tiny_run.config)
+        curate(curated, tiny_run.g_uv, tiny_run.g_vu, Scorer(tiny_run.config, tiny_run.schema))
 
 
-def test_round0_refuses_an_empty_split(tiny_run):
+def test_curate_refuses_an_empty_split(tiny_run):
     with pytest.raises(PipelineError, match="a split needs at least one instance"):
-        run_round0([], tiny_run.g_uv, tiny_run.config)
-
-
-def test_run_rounds_refuses_a_store_that_is_not_fresh(tiny_run, monkeypatch):
-    # a second call would judge again the views the first one discarded, and
-    # a store that handed out its pools is read-only: each is refused, and
-    # left as it was, before any teacher trains or scores
-    stores = []
-    for config in (tiny_run.config, replace(tiny_run.config, ccg_rounds=0, spawn_per_kept=())):
-        pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-        run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-        stores.append((pools, config))
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
-    pools.instances_out()
-    stores.append((pools, tiny_run.config))
-    calls, train, logits = [], pipeline_module.train, TeacherModel.logits
-    monkeypatch.setattr(pipeline_module, "train", lambda *args, **kwargs: calls.append("train") or train(*args, **kwargs))
-    monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: calls.append("logits") or logits(self, inputs))
-    message = r"^run_rounds needs a store fresh from run_round0: no survival recorded, pools not handed out$"
-    for pools, config in stores:
-        survived, losses = pools.survived.copy(), pools.teacher_loss.copy()
-        with pytest.raises(PipelineError, match=message):
-            run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-        assert np.array_equal(pools.survived, survived)
-        assert np.array_equal(pools.teacher_loss, losses, equal_nan=True)
-    assert calls == []
-
-
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
-def test_train_student_needs_enough_scored_views(tiny_run, monkeypatch, policy_name):
-    # a store straight from round 0 holds no selected view under any policy,
-    # and is refused before any model is built or trained
-    def no_model(*args, **kwargs):
-        raise AssertionError("a model was built or trained")
-
-    monkeypatch.setattr(pipeline_module, "StudentModel", no_model)
-    monkeypatch.setattr(pipeline_module, "train", no_model)
-    config = replace(tiny_run.config, policy_name=policy_name)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    with pytest.raises(PipelineError, match=r"^train_student needs a store that run_rounds has run on: no survival recorded$"):
-        train_student(pools, Scorer(config, tiny_run.schema))
-
-
-@pytest.mark.parametrize("ran, picks", [("random", "teacher_loss"), ("teacher_loss", "random"), ("keep_all", "similarity")])
-def test_train_student_refuses_a_policy_the_rounds_did_not_run(tiny_run, monkeypatch, ran, picks):
-    # the store records the policy run_rounds ran under; a scorer of another
-    # policy is refused, naming both, before any model is built or trained
-    config = replace(tiny_run.config, policy_name=ran)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    assert pools.policy is None
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-    assert pools.policy == ran
-
-    def no_model(*args, **kwargs):
-        raise AssertionError("a model was built or trained")
-
-    monkeypatch.setattr(pipeline_module, "StudentModel", no_model)
-    monkeypatch.setattr(pipeline_module, "train", no_model)
-    message = rf"^the rounds ran under policy '{ran}', the scorer's is '{picks}'$"
-    with pytest.raises(PipelineError, match=message):
-        train_student(pools, Scorer(replace(config, policy_name=picks), tiny_run.schema))
-
-
-def test_train_student_names_a_shortfall_without_blaming_the_rounds(tiny_run):
-    # a scorer of the rounds' policy asking for more views than the store
-    # holds is refused with the count; the rounds did run, so no advice to run them
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(tiny_run.config, tiny_run.schema))
-    live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0))).shape[1]
-    greedy = replace(tiny_run.config, train_views=live + 1, ccg_rounds=0, spawn_per_kept=(), initial_views=2 * live + 2)
-    with pytest.raises(PipelineError, match=rf"^instance 0 has {live} scored candidate views, needs {live + 1}$"):
-        train_student(pools, Scorer(greedy, tiny_run.schema))
+        curate([], tiny_run.g_uv, tiny_run.g_vu, Scorer(tiny_run.config, tiny_run.schema))
 
 
 POOL_COLUMNS = ("round", "step", "parent_id", "teacher_loss", "survived")
@@ -681,9 +624,7 @@ def test_pool_verdicts_are_copies(tiny_run):
     # pools it hands out are read-only row views of one split-wide array per
     # column, never per-instance copies
     config = tiny_run.config
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-    after = pools.instances_out()
+    after = curate(tiny_run.train, tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema))
     n = config.initial_views
     for old, new in zip(tiny_run.train, after):
         assert old.synthetic_pool is EMPTY_POOL and (new.id, new.real_view) == (old.id, old.real_view)
@@ -719,26 +660,33 @@ def test_run_pipeline_refuses_an_empty_split(tiny_run):
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @pytest.mark.parametrize("spawns", [(2, 1), (), (2, 0)], ids=["default", "no_ccg", "last_spawns_none"])
 def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, policy_name, spawns):
-    # under teacher_loss run_rounds leaves every v-side view, and so every
+    # under teacher_loss the rounds leave every v-side view, and so every
     # candidate of the student's pick, with a finite loss; other policies store none
     config = replace(tiny_run.config, policy_name=policy_name, ccg_rounds=len(spawns), spawn_per_kept=spawns)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    rounds = run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, Scorer(config, tiny_run.schema))
-    live = np.take_along_axis(pools.teacher_loss, pools.live(len(rounds)), axis=1)
-    if policy_name == "teacher_loss":
-        assert np.isfinite(live).all() and np.isfinite(pools.teacher_loss[:, pools.is_v]).all()
-    else:
-        assert np.isnan(pools.teacher_loss).all()
+    for instance in curate(tiny_run.train, tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema)):
+        pool = instance.synthetic_pool
+        live = pool.is_v & (pool.round + pool.survived == len(spawns or (0,)))
+        if policy_name == "teacher_loss":
+            assert live.any() and np.isfinite(pool.teacher_loss[pool.is_v]).all()
+        else:
+            assert np.isnan(pool.teacher_loss).all()
+
+
+@pytest.mark.parametrize("policy_name", ["teacher_loss", "similarity"])
+def test_a_channel_that_outputs_nan_leaves_the_student_too_few_scored_views(tiny_run, policy_name):
+    # a NaN view scores NaN under both policies that score views, so the last
+    # selection's 3 keepers are each instance's only scored candidates
+    nan_vu = LinearGaussianChannel(np.full((2, 2), np.nan), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
+    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name=policy_name)
+    with pytest.raises(PipelineError, match=r"^instance 0 has 3 scored candidate views, needs 4$"):
+        run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, nan_vu, config)
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):
+    # under the random policy the student is the run's one trained model
     config = tiny_config(
         policy_name="random", spawn_per_kept=(2, 0), train_views=6, student=replace(tiny_config().student, steps=2)
     )
-    scorer = Scorer(config, tiny_run.schema)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, config)
-    rounds = run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
-    assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
     picked = []
     real_train = pipeline_module.train
 
@@ -747,8 +695,11 @@ def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_not
         return real_train(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "train", recording_train)
-    train_student(pools, scorer)
-    for instance, views, entry in zip(pools.instances_out(), picked, rounds[-1].per_instance):
+    result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config)
+    rounds = result.report.rounds
+    assert [(r.pool_size, r.kept_size, r.spawned) for r in rounds] == [(5, 3, 2), (9, 6, 0)]
+    assert len(picked) == len(tiny_run.train)
+    for instance, views, entry in zip(result.instances, picked, rounds[-1].per_instance):
         kept = instance.synthetic_pool.v_rows(list(entry.kept_ids)).data
         assert sorted(v.tobytes() for v in views) == sorted(row.tobytes() for row in kept)
 
@@ -1028,16 +979,17 @@ def test_trailing_scores_are_one_teacher_call_matching_each_instance_alone(tiny_
     monkeypatch.setattr(pipeline_module, "train", recording_train)
     monkeypatch.setattr(TeacherModel, "logits", lambda self, inputs: events.append(len(inputs[0])) or logits(self, inputs))
     scorer = Scorer(tiny_run.config, tiny_run.schema)
-    pools = run_round0(tiny_run.train, tiny_run.g_uv, tiny_run.config)
-    run_rounds(pools, tiny_run.g_vu, tiny_run.g_uv, scorer)
-    trailing = pools.is_v & (pools.round == tiny_run.config.ccg_rounds)
+    curated = curate(tiny_run.train, tiny_run.g_uv, tiny_run.g_vu, scorer)
+    pools = [instance.synthetic_pool for instance in curated]
+    ids = [np.flatnonzero(pool.is_v & (pool.round == tiny_run.config.ccg_rounds)) for pool in pools]
     last = len(events) - 1 - events[::-1].index("trained")
-    assert events[last + 1 :] == [np.count_nonzero(trailing) * len(tiny_run.train)] and trailing.any()
-    teacher, ids = scorer.teacher, np.flatnonzero(trailing)
-    for k, instance in enumerate(tiny_run.train):
-        alone = logits(teacher, teacher.inputs(pools.v_rows(k, ids), instance.subject, instance.object))
-        expected, _ = softmax_xent(alone, [instance.label] * len(ids))
-        np.testing.assert_allclose(pools.teacher_loss[k, ids], expected, rtol=1e-12, atol=0)
+    assert events[last + 1 :] == [sum(map(len, ids))] and len(ids[0])
+    teacher = scorer.teacher
+    for instance, trailing in zip(curated, ids):
+        pool = instance.synthetic_pool
+        alone = logits(teacher, teacher.inputs(pool.v_rows(trailing), instance.subject, instance.object))
+        expected, _ = softmax_xent(alone, [instance.label] * len(trailing))
+        np.testing.assert_allclose(pool.teacher_loss[trailing], expected, rtol=1e-12, atol=0)
 
 
 # --- conditions and ablation --------------------------------------------------------

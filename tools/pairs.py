@@ -32,6 +32,11 @@ compared without its wall-clock ``timing``, ``ablate.meta.json`` and
 ``verify_report.json`` without their wall-clock ``runtime_seconds`` (in
 ``verify_report.json``, one per check) and ``diversity.meta.json`` without
 its ``dataset`` path; ``cli_outputs_differ`` names the files that differ.
+
+Once per tree, the demos that print no wall-clock time (``DEMOS``) also run,
+each from an empty directory as ``tests/test_demos.py`` runs them.
+``demo_outputs_equal`` holds when every one printed the same stdout in both
+trees; ``demo_outputs_differ`` names the demos whose stdout differs.
 """
 
 from __future__ import annotations
@@ -229,6 +234,31 @@ def cli_differences(parent: Path, change: Path) -> list[str]:
             or cli_content(parent / name) != cli_content(change / name)]
 
 
+# the demos whose stdout holds no wall-clock time, so that two trees' runs compare
+DEMOS = ("channel_tour", "information_decay", "filtering_demo", "spread_across_rounds")
+
+
+def demo_outputs(tree: Path, scratch: Path) -> dict[str, str]:
+    """The stdout of each of ``DEMOS``, by name, run from ``tree``'s sources
+    in a new empty directory under ``scratch``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    outputs = {}
+    for name in DEMOS:
+        cwd = Path(tempfile.mkdtemp(prefix=f"demo-{name}-", dir=scratch))
+        argv = [sys.executable, str(tree / "demos" / f"{name}.py")]
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{proc.stderr}")
+        outputs[name] = proc.stdout
+    return outputs
+
+
+def demo_differences(parent: dict, change: dict) -> list[str]:
+    """The names of the demos whose stdout differs between two trees'
+    ``demo_outputs``, one-sided demos included."""
+    return sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+
+
 def scratch_directory() -> tempfile.TemporaryDirectory:
     """The run's ``pairs-*`` temporary directory, removed when its ``with``
     block ends. SIGTERM raises ``SystemExit`` from then on, so that a
@@ -277,6 +307,8 @@ def main(argv=None) -> int:
         for side in SIDES:
             run_cli(trees[side], cli_outs[side])
         differing = cli_differences(cli_outs["parent"], cli_outs["change"])
+        demos = {side: demo_outputs(trees[side], Path(tmp)) for side in SIDES}
+        demos_differing = demo_differences(demos["parent"], demos["change"])
         measured = [measure(trees, workload, seed, args.pairs, args.seconds, spec, log)
                     for workload in args.workload for seed in args.seed]
         lines = {side: src_lines(tree) for side, tree in trees.items()}
@@ -288,6 +320,8 @@ def main(argv=None) -> int:
         "runs": [run for run, _ in measured],
         "cli_outputs_equal": not differing,
         "cli_outputs_differ": differing,
+        "demo_outputs_equal": not demos_differing,
+        "demo_outputs_differ": demos_differing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for run in result["runs"]:
@@ -302,6 +336,8 @@ def main(argv=None) -> int:
               + "; ".join(f"{side} {n['attempted']} attempted, {n['failed']} failed" for side, n in run["operations"].items()))
         print(f"{run['workload']} seed {run['seed']} digests_equal {run['digests_equal']}")
     print(f"cli_outputs_equal {not differing}" + (f" (differ: {', '.join(differing)})" if differing else ""))
+    print(f"demo_outputs_equal {not demos_differing}"
+          + (f" (differ: {', '.join(demos_differing)})" if demos_differing else ""))
     return 0
 
 
