@@ -58,6 +58,14 @@ class ChannelError(ValueError):
     """Port mismatch or malformed channel parameters."""
 
 
+def _finite_array(name: str, value, error=ChannelError) -> np.ndarray:
+    """``value`` as a float array; a NaN or an infinity in it is an ``error`` naming it."""
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise error(f"{name} must hold finite numbers only")
+    return array
+
+
 @dataclass(frozen=True)
 class Port:
     """Typed endpoint of a channel: shape contract plus modality."""
@@ -152,8 +160,7 @@ class LinearGaussianChannel:
     ``weight.shape[1]``-wide inputs to ``weight.shape[0]``-wide outputs."""
 
     def __init__(self, weight, bias, noise_sigma: float, in_modality: str, out_modality: str):
-        weight = np.asarray(weight, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
+        weight, bias = _finite_array("weight", weight), _finite_array("bias", bias)
         if weight.ndim != 2 or not weight.size:
             raise ChannelError(f"weight must be 2-d and non-empty, got shape {weight.shape}")
         if bias.shape != weight.shape[:1]:
@@ -191,12 +198,12 @@ class PrototypeCollapseChannel:
         out_modality: str,
         projection=None,
     ):
-        prototypes = np.asarray(prototypes, dtype=np.float64)
+        prototypes = _finite_array("prototypes", prototypes)
         if prototypes.ndim != 2 or not prototypes.size:
             raise ChannelError(f"prototypes must be a non-empty 2-d array, got shape {prototypes.shape}")
         width = prototypes.shape[1]
         if projection is not None:
-            projection = np.asarray(projection, dtype=np.float64)
+            projection = _finite_array("projection", projection)
             if projection.ndim != 2 or len(projection) != width or not projection.size:
                 raise ChannelError(f"projection must be 2-d with {width} rows and a column, got shape {projection.shape}")
         self.prototypes = prototypes
@@ -336,7 +343,7 @@ class BenchmarkWorld:
     seed: int
 
     def __post_init__(self):
-        means = np.asarray(self.class_means, dtype=np.float64)
+        means = _finite_array("class_means", self.class_means, ValueError)
         object.__setattr__(self, "class_means", means)
         check_int("seed", self.seed, 0)
         check_number("within_class_sigma", self.within_class_sigma, positive=True)

@@ -301,6 +301,8 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
     if preset is None and channels is None:
         raise ConfigError("custom worlds and dataset files need a 'channels' section")
 
+    if dataset is not None and "data" in mapping:
+        raise ConfigError("dataset files carry their own schema and sizes; drop the 'data' section")
     data = _require_mapping(mapping.get("data", {}), "data")
     _reject_unknown(data, {"train_per_class", "test_per_class", "none_class"}, "data")
     train_per_class = check_int("data.train_per_class", data.get("train_per_class", 35), 1, ConfigError)
@@ -381,19 +383,8 @@ def read_config_mapping(path) -> dict:
 
 
 def merge_overrides(mapping: Mapping, overrides: Mapping | None) -> dict:
-    """Overlay CLI flag values; the 'pipeline' key merges one level deep so a
-    single scalar override keeps the rest of the section."""
-    merged = dict(mapping)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "pipeline":
-            section = dict(_require_mapping(merged.get("pipeline") or {}, "pipeline"))
-            section.update(value)
-            merged["pipeline"] = section
-        else:
-            merged[key] = value
-    return merged
+    """Overlay CLI flag values on a copy of ``mapping``; a None value is skipped."""
+    return {**mapping, **{key: value for key, value in (overrides or {}).items() if value is not None}}
 
 
 # --- materializing experiments ---------------------------------------------------

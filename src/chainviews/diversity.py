@@ -3,10 +3,11 @@
 The statistic is the generalized variance: project views to a low PCA
 dimension, fit a diagonal-covariance Gaussian mixture by EM, and take the
 determinant of the mixture's total covariance (law of total variance:
-within-component plus between-component parts); EM runs on matrix
-products, deterministic but not bit-equal to earlier versions. Comparing
-the statistic across pipeline stages (kept round-0 views, raw round-1
-views, ...) shows whether chained generation spreads the population out.
+within-component plus between-component parts). EM works on the centred
+squares ``(x - m)²``, so its accuracy does not hang on where the data lie.
+Comparing the statistic across pipeline stages (kept round-0 views, raw
+round-1 views, ...) shows whether chained generation spreads the
+population out.
 
 The PCA basis is always fit on the union of the stages under comparison, so
 per-stage numbers live in one shared coordinate system.
@@ -98,39 +99,35 @@ def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
     log-likelihood moves by less than 1e-7. The trace is monotone
     non-decreasing up to 1e-8 per iteration; a larger drop raises, because
     EM cannot legitimately do that. Component variances are floored at 1e-6.
-    The E-step is one matrix product of per-component coefficients with the
-    points' ``[x², x, 1]`` features, so its log densities lose accuracy in
-    proportion to ``m²/v`` (the trace moves by ~4e-5 relative at 10¹²).
-    Each variance is the centred sum ``Σ r·(x − m)²``, which does not.
-    Fits are deterministic but not bit-equal to earlier versions' fits. A row
-    holding a NaN or an infinity is a DiversityError.
+    Each fit keeps the centred squares ``(x - m)²`` of every point under
+    every component: the M-step refreshes them and sums the variances
+    ``Σ r·(x - m)²`` from them, and the next E-step's log densities are
+    their product with ``-1/2v``. Fits are deterministic but not bit-equal
+    to earlier versions' fits. A row holding a NaN or an infinity is a
+    DiversityError.
     """
     max_iters, tol, cov_floor = 200, 1e-7, 1e-6
     check_int("n_components", n_components, 1, DiversityError)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DiversityError("need an (n >= 2, d) data matrix")
-    n, d = data.shape
+    n = data.shape[0]
     if n_components > n:
         raise DiversityError("n_components must be in [1, n]")
     _check_finite(data)
 
     data_t = np.ascontiguousarray(data.T)  # (d, n): each coordinate is one contiguous row
-    features = np.concatenate([data_t * data_t, data_t, np.ones((1, n))])  # (2d+1, n)
     means = data[_farthest_point_indices(data_t, n_components, derive_rng(seed, "gmm-init"))]
-    global_var = np.maximum(data.var(axis=0), cov_floor)
-    variances = np.tile(global_var, (n_components, 1))
+    variances = np.tile(np.maximum(data.var(axis=0), cov_floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
-    coeffs = np.empty((n_components, 2 * d + 1))
-    diff = np.empty((d, n))
+    squares = data_t - means[:, :, None]  # (N, d, n): (x - m_j)², refreshed by each M-step
+    np.square(squares, out=squares)
 
     trace: list[float] = []
     for _ in range(max_iters):
-        # log w + log N(x; m, v) = -x²/2v + x·m/v + log w - (m²/v + log 2πv)/2, summed over coordinates
-        inv = 1.0 / variances
-        coeffs[:, :d], coeffs[:, d:-1] = -0.5 * inv, means * inv
-        coeffs[:, -1] = np.log(weights) - 0.5 * np.sum(means * means * inv + np.log(2.0 * np.pi * variances), axis=1)
-        resp = coeffs @ features  # (N, n) log parts
+        # log w + log N(x; m, v) = log w - Σ_k ((x_k - m_k)²/v_k + log 2πv_k) / 2
+        resp = ((-0.5 / variances)[:, None, :] @ squares)[:, 0]  # (N, n) log parts
+        resp += (np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=1))[:, None]
         top = resp.max(axis=0)
         np.exp(np.subtract(resp, top, out=resp), out=resp)
         total = resp.sum(axis=0)
@@ -145,10 +142,8 @@ def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
         mass = np.maximum(resp.sum(axis=1), 1e-12)
         weights = mass / n
         means = (resp @ data) / mass[:, None]
-        for j in range(n_components):
-            np.subtract(data_t, means[j][:, None], out=diff)
-            np.multiply(diff, diff, out=diff)
-            variances[j] = np.maximum((diff @ resp[j]) / mass[j], cov_floor)
+        np.square(np.subtract(data_t, means[:, :, None], out=squares), out=squares)
+        variances = np.maximum((squares @ resp[:, :, None])[:, :, 0] / mass[:, None], cov_floor)
 
     return GmmModel(
         weights=weights,
@@ -161,14 +156,8 @@ def fit_gmm(data: np.ndarray, n_components: int, seed: int = 0) -> GmmModel:
 def total_covariance(gmm: GmmModel) -> np.ndarray:
     """Law of total variance: sum of weighted component covariances plus the
     covariance of the component means."""
-    grand_mean = gmm.weights @ gmm.means
-    d = gmm.means.shape[1]
-    cov = np.zeros((d, d))
-    for w, mean, var in zip(gmm.weights, gmm.means, gmm.diag_covs):
-        cov += w * np.diag(var)
-        offset = mean - grand_mean
-        cov += w * np.outer(offset, offset)
-    return cov
+    offsets = gmm.means - gmm.weights @ gmm.means
+    return np.diag(gmm.weights @ gmm.diag_covs) + (gmm.weights * offsets.T) @ offsets
 
 
 def generalized_variance(gmm: GmmModel) -> float:
@@ -219,18 +208,17 @@ def diversity_report(
         matrices[name] = matrix
 
     union = np.concatenate(list(matrices.values()), axis=0)
-    projection, _, _ = pca_reduce(union, pca_dim)
-    center = union.mean(axis=0)
+    _, reduced_union, _ = pca_reduce(union, pca_dim)
+    ends = np.cumsum([len(matrix) for matrix in matrices.values()])
 
     report = []
-    for name, matrix in matrices.items():
-        reduced = (matrix - center) @ projection
+    for name, reduced in zip(matrices, np.split(reduced_union, ends[:-1])):
         components = min(n_components, reduced.shape[0])
         gmm = fit_gmm(reduced, components, seed=seed)
         report.append(
             StageDiversity(
                 stage=name,
-                n_views=matrix.shape[0],
+                n_views=reduced.shape[0],
                 pca_dim=pca_dim,
                 n_components=components,
                 statistic=generalized_variance(gmm),

@@ -257,6 +257,24 @@ def test_channels_refuse_parameters_that_are_not_finite_numbers_in_range(name, v
         build_every_parameter(**{name: value})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("weight", lambda bad: LinearGaussianChannel([[1.0, bad]], [0.0], 0.1, MODALITY_U, MODALITY_V)),
+        ("bias", lambda bad: LinearGaussianChannel(np.eye(2), [0.0, bad], 0.1, MODALITY_U, MODALITY_V)),
+        ("prototypes", lambda bad: PrototypeCollapseChannel([[0.0, bad]], 1.0, 0.1, MODALITY_U, MODALITY_V)),
+        (
+            "projection",
+            lambda bad: PrototypeCollapseChannel(np.eye(2), 1.0, 0.1, MODALITY_U, MODALITY_V, projection=[[bad], [1.0]]),
+        ),
+    ],
+)
+def test_channels_refuse_arrays_that_hold_a_non_finite_number(name, build, bad):
+    with pytest.raises(ChannelError, match=f"^{name} must hold finite numbers only$"):
+        build(bad)
+
+
 # --- composition -----------------------------------------------------------------
 
 
@@ -402,6 +420,12 @@ def test_world_refuses_a_sigma_or_vocabulary_out_of_its_domain(field, value, wan
     BenchmarkWorld(**WORLD_FIELDS)
     with pytest.raises(ValueError, match=re.escape(f"{field} must be {wanted}, got {value!r}")):
         BenchmarkWorld(**{**WORLD_FIELDS, field: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_world_refuses_class_means_that_hold_a_non_finite_number(bad):
+    with pytest.raises(ValueError, match="^class_means must hold finite numbers only$"):
+        BenchmarkWorld(**{**WORLD_FIELDS, "class_means": [[1.0, 0.0], [0.0, bad]]})
 
 
 def test_world_class_count_is_the_number_of_means():

@@ -125,6 +125,17 @@ def test_dataset_mode_needs_paths_and_channels():
         )
 
 
+@pytest.mark.parametrize("data", [{"none_class": 3, "train_per_class": 999}, {}, None])
+def test_dataset_mode_refuses_a_data_section(data):
+    # the files fix the schema and the sizes, so a data section would be ignored
+    channel = {"kind": "discrete", "matrix": [[1.0]]}
+    paths = {"train": "a.jsonl", "test": "b.jsonl"}
+    mapping = {"seed": 1, "dataset": paths, "channels": {"u_to_v": channel, "v_to_u": channel}}
+    assert parse_config(mapping).none_class is None
+    with pytest.raises(ConfigError, match=r"^dataset files carry their own schema and sizes; drop the 'data' section$"):
+        parse_config({**mapping, "data": data})
+
+
 def test_custom_world_needs_channels():
     custom = {
         "class_means": [[1.0, 0.0], [0.0, 1.0]],
@@ -375,13 +386,13 @@ def test_read_config_mapping_errors(tmp_path):
     assert read_config_mapping(empty) == {}
 
 
-def test_merge_overrides_one_level_deep():
-    mapping = base_mapping(pipeline={"ccg_rounds": 2, "initial_views": 12})
-    merged = merge_overrides(mapping, {"seed": 9, "pipeline": {"ccg_rounds": 0}, "out_dir": None})
-    assert merged["seed"] == 9
-    assert merged["pipeline"] == {"ccg_rounds": 0, "initial_views": 12}
+def test_merge_overrides_sets_the_given_values_and_skips_none():
+    mapping = base_mapping(pipeline={"ccg_rounds": 2})
+    merged = merge_overrides(mapping, {"seed": 9, "out_dir": None})
+    assert merged == {**mapping, "seed": 9}
     assert "out_dir" not in merged  # None overrides are skipped
-    assert mapping["pipeline"]["ccg_rounds"] == 2  # input untouched
+    assert mapping["seed"] == 3  # input untouched
+    assert merge_overrides(mapping, None) == mapping
 
 
 def test_overrides_change_the_digest(tmp_path):

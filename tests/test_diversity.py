@@ -292,24 +292,25 @@ def reference_fit_gmm(data, n_components, seed=0, max_iters=200, tol=1e-7, cov_f
 
 @pytest.mark.parametrize("n, d, components", [(7, 1, 2), (300, 2, 3), (2000, 4, 2), (4000, 3, 3)])
 def test_em_on_the_transposed_layout_matches_the_row_layout_bit_for_bit(n, d, components):
-    # the id is kept, but fit_gmm's matrix products round differently from
-    # the oracle's row sums: the fits agree to round-off, not bit for bit
+    # the id is kept, but fit_gmm's batched products over the centred squares
+    # round differently from the oracle's row sums: the fits agree to
+    # round-off, not bit for bit
     rng = derive_rng(n, "layout")
     data = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d) + rng.integers(-3, 3, size=(n, 1))
     trace, weights, means, variances = reference_fit_gmm(data, components, seed=d)
     gmm = fit_gmm(data, components, seed=d)
     assert len(gmm.log_likelihoods) == len(trace)
-    np.testing.assert_allclose(gmm.log_likelihoods, trace, rtol=1e-11)
+    np.testing.assert_allclose(gmm.log_likelihoods, trace, rtol=1e-13)
     for got, want in ((gmm.weights, weights), (gmm.means, means), (gmm.diag_covs, variances)):
-        np.testing.assert_allclose(got, want, rtol=1e-11)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("components", [2, 3])
 @pytest.mark.parametrize("spread", [1e-3, 1e-2])
 def test_em_keeps_its_accuracy_on_a_tight_cluster_far_from_the_origin(spread, components):
-    # mean²/var is 10^12 or 10^10 on the far cluster. At 1e-2 its variance is
-    # above the floor, where an E[x²] - m² sum would be off by ~1e-6
-    # relative; the centred sum matches the oracle to round-off
+    # mean²/var is 10^12 or 10^10 on the far cluster, where log densities
+    # expanded as -x²/2v + x·m/v + const put the trace off by ~4e-5 relative;
+    # both EM steps read the centred squares and match the oracle to round-off
     rng = derive_rng(components, "far")
     data = np.vstack([rng.normal(size=(2000, 2)), rng.normal(1e3, spread, size=(500, 2))])
     trace, weights, means, variances = reference_fit_gmm(data, components, seed=0)
@@ -317,7 +318,19 @@ def test_em_keeps_its_accuracy_on_a_tight_cluster_far_from_the_origin(spread, co
     assert len(gmm.log_likelihoods) == len(trace)
     want = generalized_variance(GmmModel(weights, means, variances))
     assert generalized_variance(gmm) == pytest.approx(want, rel=1e-8)
-    np.testing.assert_allclose(gmm.diag_covs, variances, rtol=1e-11)
+    np.testing.assert_allclose(gmm.log_likelihoods, trace, rtol=1e-13)
+    np.testing.assert_allclose(gmm.diag_covs, variances, rtol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_em_on_a_tight_cluster_far_from_the_origin_is_monotone(seed):
+    # one cluster of spread 1e-3 at 1e3: m²/v is ~10^12 for both components
+    data = 1e3 + 1e-3 * np.random.default_rng(seed).standard_normal((500, 2))
+    trace, _, _, _ = reference_fit_gmm(data, 2)
+    gmm = fit_gmm(data, 2)
+    assert len(gmm.log_likelihoods) == len(trace)
+    assert np.all(np.diff(gmm.log_likelihoods) >= 0.0)
+    np.testing.assert_allclose(gmm.log_likelihoods, trace, rtol=1e-11)
 
 
 @pytest.mark.parametrize("value", [2.5, True, 2.0])

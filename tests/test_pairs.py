@@ -177,6 +177,51 @@ def test_cli_differences_skip_each_check_runtime_of_verify(tmp_path):
     assert pairs.cli_differences(parent, change) == ["verify_report.json"]
 
 
+def test_difference_size_pairs_the_numbers_of_csv_cells_and_json_values(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    (parent / "diversity.csv").write_text("stage,pca_dim,statistic\nV0,2,2.0\nV1,2,-4.0\n")
+    (change / "diversity.csv").write_text("stage,pca_dim,statistic\nV0,2,2.5\nV1,2,-4.0000004\n")
+    size = pairs.difference_size(parent / "diversity.csv", change / "diversity.csv")
+    assert size["max_abs"] == pytest.approx(0.5) and size["max_rel"] == pytest.approx(0.2)
+
+    # the runtimes verify_report.json is compared without are not sized either
+    (parent / "verify_report.json").write_text(verify_report((0.5, 0.2), 8.0))
+    (change / "verify_report.json").write_text(verify_report((0.7, 0.1), 6.0))
+    assert pairs.difference_size(parent / "verify_report.json", change / "verify_report.json") == {
+        "max_abs": 2.0, "max_rel": 0.25
+    }
+    (change / "verify_report.json").write_text(verify_report((0.5, 0.2), float("nan")))
+    assert pairs.difference_size(parent / "verify_report.json", change / "verify_report.json") == {
+        "max_abs": float("inf"), "max_rel": float("inf")
+    }
+    (parent / "verify_report.json").write_text(verify_report((0.5, 0.2), float("nan")))
+    assert pairs.difference_size(parent / "verify_report.json", change / "verify_report.json") == {
+        "max_abs": 0.0, "max_rel": 0.0
+    }
+
+
+@pytest.mark.parametrize(
+    "name, parent_text, change_text",
+    [
+        ("diversity.csv", "stage,statistic\nV0,2.0\n", "stage,statistic\nV1,2.0\n"),  # a cell that is no number
+        ("diversity.csv", "stage,statistic\nV0,2.0\n", "stage,statistic\nV0,2.0\nV1,3.0\n"),  # a row more
+        ("report.json", '{"f1": 0.5}', '{"f1": 0.5, "accuracy": 0.5}'),  # a key more
+        ("report.json", '{"f1": [0.5, 0.6]}', '{"f1": [0.5]}'),  # a shorter list
+        ("report.json", '{"f1": 0.5}', '{"f1": "0.5x"}'),  # a number against a word
+        ("train.jsonl", "{}\n", "[]\n"),  # neither CSV nor JSON
+    ],
+)
+def test_difference_size_reports_versions_that_do_not_pair_up(tmp_path, name, parent_text, change_text):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    (parent / name).write_text(parent_text)
+    (change / name).write_text(change_text)
+    assert pairs.difference_size(parent / name, change / name) == "structure differs"
+    (change / name).unlink()  # a file one tree alone wrote
+    assert pairs.difference_size(parent / name, change / name) == "structure differs"
+
+
 def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
     assert ("ablate", "configs/collapse_ablation.yaml") in pairs.CLI_COMMANDS
     assert ("verify", None) in pairs.CLI_COMMANDS

@@ -672,14 +672,15 @@ def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, policy_na
             assert np.isnan(pool.teacher_loss).all()
 
 
-@pytest.mark.parametrize("policy_name", ["teacher_loss", "similarity"])
-def test_a_channel_that_outputs_nan_leaves_the_student_too_few_scored_views(tiny_run, policy_name):
-    # a NaN view scores NaN under both policies that score views, so the last
-    # selection's 3 keepers are each instance's only scored candidates
-    nan_vu = LinearGaussianChannel(np.full((2, 2), np.nan), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
+@pytest.mark.parametrize("policy_name, instance", [("teacher_loss", 2), ("similarity", 0)])
+def test_a_channel_that_overflows_leaves_the_student_too_few_scored_views(tiny_run, policy_name, instance):
+    # a finite channel whose outputs overflow to inf or NaN: such a view
+    # scores NaN under both policies that score views, so the last selection's
+    # 3 keepers are an instance's only scored candidates
+    huge_vu = LinearGaussianChannel(np.full((2, 2), 1e308), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
     config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name=policy_name)
-    with pytest.raises(PipelineError, match=r"^instance 0 has 3 scored candidate views, needs 4$"):
-        run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, nan_vu, config)
+    with pytest.raises(PipelineError, match=rf"^instance {instance} has 3 scored candidate views, needs 4$"):
+        run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):

@@ -32,6 +32,11 @@ compared without its wall-clock ``timing``, ``ablate.meta.json`` and
 ``verify_report.json`` without their wall-clock ``runtime_seconds`` (in
 ``verify_report.json``, one per check) and ``diversity.meta.json`` without
 its ``dataset`` path; ``cli_outputs_differ`` names the files that differ.
+``cli_difference_sizes`` sizes each of them: when its two versions pair up
+(a CSV file with the same cells, or a JSON record with the same keys, the
+cells or values that are not numbers equal) it holds the largest absolute
+and the largest relative difference between paired numbers, and otherwise
+``structure differs``.
 
 Once per tree, the demos that print no wall-clock time (``DEMOS``) also run,
 each from an empty directory as ``tests/test_demos.py`` runs them.
@@ -42,7 +47,9 @@ trees; ``demo_outputs_differ`` names the demos whose stdout differs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -234,6 +241,50 @@ def cli_differences(parent: Path, change: Path) -> list[str]:
             or cli_content(parent / name) != cli_content(change / name)]
 
 
+def leaves(value, path=()):
+    """Each ``(path, leaf)`` of a JSON value, or of a CSV file as its list of rows."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def as_number(leaf):
+    """A JSON leaf or a CSV cell as a float when it is a number, else as it is."""
+    if isinstance(leaf, bool) or not isinstance(leaf, (int, float, str)):
+        return leaf
+    try:
+        return float(leaf)
+    except ValueError:
+        return leaf
+
+
+def difference_size(parent: Path, change: Path):
+    """The largest absolute and relative differences between the paired
+    numbers of two versions of a CLI output file, as compared by
+    ``cli_differences``; ``"structure differs"`` when they do not pair up."""
+    if not (parent.is_file() and change.is_file()) or parent.suffix not in (".csv", ".json"):
+        return "structure differs"
+    sides = []
+    for path in (parent, change):
+        text = path.read_text(encoding="utf-8")
+        value = list(csv.reader(text.splitlines())) if path.suffix == ".csv" else json.loads(text)
+        sides.append(list(leaves(without(value, CLI_UNCOMPARED.get(path.name)))))
+    if [path for path, _ in sides[0]] != [path for path, _ in sides[1]]:
+        return "structure differs"
+    gaps = [(0.0, 0.0)]
+    for (_, a), (_, b) in zip(*sides):
+        a, b = as_number(a), as_number(b)
+        if not (isinstance(a, float) and isinstance(b, float)):
+            if a != b:
+                return "structure differs"
+        elif a != b and not (math.isnan(a) and math.isnan(b)):
+            gap = abs(a - b)
+            gaps.append((gap, gap / max(abs(a), abs(b))) if math.isfinite(gap) else (math.inf, math.inf))
+    return {"max_abs": max(g for g, _ in gaps), "max_rel": max(r for _, r in gaps)}
+
+
 # the demos whose stdout holds no wall-clock time, so that two trees' runs compare
 DEMOS = ("channel_tour", "information_decay", "filtering_demo", "spread_across_rounds")
 
@@ -307,6 +358,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             run_cli(trees[side], cli_outs[side])
         differing = cli_differences(cli_outs["parent"], cli_outs["change"])
+        sizes = {name: difference_size(cli_outs["parent"] / name, cli_outs["change"] / name) for name in differing}
         demos = {side: demo_outputs(trees[side], Path(tmp)) for side in SIDES}
         demos_differing = demo_differences(demos["parent"], demos["change"])
         measured = [measure(trees, workload, seed, args.pairs, args.seconds, spec, log)
@@ -320,6 +372,7 @@ def main(argv=None) -> int:
         "runs": [run for run, _ in measured],
         "cli_outputs_equal": not differing,
         "cli_outputs_differ": differing,
+        "cli_difference_sizes": sizes,
         "demo_outputs_equal": not demos_differing,
         "demo_outputs_differ": demos_differing,
     }
@@ -336,6 +389,8 @@ def main(argv=None) -> int:
               + "; ".join(f"{side} {n['attempted']} attempted, {n['failed']} failed" for side, n in run["operations"].items()))
         print(f"{run['workload']} seed {run['seed']} digests_equal {run['digests_equal']}")
     print(f"cli_outputs_equal {not differing}" + (f" (differ: {', '.join(differing)})" if differing else ""))
+    for name, size in sizes.items():
+        print(f"  {name}: {size if isinstance(size, str) else 'max abs {max_abs:.3g}, max rel {max_rel:.3g}'.format(**size)}")
     print(f"demo_outputs_equal {not demos_differing}"
           + (f" (differ: {', '.join(demos_differing)})" if demos_differing else ""))
     return 0
