@@ -31,7 +31,6 @@ from .channels import (
 from .config import (
     ConfigError,
     ExperimentConfig,
-    build_world,
     channel_from_spec,
     load_experiment_data,
     parse_config,

@@ -311,7 +311,8 @@ def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator | Streams
     With arbitrary weights the matrix-product kernel may sum in a different
     order at another batch size, so a row can differ at round-off from the
     same segment sampled alone. Outputs stay a pure function of the inputs
-    and streams.
+    and streams. An output that is not finite is a ``ChannelError`` naming
+    the channel and its sides.
     """
     port = channel.in_port
     if not port.accepts(batch):
@@ -321,7 +322,13 @@ def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator | Streams
             f"got {batch.modality!r}-side {batch.kind} views of length {batch.data.shape[1]}"
         )
     out = channel.out_port
-    return ViewBatch(out.spec.kind, out.modality, channel.sample(batch.data, rng))
+    data = channel.sample(batch.data, rng)
+    if not np.isfinite(data).all():  # e.g. a weight large enough to overflow
+        raise ChannelError(
+            f"{type(channel).__name__} from the {port.modality!r} side to the {out.modality!r} side "
+            "output a non-finite number"
+        )
+    return ViewBatch(out.spec.kind, out.modality, data)
 
 
 # --- benchmark worlds -------------------------------------------------------

@@ -64,8 +64,8 @@ def _write_meta(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(config: ExperimentConfig, arg_out: str | None) -> Path:
-    out = Path(arg_out) if arg_out else Path(config.out_dir)
+def _out_dir(config: ExperimentConfig) -> Path:
+    out = Path(config.out_dir)  # _load has already put --out there
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -85,9 +85,9 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_gen_benchmark(args) -> int:
     config = _load(args)
-    if config.world_preset is None and config.world_custom is None:
+    if config.world is None:
         raise ConfigError("gen-benchmark needs a 'world' section, not dataset paths")
-    out = _out_dir(config, args.out)
+    out = _out_dir(config)
     train_instances, test_instances, schema, _, _ = load_experiment_data(config)
     files = {}
     for stream, instances in (("train", train_instances), ("test", test_instances)):
@@ -104,7 +104,7 @@ def cmd_gen_benchmark(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    out = _out_dir(config, args.out)
+    out = _out_dir(config)
     train_instances, test_instances, schema, g_uv, g_vu = load_experiment_data(config)
     condition = condition_name(config.pipeline)
     result = run_pipeline(
@@ -136,14 +136,14 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load(args)
-    if config.world_preset is None and config.world_custom is None:
+    if config.world is None:
         raise ConfigError("ablate needs a generative 'world' section, not dataset paths")
     for condition in config.ablation_conditions:  # a condition's own schedule may leave too few views
         try:
             condition_config(config.pipeline, condition)
         except ValueError as exc:
             raise ConfigError(f"pipeline under ablation condition {condition}: {exc}") from exc
-    out = _out_dir(config, args.out)
+    out = _out_dir(config)
     started = time.perf_counter()
     reports = run_ablation(
         lambda seed: load_experiment_data(config, seed),
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
 
 def cmd_diversity(args) -> int:
     config = _load(args)
-    out = _out_dir(config, args.out)
+    out = _out_dir(config)
     dataset_path = Path(args.dataset) if args.dataset else out / "dataset.jsonl"
     instances, schema = read_dataset_file(dataset_path)
     stages = extract_stages(instances, schema)

@@ -2,9 +2,11 @@
 
 One YAML file describes a whole experiment: where the data comes from (a
 named world preset, a custom world, or dataset files), the channel pair, the
-pipeline knobs, and the ablation/diversity grids. Flags may override scalar
-keys before parsing, so the recorded config digest always reflects what
-actually ran. ``yaml`` is imported only to read a file
+pipeline knobs, and the ablation/diversity grids. :func:`parse_config` checks
+all of it once: it builds the world and the channel pair, so every command
+holds the same checked objects and refuses the same configs. Flags may
+override scalar keys before parsing, so the recorded config digest always
+reflects what actually ran. ``yaml`` is imported only to read a file
 (:func:`read_config_mapping`), so importing the package does not load it.
 
 Channel specs are tagged mappings::
@@ -32,6 +34,7 @@ from .channels import (
     LinearGaussianChannel,
     MixtureChannel,
     PrototypeCollapseChannel,
+    generate_benchmark,
     lossy_world_preset,
     PRESET_NAMES,
 )
@@ -154,20 +157,15 @@ def channel_from_spec(spec: Mapping, in_modality: str, out_modality: str, where:
     raise ConfigError(f"{where}: unknown channel kind {kind!r}; choose one of {CHANNEL_KINDS}")
 
 
-def _channel_pair(specs: Mapping, u_spec: ViewSpec, v_spec: ViewSpec | None = None):
-    """The ``(u_to_v, v_to_u)`` channels of a ``channels`` section, checked
-    against the data's u side and ``v_spec`` (by default what ``u_to_v`` emits)."""
-    g_uv = channel_from_spec(specs["u_to_v"], MODALITY_U, MODALITY_V, "channels.u_to_v")
-    g_vu = channel_from_spec(specs["v_to_u"], MODALITY_V, MODALITY_U, "channels.v_to_u")
-    v_spec = v_spec or g_uv.out_port.spec
-    for name, channel, sides in (("u_to_v", g_uv, (u_spec, v_spec)), ("v_to_u", g_vu, (v_spec, u_spec))):
+def _check_sides(channels, u_spec: ViewSpec, v_spec: ViewSpec) -> None:
+    """Refuse a ``(u_to_v, v_to_u)`` pair that does not fit the data's sides."""
+    for name, channel, sides in zip(("u_to_v", "v_to_u"), channels, ((u_spec, v_spec), (v_spec, u_spec))):
         for verb, port, want in zip(("reads", "emits"), (channel.in_port, channel.out_port), sides):
             if port.spec != want:
                 raise ConfigError(
                     f"channels.{name} {verb} {port.spec.kind} views of size {port.spec.size}, "
                     f"but the data's {port.modality} side has {want.kind} views of size {want.size}"
                 )
-    return g_uv, g_vu
 
 
 # --- worlds --------------------------------------------------------------------
@@ -209,10 +207,9 @@ def world_from_custom(custom: Mapping, seed: int) -> BenchmarkWorld:
 class ExperimentConfig:
     seed: int
     out_dir: str
-    world_preset: str | None
-    world_custom: Mapping | None
+    world: BenchmarkWorld | None  # at ``seed``; None for dataset files
     dataset_paths: tuple[str, str] | None  # (train, test)
-    channel_specs: Mapping | None  # {"u_to_v": ..., "v_to_u": ...}
+    channels: tuple  # (u_to_v, v_to_u)
     train_per_class: int
     test_per_class: int
     none_class: int | None
@@ -267,18 +264,14 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError("seed required: set a top-level integer 'seed'")
     seed = check_int("seed", mapping["seed"], 0, ConfigError)
 
-    world = mapping.get("world")
-    dataset = mapping.get("dataset")
+    world, dataset = mapping.get("world"), mapping.get("dataset")
     if (world is None) == (dataset is None):
         raise ConfigError("exactly one of 'world' and 'dataset' must be given")
 
-    preset = None
-    custom = None
-    if world is not None:
-        world = _require_mapping(world, "world")
-        _reject_unknown(world, {"preset", "custom"}, "world")
-        preset = world.get("preset")
-        custom = world.get("custom")
+    preset = custom = None
+    if world is not None:  # the mapping here; the built world below
+        _reject_unknown(_require_mapping(world, "world"), {"preset", "custom"}, "world")
+        preset, custom = world.get("preset"), world.get("custom")
         if (preset is None) == (custom is None):
             raise ConfigError("world needs exactly one of 'preset' and 'custom'")
         if preset is not None and preset not in PRESET_NAMES:
@@ -336,13 +329,26 @@ def parse_config(mapping, source: str = "<config>") -> ExperimentConfig:
     canonical.pop("out_dir", None)  # where results are written is not what they are
     digest = config_hash(canonical)
 
+    # the contents, once the structure holds: a preset's channels give way to
+    # a channels section, and dataset files are checked when they are read
+    if preset is not None:
+        world, g_uv, g_vu = lossy_world_preset(preset, seed=seed)
+    elif custom is not None:
+        world = world_from_custom(custom, seed)
+    if channels is not None:
+        g_uv = channel_from_spec(channels["u_to_v"], MODALITY_U, MODALITY_V, "channels.u_to_v")
+        g_vu = channel_from_spec(channels["v_to_u"], MODALITY_V, MODALITY_U, "channels.v_to_u")
+    if world is not None:
+        _check_sides((g_uv, g_vu), ViewSpec("vector", world.u_dim), g_uv.out_port.spec)
+        if none_class is not None and none_class >= world.class_count:
+            raise ConfigError(f"data.none_class {none_class} is not one of the world's {world.class_count} classes")
+
     return ExperimentConfig(
         seed=seed,
         out_dir=str(mapping.get("out_dir", ".")),
-        world_preset=preset,
-        world_custom=custom,
+        world=world,
         dataset_paths=dataset_paths,
-        channel_specs=channels,
+        channels=(g_uv, g_vu),
         train_per_class=train_per_class,
         test_per_class=test_per_class,
         none_class=none_class,
@@ -390,26 +396,6 @@ def merge_overrides(mapping: Mapping, overrides: Mapping | None) -> dict:
 # --- materializing experiments ---------------------------------------------------
 
 
-def build_world(config: ExperimentConfig, seed: int | None = None):
-    """Return ``(world, g_u_to_v, g_v_to_u, v_spec)`` for a world-backed config.
-
-    ``seed`` reseeds the world (ablations regenerate data per seed); channel
-    overrides from the config replace the preset's channels.
-    """
-    if config.world_preset is None and config.world_custom is None:
-        raise ConfigError("config uses dataset files; there is no world to build")
-    world_seed = config.seed if seed is None else seed
-    if config.world_preset is not None:
-        world, g_uv, g_vu = lossy_world_preset(config.world_preset, seed=world_seed)
-    else:
-        world = world_from_custom(config.world_custom, world_seed)
-    if config.channel_specs is not None:
-        g_uv, g_vu = _channel_pair(config.channel_specs, ViewSpec("vector", world.u_dim))
-    if config.none_class is not None and config.none_class >= world.class_count:
-        raise ConfigError(f"data.none_class {config.none_class} is not one of the world's {world.class_count} classes")
-    return world, g_uv, g_vu, g_uv.out_port.spec
-
-
 def read_dataset_file(path):
     """``read_dataset(path)``; a path it cannot open is a ConfigError naming it."""
     try:
@@ -419,12 +405,12 @@ def read_dataset_file(path):
 
 
 def load_experiment_data(config: ExperimentConfig, seed: int | None = None):
-    """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``;
-    ``seed`` reseeds a world (:func:`build_world`), and a dataset file that
-    holds no instances is a ConfigError naming it."""
-    from .channels import generate_benchmark
-
-    if config.dataset_paths is not None:
+    """Return ``(train_instances, test_instances, schema, g_u_to_v, g_v_to_u)``
+    from the config's world, reseeded by ``seed`` if given, or from its
+    dataset files. A file that holds no instances, or whose schema the other
+    file or the channels do not fit, is a ConfigError."""
+    g_uv, g_vu = config.channels
+    if config.world is None:
         train_instances, schema = read_dataset_file(config.dataset_paths[0])
         test_instances, test_schema = read_dataset_file(config.dataset_paths[1])
         for path, instances in zip(config.dataset_paths, (train_instances, test_instances)):
@@ -432,10 +418,12 @@ def load_experiment_data(config: ExperimentConfig, seed: int | None = None):
                 raise ConfigError(f"dataset {path} holds no instances")
         if test_schema != schema:
             raise ConfigError("train and test datasets disagree on their schema")
-        g_uv, g_vu = _channel_pair(config.channel_specs, schema.u_spec, schema.v_spec)
+        _check_sides(config.channels, schema.u_spec, schema.v_spec)
         return train_instances, test_instances, schema, g_uv, g_vu
 
-    world, g_uv, g_vu, v_spec = build_world(config, seed)
+    # a world's means and channels do not depend on its seed
+    world = config.world if seed is None else replace(config.world, seed=seed)
+    v_spec = g_uv.out_port.spec
     train_instances, schema = generate_benchmark(
         world, config.train_per_class, v_spec, stream="train", none_class=config.none_class
     )

@@ -42,7 +42,6 @@ kept for provenance with ``survived`` 0. The encoding is canonical, so
 from __future__ import annotations
 
 import base64
-import io
 import json
 import math
 import os
@@ -491,15 +490,14 @@ def _utf8_lines(handle) -> Iterator[str]:
             raise DatasetFormatError(f"not UTF-8 ({exc})", number) from None
 
 
-def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
-    """Parse a dataset from ``source``: a path (``str`` or ``Path``) or a
-    binary file object.
+def read_dataset(path) -> tuple[list[Instance], DatasetSchema]:
+    """Parse the dataset file at ``path`` (a ``str`` or a ``Path``; anything
+    else is a ``TypeError``).
 
-    The source is read one line at a time, so beyond the instances a read
+    The file is read one line at a time, so beyond the instances a read
     holds about one line. A line ends at ``b"\\n"``, as the writer writes it
     (a ``"\\r"`` before it is JSON whitespace), and is decoded as UTF-8 on
-    its own. Any other source, a text file object included, is a
-    ``TypeError``.
+    its own.
 
     This is the one check of a dataset. Beyond a malformed line, it refuses
     a label or entity outside the schema's counts, a repeated id, a view that
@@ -508,12 +506,10 @@ def read_dataset(source) -> tuple[list[Instance], DatasetSchema]:
     one as the generator alternates its steps. Each raises
     :class:`DatasetFormatError` naming the line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            return _parse_lines(_utf8_lines(handle))
-    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        raise TypeError(f"read_dataset takes a path (str or Path) or a binary file object, not {type(source).__name__}")
-    return _parse_lines(_utf8_lines(source))
+    if not isinstance(path, (str, Path)):
+        raise TypeError(f"read_dataset takes a path (str or Path), not {type(path).__name__}")
+    with open(path, "rb") as handle:
+        return _parse_lines(_utf8_lines(handle))
 
 
 def _parse_lines(lines: Iterator[str]) -> tuple[list[Instance], DatasetSchema]:

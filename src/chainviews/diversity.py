@@ -189,8 +189,9 @@ def diversity_report(
 ) -> list[StageDiversity]:
     """Generalized variance per stage in one shared PCA basis.
 
-    ``stages`` maps stage name to an (n_i, d) feature matrix; the basis is
-    fit on the concatenation of all stages. Stage order is preserved.
+    ``stages`` maps stage name to an (n_i, d) feature matrix with n_i >= 2;
+    the basis is fit on the concatenation of all stages. Stage order is
+    preserved.
     """
     check_int("pca_dim", pca_dim, 1, DiversityError)  # fit_gmm checks n_components
     if not stages:
@@ -201,6 +202,8 @@ def diversity_report(
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise DiversityError(f"stage {name!r} is not a matrix")
+        if len(matrix) < 2:  # before the first fit, which would blame n_components
+            raise DiversityError(f"stage {name!r} has {len(matrix)} views; a stage needs at least 2")
         if feature_dim is None:
             feature_dim = matrix.shape[1]
         elif matrix.shape[1] != feature_dim:

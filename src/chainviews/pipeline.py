@@ -497,9 +497,9 @@ def _train_student(pools: _SplitPools, scorer: Scorer) -> StudentModel:
     selection's keepers plus the views generated after it. Per instance the
     ``train_views`` best under ``scorer`` join the real view and entities.
     The teacher-loss policy ranks by stored loss, which ``_rounds`` gives
-    every live candidate. A NaN score (a channel that outputs NaN) leaves a
-    view unscored, and an instance with fewer than ``train_views`` scored
-    views is a PipelineError.
+    every live candidate. A score that overflows to NaN (a finite view whose
+    embedding norm overflows) leaves a view unscored, and an instance with
+    fewer than ``train_views`` scored views is a PipelineError.
     """
     config, instances, at = scorer.config, pools.instances, pools.at
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))

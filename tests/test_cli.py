@@ -756,6 +756,28 @@ def test_removed_custom_world_keys_are_unknown(tmp_path, key, value):
     assert f"unknown keys in world.custom: {key}" in err, err
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("channels", "u_to_v"), {"kind": "teleport"}, "channels.u_to_v: unknown channel kind 'teleport'"),
+        (("world", "custom", "class_means"), [[2.0, 0.0], [2.0, 0.0]], "world.custom: classes 0 and 1 share a mean"),
+        (("data", "none_class"), 2, "data.none_class 2 is not one of the world's 2 classes"),
+    ],
+    ids=["teleport", "shared_mean", "none_class"],
+)
+@pytest.mark.parametrize("command", ["gen-benchmark", "run", "ablate", "diversity"])
+def test_every_command_refuses_a_config_whose_world_or_channels_are_bad(
+    run_artifacts, tmp_path, capsys, command, path, value, message
+):
+    # diversity reads only a finished run's dataset, but checks the whole config first
+    out = tmp_path / "out"
+    config = write_yaml(tmp_path / "bad.yaml", with_value(custom_world_mapping(out), path, value))
+    dataset = ["--dataset", str(run_artifacts.out / "dataset.jsonl")] if command == "diversity" else []
+    assert main([command, "--config", config, *dataset]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 RAGGED = [[1.0, 0.0], [0.0]]
 HUGE = 10**400  # a YAML integer too large for a float
 

@@ -17,13 +17,13 @@ from chainviews.channels import (
     MixtureChannel,
     Port,
     PrototypeCollapseChannel,
+    lossy_world_preset,
     sample_channel,
 )
 from chainviews.config import (
     CHANNEL_KINDS,
     ConfigError,
     ExperimentConfig,
-    build_world,
     channel_from_spec,
     load_experiment_data,
     merge_overrides,
@@ -58,7 +58,8 @@ def test_minimal_config_fills_defaults():
     assert isinstance(config, ExperimentConfig)
     assert config.seed == 3
     assert config.out_dir == "."
-    assert config.world_preset == "clean"
+    preset, _, _ = lossy_world_preset("clean", seed=3)
+    assert config.world.seed == 3 and np.array_equal(config.world.class_means, preset.class_means)
     assert config.dataset_paths is None
     assert config.train_per_class == 35
     assert config.test_per_class == 75
@@ -309,7 +310,7 @@ def test_channels_must_fit_the_worlds_sides(name, weight, message):
     eye = {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.1}
     channels = {"u_to_v": eye, "v_to_u": eye, name: {**eye, "weight": weight.tolist()}}
     with pytest.raises(ConfigError, match=re.escape(message)):
-        build_world(parse_config(base_mapping(channels=channels)))
+        parse_config(base_mapping(channels=channels))
 
 
 @pytest.mark.parametrize(
@@ -412,47 +413,39 @@ def test_overrides_change_the_digest(tmp_path):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.name)
 def test_every_shipped_config_parses_and_builds_its_world(path):
     config = parse_config(read_config_mapping(path), source=str(path))
-    world, g_uv, g_vu, v_spec = build_world(config)
-    assert world.seed == config.seed
-    assert g_uv.out_port.spec == v_spec == g_vu.in_port.spec
+    g_uv, g_vu = config.channels
+    assert config.world.seed == config.seed
+    assert g_uv.in_port.spec == ViewSpec("vector", config.world.u_dim) == g_vu.out_port.spec
+    assert g_uv.out_port.spec == g_vu.in_port.spec
 
 
-def test_build_world_preset_and_seed_override():
-    config = parse_config(base_mapping())
-    world, g_uv, g_vu, v_spec = build_world(config)
-    assert world.seed == 3
-    assert g_uv.out_port.spec == v_spec
-    assert g_vu.in_port.spec == v_spec
-    reseeded, _, _, _ = build_world(config, seed=11)
-    assert reseeded.seed == 11
-
-
-def test_build_world_channel_overrides_replace_preset():
+def test_a_channels_section_replaces_the_presets_channels():
     mapping = base_mapping(
         channels={
             "u_to_v": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.125},
             "v_to_u": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.25},
         }
     )
-    world, g_uv, g_vu, v_spec = build_world(parse_config(mapping))
+    g_uv, g_vu = parse_config(mapping).channels
     assert isinstance(g_uv, LinearGaussianChannel) and g_uv.noise_sigma == 0.125
     assert isinstance(g_vu, LinearGaussianChannel) and g_vu.noise_sigma == 0.25
     assert g_uv.in_port.modality == "u" and g_uv.out_port.modality == "v"
 
 
-def test_build_world_rejects_dataset_configs(tmp_path):
-    train = tmp_path / "train.jsonl"
-    test = tmp_path / "test.jsonl"
-    config_map = {
-        "seed": 1,
-        "dataset": {"train": str(train), "test": str(test)},
-        "channels": {
-            "u_to_v": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.5},
-            "v_to_u": {"kind": "linear_gaussian", "weight": np.eye(2).tolist(), "noise_sigma": 0.5},
-        },
-    }
-    with pytest.raises(ConfigError, match="no world to build"):
-        build_world(parse_config(config_map))
+def test_a_dataset_config_has_no_world_and_checks_its_channels_against_the_files(tmp_path):
+    source = parse_config(base_mapping(data={"train_per_class": 2, "test_per_class": 2}))
+    train_inst, test_inst, schema, _, _ = load_experiment_data(source)
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    write_dataset(train_inst, schema, train)
+    write_dataset(test_inst, schema, test)
+    wide = {"kind": "linear_gaussian", "weight": np.eye(3).tolist(), "noise_sigma": 0.5}
+    config = parse_config({"seed": 1, "dataset": {"train": str(train), "test": str(test)},
+                           "channels": {"u_to_v": wide, "v_to_u": wide}})
+    assert config.world is None
+    assert all(isinstance(channel, LinearGaussianChannel) for channel in config.channels)
+    message = "channels.u_to_v reads vector views of size 3, but the data's u side has vector views of size 2"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_experiment_data(config)
 
 
 def test_world_from_custom_builds_and_reports_missing_keys():
@@ -483,6 +476,7 @@ def test_load_experiment_data_reseeds_the_world():
     def text(seed, reseed=None):
         config = parse_config(base_mapping(seed=seed, data={"train_per_class": 2, "test_per_class": 3, "none_class": 1}))
         train, test, schema, _, _ = load_experiment_data(config, reseed)
+        assert config.world.seed == seed  # a reseed leaves the config's world as it is
         return dataset_to_string(train + test, schema)
 
     assert text(0, 4) == text(4) != text(0)

@@ -214,6 +214,14 @@ def test_empty_report_is_an_error():
         diversity_report({}, pca_dim=2)
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_a_stage_of_fewer_than_two_views_is_refused_naming_it(rows):
+    # unchecked, an empty stage was blamed on n_components and a one-row stage went unnamed
+    stages = {"A": derive_rng(5, "thin").normal(size=(20, 3)), "B": np.zeros((rows, 3))}
+    with pytest.raises(DiversityError, match=rf"^stage 'B' has {rows} views; a stage needs at least 2$"):
+        diversity_report(stages, pca_dim=2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_data_is_refused_naming_the_row(bad):
     # unchecked, a NaN made the SVD fail to converge and the EM trace NaN

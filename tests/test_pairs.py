@@ -222,8 +222,22 @@ def test_difference_size_reports_versions_that_do_not_pair_up(tmp_path, name, pa
     assert pairs.difference_size(parent / name, change / name) == "structure differs"
 
 
+def test_cli_differences_name_the_files_of_each_configs_directory(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        for config in ("clean_quick", "custom_world"):
+            (side / config).mkdir(parents=True)
+            (side / config / "metrics.csv").write_text("condition,f1\nfull,0.5\n")
+    assert pairs.cli_differences(parent, change) == []
+
+    (change / "custom_world" / "metrics.csv").write_text("condition,f1\nfull,0.6\n")
+    (parent / "clean_quick" / "train.jsonl").write_text("{}\n")  # on one side only
+    assert pairs.cli_differences(parent, change) == ["clean_quick/train.jsonl", "custom_world/metrics.csv"]
+
+
 def test_the_cli_comparison_runs_ablate_on_the_shipped_study():
     assert ("ablate", "configs/collapse_ablation.yaml") in pairs.CLI_COMMANDS
+    assert ("run", "configs/custom_world.yaml") in pairs.CLI_COMMANDS
     assert ("verify", None) in pairs.CLI_COMMANDS
     assert all((pairs.ROOT / config).is_file() for _, config in pairs.CLI_COMMANDS if config is not None)
 

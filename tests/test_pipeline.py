@@ -1,6 +1,5 @@
 """Pipeline orchestration: metrics, the selection loop, curate's parity with a run, ablation."""
 
-import io
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainviews.pipeline as pipeline_module
-from chainviews.channels import DiscreteChannel, LinearGaussianChannel, generate_benchmark, sample_channel, stack_views
+from chainviews.channels import (
+    ChannelError,
+    DiscreteChannel,
+    LinearGaussianChannel,
+    generate_benchmark,
+    sample_channel,
+    stack_views,
+)
 from chainviews.datamodel import (
     EMPTY_POOL,
     MODALITY_U,
@@ -26,6 +32,7 @@ from chainviews.datamodel import (
     dataset_to_string,
     discrete_view,
     read_dataset,
+    write_dataset,
 )
 from chainviews.models import TeacherModel
 from chainviews.nn import log_softmax, softmax_xent
@@ -313,24 +320,24 @@ def test_keep_all_condition_never_discards():
     assert all(np.isnan(inst.synthetic_pool.teacher_loss).all() for inst in result.instances)
 
 
-def assert_reads_back(instances, schema):
-    """The dataset text of ``instances`` passes every check ``read_dataset`` makes."""
-    text = dataset_to_string(instances, schema)
-    loaded, loaded_schema = read_dataset(io.BytesIO(text.encode("utf-8")))
-    assert dataset_to_string(loaded, loaded_schema) == text
+def assert_reads_back(instances, schema, path):
+    """The dataset file of ``instances`` at ``path`` passes every check ``read_dataset`` makes."""
+    write_dataset(instances, schema, path)
+    loaded, loaded_schema = read_dataset(path)
+    assert dataset_to_string(loaded, loaded_schema) == dataset_to_string(instances, schema)
 
 
 @pytest.mark.parametrize("condition", CONDITIONS)
-def test_every_condition_writes_valid_pools(tiny_run, condition):
+def test_every_condition_writes_valid_pools(tiny_run, tmp_path, condition):
     config = condition_config(tiny_run.config, condition)
     result = run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config, condition)
-    assert_reads_back(result.instances, tiny_run.schema)
+    assert_reads_back(result.instances, tiny_run.schema, tmp_path / "dataset.jsonl")
 
 
 # --- edge schedules ------------------------------------------------------------------
 
 
-def test_keeping_every_view_under_the_teacher():
+def test_keeping_every_view_under_the_teacher(tmp_path):
     train_inst, test_inst, schema, g_uv, g_vu = tiny_benchmark()
     config = tiny_config(keep_fraction=1.0)
     result = run_pipeline(train_inst, test_inst, schema, g_uv, g_vu, config)
@@ -341,7 +348,7 @@ def test_keeping_every_view_under_the_teacher():
         pool = instance.synthetic_pool
         assert not np.isnan(pool.teacher_loss[pool.is_v]).any()
         assert pool.survived[pool.round == 0].tolist() == [2] * 5
-    assert_reads_back(result.instances, schema)
+    assert_reads_back(result.instances, schema, tmp_path / "dataset.jsonl")
 
 
 def test_student_takes_the_whole_live_pool():
@@ -672,15 +679,24 @@ def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, policy_na
             assert np.isnan(pool.teacher_loss).all()
 
 
-@pytest.mark.parametrize("policy_name, instance", [("teacher_loss", 2), ("similarity", 0)])
-def test_a_channel_that_overflows_leaves_the_student_too_few_scored_views(tiny_run, policy_name, instance):
-    # a finite channel whose outputs overflow to inf or NaN: such a view
-    # scores NaN under both policies that score views, so the last selection's
-    # 3 keepers are an instance's only scored candidates
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_a_channel_that_overflows_is_refused_naming_it(tiny_run, policy_name):
     huge_vu = LinearGaussianChannel(np.full((2, 2), 1e308), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
     config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name=policy_name)
-    with pytest.raises(PipelineError, match=rf"^instance {instance} has 3 scored candidate views, needs 4$"):
+    message = r"^LinearGaussianChannel from the 'v' side to the 'u' side output a non-finite number$"
+    with pytest.raises(ChannelError, match=message), np.errstate(over="ignore"):
         run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
+
+
+def test_a_channel_whose_views_overflow_a_score_leaves_the_student_too_few_scored_views(tiny_run):
+    # the channel's views are finite, but their embedding norms overflow, so
+    # they score NaN under similarity and the last selection's 3 keepers are
+    # an instance's only scored candidates
+    huge_vu = LinearGaussianChannel(np.full((2, 2), 1e307), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
+    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name="similarity")
+    with pytest.raises(PipelineError, match=r"^instance 2 has 3 scored candidate views, needs 4$"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):

@@ -24,14 +24,17 @@ to tell a regression of that size. ``digests_equal`` holds when every run
 of both sides wrote one and the same output digest.
 
 Once per tree, ``chainviews gen-benchmark``, ``run`` and ``diversity`` also
-run on ``configs/clean_quick.yaml``, ``chainviews ablate`` on
-``configs/collapse_ablation.yaml`` (about 4.5 s) and ``chainviews verify``,
-which takes no config (about 1 s). ``cli_outputs_equal`` holds when both
-trees wrote the same files with the same contents, ``report.json``
-compared without its wall-clock ``timing``, ``ablate.meta.json`` and
-``verify_report.json`` without their wall-clock ``runtime_seconds`` (in
-``verify_report.json``, one per check) and ``diversity.meta.json`` without
-its ``dataset`` path; ``cli_outputs_differ`` names the files that differ.
+run on ``configs/clean_quick.yaml``, ``run`` on ``configs/custom_world.yaml``,
+``chainviews ablate`` on ``configs/collapse_ablation.yaml`` (about 4.5 s) and
+``chainviews verify``, which takes no config (about 1 s). Both trees read each
+config from this checkout, so they run the same file even where the parent
+lacks it, and each config's outputs go to a directory named after it.
+``cli_outputs_equal`` holds when both trees wrote the same files with the
+same contents, ``report.json`` compared without its wall-clock ``timing``,
+``ablate.meta.json`` and ``verify_report.json`` without their wall-clock
+``runtime_seconds`` (in ``verify_report.json``, one per check) and
+``diversity.meta.json`` without its ``dataset`` path; ``cli_outputs_differ``
+names the files that differ.
 ``cli_difference_sizes`` sizes each of them: when its two versions pair up
 (a CSV file with the same cells, or a JSON record with the same keys, the
 cells or values that are not numbers equal) it holds the largest absolute
@@ -191,6 +194,7 @@ CLI_COMMANDS = (
     ("gen-benchmark", "configs/clean_quick.yaml"),
     ("run", "configs/clean_quick.yaml"),
     ("diversity", "configs/clean_quick.yaml"),
+    ("run", "configs/custom_world.yaml"),
     ("ablate", "configs/collapse_ablation.yaml"),
     ("verify", None),
 )
@@ -204,11 +208,13 @@ CLI_UNCOMPARED = {
 
 
 def run_cli(tree: Path, out: Path) -> None:
-    """Each of ``CLI_COMMANDS`` from ``tree``'s sources, all writing to ``out``."""
+    """Each of ``CLI_COMMANDS`` from ``tree``'s sources on this checkout's
+    configs, each config's outputs in ``out/<config name>`` and the rest in ``out``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for command, config in CLI_COMMANDS:
-        argv = [sys.executable, "-m", "chainviews.cli", command, "--out", str(out)]
-        argv += ["--config", config] if config else []
+        target = out / Path(config).stem if config else out
+        argv = [sys.executable, "-m", "chainviews.cli", command, "--out", str(target)]
+        argv += ["--config", str(ROOT / config)] if config else []
         proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{proc.stderr}")
@@ -232,10 +238,15 @@ def cli_content(path: Path):
     return without(json.loads(path.read_text(encoding="utf-8")), key)
 
 
+def cli_files(out: Path) -> set[str]:
+    """The files under a CLI output directory, as paths relative to it."""
+    return {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+
+
 def cli_differences(parent: Path, change: Path) -> list[str]:
-    """The names of the files in two CLI output directories that differ,
-    one-sided files included."""
-    names = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
+    """The paths, relative to two CLI output directories, of the files that
+    differ between them, one-sided files included."""
+    names = sorted(cli_files(parent) | cli_files(change))
     return [name for name in names
             if not ((parent / name).is_file() and (change / name).is_file())
             or cli_content(parent / name) != cli_content(change / name)]
