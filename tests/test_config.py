@@ -439,8 +439,8 @@ def test_a_dataset_config_has_no_world_and_checks_its_channels_against_the_files
     write_dataset(train_inst, schema, train)
     write_dataset(test_inst, schema, test)
     wide = {"kind": "linear_gaussian", "weight": np.eye(3).tolist(), "noise_sigma": 0.5}
-    config = parse_config({"seed": 1, "dataset": {"train": str(train), "test": str(test)},
-                           "channels": {"u_to_v": wide, "v_to_u": wide}})
+    dataset = {"train": str(train), "test": str(test)}
+    config = parse_config({"seed": 1, "dataset": dataset, "channels": {"u_to_v": wide, "v_to_u": wide}})
     assert config.world is None
     assert all(isinstance(channel, LinearGaussianChannel) for channel in config.channels)
     message = "channels.u_to_v reads vector views of size 3, but the data's u side has vector views of size 2"
