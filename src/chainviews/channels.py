@@ -334,13 +334,15 @@ def sample_channel(channel, batch: ViewBatch, rng: np.random.Generator | Streams
 # --- benchmark worlds -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkWorld:
     """Ground-truth P(U | Y): Gaussian class clusters plus an entity map.
 
     ``entity_pairs_by_class[y]`` lists the (subject, object) pairs an
     instance of class ``y`` may carry. Pairs shared between classes keep the
-    entities from giving the label away on their own.
+    entities from giving the label away on their own. Worlds compare and hash
+    by identity (a field is an array), so ``ExperimentConfig ==`` compares
+    its world by identity too.
     """
 
     class_means: np.ndarray  # (C, d_u)

@@ -205,6 +205,9 @@ def world_from_custom(custom: Mapping, seed: int) -> BenchmarkWorld:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One parsed experiment. ``==`` compares ``world`` and ``channels`` by
+    identity, so two parses of one file differ; their ``digest`` does not."""
+
     seed: int
     out_dir: str
     world: BenchmarkWorld | None  # at ``seed``; None for dataset files

@@ -157,9 +157,10 @@ def mi_lower_bound(logits, labels) -> float:
 # --- trained-classifier bound verification ----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteLabelWorld:
-    """Uniform label Y over C classes, observation V ~ channel[y] over an alphabet."""
+    """Uniform label Y over C classes, observation V ~ channel[y] over an
+    alphabet. Compares and hashes by identity (``channel`` is an array)."""
 
     channel: np.ndarray  # (C, A) row-stochastic
     seed: int = 0

@@ -52,15 +52,8 @@ from .diversity import diversity_report  # noqa: F401 -- unused here; benchmarks
 from .models import StudentModel, TeacherModel, TrainConfig, UnimodalModel, train
 from .nn import check_labels, featurize_rows, log_softmax, softmax_xent
 from .rng import derive_rng, derive_rngs
-from .selection import (
-    POLICY_NAMES,
-    RandomLinearEmbedder,
-    SelectionError,
-    keep_count,
-    random_scores,
-    rank_rows,
-    similarity_scores,
-)
+from .selection import POLICY_NAMES, SelectionError, keep_count, random_scores, rank_rows
+from .selection import similarity_scores  # noqa: F401 -- unused here; benchmarks/tracing.py traces this binding
 
 # Test-time generation and teacher scoring run on chunks of whole instances
 # of at most this many generated views (68 instances at 30 views each; one
@@ -71,14 +64,14 @@ SCORE_CHUNK_ROWS = 2048
 
 # Each ablation condition as the config fields it sets on the base config.
 # condition_name takes the last entry a config matches, so a policy's entry
-# wins over no_ccg and every entry over full. "unimodal" runs the base config
-# through a model that takes no synthetic views.
+# wins over no_ccg, every entry over full, and no_teacher (the uniform draw
+# keeping every candidate) over random_teacher. "unimodal" runs the base
+# config through a model that takes no synthetic views.
 CONDITION_FIELDS = {
     "full": {},
     "no_ccg": {"ccg_rounds": 0, "spawn_per_kept": ()},
-    "similarity_teacher": {"policy_name": "similarity"},
     "random_teacher": {"policy_name": "random"},
-    "no_teacher": {"policy_name": "keep_all"},
+    "no_teacher": {"policy_name": "random", "keep_fraction": 1.0},
     "unimodal": {},
 }
 CONDITIONS = tuple(CONDITION_FIELDS)
@@ -133,23 +126,15 @@ class PipelineConfig:
             raise ValueError(f"infer_full_chain must be true or false, got {self.infer_full_chain!r}")
         if self.policy_name not in POLICY_NAMES:
             raise SelectionError(f"unknown policy {self.policy_name!r}; choose one of {POLICY_NAMES}")
-        # keep_all keeps every candidate, so there the fraction is only type-checked
-        if not is_real(self.keep_fraction) or (self.policy_name != "keep_all" and not 0.0 < self.keep_fraction <= 1.0):
-            raise SelectionError(
-                f"keep_fraction must be a finite number in (0, 1] (any under keep_all), got {self.keep_fraction!r}"
-            )
+        if not is_real(self.keep_fraction) or not 0.0 < self.keep_fraction <= 1.0:
+            raise SelectionError(f"keep_fraction must be a finite number in (0, 1], got {self.keep_fraction!r}")
         live = self.initial_views  # each instance's candidates for the student after the last round
         for spawn in self.spawn_per_kept or (0,):
-            live = self.kept(live) * (1 + spawn)
+            live = keep_count(self.keep_fraction, live) * (1 + spawn)
         if self.train_views > live:
             raise ValueError(
                 f"train_views ({self.train_views}) exceeds the {live} candidate views per instance the schedule leaves"
             )
-
-    def kept(self, n: int) -> int:
-        """How many of ``n`` candidates a selection keeps: every one under
-        keep_all, else ``keep_count(keep_fraction, n)``."""
-        return n if self.policy_name == "keep_all" else keep_count(self.keep_fraction, n)
 
     def to_dict(self) -> dict:
         """Every field but the inert ones, which never change a result."""
@@ -278,33 +263,21 @@ class Scorer:
     losses of a fresh teacher trained on its candidates (``teacher`` holds
     the latest, ``None`` until the first selection), the student's pick by
     those stored losses and test-time views by the teacher's confidence.
-    Similarity scores closeness to the real view under an 8-wide random
-    embedding and the random policy draws per (step, instance); keep_all
-    scores zeros at a selection and picks as the random policy does.
+    The random policy draws per (step, instance) at every use; at
+    ``keep_fraction`` 1.0 its selections keep every candidate.
     """
 
     def __init__(self, config: PipelineConfig, schema: DatasetSchema):
         self.config = config
         self.schema = schema
         self.teacher: TeacherModel | None = None
-        self.embedder = (
-            RandomLinearEmbedder(schema.u_spec, schema.v_spec, seed=config.seed)
-            if config.policy_name == "similarity"
-            else None
-        )
 
     def untrained(self, instances: Sequence[Instance], views: ViewBatch, stream) -> np.ndarray:
-        """Similarity scores of ``views``, or one draw per instance on its
-        ``("random-selection", stream, id)`` stream."""
-        n = len(views) // len(instances)
-        if self.config.policy_name == "similarity":
-            return similarity_scores(views, _copies(instances, n), self.embedder).reshape(-1, n)
-        return random_scores(n, self.config.seed, [(stream, inst.id) for inst in instances])
+        """One draw per instance on its ``("random-selection", stream, id)`` stream."""
+        return random_scores(len(views) // len(instances), self.config.seed, [(stream, inst.id) for inst in instances])
 
     def select(self, instances: Sequence[Instance], views: ViewBatch, selection_index: int) -> np.ndarray:
         """Scores of every instance's candidates ``views`` at one selection."""
-        if self.config.policy_name == "keep_all":
-            return np.zeros((len(instances), len(views) // len(instances)))
         if self.config.policy_name != "teacher_loss":
             return self.untrained(instances, views, selection_index)
         seed = self.config.seed
@@ -443,7 +416,7 @@ def _rounds(pools: _SplitPools, g_vu, g_uv, scorer: Scorer) -> list[RoundRecord]
     Selection ``s`` (from 0; ``ccg_rounds=0`` runs one, which spawns
     nothing) scores every live candidate with ``scorer``; the teacher policy
     trains a fresh teacher on them and writes its frozen final-pass losses
-    back as ``teacher_loss``. The ``config.kept`` best per instance count one
+    back as ``teacher_loss``. The ``keep_count`` best per instance count one
     more survival, and each spawns round ``s + 1``'s ``spawn_per_kept``
     entry of children (u-side then v-side, both recorded): one v-to-u call
     over every instance's kept parents (parent-major), then one u-to-v call
@@ -468,7 +441,7 @@ def _round(pools: _SplitPools, selection_index: int, spawn: int, g_vu, g_uv, sco
     the next teacher or the trailing scores run (held, they raised peak memory)."""
     config, instances, at = scorer.config, pools.instances, pools.at
     live = pools.live(selection_index)
-    n, k = live.shape[1], config.kept(live.shape[1])
+    n, k = live.shape[1], keep_count(config.keep_fraction, live.shape[1])
     scores = scorer.select(instances, pools.v_rows(at, live), selection_index)
     kept = np.sort(np.take_along_axis(live, rank_rows(scores)[:, :k], axis=1), axis=1)
     if config.policy_name == "teacher_loss":
@@ -497,9 +470,10 @@ def _train_student(pools: _SplitPools, scorer: Scorer) -> StudentModel:
     selection's keepers plus the views generated after it. Per instance the
     ``train_views`` best under ``scorer`` join the real view and entities.
     The teacher-loss policy ranks by stored loss, which ``_rounds`` gives
-    every live candidate. A score that overflows to NaN (a finite view whose
-    embedding norm overflows) leaves a view unscored, and an instance with
-    fewer than ``train_views`` scored views is a PipelineError.
+    every live candidate; the random policy by a fresh draw. A NaN score
+    leaves a view unscored, and an instance with fewer than ``train_views``
+    scored views is a PipelineError (a guard: no known channel makes a
+    teacher loss NaN).
     """
     config, instances, at = scorer.config, pools.instances, pools.at
     live = pools.live(int(np.max(pools.round + pools.survived, where=pools.is_v, initial=0)))
@@ -527,9 +501,9 @@ def infer(student: StudentModel, instances: Sequence[Instance], g_uv, g_vu, scor
     ``g_vu``), on the instance's own ``("infer-gen", id)`` stream, all read
     from ``scorer.config``. ``scorer.pick`` keeps each instance's
     ``infer_views`` best: under teacher loss the ones its teacher classifies
-    most confidently (the first generated without a teacher); under
-    similarity the closest to the real view, otherwise a uniform draw. One loop over chunks of whole instances,
-    at most ``SCORE_CHUNK_ROWS`` views each (one instance at least),
+    most confidently (the first generated without a teacher), otherwise a
+    uniform draw. One loop over chunks of whole instances, at most
+    ``SCORE_CHUNK_ROWS`` views each (one instance at least),
     generates with one channel call per hop, scores with one teacher call
     and picks, so that peak memory stays near that of one chunk. One student
     call then classifies the whole split. An instance's label depends only

@@ -1,13 +1,13 @@
 """Per-instance candidate filtering.
 
-Every policy answers the same question: given one instance's candidate
+Both policies answer the same question: given one instance's candidate
 views, which ``ceil(keep_fraction * n)`` survive into the next round? Each
 policy is a lower-is-better score per candidate, one row per instance, and
 :func:`rank_rows` ranks every row at once. The teacher-loss policy scores by
-teacher loss (computed upstream), the similarity policy by closeness to the
-real view under a fixed cross-modal embedder (:func:`similarity_scores`),
-and the random / keep-all policies are the ablation controls
-(:func:`random_scores`, or all-equal scores).
+teacher loss (computed upstream), the random policy (the ablation control)
+by a uniform draw (:func:`random_scores`); at ``keep_fraction`` 1.0 it keeps
+every candidate. :func:`similarity_scores` is no policy: the benchmark's
+trace table still lists it.
 
 Ties break by ascending candidate index, so results are stable under equal
 scores, and NaN (a view no teacher scored) ranks last.
@@ -24,7 +24,7 @@ from .datamodel import ViewBatch, ViewSpec
 from .nn import featurize_rows
 from .rng import derive_rng, derive_rngs
 
-POLICY_NAMES = ("teacher_loss", "similarity", "random", "keep_all")
+POLICY_NAMES = ("teacher_loss", "random")
 
 
 class SelectionError(ValueError):
@@ -59,8 +59,7 @@ class RandomLinearEmbedder:
     """Fixed random linear maps into a shared 8-d space, one per modality.
 
     A deterministic stand-in for a pretrained joint embedding model: it
-    preserves geometry in expectation but learns nothing, which is the point
-    of the similarity-selection ablation.
+    preserves geometry in expectation but learns nothing.
     """
 
     def __init__(self, u_spec: ViewSpec, v_spec: ViewSpec, seed: int = 0):

@@ -436,6 +436,13 @@ def test_world_class_count_is_the_number_of_means():
         assert preset.class_count == len(preset.class_means) == 4
 
 
+def test_worlds_compare_and_hash_by_identity():
+    # a world holds an array, so field-wise equality would be ambiguous
+    world, other = lossy_world_preset("clean", 1)[0], lossy_world_preset("clean", 1)[0]
+    assert world == world and world != other
+    assert len({world, world, other}) == 2
+
+
 @pytest.mark.parametrize("seed", [1.5, 1.9, True, -1])
 def test_world_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed"):
@@ -592,7 +599,7 @@ def test_per_instance_streams_make_generation_order_irrelevant():
     world, g_uv, g_vu, v_spec = tiny_world()
     instances, schema = generate_benchmark(world, 2, v_spec)
     # no rounds after round 0 and no teacher: the pools hold the round-0 views alone
-    config = tiny_config(initial_views=3, seed=11, ccg_rounds=0, spawn_per_kept=(), policy_name="keep_all")
+    config = tiny_config(initial_views=3, seed=11, ccg_rounds=0, spawn_per_kept=(), policy_name="random", keep_fraction=1.0)
     batch = curate(instances, g_uv, g_vu, Scorer(config, schema))
     (alone,) = curate([instances[3]], g_uv, g_vu, Scorer(config, schema))  # no other draws first
     assert alone.id == batch[3].id

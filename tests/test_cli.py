@@ -20,6 +20,7 @@ from chainviews.config import load_experiment_data, parse_config, read_config_ma
 from chainviews.datamodel import read_dataset
 from chainviews.diversity import diversity_report
 from chainviews.pipeline import extract_stages, run_pipeline
+from chainviews.selection import POLICY_NAMES
 from conftest import recolumn
 
 
@@ -828,13 +829,23 @@ def test_malformed_config_values_exit_1_naming_the_key(tmp_path, base, path, val
     assert err.startswith("error: ") and key in err, err
 
 
-def test_keep_fraction_must_be_a_number_under_every_policy(tmp_path):
-    # keep_all never reads the fraction, but a string there is still malformed
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_keep_fraction_must_be_a_number_under_every_policy(tmp_path, policy):
     mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
-    mapping["pipeline"].update(policy="keep_all", keep_fraction="half")
+    mapping["pipeline"].update(policy=policy, keep_fraction="half")
     code, err = run_exit_and_stderr(mapping, tmp_path)
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "keep_fraction" in err, err
+
+
+@pytest.mark.parametrize("policy", ["keep_all", "similarity"])
+def test_a_retired_policy_exits_1_naming_the_two(tmp_path, policy):
+    # keep_all is the random policy at keep_fraction 1.0; similarity is gone
+    mapping = yaml.safe_load(QUICK.read_text(encoding="utf-8"))
+    mapping["pipeline"]["policy"] = policy
+    code, err = run_exit_and_stderr(mapping, tmp_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and f"unknown policy '{policy}'; choose one of ('teacher_loss', 'random')" in err, err
 
 
 def test_infer_views_above_initial_views_exits_1_naming_both(tmp_path):

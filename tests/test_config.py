@@ -156,14 +156,14 @@ def test_pipeline_section_parses_policies_and_budgets():
                 "initial_views": 8,
                 "spawn_per_kept": [2],
                 "keep_fraction": 0.5,
-                "policy": "similarity",
+                "policy": "random",
                 "teacher": {"steps": 17, "learning_rate": 0.1},
             }
         )
     )
     assert config.pipeline.ccg_rounds == 1
     assert config.pipeline.spawn_per_kept == (2,)
-    assert config.pipeline.policy_name == "similarity"
+    assert config.pipeline.policy_name == "random"
     assert config.pipeline.teacher.steps == 17
     assert config.pipeline.teacher.learning_rate == 0.1
     # unspecified teacher fields keep their defaults

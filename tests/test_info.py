@@ -169,6 +169,12 @@ def test_stages_must_sum_to_one_within_an_absolute_1e9():
     DiscreteLabelWorld(np.array([[0.5, 0.5 - 1e-10], [0.5, 0.5]]))
 
 
+def test_label_worlds_compare_and_hash_by_identity():
+    world, other = random_label_world(2, 3, 0), random_label_world(2, 3, 0)
+    assert world == world and world != other
+    assert len({world, world, other}) == 2
+
+
 def test_chain_alphabets_must_match():
     with pytest.raises(InfoError):
         MarkovChainSpec(initial=np.array([0.5, 0.5]), stages=[disc(np.eye(3))])

@@ -57,7 +57,7 @@ from chainviews.pipeline import (
     save_report,
 )
 from chainviews.rng import derive_rng
-from chainviews.selection import POLICY_NAMES, keep_count, similarity_scores
+from chainviews.selection import POLICY_NAMES, keep_count
 
 from conftest import tiny_benchmark, tiny_config, tiny_world
 
@@ -426,7 +426,7 @@ def assert_curate_reproduces_the_run(data, config):
     pool_size = config.initial_views
     for s, record in enumerate(run.report.rounds):
         # the schedule from keep/spawn arithmetic alone
-        kept = pool_size if config.policy_name == "keep_all" else keep_count(config.keep_fraction, pool_size)
+        kept = keep_count(config.keep_fraction, pool_size)
         assert (record.selection_index, record.pool_size, record.kept_size) == (s, pool_size, kept)
         for instance, entry in zip(curated, record.per_instance, strict=True):
             pool = instance.synthetic_pool
@@ -450,13 +450,12 @@ def assert_curate_reproduces_the_run(data, config):
     "overrides",
     [
         {},
-        {"policy_name": "similarity"},
         {"policy_name": "random"},
-        {"policy_name": "keep_all"},
+        {"policy_name": "random", "keep_fraction": 1.0},
         {"ccg_rounds": 0, "spawn_per_kept": ()},
         {"infer_full_chain": True},
     ],
-    ids=["teacher_loss", "similarity", "random", "keep_all", "no_ccg", "full_chain"],
+    ids=["teacher_loss", "random", "no_teacher", "no_ccg", "full_chain"],
 )
 def test_curate_reproduces_the_run(tiny_run, overrides):
     assert_curate_reproduces_the_run(tiny_run, replace(tiny_run.config, **overrides))
@@ -475,7 +474,7 @@ def test_curate_reproduces_random_schedules(tiny_run, spawns, keep_fraction, pol
     # selection's survivors and their children bound train_views
     live = tiny_run.config.initial_views
     for spawn in spawns or [0]:
-        live = (live if policy_name == "keep_all" else keep_count(keep_fraction, live)) * (1 + spawn)
+        live = keep_count(keep_fraction, live) * (1 + spawn)
     config = replace(
         tiny_run.config,
         ccg_rounds=len(spawns),
@@ -514,19 +513,20 @@ def instance_lines(instances, schema):
     test_order=st.permutations(range(18)),
     test_size=st.integers(1, 18),
     spawns=st.lists(st.integers(0, 2), max_size=2),
-    policy_name=st.sampled_from(("random", "keep_all")),
+    keep_fraction=st.sampled_from((0.6, 1.0)),
     full_chain=st.booleans(),
 )
 def test_generation_depends_only_on_the_instance_and_round(
-    tiny_run, train_order, train_size, test_order, test_size, spawns, policy_name, full_chain
+    tiny_run, train_order, train_size, test_order, test_size, spawns, keep_fraction, full_chain
 ):
-    # under policies that score each instance on its own, curating or
+    # the random policy scores each instance on its own, so curating or
     # classifying a shuffled subset reproduces every instance's views
     config = replace(
         tiny_run.config,
         ccg_rounds=len(spawns),
         spawn_per_kept=tuple(spawns),
-        policy_name=policy_name,
+        policy_name="random",
+        keep_fraction=keep_fraction,
         infer_full_chain=full_chain,
         initial_views=4,
         infer_views=4,
@@ -688,15 +688,21 @@ def test_a_channel_that_overflows_is_refused_naming_it(tiny_run, policy_name):
         run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
 
 
-def test_a_channel_whose_views_overflow_a_score_leaves_the_student_too_few_scored_views(tiny_run):
-    # the channel's views are finite, but their embedding norms overflow, so
-    # they score NaN under similarity and the last selection's 3 keepers are
-    # an instance's only scored candidates
-    huge_vu = LinearGaussianChannel(np.full((2, 2), 1e307), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
-    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name="similarity")
+def test_views_the_trailing_pass_leaves_unscored_leave_the_student_too_few_scored_views(tiny_run, monkeypatch):
+    # no known channel makes a teacher loss NaN, so the trailing scoring pass
+    # is made to: instance 2's fresh views score NaN, and the last
+    # selection's 3 keepers are its only scored candidates
+    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4)
+    real_xent = pipeline_module.softmax_xent
+
+    def nan_for_instance_2(logits, labels):
+        losses, grads = real_xent(logits, labels)
+        rows = np.repeat([inst.id for inst in tiny_run.train], len(losses) // len(tiny_run.train))
+        return np.where(rows == 2, np.nan, losses), grads
+
+    monkeypatch.setattr(pipeline_module, "softmax_xent", nan_for_instance_2)
     with pytest.raises(PipelineError, match=r"^instance 2 has 3 scored candidate views, needs 4$"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
+        run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, tiny_run.g_vu, config)
 
 
 def test_student_pick_skips_views_discarded_by_a_last_selection_that_spawned_nothing(tiny_run, monkeypatch):
@@ -874,9 +880,7 @@ def reference_infer(student, instance, g_uv, g_vu, scorer):
         scores = (-np.max(log_softmax(logits), axis=1)).tolist()
     elif config.policy_name == "teacher_loss":
         scores = [0.0] * len(views)  # no teacher yet: the views tie
-    elif config.policy_name == "similarity":
-        scores = similarity_scores(views, stack_views([instance.real_view] * len(views)), scorer.embedder)
-    else:  # random, and keep_all, which picks as random does
+    else:
         scores = derive_rng(config.seed, "random-selection", "infer-pick", instance.id).random(len(views))
     chosen = views.take(best_first(scores, config.infer_views))
     (logits,) = student.logits(student.inputs(instance.real_view, chosen, instance.subject, instance.object))
@@ -1018,9 +1022,9 @@ def test_condition_config_mapping():
     assert condition_config(base, "unimodal") is base
     no_ccg = condition_config(base, "no_ccg")
     assert no_ccg.ccg_rounds == 0 and no_ccg.spawn_per_kept == ()
-    assert condition_config(base, "similarity_teacher").policy_name == "similarity"
     assert condition_config(base, "random_teacher").policy_name == "random"
-    assert condition_config(base, "no_teacher").policy_name == "keep_all"
+    no_teacher = condition_config(base, "no_teacher")
+    assert (no_teacher.policy_name, no_teacher.keep_fraction) == ("random", 1.0)
     with pytest.raises(PipelineError, match="unknown condition"):
         condition_config(base, "mystery")
 
@@ -1033,6 +1037,9 @@ def test_condition_name_inverts_condition_config():
     # a policy's condition wins over no_ccg, as a plain run with no rounds names it
     no_rounds = condition_config(base, "no_ccg")
     assert condition_name(condition_config(no_rounds, "random_teacher")) == "random_teacher"
+    # the uniform draw that keeps every candidate is no_teacher, whatever set it
+    assert condition_name(tiny_config(policy_name="random", keep_fraction=1.0)) == "no_teacher"
+    assert condition_name(tiny_config(policy_name="random", keep_fraction=0.6)) == "random_teacher"
 
 
 def test_run_pipeline_rejects_unknown_condition(tiny_run):
@@ -1106,7 +1113,7 @@ def test_run_ablation_rejects_unknown_condition():
 
 
 def test_conditions_tuple_is_the_closed_set():
-    assert CONDITIONS == ("full", "no_ccg", "similarity_teacher", "random_teacher", "no_teacher", "unimodal")
+    assert CONDITIONS == ("full", "no_ccg", "random_teacher", "no_teacher", "unimodal")
 
 
 # --- tables and serialization ---------------------------------------------------------
@@ -1188,13 +1195,13 @@ def test_pipeline_config_validation():
         tiny_config(initial_views=5, infer_views=8)
     assert tiny_config(initial_views=5, infer_views=5).infer_views == 5
     # the student picks from what the schedule leaves: 5 -> keep 3 with no
-    # rounds; 5 -> 15 -> 30 when keep_all keeps every view
+    # rounds; 5 -> 15 -> 30 when keep fraction 1 keeps every view
     with pytest.raises(ValueError, match=r"^train_views \(4\) exceeds the 3 candidate views per instance"):
         tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=4)
     assert tiny_config(ccg_rounds=0, spawn_per_kept=(), train_views=3).train_views == 3
     with pytest.raises(ValueError, match=r"^train_views \(31\) exceeds the 30 candidate views per instance"):
-        tiny_config(policy_name="keep_all", keep_fraction=0.1, train_views=31)
-    assert tiny_config(policy_name="keep_all", keep_fraction=0.1, train_views=30).train_views == 30
+        tiny_config(policy_name="random", keep_fraction=1.0, train_views=31)
+    assert tiny_config(policy_name="random", keep_fraction=1.0, train_views=30).train_views == 30
     with pytest.raises(ValueError):
         tiny_config(policy_name="mystery")
     with pytest.raises(ValueError):

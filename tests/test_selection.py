@@ -1,5 +1,6 @@
-"""Keep-count arithmetic and the four selection policies, each a score per
-candidate ranked by ``rank_rows`` (one row per instance)."""
+"""Keep-count arithmetic and the two selection policies, each a score per
+candidate ranked by ``rank_rows`` (one row per instance), plus the similarity
+scores that no policy uses any more."""
 
 import numpy as np
 import pytest
@@ -261,34 +262,30 @@ def test_filter_random_is_uniform():
     assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
 
-def test_keep_all_policy():
-    # keep_all scores every candidate alike and keeps all of them
-    assert one_segment([0.0, 0.0]) == [0, 1]
+def test_random_policy_at_keep_fraction_1_keeps_every_candidate():
+    # what the no_teacher condition runs: the draw decides nothing
+    assert split(random_scores(5, 0, [("trial",)])[0], 1.0) == ([0, 1, 2, 3, 4], [])
 
 
 # --- the policy setting ----------------------------------------------------------------
 
 
 def test_policy_names_are_closed():
-    assert set(POLICY_NAMES) == {"teacher_loss", "similarity", "random", "keep_all"}
-    with pytest.raises(SelectionError, match="unknown policy"):
-        PipelineConfig(policy_name="clip")
+    assert POLICY_NAMES == ("teacher_loss", "random")
+    for retired in ("clip", "similarity", "keep_all"):
+        message = rf"^unknown policy '{retired}'; choose one of \('teacher_loss', 'random'\)$"
+        with pytest.raises(SelectionError, match=message):
+            PipelineConfig(policy_name=retired)
 
 
 def test_policy_fraction_validation(small_schema, small_instance):
-    with pytest.raises(SelectionError):
-        PipelineConfig(policy_name="teacher_loss", keep_fraction=0.0)
-    # every out-of-range or non-numeric fraction is a SelectionError
-    for bad in (-0.5, 1.5, float("nan"), "half", None, 10**400):
-        with pytest.raises(SelectionError, match="keep_fraction"):
-            PipelineConfig(policy_name="teacher_loss", keep_fraction=bad)
-    assert PipelineConfig(policy_name="teacher_loss", keep_fraction=1.0).keep_fraction == 1.0
-    # keep_all keeps every candidate, so its fraction is never read and only
-    # has to be a finite number
-    assert PipelineConfig(policy_name="keep_all", keep_fraction=0.0).keep_fraction == 0.0
-    for bad in ("half", float("nan")):
-        with pytest.raises(SelectionError, match="keep_fraction"):
-            PipelineConfig(policy_name="keep_all", keep_fraction=bad)
+    # every out-of-range or non-numeric fraction is a SelectionError under
+    # every policy, 0.0 included
+    for name in POLICY_NAMES:
+        for bad in (0.0, -0.5, 1.5, float("nan"), "half", None, 10**400):
+            with pytest.raises(SelectionError, match=r"^keep_fraction must be a finite number in \(0, 1\], got "):
+                PipelineConfig(policy_name=name, keep_fraction=bad)
+        assert PipelineConfig(policy_name=name, keep_fraction=1.0).keep_fraction == 1.0
     # only the teacher-loss policy trains a teacher
     views = scored_pool([0.5, 0.25]).v
     for name in POLICY_NAMES:
