@@ -664,25 +664,34 @@ def test_run_pipeline_refuses_an_empty_split(tiny_run):
             run_pipeline(tiny_run.train, [], *args, condition)
 
 
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+# the selections the conditions run: the teacher, a uniform draw, and the
+# uniform draw that keeps every candidate (no_teacher)
+SELECTIONS = {
+    "teacher_loss": {"policy_name": "teacher_loss"},
+    "random": {"policy_name": "random"},
+    "no_teacher": {"policy_name": "random", "keep_fraction": 1.0},
+}
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
 @pytest.mark.parametrize("spawns", [(2, 1), (), (2, 0)], ids=["default", "no_ccg", "last_spawns_none"])
-def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, policy_name, spawns):
+def test_only_the_teacher_policy_scores_every_live_candidate(tiny_run, selection, spawns):
     # under teacher_loss the rounds leave every v-side view, and so every
-    # candidate of the student's pick, with a finite loss; other policies store none
-    config = replace(tiny_run.config, policy_name=policy_name, ccg_rounds=len(spawns), spawn_per_kept=spawns)
+    # candidate of the student's pick, with a finite loss; other selections store none
+    config = replace(tiny_run.config, **SELECTIONS[selection], ccg_rounds=len(spawns), spawn_per_kept=spawns)
     for instance in curate(tiny_run.train, tiny_run.g_uv, tiny_run.g_vu, Scorer(config, tiny_run.schema)):
         pool = instance.synthetic_pool
         live = pool.is_v & (pool.round + pool.survived == len(spawns or (0,)))
-        if policy_name == "teacher_loss":
+        if selection == "teacher_loss":
             assert live.any() and np.isfinite(pool.teacher_loss[pool.is_v]).all()
         else:
             assert np.isnan(pool.teacher_loss).all()
 
 
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
-def test_a_channel_that_overflows_is_refused_naming_it(tiny_run, policy_name):
+@pytest.mark.parametrize("selection", SELECTIONS)
+def test_a_channel_that_overflows_is_refused_naming_it(tiny_run, selection):
     huge_vu = LinearGaussianChannel(np.full((2, 2), 1e308), np.zeros(2), 0.3, MODALITY_V, MODALITY_U)
-    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, policy_name=policy_name)
+    config = tiny_config(ccg_rounds=1, spawn_per_kept=(2,), train_views=4, **SELECTIONS[selection])
     message = r"^LinearGaussianChannel from the 'v' side to the 'u' side output a non-finite number$"
     with pytest.raises(ChannelError, match=message), np.errstate(over="ignore"):
         run_pipeline(tiny_run.train, tiny_run.test, tiny_run.schema, tiny_run.g_uv, huge_vu, config)
@@ -1037,6 +1046,9 @@ def test_condition_name_inverts_condition_config():
     # a policy's condition wins over no_ccg, as a plain run with no rounds names it
     no_rounds = condition_config(base, "no_ccg")
     assert condition_name(condition_config(no_rounds, "random_teacher")) == "random_teacher"
+
+
+def test_condition_name_of_the_random_policy_at_keep_fraction_1_is_no_teacher():
     # the uniform draw that keeps every candidate is no_teacher, whatever set it
     assert condition_name(tiny_config(policy_name="random", keep_fraction=1.0)) == "no_teacher"
     assert condition_name(tiny_config(policy_name="random", keep_fraction=0.6)) == "random_teacher"

@@ -278,6 +278,12 @@ def test_policy_names_are_closed():
             PipelineConfig(policy_name=retired)
 
 
+def test_the_random_policy_refuses_keep_fraction_0():
+    # keep fraction 1.0 is what keeps every candidate; 0.0 keeps none and is refused
+    with pytest.raises(SelectionError, match=r"^keep_fraction must be a finite number in \(0, 1\], got 0\.0$"):
+        PipelineConfig(policy_name="random", keep_fraction=0.0)
+
+
 def test_policy_fraction_validation(small_schema, small_instance):
     # every out-of-range or non-numeric fraction is a SelectionError under
     # every policy, 0.0 included
